@@ -16,6 +16,12 @@ from scipy.interpolate import PchipInterpolator
 
 # Schedules must hit f(0)=1, g(0)=0, f(1)=0, g(1)=1 this tightly.
 SCHEDULE_BOUNDARY_TOL = 1e-12
+# Largest block the floating-point paths (closed-form gaps, quadratures,
+# spectral probe) accept. 64 is the largest block the running-time checks
+# cover (the m = 1 row of the n = 64 table); a block's gap minimum narrows
+# as 2^(-n_i/2), below the float spacing near s = 1/2 past about 106
+# qubits, and 2^1024 no longer fits in a double at all.
+MAX_BLOCK_QUBITS = 64
 
 
 @dataclass(frozen=True)
@@ -57,6 +63,19 @@ class Splitting:
     def block_dims(self) -> tuple[int, ...]:
         """Per-block dimensions 2**n_i."""
         return tuple(1 << p for p in self.parts)
+
+    def float_block_dims(self) -> np.ndarray:
+        """Per-block dimensions as floats, for the floating-point paths.
+
+        Raises ValueError for a block of more than MAX_BLOCK_QUBITS qubits.
+        """
+        largest = max(self.parts)
+        if largest > MAX_BLOCK_QUBITS:
+            raise ValueError(
+                f"block of {largest} qubits exceeds the floating-point cap of "
+                f"{MAX_BLOCK_QUBITS} qubits per block"
+            )
+        return np.array(self.block_dims, dtype=float)
 
     def block_fields(self) -> list[tuple[int, int]]:
         """(shift, mask) pairs that extract each block's bits from an index."""

@@ -5,6 +5,11 @@ building dense matrices, recording ground-state overlap, the adiabaticity
 diagnostic, and norm drift at uniform checkpoints in s. Norm drift is never
 corrected, only watched: exceeding the limit is an error, not a warning,
 because renormalizing would mask step-size problems.
+
+The diagnostics diagonalize nothing: each block term keeps
+span{|marked_i>, |uniform_i>} invariant, so the ground state is a product of
+per-block two-level ground vectors, the gap is the smallest block gap, and
+the drive couples each block only to its own excited direction.
 """
 
 from __future__ import annotations
@@ -14,11 +19,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh
-from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .core import MarkedState, Precision, Schedule, Splitting
-from .hamiltonian import DENSE_CAP, MatrixFreeHamiltonian, build_initial
+from .hamiltonian import DENSE_CAP, MatrixFreeHamiltonian
 from .runtime import TimeSchedule
 from .spectral import max_structured_matrix_element, subsystem_gap
 
@@ -29,8 +32,7 @@ NORM_DRIFT_LIMIT = 1e-6
 # leading order, so it can miss the target.
 GUARANTEE_SLACK = 0.01
 
-# Full diagonalization below this dimension; per-block closed forms above.
-_DENSE_EIG_DIM = 1024
+# Blocks with gaps this close to the smallest share the first excited level.
 _CLUSTER_TOL = 1e-8
 
 
@@ -61,79 +63,71 @@ def rk4_propagate(apply_h, psi: np.ndarray, t0: float, t1: float, nsteps: int) -
     return psi
 
 
-def _cluster_indices(vals: np.ndarray, start: int) -> list[int]:
-    """Indices of the eigenvalue cluster beginning at position ``start``."""
-    tol = _CLUSTER_TOL * max(1.0, float(np.abs(vals).max()))
-    anchor = vals[start]
-    return [k for k in range(start, vals.size) if vals[k] - anchor <= tol]
-
-
-class _SpectralProbe:
-    """Instantaneous eigen-diagnostics for one (splitting, marked) problem.
-
-    Uses full dense diagonalization up to 1024 dimensions; beyond that the
-    transition element comes from the exact per-block closed form and the
-    ground vector from a Lanczos solve.
+def _stage_couplings(schedule_t: TimeSchedule, t0, t1, nsteps: int) -> dict:
+    """{t: (f, g)} for every stage time of ``rk4_propagate(_, _, t0, t1, nsteps)``,
+    formed with the integrator's own float expressions so that its lookups
+    hit exactly; a time it lacks raises KeyError instead of a fallback.
     """
+    h = (t1 - t0) / nsteps
+    starts = t0 + np.arange(nsteps) * h
+    times = np.concatenate([starts, starts + 0.5 * h, starts + h])
+    s = schedule_t.s_of_t(times)
+    base = schedule_t.base
+    return dict(zip(times.tolist(), zip(base.f(s).tolist(), base.g(s).tolist())))
 
-    def __init__(self, splitting: Splitting, marked: MarkedState):
-        self.splitting = splitting
-        self.applier = MatrixFreeHamiltonian(splitting, marked)
-        self.dense = splitting.dim <= _DENSE_EIG_DIM
-        if self.dense:
-            self.h_initial, _ = build_initial(splitting)
-            self.final_diag = self.applier.final_diag
 
-    def _dense_eigens(self, f: float, g: float):
-        h = f * self.h_initial + np.diag(g * self.final_diag)
-        return eigh(h)
+def _ground_state(splitting: Splitting, marked: MarkedState, f: float, g: float):
+    """(E0, ground eigenvector) as a product of per-block closed forms.
 
-    def ground_vector(self, f: float, g: float) -> tuple[float, np.ndarray, float]:
-        """(E0, ground eigenvector, gap to the next level)."""
-        if self.dense:
-            vals, vecs = self._dense_eigens(f, g)
-            return float(vals[0]), vecs[:, 0], float(vals[1] - vals[0])
-        op = LinearOperator(
-            (self.splitting.dim,) * 2,
-            matvec=lambda v: self.applier.apply(f, g, v),
-            dtype=float,
-        )
-        # deterministic generic start; the uniform vector is an exact
-        # eigenvector at s = 0 and stalls the Lanczos iteration
-        v0 = np.random.default_rng(7).standard_normal(self.splitting.dim)
-        vals, vecs = eigsh(op, k=2, which="SA", v0=v0)
-        order = np.argsort(vals)
-        return float(vals[order[0]]), vecs[:, order[0]], float(vals[order[1]] - vals[order[0]])
+    With |u> = a|m> + b|m_perp> and a^2 = 1/N, a block term reads
+    [[f b^2, -f a b], [-f a b, f a^2 + g]] on (|m>, |m_perp>); its ground
+    vector comes from half-angle forms, each taken where it does not cancel.
+    """
+    if f == 0.0 and g == 0.0:
+        raise ValueError("the operator is zero where f = g = 0; no ground state")
+    dims = splitting.float_block_dims()
+    gaps = subsystem_gap(dims, f, g)
+    weight = 1.0 / dims
+    cos_2chi = (f * (1.0 - 2.0 * weight) - g) / gaps
+    large = np.sqrt(0.5 * (1.0 + np.abs(cos_2chi)))
+    small = f * np.sqrt(weight * (1.0 - weight)) / (gaps * large)
+    vector = np.ones(1)
+    blocks = zip(splitting.block_dims, marked.block_values(splitting), cos_2chi, large, small)
+    for dim, index, cos, lg, sm in blocks:
+        c_marked, c_perp = (sm, lg) if cos >= 0.0 else (lg, sm)
+        # |m_perp> = (|u> - a|m>) / b is 1/sqrt(N - 1) off the marked entry
+        block = np.full(dim, c_perp / math.sqrt(dim - 1.0))
+        block[index] = c_marked
+        vector = np.kron(vector, block)
+    return float(np.sum(2.0 * f * g * (1.0 - weight) / (f + g + gaps))), vector
 
-    def transition_element(self, f: float, g: float, df: float, dg: float):
-        """(element, gap, cluster size) for the drive coupling into the first
-        excited cluster: the norm of that cluster's projection of dH/ds
-        applied to the ground state."""
-        if self.dense:
-            vals, vecs = self._dense_eigens(f, g)
-            cluster = _cluster_indices(vals, 1)
-            drive = self.applier.apply(df, dg, vecs[:, 0])
-            amps = vecs[:, cluster].T @ drive
-            omega = float(vals[cluster[0]] - vals[0])
-            return float(np.linalg.norm(amps)), omega, len(cluster)
-        # exact per-block form: each block couples only to its own excited
-        # direction, with strength |f'g - g'f| sqrt(N-1) / (N * omega_block)
-        dims = np.array(self.splitting.block_dims, dtype=float)
-        gaps = np.array([subsystem_gap(d, f, g) for d in dims])
-        omega = float(gaps.min())
-        tol = _CLUSTER_TOL * max(1.0, omega)
-        at_min = gaps - omega <= tol
-        elements = (
-            abs(df * g - dg * f) * np.sqrt(dims[at_min] - 1.0) / (dims[at_min] * gaps[at_min])
-        )
-        return float(np.sqrt(np.sum(elements**2))), omega, int(at_min.sum())
+
+def _transition_element(splitting: Splitting, f: float, g: float, df: float, dg: float):
+    """(element, gap, cluster size) for the drive dH/ds coupling the ground
+    state into the first excited level, one smallest block gap above it.
+
+    Each block couples only to its own excited direction, with strength
+    |f'g - g'f| sqrt(N-1) / (N * omega_block); the element is the
+    root-sum-square over the blocks at the smallest gap, which the cluster
+    counts. The rest of a block's space sits at f + g, level with the
+    excited direction only where f * g = 0, and never couples.
+    """
+    dims = splitting.float_block_dims()
+    gaps = subsystem_gap(dims, f, g)
+    omega = float(gaps.min())
+    tol = _CLUSTER_TOL * max(1.0, omega)
+    at_min = gaps - omega <= tol
+    elements = (
+        abs(df * g - dg * f) * np.sqrt(dims[at_min] - 1.0) / (dims[at_min] * gaps[at_min])
+    )
+    return float(np.sqrt(np.sum(elements**2))), omega, int(at_min.sum())
 
 
 def adiabaticity_lhs(splitting: Splitting, schedule: Schedule, s: float, ds_dt: float) -> float:
     """Drive matrix element times |ds/dt| over the squared gap at s.
 
-    Computed from instantaneous eigenvectors; when the first excited level
-    is degenerate the element is the root-sum-square over the degenerate
+    Computed from the per-block closed forms; when several blocks share
+    the smallest gap the element is the root-sum-square over their excited
     states (a warning points callers at the summed condition, whose square
     root this value already is). Gaps and element magnitudes do not depend
     on the marked state.
@@ -144,9 +138,8 @@ def adiabaticity_lhs(splitting: Splitting, schedule: Schedule, s: float, ds_dt: 
         raise ValueError(f"schedule vanishes at s={s}; the operator is zero there")
     if ds_dt == 0.0:
         return 0.0
-    probe = _SpectralProbe(splitting, MarkedState.zeros(splitting.n))
-    element, omega, cluster_size = probe.transition_element(
-        f, g, float(schedule.df(s)), float(schedule.dg(s))
+    element, omega, cluster_size = _transition_element(
+        splitting, f, g, float(schedule.df(s)), float(schedule.dg(s))
     )
     if cluster_size > 1:
         warnings.warn(
@@ -181,10 +174,7 @@ def instantaneous_ground_overlap(
     s: float,
 ) -> float:
     """Squared overlap of ``state`` with the instantaneous ground state."""
-    probe = _SpectralProbe(splitting, marked)
-    _, ground, gap = probe.ground_vector(float(schedule.f(s)), float(schedule.g(s)))
-    if gap < 1e-12:
-        raise RuntimeError(f"ground state is near-degenerate at s={s} (gap {gap:.3e})")
+    _, ground = _ground_state(splitting, marked, float(schedule.f(s)), float(schedule.g(s)))
     return float(abs(np.vdot(ground, state)) ** 2)
 
 
@@ -291,15 +281,18 @@ def evolve(
 
     f_checks = np.asarray(base.f(s_checks), dtype=float)
     g_checks = np.asarray(base.g(s_checks), dtype=float)
+    df_checks = np.asarray(base.df(s_checks), dtype=float)
+    dg_checks = np.asarray(base.dg(s_checks), dtype=float)
+    rate_checks = np.asarray(schedule_t.rate(s_checks), dtype=float)
     norm_bound = float(np.max(np.abs(f_checks) + np.abs(g_checks)) * splitting.num_blocks)
     h_target = 1.0 / (precision.ode_steps_per_unit_time * norm_bound)
 
     applier = MatrixFreeHamiltonian(splitting, marked)
-    probe = _SpectralProbe(splitting, marked)
+    couplings: dict = {}
 
     def apply_h(t, v):
-        s = float(schedule_t.s_of_t(t))
-        return applier.apply(float(base.f(s)), float(base.g(s)), v)
+        f, g = couplings[t]
+        return applier.apply(f, g, v)
 
     overlaps = np.zeros(CHECKPOINT_COUNT)
     lhs_vals = np.zeros(CHECKPOINT_COUNT)
@@ -307,9 +300,10 @@ def evolve(
     drift = 0.0
     for k in range(CHECKPOINT_COUNT):
         if k > 0 and t_checks[k] > t_checks[k - 1]:
-            dt = t_checks[k] - t_checks[k - 1]
-            nsteps = max(1, int(math.ceil(dt / h_target)))
-            psi = rk4_propagate(apply_h, psi, t_checks[k - 1], t_checks[k], nsteps)
+            t0, t1 = t_checks[k - 1], t_checks[k]
+            nsteps = max(1, int(math.ceil((t1 - t0) / h_target)))
+            couplings = _stage_couplings(schedule_t, t0, t1, nsteps)
+            psi = rk4_propagate(apply_h, psi, t0, t1, nsteps)
         norm = float(np.linalg.norm(psi))
         norms[k] = norm
         drift = max(drift, abs(norm - 1.0))
@@ -319,12 +313,12 @@ def evolve(
                 f"ode_steps_per_unit_time (currently {precision.ode_steps_per_unit_time})"
             )
         f, g = float(f_checks[k]), float(g_checks[k])
-        df, dg = float(base.df(s_checks[k])), float(base.dg(s_checks[k]))
-        _, ground, _ = probe.ground_vector(f, g)
+        _, ground = _ground_state(splitting, marked, f, g)
         overlaps[k] = abs(np.vdot(ground, psi)) ** 2
-        element, omega, _ = probe.transition_element(f, g, df, dg)
-        rate = float(schedule_t.rate(s_checks[k]))
-        lhs_vals[k] = element * abs(rate) / omega**2
+        element, omega, _ = _transition_element(
+            splitting, f, g, float(df_checks[k]), float(dg_checks[k])
+        )
+        lhs_vals[k] = element * abs(rate_checks[k]) / omega**2
 
     p = float(abs(psi[marked.index]) ** 2)
     return EvolutionReport(

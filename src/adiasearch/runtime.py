@@ -18,9 +18,16 @@ from scipy.integrate import IntegrationWarning, quad
 from scipy.interpolate import PchipInterpolator
 from scipy.optimize import brentq
 
-from .core import Precision, Schedule, Splitting, equal_splitting, linear_schedule
+from .core import (
+    MAX_BLOCK_QUBITS,
+    Precision,
+    Schedule,
+    Splitting,
+    equal_splitting,
+    linear_schedule,
+)
 
-MAX_TABLE_QUBITS = 64  # beyond this, doubles cannot resolve (N-1)/N**2 anyway
+MAX_TABLE_QUBITS = MAX_BLOCK_QUBITS  # the m = 1 row is one block of n qubits
 
 _QUAD_LIMIT = 500
 
@@ -50,7 +57,7 @@ class RunTimeResult:
 
 def _time_integrand(splitting: Splitting, schedule: Schedule):
     """dt/ds times epsilon for the bound-saturating time parameterization."""
-    dims = np.array(splitting.block_dims, dtype=float)
+    dims = splitting.float_block_dims()
     weights = (dims - 1.0) / dims**2
 
     def integrand(s: float) -> float:
@@ -240,8 +247,8 @@ class TimeSchedule:
     _rate_of_s: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.total_time < 0.0:
-            raise ValueError(f"total time must be >= 0, got {self.total_time}")
+        if not (math.isfinite(self.total_time) and self.total_time >= 0.0):
+            raise ValueError(f"total time must be finite and >= 0, got {self.total_time}")
         if self.total_time > 0.0:
             object.__setattr__(self, "_s_of_t", PchipInterpolator(self.t_nodes, self.s_nodes))
             object.__setattr__(self, "_t_of_s", PchipInterpolator(self.s_nodes, self.t_nodes))
@@ -295,8 +302,8 @@ class TimeSchedule:
 
     def scaled(self, new_total_time: float) -> "TimeSchedule":
         """Same path through s, uniformly stretched to a new total time."""
-        if new_total_time <= 0.0:
-            raise ValueError(f"scaled total time must be > 0, got {new_total_time}")
+        if not (math.isfinite(new_total_time) and new_total_time > 0.0):
+            raise ValueError(f"scaled total time must be finite and > 0, got {new_total_time}")
         if self.total_time == 0.0:
             raise ValueError("cannot scale a zero-duration schedule")
         factor = new_total_time / self.total_time

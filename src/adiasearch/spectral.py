@@ -24,9 +24,10 @@ def subsystem_gap(block_dim, f, g):
 
     A block of dimension ``block_dim`` driven by f*(uniform-state projector
     penalty) + g*(target-state projector penalty) has spectral gap
-    sqrt((f - g)**2 + 4*f*g/block_dim). Accepts array-valued f, g.
+    sqrt((f - g)**2 + 4*f*g/block_dim). Accepts array-valued f, g, or an
+    array of block dimensions.
     """
-    if block_dim < 2:
+    if np.any(np.asarray(block_dim) < 2):
         raise ValueError(f"block dimension must be >= 2, got {block_dim}")
     return np.sqrt((f - g) ** 2 + (4.0 / block_dim) * f * g)
 
@@ -105,14 +106,13 @@ def gap_profile(splitting: Splitting, schedule: Schedule, grid: int = 1001) -> G
     s = np.linspace(0.0, 1.0, grid)
     f = np.asarray(schedule.f(s), dtype=float)
     g = np.asarray(schedule.g(s), dtype=float)
-    block_gaps = np.column_stack(
-        [subsystem_gap(dim, f, g) for dim in splitting.block_dims]
-    )
+    dims = splitting.float_block_dims()
+    block_gaps = np.column_stack([subsystem_gap(dim, f, g) for dim in dims])
     global_gap = block_gaps.min(axis=1)
 
     def omega(x):
         ff, gg = schedule.f(x), schedule.g(x)
-        return min(subsystem_gap(dim, ff, gg) for dim in splitting.block_dims)
+        return min(subsystem_gap(dim, ff, gg) for dim in dims)
 
     k = int(np.argmin(global_gap))
     s_min, omega_min = s[k], float(global_gap[k])

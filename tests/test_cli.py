@@ -164,6 +164,25 @@ def test_evolve_bad_marked_is_config_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_non_finite_total_time_is_config_error(capsys):
+    for value in ("nan", "inf"):
+        assert run_cli("evolve", "--n", "2", "--m", "1", "--total-time", value) == 2
+        assert "total time must be finite" in capsys.readouterr().err
+
+
+def test_oversized_block_is_config_error(capsys):
+    # blocks past 64 qubits used to overflow (2000) or divide by zero (1023)
+    for argv in (
+        ("gap", "--n", "2000", "--m", "1"),
+        ("schedule", "--n", "2000", "--m", "1"),
+        ("schedule", "--n", "1023", "--m", "1"),
+        ("gap", "--n", "66", "--parts", "1,65"),
+    ):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cap of 64 qubits per block" in err
+
+
 def test_parts_and_m_are_exclusive():
     assert run_cli("gap", "--n", "4", "--parts", "2,2", "--m", "2") == 2
     assert run_cli("gap", "--n", "4") == 2

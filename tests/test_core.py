@@ -59,6 +59,15 @@ def test_block_dims_product_is_total_dim():
             left -= p
         sp = make_splitting(n, parts)
         assert np.prod([float(d) for d in sp.block_dims]) == 2.0**n
+        assert sp.float_block_dims().tolist() == [float(d) for d in sp.block_dims]
+
+
+def test_float_block_dims_cap():
+    assert make_splitting(128, [64, 64]).float_block_dims().tolist() == [2.0**64] * 2
+    # the splitting itself stays valid; only the floating-point paths refuse it
+    for n, parts in [(65, [65]), (66, [1, 65]), (2000, [2000])]:
+        with pytest.raises(ValueError, match="64 qubits per block"):
+            make_splitting(n, parts).float_block_dims()
 
 
 def test_marked_state_big_endian_index():

@@ -4,9 +4,16 @@ import warnings
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
-from scipy.linalg import expm
+from scipy.linalg import eigh, expm
 
-from adiasearch.core import MarkedState, Precision, linear_schedule, make_splitting
+from adiasearch import dynamics
+from adiasearch.core import (
+    MarkedState,
+    Precision,
+    linear_schedule,
+    make_splitting,
+    tabulated_schedule,
+)
 from adiasearch.dynamics import (
     DegenerateLevelWarning,
     NormDriftError,
@@ -16,6 +23,7 @@ from adiasearch.dynamics import (
     instantaneous_ground_overlap,
     rk4_propagate,
 )
+from adiasearch.hamiltonian import build_initial, final_diagonal
 from adiasearch.runtime import TimeSchedule, max_structured_time, optimal_schedule
 
 
@@ -219,17 +227,90 @@ def test_sqrt_n_time_from_saturating_the_summed_condition():
 
 
 def test_ground_overlap_boundaries():
-    splitting = make_splitting(2, [2])
-    marked = MarkedState.zeros(2)
+    # from 11 qubits on, the ground vector used to come from a Lanczos solve
+    # that returned a degenerate pair at s = 1 (gap 1e-16): the overlap raised
+    # "near-degenerate", and the last checkpoint at n=12 read 1.6e-5, not p
     sched = linear_schedule()
-    uniform = np.full(4, 0.5, dtype=complex)
-    assert instantaneous_ground_overlap(uniform, splitting, marked, sched, 0.0) == pytest.approx(
-        1.0, abs=1e-12
-    )
-    precision = Precision(epsilon=0.1)
-    report = evolve(splitting, marked, optimal_schedule(splitting, precision), precision)
-    assert report.checkpoint_overlap[-1] == pytest.approx(report.success_probability, abs=1e-9)
-    assert report.checkpoint_overlap[0] == pytest.approx(1.0, abs=1e-9)
+    for parts, bits in [([2], "00"), ([5, 6], "10110011010"), ([12], "011010011101")]:
+        n = sum(parts)
+        splitting = make_splitting(n, parts)
+        marked = MarkedState.from_string(bits)
+        uniform = np.full(1 << n, 2.0 ** (-0.5 * n), dtype=complex)
+        target = np.zeros(1 << n, dtype=complex)
+        target[marked.index] = 1.0
+        for state, s in ((uniform, 0.0), (target, 1.0)):
+            overlap = instantaneous_ground_overlap(state, splitting, marked, sched, s)
+            assert overlap == pytest.approx(1.0, abs=1e-12)
+    for parts, bits, eps in [([2], "00", 0.1), ([6, 6], "110100101101", 0.2)]:
+        n = sum(parts)
+        splitting = make_splitting(n, parts)
+        precision = Precision(epsilon=eps)
+        report = evolve(
+            splitting, MarkedState.from_string(bits), optimal_schedule(splitting, precision), precision
+        )
+        assert report.checkpoint_overlap[-1] == pytest.approx(report.success_probability, abs=1e-9)
+        assert report.checkpoint_overlap[0] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_closed_form_probe_matches_dense_diagonalization():
+    # Oracle: the full operator from build_initial + final_diagonal,
+    # diagonalized densely, [5,5] at the 1024 dimensions where the library
+    # used to switch from this to Lanczos. The transition element projects
+    # the drive onto the first excited cluster. Where f * g = 0 that cluster
+    # also holds each block's directions orthogonal to |u> and |m>, which sit
+    # at f + g, level with the excited direction there but uncoupled; the
+    # closed form counts only the coupled blocks, so the dense cluster can
+    # be larger at s = 0 and s = 1 while the element is the same.
+    sched = linear_schedule()
+    cases = [([1, 3], "0110"), ([2, 1, 1], "1011"), ([3, 3], "101001"), ([5, 5], "1100110101")]
+    for parts, bits in cases:
+        n = sum(parts)
+        splitting = make_splitting(n, parts)
+        marked = MarkedState.from_string(bits)
+        h_initial, _ = build_initial(splitting)
+        h_final = final_diagonal(splitting, marked)
+        for s in (0.0, 0.3, 0.5, 0.77, 1.0):
+            f, g, df, dg = sched.f(s), sched.g(s), sched.df(s), sched.dg(s)
+            vals, vecs = eigh(f * h_initial + np.diag(g * h_final))
+            cluster = 1 + np.nonzero(vals[1:] - vals[1] <= 1e-8)[0]
+            drive = df * (h_initial @ vecs[:, 0]) + dg * h_final * vecs[:, 0]
+            dense_element = np.linalg.norm(vecs[:, cluster].T @ drive)
+
+            energy, ground = dynamics._ground_state(splitting, marked, f, g)
+            element, gap, count = dynamics._transition_element(splitting, f, g, df, dg)
+            assert energy == pytest.approx(vals[0], abs=1e-10)
+            assert gap == pytest.approx(vals[1] - vals[0], abs=1e-10)
+            assert abs(np.vdot(vecs[:, 0], ground)) ** 2 == pytest.approx(1.0, abs=1e-10)
+            assert element == pytest.approx(dense_element, abs=1e-10)
+            if f * g == 0.0:
+                assert cluster.size >= count
+            else:
+                assert cluster.size == count
+
+
+def test_stage_couplings_equal_scalar_schedule_calls():
+    # evolve evaluates the schedule once per checkpoint interval; every
+    # stage time the integrator asks for must map to exactly the (f, g) a
+    # scalar evaluation gives, so the success probability is unchanged
+    base = tabulated_schedule([0.0, 0.4, 1.0], [1.0, 0.7, 0.0], [0.0, 0.2, 1.0])
+    schedule_t = TimeSchedule.from_samples([0.0, 1.5, 2.0, 7.0], [0.0, 0.3, 0.6, 1.0], base)
+    t0, t1 = schedule_t.t_of_s(np.array([0.29, 0.61]))
+    table = dynamics._stage_couplings(schedule_t, t0, t1, 9)
+    asked = []
+    rk4_propagate(lambda t, v: asked.append(t) or v, np.ones(2, dtype=complex), t0, t1, 9)
+    assert len(asked) == 36
+    for t in asked:
+        s = float(schedule_t.s_of_t(t))
+        assert table[t] == (float(base.f(s)), float(base.g(s)))
+
+
+def test_stage_lookup_miss_fails_loudly(monkeypatch):
+    def shifted(apply_h, psi, t0, t1, nsteps):
+        return rk4_propagate(apply_h, psi, t0 + 1e-3, t1, nsteps)
+
+    monkeypatch.setattr(dynamics, "rk4_propagate", shifted)
+    with pytest.raises(KeyError):
+        _optimal_report(2, [2], 0.2)
 
 
 def test_ground_overlap_stays_high_along_slow_run():

@@ -216,8 +216,12 @@ def test_time_schedule_from_samples_and_scaling():
     doubled = schedule_t.scaled(16.0)
     assert doubled.total_time == 16.0
     assert float(doubled.rate(0.5)) == pytest.approx(1.0 / 16.0, rel=1e-9)
-    with pytest.raises(ValueError):
-        schedule_t.scaled(0.0)
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="total time"):
+            schedule_t.scaled(bad)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="total time"):
+            TimeSchedule(schedule_t.base, bad, t_nodes, s_nodes, schedule_t.rate_nodes)
 
     quench = TimeSchedule.quench()
     assert quench.total_time == 0.0
