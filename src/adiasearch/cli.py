@@ -54,8 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="adia",
         description="Structured adiabatic search: running times, gaps, schedules, dynamics.",
-        epilog="The environment variable ADIA_SEED is reserved for future "
-        "stochastic features and is currently unused.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -184,6 +182,7 @@ def cmd_table(args) -> int:
 def cmd_evolve(args) -> int:
     splitting = _splitting_from_args(args)
     marked = _marked_from_args(args, splitting.n)
+    dynamics.check_evolution_cap(splitting)
     kwargs = {"epsilon": args.eps}
     if args.steps is not None:
         kwargs["ode_steps_per_unit_time"] = args.steps

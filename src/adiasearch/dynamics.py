@@ -44,6 +44,12 @@ class DegenerateLevelWarning(UserWarning):
     """First excited level is degenerate; the summed condition applies."""
 
 
+def check_evolution_cap(splitting: Splitting):
+    """Refuse a state of more than DENSE_CAP qubits, before any work for it."""
+    if splitting.n > DENSE_CAP:
+        raise ValueError(f"n={splitting.n} exceeds the evolution cap of {DENSE_CAP} qubits")
+
+
 def rk4_propagate(apply_h, psi: np.ndarray, t0: float, t1: float, nsteps: int) -> np.ndarray:
     """Integrate i * dpsi/dt = H(t) psi with classical fixed-step RK4.
 
@@ -244,8 +250,7 @@ def evolve(
     success probability is just the uniform weight on the marked state.
     """
     precision = precision if precision is not None else Precision()
-    if splitting.n > DENSE_CAP:
-        raise ValueError(f"n={splitting.n} exceeds the evolution cap of {DENSE_CAP} qubits")
+    check_evolution_cap(splitting)
     if marked.n != splitting.n:
         raise ValueError(f"marked state has {marked.n} bits, splitting expects {splitting.n}")
     dim = splitting.dim
@@ -284,10 +289,10 @@ def evolve(
     df_checks = np.asarray(base.df(s_checks), dtype=float)
     dg_checks = np.asarray(base.dg(s_checks), dtype=float)
     rate_checks = np.asarray(schedule_t.rate(s_checks), dtype=float)
-    norm_bound = float(np.max(np.abs(f_checks) + np.abs(g_checks)) * splitting.num_blocks)
+    applier = MatrixFreeHamiltonian(splitting, marked)
+    norm_bound = max(map(applier.norm_bound, f_checks.tolist(), g_checks.tolist()))
     h_target = 1.0 / (precision.ode_steps_per_unit_time * norm_bound)
 
-    applier = MatrixFreeHamiltonian(splitting, marked)
     couplings: dict = {}
 
     def apply_h(t, v):

@@ -313,24 +313,16 @@ class MatrixFreeHamiltonian:
     """Applies f * H_initial + g * H_final without dense matrices.
 
     Read-only after construction and reentrant: safe to share across
-    concurrent evolutions. The problem part is a stored diagonal; the mixing
-    part subtracts each block's uniform average via reshapes.
+    concurrent evolutions. The problem part is the stored ``final_diagonal``
+    (so the dense cap applies); the mixing part subtracts each block's
+    uniform average via reshapes.
     """
 
     def __init__(self, splitting: Splitting, marked: MarkedState):
-        if marked.n != splitting.n:
-            raise ValueError(
-                f"marked state has {marked.n} bits, splitting expects {splitting.n}"
-            )
+        self.final_diag = final_diagonal(splitting, marked)
         self.splitting = splitting
         self.marked = marked
         dim = splitting.dim
-        idx = np.arange(dim)
-        diag = np.zeros(dim)
-        targets = marked.block_values(splitting)
-        for (shift, mask), target in zip(splitting.block_fields(), targets):
-            diag += (np.bitwise_and(idx >> shift, mask) != target).astype(float)
-        self.final_diag = diag
         shapes = []
         left = 1
         for block_dim in splitting.block_dims:

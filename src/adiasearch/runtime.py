@@ -71,28 +71,21 @@ def _time_integrand(splitting: Splitting, schedule: Schedule):
     return integrand
 
 
-def _gap_minimum_breakpoints(schedule: Schedule) -> list[float]:
-    """Interior s where f = g; every block gap bottoms out there."""
+def _peak_breakpoints(splitting: Splitting, schedule: Schedule) -> list[float]:
+    """Panel edges bracketing the integrand peak at the interior s where f = g.
+
+    Every block gap bottoms out at that crossing. A block of dimension N
+    peaks with half-width about f / (sqrt(N) |f'-g'|) in s, far below what
+    adaptive sampling stumbles on for large N (2^-32 of the interval at 64
+    qubits), so a ladder of scales around the crossing is pinned explicitly
+    for every distinct block dimension.
+    """
     def crossing(s):
         return float(schedule.f(s)) - float(schedule.g(s))
 
-    if crossing(0.0) > 0.0 > crossing(1.0):
-        return [brentq(crossing, 0.0, 1.0, xtol=1e-14)]
-    return []
-
-
-def _peak_breakpoints(splitting: Splitting, schedule: Schedule) -> list[float]:
-    """Forced subdivision points bracketing the integrand peak at f = g.
-
-    A block of dimension N peaks with half-width about f / (sqrt(N) |f'-g'|)
-    in s, far below what adaptive sampling stumbles on for large N (2^-32 of
-    the interval at 64 qubits), so a ladder of scales around the crossing is
-    pinned explicitly for every distinct block dimension.
-    """
-    crossings = _gap_minimum_breakpoints(schedule)
-    if not crossings:
+    if not crossing(0.0) > 0.0 > crossing(1.0):
         return []
-    s_star = crossings[0]
+    s_star = brentq(crossing, 0.0, 1.0, xtol=1e-14)
     f_star = float(schedule.f(s_star))
     slope = max(abs(float(schedule.df(s_star)) - float(schedule.dg(s_star))), 1e-6)
     points = {s_star}
@@ -116,49 +109,40 @@ def _check_not_singular(schedule: Schedule):
         )
 
 
-def _quad_piece(integrand, lo: float, hi: float, rel_tol: float, points=None):
-    """One adaptive panel, returning (value, error estimate).
+def _panel_integrals(integrand, edges, rel_tol: float, context: str) -> tuple[float, list[float]]:
+    """(total, per-panel integrals) of ``integrand`` between consecutive edges.
 
-    Roundoff chatter from panels that sit right on the peak is tolerated
-    here; callers judge the summed error estimate against the whole
-    integral, which is what the tolerance is about.
+    One adaptive ``quad`` per panel. Roundoff chatter from panels that sit
+    right on the peak is tolerated there; the summed error estimate is
+    judged against the whole integral, which is what the tolerance is about.
+    For monotone f and g, f'g - g'f vanishes on all of [0, 1] exactly when
+    f = g = 0 somewhere, so a zero (or non-finite) total means a singular
+    schedule that slipped between the probe points of _check_not_singular.
     """
-    with warnings.catch_warnings():
+    values = []
+    total = 0.0
+    err_total = 0.0
+    # a closed gap divides by zero; the total below reports it as singular
+    with warnings.catch_warnings(), np.errstate(divide="ignore"):
         warnings.simplefilter("ignore", IntegrationWarning)
-        value, err = quad(
-            integrand,
-            lo,
-            hi,
-            points=points,
-            epsabs=0.0,
-            epsrel=rel_tol,
-            limit=_QUAD_LIMIT,
+        for lo, hi in zip(edges, edges[1:]):
+            value, err = quad(integrand, lo, hi, epsabs=0.0, epsrel=rel_tol, limit=_QUAD_LIMIT)
+            values.append(value)
+            total += value
+            err_total += err
+    if not (math.isfinite(total) and total > 0.0):
+        raise ValueError(
+            f"singular schedule: f'g - g'f integrates to {total} over [0, 1], "
+            "so f = g = 0 somewhere and the gap closes there"
         )
-    return value, err
-
-
-def _check_converged(total: float, err_total: float, rel_tol: float, context: str):
-    if err_total > 10.0 * rel_tol * max(abs(total), 1e-300):
+    if err_total > 10.0 * rel_tol * total:
         raise QuadratureError(
             f"quadrature did not converge for {context}: value {total!r}, "
             f"summed error estimate {err_total!r}",
             value=total,
             estimate=err_total,
         )
-
-
-def _integrate_piecewise(splitting: Splitting, schedule: Schedule, rel_tol: float) -> float:
-    """Integrate the time integrand over [0, 1] split at the peak ladder."""
-    integrand = _time_integrand(splitting, schedule)
-    edges = [0.0] + _peak_breakpoints(splitting, schedule) + [1.0]
-    total = 0.0
-    err_total = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        value, err = _quad_piece(integrand, lo, hi, rel_tol)
-        total += value
-        err_total += err
-    _check_converged(total, err_total, rel_tol, "the running-time integral")
-    return total
+    return total, values
 
 
 def scaling_coefficients(eps_t: float, n: int, num_blocks: int) -> tuple[float, float]:
@@ -187,13 +171,15 @@ def running_time_integral(
 
     Integrates |f'g - g'f| * sqrt(sum_i (N_i - 1)/N_i**2 / omega_i**6) over
     s in [0, 1]. The integrand peaks where f = g with width shrinking as
-    1/sqrt(N_i), so that point is passed to the quadrature as a forced
-    subdivision; a plain uniform rule would miss the peak for large blocks.
+    1/sqrt(N_i), so the panels end on a ladder of points around that peak;
+    a plain uniform rule would miss it for large blocks.
     """
     schedule = schedule if schedule is not None else linear_schedule()
     precision = precision if precision is not None else Precision()
     _check_not_singular(schedule)
-    eps_t = _integrate_piecewise(splitting, schedule, precision.quad_tol)
+    integrand = _time_integrand(splitting, schedule)
+    edges = [0.0] + _peak_breakpoints(splitting, schedule) + [1.0]
+    eps_t, _ = _panel_integrals(integrand, edges, precision.quad_tol, "the running-time integral")
     alpha, beta = scaling_coefficients(eps_t, splitting.n, splitting.num_blocks)
     return RunTimeResult(splitting, eps_t, alpha, beta, "quadrature")
 
@@ -324,10 +310,12 @@ def optimal_schedule(
 ) -> TimeSchedule:
     """Time parameterization that saturates the adiabatic bound everywhere.
 
-    Tabulates t(s) by accumulating the time integrand over a uniform s grid
-    (each cell integrated adaptively) and inverts it monotonically. The
-    total time agrees with :func:`running_time_integral` to quadrature
-    tolerance, and ds/dt is smallest where the gap is smallest.
+    Tabulates t(s) by accumulating the time integrand over a uniform s grid,
+    with panels between the grid points and the peak ladder of
+    :func:`running_time_integral`, and inverts it monotonically. The total
+    time agrees with that integral to quadrature tolerance, and ds/dt is
+    smallest where the gap is smallest. Where H(s) is stationary the rate is
+    unbounded, so such a schedule is refused.
     """
     if grid < 100:
         raise ValueError(f"grid must have at least 100 samples, got {grid}")
@@ -335,22 +323,26 @@ def optimal_schedule(
     schedule = schedule if schedule is not None else linear_schedule()
     _check_not_singular(schedule)
     integrand = _time_integrand(splitting, schedule)
-    peak_points = _peak_breakpoints(splitting, schedule)
     s_nodes = np.linspace(0.0, 1.0, grid)
+    edges = np.union1d(s_nodes, _peak_breakpoints(splitting, schedule))
+    _, pieces = _panel_integrals(integrand, edges.tolist(), precision.quad_tol, "the time tabulation")
+    cell_pieces = np.zeros(grid)
+    np.add.at(cell_pieces, np.searchsorted(s_nodes, edges[1:]), pieces)
     t_nodes = np.zeros(grid)
-    err_total = 0.0
     for k in range(1, grid):
-        lo, hi = s_nodes[k - 1], s_nodes[k]
-        inner = [p for p in peak_points if lo < p < hi]
-        piece, err = _quad_piece(integrand, lo, hi, precision.quad_tol, points=inner or None)
-        t_nodes[k] = t_nodes[k - 1] + piece / precision.epsilon
+        t_nodes[k] = t_nodes[k - 1] + cell_pieces[k] / precision.epsilon
         # far tails of huge blocks can fall below the resolution of the
         # accumulated time; keep the tabulation strictly increasing
         if t_nodes[k] <= t_nodes[k - 1]:
             t_nodes[k] = np.nextafter(t_nodes[k - 1], np.inf)
-        err_total += err / precision.epsilon
-    _check_converged(t_nodes[-1], err_total, precision.quad_tol, "the time tabulation")
-    rate_nodes = np.array([precision.epsilon / integrand(s) for s in s_nodes])
+    dt_ds = np.array([integrand(s) for s in s_nodes])
+    stationary = s_nodes[dt_ds == 0.0]
+    if stationary.size:
+        raise ValueError(
+            f"H(s) is stationary at s = {stationary[0]:.4f}: the rate that saturates "
+            "the bound is unbounded there"
+        )
+    rate_nodes = precision.epsilon / dt_ds
     return TimeSchedule(schedule, float(t_nodes[-1]), t_nodes, s_nodes, rate_nodes)
 
 

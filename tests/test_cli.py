@@ -183,6 +183,15 @@ def test_oversized_block_is_config_error(capsys):
         assert err.count("\n") == 1 and "cap of 64 qubits per block" in err
 
 
+def test_evolve_cap_is_checked_before_tabulating(monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("optimal_schedule ran for a state over the evolution cap")
+
+    monkeypatch.setattr(cli.runtime, "optimal_schedule", must_not_run)
+    assert run_cli("evolve", "--n", "13", "--parts", "13", "--grid", "5000") == 2
+    assert "evolution cap of 12 qubits" in capsys.readouterr().err
+
+
 def test_parts_and_m_are_exclusive():
     assert run_cli("gap", "--n", "4", "--parts", "2,2", "--m", "2") == 2
     assert run_cli("gap", "--n", "4") == 2

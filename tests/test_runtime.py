@@ -4,8 +4,10 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+from adiasearch import runtime
 from adiasearch.core import Precision, linear_schedule, make_splitting, tabulated_schedule
 from adiasearch.runtime import (
+    QuadratureError,
     TimeSchedule,
     closed_form_eps_t,
     max_structured_time,
@@ -200,6 +202,38 @@ def test_optimal_schedule_matches_integral_and_slows_at_peak():
     assert float(schedule_t.rate(0.5)) == pytest.approx(rates.min(), rel=1e-12)
 
 
+def test_optimal_schedule_total_is_the_running_time_integral_at_large_blocks():
+    # the tabulation and the integral run the same panels around the peak,
+    # so they agree to rounding even where the peak is 2^-32 wide
+    precision = Precision(epsilon=0.2)
+    for n in (60, 64):
+        splitting = make_splitting(n, [n])
+        total = optimal_schedule(splitting, precision).total_time * precision.epsilon
+        eps_t = running_time_integral(splitting, linear_schedule(), precision).eps_t
+        assert abs(total - eps_t) / eps_t <= 1e-12
+
+
+def test_optimal_schedule_refuses_a_stationary_hamiltonian():
+    # H(s) is constant on [0, .25] and [.75, 1]: the time integral is finite,
+    # but the rate that saturates the bound is unbounded there
+    nodes = [0.0, 0.25, 0.5, 0.75, 1.0]
+    paused = tabulated_schedule(nodes, [1.0, 1.0, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 1.0, 1.0])
+    splitting = make_splitting(2, [2])
+    assert running_time_integral(splitting, paused).eps_t == pytest.approx(math.sqrt(3.0), rel=1e-9)
+    with pytest.raises(ValueError, match=r"stationary at s = 0\.0000"):
+        optimal_schedule(splitting, schedule=paused)
+
+
+def test_quadrature_error_reports_plain_floats(monkeypatch):
+    monkeypatch.setattr(runtime, "quad", lambda *args, **kwargs: (1.0, 1.0))
+    splitting = make_splitting(2, [2])
+    for call in (lambda: running_time_integral(splitting), lambda: optimal_schedule(splitting)):
+        with pytest.raises(QuadratureError, match="did not converge") as caught:
+            call()
+        assert "np.float64" not in str(caught.value)
+        assert type(caught.value.value) is float and type(caught.value.estimate) is float
+
+
 def test_optimal_schedule_grid_validation():
     with pytest.raises(ValueError):
         optimal_schedule(make_splitting(2, [2]), grid=50)
@@ -233,7 +267,15 @@ def test_time_schedule_from_samples_and_scaling():
 def test_singular_schedule_rejected():
     nodes = [0.0, 0.25, 0.5, 0.75, 1.0]
     stalled = tabulated_schedule(nodes, [1.0, 0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.5, 1.0])
-    with pytest.raises(ValueError, match="singular"):
-        running_time_integral(make_splitting(2, [2]), stalled)
-    with pytest.raises(ValueError, match="singular"):
-        optimal_schedule(make_splitting(2, [2]), schedule=stalled)
+    # a stall narrower than the probe spacing is caught by the quadrature:
+    # f'g - g'f then vanishes on all of [0, 1]
+    narrow = tabulated_schedule(
+        [0.0, 0.25, 0.501, 0.502, 0.75, 1.0],
+        [1.0, 0.5, 0.0, 0.0, 0.0, 0.0],
+        [0.0, 0.0, 0.0, 0.0, 0.5, 1.0],
+    )
+    for schedule in (stalled, narrow):
+        with pytest.raises(ValueError, match="singular"):
+            running_time_integral(make_splitting(2, [2]), schedule)
+        with pytest.raises(ValueError, match="singular"):
+            optimal_schedule(make_splitting(2, [2]), schedule=schedule)
