@@ -67,7 +67,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_table = sub.add_parser("table", help="running times for every divisor split of n")
     p_table.add_argument("--n", type=int, required=True)
-    p_table.add_argument("--eps", type=float, default=0.2)
     p_table.add_argument("--format", choices=("csv", "json"), default="csv")
     p_table.add_argument("--out", type=str, default=None)
     p_table.add_argument("--check", action="store_true", help="compare against the built-in reference values")
@@ -163,10 +162,7 @@ def _check_table(n: int, results) -> list[str]:
 
 
 def cmd_table(args) -> int:
-    if not 1 <= args.n <= runtime.MAX_TABLE_QUBITS:
-        raise ValueError(f"--n must be in [1, {runtime.MAX_TABLE_QUBITS}], got {args.n}")
-    precision = Precision(epsilon=args.eps)
-    results = runtime.reproduce_table(args.n, precision)
+    results = runtime.reproduce_table(args.n)
     text = runtime.table_to_csv(results) if args.format == "csv" else runtime.table_to_json(results)
     _write_output(text, args.out)
     if args.check:

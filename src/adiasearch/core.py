@@ -310,8 +310,7 @@ def problem_from_dict(data: dict) -> tuple[Splitting, MarkedState, Schedule]:
         raise ValueError(f"missing descriptor keys: {sorted(missing)}")
     splitting = make_splitting(int(data["n"]), data["parts"])
     marked = MarkedState.from_string(data["marked"])
-    if marked.n != splitting.n:
-        raise ValueError("marked state length does not match n")
+    marked.block_values(splitting)  # refuses a marked state of the wrong length
     sched = data["schedule"]
     if sched == "linear":
         schedule: Schedule = linear_schedule()

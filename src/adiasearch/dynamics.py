@@ -27,6 +27,8 @@ from .spectral import max_structured_matrix_element, subsystem_gap
 
 CHECKPOINT_COUNT = 101
 NORM_DRIFT_LIMIT = 1e-6
+# Largest number of RK4 steps one evolve may take.
+RK4_STEP_BUDGET = 1 << 20
 # 1 - eps**2 - GUARANTEE_SLACK is a target, not a promise: a schedule that
 # saturates the bound leaves boundary excitations of up to 4 eps**2 at
 # leading order, so it can miss the target.
@@ -246,40 +248,21 @@ def evolve(
 
     The step size is 1 / (ode_steps_per_unit_time * max operator norm),
     trimmed so checkpoints are hit exactly; runs are deterministic for a
-    fixed precision. A zero-duration schedule is an instant quench: the
-    success probability is just the uniform weight on the marked state.
+    fixed precision. A zero-duration schedule is an instant quench: it has
+    one checkpoint, at s = 1, and takes no step, so the success probability
+    is the uniform weight on the marked state. A run that needs more than
+    RK4_STEP_BUDGET steps is refused before the first step.
     """
     precision = precision if precision is not None else Precision()
     check_evolution_cap(splitting)
-    if marked.n != splitting.n:
-        raise ValueError(f"marked state has {marked.n} bits, splitting expects {splitting.n}")
+    applier = MatrixFreeHamiltonian(splitting, marked)
     dim = splitting.dim
     psi = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
     threshold = 1.0 - precision.epsilon**2 - GUARANTEE_SLACK
 
-    if schedule_t.total_time == 0.0:
-        p = float(abs(psi[marked.index]) ** 2)
-        return EvolutionReport(
-            splitting.n,
-            splitting.parts,
-            marked.to_string(),
-            precision.epsilon,
-            0.0,
-            p,
-            threshold,
-            p >= threshold,
-            0.0,
-            0.0,
-            np.array([0.0]),
-            np.array([1.0]),
-            np.array([p]),
-            np.array([0.0]),
-            np.array([1.0]),
-        )
-
     base = schedule_t.base
     total_time = schedule_t.total_time
-    s_checks = np.linspace(0.0, 1.0, CHECKPOINT_COUNT)
+    s_checks = np.linspace(0.0, 1.0, CHECKPOINT_COUNT) if total_time > 0.0 else np.ones(1)
     t_checks = np.asarray(schedule_t.t_of_s(s_checks), dtype=float)
     t_checks[0], t_checks[-1] = 0.0, total_time
     t_checks = np.maximum.accumulate(t_checks)
@@ -289,9 +272,19 @@ def evolve(
     df_checks = np.asarray(base.df(s_checks), dtype=float)
     dg_checks = np.asarray(base.dg(s_checks), dtype=float)
     rate_checks = np.asarray(schedule_t.rate(s_checks), dtype=float)
-    applier = MatrixFreeHamiltonian(splitting, marked)
     norm_bound = max(map(applier.norm_bound, f_checks.tolist(), g_checks.tolist()))
     h_target = 1.0 / (precision.ode_steps_per_unit_time * norm_bound)
+    # steps[k] RK4 steps lead from checkpoint k - 1 to checkpoint k
+    steps = [0] + [
+        max(1, int(math.ceil((t1 - t0) / h_target))) if t1 > t0 else 0
+        for t0, t1 in zip(t_checks[:-1], t_checks[1:])
+    ]
+    total_steps = sum(steps)
+    if total_steps > RK4_STEP_BUDGET:
+        raise ValueError(
+            f"the run needs {total_steps} RK4 steps, over the budget of {RK4_STEP_BUDGET}; "
+            "shorten the total time or lower ode_steps_per_unit_time"
+        )
 
     couplings: dict = {}
 
@@ -299,14 +292,13 @@ def evolve(
         f, g = couplings[t]
         return applier.apply(f, g, v)
 
-    overlaps = np.zeros(CHECKPOINT_COUNT)
-    lhs_vals = np.zeros(CHECKPOINT_COUNT)
-    norms = np.zeros(CHECKPOINT_COUNT)
+    overlaps = np.zeros(s_checks.size)
+    lhs_vals = np.zeros(s_checks.size)
+    norms = np.zeros(s_checks.size)
     drift = 0.0
-    for k in range(CHECKPOINT_COUNT):
-        if k > 0 and t_checks[k] > t_checks[k - 1]:
+    for k, nsteps in enumerate(steps):
+        if nsteps:
             t0, t1 = t_checks[k - 1], t_checks[k]
-            nsteps = max(1, int(math.ceil((t1 - t0) / h_target)))
             couplings = _stage_couplings(schedule_t, t0, t1, nsteps)
             psi = rk4_propagate(apply_h, psi, t0, t1, nsteps)
         norm = float(np.linalg.norm(psi))

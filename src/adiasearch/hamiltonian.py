@@ -21,6 +21,8 @@ DENSE_CAP = 12
 EXPANSION_CAP = 10
 # Largest block size the symbolic problem-operator expansion will unfold.
 EXPANSION_BLOCK_CAP = 20
+# Most terms the expansion will produce: one block at EXPANSION_BLOCK_CAP.
+EXPANSION_TERM_BUDGET = 1 << EXPANSION_BLOCK_CAP
 # Expansion coefficients below this are structurally zero and pruned.
 COEFF_PRUNE_TOL = 1e-14
 
@@ -79,8 +81,7 @@ class PauliTermSum:
 
     def to_dense(self) -> np.ndarray:
         """Rebuild the dense matrix (bounded by the dense cap)."""
-        if self.n > DENSE_CAP:
-            raise ValueError(f"n={self.n} exceeds dense cap {DENSE_CAP}")
+        _check_dense_cap(self.n)
         dim = 1 << self.n
         idx = np.arange(dim)
         out = np.zeros((dim, dim))
@@ -154,14 +155,10 @@ def build_initial(splitting: Splitting):
 
 def final_diagonal(splitting: Splitting, marked: MarkedState) -> np.ndarray:
     """Diagonal of the problem Hamiltonian: violated-block count per index."""
-    if marked.n != splitting.n:
-        raise ValueError(
-            f"marked state has {marked.n} bits, splitting expects {splitting.n}"
-        )
+    targets = marked.block_values(splitting)
     _check_dense_cap(splitting.n)
     idx = np.arange(splitting.dim)
     diag = np.zeros(splitting.dim)
-    targets = marked.block_values(splitting)
     for (shift, mask), target in zip(splitting.block_fields(), targets):
         diag += (np.bitwise_and(idx >> shift, mask) != target).astype(float)
     return diag
@@ -169,14 +166,21 @@ def final_diagonal(splitting: Splitting, marked: MarkedState) -> np.ndarray:
 
 def _final_terms(splitting: Splitting, marked: MarkedState) -> PauliTermSum:
     n = splitting.n
-    identity_coeff = 0.0
-    terms = []
-    offset = 0
     for size in splitting.parts:
         if size > EXPANSION_BLOCK_CAP:
             raise ValueError(
                 f"block of {size} qubits exceeds the expansion cap of {EXPANSION_BLOCK_CAP}"
             )
+    # the identity word plus every non-empty Z subset of each block
+    count = 1 + sum((1 << size) - 1 for size in splitting.parts)
+    if count > EXPANSION_TERM_BUDGET:
+        raise ValueError(
+            f"expansion of {count} terms exceeds the term budget of {EXPANSION_TERM_BUDGET}"
+        )
+    identity_coeff = 0.0
+    terms = []
+    offset = 0
+    for size in splitting.parts:
         positions = range(offset, offset + size)
         scale = 1.0 / (1 << size)
         identity_coeff += 1.0 - scale
@@ -199,13 +203,11 @@ def build_final(splitting: Splitting, marked: MarkedState, dense: bool = True):
     Diagonal in the computational basis; a basis state's energy counts the
     blocks whose restriction differs from the marked restriction, so the
     marked state is the unique zero-energy ground state. Returns
-    (dense, terms); pass dense=False to skip the dense matrix (the word
-    expansion itself has no total-size cap, only a per-block one).
+    (dense, terms); pass dense=False to skip the dense matrix. The word
+    expansion is capped at EXPANSION_BLOCK_CAP qubits per block and
+    EXPANSION_TERM_BUDGET terms in total.
     """
-    if marked.n != splitting.n:
-        raise ValueError(
-            f"marked state has {marked.n} bits, splitting expects {splitting.n}"
-        )
+    marked.block_values(splitting)  # refuses a marked state of the wrong length
     terms = _final_terms(splitting, marked)
     matrix = np.diag(final_diagonal(splitting, marked)) if dense else None
     return matrix, terms
@@ -297,11 +299,9 @@ def build_overlapping(n: int, marked: MarkedState) -> np.ndarray:
     if n < 2:
         raise ValueError(f"need at least 2 qubits for pair clauses, got {n}")
     _check_dense_cap(n)
-    if marked.n != n:
-        raise ValueError(f"marked state has {marked.n} bits, expected {n}")
+    (target,) = marked.block_values(Splitting(n, (n,)))
     dim = 1 << n
     idx = np.arange(dim)
-    target = marked.index
     diag = np.zeros(dim)
     for i in range(n - 1):
         shift = n - 2 - i

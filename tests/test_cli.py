@@ -61,13 +61,15 @@ def test_table_check_detects_drift(monkeypatch, capsys):
 
 
 def test_table_invalid_n_is_config_error(capsys):
-    assert run_cli("table", "--n", "0") == 2
-    assert run_cli("table", "--n", "65") == 2
-    assert "error" in capsys.readouterr().err
+    for value in ("0", "65"):
+        assert run_cli("table", "--n", value) == 2
+        assert capsys.readouterr().err == f"adia table: error: n must be in [1, 64], got {value}\n"
 
 
 def test_unknown_flag_is_config_error(capsys):
     assert run_cli("table", "--n", "6", "--bogus") == 2
+    # the table depends on quad_tol only, so it takes no --eps
+    assert run_cli("table", "--n", "6", "--eps", "0.2") == 2
 
 
 def test_gap_profile_csv(tmp_path):
@@ -108,6 +110,13 @@ def test_pauli_output(capsys):
     assert run_cli("pauli", "--n", "2", "--parts", "2", "--marked", "00") == 0
     out = capsys.readouterr().out
     assert out.splitlines() == ["0.75\tII", "-0.25\tIZ", "-0.25\tZI", "-0.25\tZZ"]
+
+
+def test_pauli_term_budget_is_config_error(capsys):
+    for n, parts in (("40", "20,20"), ("60", "20,20,20")):
+        assert run_cli("pauli", "--n", n, "--parts", parts) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "term budget of 1048576" in err
 
 
 def test_pauli_maximal_weight_one(capsys):
@@ -190,6 +199,18 @@ def test_evolve_cap_is_checked_before_tabulating(monkeypatch, capsys):
     monkeypatch.setattr(cli.runtime, "optimal_schedule", must_not_run)
     assert run_cli("evolve", "--n", "13", "--parts", "13", "--grid", "5000") == 2
     assert "evolution cap of 12 qubits" in capsys.readouterr().err
+
+
+def test_evolve_step_budget_is_checked_before_stepping(monkeypatch, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("stepping work began for a run over the step budget")
+
+    # the stage tabulation comes first and would take gigabytes here
+    monkeypatch.setattr(cli.dynamics, "_stage_couplings", must_not_run)
+    monkeypatch.setattr(cli.dynamics, "rk4_propagate", must_not_run)
+    assert run_cli("evolve", "--n", "2", "--m", "1", "--total-time", "1e9") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "over the budget of 1048576" in err
 
 
 def test_parts_and_m_are_exclusive():

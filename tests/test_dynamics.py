@@ -12,6 +12,7 @@ from adiasearch.core import (
     Precision,
     linear_schedule,
     make_splitting,
+    problem_from_dict,
     tabulated_schedule,
 )
 from adiasearch.dynamics import (
@@ -23,7 +24,13 @@ from adiasearch.dynamics import (
     instantaneous_ground_overlap,
     rk4_propagate,
 )
-from adiasearch.hamiltonian import build_initial, final_diagonal
+from adiasearch.hamiltonian import (
+    MatrixFreeHamiltonian,
+    build_final,
+    build_initial,
+    build_overlapping,
+    final_diagonal,
+)
 from adiasearch.runtime import TimeSchedule, max_structured_time, optimal_schedule
 
 
@@ -105,9 +112,40 @@ def test_quench_probability_is_uniform_weight():
     for n, parts in [(2, [2]), (3, [1, 2])]:
         splitting = make_splitting(n, parts)
         report = evolve(splitting, MarkedState.zeros(n), TimeSchedule.quench(), Precision(epsilon=0.5))
-        assert report.success_probability == pytest.approx(2.0**-n, abs=1e-12)
+        p = report.success_probability
+        assert p == pytest.approx(2.0**-n, abs=1e-12)
         assert not report.guarantee_met
         assert report.total_time == 0.0
+        # one checkpoint at s = 1, reached without a step; the norm is measured
+        norm = float(np.linalg.norm(np.full(2**n, 1.0 / math.sqrt(2**n), dtype=complex)))
+        assert report.checkpoint_t.tolist() == [0.0]
+        assert report.checkpoint_s.tolist() == [1.0]
+        assert report.checkpoint_overlap.tolist() == [p]
+        assert report.checkpoint_lhs.tolist() == [0.0]
+        assert report.checkpoint_norm.tolist() == [norm]
+        assert report.norm_drift == abs(norm - 1.0)
+        assert report.max_adiabaticity_lhs == 0.0
+
+
+def test_marked_length_is_refused_by_block_values_alone():
+    splitting = make_splitting(2, [2])
+    marked = MarkedState.zeros(3)
+    with pytest.raises(ValueError) as expected:
+        marked.block_values(splitting)
+    precision = Precision()
+    calls = [
+        lambda: final_diagonal(splitting, marked),
+        lambda: MatrixFreeHamiltonian(splitting, marked),
+        lambda: build_final(splitting, marked, dense=False),
+        lambda: build_overlapping(2, marked),
+        lambda: problem_from_dict({"n": 2, "parts": [2], "marked": "000", "schedule": "linear"}),
+        lambda: evolve(splitting, marked, optimal_schedule(splitting, precision), precision),
+        lambda: evolve(splitting, marked, TimeSchedule.quench(), precision),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as caught:
+            call()
+        assert str(caught.value) == str(expected.value)
 
 
 def test_norm_conservation_at_default_resolution():

@@ -5,6 +5,7 @@ from scipy.linalg import eigh
 from adiasearch.core import MarkedState, linear_schedule, make_splitting
 from adiasearch.hamiltonian import (
     EXPANSION_CAP,
+    EXPANSION_TERM_BUDGET,
     MatrixFreeHamiltonian,
     PauliTermSum,
     build_final,
@@ -263,6 +264,19 @@ def test_dense_cap_enforced():
     assert terms.max_weight == 13
     with pytest.raises(ValueError):
         build_final(make_splitting(21, [21]), MarkedState.zeros(21), dense=False)
+
+
+def test_expansion_term_budget():
+    # the identity word plus every non-empty Z subset of each block
+    for n, parts, bits in [(13, [13], "0" * 13), (6, [3, 2, 1], "101101")]:
+        _, terms = build_final(make_splitting(n, parts), MarkedState.from_string(bits), dense=False)
+        assert len(terms.terms) == 1 + sum(2**size - 1 for size in parts)
+    # one block at the per-block cap fills the budget exactly
+    assert 1 + (2**20 - 1) == EXPANSION_TERM_BUDGET
+    with pytest.raises(ValueError, match="term budget of 1048576"):
+        build_final(make_splitting(40, [20, 20]), MarkedState.zeros(40), dense=False)
+    with pytest.raises(ValueError, match="block of 21 qubits exceeds the expansion cap"):
+        build_final(make_splitting(41, [20, 21]), MarkedState.zeros(41), dense=False)
 
 
 def test_term_sum_text_format():
