@@ -39,6 +39,7 @@ from .hamiltonian import (
     build_overlapping,
     combine,
     final_diagonal,
+    final_terms,
     locality_weight,
     pauli_expansion,
 )

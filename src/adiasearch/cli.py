@@ -1,12 +1,12 @@
 """Command-line surface: table reproduction, gap and schedule export,
 dynamics runs, and term-expansion inspection.
 
-Exit codes: 0 ok, 2 bad configuration or failed computation, 3 reference
-check mismatch, 4 dynamics below the success-probability target
-1 - eps**2 - 0.01. Exit 4 is a result, not a fault: a bound-saturating
-schedule leaves boundary excitations of up to 4 eps**2 at leading order and
-can miss that target. Output is data files only; point a plotting tool at
-the CSV columns.
+Exit codes: 0 ok, 2 bad configuration (an unwritable --out included) or
+failed computation, 3 reference check mismatch, 4 dynamics below the
+success-probability target 1 - eps**2 - 0.01. Exit 4 is a result, not a
+fault: a bound-saturating schedule leaves boundary excitations of up to
+4 eps**2 at leading order and can miss that target. Output is data files
+only; point a plotting tool at the CSV columns.
 """
 
 from __future__ import annotations
@@ -247,8 +247,7 @@ def cmd_schedule(args) -> int:
 def cmd_pauli(args) -> int:
     splitting = _splitting_from_args(args)
     marked = _marked_from_args(args, splitting.n)
-    _, terms = hamiltonian.build_final(splitting, marked, dense=False)
-    _write_output(terms.to_text(), args.out)
+    _write_output(hamiltonian.final_terms(splitting, marked).to_text(), args.out)
     return EXIT_OK
 
 
@@ -269,7 +268,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, runtime.QuadratureError, dynamics.NormDriftError) as exc:
+    # OSError: an --out path that cannot be written
+    except (ValueError, OSError, runtime.QuadratureError, dynamics.NormDriftError) as exc:
         print(f"adia {args.command}: error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

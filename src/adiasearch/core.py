@@ -22,6 +22,9 @@ SCHEDULE_BOUNDARY_TOL = 1e-12
 # as 2^(-n_i/2), below the float spacing near s = 1/2 past about 106
 # qubits, and 2^1024 no longer fits in a double at all.
 MAX_BLOCK_QUBITS = 64
+# Most s samples a gap profile or schedule tabulation takes. The tabulation
+# costs one adaptive quadrature per grid cell, so this also bounds its time.
+MAX_GRID = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -175,6 +178,11 @@ class Schedule:
     def dg(self, s):
         raise NotImplementedError
 
+    def difference(self, s_star, x):
+        """f - g at s_star + x; a schedule that can form it without rounding the sum overrides this."""
+        s = s_star + x
+        return self.f(s) - self.g(s)
+
 
 class LinearSchedule(Schedule):
     """f(s) = 1 - s, g(s) = s."""
@@ -192,6 +200,10 @@ class LinearSchedule(Schedule):
 
     def dg(self, s):
         return 1.0 + 0.0 * s
+
+    def difference(self, s_star, x):
+        # exact in the offset x: s_star + x is never rounded
+        return (1.0 - 2.0 * s_star) - 2.0 * x
 
 
 class TabulatedSchedule(Schedule):

@@ -164,7 +164,12 @@ def final_diagonal(splitting: Splitting, marked: MarkedState) -> np.ndarray:
     return diag
 
 
-def _final_terms(splitting: Splitting, marked: MarkedState) -> PauliTermSum:
+def final_terms(splitting: Splitting, marked: MarkedState) -> PauliTermSum:
+    """Word expansion of the problem Hamiltonian, without the dense matrix.
+
+    EXPANSION_BLOCK_CAP and EXPANSION_TERM_BUDGET are checked before expanding.
+    """
+    marked.block_values(splitting)  # refuses a marked state of the wrong length
     n = splitting.n
     for size in splitting.parts:
         if size > EXPANSION_BLOCK_CAP:
@@ -197,20 +202,16 @@ def _final_terms(splitting: Splitting, marked: MarkedState) -> PauliTermSum:
     return PauliTermSum(n, tuple(out))
 
 
-def build_final(splitting: Splitting, marked: MarkedState, dense: bool = True):
+def build_final(splitting: Splitting, marked: MarkedState):
     """Problem Hamiltonian: one oracle clause per block.
 
     Diagonal in the computational basis; a basis state's energy counts the
     blocks whose restriction differs from the marked restriction, so the
     marked state is the unique zero-energy ground state. Returns
-    (dense, terms); pass dense=False to skip the dense matrix. The word
-    expansion is capped at EXPANSION_BLOCK_CAP qubits per block and
-    EXPANSION_TERM_BUDGET terms in total.
+    (dense, terms), the terms from :func:`final_terms`.
     """
-    marked.block_values(splitting)  # refuses a marked state of the wrong length
-    terms = _final_terms(splitting, marked)
-    matrix = np.diag(final_diagonal(splitting, marked)) if dense else None
-    return matrix, terms
+    dense = np.diag(final_diagonal(splitting, marked))
+    return dense, final_terms(splitting, marked)
 
 
 def combine(h_initial: np.ndarray, h_final: np.ndarray, schedule: Schedule, s: float) -> np.ndarray:

@@ -20,6 +20,7 @@ from scipy.optimize import brentq
 
 from .core import (
     MAX_BLOCK_QUBITS,
+    MAX_GRID,
     Precision,
     Schedule,
     Splitting,
@@ -30,6 +31,9 @@ from .core import (
 MAX_TABLE_QUBITS = MAX_BLOCK_QUBITS  # the m = 1 row is one block of n qubits
 
 _QUAD_LIMIT = 500
+# The cubic coefficients of s(t) divide by the cube of a time step, so a
+# shorter step overflows them.
+_MIN_TIME_STEP = np.finfo(float).tiny ** (1.0 / 3.0)
 
 
 class QuadratureError(RuntimeError):
@@ -56,57 +60,46 @@ class RunTimeResult:
 
 
 def _time_integrand(splitting: Splitting, schedule: Schedule):
-    """dt/ds times epsilon for the bound-saturating time parameterization."""
+    """epsilon * dt/ds for the bound-saturating time parameterization.
+
+    Every block gap bottoms out at the crossing s* where f = g, block i with
+    a half-width of about f*/(sqrt(N_i) |f' - g'|) in s: 2^-32 at 64 qubits,
+    too fine for quadrature nodes at rounded s. So dt/ds is formed from the
+    offset x = s - s* (f - g from Schedule.difference) and integrated in u,
+    x = w sinh(u) with w the narrowest half-width, where every block peak is
+    a smooth bump about one unit wide. f - g is monotone, so f = g = 0 can
+    only happen at s*; such a schedule closes the gap and is refused.
+
+    Returns (integrand of u, the map s -> u, dt/ds as a function of s).
+    """
     dims = splitting.float_block_dims()
     weights = (dims - 1.0) / dims**2
+    s_star = brentq(lambda s: float(schedule.difference(s, 0.0)), 0.0, 1.0, xtol=1e-14)
+    f_star = float(schedule.f(s_star))
+    if f_star + float(schedule.g(s_star)) < 1e-9:
+        raise ValueError(
+            f"singular schedule: f = g = 0 near s = {s_star:.4f}, the gap closes there"
+        )
+    slope = abs(float(schedule.df(s_star)) - float(schedule.dg(s_star)))
+    # capped at 1: where f - g is flat at s*, u is about linear in s
+    width = f_star / max(math.sqrt(float(np.max(dims))) * slope, f_star)
 
-    def integrand(s: float) -> float:
+    def at_offset(x: float) -> float:
+        s = s_star + x
         f = float(schedule.f(s))
         g = float(schedule.g(s))
         df = float(schedule.df(s))
         dg = float(schedule.dg(s))
-        gaps_sq = (f - g) ** 2 + (4.0 * f * g) / dims
+        gaps_sq = float(schedule.difference(s_star, x)) ** 2 + (4.0 * f * g) / dims
         return abs(df * g - dg * f) * math.sqrt(float(np.sum(weights / gaps_sq**3)))
 
-    return integrand
+    def integrand(u: float) -> float:
+        return at_offset(width * math.sinh(u)) * width * math.cosh(u)
 
+    def u_of_s(s):
+        return np.arcsinh((s - s_star) / width)
 
-def _peak_breakpoints(splitting: Splitting, schedule: Schedule) -> list[float]:
-    """Panel edges bracketing the integrand peak at the interior s where f = g.
-
-    Every block gap bottoms out at that crossing. A block of dimension N
-    peaks with half-width about f / (sqrt(N) |f'-g'|) in s, far below what
-    adaptive sampling stumbles on for large N (2^-32 of the interval at 64
-    qubits), so a ladder of scales around the crossing is pinned explicitly
-    for every distinct block dimension.
-    """
-    def crossing(s):
-        return float(schedule.f(s)) - float(schedule.g(s))
-
-    if not crossing(0.0) > 0.0 > crossing(1.0):
-        return []
-    s_star = brentq(crossing, 0.0, 1.0, xtol=1e-14)
-    f_star = float(schedule.f(s_star))
-    slope = max(abs(float(schedule.df(s_star)) - float(schedule.dg(s_star))), 1e-6)
-    points = {s_star}
-    for dim in set(splitting.block_dims):
-        width = 2.0 * f_star / (math.sqrt(dim) * slope)
-        for scale in (1.0, 8.0, 64.0, 512.0, 4096.0):
-            for sign in (-1.0, 1.0):
-                candidate = s_star + sign * scale * width
-                if 0.0 < candidate < 1.0:
-                    points.add(candidate)
-    return sorted(points)
-
-
-def _check_not_singular(schedule: Schedule):
-    s = np.linspace(0.0, 1.0, 257)
-    total = np.asarray(schedule.f(s), dtype=float) + np.asarray(schedule.g(s), dtype=float)
-    if np.min(total) < 1e-9:
-        k = int(np.argmin(total))
-        raise ValueError(
-            f"singular schedule: f = g = 0 near s = {s[k]:.4f}, the gap closes there"
-        )
+    return integrand, u_of_s, lambda s: at_offset(s - s_star)
 
 
 def _panel_integrals(integrand, edges, rel_tol: float, context: str) -> tuple[float, list[float]]:
@@ -115,27 +108,19 @@ def _panel_integrals(integrand, edges, rel_tol: float, context: str) -> tuple[fl
     One adaptive ``quad`` per panel. Roundoff chatter from panels that sit
     right on the peak is tolerated there; the summed error estimate is
     judged against the whole integral, which is what the tolerance is about.
-    For monotone f and g, f'g - g'f vanishes on all of [0, 1] exactly when
-    f = g = 0 somewhere, so a zero (or non-finite) total means a singular
-    schedule that slipped between the probe points of _check_not_singular.
     """
     values = []
     total = 0.0
     err_total = 0.0
-    # a closed gap divides by zero; the total below reports it as singular
-    with warnings.catch_warnings(), np.errstate(divide="ignore"):
+    with warnings.catch_warnings():
         warnings.simplefilter("ignore", IntegrationWarning)
         for lo, hi in zip(edges, edges[1:]):
             value, err = quad(integrand, lo, hi, epsabs=0.0, epsrel=rel_tol, limit=_QUAD_LIMIT)
             values.append(value)
             total += value
             err_total += err
-    if not (math.isfinite(total) and total > 0.0):
-        raise ValueError(
-            f"singular schedule: f'g - g'f integrates to {total} over [0, 1], "
-            "so f = g = 0 somewhere and the gap closes there"
-        )
-    if err_total > 10.0 * rel_tol * total:
+    # written so that a nan total or estimate fails too
+    if not err_total <= 10.0 * rel_tol * total:
         raise QuadratureError(
             f"quadrature did not converge for {context}: value {total!r}, "
             f"summed error estimate {err_total!r}",
@@ -170,15 +155,13 @@ def running_time_integral(
     """Schedule-optimal running time of a split search by adaptive quadrature.
 
     Integrates |f'g - g'f| * sqrt(sum_i (N_i - 1)/N_i**2 / omega_i**6) over
-    s in [0, 1]. The integrand peaks where f = g with width shrinking as
-    1/sqrt(N_i), so the panels end on a ladder of points around that peak;
-    a plain uniform rule would miss it for large blocks.
+    s in [0, 1], in the variable u of the time integrand, on the two panels
+    either side of the crossing where f = g and every block peaks.
     """
     schedule = schedule if schedule is not None else linear_schedule()
     precision = precision if precision is not None else Precision()
-    _check_not_singular(schedule)
-    integrand = _time_integrand(splitting, schedule)
-    edges = [0.0] + _peak_breakpoints(splitting, schedule) + [1.0]
+    integrand, u_of_s, _ = _time_integrand(splitting, schedule)
+    edges = [float(u_of_s(0.0)), 0.0, float(u_of_s(1.0))]
     eps_t, _ = _panel_integrals(integrand, edges, precision.quad_tol, "the running-time integral")
     alpha, beta = scaling_coefficients(eps_t, splitting.n, splitting.num_blocks)
     return RunTimeResult(splitting, eps_t, alpha, beta, "quadrature")
@@ -236,6 +219,12 @@ class TimeSchedule:
         if not (math.isfinite(self.total_time) and self.total_time >= 0.0):
             raise ValueError(f"total time must be finite and >= 0, got {self.total_time}")
         if self.total_time > 0.0:
+            steps_ok = np.min(np.diff(self.t_nodes)) >= _MIN_TIME_STEP
+            if not (steps_ok and np.all(np.isfinite(self.rate_nodes))):
+                raise ValueError(
+                    f"total time {self.total_time!r} is too short: its time steps "
+                    f"fall below {_MIN_TIME_STEP:.3g} or its rates overflow"
+                )
             object.__setattr__(self, "_s_of_t", PchipInterpolator(self.t_nodes, self.s_nodes))
             object.__setattr__(self, "_t_of_s", PchipInterpolator(self.s_nodes, self.t_nodes))
             object.__setattr__(self, "_rate_of_s", PchipInterpolator(self.s_nodes, self.rate_nodes))
@@ -293,13 +282,9 @@ class TimeSchedule:
         if self.total_time == 0.0:
             raise ValueError("cannot scale a zero-duration schedule")
         factor = new_total_time / self.total_time
-        return TimeSchedule(
-            self.base,
-            new_total_time,
-            self.t_nodes * factor,
-            self.s_nodes,
-            self.rate_nodes / factor,
-        )
+        with np.errstate(over="ignore", divide="ignore"):  # the constructor refuses both
+            rate_nodes = self.rate_nodes / factor
+        return TimeSchedule(self.base, new_total_time, self.t_nodes * factor, self.s_nodes, rate_nodes)
 
 
 def optimal_schedule(
@@ -310,39 +295,36 @@ def optimal_schedule(
 ) -> TimeSchedule:
     """Time parameterization that saturates the adiabatic bound everywhere.
 
-    Tabulates t(s) by accumulating the time integrand over a uniform s grid,
-    with panels between the grid points and the peak ladder of
-    :func:`running_time_integral`, and inverts it monotonically. The total
-    time agrees with that integral to quadrature tolerance, and ds/dt is
-    smallest where the gap is smallest. Where H(s) is stationary the rate is
-    unbounded, so such a schedule is refused.
+    Tabulates t(s) by accumulating the time integrand of
+    :func:`running_time_integral` over a uniform s grid, one panel per grid
+    cell, and inverts it monotonically. The total time agrees with that
+    integral to quadrature tolerance, and ds/dt is smallest where the gap is
+    smallest. Where H(s) is stationary the rate is unbounded, so such a
+    schedule is refused.
     """
-    if grid < 100:
-        raise ValueError(f"grid must have at least 100 samples, got {grid}")
+    if not 100 <= grid <= MAX_GRID:
+        raise ValueError(f"grid must have between 100 and {MAX_GRID} samples, got {grid}")
     precision = precision if precision is not None else Precision()
     schedule = schedule if schedule is not None else linear_schedule()
-    _check_not_singular(schedule)
-    integrand = _time_integrand(splitting, schedule)
+    integrand, u_of_s, dt_ds = _time_integrand(splitting, schedule)
     s_nodes = np.linspace(0.0, 1.0, grid)
-    edges = np.union1d(s_nodes, _peak_breakpoints(splitting, schedule))
-    _, pieces = _panel_integrals(integrand, edges.tolist(), precision.quad_tol, "the time tabulation")
-    cell_pieces = np.zeros(grid)
-    np.add.at(cell_pieces, np.searchsorted(s_nodes, edges[1:]), pieces)
-    t_nodes = np.zeros(grid)
-    for k in range(1, grid):
-        t_nodes[k] = t_nodes[k - 1] + cell_pieces[k] / precision.epsilon
-        # far tails of huge blocks can fall below the resolution of the
-        # accumulated time; keep the tabulation strictly increasing
-        if t_nodes[k] <= t_nodes[k - 1]:
-            t_nodes[k] = np.nextafter(t_nodes[k - 1], np.inf)
-    dt_ds = np.array([integrand(s) for s in s_nodes])
-    stationary = s_nodes[dt_ds == 0.0]
+    dt_ds_nodes = np.array([dt_ds(s) for s in s_nodes])
+    stationary = s_nodes[dt_ds_nodes == 0.0]
     if stationary.size:
         raise ValueError(
             f"H(s) is stationary at s = {stationary[0]:.4f}: the rate that saturates "
             "the bound is unbounded there"
         )
-    rate_nodes = precision.epsilon / dt_ds
+    u_edges = u_of_s(s_nodes).tolist()
+    _, pieces = _panel_integrals(integrand, u_edges, precision.quad_tol, "the time tabulation")
+    t_nodes = np.zeros(grid)
+    for k in range(1, grid):
+        t_nodes[k] = t_nodes[k - 1] + pieces[k - 1] / precision.epsilon
+        # far tails of huge blocks can fall below the resolution of the
+        # accumulated time; keep the tabulation strictly increasing
+        if t_nodes[k] <= t_nodes[k - 1]:
+            t_nodes[k] = np.nextafter(t_nodes[k - 1], np.inf)
+    rate_nodes = precision.epsilon / dt_ds_nodes
     return TimeSchedule(schedule, float(t_nodes[-1]), t_nodes, s_nodes, rate_nodes)
 
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize_scalar
 
-from .core import Schedule, Splitting
+from .core import MAX_GRID, Schedule, Splitting
 
 # Profile minima are refined from the grid to this bracket width.
 _REFINE_TOL = 1e-12
@@ -101,8 +101,8 @@ def gap_profile(splitting: Splitting, schedule: Schedule, grid: int = 1001) -> G
     global gap is the minimum over blocks. The minimum over s is refined by
     golden-section search around the best grid sample.
     """
-    if grid < 2:
-        raise ValueError(f"grid must have at least 2 samples, got {grid}")
+    if not 2 <= grid <= MAX_GRID:
+        raise ValueError(f"grid must have between 2 and {MAX_GRID} samples, got {grid}")
     s = np.linspace(0.0, 1.0, grid)
     f = np.asarray(schedule.f(s), dtype=float)
     g = np.asarray(schedule.g(s), dtype=float)

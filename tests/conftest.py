@@ -73,3 +73,33 @@ def random_splitting(rng, n):
         parts.append(p)
         left -= p
     return parts
+
+
+def linear_eps_t_oracle(parts, dps=40):
+    """eps*T of a split search under f = 1 - s, g = s by mpmath quadrature.
+
+    With x = s - 1/2, omega_i**2 = 4 x**2 (1 - 1/N_i) + 1/N_i and
+    |f'g - g'f| = 1, so eps*T = 2 * integral over [0, 1/2] of
+    sqrt(sum_i w_i / omega_i**6). Each block peaks at x = 0 with half-width
+    1 / (2 sqrt(N_i - 1)); the panels end on a ladder of powers of 4 of
+    every half-width. Nothing from the package under test.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        dims = [mp.mpf(2) ** p for p in parts]
+        weights = [(d - 1) / d**2 for d in dims]
+
+        def integrand(x):
+            return mp.sqrt(mp.fsum(
+                w / (4 * x**2 * (1 - 1 / d) + 1 / d) ** 3 for w, d in zip(weights, dims)
+            ))
+
+        half = mp.mpf(1) / 2
+        points = {mp.mpf(0), half}
+        for d in dims:
+            h = 1 / (2 * mp.sqrt(d - 1))
+            while h < half:
+                points.add(h)
+                h *= 4
+        return float(2 * mp.quad(integrand, sorted(points)))

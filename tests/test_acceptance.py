@@ -14,7 +14,7 @@ from scipy.linalg import eigh
 
 from adiasearch.core import MarkedState, Precision, linear_schedule, make_splitting
 from adiasearch.dynamics import DegenerateLevelWarning, adiabaticity_lhs, evolve
-from adiasearch.hamiltonian import build_final, build_initial, combine
+from adiasearch.hamiltonian import build_final, build_initial, combine, final_terms
 from adiasearch.runtime import (
     closed_form_eps_t,
     optimal_schedule,
@@ -214,10 +214,10 @@ def test_criterion_7_expansion_locality():
             left -= p
         splitting = make_splitting(n, parts)
         marked = MarkedState(tuple(int(b) for b in rng.integers(0, 2, n)))
-        _, terms = build_final(splitting, marked, dense=False)
+        terms = final_terms(splitting, marked)
         if terms.max_weight != max(parts):
             failures.append(f"case {case}: weight {terms.max_weight} != {max(parts)} for {parts}")
-    _, terms = build_final(make_splitting(6, [6]), MarkedState.zeros(6), dense=False)
+    terms = final_terms(make_splitting(6, [6]), MarkedState.zeros(6))
     coeff = terms.coefficient("Z" * 6)
     if coeff != -(2.0**-6):
         failures.append(f"full-weight word coefficient {coeff} != -2^-6")

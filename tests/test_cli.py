@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from adiasearch import cli
 
@@ -45,6 +49,20 @@ def test_table_json_format(tmp_path):
     assert rows[0]["beta"] == "inf"
     assert rows[0]["eps_T"] == 7.94
     assert [row["m"] for row in rows] == [1, 2, 3, 6]
+
+
+def test_table_n64_single_block_row_is_exact(capsys):
+    # eps*T = sqrt(2^64 - 1), which rounds to 2^32 at two decimals
+    assert run_cli("table", "--n", "64") == 0
+    assert capsys.readouterr().out.split("\n")[1] == "1,64,4294967296.00,1.0000,inf"
+
+
+def test_unwritable_out_is_config_error(tmp_path, capsys):
+    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+        assert run_cli("table", "--n", "6", "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("adia table: error: ") and err.count("\n") == 1
+    assert list(tmp_path.rglob(".adia-*.tmp")) == []
 
 
 def test_table_check_passes(capsys):
@@ -179,6 +197,21 @@ def test_non_finite_total_time_is_config_error(capsys):
         assert "total time must be finite" in capsys.readouterr().err
 
 
+def test_collapsing_total_time_is_config_error(capsys):
+    # the stretched time nodes collapse (5e-324) or overflow the interpolant
+    for value in ("1e-300", "5e-324"):
+        assert run_cli("evolve", "--n", "1", "--m", "1", "--total-time", value) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"total time {float(value)!r} is too short" in err
+
+
+def test_grid_cap_is_config_error(capsys):
+    for command in ("gap", "schedule", "evolve"):
+        assert run_cli(command, "--n", "2", "--m", "1", "--grid", "65537") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "65536 samples, got 65537" in err
+
+
 def test_oversized_block_is_config_error(capsys):
     # blocks past 64 qubits used to overflow (2000) or divide by zero (1023)
     for argv in (
@@ -226,3 +259,53 @@ def test_module_entry_point_subprocess():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("m,n_per_m,eps_T,alpha,beta")
+
+
+# Repeated entries weight the draws toward valid input, so that examples
+# also reach the computations and not only the argument checks.
+_ODD_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e-300", "5e-324", "x", "")
+_FLAG_VALUES = {
+    "--eps": _ODD_VALUES + ("0.2", "0.5", "1"),
+    "--grid": _ODD_VALUES + ("1", "2", "100", "137", "137", "65537"),
+    "--total-time": _ODD_VALUES + ("1", "1e-99", "1e9"),
+    "--steps": _ODD_VALUES + ("1", "64", "100000000"),
+    "--marked": ("0", "01", "0000", "1010", "2", ""),
+    "--format": ("csv", "json", "xml"),
+}
+_COMMAND_FLAGS = {
+    "table": ("--format",),
+    "gap": ("--grid", "--format"),
+    "schedule": ("--eps", "--grid", "--format"),
+    "pauli": ("--marked",),
+    "evolve": ("--eps", "--total-time", "--steps", "--grid", "--marked", "--format"),
+}
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    parts = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
+    n = draw(st.sampled_from((str(sum(parts)),) * 3 + ("-1", "0", "65")))
+    argv = [command, "--n", n]
+    if command == "table":
+        if draw(st.booleans()):
+            argv.append("--check")
+    elif draw(st.booleans()):
+        odd_parts = ("", ",", "1,,2", "0,2", "-1,3", "1.5", "x", "65")
+        argv += ["--parts", draw(st.sampled_from((",".join(map(str, parts)),) * 3 + odd_parts))]
+    else:
+        argv += ["--m", draw(st.sampled_from(("1", "1", "2", "0", "-1", "x")))]
+    for flag in _COMMAND_FLAGS[command]:
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(_FLAG_VALUES[flag]))]
+    return argv
+
+
+@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@given(_argv())
+def test_every_argv_gives_a_documented_exit_code_and_no_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

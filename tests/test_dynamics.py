@@ -26,10 +26,10 @@ from adiasearch.dynamics import (
 )
 from adiasearch.hamiltonian import (
     MatrixFreeHamiltonian,
-    build_final,
     build_initial,
     build_overlapping,
     final_diagonal,
+    final_terms,
 )
 from adiasearch.runtime import TimeSchedule, max_structured_time, optimal_schedule
 
@@ -136,7 +136,7 @@ def test_marked_length_is_refused_by_block_values_alone():
     calls = [
         lambda: final_diagonal(splitting, marked),
         lambda: MatrixFreeHamiltonian(splitting, marked),
-        lambda: build_final(splitting, marked, dense=False),
+        lambda: final_terms(splitting, marked),
         lambda: build_overlapping(2, marked),
         lambda: problem_from_dict({"n": 2, "parts": [2], "marked": "000", "schedule": "linear"}),
         lambda: evolve(splitting, marked, optimal_schedule(splitting, precision), precision),

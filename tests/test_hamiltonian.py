@@ -13,6 +13,7 @@ from adiasearch.hamiltonian import (
     build_overlapping,
     combine,
     final_diagonal,
+    final_terms,
     locality_weight,
     pauli_expansion,
 )
@@ -145,7 +146,7 @@ def test_maximal_final_terms_are_single_qubit():
     rng = np.random.default_rng(2)
     for n in (2, 4, 7):
         bits = tuple(int(b) for b in rng.integers(0, 2, n))
-        _, terms = build_final(make_splitting(n, [1] * n), MarkedState(bits), dense=False)
+        terms = final_terms(make_splitting(n, [1] * n), MarkedState(bits))
         assert terms.max_weight == 1
         weight_one = [t for t in terms.terms if t[1] != "I" * n]
         assert len(weight_one) == n
@@ -153,7 +154,7 @@ def test_maximal_final_terms_are_single_qubit():
 
 
 def test_unstructured_final_has_full_weight_word():
-    _, terms = build_final(make_splitting(6, [6]), MarkedState.zeros(6), dense=False)
+    terms = final_terms(make_splitting(6, [6]), MarkedState.zeros(6))
     assert terms.coefficient("Z" * 6) == -(2.0**-6)
     assert terms.max_weight == 6
 
@@ -212,7 +213,7 @@ def test_locality_weight_matches_expansion():
         n = int(rng.integers(2, 9))
         splitting = make_splitting(n, random_splitting(rng, n))
         bits = MarkedState(tuple(int(b) for b in rng.integers(0, 2, n)))
-        _, terms = build_final(splitting, bits, dense=False)
+        terms = final_terms(splitting, bits)
         assert terms.max_weight == locality_weight(splitting)
         assert all(
             sum(1 for c in word if c != "I") <= locality_weight(splitting)
@@ -260,27 +261,27 @@ def test_dense_cap_enforced():
     with pytest.raises(ValueError):
         build_overlapping(13, MarkedState.zeros(13))
     # the word expansion itself survives beyond the dense cap
-    _, terms = build_final(make_splitting(13, [13]), MarkedState.zeros(13), dense=False)
+    terms = final_terms(make_splitting(13, [13]), MarkedState.zeros(13))
     assert terms.max_weight == 13
     with pytest.raises(ValueError):
-        build_final(make_splitting(21, [21]), MarkedState.zeros(21), dense=False)
+        final_terms(make_splitting(21, [21]), MarkedState.zeros(21))
 
 
 def test_expansion_term_budget():
     # the identity word plus every non-empty Z subset of each block
     for n, parts, bits in [(13, [13], "0" * 13), (6, [3, 2, 1], "101101")]:
-        _, terms = build_final(make_splitting(n, parts), MarkedState.from_string(bits), dense=False)
+        terms = final_terms(make_splitting(n, parts), MarkedState.from_string(bits))
         assert len(terms.terms) == 1 + sum(2**size - 1 for size in parts)
     # one block at the per-block cap fills the budget exactly
     assert 1 + (2**20 - 1) == EXPANSION_TERM_BUDGET
     with pytest.raises(ValueError, match="term budget of 1048576"):
-        build_final(make_splitting(40, [20, 20]), MarkedState.zeros(40), dense=False)
+        final_terms(make_splitting(40, [20, 20]), MarkedState.zeros(40))
     with pytest.raises(ValueError, match="block of 21 qubits exceeds the expansion cap"):
-        build_final(make_splitting(41, [20, 21]), MarkedState.zeros(41), dense=False)
+        final_terms(make_splitting(41, [20, 21]), MarkedState.zeros(41))
 
 
 def test_term_sum_text_format():
-    _, terms = build_final(make_splitting(2, [2]), MarkedState.zeros(2), dense=False)
+    terms = final_terms(make_splitting(2, [2]), MarkedState.zeros(2))
     text = terms.to_text()
     assert "-0.25\tZZ" in text
     assert text.splitlines()[0] == "0.75\tII"

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from adiasearch import runtime
-from adiasearch.core import Precision, linear_schedule, make_splitting, tabulated_schedule
+from adiasearch.core import MAX_GRID, Precision, linear_schedule, make_splitting, tabulated_schedule
 from adiasearch.runtime import (
     QuadratureError,
     TimeSchedule,
@@ -19,6 +19,8 @@ from adiasearch.runtime import (
     table_to_csv,
     table_to_json,
 )
+
+from conftest import linear_eps_t_oracle
 
 TABLE_CONFIGS = [(6, 1), (6, 2), (6, 3), (6, 6), (30, 1), (30, 2), (30, 3), (30, 5), (30, 6), (30, 10), (30, 15), (30, 30)]
 
@@ -57,6 +59,35 @@ def test_quadrature_matches_closed_form():
         expected = closed_form_eps_t(n, blocks)
         assert abs(result.eps_t - expected) / expected <= 1e-6
         assert result.method == "quadrature"
+
+
+def test_single_blocks_match_the_closed_form_up_to_64_qubits():
+    # the peak is 2^(-n/2) wide: rounding s near 1/2 moves it by up to
+    # 5e-7 of its width at 64 qubits
+    for n in range(50, 65):
+        eps_t = running_time_integral(make_splitting(n, [n])).eps_t
+        assert abs(eps_t - closed_form_eps_t(n, 1)) / closed_form_eps_t(n, 1) <= 1e-12, n
+
+
+def test_mixed_splits_match_a_high_precision_oracle():
+    assert linear_eps_t_oracle([40]) == pytest.approx(math.sqrt(2.0**40 - 1.0), rel=1e-15)
+    # a small block's broad bump next to a large block's narrow peak
+    for parts in ([1, 63], [3, 61], [5, 59], [10, 54]):
+        eps_t = running_time_integral(make_splitting(64, parts)).eps_t
+        oracle = linear_eps_t_oracle(parts)
+        assert abs(eps_t - oracle) / oracle <= 1e-12, parts
+
+
+def test_tabulated_schedules_with_f_plus_g_one_give_the_linear_time():
+    # with f = 1 - g, f'g - g'f = -g', so eps*T is the integral of
+    # sqrt(sum_i w_i / omega_i**6) over g from 0 to 1, whatever the path g(s)
+    nodes = np.linspace(0.0, 1.0, 9)
+    g = nodes + 0.2 * np.sin(2.0 * np.pi * nodes) / (2.0 * np.pi)
+    curved = tabulated_schedule(nodes, 1.0 - g, g)
+    for parts in ([2], [3, 3], [6], [10, 10], [30], [1, 30]):
+        splitting = make_splitting(sum(parts), parts)
+        linear = running_time_integral(splitting).eps_t
+        assert running_time_integral(splitting, curved).eps_t == pytest.approx(linear, rel=1e-8), parts
 
 
 def test_published_value_examples():
@@ -218,25 +249,33 @@ def test_optimal_schedule_refuses_a_stationary_hamiltonian():
     # but the rate that saturates the bound is unbounded there
     nodes = [0.0, 0.25, 0.5, 0.75, 1.0]
     paused = tabulated_schedule(nodes, [1.0, 1.0, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 1.0, 1.0])
+    # f = g = 1/2 on [.4, .6]: the crossing is flat, so there is no peak to resolve
+    flat = tabulated_schedule([0.0, 0.4, 0.6, 1.0], [1.0, 0.5, 0.5, 0.0], [0.0, 0.5, 0.5, 1.0])
     splitting = make_splitting(2, [2])
-    assert running_time_integral(splitting, paused).eps_t == pytest.approx(math.sqrt(3.0), rel=1e-9)
-    with pytest.raises(ValueError, match=r"stationary at s = 0\.0000"):
-        optimal_schedule(splitting, schedule=paused)
+    for schedule, s_text in ((paused, r"0\.0000"), (flat, r"0\.4000")):
+        assert running_time_integral(splitting, schedule).eps_t == pytest.approx(math.sqrt(3.0), rel=1e-9)
+        with pytest.raises(ValueError, match=f"stationary at s = {s_text}"):
+            optimal_schedule(splitting, schedule=schedule)
 
 
 def test_quadrature_error_reports_plain_floats(monkeypatch):
-    monkeypatch.setattr(runtime, "quad", lambda *args, **kwargs: (1.0, 1.0))
     splitting = make_splitting(2, [2])
-    for call in (lambda: running_time_integral(splitting), lambda: optimal_schedule(splitting)):
-        with pytest.raises(QuadratureError, match="did not converge") as caught:
-            call()
-        assert "np.float64" not in str(caught.value)
-        assert type(caught.value.value) is float and type(caught.value.estimate) is float
+    # a nan value or estimate fails the convergence rule too
+    for result in ((1.0, 1.0), (math.nan, math.nan)):
+        monkeypatch.setattr(runtime, "quad", lambda *args, **kwargs: result)
+        for call in (lambda: running_time_integral(splitting), lambda: optimal_schedule(splitting)):
+            with pytest.raises(QuadratureError, match="did not converge") as caught:
+                call()
+            assert "np.float64" not in str(caught.value)
+            assert type(caught.value.value) is float and type(caught.value.estimate) is float
 
 
 def test_optimal_schedule_grid_validation():
     with pytest.raises(ValueError):
         optimal_schedule(make_splitting(2, [2]), grid=50)
+    # one quadrature per cell: the cap bounds the time, checked before any work
+    with pytest.raises(ValueError, match="between 100 and 65536 samples"):
+        optimal_schedule(make_splitting(2, [2]), grid=MAX_GRID + 1)
 
 
 def test_time_schedule_from_samples_and_scaling():
@@ -252,6 +291,10 @@ def test_time_schedule_from_samples_and_scaling():
     assert float(doubled.rate(0.5)) == pytest.approx(1.0 / 16.0, rel=1e-9)
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="total time"):
+            schedule_t.scaled(bad)
+    # stretched so short that the time nodes collapse or the rates overflow
+    for bad in (1e-300, 5e-324):
+        with pytest.raises(ValueError, match=f"total time {bad!r} is too short"):
             schedule_t.scaled(bad)
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="total time"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from adiasearch.core import MarkedState, linear_schedule, make_splitting
+from adiasearch.core import MAX_GRID, MarkedState, linear_schedule, make_splitting
 from adiasearch.hamiltonian import build_final, build_initial, combine
 from adiasearch.spectral import (
     gap_profile,
@@ -133,6 +133,8 @@ def test_gap_profile_symmetry_and_positivity():
 def test_gap_profile_grid_validation_and_csv():
     with pytest.raises(ValueError):
         gap_profile(make_splitting(2, [2]), linear_schedule(), grid=1)
+    with pytest.raises(ValueError, match="between 2 and 65536 samples"):
+        gap_profile(make_splitting(2, [2]), linear_schedule(), grid=MAX_GRID + 1)
     profile = gap_profile(make_splitting(4, [2, 2]), linear_schedule(), grid=11)
     text = profile.to_csv()
     lines = text.strip().split("\n")
