@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 # Schedules must hit f(0)=1, g(0)=0, f(1)=0, g(1)=1 this tightly.
 SCHEDULE_BOUNDARY_TOL = 1e-12
@@ -156,6 +155,69 @@ class MarkedState:
         return "".join(str(b) for b in self.bits)
 
 
+def pchip_slopes(x, y) -> np.ndarray:
+    """Node slopes of the monotone cubic Hermite interpolant through (x, y).
+
+    Fritsch & Carlson, SIAM J. Numer. Anal. 17, 238 (1980), as scipy's
+    PchipInterpolator sets them: zero where the chords either side change
+    sign or vanish, else their weighted harmonic mean; the shape-preserving
+    one-sided three-point rule at the ends; the chord for two nodes.
+    """
+    h = np.diff(x)
+    m = np.diff(y) / h
+    if m.size == 1:
+        return np.array([m[0], m[0]])
+    d = np.zeros(m.size + 1)
+    w1 = 2.0 * h[1:] + h[:-1]
+    w2 = h[1:] + 2.0 * h[:-1]
+    inner = (np.sign(m[1:]) == np.sign(m[:-1])) & (m[1:] != 0.0) & (m[:-1] != 0.0)
+    w1, w2, m0, m1 = w1[inner], w2[inner], m[:-1][inner], m[1:][inner]
+    d[1:-1][inner] = 1.0 / ((w1 / m0 + w2 / m1) / (w1 + w2))
+    for end, (h0, h1, m0, m1) in ((0, (h[0], h[1], m[0], m[1])), (-1, (h[-1], h[-2], m[-1], m[-2]))):
+        slope = ((2.0 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+        if np.sign(slope) != np.sign(m0):
+            slope = 0.0
+        elif np.sign(m0) != np.sign(m1) and abs(slope) > 3.0 * abs(m0):
+            slope = 3.0 * m0
+        d[end] = slope
+    return d
+
+
+class MonotoneCubic:
+    """Piecewise-cubic Hermite interpolant with :func:`pchip_slopes` at the nodes.
+
+    c[:, k] holds the cubic on [x_k, x_k+1] in powers of (s - x_k), highest
+    first, as in scipy's PPoly; the end cubics extend past the nodes. Values
+    and slopes accept scalars or arrays.
+    """
+
+    def __init__(self, x, y):
+        self.x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        h = np.diff(self.x)
+        m = np.diff(y) / h
+        d = pchip_slopes(self.x, y)
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        self.c = np.array([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+
+    def interval(self, s):
+        """Index k of the cubic that serves s: x_k <= s < x_k+1, clamped to the ends."""
+        return np.clip(np.searchsorted(self.x, s, side="right") - 1, 0, self.x.size - 2)
+
+    def _local(self, s):
+        s = np.asarray(s, dtype=float)
+        k = self.interval(s)
+        return s - self.x[k], self.c[:, k]
+
+    def __call__(self, s):
+        y, (c0, c1, c2, c3) = self._local(s)
+        return c3 + c2 * y + c1 * (y * y) + c0 * (y * y * y)
+
+    def slope(self, s):
+        y, (c0, c1, c2, _) = self._local(s)
+        return c2 + 2.0 * c1 * y + 3.0 * c0 * (y * y)
+
+
 class Schedule:
     """Interpolation pair (f, g) on s in [0, 1] with derivatives.
 
@@ -234,10 +296,9 @@ class TabulatedSchedule(Schedule):
             raise ValueError("f samples must be non-increasing")
         if np.any(np.diff(g_nodes) < -SCHEDULE_BOUNDARY_TOL):
             raise ValueError("g samples must be non-decreasing")
-        self._f = PchipInterpolator(s_nodes, f_nodes)
-        self._g = PchipInterpolator(s_nodes, g_nodes)
-        self._df = self._f.derivative()
-        self._dg = self._g.derivative()
+        self._f = MonotoneCubic(s_nodes, f_nodes)
+        self._g = MonotoneCubic(s_nodes, g_nodes)
+        self._f_minus_g = self._f.c - self._g.c  # one cubic per interval
         self.s_nodes = s_nodes
         self.f_nodes = f_nodes
         self.g_nodes = g_nodes
@@ -249,10 +310,22 @@ class TabulatedSchedule(Schedule):
         return self._g(s)
 
     def df(self, s):
-        return self._df(s)
+        return self._f.slope(s)
 
     def dg(self, s):
-        return self._dg(s)
+        return self._g.slope(s)
+
+    def difference(self, s_star, x):
+        # the serving cubic re-expanded about s_star and evaluated in x, so
+        # s_star + x is never rounded; its coefficients depend on s_star and
+        # the interval only, so f - g stays smooth in x
+        k = self._f.interval(s_star + x)
+        c0, c1, c2, c3 = self._f_minus_g[:, k]
+        d = s_star - self.s_nodes[k]
+        b0 = c3 + d * (c2 + d * (c1 + d * c0))
+        b1 = c2 + d * (2.0 * c1 + 3.0 * d * c0)
+        b2 = c1 + 3.0 * d * c0
+        return b0 + x * (b1 + x * (b2 + x * c0))
 
 
 def linear_schedule() -> LinearSchedule:

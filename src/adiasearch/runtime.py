@@ -8,32 +8,60 @@ reproduction, and the optimal time parameterization s(t).
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
 
 from .core import (
     MAX_BLOCK_QUBITS,
     MAX_GRID,
+    MonotoneCubic,
     Precision,
     Schedule,
     Splitting,
     equal_splitting,
     linear_schedule,
+    pchip_slopes,
 )
 
 MAX_TABLE_QUBITS = MAX_BLOCK_QUBITS  # the m = 1 row is one block of n qubits
 
-_QUAD_LIMIT = 500
+_QUAD_LIMIT = 500  # most subintervals per panel
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+# QUADPACK qk21 on [-1, 1]: the Kronrod nodes x >= 0 (the odd positions are
+# the 10-point Gauss nodes) with their Kronrod weights, and the Gauss weights
+_XGK = (
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+)
+_WGK = (
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208703099141, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+)
+_WG = (
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+)
+_NODES = _XGK + tuple(-x for x in _XGK[:-1])  # plain floats: the integrand is scalar
+_WEIGHTS = np.zeros((2, len(_NODES)))  # Kronrod row, then Gauss row
+_WEIGHTS[0] = _WGK + _WGK[:-1]
+_WEIGHTS[1, 1:10:2] = _WEIGHTS[1, 12::2] = _WG
 # The cubic coefficients of s(t) divide by the cube of a time step, so a
 # shorter step overflows them.
-_MIN_TIME_STEP = np.finfo(float).tiny ** (1.0 / 3.0)
+_MIN_TIME_STEP = _TINY ** (1.0 / 3.0)
 
 
 class QuadratureError(RuntimeError):
@@ -59,6 +87,21 @@ class RunTimeResult:
     method: str
 
 
+def _crossing(schedule: Schedule) -> float:
+    """s* where f = g, by bisection on the decreasing f - g to 1e-14.
+
+    The first midpoint is 1/2, where the linear schedule crosses exactly.
+    """
+    lo, hi = 0.0, 1.0
+    while hi - lo > 1e-14:
+        mid = 0.5 * (lo + hi)
+        difference = float(schedule.difference(mid, 0.0))
+        if difference == 0.0:
+            return mid
+        lo, hi = (mid, hi) if difference > 0.0 else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
 def _time_integrand(splitting: Splitting, schedule: Schedule):
     """epsilon * dt/ds for the bound-saturating time parameterization.
 
@@ -74,7 +117,7 @@ def _time_integrand(splitting: Splitting, schedule: Schedule):
     """
     dims = splitting.float_block_dims()
     weights = (dims - 1.0) / dims**2
-    s_star = brentq(lambda s: float(schedule.difference(s, 0.0)), 0.0, 1.0, xtol=1e-14)
+    s_star = _crossing(schedule)
     f_star = float(schedule.f(s_star))
     if f_star + float(schedule.g(s_star)) < 1e-9:
         raise ValueError(
@@ -102,23 +145,79 @@ def _time_integrand(splitting: Splitting, schedule: Schedule):
     return integrand, u_of_s, lambda s: at_offset(s - s_star)
 
 
+def _kronrod21(integrand, lo: float, hi: float) -> tuple[float, float]:
+    """(integral, error estimate) over [lo, hi] from QUADPACK's qk21.
+
+    The integrand is called at the 21 nodes one point at a time. The error
+    estimate is QUADPACK's: the Kronrod-Gauss difference scaled by
+    resasc * min(1, (200 |K - G| / resasc)**1.5), floored at 50 eps resabs.
+    """
+    half = 0.5 * (hi - lo)
+    center = 0.5 * (hi + lo)
+    values = np.array([integrand(center + half * x) for x in _NODES])
+    kronrod, gauss = _WEIGHTS @ values
+    err = abs((kronrod - gauss) * half)
+    resabs = (_WEIGHTS[0] @ np.abs(values)) * abs(half)
+    resasc = (_WEIGHTS[0] @ np.abs(values - 0.5 * kronrod)) * abs(half)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > _TINY / (50.0 * _EPS):
+        err = max(50.0 * _EPS * resabs, err)
+    return float(kronrod * half), float(err)
+
+
+def _adaptive_integral(integrand, lo: float, hi: float, rel_tol: float) -> tuple[float, float]:
+    """(integral, summed error estimate) over [lo, hi], globally adaptive.
+
+    QUADPACK's qag with qk21: bisect the subinterval with the largest error
+    estimate until the summed estimate is within rel_tol of the summed
+    integral. It stops early at _QUAD_LIMIT subintervals, at a subinterval
+    too narrow to bisect, at a non-finite estimate, or when repeated
+    bisections stop reducing the estimate (roundoff); the caller judges the
+    estimate it gets back.
+    """
+    value, err = _kronrod21(integrand, lo, hi)
+    pieces = [(-err, lo, hi, value)]
+    total, err_total = value, err
+    stalled = grown = 0
+    while not err_total <= rel_tol * abs(total) and math.isfinite(err_total) and len(pieces) < _QUAD_LIMIT:
+        neg_err, a, b, value = pieces[0]
+        mid = 0.5 * (a + b)
+        if max(abs(a), abs(b)) <= (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _TINY):
+            break
+        left, left_err = _kronrod21(integrand, a, mid)
+        right, right_err = _kronrod21(integrand, mid, b)
+        heapq.heapreplace(pieces, (-left_err, a, mid, left))
+        heapq.heappush(pieces, (-right_err, mid, b, right))
+        total += left + right - value
+        err_total += left_err + right_err + neg_err
+        # QUADPACK's roundoff tests: the halves agree with their parent but
+        # their estimate does not fall, or the estimate grows
+        if abs(value - (left + right)) <= 1e-5 * abs(left + right) and left_err + right_err >= -0.99 * neg_err:
+            stalled += 1
+        if len(pieces) > 10 and left_err + right_err > -neg_err:
+            grown += 1
+        if stalled >= 6 or grown >= 20:
+            break
+    return sum(piece[3] for piece in pieces), sum(-piece[0] for piece in pieces)
+
+
 def _panel_integrals(integrand, edges, rel_tol: float, context: str) -> tuple[float, list[float]]:
     """(total, per-panel integrals) of ``integrand`` between consecutive edges.
 
-    One adaptive ``quad`` per panel. Roundoff chatter from panels that sit
-    right on the peak is tolerated there; the summed error estimate is
-    judged against the whole integral, which is what the tolerance is about.
+    One adaptive Gauss-Kronrod integral per panel. Roundoff chatter from
+    panels that sit right on the peak is tolerated there; the summed error
+    estimate is judged against the whole integral, which is what the
+    tolerance is about.
     """
     values = []
     total = 0.0
     err_total = 0.0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", IntegrationWarning)
-        for lo, hi in zip(edges, edges[1:]):
-            value, err = quad(integrand, lo, hi, epsabs=0.0, epsrel=rel_tol, limit=_QUAD_LIMIT)
-            values.append(value)
-            total += value
-            err_total += err
+    for lo, hi in zip(edges, edges[1:]):
+        value, err = _adaptive_integral(integrand, lo, hi, rel_tol)
+        values.append(value)
+        total += value
+        err_total += err
     # written so that a nan total or estimate fails too
     if not err_total <= 10.0 * rel_tol * total:
         raise QuadratureError(
@@ -197,6 +296,15 @@ def max_structured_time(n: int, precision: Precision | None = None) -> RunTimeRe
     return RunTimeResult(splitting, eps_t, alpha, beta, "max_structured")
 
 
+def _check_time_steps(total_time: float, t_nodes, rate_nodes=()) -> None:
+    """Refuse time steps too short for the cubics of s(t), or rates that overflow."""
+    if not (np.min(np.diff(t_nodes)) >= _MIN_TIME_STEP and np.all(np.isfinite(rate_nodes))):
+        raise ValueError(
+            f"total time {total_time!r} is too short: its time steps "
+            f"fall below {_MIN_TIME_STEP:.3g} or its rates overflow"
+        )
+
+
 @dataclass(frozen=True)
 class TimeSchedule:
     """Monotone time parameterization s(t) with its total time.
@@ -219,32 +327,28 @@ class TimeSchedule:
         if not (math.isfinite(self.total_time) and self.total_time >= 0.0):
             raise ValueError(f"total time must be finite and >= 0, got {self.total_time}")
         if self.total_time > 0.0:
-            steps_ok = np.min(np.diff(self.t_nodes)) >= _MIN_TIME_STEP
-            if not (steps_ok and np.all(np.isfinite(self.rate_nodes))):
-                raise ValueError(
-                    f"total time {self.total_time!r} is too short: its time steps "
-                    f"fall below {_MIN_TIME_STEP:.3g} or its rates overflow"
-                )
-            object.__setattr__(self, "_s_of_t", PchipInterpolator(self.t_nodes, self.s_nodes))
-            object.__setattr__(self, "_t_of_s", PchipInterpolator(self.s_nodes, self.t_nodes))
-            object.__setattr__(self, "_rate_of_s", PchipInterpolator(self.s_nodes, self.rate_nodes))
+            _check_time_steps(self.total_time, self.t_nodes, self.rate_nodes)
+            object.__setattr__(self, "_s_of_t", MonotoneCubic(self.t_nodes, self.s_nodes))
+            object.__setattr__(self, "_t_of_s", MonotoneCubic(self.s_nodes, self.t_nodes))
+            object.__setattr__(self, "_rate_of_s", MonotoneCubic(self.s_nodes, self.rate_nodes))
 
     @classmethod
     def from_samples(cls, t_nodes, s_nodes, base: Schedule | None = None) -> "TimeSchedule":
-        """Build from sampled (t, s); rates come from the interpolant's slope."""
+        """Build from sampled (t, s); rates are the interpolant's node slopes."""
         t_nodes = np.asarray(t_nodes, dtype=float)
         s_nodes = np.asarray(s_nodes, dtype=float)
         if t_nodes.ndim != 1 or t_nodes.size < 2:
             raise ValueError("need at least two (t, s) samples")
         if np.any(np.diff(t_nodes) <= 0.0) or np.any(np.diff(s_nodes) <= 0.0):
             raise ValueError("t and s samples must be strictly increasing")
-        rates = PchipInterpolator(t_nodes, s_nodes).derivative()(t_nodes)
+        total_time = float(t_nodes[-1] - t_nodes[0])
+        _check_time_steps(total_time, t_nodes)
         return cls(
             base if base is not None else linear_schedule(),
-            float(t_nodes[-1] - t_nodes[0]),
+            total_time,
             t_nodes - t_nodes[0],
             s_nodes,
-            np.asarray(rates, dtype=float),
+            pchip_slopes(t_nodes, s_nodes),
         )
 
     @classmethod

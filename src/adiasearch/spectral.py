@@ -11,12 +11,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .core import MAX_GRID, Schedule, Splitting
 
-# Profile minima are refined from the grid to this bracket width.
+# Profile minima are refined from the grid to this bracket width, relative to s.
 _REFINE_TOL = 1e-12
+_GOLDEN = 0.61803399  # 2 / (1 + sqrt(5)), to the digits scipy's golden search uses
 
 
 def subsystem_gap(block_dim, f, g):
@@ -117,15 +117,35 @@ def gap_profile(splitting: Splitting, schedule: Schedule, grid: int = 1001) -> G
     k = int(np.argmin(global_gap))
     s_min, omega_min = s[k], float(global_gap[k])
     if 0 < k < grid - 1 and global_gap[k] < min(global_gap[k - 1], global_gap[k + 1]):
-        try:
-            res = minimize_scalar(
-                omega,
-                bracket=(s[k - 1], s[k], s[k + 1]),
-                method="golden",
-                options={"xtol": _REFINE_TOL},
-            )
-        except ValueError:
-            res = None  # degenerate bracket, keep the grid sample
-        if res is not None and res.fun <= omega_min:
-            s_min, omega_min = float(np.clip(res.x, 0.0, 1.0)), float(res.fun)
+        refined = _golden_minimum(omega, s[k - 1], s[k], s[k + 1])
+        if refined is not None and refined[1] <= omega_min:
+            s_min, omega_min = float(np.clip(refined[0], 0.0, 1.0)), float(refined[1])
     return GapProfile(splitting, s, block_gaps, global_gap, omega_min, s_min)
+
+
+def _golden_minimum(func, lo: float, mid: float, hi: float):
+    """(x, func(x)) at a minimum inside the bracket lo < mid < hi, by golden-section search.
+
+    The steps are those of scipy's minimize_scalar(method="golden"). Returns
+    None when func(mid) is not below both ends, as can happen when the
+    bracket is degenerate.
+    """
+    f_mid = func(mid)
+    if not (f_mid < func(lo) and f_mid < func(hi)):
+        return None
+    x0, x3 = lo, hi
+    if hi - mid > mid - lo:
+        x1, x2 = mid, mid + (1.0 - _GOLDEN) * (hi - mid)
+    else:
+        x1, x2 = mid - (1.0 - _GOLDEN) * (mid - lo), mid
+    f1, f2 = func(x1), func(x2)
+    for _ in range(5000):  # scipy's iteration cap
+        if abs(x3 - x0) <= _REFINE_TOL * (abs(x1) + abs(x2)):
+            break
+        if f2 < f1:
+            x0, x1, x2 = x1, x2, _GOLDEN * x2 + (1.0 - _GOLDEN) * x3
+            f1, f2 = f2, func(x2)
+        else:
+            x3, x2, x1 = x2, x1, _GOLDEN * x1 + (1.0 - _GOLDEN) * x0
+            f2, f1 = f1, func(x1)
+    return (x1, f1) if f1 < f2 else (x2, f2)

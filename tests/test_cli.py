@@ -261,6 +261,24 @@ def test_module_entry_point_subprocess():
     assert result.stdout.startswith("m,n_per_m,eps_T,alpha,beta")
 
 
+def test_package_and_commands_run_without_scipy():
+    # scipy is a test dependency only: with its import blocked, the package
+    # and every computing command still run
+    script = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "import adiasearch\n"
+        "from adiasearch import cli\n"
+        "for argv in (['table', '--n', '6'], ['schedule', '--n', '6', '--m', '2'],\n"
+        "             ['gap', '--n', '4', '--m', '2'], ['evolve', '--n', '4', '--m', '2']):\n"
+        "    code = cli.main(argv)\n"
+        "    assert code in (0, 4), (argv, code)\n"
+        "assert not [name for name in sys.modules if name.startswith('scipy.')]\n"
+    )
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
 # Repeated entries weight the draws toward valid input, so that examples
 # also reach the computations and not only the argument checks.
 _ODD_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e-300", "5e-324", "x", "")

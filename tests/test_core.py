@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
 from adiasearch.core import (
     MarkedState,
+    MonotoneCubic,
     Precision,
     equal_splitting,
     linear_schedule,
@@ -118,6 +120,27 @@ def test_tabulated_schedule_derivative_matches_finite_difference():
         fd_g = (tab.g(s + h) - tab.g(s - h)) / (2.0 * h)
         assert float(tab.df(s)) == pytest.approx(fd_f, rel=1e-5, abs=1e-7)
         assert float(tab.dg(s)) == pytest.approx(fd_g, rel=1e-5, abs=1e-7)
+
+
+def test_monotone_cubic_matches_scipy_pchip():
+    rng = np.random.default_rng(11)
+    samples = [(np.array([0.0, 1.0]), np.array([1.0, 0.0])), (np.array([-2.0, 3.5]), np.array([0.3, 0.3]))]
+    for k in range(60):
+        x = np.cumsum(rng.uniform(0.01, 1.0, int(rng.integers(3, 25)))) - 2.0
+        if k % 3 == 0:
+            y = np.cumsum(rng.uniform(0.0, 1.0, x.size))  # monotone
+        elif k % 3 == 1:
+            y = rng.normal(size=x.size) * 10.0 ** rng.integers(-3, 4)
+        else:
+            y = rng.integers(-1, 2, x.size).astype(float)  # flat runs and sign changes
+        samples.append((x, y))
+    for x, y in samples:
+        ours, oracle = MonotoneCubic(x, y), PchipInterpolator(x, y)
+        # nodes, points between them and points outside the ends
+        q = np.concatenate([x, rng.uniform(x[0] - 1.0, x[-1] + 1.0, 50)])
+        scale = max(np.max(np.abs(y)), 1.0e-300)
+        assert np.max(np.abs(ours(q) - oracle(q))) <= 1e-12 * scale
+        assert np.max(np.abs(ours.slope(q) - oracle.derivative()(q))) <= 1e-12 * scale / np.min(np.diff(x))
 
 
 def test_tabulated_schedule_rejects_bad_samples():

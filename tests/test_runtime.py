@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import mpmath as mp
 import numpy as np
@@ -88,6 +89,13 @@ def test_tabulated_schedules_with_f_plus_g_one_give_the_linear_time():
         splitting = make_splitting(sum(parts), parts)
         linear = running_time_integral(splitting).eps_t
         assert running_time_integral(splitting, curved).eps_t == pytest.approx(linear, rel=1e-8), parts
+    # f - g is expanded about the crossing, so peaks 2^(-n/2) wide are
+    # resolved as for the linear schedule
+    two_node = tabulated_schedule([0.0, 1.0], [1.0, 0.0], [0.0, 1.0])
+    for n in (50, 56, 60, 64):
+        for schedule in (two_node, curved):
+            eps_t = running_time_integral(make_splitting(n, [n]), schedule).eps_t
+            assert abs(eps_t - closed_form_eps_t(n, 1)) / closed_form_eps_t(n, 1) <= 1e-12, n
 
 
 def test_published_value_examples():
@@ -258,11 +266,28 @@ def test_optimal_schedule_refuses_a_stationary_hamiltonian():
             optimal_schedule(splitting, schedule=schedule)
 
 
+def test_kronrod_rule_is_exact_on_polynomials_up_to_degree_31():
+    rng = np.random.default_rng(5)
+    lo, hi = -0.3, 1.7
+    for degree in range(32):
+        poly = np.polynomial.Polynomial(rng.normal(size=degree + 1))
+        exact = poly.integ()(hi) - poly.integ()(lo)
+        value, err = runtime._kronrod21(poly, lo, hi)
+        scale = np.polynomial.Polynomial(np.abs(poly.coef)).integ()(2.0)
+        assert abs(value - exact) <= 1e-14 * scale, degree
+        # the embedded 10-point Gauss rule is exact to degree 19
+        if degree <= 19:
+            assert err <= 50.0 * np.finfo(float).eps * scale, degree
+    assert runtime._adaptive_integral(lambda u: math.exp(-u * u), -6.0, 6.0, 1e-12)[0] == pytest.approx(
+        math.sqrt(math.pi), rel=1e-13
+    )
+
+
 def test_quadrature_error_reports_plain_floats(monkeypatch):
     splitting = make_splitting(2, [2])
     # a nan value or estimate fails the convergence rule too
     for result in ((1.0, 1.0), (math.nan, math.nan)):
-        monkeypatch.setattr(runtime, "quad", lambda *args, **kwargs: result)
+        monkeypatch.setattr(runtime, "_kronrod21", lambda *args, **kwargs: result)
         for call in (lambda: running_time_integral(splitting), lambda: optimal_schedule(splitting)):
             with pytest.raises(QuadratureError, match="did not converge") as caught:
                 call()
@@ -299,6 +324,11 @@ def test_time_schedule_from_samples_and_scaling():
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="total time"):
             TimeSchedule(schedule_t.base, bad, t_nodes, s_nodes, schedule_t.rate_nodes)
+    # samples this short are refused before any interpolant or rate is formed
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="total time 1e-200 is too short"):
+            TimeSchedule.from_samples(np.linspace(0.0, 1e-200, 11), np.linspace(0.0, 1.0, 11))
 
     quench = TimeSchedule.quench()
     assert quench.total_time == 0.0

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigh
+from scipy.optimize import minimize_scalar
 
-from adiasearch.core import MAX_GRID, MarkedState, linear_schedule, make_splitting
+from adiasearch.core import MAX_GRID, MarkedState, linear_schedule, make_splitting, tabulated_schedule
 from adiasearch.hamiltonian import build_final, build_initial, combine
 from adiasearch.spectral import (
     gap_profile,
@@ -112,6 +113,25 @@ def test_gap_profile_maximal_split():
         profile = gap_profile(make_splitting(n, [1] * n), linear_schedule())
         assert profile.omega_min == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
         assert profile.s_min == pytest.approx(0.5, abs=1e-7)
+
+
+def test_gap_profile_minimum_matches_scipy_golden_search():
+    nodes = np.linspace(0.0, 1.0, 9)
+    curved = tabulated_schedule(nodes, 1.0 - nodes**2, nodes**2)
+    for parts, grid in (([6], 1000), ([3, 5], 137), ([20], 1001)):
+        splitting = make_splitting(sum(parts), parts)
+        profile = gap_profile(splitting, curved, grid=grid)
+        k = int(np.argmin(profile.global_gap))
+        dims = splitting.float_block_dims()
+        oracle = minimize_scalar(
+            lambda x: min(subsystem_gap(dim, curved.f(x), curved.g(x)) for dim in dims),
+            bracket=tuple(profile.s[k - 1 : k + 2]),
+            method="golden",
+            options={"xtol": 1e-12},
+        )
+        assert profile.s_min not in profile.s  # refined off the grid
+        assert profile.s_min == pytest.approx(oracle.x, abs=1e-12), parts
+        assert profile.omega_min == pytest.approx(oracle.fun, rel=1e-14), parts
 
 
 def test_gap_profile_single_qubit_matches_two_dim_block():
