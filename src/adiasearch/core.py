@@ -22,7 +22,7 @@ SCHEDULE_BOUNDARY_TOL = 1e-12
 # qubits, and 2^1024 no longer fits in a double at all.
 MAX_BLOCK_QUBITS = 64
 # Most s samples a gap profile or schedule tabulation takes. The tabulation
-# costs one adaptive quadrature per grid cell, so this also bounds its time.
+# costs one scalar rate per sample, so this also bounds its time.
 MAX_GRID = 1 << 16
 
 
@@ -227,6 +227,9 @@ class Schedule:
     """
 
     kind = "base"
+    # interior s where f'' or g'' jump; the schedule tabulation breaks its
+    # quadrature panels there
+    knots: tuple[float, ...] = ()
 
     def f(self, s):
         raise NotImplementedError
@@ -300,6 +303,7 @@ class TabulatedSchedule(Schedule):
         self._g = MonotoneCubic(s_nodes, g_nodes)
         self._f_minus_g = self._f.c - self._g.c  # one cubic per interval
         self.s_nodes = s_nodes
+        self.knots = tuple(s_nodes[1:-1].tolist())
         self.f_nodes = f_nodes
         self.g_nodes = g_nodes
 

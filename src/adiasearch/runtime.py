@@ -26,39 +26,13 @@ from .core import (
     linear_schedule,
     pchip_slopes,
 )
+from .kronrod import NODES, WEIGHTS, node_integrals
 
 MAX_TABLE_QUBITS = MAX_BLOCK_QUBITS  # the m = 1 row is one block of n qubits
 
 _QUAD_LIMIT = 500  # most subintervals per panel
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
-# QUADPACK qk21 on [-1, 1]: the Kronrod nodes x >= 0 (the odd positions are
-# the 10-point Gauss nodes) with their Kronrod weights, and the Gauss weights
-_XGK = (
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-    0.0,
-)
-_WGK = (
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077208703099141, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-    0.149445554002916905664936468389821,
-)
-_WG = (
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338,
-)
-_NODES = _XGK + tuple(-x for x in _XGK[:-1])  # plain floats: the integrand is scalar
-_WEIGHTS = np.zeros((2, len(_NODES)))  # Kronrod row, then Gauss row
-_WEIGHTS[0] = _WGK + _WGK[:-1]
-_WEIGHTS[1, 1:10:2] = _WEIGHTS[1, 12::2] = _WG
 # The cubic coefficients of s(t) divide by the cube of a time step, so a
 # shorter step overflows them.
 _MIN_TIME_STEP = _TINY ** (1.0 / 3.0)
@@ -145,8 +119,8 @@ def _time_integrand(splitting: Splitting, schedule: Schedule):
     return integrand, u_of_s, lambda s: at_offset(s - s_star)
 
 
-def _kronrod21(integrand, lo: float, hi: float) -> tuple[float, float]:
-    """(integral, error estimate) over [lo, hi] from QUADPACK's qk21.
+def _kronrod21(integrand, lo: float, hi: float) -> tuple[float, float, np.ndarray]:
+    """(integral, error estimate, the 21 node values) over [lo, hi] from QUADPACK's qk21.
 
     The integrand is called at the 21 nodes one point at a time. The error
     estimate is QUADPACK's: the Kronrod-Gauss difference scaled by
@@ -154,41 +128,42 @@ def _kronrod21(integrand, lo: float, hi: float) -> tuple[float, float]:
     """
     half = 0.5 * (hi - lo)
     center = 0.5 * (hi + lo)
-    values = np.array([integrand(center + half * x) for x in _NODES])
-    kronrod, gauss = _WEIGHTS @ values
+    values = np.array([integrand(center + half * x) for x in NODES])
+    kronrod, gauss = WEIGHTS @ values
     err = abs((kronrod - gauss) * half)
-    resabs = (_WEIGHTS[0] @ np.abs(values)) * abs(half)
-    resasc = (_WEIGHTS[0] @ np.abs(values - 0.5 * kronrod)) * abs(half)
+    resabs = (WEIGHTS[0] @ np.abs(values)) * abs(half)
+    resasc = (WEIGHTS[0] @ np.abs(values - 0.5 * kronrod)) * abs(half)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     if resabs > _TINY / (50.0 * _EPS):
         err = max(50.0 * _EPS * resabs, err)
-    return float(kronrod * half), float(err)
+    return float(kronrod * half), float(err), values
 
 
-def _adaptive_integral(integrand, lo: float, hi: float, rel_tol: float) -> tuple[float, float]:
-    """(integral, summed error estimate) over [lo, hi], globally adaptive.
+def _adaptive_integral(integrand, lo: float, hi: float, rel_tol: float) -> tuple[float, float, list]:
+    """(integral, summed error estimate, pieces) over [lo, hi], globally adaptive.
 
     QUADPACK's qag with qk21: bisect the subinterval with the largest error
     estimate until the summed estimate is within rel_tol of the summed
     integral. It stops early at _QUAD_LIMIT subintervals, at a subinterval
     too narrow to bisect, at a non-finite estimate, or when repeated
     bisections stop reducing the estimate (roundoff); the caller judges the
-    estimate it gets back.
+    estimate it gets back. The pieces are the final subintervals, left to
+    right, as (a, b, integral, the 21 node values).
     """
-    value, err = _kronrod21(integrand, lo, hi)
-    pieces = [(-err, lo, hi, value)]
+    value, err, values = _kronrod21(integrand, lo, hi)
+    pieces = [(-err, lo, hi, value, values)]
     total, err_total = value, err
     stalled = grown = 0
     while not err_total <= rel_tol * abs(total) and math.isfinite(err_total) and len(pieces) < _QUAD_LIMIT:
-        neg_err, a, b, value = pieces[0]
+        neg_err, a, b, value, _ = pieces[0]
         mid = 0.5 * (a + b)
         if max(abs(a), abs(b)) <= (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _TINY):
             break
-        left, left_err = _kronrod21(integrand, a, mid)
-        right, right_err = _kronrod21(integrand, mid, b)
-        heapq.heapreplace(pieces, (-left_err, a, mid, left))
-        heapq.heappush(pieces, (-right_err, mid, b, right))
+        left, left_err, left_values = _kronrod21(integrand, a, mid)
+        right, right_err, right_values = _kronrod21(integrand, mid, b)
+        heapq.heapreplace(pieces, (-left_err, a, mid, left, left_values))
+        heapq.heappush(pieces, (-right_err, mid, b, right, right_values))
         total += left + right - value
         err_total += left_err + right_err + neg_err
         # QUADPACK's roundoff tests: the halves agree with their parent but
@@ -199,23 +174,28 @@ def _adaptive_integral(integrand, lo: float, hi: float, rel_tol: float) -> tuple
             grown += 1
         if stalled >= 6 or grown >= 20:
             break
-    return sum(piece[3] for piece in pieces), sum(-piece[0] for piece in pieces)
+    return (
+        sum(piece[3] for piece in pieces),
+        sum(-piece[0] for piece in pieces),
+        sorted(piece[1:] for piece in pieces),
+    )
 
 
-def _panel_integrals(integrand, edges, rel_tol: float, context: str) -> tuple[float, list[float]]:
-    """(total, per-panel integrals) of ``integrand`` between consecutive edges.
+def _panel_integrals(integrand, edges, rel_tol: float, context: str) -> tuple[float, list]:
+    """(total, pieces) of ``integrand`` between consecutive edges.
 
-    One adaptive Gauss-Kronrod integral per panel. Roundoff chatter from
-    panels that sit right on the peak is tolerated there; the summed error
-    estimate is judged against the whole integral, which is what the
-    tolerance is about.
+    One adaptive Gauss-Kronrod integral per panel; the pieces of all panels
+    come back left to right as (a, b, integral, the 21 node values).
+    Roundoff chatter from panels that sit right on the peak is tolerated
+    there; the summed error estimate is judged against the whole integral,
+    which is what the tolerance is about.
     """
-    values = []
+    pieces = []
     total = 0.0
     err_total = 0.0
     for lo, hi in zip(edges, edges[1:]):
-        value, err = _adaptive_integral(integrand, lo, hi, rel_tol)
-        values.append(value)
+        value, err, panel_pieces = _adaptive_integral(integrand, lo, hi, rel_tol)
+        pieces += panel_pieces
         total += value
         err_total += err
     # written so that a nan total or estimate fails too
@@ -226,7 +206,7 @@ def _panel_integrals(integrand, edges, rel_tol: float, context: str) -> tuple[fl
             value=total,
             estimate=err_total,
         )
-    return total, values
+    return total, pieces
 
 
 def scaling_coefficients(eps_t: float, n: int, num_blocks: int) -> tuple[float, float]:
@@ -399,12 +379,14 @@ def optimal_schedule(
 ) -> TimeSchedule:
     """Time parameterization that saturates the adiabatic bound everywhere.
 
-    Tabulates t(s) by accumulating the time integrand of
-    :func:`running_time_integral` over a uniform s grid, one panel per grid
-    cell, and inverts it monotonically. The total time agrees with that
-    integral to quadrature tolerance, and ds/dt is smallest where the gap is
-    smallest. Where H(s) is stationary the rate is unbounded, so such a
-    schedule is refused.
+    Integrates the time integrand of :func:`running_time_integral` once, on
+    u-panels of unit width (the block peaks are bumps about one unit wide)
+    that also break at the schedule's knots, where it has kinks. t(s) at the
+    uniform s grid is then read off the converged quadrature pieces, each
+    node's piece interpolated by its 21 integrand values, and inverted
+    monotonically. The total time agrees with that integral to quadrature
+    tolerance, and ds/dt is smallest where the gap is smallest. Where H(s)
+    is stationary the rate is unbounded, so such a schedule is refused.
     """
     if not 100 <= grid <= MAX_GRID:
         raise ValueError(f"grid must have between 100 and {MAX_GRID} samples, got {grid}")
@@ -419,11 +401,13 @@ def optimal_schedule(
             f"H(s) is stationary at s = {stationary[0]:.4f}: the rate that saturates "
             "the bound is unbounded there"
         )
-    u_edges = u_of_s(s_nodes).tolist()
-    _, pieces = _panel_integrals(integrand, u_edges, precision.quad_tol, "the time tabulation")
-    t_nodes = np.zeros(grid)
+    u_nodes = u_of_s(s_nodes)
+    u_lo, u_hi = float(u_nodes[0]), float(u_nodes[-1])
+    breaks = {*range(math.ceil(u_lo), math.floor(u_hi) + 1), *u_of_s(np.array(schedule.knots)).tolist()}
+    edges = [u_lo, *sorted(u for u in breaks if u_lo < u < u_hi), u_hi]
+    _, pieces = _panel_integrals(integrand, edges, precision.quad_tol, "the time tabulation")
+    t_nodes = node_integrals(pieces, u_nodes) / precision.epsilon
     for k in range(1, grid):
-        t_nodes[k] = t_nodes[k - 1] + pieces[k - 1] / precision.epsilon
         # far tails of huge blocks can fall below the resolution of the
         # accumulated time; keep the tabulation strictly increasing
         if t_nodes[k] <= t_nodes[k - 1]:

@@ -103,3 +103,31 @@ def linear_eps_t_oracle(parts, dps=40):
                 points.add(h)
                 h *= 4
         return float(2 * mp.quad(integrand, sorted(points)))
+
+
+def linear_node_eps_t_oracle(parts, x_nodes):
+    """eps*t at s = 1/2 + x for each x of an increasing array starting at -1/2,
+    under f = 1 - s, g = s, by one scipy quad per cell, summed cell by cell.
+
+    With x = s - 1/2, eps*dt/ds = sqrt(sum_i w_i / omega_i**6) and
+    omega_i**2 = 4 x**2 (1 - 1/N_i) + 1/N_i. Each cell is integrated in u,
+    x = h sinh(u) with h = 1 / (2 sqrt(N_max)) the narrowest peak
+    half-width, so every peak is at least one unit wide in u. For a
+    schedule with f + g = 1, eps*t(s) is this function at x = g(s) - 1/2.
+    Nothing from the package under test.
+    """
+    dims = [2.0**p for p in parts]
+    terms = [((d - 1.0) / d**2, 1.0 - 1.0 / d, 1.0 / d) for d in dims]
+    h = 0.5 / math.sqrt(max(dims))
+
+    def integrand(u):
+        x = h * math.sinh(u)
+        x_sq = 4.0 * x * x
+        return math.sqrt(sum(w / (x_sq * a + b) ** 3 for w, a, b in terms)) * h * math.cosh(u)
+
+    u_nodes = np.arcsinh(np.asarray(x_nodes, dtype=float) / h)
+    cells = [
+        quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+        for lo, hi in zip(u_nodes, u_nodes[1:])
+    ]
+    return np.concatenate(([0.0], np.cumsum(cells)))

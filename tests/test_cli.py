@@ -2,14 +2,25 @@ import contextlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import adiasearch
 from adiasearch import cli
+
+# child interpreters import the package from where this one found it
+_CHILD_ENV = dict(
+    os.environ,
+    PYTHONPATH=os.pathsep.join(
+        p for p in (str(Path(adiasearch.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
+    ),
+)
 
 
 def run_cli(*argv):
@@ -256,6 +267,7 @@ def test_module_entry_point_subprocess():
         [sys.executable, "-m", "adiasearch", "table", "--n", "6"],
         capture_output=True,
         text=True,
+        env=_CHILD_ENV,
     )
     assert result.returncode == 0
     assert result.stdout.startswith("m,n_per_m,eps_T,alpha,beta")
@@ -275,7 +287,7 @@ def test_package_and_commands_run_without_scipy():
         "    assert code in (0, 4), (argv, code)\n"
         "assert not [name for name in sys.modules if name.startswith('scipy.')]\n"
     )
-    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_CHILD_ENV)
     assert result.returncode == 0, result.stderr
 
 

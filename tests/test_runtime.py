@@ -4,9 +4,17 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.interpolate import PchipInterpolator
 
-from adiasearch import runtime
-from adiasearch.core import MAX_GRID, Precision, linear_schedule, make_splitting, tabulated_schedule
+from adiasearch import kronrod, runtime
+from adiasearch.core import (
+    MAX_GRID,
+    LinearSchedule,
+    Precision,
+    linear_schedule,
+    make_splitting,
+    tabulated_schedule,
+)
 from adiasearch.runtime import (
     QuadratureError,
     TimeSchedule,
@@ -21,7 +29,7 @@ from adiasearch.runtime import (
     table_to_json,
 )
 
-from conftest import linear_eps_t_oracle
+from conftest import linear_eps_t_oracle, linear_node_eps_t_oracle
 
 TABLE_CONFIGS = [(6, 1), (6, 2), (6, 3), (6, 6), (30, 1), (30, 2), (30, 3), (30, 5), (30, 6), (30, 10), (30, 15), (30, 30)]
 
@@ -252,6 +260,75 @@ def test_optimal_schedule_total_is_the_running_time_integral_at_large_blocks():
         assert abs(total - eps_t) / eps_t <= 1e-12
 
 
+def _max_relative_error(t_nodes, oracle):
+    # t = 0 at s = 0 on both sides
+    assert t_nodes[0] == oracle[0] == 0.0
+    return float(np.max(np.abs(t_nodes[1:] - oracle[1:]) / oracle[1:]))
+
+
+def test_optimal_schedule_node_times_match_a_per_cell_oracle():
+    eps = 0.2
+    for parts in ([2], [30], [1, 63], [32, 32], [64]):
+        schedule_t = optimal_schedule(make_splitting(sum(parts), parts), Precision(epsilon=eps))
+        oracle = linear_node_eps_t_oracle(parts, schedule_t.s_nodes - 0.5)
+        assert _max_relative_error(schedule_t.t_nodes * eps, oracle) <= 1e-11, parts
+
+
+def test_tabulated_schedule_node_times_break_at_its_knots():
+    # f'' and g'' jump at the interior samples; a quadrature piece across
+    # one interpolates the time up to 6e-8 off. With f + g = 1 the time
+    # to s is the linear schedule's time to s = g(s).
+    nine = np.linspace(0.0, 1.0, 9)
+    seven = np.array([0.0, 0.13, 0.29, 0.47, 0.61, 0.83, 1.0])
+    eps = 0.2
+    for nodes, g in (
+        (nine, nine + 0.2 * np.sin(2.0 * np.pi * nine) / (2.0 * np.pi)),
+        (seven, np.array([0.0, 0.08, 0.27, 0.46, 0.63, 0.9, 1.0])),
+    ):
+        schedule = tabulated_schedule(nodes, 1.0 - g, g)
+        assert schedule.knots == tuple(nodes[1:-1])
+        for parts in ([2], [10, 10], [30], [32, 32], [64]):
+            # 1000 samples: no knot is a grid node
+            schedule_t = optimal_schedule(
+                make_splitting(sum(parts), parts), Precision(epsilon=eps), grid=1000, schedule=schedule
+            )
+            oracle = linear_node_eps_t_oracle(parts, PchipInterpolator(nodes, g)(schedule_t.s_nodes) - 0.5)
+            assert _max_relative_error(schedule_t.t_nodes * eps, oracle) <= 1e-11, (nodes.size, parts)
+    assert linear_schedule().knots == ()
+
+
+def test_optimal_schedule_integrand_work_is_bounded():
+    class CountingLinear(LinearSchedule):
+        points = 0
+
+        def f(self, s):
+            self.points += np.size(s)
+            return super().f(s)
+
+    counting = CountingLinear()
+    splitting = make_splitting(30, [30])
+    schedule_t = optimal_schedule(splitting, schedule=counting)
+    assert np.array_equal(schedule_t.t_nodes, optimal_schedule(splitting).t_nodes)
+    # 1001 rate samples plus a few dozen 21-point pieces
+    assert counting.points <= 2000
+
+
+def test_legendre_integrals_of_the_interpolant_are_exact_to_degree_20():
+    nodes = np.array(kronrod.NODES)
+    tau = np.linspace(-1.0, 1.0, 41)
+    # row r: the weights on the 21 node values that give the integral from
+    # -1 to tau[r] of the degree-20 polynomial through them
+    weights = np.column_stack(list(kronrod._legendre_integrals(tau))) @ kronrod._legendre_inverse()
+    assert np.all(weights[0] == 0.0)
+    assert np.max(np.abs(weights[-1] - kronrod.WEIGHTS[0])) <= 1e-15
+    rng = np.random.default_rng(11)
+    for degree in range(21):
+        poly = np.polynomial.Polynomial(rng.normal(size=degree + 1))
+        exact = poly.integ()(tau) - poly.integ()(-1.0)
+        scale = np.polynomial.Polynomial(np.abs(poly.coef)).integ()(1.0)
+        assert np.max(np.abs(weights @ poly(nodes) - exact)) <= 1e-14 * scale, degree
+
+
 def test_optimal_schedule_refuses_a_stationary_hamiltonian():
     # H(s) is constant on [0, .25] and [.75, 1]: the time integral is finite,
     # but the rate that saturates the bound is unbounded there
@@ -272,7 +349,7 @@ def test_kronrod_rule_is_exact_on_polynomials_up_to_degree_31():
     for degree in range(32):
         poly = np.polynomial.Polynomial(rng.normal(size=degree + 1))
         exact = poly.integ()(hi) - poly.integ()(lo)
-        value, err = runtime._kronrod21(poly, lo, hi)
+        value, err, _ = runtime._kronrod21(poly, lo, hi)
         scale = np.polynomial.Polynomial(np.abs(poly.coef)).integ()(2.0)
         assert abs(value - exact) <= 1e-14 * scale, degree
         # the embedded 10-point Gauss rule is exact to degree 19
@@ -286,7 +363,7 @@ def test_kronrod_rule_is_exact_on_polynomials_up_to_degree_31():
 def test_quadrature_error_reports_plain_floats(monkeypatch):
     splitting = make_splitting(2, [2])
     # a nan value or estimate fails the convergence rule too
-    for result in ((1.0, 1.0), (math.nan, math.nan)):
+    for result in ((1.0, 1.0, np.ones(21)), (math.nan, math.nan, np.ones(21))):
         monkeypatch.setattr(runtime, "_kronrod21", lambda *args, **kwargs: result)
         for call in (lambda: running_time_integral(splitting), lambda: optimal_schedule(splitting)):
             with pytest.raises(QuadratureError, match="did not converge") as caught:
@@ -298,7 +375,7 @@ def test_quadrature_error_reports_plain_floats(monkeypatch):
 def test_optimal_schedule_grid_validation():
     with pytest.raises(ValueError):
         optimal_schedule(make_splitting(2, [2]), grid=50)
-    # one quadrature per cell: the cap bounds the time, checked before any work
+    # one scalar rate per sample: the cap bounds the time, checked before any work
     with pytest.raises(ValueError, match="between 100 and 65536 samples"):
         optimal_schedule(make_splitting(2, [2]), grid=MAX_GRID + 1)
 
