@@ -53,8 +53,6 @@ from .runtime import (
     reproduce_table,
     running_time_integral,
     scaling_coefficients,
-    table_to_csv,
-    table_to_json,
 )
 from .spectral import (
     GapProfile,

@@ -7,6 +7,10 @@ success-probability target 1 - eps**2 - 0.01. Exit 4 is a result, not a
 fault: a bound-saturating schedule leaves boundary excitations of up to
 4 eps**2 at leading order and can miss that target. Output is data files
 only; point a plotting tool at the CSV columns.
+
+This module is the only one that turns results into text: the library's
+result types carry data, and every artifact's CSV, JSON or term-list
+format is written here.
 """
 
 from __future__ import annotations
@@ -136,10 +140,79 @@ def _write_output(text: str, out_path: str | None):
         raise
 
 
+def round_half_away(x: float, decimals: int) -> float:
+    """Round with ties away from zero, as the published tables do."""
+    scale = 10.0**decimals
+    return math.copysign(math.floor(abs(x) * scale + 0.5), x) / scale
+
+
+def _csv(header, columns) -> str:
+    """A header line, then one line per index of the columns, each value to 17 significant digits."""
+    rows = zip(*(column.tolist() for column in columns))
+    return "\n".join([",".join(header), *(",".join(f"{v:.17g}" for v in row) for row in rows)]) + "\n"
+
+
+def _json(payload) -> str:
+    """Indented JSON; numpy arrays are written as lists of their values."""
+    return json.dumps(payload, indent=2, default=lambda array: array.tolist()) + "\n"
+
+
+def format_table(results, fmt: str) -> str:
+    """Display-rounded table rows: eps_T to 2 decimals, the exponents to 4."""
+    header = ("m", "n_per_m", "eps_T", "alpha", "beta")
+    rows = []
+    for result in results:
+        m = result.splitting.num_blocks
+        eps_t, alpha = round_half_away(result.eps_t, 2), round_half_away(result.alpha, 4)
+        beta = result.beta if math.isinf(result.beta) else round_half_away(result.beta, 4)
+        rows.append((m, result.splitting.n // m, eps_t, alpha, beta))
+    if fmt == "json":
+        # JSON has no infinity: a single block's beta is the string "inf"
+        return _json([dict(zip(header, (*row[:4], "inf" if math.isinf(row[4]) else row[4]))) for row in rows])
+    # an infinite beta formats as "inf"
+    lines = [f"{m},{n_per_m},{eps_t:.2f},{alpha:.4f},{beta:.4f}" for m, n_per_m, eps_t, alpha, beta in rows]
+    return "\n".join([",".join(header), *lines]) + "\n"
+
+
+def format_gap(profile, fmt: str) -> str:
+    if fmt == "json":
+        keys = ("s", "block_gaps", "global_gap", "omega_min", "s_min")
+        return _json({key: getattr(profile, key) for key in keys})
+    names = [f"omega_{i + 1}" for i in range(profile.splitting.num_blocks)]
+    return _csv(["s", *names, "omega_global"], [profile.s, *profile.block_gaps.T, profile.global_gap])
+
+
+def format_schedule(schedule_t, fmt: str) -> str:
+    columns = {"t": schedule_t.t_nodes, "s": schedule_t.s_nodes, "ds_dt": schedule_t.rate_nodes}
+    if fmt == "json":
+        return _json({"total_time": schedule_t.total_time, **columns})
+    return _csv(columns, columns.values())
+
+
+# An evolution report's scalars, in the order its JSON lists them.
+_EVOLUTION_SCALARS = (
+    "n", "parts", "marked", "epsilon", "total_time", "success_probability",
+    "guarantee_threshold", "guarantee_met", "max_adiabaticity_lhs", "norm_drift",
+)
+
+
+def format_evolution(report, fmt: str) -> str:
+    columns = [report.checkpoint_t, report.checkpoint_s, report.checkpoint_overlap]
+    columns += [report.checkpoint_lhs, report.checkpoint_norm]
+    if fmt == "csv":
+        return _csv(["t", "s", "overlap", "lhs", "norm"], columns)
+    payload = {key: getattr(report, key) for key in _EVOLUTION_SCALARS}
+    payload["checkpoints"] = dict(zip(["t", "s", "ground_overlap", "adiabaticity_lhs", "norm"], columns))
+    return _json(payload)
+
+
+def format_pauli(terms) -> str:
+    """One term per line: coefficient, a tab, then the word."""
+    return "\n".join(f"{coeff:.17g}\t{word}" for coeff, word in terms.terms) + "\n"
+
+
 def _check_table(n: int, results) -> list[str]:
-    reference = REFERENCE_TABLES.get(n)
-    if reference is None:
-        raise ValueError(f"no built-in reference table for n={n} (have {sorted(REFERENCE_TABLES)})")
+    reference = REFERENCE_TABLES[n]
     mismatches = []
     for result, (m_ref, _, eps_t_ref, alpha_ref, beta_ref) in zip(results, reference):
         m = result.splitting.num_blocks
@@ -162,9 +235,10 @@ def _check_table(n: int, results) -> list[str]:
 
 
 def cmd_table(args) -> int:
+    if args.check and args.n not in REFERENCE_TABLES:
+        raise ValueError(f"no built-in reference table for n={args.n} (have {sorted(REFERENCE_TABLES)})")
     results = runtime.reproduce_table(args.n)
-    text = runtime.table_to_csv(results) if args.format == "csv" else runtime.table_to_json(results)
-    _write_output(text, args.out)
+    _write_output(format_table(results, args.format), args.out)
     if args.check:
         mismatches = _check_table(args.n, results)
         if mismatches:
@@ -177,8 +251,8 @@ def cmd_table(args) -> int:
 
 def cmd_evolve(args) -> int:
     splitting = _splitting_from_args(args)
-    marked = _marked_from_args(args, splitting.n)
     dynamics.check_evolution_cap(splitting)
+    marked = _marked_from_args(args, splitting.n)
     kwargs = {"epsilon": args.eps}
     if args.steps is not None:
         kwargs["ode_steps_per_unit_time"] = args.steps
@@ -190,64 +264,29 @@ def cmd_evolve(args) -> int:
         if args.total_time is not None:
             schedule_t = schedule_t.scaled(args.total_time)
     report = dynamics.evolve(splitting, marked, schedule_t, precision)
-    if args.format == "json":
-        text = json.dumps(report.to_json_dict(), indent=2) + "\n"
-    else:
-        text = report.checkpoints_to_csv()
-    _write_output(text, args.out)
+    _write_output(format_evolution(report, args.format), args.out)
     return EXIT_OK if report.guarantee_met else EXIT_GUARANTEE
 
 
 def cmd_gap(args) -> int:
     splitting = _splitting_from_args(args)
     profile = spectral.gap_profile(splitting, linear_schedule(), grid=args.grid)
-    if args.format == "csv":
-        text = profile.to_csv()
-    else:
-        text = json.dumps(
-            {
-                "s": [float(x) for x in profile.s],
-                "block_gaps": [[float(v) for v in row] for row in profile.block_gaps],
-                "global_gap": [float(x) for x in profile.global_gap],
-                "omega_min": profile.omega_min,
-                "s_min": profile.s_min,
-            },
-            indent=2,
-        ) + "\n"
-    _write_output(text, args.out)
+    _write_output(format_gap(profile, args.format), args.out)
     return EXIT_OK
 
 
 def cmd_schedule(args) -> int:
     splitting = _splitting_from_args(args)
-    precision = Precision(epsilon=args.eps)
-    schedule_t = runtime.optimal_schedule(splitting, precision, grid=args.grid)
-    if args.format == "csv":
-        lines = ["t,s,ds_dt"]
-        for k in range(schedule_t.t_nodes.size):
-            lines.append(
-                f"{schedule_t.t_nodes[k]:.17g},{schedule_t.s_nodes[k]:.17g},"
-                f"{schedule_t.rate_nodes[k]:.17g}"
-            )
-        text = "\n".join(lines) + "\n"
-    else:
-        text = json.dumps(
-            {
-                "total_time": schedule_t.total_time,
-                "t": [float(x) for x in schedule_t.t_nodes],
-                "s": [float(x) for x in schedule_t.s_nodes],
-                "ds_dt": [float(x) for x in schedule_t.rate_nodes],
-            },
-            indent=2,
-        ) + "\n"
-    _write_output(text, args.out)
+    schedule_t = runtime.optimal_schedule(splitting, Precision(epsilon=args.eps), grid=args.grid)
+    _write_output(format_schedule(schedule_t, args.format), args.out)
     return EXIT_OK
 
 
 def cmd_pauli(args) -> int:
     splitting = _splitting_from_args(args)
+    hamiltonian.check_expansion_budget(splitting)
     marked = _marked_from_args(args, splitting.n)
-    _write_output(hamiltonian.final_terms(splitting, marked).to_text(), args.out)
+    _write_output(format_pauli(hamiltonian.final_terms(splitting, marked)), args.out)
     return EXIT_OK
 
 

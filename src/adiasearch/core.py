@@ -21,6 +21,9 @@ SCHEDULE_BOUNDARY_TOL = 1e-12
 # as 2^(-n_i/2), below the float spacing near s = 1/2 past about 106
 # qubits, and 2^1024 no longer fits in a double at all.
 MAX_BLOCK_QUBITS = 64
+# Most blocks a splitting may have: the widest row of the n = 64 table. It
+# bounds every per-block array before the block sizes are built.
+MAX_BLOCKS = 64
 # Most s samples a gap profile or schedule tabulation takes. The tabulation
 # costs one scalar rate per sample, so this also bounds its time.
 MAX_GRID = 1 << 16
@@ -45,6 +48,7 @@ class Splitting:
             raise ValueError(f"qubit count must be >= 1, got {self.n}")
         if not self.parts:
             raise ValueError("parts must be a non-empty list of block sizes")
+        _check_block_count(len(self.parts))
         if any(p < 1 for p in self.parts):
             raise ValueError(f"every block size must be >= 1, got {self.parts}")
         if sum(self.parts) != self.n:
@@ -93,6 +97,11 @@ class Splitting:
         return all(p == 1 for p in self.parts)
 
 
+def _check_block_count(count: int):
+    if count > MAX_BLOCKS:
+        raise ValueError(f"{count} blocks exceed the cap of {MAX_BLOCKS} blocks")
+
+
 def make_splitting(n: int, parts) -> Splitting:
     """Validated splitting of ``n`` qubits into the given block sizes."""
     return Splitting(n, tuple(parts))
@@ -104,6 +113,7 @@ def equal_splitting(n: int, num_blocks: int) -> Splitting:
         raise ValueError(f"number of blocks must be >= 1, got {num_blocks}")
     if n % num_blocks != 0:
         raise ValueError(f"{num_blocks} does not divide n={n}")
+    _check_block_count(num_blocks)
     return Splitting(n, (n // num_blocks,) * num_blocks)
 
 
@@ -346,20 +356,17 @@ def tabulated_schedule(s_nodes, f_nodes, g_nodes) -> TabulatedSchedule:
 class Precision:
     """Accuracy settings shared by the quadrature and evolution routines.
 
-    epsilon is the adiabaticity parameter; quad_tol the relative tolerance
-    for time integrals; ode_steps_per_unit_time the fixed-step resolution of
-    the state integrator (per unit of time times operator norm).
+    epsilon is the adiabaticity parameter; ode_steps_per_unit_time the
+    fixed-step resolution of the state integrator (per unit of time times
+    operator norm).
     """
 
     epsilon: float = 0.2
-    quad_tol: float = 1e-9
     ode_steps_per_unit_time: int = 64
 
     def __post_init__(self):
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.quad_tol <= 0.0:
-            raise ValueError(f"quad_tol must be positive, got {self.quad_tol}")
         if self.ode_steps_per_unit_time < 1:
             raise ValueError(
                 f"ode_steps_per_unit_time must be >= 1, got {self.ode_steps_per_unit_time}"

@@ -206,37 +206,6 @@ class EvolutionReport:
     checkpoint_lhs: np.ndarray
     checkpoint_norm: np.ndarray
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "parts": list(self.parts),
-            "marked": self.marked,
-            "epsilon": self.epsilon,
-            "total_time": self.total_time,
-            "success_probability": self.success_probability,
-            "guarantee_threshold": self.guarantee_threshold,
-            "guarantee_met": self.guarantee_met,
-            "max_adiabaticity_lhs": self.max_adiabaticity_lhs,
-            "norm_drift": self.norm_drift,
-            "checkpoints": {
-                "t": [float(x) for x in self.checkpoint_t],
-                "s": [float(x) for x in self.checkpoint_s],
-                "ground_overlap": [float(x) for x in self.checkpoint_overlap],
-                "adiabaticity_lhs": [float(x) for x in self.checkpoint_lhs],
-                "norm": [float(x) for x in self.checkpoint_norm],
-            },
-        }
-
-    def checkpoints_to_csv(self) -> str:
-        lines = ["t,s,overlap,lhs,norm"]
-        for k in range(self.checkpoint_t.size):
-            lines.append(
-                f"{self.checkpoint_t[k]:.17g},{self.checkpoint_s[k]:.17g},"
-                f"{self.checkpoint_overlap[k]:.17g},{self.checkpoint_lhs[k]:.17g},"
-                f"{self.checkpoint_norm[k]:.17g}"
-            )
-        return "\n".join(lines) + "\n"
-
 
 def evolve(
     splitting: Splitting,

@@ -21,8 +21,9 @@ DENSE_CAP = 12
 EXPANSION_CAP = 10
 # Largest block size the symbolic problem-operator expansion will unfold.
 EXPANSION_BLOCK_CAP = 20
-# Most terms the expansion will produce: one block at EXPANSION_BLOCK_CAP.
-EXPANSION_TERM_BUDGET = 1 << EXPANSION_BLOCK_CAP
+# Most letters (terms times n) the expansion will write: one block at
+# EXPANSION_BLOCK_CAP, 2^20 words of 20 letters.
+EXPANSION_LETTER_BUDGET = EXPANSION_BLOCK_CAP << EXPANSION_BLOCK_CAP
 # Expansion coefficients below this are structurally zero and pruned.
 COEFF_PRUNE_TOL = 1e-14
 
@@ -74,10 +75,6 @@ class PauliTermSum:
             if w == word:
                 return coeff
         return 0.0
-
-    def to_text(self) -> str:
-        """One term per line: coefficient, a tab, then the word."""
-        return "\n".join(f"{coeff:.17g}\t{word}" for coeff, word in self.terms) + "\n"
 
     def to_dense(self) -> np.ndarray:
         """Rebuild the dense matrix (bounded by the dense cap)."""
@@ -164,13 +161,8 @@ def final_diagonal(splitting: Splitting, marked: MarkedState) -> np.ndarray:
     return diag
 
 
-def final_terms(splitting: Splitting, marked: MarkedState) -> PauliTermSum:
-    """Word expansion of the problem Hamiltonian, without the dense matrix.
-
-    EXPANSION_BLOCK_CAP and EXPANSION_TERM_BUDGET are checked before expanding.
-    """
-    marked.block_values(splitting)  # refuses a marked state of the wrong length
-    n = splitting.n
+def check_expansion_budget(splitting: Splitting):
+    """Refuse an expansion past EXPANSION_BLOCK_CAP or EXPANSION_LETTER_BUDGET, before any work for it."""
     for size in splitting.parts:
         if size > EXPANSION_BLOCK_CAP:
             raise ValueError(
@@ -178,10 +170,21 @@ def final_terms(splitting: Splitting, marked: MarkedState) -> PauliTermSum:
             )
     # the identity word plus every non-empty Z subset of each block
     count = 1 + sum((1 << size) - 1 for size in splitting.parts)
-    if count > EXPANSION_TERM_BUDGET:
+    if count * splitting.n > EXPANSION_LETTER_BUDGET:
         raise ValueError(
-            f"expansion of {count} terms exceeds the term budget of {EXPANSION_TERM_BUDGET}"
+            f"expansion of {count} terms of {splitting.n} letters exceeds the "
+            f"letter budget of {EXPANSION_LETTER_BUDGET}"
         )
+
+
+def final_terms(splitting: Splitting, marked: MarkedState) -> PauliTermSum:
+    """Word expansion of the problem Hamiltonian, without the dense matrix.
+
+    The budget of :func:`check_expansion_budget` is checked before expanding.
+    """
+    check_expansion_budget(splitting)
+    marked.block_values(splitting)  # refuses a marked state of the wrong length
+    n = splitting.n
     identity_coeff = 0.0
     terms = []
     offset = 0

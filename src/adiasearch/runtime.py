@@ -9,7 +9,6 @@ reproduction, and the optimal time parameterization s(t).
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -29,6 +28,7 @@ from .core import (
 from .kronrod import NODES, WEIGHTS, node_integrals
 
 MAX_TABLE_QUBITS = MAX_BLOCK_QUBITS  # the m = 1 row is one block of n qubits
+QUAD_TOL = 1e-9  # relative tolerance of every time integral
 
 _QUAD_LIMIT = 500  # most subintervals per panel
 _EPS = np.finfo(float).eps
@@ -235,13 +235,13 @@ def running_time_integral(
 
     Integrates |f'g - g'f| * sqrt(sum_i (N_i - 1)/N_i**2 / omega_i**6) over
     s in [0, 1], in the variable u of the time integrand, on the two panels
-    either side of the crossing where f = g and every block peaks.
+    either side of the crossing where f = g and every block peaks, to the
+    relative tolerance QUAD_TOL. eps * T reads no field of ``precision``.
     """
     schedule = schedule if schedule is not None else linear_schedule()
-    precision = precision if precision is not None else Precision()
     integrand, u_of_s, _ = _time_integrand(splitting, schedule)
     edges = [float(u_of_s(0.0)), 0.0, float(u_of_s(1.0))]
-    eps_t, _ = _panel_integrals(integrand, edges, precision.quad_tol, "the running-time integral")
+    eps_t, _ = _panel_integrals(integrand, edges, QUAD_TOL, "the running-time integral")
     alpha, beta = scaling_coefficients(eps_t, splitting.n, splitting.num_blocks)
     return RunTimeResult(splitting, eps_t, alpha, beta, "quadrature")
 
@@ -405,7 +405,7 @@ def optimal_schedule(
     u_lo, u_hi = float(u_nodes[0]), float(u_nodes[-1])
     breaks = {*range(math.ceil(u_lo), math.floor(u_hi) + 1), *u_of_s(np.array(schedule.knots)).tolist()}
     edges = [u_lo, *sorted(u for u in breaks if u_lo < u < u_hi), u_hi]
-    _, pieces = _panel_integrals(integrand, edges, precision.quad_tol, "the time tabulation")
+    _, pieces = _panel_integrals(integrand, edges, QUAD_TOL, "the time tabulation")
     t_nodes = node_integrals(pieces, u_nodes) / precision.epsilon
     for k in range(1, grid):
         # far tails of huge blocks can fall below the resolution of the
@@ -424,52 +424,9 @@ def reproduce_table(n: int, precision: Precision | None = None) -> list[RunTimeR
     """One quadrature row per divisor of n (ascending), linear schedule."""
     if not 1 <= n <= MAX_TABLE_QUBITS:
         raise ValueError(f"n must be in [1, {MAX_TABLE_QUBITS}], got {n}")
-    precision = precision if precision is not None else Precision()
     schedule = linear_schedule()
     return [
         running_time_integral(equal_splitting(n, m), schedule, precision)
         for m in _divisors(n)
     ]
 
-
-def round_half_away(x: float, decimals: int) -> float:
-    """Round with ties away from zero, as the published tables do."""
-    scale = 10.0**decimals
-    return math.copysign(math.floor(abs(x) * scale + 0.5), x) / scale
-
-
-def _display_row(result: RunTimeResult) -> tuple[int, int, float, float, float]:
-    m = result.splitting.num_blocks
-    return (
-        m,
-        result.splitting.n // m,
-        round_half_away(result.eps_t, 2),
-        round_half_away(result.alpha, 4),
-        result.beta if math.isinf(result.beta) else round_half_away(result.beta, 4),
-    )
-
-
-def table_to_csv(results: list[RunTimeResult]) -> str:
-    """Display-rounded table: eps_t to 2 decimals, exponents to 4."""
-    lines = ["m,n_per_m,eps_T,alpha,beta"]
-    for result in results:
-        m, n_per_m, eps_t, alpha, beta = _display_row(result)
-        beta_text = "inf" if math.isinf(beta) else f"{beta:.4f}"
-        lines.append(f"{m},{n_per_m},{eps_t:.2f},{alpha:.4f},{beta_text}")
-    return "\n".join(lines) + "\n"
-
-
-def table_to_json(results: list[RunTimeResult]) -> str:
-    rows = []
-    for result in results:
-        m, n_per_m, eps_t, alpha, beta = _display_row(result)
-        rows.append(
-            {
-                "m": m,
-                "n_per_m": n_per_m,
-                "eps_T": eps_t,
-                "alpha": alpha,
-                "beta": "inf" if math.isinf(beta) else beta,
-            }
-        )
-    return json.dumps(rows, indent=2) + "\n"

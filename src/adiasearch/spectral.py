@@ -82,16 +82,6 @@ class GapProfile:
     omega_min: float
     s_min: float
 
-    def to_csv(self) -> str:
-        names = [f"omega_{i + 1}" for i in range(self.splitting.num_blocks)]
-        lines = ["s," + ",".join(names) + ",omega_global"]
-        for k in range(self.s.size):
-            cells = [f"{self.s[k]:.17g}"]
-            cells += [f"{v:.17g}" for v in self.block_gaps[k]]
-            cells.append(f"{self.global_gap[k]:.17g}")
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
-
 
 def gap_profile(splitting: Splitting, schedule: Schedule, grid: int = 1001) -> GapProfile:
     """Tabulate every block gap and the global gap on a uniform s grid.

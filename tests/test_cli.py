@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 
 import adiasearch
 from adiasearch import cli
+from adiasearch.core import MarkedState, Precision, make_splitting
+from adiasearch.dynamics import evolve
+from adiasearch.runtime import optimal_schedule, reproduce_table
 
 # child interpreters import the package from where this one found it
 _CHILD_ENV = dict(
@@ -82,6 +85,17 @@ def test_table_check_passes(capsys):
     assert "all 4 rows match" in captured.err
 
 
+def test_table_check_without_reference_is_refused_before_tabulating(monkeypatch, tmp_path, capsys):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("reproduce_table ran for a --check with no reference table")
+
+    monkeypatch.setattr(cli.runtime, "reproduce_table", must_not_run)
+    out = tmp_path / "x.csv"
+    assert run_cli("table", "--n", "12", "--check", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "adia table: error: no built-in reference table for n=12 (have [6, 30])\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_table_check_detects_drift(monkeypatch, capsys):
     wrong = [row[:2] + (row[2] + 1.0,) + row[3:] for row in cli.REFERENCE_TABLES[6]]
     monkeypatch.setitem(cli.REFERENCE_TABLES, 6, wrong)
@@ -97,7 +111,7 @@ def test_table_invalid_n_is_config_error(capsys):
 
 def test_unknown_flag_is_config_error(capsys):
     assert run_cli("table", "--n", "6", "--bogus") == 2
-    # the table depends on quad_tol only, so it takes no --eps
+    # the table's rows depend on no precision setting, so it takes no --eps
     assert run_cli("table", "--n", "6", "--eps", "0.2") == 2
 
 
@@ -142,10 +156,11 @@ def test_pauli_output(capsys):
 
 
 def test_pauli_term_budget_is_config_error(capsys):
-    for n, parts in (("40", "20,20"), ("60", "20,20,20")):
+    # 19,18 and 27 single qubits: 786,458 terms of 64 letters
+    for n, parts in (("40", "20,20"), ("60", "20,20,20"), ("64", "19,18" + ",1" * 27)):
         assert run_cli("pauli", "--n", n, "--parts", parts) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "term budget of 1048576" in err
+        assert err.count("\n") == 1 and "letter budget of 20971520" in err
 
 
 def test_pauli_maximal_weight_one(capsys):
@@ -236,6 +251,22 @@ def test_oversized_block_is_config_error(capsys):
         assert err.count("\n") == 1 and "cap of 64 qubits per block" in err
 
 
+def test_unbounded_inputs_are_refused_before_any_work(capsys):
+    # each would build a tuple of 10^9 entries (block sizes or marked bits)
+    # or write N words of N letters if it got past its cap
+    huge = "1000000000"
+    for argv, message in (
+        (("gap", "--n", huge, "--m", huge), "cap of 64 blocks"),
+        (("schedule", "--n", "65", "--parts", ",".join(["1"] * 65)), "cap of 64 blocks"),
+        (("evolve", "--n", huge, "--parts", huge), "evolution cap of 12 qubits"),
+        (("pauli", "--n", huge, "--m", "1"), "expansion cap of 20"),
+        (("pauli", "--n", "2000", "--m", "2000"), "cap of 64 blocks"),
+    ):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err, argv
+
+
 def test_evolve_cap_is_checked_before_tabulating(monkeypatch, capsys):
     def must_not_run(*args, **kwargs):
         raise AssertionError("optimal_schedule ran for a state over the evolution cap")
@@ -255,6 +286,85 @@ def test_evolve_step_budget_is_checked_before_stepping(monkeypatch, capsys):
     assert run_cli("evolve", "--n", "2", "--m", "1", "--total-time", "1e9") == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "over the budget of 1048576" in err
+
+
+# Golden artifacts: display-rounded or dyadic, so exact on every platform.
+_GOLDEN = {
+    ("table", "--n", "6"): (
+        "m,n_per_m,eps_T,alpha,beta\n1,6,7.94,0.9962,inf\n2,3,3.74,0.9518,3.8074\n"
+        "3,2,3.00,0.8842,2.0000\n6,1,2.45,0.7211,1.0000\n"
+    ),
+    ("table", "--n", "6", "--format", "json"): (
+        '[\n  {\n    "m": 1,\n    "n_per_m": 6,\n    "eps_T": 7.94,\n    "alpha": 0.9962,\n'
+        '    "beta": "inf"\n  },\n  {\n    "m": 2,\n    "n_per_m": 3,\n    "eps_T": 3.74,\n'
+        '    "alpha": 0.9518,\n    "beta": 3.8074\n  },\n  {\n    "m": 3,\n    "n_per_m": 2,\n'
+        '    "eps_T": 3.0,\n    "alpha": 0.8842,\n    "beta": 2.0\n  },\n  {\n    "m": 6,\n'
+        '    "n_per_m": 1,\n    "eps_T": 2.45,\n    "alpha": 0.7211,\n    "beta": 1.0\n  }\n]\n'
+    ),
+    ("pauli", "--n", "4", "--parts", "2,2", "--marked", "0110"): (
+        "1.5\tIIII\n-0.25\tIIIZ\n0.25\tIIZI\n0.25\tIZII\n-0.25\tZIII\n0.25\tIIZZ\n0.25\tZZII\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("argv", sorted(_GOLDEN))
+def test_golden_artifact_bytes(argv, tmp_path):
+    out = tmp_path / "artifact"
+    assert run_cli(*argv, "--out", str(out)) == 0
+    assert out.read_bytes() == _GOLDEN[argv].encode()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gap", "--n", "5", "--parts", "2,3", "--grid", "101"),
+        ("schedule", "--n", "5", "--parts", "1,4", "--eps", "0.1", "--grid", "101"),
+        ("evolve", "--n", "3", "--parts", "1,2", "--marked", "101"),
+    ],
+)
+def test_two_runs_write_equal_bytes(argv, fmt, tmp_path):
+    first, second = tmp_path / "first", tmp_path / "second"
+    codes = [run_cli(*argv, "--format", fmt, "--out", str(out)) for out in (first, second)]
+    assert codes[0] == codes[1] and codes[0] in (0, 4)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_table_csv_and_json_formats():
+    rows = reproduce_table(6)
+    csv_text = cli.format_table(rows, "csv")
+    lines = csv_text.strip().split("\n")
+    assert lines[0] == "m,n_per_m,eps_T,alpha,beta"
+    assert lines[1] == "1,6,7.94,0.9962,inf"
+    assert lines[2] == "2,3,3.74,0.9518,3.8074"
+    assert lines[3] == "3,2,3.00,0.8842,2.0000"
+    assert lines[4] == "6,1,2.45,0.7211,1.0000"
+
+    payload = json.loads(cli.format_table(rows, "json"))
+    assert payload[0]["beta"] == "inf"
+    assert payload[1]["eps_T"] == 3.74
+    assert payload[3]["beta"] == 1.0
+
+
+def test_round_half_away():
+    assert cli.round_half_away(2.4451, 2) == 2.45
+    assert cli.round_half_away(-2.4451, 2) == -2.45
+    # 0.125 is an exact binary tie: away from zero, not to even
+    assert cli.round_half_away(0.125, 2) == 0.13
+    assert cli.round_half_away(-0.125, 2) == -0.13
+
+
+def test_evolve_report_serialization():
+    splitting, precision = make_splitting(2, [1, 1]), Precision(epsilon=0.2)
+    report = evolve(splitting, MarkedState.zeros(2), optimal_schedule(splitting, precision), precision)
+    payload = json.loads(cli.format_evolution(report, "json"))
+    assert payload["n"] == 2
+    assert payload["parts"] == [1, 1]
+    assert len(payload["checkpoints"]["t"]) == 101
+    csv_text = cli.format_evolution(report, "csv")
+    lines = csv_text.strip().split("\n")
+    assert lines[0] == "t,s,overlap,lhs,norm"
+    assert len(lines) == 102
 
 
 def test_parts_and_m_are_exclusive():
@@ -311,20 +421,31 @@ _COMMAND_FLAGS = {
 }
 
 
+# Values past a cap: each argv holding one must exit 2 before any work.
+_HUGE = "1000000000"
+_MANY_PARTS = ",".join(["1"] * 65)
+
+
+def _must_refuse(argv) -> bool:
+    return _HUGE in argv or _MANY_PARTS in argv or (argv[:3] == ["table", "--n", "12"] and "--check" in argv)
+
+
 @st.composite
 def _argv(draw):
     command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
     parts = draw(st.lists(st.integers(1, 2), min_size=1, max_size=3))
-    n = draw(st.sampled_from((str(sum(parts)),) * 3 + ("-1", "0", "65")))
+    # only the table takes n = 12 (no reference table); elsewhere it would run a 12-qubit evolution
+    odd_n = ("-1", "0", "65", _HUGE) + (("12",) if command == "table" else ())
+    n = draw(st.sampled_from((str(sum(parts)),) * 3 + odd_n))
     argv = [command, "--n", n]
     if command == "table":
         if draw(st.booleans()):
             argv.append("--check")
     elif draw(st.booleans()):
-        odd_parts = ("", ",", "1,,2", "0,2", "-1,3", "1.5", "x", "65")
+        odd_parts = ("", ",", "1,,2", "0,2", "-1,3", "1.5", "x", "65", _MANY_PARTS)
         argv += ["--parts", draw(st.sampled_from((",".join(map(str, parts)),) * 3 + odd_parts))]
     else:
-        argv += ["--m", draw(st.sampled_from(("1", "1", "2", "0", "-1", "x")))]
+        argv += ["--m", draw(st.sampled_from(("1", "1", "2", "0", "-1", "x", _HUGE)))]
     for flag in _COMMAND_FLAGS[command]:
         if draw(st.booleans()):
             argv += [flag, draw(st.sampled_from(_FLAG_VALUES[flag]))]
@@ -339,3 +460,5 @@ def test_every_argv_gives_a_documented_exit_code_and_no_traceback(argv):
         code = cli.main(argv)
     assert code in (0, 2, 3, 4), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
+    if _must_refuse(argv):
+        assert code == 2, argv

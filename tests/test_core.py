@@ -39,6 +39,9 @@ def test_make_splitting_errors():
         make_splitting(6, [])
     with pytest.raises(ValueError):
         make_splitting(0, [0])
+    assert make_splitting(64, [1] * 64).num_blocks == 64
+    with pytest.raises(ValueError, match="65 blocks exceed the cap of 64 blocks"):
+        make_splitting(65, [1] * 65)
 
 
 def test_equal_splitting():
@@ -46,6 +49,9 @@ def test_equal_splitting():
     assert equal_splitting(6, 6).parts == (1,) * 6
     with pytest.raises(ValueError):
         equal_splitting(6, 4)
+    # refused before the 10^9 block sizes are built
+    with pytest.raises(ValueError, match="1000000000 blocks exceed the cap of 64 blocks"):
+        equal_splitting(10**9, 10**9)
     assert equal_splitting(6, 1) == make_splitting(6, [6])
 
 
@@ -162,8 +168,6 @@ def test_precision_validation():
         Precision(epsilon=0.0)
     with pytest.raises(ValueError):
         Precision(epsilon=1.0)
-    with pytest.raises(ValueError):
-        Precision(quad_tol=0.0)
     with pytest.raises(ValueError):
         Precision(ode_steps_per_unit_time=0)
 

@@ -381,14 +381,3 @@ def test_evolve_validates_inputs():
             Precision(),
         )
 
-
-def test_evolve_report_serialization():
-    report = _optimal_report(2, [1, 1], 0.2)
-    payload = report.to_json_dict()
-    assert payload["n"] == 2
-    assert payload["parts"] == [1, 1]
-    assert len(payload["checkpoints"]["t"]) == 101
-    csv_text = report.checkpoints_to_csv()
-    lines = csv_text.strip().split("\n")
-    assert lines[0] == "t,s,overlap,lhs,norm"
-    assert len(lines) == 102

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from adiasearch import cli
 from adiasearch.core import MarkedState, linear_schedule, make_splitting
 from adiasearch.hamiltonian import (
     EXPANSION_CAP,
-    EXPANSION_TERM_BUDGET,
+    EXPANSION_LETTER_BUDGET,
     MatrixFreeHamiltonian,
     PauliTermSum,
     build_final,
     build_initial,
     build_overlapping,
+    check_expansion_budget,
     combine,
     final_diagonal,
     final_terms,
@@ -272,17 +274,21 @@ def test_expansion_term_budget():
     for n, parts, bits in [(13, [13], "0" * 13), (6, [3, 2, 1], "101101")]:
         terms = final_terms(make_splitting(n, parts), MarkedState.from_string(bits))
         assert len(terms.terms) == 1 + sum(2**size - 1 for size in parts)
-    # one block at the per-block cap fills the budget exactly
-    assert 1 + (2**20 - 1) == EXPANSION_TERM_BUDGET
-    with pytest.raises(ValueError, match="term budget of 1048576"):
+    # one block at the per-block cap fills the budget of terms times n exactly
+    assert 20 * (1 + (2**20 - 1)) == EXPANSION_LETTER_BUDGET
+    check_expansion_budget(make_splitting(20, [20]))
+    with pytest.raises(ValueError, match="letter budget of 20971520"):
         final_terms(make_splitting(40, [20, 20]), MarkedState.zeros(40))
+    # 786,458 terms fit 2^20 terms, but not at 64 letters each
+    with pytest.raises(ValueError, match="786458 terms of 64 letters"):
+        final_terms(make_splitting(64, [19, 18] + [1] * 27), MarkedState.zeros(64))
     with pytest.raises(ValueError, match="block of 21 qubits exceeds the expansion cap"):
         final_terms(make_splitting(41, [20, 21]), MarkedState.zeros(41))
 
 
 def test_term_sum_text_format():
     terms = final_terms(make_splitting(2, [2]), MarkedState.zeros(2))
-    text = terms.to_text()
+    text = cli.format_pauli(terms)
     assert "-0.25\tZZ" in text
     assert text.splitlines()[0] == "0.75\tII"
     with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ import pytest
 from scipy.interpolate import PchipInterpolator
 
 from adiasearch import kronrod, runtime
+from adiasearch.cli import round_half_away
 from adiasearch.core import (
     MAX_GRID,
     LinearSchedule,
@@ -22,11 +23,8 @@ from adiasearch.runtime import (
     max_structured_time,
     optimal_schedule,
     reproduce_table,
-    round_half_away,
     running_time_integral,
     scaling_coefficients,
-    table_to_csv,
-    table_to_json,
 )
 
 from conftest import linear_eps_t_oracle, linear_node_eps_t_oracle
@@ -186,32 +184,6 @@ def test_structure_monotonicity_over_divisors():
         rows = reproduce_table(n)
         eps_ts = [r.eps_t for r in rows]
         assert all(a > b for a, b in zip(eps_ts, eps_ts[1:]))
-
-
-def test_table_csv_and_json_formats():
-    rows = reproduce_table(6)
-    csv_text = table_to_csv(rows)
-    lines = csv_text.strip().split("\n")
-    assert lines[0] == "m,n_per_m,eps_T,alpha,beta"
-    assert lines[1] == "1,6,7.94,0.9962,inf"
-    assert lines[2] == "2,3,3.74,0.9518,3.8074"
-    assert lines[3] == "3,2,3.00,0.8842,2.0000"
-    assert lines[4] == "6,1,2.45,0.7211,1.0000"
-
-    import json
-
-    payload = json.loads(table_to_json(rows))
-    assert payload[0]["beta"] == "inf"
-    assert payload[1]["eps_T"] == 3.74
-    assert payload[3]["beta"] == 1.0
-
-
-def test_round_half_away():
-    assert round_half_away(2.4451, 2) == 2.45
-    assert round_half_away(-2.4451, 2) == -2.45
-    # 0.125 is an exact binary tie: away from zero, not to even
-    assert round_half_away(0.125, 2) == 0.13
-    assert round_half_away(-0.125, 2) == -0.13
 
 
 def test_max_structured_time():

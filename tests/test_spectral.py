@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import eigh
 from scipy.optimize import minimize_scalar
 
+from adiasearch import cli
 from adiasearch.core import MAX_GRID, MarkedState, linear_schedule, make_splitting, tabulated_schedule
 from adiasearch.hamiltonian import build_final, build_initial, combine
 from adiasearch.spectral import (
@@ -156,7 +157,7 @@ def test_gap_profile_grid_validation_and_csv():
     with pytest.raises(ValueError, match="between 2 and 65536 samples"):
         gap_profile(make_splitting(2, [2]), linear_schedule(), grid=MAX_GRID + 1)
     profile = gap_profile(make_splitting(4, [2, 2]), linear_schedule(), grid=11)
-    text = profile.to_csv()
+    text = cli.format_gap(profile, "csv")
     lines = text.strip().split("\n")
     assert lines[0] == "s,omega_1,omega_2,omega_global"
     assert len(lines) == 12
