@@ -1,8 +1,13 @@
 """Direct integration of the time-dependent search dynamics.
 
-A fixed-step 4th-order integrator drives the state through H(s(t)) without
-building dense matrices, recording ground-state overlap, the adiabaticity
-diagnostic, and norm drift at uniform checkpoints in s. Norm drift is never
+Each block term acts only on its own qubits and the start state is a
+product, so the state stays a product of block states. A fixed-step
+4th-order integrator drives one 2^{n_i} block vector per distinct block
+size through that block's term of H(s(t)), without building dense
+matrices; blocks of one size share a solve, because the marked bits only
+relabel a block's basis states. Ground-state overlap, the adiabaticity
+diagnostic and norm drift are recorded at uniform checkpoints in s, the
+overlap and norm as products over the blocks. Norm drift is never
 corrected, only watched: exceeding the limit is an error, not a warning,
 because renormalizing would mask step-size problems.
 
@@ -16,18 +21,19 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MarkedState, Precision, Schedule, Splitting
+from .core import MarkedState, Precision, Schedule, Splitting, make_splitting
 from .hamiltonian import DENSE_CAP, MatrixFreeHamiltonian
 from .runtime import TimeSchedule
 from .spectral import max_structured_matrix_element, subsystem_gap
 
 CHECKPOINT_COUNT = 101
 NORM_DRIFT_LIMIT = 1e-6
-# Largest number of RK4 steps one evolve may take.
+# Largest number of RK4 steps one evolve may take, summed over its solves.
 RK4_STEP_BUDGET = 1 << 20
 # 1 - eps**2 - GUARANTEE_SLACK is a target, not a promise: a schedule that
 # saturates the bound leaves boundary excitations of up to 4 eps**2 at
@@ -84,8 +90,9 @@ def _stage_couplings(schedule_t: TimeSchedule, t0, t1, nsteps: int) -> dict:
     return dict(zip(times.tolist(), zip(base.f(s).tolist(), base.g(s).tolist())))
 
 
-def _ground_state(splitting: Splitting, marked: MarkedState, f: float, g: float):
-    """(E0, ground eigenvector) as a product of per-block closed forms.
+def _ground_amplitudes(dims: np.ndarray, f: float, g: float):
+    """(gaps, c_marked, c_perp): each block's ground vector is
+    c_marked |m> + c_perp |m_perp>.
 
     With |u> = a|m> + b|m_perp> and a^2 = 1/N, a block term reads
     [[f b^2, -f a b], [-f a b, f a^2 + g]] on (|m>, |m_perp>); its ground
@@ -93,20 +100,31 @@ def _ground_state(splitting: Splitting, marked: MarkedState, f: float, g: float)
     """
     if f == 0.0 and g == 0.0:
         raise ValueError("the operator is zero where f = g = 0; no ground state")
-    dims = splitting.float_block_dims()
     gaps = subsystem_gap(dims, f, g)
     weight = 1.0 / dims
     cos_2chi = (f * (1.0 - 2.0 * weight) - g) / gaps
     large = np.sqrt(0.5 * (1.0 + np.abs(cos_2chi)))
     small = f * np.sqrt(weight * (1.0 - weight)) / (gaps * large)
+    past_crossing = cos_2chi >= 0.0
+    return gaps, np.where(past_crossing, small, large), np.where(past_crossing, large, small)
+
+
+def _block_ground_vector(dim: int, index: int, c_marked, c_perp) -> np.ndarray:
+    # |m_perp> = (|u> - a|m>) / b is 1/sqrt(N - 1) off the marked entry
+    block = np.full(dim, c_perp / math.sqrt(dim - 1.0))
+    block[index] = c_marked
+    return block
+
+
+def _ground_state(splitting: Splitting, marked: MarkedState, f: float, g: float):
+    """(E0, ground eigenvector) as a product of per-block closed forms."""
+    dims = splitting.float_block_dims()
+    gaps, c_marked, c_perp = _ground_amplitudes(dims, f, g)
     vector = np.ones(1)
-    blocks = zip(splitting.block_dims, marked.block_values(splitting), cos_2chi, large, small)
-    for dim, index, cos, lg, sm in blocks:
-        c_marked, c_perp = (sm, lg) if cos >= 0.0 else (lg, sm)
-        # |m_perp> = (|u> - a|m>) / b is 1/sqrt(N - 1) off the marked entry
-        block = np.full(dim, c_perp / math.sqrt(dim - 1.0))
-        block[index] = c_marked
-        vector = np.kron(vector, block)
+    blocks = zip(splitting.block_dims, marked.block_values(splitting), c_marked, c_perp)
+    for dim, index, cm, cp in blocks:
+        vector = np.kron(vector, _block_ground_vector(dim, index, cm, cp))
+    weight = 1.0 / dims
     return float(np.sum(2.0 * f * g * (1.0 - weight) / (f + g + gaps))), vector
 
 
@@ -215,18 +233,28 @@ def evolve(
 ) -> EvolutionReport:
     """Integrate from the uniform superposition to the end of the schedule.
 
-    The step size is 1 / (ode_steps_per_unit_time * max operator norm),
-    trimmed so checkpoints are hit exactly; runs are deterministic for a
-    fixed precision. A zero-duration schedule is an instant quench: it has
-    one checkpoint, at s = 1, and takes no step, so the success probability
-    is the uniform weight on the marked state. A run that needs more than
-    RK4_STEP_BUDGET steps is refused before the first step.
+    The state is a product of block states, so one 2^{n_i} vector is
+    integrated per distinct block size, with the marked entry at index 0.
+    The step size is 1 / (ode_steps_per_unit_time * max block operator
+    norm), trimmed so checkpoints are hit exactly; runs are deterministic
+    for a fixed precision. A zero-duration schedule is an instant quench:
+    it has one checkpoint, at s = 1, and takes no step, so the success
+    probability is the uniform weight on the marked state. A run whose
+    steps times solves exceed RK4_STEP_BUDGET is refused before the first
+    step.
     """
     precision = precision if precision is not None else Precision()
     check_evolution_cap(splitting)
-    applier = MatrixFreeHamiltonian(splitting, marked)
-    dim = splitting.dim
-    psi = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
+    marked.block_values(splitting)  # refuses a marked state of the wrong length
+    # one solve per distinct block size, its marked entry at index 0
+    sizes, counts = zip(*sorted(Counter(splitting.parts).items()))
+    dims = [1 << size for size in sizes]
+    float_dims = np.array(dims, dtype=float)
+    appliers = [
+        MatrixFreeHamiltonian(make_splitting(size, [size]), MarkedState.zeros(size))
+        for size in sizes
+    ]
+    psis = [np.full(dim, 1.0 / math.sqrt(dim), dtype=complex) for dim in dims]
     threshold = 1.0 - precision.epsilon**2 - GUARANTEE_SLACK
 
     base = schedule_t.base
@@ -241,26 +269,28 @@ def evolve(
     df_checks = np.asarray(base.df(s_checks), dtype=float)
     dg_checks = np.asarray(base.dg(s_checks), dtype=float)
     rate_checks = np.asarray(schedule_t.rate(s_checks), dtype=float)
-    norm_bound = max(map(applier.norm_bound, f_checks.tolist(), g_checks.tolist()))
+    # every block operator has the same bound, |f| + |g|
+    norm_bound = max(map(appliers[0].norm_bound, f_checks.tolist(), g_checks.tolist()))
     h_target = 1.0 / (precision.ode_steps_per_unit_time * norm_bound)
     # steps[k] RK4 steps lead from checkpoint k - 1 to checkpoint k
     steps = [0] + [
         max(1, int(math.ceil((t1 - t0) / h_target))) if t1 > t0 else 0
         for t0, t1 in zip(t_checks[:-1], t_checks[1:])
     ]
-    total_steps = sum(steps)
+    total_steps = sum(steps) * len(sizes)
     if total_steps > RK4_STEP_BUDGET:
         raise ValueError(
-            f"the run needs {total_steps} RK4 steps, over the budget of {RK4_STEP_BUDGET}; "
+            f"the run needs {total_steps} RK4 steps ({sum(steps)} for each of {len(sizes)} "
+            f"block sizes), over the budget of {RK4_STEP_BUDGET}; "
             "shorten the total time or lower ode_steps_per_unit_time"
         )
 
     couplings: dict = {}
 
-    def apply_h(t, v):
-        f, g = couplings[t]
-        return applier.apply(f, g, v)
+    def block_h(applier):
+        return lambda t, v: applier.apply(*couplings[t], v)
 
+    block_hs = [block_h(applier) for applier in appliers]
     overlaps = np.zeros(s_checks.size)
     lhs_vals = np.zeros(s_checks.size)
     norms = np.zeros(s_checks.size)
@@ -269,8 +299,8 @@ def evolve(
         if nsteps:
             t0, t1 = t_checks[k - 1], t_checks[k]
             couplings = _stage_couplings(schedule_t, t0, t1, nsteps)
-            psi = rk4_propagate(apply_h, psi, t0, t1, nsteps)
-        norm = float(np.linalg.norm(psi))
+            psis = [rk4_propagate(h, psi, t0, t1, nsteps) for h, psi in zip(block_hs, psis)]
+        norm = math.prod(float(np.linalg.norm(psi)) ** c for c, psi in zip(counts, psis))
         norms[k] = norm
         drift = max(drift, abs(norm - 1.0))
         if abs(norm - 1.0) > NORM_DRIFT_LIMIT:
@@ -279,14 +309,17 @@ def evolve(
                 f"ode_steps_per_unit_time (currently {precision.ode_steps_per_unit_time})"
             )
         f, g = float(f_checks[k]), float(g_checks[k])
-        _, ground = _ground_state(splitting, marked, f, g)
-        overlaps[k] = abs(np.vdot(ground, psi)) ** 2
+        _, c_marked, c_perp = _ground_amplitudes(float_dims, f, g)
+        overlaps[k] = math.prod(
+            abs(np.vdot(_block_ground_vector(dim, 0, cm, cp), psi)) ** (2 * c)
+            for dim, c, cm, cp, psi in zip(dims, counts, c_marked, c_perp, psis)
+        )
         element, omega, _ = _transition_element(
             splitting, f, g, float(df_checks[k]), float(dg_checks[k])
         )
         lhs_vals[k] = element * abs(rate_checks[k]) / omega**2
 
-    p = float(abs(psi[marked.index]) ** 2)
+    p = float(math.prod(abs(psi[0]) ** (2 * c) for c, psi in zip(counts, psis)))
     return EvolutionReport(
         splitting.n,
         splitting.parts,

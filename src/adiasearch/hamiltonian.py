@@ -3,7 +3,7 @@
 Dense matrices for the mixing and problem Hamiltonians of any splitting,
 their expansion over tensor-product words of single-qubit factors
 (identity / bit flip X / phase Z), interaction-locality metrics, and a
-matrix-free applier used by the time integrator.
+matrix-free applier that the time integrator runs on each block.
 """
 
 from __future__ import annotations
@@ -319,7 +319,9 @@ class MatrixFreeHamiltonian:
     Read-only after construction and reentrant: safe to share across
     concurrent evolutions. The problem part is the stored ``final_diagonal``
     (so the dense cap applies); the mixing part subtracts each block's
-    uniform average via reshapes.
+    uniform average via reshapes. ``evolve`` builds one per distinct block
+    size, on the one-block splitting of that size with the marked entry at
+    index 0; on a whole splitting it applies the 2^n operator.
     """
 
     def __init__(self, splitting: Splitting, marked: MarkedState):

@@ -229,14 +229,13 @@ def scaling_coefficients(eps_t: float, n: int, num_blocks: int) -> tuple[float, 
 def running_time_integral(
     splitting: Splitting,
     schedule: Schedule | None = None,
-    precision: Precision | None = None,
 ) -> RunTimeResult:
     """Schedule-optimal running time of a split search by adaptive quadrature.
 
     Integrates |f'g - g'f| * sqrt(sum_i (N_i - 1)/N_i**2 / omega_i**6) over
     s in [0, 1], in the variable u of the time integrand, on the two panels
     either side of the crossing where f = g and every block peaks, to the
-    relative tolerance QUAD_TOL. eps * T reads no field of ``precision``.
+    relative tolerance QUAD_TOL.
     """
     schedule = schedule if schedule is not None else linear_schedule()
     integrand, u_of_s, _ = _time_integrand(splitting, schedule)
@@ -261,7 +260,7 @@ def closed_form_eps_t(n: int, num_blocks: int) -> float:
     return math.sqrt(num_blocks * (block_dim - 1))
 
 
-def max_structured_time(n: int, precision: Precision | None = None) -> RunTimeResult:
+def max_structured_time(n: int) -> RunTimeResult:
     """Running time sqrt(n)/epsilon of the fully split search.
 
     Saturating the degenerate adiabatic condition with the per-qubit matrix
@@ -420,13 +419,10 @@ def _divisors(n: int) -> list[int]:
     return [m for m in range(1, n + 1) if n % m == 0]
 
 
-def reproduce_table(n: int, precision: Precision | None = None) -> list[RunTimeResult]:
+def reproduce_table(n: int) -> list[RunTimeResult]:
     """One quadrature row per divisor of n (ascending), linear schedule."""
     if not 1 <= n <= MAX_TABLE_QUBITS:
         raise ValueError(f"n must be in [1, {MAX_TABLE_QUBITS}], got {n}")
     schedule = linear_schedule()
-    return [
-        running_time_integral(equal_splitting(n, m), schedule, precision)
-        for m in _divisors(n)
-    ]
+    return [running_time_integral(equal_splitting(n, m), schedule) for m in _divisors(n)]
 

@@ -99,7 +99,7 @@ def test_criterion_3_quadrature_matches_closed_form():
     failures = []
     for n, blocks in configs:
         splitting = make_splitting(n, [n // blocks] * blocks)
-        result = running_time_integral(splitting, linear_schedule(), Precision())
+        result = running_time_integral(splitting, linear_schedule())
         expected = closed_form_eps_t(n, blocks)
         rel = abs(result.eps_t - expected) / expected
         if rel > 1e-6:

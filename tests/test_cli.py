@@ -286,6 +286,10 @@ def test_evolve_step_budget_is_checked_before_stepping(monkeypatch, capsys):
     assert run_cli("evolve", "--n", "2", "--m", "1", "--total-time", "1e9") == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "over the budget of 1048576" in err
+    # the budget counts steps times solves, one solve per distinct block size
+    assert run_cli("evolve", "--n", "4", "--parts", "1,3", "--steps", "100000000") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "for each of 2 block sizes" in err
 
 
 # Golden artifacts: display-rounded or dyadic, so exact on every platform.

@@ -85,6 +85,90 @@ def test_evolve_matches_block_product_oracle():
         assert report.success_probability == pytest.approx(expected, abs=1e-7)
 
 
+def _full_state_run(splitting, marked, schedule_t, precision, t_checks, s_checks):
+    """(p, checkpoint overlaps) from RK4 on the whole 2^n state.
+
+    The applier covers the whole splitting and the step rule uses the
+    whole operator's norm bound, (|f| + |g|) times the block count.
+    """
+    applier = MatrixFreeHamiltonian(splitting, marked)
+    base = schedule_t.base
+    bound = max(map(applier.norm_bound, base.f(s_checks).tolist(), base.g(s_checks).tolist()))
+    h = 1.0 / (precision.ode_steps_per_unit_time * bound)
+    psi = np.full(splitting.dim, 2.0 ** (-0.5 * splitting.n), dtype=complex)
+    overlaps = [instantaneous_ground_overlap(psi, splitting, marked, base, s_checks[0])]
+    for t0, t1, s in zip(t_checks, t_checks[1:], s_checks[1:]):
+        if t1 > t0:
+            nsteps = max(1, math.ceil((t1 - t0) / h))
+            table = dynamics._stage_couplings(schedule_t, t0, t1, nsteps)
+            psi = rk4_propagate(lambda t, v: applier.apply(*table[t], v), psi, t0, t1, nsteps)
+        overlaps.append(instantaneous_ground_overlap(psi, splitting, marked, base, s))
+    return abs(psi[marked.index]) ** 2, np.array(overlaps)
+
+
+def test_evolve_matches_full_state_integration():
+    # one vector per block size against the 2^n statevector, at marked
+    # states whose block values are not all zero
+    cases = [([1, 3], "1011"), ([2, 2], "0110"), ([1, 1, 2], "1101"), ([4, 4], "10110101")]
+    for parts, bits in cases:
+        n = len(bits)
+        splitting = make_splitting(n, parts)
+        marked = MarkedState.from_string(bits)
+        for eps in (0.2, 0.1):
+            precision = Precision(epsilon=eps)
+            schedule_t = optimal_schedule(splitting, precision)
+            report = evolve(splitting, marked, schedule_t, precision)
+            p, overlaps = _full_state_run(
+                splitting, marked, schedule_t, precision, report.checkpoint_t, report.checkpoint_s
+            )
+            assert report.success_probability == pytest.approx(p, abs=1e-9), (parts, eps)
+            np.testing.assert_allclose(report.checkpoint_overlap, overlaps, rtol=0.0, atol=1e-9)
+
+
+def test_evolve_integrates_one_block_vector_per_distinct_size(monkeypatch):
+    entries, solves = [], []
+    apply = MatrixFreeHamiltonian.apply
+
+    def counted_apply(applier, f, g, psi):
+        entries.append(psi.size)
+        return apply(applier, f, g, psi)
+
+    def counted_rk4(apply_h, psi, t0, t1, nsteps):
+        solves.append(psi.size)
+        return rk4_propagate(apply_h, psi, t0, t1, nsteps)
+
+    monkeypatch.setattr(MatrixFreeHamiltonian, "apply", counted_apply)
+    monkeypatch.setattr(dynamics, "rk4_propagate", counted_rk4)
+    # 100 checkpoint intervals, one solve per distinct block size in each
+    cases = [("101100111010", [6, 6], {64}, 100), ("0110", [1, 3], {2, 8}, 200)]
+    for bits, parts, sizes, runs in cases:
+        entries.clear()
+        solves.clear()
+        _optimal_report(len(bits), parts, 0.2, MarkedState.from_string(bits))
+        assert set(entries) == sizes and len(solves) == runs, parts
+
+
+def test_step_budget_counts_every_solve(monkeypatch):
+    # T = 9000 at 64 steps per unit time is about 576,000 steps per solve:
+    # one block size fits the 2^20 budget, two block sizes do not
+    class SteppingBegan(Exception):
+        pass
+
+    def stepping_began(*args):
+        raise SteppingBegan
+
+    monkeypatch.setattr(dynamics, "_stage_couplings", stepping_began)
+    precision = Precision(epsilon=0.2)
+    for parts, outcome in (([2, 2], SteppingBegan), ([1, 3], ValueError)):
+        splitting = make_splitting(4, parts)
+        schedule_t = optimal_schedule(splitting, precision).scaled(9000.0)
+        with pytest.raises(outcome):
+            evolve(splitting, MarkedState.zeros(4), schedule_t, precision)
+    refusal = r"for each of 2 block sizes\), over the budget of 1048576"
+    with pytest.raises(ValueError, match=refusal):
+        evolve(splitting, MarkedState.zeros(4), schedule_t, precision)
+
+
 def test_rk4_order_against_matrix_exponential():
     rng = np.random.default_rng(0)
     raw = rng.standard_normal((8, 8))
@@ -117,7 +201,8 @@ def test_quench_probability_is_uniform_weight():
         assert not report.guarantee_met
         assert report.total_time == 0.0
         # one checkpoint at s = 1, reached without a step; the norm is measured
-        norm = float(np.linalg.norm(np.full(2**n, 1.0 / math.sqrt(2**n), dtype=complex)))
+        uniform = [np.full(2**q, 1.0 / math.sqrt(2**q), dtype=complex) for q in parts]
+        norm = math.prod(float(np.linalg.norm(block)) for block in uniform)
         assert report.checkpoint_t.tolist() == [0.0]
         assert report.checkpoint_s.tolist() == [1.0]
         assert report.checkpoint_overlap.tolist() == [p]

@@ -59,10 +59,9 @@ def test_closed_form_against_high_precision_quadrature():
 
 
 def test_quadrature_matches_closed_form():
-    precision = Precision()
     for n, blocks in [(6, 1), (6, 2), (6, 3), (6, 6), (12, 1), (12, 4), (30, 1), (30, 10)]:
         parts = [n // blocks] * blocks
-        result = running_time_integral(make_splitting(n, parts), linear_schedule(), precision)
+        result = running_time_integral(make_splitting(n, parts), linear_schedule())
         expected = closed_form_eps_t(n, blocks)
         assert abs(result.eps_t - expected) / expected <= 1e-6
         assert result.method == "quadrature"
@@ -211,7 +210,7 @@ def test_optimal_schedule_matches_integral_and_slows_at_peak():
     precision = Precision(epsilon=0.1)
     splitting = make_splitting(6, [6])
     schedule_t = optimal_schedule(splitting, precision)
-    integral = running_time_integral(splitting, linear_schedule(), precision)
+    integral = running_time_integral(splitting, linear_schedule())
     assert schedule_t.total_time * precision.epsilon == pytest.approx(integral.eps_t, rel=1e-8)
     # strictly increasing inverse map
     assert np.all(np.diff(schedule_t.t_nodes) > 0.0)
@@ -228,7 +227,7 @@ def test_optimal_schedule_total_is_the_running_time_integral_at_large_blocks():
     for n in (60, 64):
         splitting = make_splitting(n, [n])
         total = optimal_schedule(splitting, precision).total_time * precision.epsilon
-        eps_t = running_time_integral(splitting, linear_schedule(), precision).eps_t
+        eps_t = running_time_integral(splitting, linear_schedule()).eps_t
         assert abs(total - eps_t) / eps_t <= 1e-12
 
 
