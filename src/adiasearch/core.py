@@ -298,6 +298,9 @@ class TabulatedSchedule(Schedule):
             raise ValueError("need at least two schedule samples")
         if f_nodes.shape != s_nodes.shape or g_nodes.shape != s_nodes.shape:
             raise ValueError("s, f, g sample arrays must have equal length")
+        for name, vals in (("s", s_nodes), ("f", f_nodes), ("g", g_nodes)):
+            if not np.isfinite(vals).all():
+                raise ValueError(f"{name} samples must be finite")
         if np.any(np.diff(s_nodes) <= 0):
             raise ValueError("schedule samples must have strictly increasing s")
         if abs(s_nodes[0]) > SCHEDULE_BOUNDARY_TOL or abs(s_nodes[-1] - 1.0) > SCHEDULE_BOUNDARY_TOL:
@@ -397,24 +400,24 @@ def problem_to_dict(splitting: Splitting, marked: MarkedState, schedule: Schedul
 
 
 def problem_from_dict(data: dict) -> tuple[Splitting, MarkedState, Schedule]:
-    """Parse a problem descriptor produced by :func:`problem_to_dict`."""
+    """Parse a problem descriptor produced by :func:`problem_to_dict`; a malformed one raises ValueError."""
     unknown = set(data) - _DESCRIPTOR_KEYS
     if unknown:
-        raise ValueError(f"unknown descriptor keys: {sorted(unknown)}")
+        raise ValueError(f"unknown descriptor keys: {sorted(unknown, key=str)}")
     missing = _DESCRIPTOR_KEYS - set(data)
     if missing:
         raise ValueError(f"missing descriptor keys: {sorted(missing)}")
-    splitting = make_splitting(int(data["n"]), data["parts"])
-    marked = MarkedState.from_string(data["marked"])
-    marked.block_values(splitting)  # refuses a marked state of the wrong length
     sched = data["schedule"]
-    if sched == "linear":
-        schedule: Schedule = linear_schedule()
-    elif isinstance(sched, dict):
-        extra = set(sched) - {"s", "f", "g"}
-        if extra:
-            raise ValueError(f"unknown schedule keys: {sorted(extra)}")
-        schedule = tabulated_schedule(sched["s"], sched["f"], sched["g"])
-    else:
+    if isinstance(sched, dict) and set(sched) != {"s", "f", "g"}:
+        raise ValueError(f"schedule samples need the keys f, g and s, got {sorted(sched, key=str)}")
+    if sched != "linear" and not isinstance(sched, dict):
         raise ValueError(f"unsupported schedule descriptor: {sched!r}")
+    try:
+        splitting = make_splitting(int(data["n"]), data["parts"])
+        marked = MarkedState.from_string(data["marked"])
+        schedule = linear_schedule() if sched == "linear" else tabulated_schedule(sched["s"], sched["f"], sched["g"])
+    except (TypeError, OverflowError) as exc:
+        # int(None), tuple(None), float({}) and int(inf) do not raise ValueError
+        raise ValueError(f"a descriptor value has the wrong type: {exc}") from None
+    marked.block_values(splitting)  # refuses a marked state of the wrong length
     return splitting, marked, schedule

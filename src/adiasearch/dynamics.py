@@ -14,7 +14,10 @@ because renormalizing would mask step-size problems.
 The diagnostics diagonalize nothing: each block term keeps
 span{|marked_i>, |uniform_i>} invariant, so the ground state is a product of
 per-block two-level ground vectors, the gap is the smallest block gap, and
-the drive couples each block only to its own excited direction.
+the drive couples each block only to its own excited direction. What does
+not depend on the state (ground amplitudes, gap, cluster and transition
+element) is computed for all checkpoints in one array pass; only the
+overlaps and norms are taken checkpoint by checkpoint.
 """
 
 from __future__ import annotations
@@ -61,19 +64,25 @@ def check_evolution_cap(splitting: Splitting):
 def rk4_propagate(apply_h, psi: np.ndarray, t0: float, t1: float, nsteps: int) -> np.ndarray:
     """Integrate i * dpsi/dt = H(t) psi with classical fixed-step RK4.
 
-    ``apply_h(t, v)`` must return H(t) @ v. Returns the state at t1 without
-    renormalizing.
+    ``apply_h(t, v)`` must return H(t) @ v as a new array. Returns the state at
+    t1 without renormalizing. The -1j of k_i = -1j H psi_i is folded into the
+    stage coefficients and H psi_1 + 2 H psi_2 + 2 H psi_3 + H psi_4 is summed
+    in place in that order, which rounds exactly as the textbook form does.
     """
     if nsteps < 1:
         raise ValueError(f"nsteps must be >= 1, got {nsteps}")
     h = (t1 - t0) / nsteps
+    half, full, sixth = -1j * (0.5 * h), -1j * h, -1j * (h / 6.0)
     for k in range(nsteps):
         t = t0 + k * h
-        k1 = -1j * apply_h(t, psi)
-        k2 = -1j * apply_h(t + 0.5 * h, psi + (0.5 * h) * k1)
-        k3 = -1j * apply_h(t + 0.5 * h, psi + (0.5 * h) * k2)
-        k4 = -1j * apply_h(t + h, psi + h * k3)
-        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        a1 = apply_h(t, psi)
+        a2 = apply_h(t + 0.5 * h, psi + half * a1)
+        a3 = apply_h(t + 0.5 * h, psi + half * a2)
+        a4 = apply_h(t + h, psi + full * a3)
+        a1 += 2.0 * a2
+        a1 += 2.0 * a3
+        a1 += a4
+        psi = psi + sixth * a1
     return psi
 
 
@@ -90,15 +99,15 @@ def _stage_couplings(schedule_t: TimeSchedule, t0, t1, nsteps: int) -> dict:
     return dict(zip(times.tolist(), zip(base.f(s).tolist(), base.g(s).tolist())))
 
 
-def _ground_amplitudes(dims: np.ndarray, f: float, g: float):
+def _ground_amplitudes(dims: np.ndarray, f, g):
     """(gaps, c_marked, c_perp): each block's ground vector is
-    c_marked |m> + c_perp |m_perp>.
+    c_marked |m> + c_perp |m_perp>; f and g broadcast against ``dims``.
 
     With |u> = a|m> + b|m_perp> and a^2 = 1/N, a block term reads
     [[f b^2, -f a b], [-f a b, f a^2 + g]] on (|m>, |m_perp>); its ground
     vector comes from half-angle forms, each taken where it does not cancel.
     """
-    if f == 0.0 and g == 0.0:
+    if np.any((f == 0.0) & (g == 0.0)):
         raise ValueError("the operator is zero where f = g = 0; no ground state")
     gaps = subsystem_gap(dims, f, g)
     weight = 1.0 / dims
@@ -128,7 +137,7 @@ def _ground_state(splitting: Splitting, marked: MarkedState, f: float, g: float)
     return float(np.sum(2.0 * f * g * (1.0 - weight) / (f + g + gaps))), vector
 
 
-def _transition_element(splitting: Splitting, f: float, g: float, df: float, dg: float):
+def _transition_element(splitting: Splitting, f, g, df, dg):
     """(element, gap, cluster size) for the drive dH/ds coupling the ground
     state into the first excited level, one smallest block gap above it.
 
@@ -136,17 +145,19 @@ def _transition_element(splitting: Splitting, f: float, g: float, df: float, dg:
     |f'g - g'f| sqrt(N-1) / (N * omega_block); the element is the
     root-sum-square over the blocks at the smallest gap, which the cluster
     counts. The rest of a block's space sits at f + g, level with the
-    excited direction only where f * g = 0, and never couples.
+    excited direction only where f * g = 0, and never couples. f, g, df and
+    dg are scalars, or arrays of shape (k, 1) that give results of shape (k,).
     """
     dims = splitting.float_block_dims()
     gaps = subsystem_gap(dims, f, g)
-    omega = float(gaps.min())
-    tol = _CLUSTER_TOL * max(1.0, omega)
-    at_min = gaps - omega <= tol
-    elements = (
-        abs(df * g - dg * f) * np.sqrt(dims[at_min] - 1.0) / (dims[at_min] * gaps[at_min])
-    )
-    return float(np.sqrt(np.sum(elements**2))), omega, int(at_min.sum())
+    omega = gaps.min(axis=-1, keepdims=True)
+    at_min = gaps - omega <= _CLUSTER_TOL * np.maximum(1.0, omega)
+    elements = np.abs(df * g - dg * f) * np.sqrt(dims - 1.0) / (dims * gaps)
+    cluster = at_min.sum(axis=-1)
+    # each cluster summed on its own: padding it with zeros would regroup np.sum's pairwise adds
+    rows = zip((elements**2).reshape(-1, dims.size), at_min.reshape(-1, dims.size))
+    element = np.sqrt([np.sum(row[mask]) for row, mask in rows]).reshape(cluster.shape)
+    return element, omega[..., 0], cluster
 
 
 def adiabaticity_lhs(splitting: Splitting, schedule: Schedule, s: float, ds_dt: float) -> float:
@@ -174,7 +185,7 @@ def adiabaticity_lhs(splitting: Splitting, schedule: Schedule, s: float, ds_dt: 
             DegenerateLevelWarning,
             stacklevel=2,
         )
-    return element * abs(ds_dt) / omega**2
+    return float(element) * abs(ds_dt) / float(omega) ** 2
 
 
 def degenerate_adiabaticity_lhs(n: int, schedule: Schedule, s: float, ds_dt: float) -> float:
@@ -249,7 +260,6 @@ def evolve(
     # one solve per distinct block size, its marked entry at index 0
     sizes, counts = zip(*sorted(Counter(splitting.parts).items()))
     dims = [1 << size for size in sizes]
-    float_dims = np.array(dims, dtype=float)
     appliers = [
         MatrixFreeHamiltonian(make_splitting(size, [size]), MarkedState.zeros(size))
         for size in sizes
@@ -264,13 +274,11 @@ def evolve(
     t_checks[0], t_checks[-1] = 0.0, total_time
     t_checks = np.maximum.accumulate(t_checks)
 
-    f_checks = np.asarray(base.f(s_checks), dtype=float)
-    g_checks = np.asarray(base.g(s_checks), dtype=float)
-    df_checks = np.asarray(base.df(s_checks), dtype=float)
-    dg_checks = np.asarray(base.dg(s_checks), dtype=float)
+    # the schedule at the checkpoints, one row each
+    f, g, df, dg = (np.asarray(fn(s_checks), dtype=float)[:, None] for fn in (base.f, base.g, base.df, base.dg))
     rate_checks = np.asarray(schedule_t.rate(s_checks), dtype=float)
     # every block operator has the same bound, |f| + |g|
-    norm_bound = max(map(appliers[0].norm_bound, f_checks.tolist(), g_checks.tolist()))
+    norm_bound = float(appliers[0].norm_bound(f, g).max())
     h_target = 1.0 / (precision.ode_steps_per_unit_time * norm_bound)
     # steps[k] RK4 steps lead from checkpoint k - 1 to checkpoint k
     steps = [0] + [
@@ -285,14 +293,14 @@ def evolve(
             "shorten the total time or lower ode_steps_per_unit_time"
         )
 
+    # the diagnostics that do not depend on the state, at every checkpoint at once
+    _, c_marked, c_perp = _ground_amplitudes(np.array(dims, dtype=float), f, g)
+    element, omega, _ = _transition_element(splitting, f, g, df, dg)
+    lhs_vals = element * np.abs(rate_checks) / omega**2
+
     couplings: dict = {}
-
-    def block_h(applier):
-        return lambda t, v: applier.apply(*couplings[t], v)
-
-    block_hs = [block_h(applier) for applier in appliers]
+    block_hs = [lambda t, v, apply=applier.apply: apply(*couplings[t], v) for applier in appliers]
     overlaps = np.zeros(s_checks.size)
-    lhs_vals = np.zeros(s_checks.size)
     norms = np.zeros(s_checks.size)
     drift = 0.0
     for k, nsteps in enumerate(steps):
@@ -308,16 +316,10 @@ def evolve(
                 f"norm drifted by {abs(norm - 1.0):.3e} at s={s_checks[k]:.3f}; raise "
                 f"ode_steps_per_unit_time (currently {precision.ode_steps_per_unit_time})"
             )
-        f, g = float(f_checks[k]), float(g_checks[k])
-        _, c_marked, c_perp = _ground_amplitudes(float_dims, f, g)
         overlaps[k] = math.prod(
             abs(np.vdot(_block_ground_vector(dim, 0, cm, cp), psi)) ** (2 * c)
-            for dim, c, cm, cp, psi in zip(dims, counts, c_marked, c_perp, psis)
+            for dim, c, cm, cp, psi in zip(dims, counts, c_marked[k], c_perp[k], psis)
         )
-        element, omega, _ = _transition_element(
-            splitting, f, g, float(df_checks[k]), float(dg_checks[k])
-        )
-        lhs_vals[k] = element * abs(rate_checks[k]) / omega**2
 
     p = float(math.prod(abs(psi[0]) ** (2 * c) for c, psi in zip(counts, psis)))
     return EvolutionReport(

@@ -328,6 +328,7 @@ class MatrixFreeHamiltonian:
         self.final_diag = final_diagonal(splitting, marked)
         self.splitting = splitting
         self.marked = marked
+        self._marked_index = marked.index
         dim = splitting.dim
         shapes = []
         left = 1
@@ -339,6 +340,13 @@ class MatrixFreeHamiltonian:
 
     def apply(self, f: float, g: float, psi: np.ndarray) -> np.ndarray:
         """(f * H_initial + g * H_final) @ psi; linear in f and g."""
+        if len(self._shapes) == 1:
+            # one block: H_final is 1 off the marked entry and 0 on it, and the
+            # block sum is the whole sum; rounds as the general form below does
+            out = (f + g) * psi
+            out[self._marked_index] = f * psi[self._marked_index]
+            out -= (f / psi.size) * psi.sum()
+            return out
         out = (f * self.splitting.num_blocks + g * self.final_diag) * psi
         for shape in self._shapes:
             # f / N times the block sum equals f times the block mean to the

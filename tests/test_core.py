@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
 from adiasearch.core import (
@@ -159,6 +163,13 @@ def test_tabulated_schedule_rejects_bad_samples():
         tabulated_schedule(nodes, 0.9 - 0.9 * nodes, nodes)  # f(0) != 1
     with pytest.raises(ValueError):
         tabulated_schedule([0.0, 0.5, 0.5, 0.7, 1.0], 1.0 - nodes, nodes)  # s not increasing
+    # NaN fails every comparison, so only a finiteness check refuses it
+    with pytest.raises(ValueError, match="s samples must be finite"):
+        tabulated_schedule([0.0, math.nan, 1.0], [1.0, 0.5, 0.0], [0.0, 0.5, 1.0])
+    with pytest.raises(ValueError, match="f samples must be finite"):
+        tabulated_schedule(nodes, [1.0, 0.7, math.nan, 0.2, 0.0], nodes)
+    with pytest.raises(ValueError, match="g samples must be finite"):
+        tabulated_schedule([0.0, 1.0], [1.0, 0.0], [math.nan, 1.0])
 
 
 def test_precision_validation():
@@ -202,3 +213,67 @@ def test_problem_descriptor_rejects_bad_input():
         problem_from_dict({**good, "marked": "000"})
     with pytest.raises(ValueError):
         problem_from_dict({**good, "schedule": "cubic"})
+    with pytest.raises(ValueError, match="need the keys f, g and s"):
+        problem_from_dict({**good, "schedule": {"s": [0.0, 1.0], "g": [0.0, 1.0]}})
+    for field in ("n", "parts"):
+        with pytest.raises(ValueError, match="wrong type"):
+            problem_from_dict({**good, field: None})
+
+
+def _spoiled(samples: list, how: str):
+    """One way a tabulated sample list can be wrong, or the list unchanged."""
+    if how == "nan":
+        return samples[:1] + [math.nan] + samples[1:]
+    if how == "inf":
+        return samples[:-1] + [math.inf]
+    if how == "short":
+        return samples[:1]
+    if how == "reversed":  # unsorted s, non-monotone f and g
+        return samples[::-1]
+    if how == "text":
+        return samples[:-1] + ["x"]
+    if how == "nested":
+        return [samples]
+    return {"none": None, "number": 1.0, "dict": [{}]}.get(how, samples)
+
+
+@st.composite
+def _descriptor(draw):
+    """A problem descriptor, valid or malformed, as JSON would give it."""
+    parts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    n = sum(parts)
+    data = {
+        "n": draw(st.sampled_from((n, n, n, n + 1, 0, None, "x", 2.5, math.inf, [n]))),
+        "parts": draw(st.sampled_from((parts, parts, parts, None, [], [0], [None], 5, [math.inf], "12"))),
+        "marked": draw(st.sampled_from(("0" * n, "1" * n, "0" * n, "", "2" * n, None, 5, ["0"] * n))),
+    }
+    if draw(st.booleans()):
+        data["schedule"] = draw(st.sampled_from(("linear", "cubic", None, [], {})))
+    else:
+        inner = draw(st.lists(st.floats(0.01, 0.99), max_size=4, unique=True))
+        s = [0.0] + sorted(inner) + [1.0]
+        table = {"s": s, "f": [1.0 - x for x in s], "g": list(s)}
+        hows = ("keep",) * 4 + ("nan", "inf", "short", "reversed", "text", "nested", "none", "number", "dict")
+        for key in table:
+            table[key] = _spoiled(table[key], draw(st.sampled_from(hows)))
+        if draw(st.booleans()):
+            table.pop(draw(st.sampled_from(sorted(table))))
+        if draw(st.booleans()):
+            table["t"] = s
+        data["schedule"] = table
+    if draw(st.booleans()):
+        data.pop(draw(st.sampled_from(sorted(data))))
+    if draw(st.booleans()):
+        data["extra"] = 1
+    return data
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, database=None)
+@given(_descriptor())
+def test_every_descriptor_parses_or_raises_value_error(data):
+    try:
+        splitting, marked, schedule = problem_from_dict(data)
+    except ValueError:
+        return
+    assert marked.n == splitting.n
+    assert float(schedule.f(0.0)) == pytest.approx(1.0) and float(schedule.g(1.0)) == pytest.approx(1.0)

@@ -32,6 +32,7 @@ from adiasearch.hamiltonian import (
     final_terms,
 )
 from adiasearch.runtime import TimeSchedule, max_structured_time, optimal_schedule
+from adiasearch.spectral import subsystem_gap
 
 
 def _optimal_report(n, parts, eps, marked=None, steps=None):
@@ -187,6 +188,38 @@ def test_rk4_order_against_matrix_exponential():
         assert abs(order - 4.0) <= 0.3
 
 
+def _textbook_rk4(apply_h, psi, t0, t1, nsteps):
+    """Classical RK4 as printed: k_i = -1j H psi_i, psi + (h/6)(k1 + 2 k2 + 2 k3 + k4)."""
+    h = (t1 - t0) / nsteps
+    for k in range(nsteps):
+        t = t0 + k * h
+        k1 = -1j * apply_h(t, psi)
+        k2 = -1j * apply_h(t + 0.5 * h, psi + (0.5 * h) * k1)
+        k3 = -1j * apply_h(t + 0.5 * h, psi + (0.5 * h) * k2)
+        k4 = -1j * apply_h(t + h, psi + h * k3)
+        psi = psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return psi
+
+
+def test_rk4_rounds_as_the_textbook_form():
+    # the folded -1j and the in-place stage sum change no bit of the result
+    rng = np.random.default_rng(8)
+    applier = MatrixFreeHamiltonian(make_splitting(5, [5]), MarkedState.from_string("10110"))
+    raw = rng.standard_normal((8, 8))
+    frozen = (raw + raw.T) / 2.0
+    cases = [
+        (lambda t, v: applier.apply(math.cos(t) ** 2, math.sin(t) ** 2, v), 32),
+        (lambda t, v: frozen @ v, 8),
+    ]
+    for apply_h, dim in cases:
+        # evolve's real uniform start, then a generic complex state
+        uniform = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
+        for psi in (uniform, rng.standard_normal(dim) + 1j * rng.standard_normal(dim)):
+            for t0, t1, nsteps in ((0.0, 3.0, 40), (0.3, 0.7, 1)):
+                expected = _textbook_rk4(apply_h, psi, t0, t1, nsteps)
+                assert np.array_equal(rk4_propagate(apply_h, psi, t0, t1, nsteps), expected)
+
+
 def test_rk4_validates_steps():
     with pytest.raises(ValueError):
         rk4_propagate(lambda t, v: v, np.ones(2, dtype=complex), 0.0, 1.0, 0)
@@ -273,6 +306,42 @@ def test_marked_state_independence():
         assert report.success_probability == pytest.approx(
             baseline.success_probability, abs=1e-9
         )
+
+
+def test_checkpoint_lhs_is_the_scalar_adiabaticity_lhs():
+    # evolve takes the diagnostic at every checkpoint in one array pass
+    for parts in ([2, 10], [1, 3], [3, 3]):
+        n = sum(parts)
+        splitting = make_splitting(n, parts)
+        precision = Precision(epsilon=0.2)
+        schedule_t = optimal_schedule(splitting, precision)
+        report = evolve(splitting, MarkedState.zeros(n), schedule_t, precision)
+        rates = schedule_t.rate(report.checkpoint_s).tolist()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DegenerateLevelWarning)
+            expected = [
+                adiabaticity_lhs(splitting, schedule_t.base, s, rate)
+                for s, rate in zip(report.checkpoint_s.tolist(), rates)
+            ]
+        assert report.checkpoint_lhs.tolist() == expected, parts
+
+
+def test_transition_element_sums_each_cluster_alone():
+    # many blocks, several at the smallest gap: padding a cluster with zeros
+    # would regroup np.sum's adds and move the last bit in 29 of these rows
+    splitting = make_splitting(57, [8, 8, 8, 3, 8, 8, 8, 1, 1, 3, 1])
+    dims = splitting.float_block_dims()
+    s = np.linspace(0.0, 1.0, 101)
+    f, g, df, dg = 1.0 - s, s, np.full(s.size, -1.0), np.ones(s.size)
+    element, omega, cluster = dynamics._transition_element(
+        splitting, f[:, None], g[:, None], df[:, None], dg[:, None]
+    )
+    for k in range(s.size):
+        gaps = subsystem_gap(dims, float(f[k]), float(g[k]))
+        at_min = gaps - gaps.min() <= 1e-8 * max(1.0, gaps.min())
+        alone = (f[k] + g[k]) * np.sqrt(dims[at_min] - 1.0) / (dims[at_min] * gaps[at_min])
+        assert element[k] == np.sqrt(np.sum(alone**2)) and omega[k] == gaps.min()
+        assert cluster[k] == at_min.sum()
 
 
 def test_adiabaticity_zero_rate():

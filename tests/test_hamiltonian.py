@@ -297,12 +297,20 @@ def test_term_sum_text_format():
         PauliTermSum(2, ((0.5, "IY"),))
 
 
+def _matrix_free_splittings(rng):
+    for _ in range(6):
+        n = int(rng.integers(1, 9))
+        yield make_splitting(n, random_splitting(rng, n))
+    # the random draws may miss the one-block splitting, the only one evolve applies
+    for n in range(1, 9):
+        yield make_splitting(n, [n])
+
+
 def test_matrix_free_matches_dense():
     rng = np.random.default_rng(33)
     sched = linear_schedule()
-    for _ in range(6):
-        n = int(rng.integers(1, 9))
-        splitting = make_splitting(n, random_splitting(rng, n))
+    for splitting in _matrix_free_splittings(rng):
+        n = splitting.n
         bits = MarkedState(tuple(int(b) for b in rng.integers(0, 2, n)))
         h_initial, _ = build_initial(splitting)
         h_final, _ = build_final(splitting, bits)
@@ -312,4 +320,10 @@ def test_matrix_free_matches_dense():
             dense = combine(h_initial, h_final, sched, s)
             vec = rng.standard_normal(splitting.dim) + 1j * rng.standard_normal(splitting.dim)
             np.testing.assert_allclose(applier.apply(f, g, vec), dense @ vec, atol=1e-12)
+            if splitting.num_blocks == 1:
+                # the one-block shortcut rounds as the per-block reshape form does
+                block = (f + g * final_diagonal(splitting, bits)) * vec
+                block_sum = vec.reshape(1, -1, 1).sum(axis=1, keepdims=True)
+                block.reshape(1, -1, 1)[...] -= (f / vec.size) * block_sum
+                assert np.array_equal(applier.apply(f, g, vec), block)
             assert np.linalg.norm(dense, 2) <= applier.norm_bound(f, g) + 1e-12
