@@ -43,7 +43,8 @@ class Splitting:
     parts: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "parts", tuple(int(p) for p in self.parts))
+        object.__setattr__(self, "n", _integer(self.n, "qubit count"))
+        object.__setattr__(self, "parts", tuple(_integer(p, "block size") for p in self.parts))
         if self.n < 1:
             raise ValueError(f"qubit count must be >= 1, got {self.n}")
         if not self.parts:
@@ -95,6 +96,13 @@ class Splitting:
     def is_maximal(self) -> bool:
         """True when every block is a single qubit."""
         return all(p == 1 for p in self.parts)
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int; a bool, float or string is refused, not truncated or parsed."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{what} has the wrong type: expected an integer, got {value!r}")
+    return int(value)
 
 
 def _check_block_count(count: int):
@@ -413,11 +421,11 @@ def problem_from_dict(data: dict) -> tuple[Splitting, MarkedState, Schedule]:
     if sched != "linear" and not isinstance(sched, dict):
         raise ValueError(f"unsupported schedule descriptor: {sched!r}")
     try:
-        splitting = make_splitting(int(data["n"]), data["parts"])
+        splitting = make_splitting(data["n"], data["parts"])
         marked = MarkedState.from_string(data["marked"])
         schedule = linear_schedule() if sched == "linear" else tabulated_schedule(sched["s"], sched["f"], sched["g"])
     except (TypeError, OverflowError) as exc:
-        # int(None), tuple(None), float({}) and int(inf) do not raise ValueError
+        # tuple(None), float({}) and float(10**400) do not raise ValueError
         raise ValueError(f"a descriptor value has the wrong type: {exc}") from None
     marked.block_values(splitting)  # refuses a marked state of the wrong length
     return splitting, marked, schedule

@@ -5,9 +5,11 @@ product, so the state stays a product of block states. A fixed-step
 4th-order integrator drives one 2^{n_i} block vector per distinct block
 size through that block's term of H(s(t)), without building dense
 matrices; blocks of one size share a solve, because the marked bits only
-relabel a block's basis states. Ground-state overlap, the adiabaticity
-diagnostic and norm drift are recorded at uniform checkpoints in s, the
-overlap and norm as products over the blocks. Norm drift is never
+relabel a block's basis states. The couplings f and g at every RK4 stage of
+the run come from one chunked pass over the schedule and reach the
+integrator as plain lists, step by step. Ground-state overlap, the
+adiabaticity diagnostic and norm drift are recorded at uniform checkpoints
+in s, the overlap and norm as products over the blocks. Norm drift is never
 corrected, only watched: exceeding the limit is an error, not a warning,
 because renormalizing would mask step-size problems.
 
@@ -15,9 +17,8 @@ The diagnostics diagonalize nothing: each block term keeps
 span{|marked_i>, |uniform_i>} invariant, so the ground state is a product of
 per-block two-level ground vectors, the gap is the smallest block gap, and
 the drive couples each block only to its own excited direction. What does
-not depend on the state (ground amplitudes, gap, cluster and transition
-element) is computed for all checkpoints in one array pass; only the
-overlaps and norms are taken checkpoint by checkpoint.
+not depend on the state is computed for all checkpoints in one array pass;
+only the overlaps and norms are taken checkpoint by checkpoint.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ CHECKPOINT_COUNT = 101
 NORM_DRIFT_LIMIT = 1e-6
 # Largest number of RK4 steps one evolve may take, summed over its solves.
 RK4_STEP_BUDGET = 1 << 20
+_STAGE_CHUNK = 512  # RK4 steps per schedule evaluation, to keep its temporaries small
 # 1 - eps**2 - GUARANTEE_SLACK is a target, not a promise: a schedule that
 # saturates the bound leaves boundary excitations of up to 4 eps**2 at
 # leading order, so it can miss the target.
@@ -61,24 +63,27 @@ def check_evolution_cap(splitting: Splitting):
         raise ValueError(f"n={splitting.n} exceeds the evolution cap of {DENSE_CAP} qubits")
 
 
-def rk4_propagate(apply_h, psi: np.ndarray, t0: float, t1: float, nsteps: int) -> np.ndarray:
-    """Integrate i * dpsi/dt = H(t) psi with classical fixed-step RK4.
+def rk4_propagate(apply, psi: np.ndarray, t0: float, t1: float, nsteps: int, couplings) -> np.ndarray:
+    """Integrate i * dpsi/dt = H psi with classical fixed-step RK4 from t0 to t1.
 
-    ``apply_h(t, v)`` must return H(t) @ v as a new array. Returns the state at
-    t1 without renormalizing. The -1j of k_i = -1j H psi_i is folded into the
-    stage coefficients and H psi_1 + 2 H psi_2 + 2 H psi_3 + H psi_4 is summed
-    in place in that order, which rounds exactly as the textbook form does.
+    ``couplings`` is six lists of ``nsteps`` entries, f and g at each step's
+    start, midpoint and end; ``apply(f, g, v)`` must return H @ v as a new
+    array. Returns the state at t1 without renormalizing. The -1j of
+    k_i = -1j H psi_i is folded into the stage coefficients and
+    H psi_1 + 2 H psi_2 + 2 H psi_3 + H psi_4 is summed in place in that
+    order, which rounds exactly as the textbook form does.
     """
     if nsteps < 1:
         raise ValueError(f"nsteps must be >= 1, got {nsteps}")
+    if list(map(len, couplings)) != [nsteps] * 6:
+        raise ValueError(f"need 6 coupling lists of nsteps={nsteps} entries, got {list(map(len, couplings))}")
     h = (t1 - t0) / nsteps
     half, full, sixth = -1j * (0.5 * h), -1j * h, -1j * (h / 6.0)
-    for k in range(nsteps):
-        t = t0 + k * h
-        a1 = apply_h(t, psi)
-        a2 = apply_h(t + 0.5 * h, psi + half * a1)
-        a3 = apply_h(t + 0.5 * h, psi + half * a2)
-        a4 = apply_h(t + h, psi + full * a3)
+    for f0, g0, f_mid, g_mid, f1, g1 in zip(*couplings):
+        a1 = apply(f0, g0, psi)
+        a2 = apply(f_mid, g_mid, psi + half * a1)
+        a3 = apply(f_mid, g_mid, psi + half * a2)
+        a4 = apply(f1, g1, psi + full * a3)
         a1 += 2.0 * a2
         a1 += 2.0 * a3
         a1 += a4
@@ -86,17 +91,27 @@ def rk4_propagate(apply_h, psi: np.ndarray, t0: float, t1: float, nsteps: int) -
     return psi
 
 
-def _stage_couplings(schedule_t: TimeSchedule, t0, t1, nsteps: int) -> dict:
-    """{t: (f, g)} for every stage time of ``rk4_propagate(_, _, t0, t1, nsteps)``,
-    formed with the integrator's own float expressions so that its lookups
-    hit exactly; a time it lacks raises KeyError instead of a fallback.
+def _stage_couplings(schedule_t: TimeSchedule, t_checks: np.ndarray, steps) -> np.ndarray:
+    """(6, sum(steps)) array of f and g at the start, midpoint and end of each
+    step of a run whose steps[k] steps lead from t_checks[k - 1] to t_checks[k].
+    Stage times are t0 + i * h, then + 0.5 * h and + h, with rk4_propagate's
+    h = (t1 - t0) / nsteps, so each entry equals a scalar schedule call's.
     """
-    h = (t1 - t0) / nsteps
-    starts = t0 + np.arange(nsteps) * h
-    times = np.concatenate([starts, starts + 0.5 * h, starts + h])
-    s = schedule_t.s_of_t(times)
+    active = np.flatnonzero(steps)
+    nsteps = np.asarray(steps)[active]
+    t0 = t_checks[active - 1]
+    h = (t_checks[active] - t0) / nsteps
+    first = np.cumsum(nsteps) - nsteps  # each interval's first column
+    out = np.empty((6, int(nsteps.sum())))
     base = schedule_t.base
-    return dict(zip(times.tolist(), zip(base.f(s).tolist(), base.g(s).tolist())))
+    for lo in range(0, out.shape[1], _STAGE_CHUNK):
+        col = np.arange(lo, min(lo + _STAGE_CHUNK, out.shape[1]))
+        k = np.searchsorted(first, col, side="right") - 1
+        start = t0[k] + (col - first[k]) * h[k]
+        s = schedule_t.s_of_t(np.concatenate([start, start + 0.5 * h[k], start + h[k]]))
+        out[0::2, col] = base.f(s).reshape(3, -1)
+        out[1::2, col] = base.g(s).reshape(3, -1)
+    return out
 
 
 def _ground_amplitudes(dims: np.ndarray, f, g):
@@ -260,10 +275,7 @@ def evolve(
     # one solve per distinct block size, its marked entry at index 0
     sizes, counts = zip(*sorted(Counter(splitting.parts).items()))
     dims = [1 << size for size in sizes]
-    appliers = [
-        MatrixFreeHamiltonian(make_splitting(size, [size]), MarkedState.zeros(size))
-        for size in sizes
-    ]
+    appliers = [MatrixFreeHamiltonian(make_splitting(q, [q]), MarkedState.zeros(q)) for q in sizes]
     psis = [np.full(dim, 1.0 / math.sqrt(dim), dtype=complex) for dim in dims]
     threshold = 1.0 - precision.epsilon**2 - GUARANTEE_SLACK
 
@@ -298,16 +310,15 @@ def evolve(
     element, omega, _ = _transition_element(splitting, f, g, df, dg)
     lhs_vals = element * np.abs(rate_checks) / omega**2
 
-    couplings: dict = {}
-    block_hs = [lambda t, v, apply=applier.apply: apply(*couplings[t], v) for applier in appliers]
+    # every stage coupling of the run in one pass, split by checkpoint interval
+    stages = np.split(_stage_couplings(schedule_t, t_checks, steps), np.cumsum(steps)[:-1], axis=1)
     overlaps = np.zeros(s_checks.size)
     norms = np.zeros(s_checks.size)
     drift = 0.0
-    for k, nsteps in enumerate(steps):
+    for k, (nsteps, stage) in enumerate(zip(steps, stages)):
         if nsteps:
-            t0, t1 = t_checks[k - 1], t_checks[k]
-            couplings = _stage_couplings(schedule_t, t0, t1, nsteps)
-            psis = [rk4_propagate(h, psi, t0, t1, nsteps) for h, psi in zip(block_hs, psis)]
+            t0, t1, couplings = t_checks[k - 1], t_checks[k], stage.tolist()
+            psis = [rk4_propagate(a.apply, psi, t0, t1, nsteps, couplings) for a, psi in zip(appliers, psis)]
         norm = math.prod(float(np.linalg.norm(psi)) ** c for c, psi in zip(counts, psis))
         norms[k] = norm
         drift = max(drift, abs(norm - 1.0))
@@ -323,19 +334,7 @@ def evolve(
 
     p = float(math.prod(abs(psi[0]) ** (2 * c) for c, psi in zip(counts, psis)))
     return EvolutionReport(
-        splitting.n,
-        splitting.parts,
-        marked.to_string(),
-        precision.epsilon,
-        total_time,
-        p,
-        threshold,
-        p >= threshold,
-        float(lhs_vals.max()),
-        drift,
-        t_checks,
-        s_checks,
-        overlaps,
-        lhs_vals,
-        norms,
+        splitting.n, splitting.parts, marked.to_string(), precision.epsilon, total_time,
+        p, threshold, p >= threshold, float(lhs_vals.max()), drift,
+        t_checks, s_checks, overlaps, lhs_vals, norms,
     )

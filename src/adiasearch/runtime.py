@@ -34,8 +34,10 @@ _QUAD_LIMIT = 500  # most subintervals per panel
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 # The cubic coefficients of s(t) divide by the cube of a time step, so a
-# shorter step overflows them.
+# shorter step overflows them; evaluating s(t) cubes the offset into a step,
+# so a longer step overflows that.
 _MIN_TIME_STEP = _TINY ** (1.0 / 3.0)
+_MAX_TIME_STEP = np.finfo(float).max ** (1.0 / 3.0)
 
 
 class QuadratureError(RuntimeError):
@@ -276,11 +278,16 @@ def max_structured_time(n: int) -> RunTimeResult:
 
 
 def _check_time_steps(total_time: float, t_nodes, rate_nodes=()) -> None:
-    """Refuse time steps too short for the cubics of s(t), or rates that overflow."""
-    if not (np.min(np.diff(t_nodes)) >= _MIN_TIME_STEP and np.all(np.isfinite(rate_nodes))):
+    """Refuse time steps too short or too long for the cubics of s(t), or rates that overflow."""
+    steps = np.diff(t_nodes)
+    if not (np.min(steps) >= _MIN_TIME_STEP and np.all(np.isfinite(rate_nodes))):
         raise ValueError(
             f"total time {total_time!r} is too short: its time steps "
             f"fall below {_MIN_TIME_STEP:.3g} or its rates overflow"
+        )
+    if not np.max(steps) <= _MAX_TIME_STEP:
+        raise ValueError(
+            f"total time {total_time!r} is too long: its time steps exceed {_MAX_TIME_STEP:.3g}"
         )
 
 

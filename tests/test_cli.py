@@ -171,7 +171,11 @@ def test_pauli_maximal_weight_one(capsys):
         assert sum(1 for c in word if c != "I") <= 1
 
 
-def test_evolve_quench_misses_guarantee(tmp_path):
+def test_evolve_quench_misses_guarantee(monkeypatch, tmp_path):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a quench took an RK4 step")
+
+    monkeypatch.setattr(cli.dynamics, "rk4_propagate", must_not_run)
     out = tmp_path / "report.json"
     code = run_cli(
         "evolve", "--n", "2", "--parts", "2", "--eps", "0.5", "--total-time", "0",
@@ -229,6 +233,15 @@ def test_collapsing_total_time_is_config_error(capsys):
         assert run_cli("evolve", "--n", "1", "--m", "1", "--total-time", value) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and f"total time {float(value)!r} is too short" in err
+
+
+def test_overlong_total_time_is_config_error(capsys):
+    # the time steps of s(t) would overflow its cubic; eps = 1e-100 still runs
+    for command in ("schedule", "evolve"):
+        assert run_cli(command, "--n", "4", "--m", "2", "--eps", "1e-150") == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "e+150 is too long" in err
+    assert run_cli("schedule", "--n", "4", "--m", "2", "--eps", "1e-100") == 0
 
 
 def test_grid_cap_is_config_error(capsys):

@@ -218,6 +218,22 @@ def test_problem_descriptor_rejects_bad_input():
     for field in ("n", "parts"):
         with pytest.raises(ValueError, match="wrong type"):
             problem_from_dict({**good, field: None})
+    # non-integral counts are refused, not truncated, parsed or read as 0 and 1
+    for bad in (
+        {"n": 3.7, "parts": "12", "marked": "000"},
+        {"n": 2.0},
+        {"n": True, "parts": [1], "marked": "0"},
+        {"parts": [1.5, 0.5]},
+        {"parts": [True, 1]},
+    ):
+        with pytest.raises(ValueError, match="wrong type: expected an integer"):
+            problem_from_dict({**good, **bad})
+    for n, parts in ((2, [1.5, 1.5]), (2, [True, True]), (3, "12"), (3.0, [1, 2]), (np.True_, [1])):
+        with pytest.raises(ValueError, match="wrong type: expected an integer"):
+            make_splitting(n, parts)
+    # Python and numpy integers are counts
+    splitting = make_splitting(np.int64(3), [np.int32(1), 2])
+    assert splitting == make_splitting(3, [1, 2]) and type(splitting.n) is int
 
 
 def _spoiled(samples: list, how: str):
@@ -243,8 +259,13 @@ def _descriptor(draw):
     parts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
     n = sum(parts)
     data = {
-        "n": draw(st.sampled_from((n, n, n, n + 1, 0, None, "x", 2.5, math.inf, [n]))),
-        "parts": draw(st.sampled_from((parts, parts, parts, None, [], [0], [None], 5, [math.inf], "12"))),
+        "n": draw(st.sampled_from((n, n, n, n + 1, 0, None, "x", 2.5, float(n), n + 0.7, True, str(n), math.inf, [n]))),
+        "parts": draw(
+            st.sampled_from(
+                (parts, parts, parts, None, [], [0], [None], 5, [math.inf], "12",
+                 [float(p) for p in parts], [p + 0.5 for p in parts], [True] * n, [str(p) for p in parts])
+            )
+        ),
         "marked": draw(st.sampled_from(("0" * n, "1" * n, "0" * n, "", "2" * n, None, 5, ["0"] * n))),
     }
     if draw(st.booleans()):
@@ -276,4 +297,7 @@ def test_every_descriptor_parses_or_raises_value_error(data):
     except ValueError:
         return
     assert marked.n == splitting.n
+    # a parsed count is the integer given, never a truncated float, bool or string
+    assert type(data["n"]) is int and all(type(p) is int for p in data["parts"])
+    assert (splitting.n, list(splitting.parts)) == (data["n"], data["parts"])
     assert float(schedule.f(0.0)) == pytest.approx(1.0) and float(schedule.g(1.0)) == pytest.approx(1.0)

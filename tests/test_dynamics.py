@@ -101,8 +101,8 @@ def _full_state_run(splitting, marked, schedule_t, precision, t_checks, s_checks
     for t0, t1, s in zip(t_checks, t_checks[1:], s_checks[1:]):
         if t1 > t0:
             nsteps = max(1, math.ceil((t1 - t0) / h))
-            table = dynamics._stage_couplings(schedule_t, t0, t1, nsteps)
-            psi = rk4_propagate(lambda t, v: applier.apply(*table[t], v), psi, t0, t1, nsteps)
+            couplings = dynamics._stage_couplings(schedule_t, np.array([t0, t1]), [0, nsteps]).tolist()
+            psi = rk4_propagate(applier.apply, psi, t0, t1, nsteps, couplings)
         overlaps.append(instantaneous_ground_overlap(psi, splitting, marked, base, s))
     return abs(psi[marked.index]) ** 2, np.array(overlaps)
 
@@ -134,9 +134,9 @@ def test_evolve_integrates_one_block_vector_per_distinct_size(monkeypatch):
         entries.append(psi.size)
         return apply(applier, f, g, psi)
 
-    def counted_rk4(apply_h, psi, t0, t1, nsteps):
+    def counted_rk4(apply, psi, t0, t1, nsteps, couplings):
         solves.append(psi.size)
-        return rk4_propagate(apply_h, psi, t0, t1, nsteps)
+        return rk4_propagate(apply, psi, t0, t1, nsteps, couplings)
 
     monkeypatch.setattr(MatrixFreeHamiltonian, "apply", counted_apply)
     monkeypatch.setattr(dynamics, "rk4_propagate", counted_rk4)
@@ -181,11 +181,19 @@ def test_rk4_order_against_matrix_exponential():
 
     errors = []
     for nsteps in (30, 60, 120, 240):
-        psi = rk4_propagate(lambda t, v: frozen @ v, psi0, 0.0, duration, nsteps)
+        psi = rk4_propagate(lambda f, g, v: frozen @ v, psi0, 0.0, duration, nsteps, [[0.0] * nsteps] * 6)
         errors.append(np.linalg.norm(psi - exact))
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(3)]
     for order in orders:
         assert abs(order - 4.0) <= 0.3
+
+
+def _stage_lists(fg, t0, t1, nsteps):
+    """The six coupling lists of rk4_propagate for (f, g) = fg(t), at the
+    stage times t0 + k * h, + 0.5 * h and + h with h = (t1 - t0) / nsteps."""
+    h = (t1 - t0) / nsteps
+    stages = [fg(t) + fg(t + 0.5 * h) + fg(t + h) for t in (t0 + k * h for k in range(nsteps))]
+    return [list(row) for row in zip(*stages)]
 
 
 def _textbook_rk4(apply_h, psi, t0, t1, nsteps):
@@ -207,22 +215,24 @@ def test_rk4_rounds_as_the_textbook_form():
     applier = MatrixFreeHamiltonian(make_splitting(5, [5]), MarkedState.from_string("10110"))
     raw = rng.standard_normal((8, 8))
     frozen = (raw + raw.T) / 2.0
-    cases = [
-        (lambda t, v: applier.apply(math.cos(t) ** 2, math.sin(t) ** 2, v), 32),
-        (lambda t, v: frozen @ v, 8),
-    ]
-    for apply_h, dim in cases:
+
+    def fg(t):
+        return (math.cos(t) ** 2, math.sin(t) ** 2)
+
+    cases = [(applier.apply, 32), (lambda f, g, v: frozen @ v, 8)]
+    for apply, dim in cases:
         # evolve's real uniform start, then a generic complex state
         uniform = np.full(dim, 1.0 / math.sqrt(dim), dtype=complex)
         for psi in (uniform, rng.standard_normal(dim) + 1j * rng.standard_normal(dim)):
             for t0, t1, nsteps in ((0.0, 3.0, 40), (0.3, 0.7, 1)):
-                expected = _textbook_rk4(apply_h, psi, t0, t1, nsteps)
-                assert np.array_equal(rk4_propagate(apply_h, psi, t0, t1, nsteps), expected)
+                expected = _textbook_rk4(lambda t, v: apply(*fg(t), v), psi, t0, t1, nsteps)
+                couplings = _stage_lists(fg, t0, t1, nsteps)
+                assert np.array_equal(rk4_propagate(apply, psi, t0, t1, nsteps, couplings), expected)
 
 
 def test_rk4_validates_steps():
     with pytest.raises(ValueError):
-        rk4_propagate(lambda t, v: v, np.ones(2, dtype=complex), 0.0, 1.0, 0)
+        rk4_propagate(lambda f, g, v: v, np.ones(2, dtype=complex), 0.0, 1.0, 0, [[]] * 6)
 
 
 def test_quench_probability_is_uniform_weight():
@@ -481,27 +491,38 @@ def test_closed_form_probe_matches_dense_diagonalization():
 
 
 def test_stage_couplings_equal_scalar_schedule_calls():
-    # evolve evaluates the schedule once per checkpoint interval; every
-    # stage time the integrator asks for must map to exactly the (f, g) a
-    # scalar evaluation gives, so the success probability is unchanged
+    # evolve evaluates the schedule for the whole run in chunks of 512 steps;
+    # every column must be exactly the (f, g) that scalar evaluations at the
+    # integrator's stage times give, so the success probability is unchanged
     base = tabulated_schedule([0.0, 0.4, 1.0], [1.0, 0.7, 0.0], [0.0, 0.2, 1.0])
     schedule_t = TimeSchedule.from_samples([0.0, 1.5, 2.0, 7.0], [0.0, 0.3, 0.6, 1.0], base)
-    t0, t1 = schedule_t.t_of_s(np.array([0.29, 0.61]))
-    table = dynamics._stage_couplings(schedule_t, t0, t1, 9)
-    asked = []
-    rk4_propagate(lambda t, v: asked.append(t) or v, np.ones(2, dtype=complex), t0, t1, 9)
-    assert len(asked) == 36
-    for t in asked:
+    t_checks = schedule_t.t_of_s(np.array([0.0, 0.29, 0.29, 0.61, 0.8, 1.0]))
+    # the second interval with steps straddles the chunk boundary at column 512
+    steps = [0, 300, 0, 400, 1, 9]
+    stages = dynamics._stage_couplings(schedule_t, t_checks, steps)
+    assert stages.shape == (6, sum(steps)) and sum(steps) > dynamics._STAGE_CHUNK
+
+    def fg(t):
         s = float(schedule_t.s_of_t(t))
-        assert table[t] == (float(base.f(s)), float(base.g(s)))
+        return (float(base.f(s)), float(base.g(s)))
+
+    expected = [[], [], [], [], [], []]
+    for t0, t1, nsteps in zip(t_checks, t_checks[1:], steps[1:]):
+        if nsteps:
+            for row, values in zip(expected, _stage_lists(fg, t0, t1, nsteps)):
+                row += values
+    assert stages.tolist() == expected
 
 
-def test_stage_lookup_miss_fails_loudly(monkeypatch):
-    def shifted(apply_h, psi, t0, t1, nsteps):
-        return rk4_propagate(apply_h, psi, t0 + 1e-3, t1, nsteps)
-
-    monkeypatch.setattr(dynamics, "rk4_propagate", shifted)
-    with pytest.raises(KeyError):
+def test_rk4_refuses_couplings_of_the_wrong_length(monkeypatch):
+    psi = np.ones(2, dtype=complex)
+    for couplings in ([[1.0] * 3] * 6, [[1.0] * 5] * 6, [[1.0] * 4] * 5, [[1.0] * 4] * 5 + [[1.0] * 3]):
+        with pytest.raises(ValueError, match="coupling lists of nsteps=4"):
+            rk4_propagate(lambda f, g, v: v, psi, 0.0, 1.0, 4, couplings)
+    # a stage table one step short reaches the integrator as a short last interval
+    stage_couplings = dynamics._stage_couplings
+    monkeypatch.setattr(dynamics, "_stage_couplings", lambda *args: stage_couplings(*args)[:, :-1])
+    with pytest.raises(ValueError, match="coupling lists"):
         _optimal_report(2, [2], 0.2)
 
 

@@ -385,6 +385,22 @@ def test_time_schedule_from_samples_and_scaling():
         quench.scaled(2.0)
 
 
+def test_time_steps_too_long_for_the_cubic_of_s_of_t_are_refused():
+    # at eps = 1e-150 the largest step is about 4.9e147, past the 5.6e102 whose
+    # cube overflows s(t); at eps = 1e-100 it is 4.9e97 and s(t) stays finite
+    splitting = make_splitting(4, [2, 2])
+    with pytest.raises(ValueError, match="total time 2.4494897427831.*e\\+150 is too long"):
+        optimal_schedule(splitting, Precision(epsilon=1e-150))
+    schedule_t = optimal_schedule(splitting, Precision(epsilon=1e-100))
+    assert np.max(np.diff(schedule_t.t_nodes)) < runtime._MAX_TIME_STEP
+    s = schedule_t.s_of_t(np.linspace(0.0, schedule_t.total_time, 1001))
+    assert np.all(np.isfinite(s)) and np.all(np.diff(s) >= 0.0) and s[-1] == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="is too long"):
+        schedule_t.scaled(1e150)
+    with pytest.raises(ValueError, match="is too long"):
+        TimeSchedule.from_samples([0.0, 1e103], [0.0, 1.0])
+
+
 def test_singular_schedule_rejected():
     nodes = [0.0, 0.25, 0.5, 0.75, 1.0]
     stalled = tabulated_schedule(nodes, [1.0, 0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.5, 1.0])
