@@ -21,7 +21,6 @@ from .core import (
     tabulated_schedule,
 )
 from .dynamics import (
-    DegenerateLevelWarning,
     EvolutionReport,
     NormDriftError,
     adiabaticity_lhs,

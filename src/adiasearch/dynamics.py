@@ -13,27 +13,26 @@ in s, the overlap and norm as products over the blocks. Norm drift is never
 corrected, only watched: exceeding the limit is an error, not a warning,
 because renormalizing would mask step-size problems.
 
-The diagnostics diagonalize nothing: each block term keeps
-span{|marked_i>, |uniform_i>} invariant, so the ground state is a product of
-per-block two-level ground vectors, the gap is the smallest block gap, and
-the drive couples each block only to its own excited direction. What does
-not depend on the state is computed for all checkpoints in one array pass;
-only the overlaps and norms are taken checkpoint by checkpoint.
+The diagnostics diagonalize nothing and build no ground vector: each block
+term keeps span{|marked_i>, |uniform_i>} invariant, so an overlap with the
+product ground state is two terms per block, the gap is the smallest block
+gap, and the drive couples each block only to its own excited direction.
+What does not depend on the state is computed for all checkpoints in one
+array pass; only the overlaps and norms are taken checkpoint by checkpoint.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MarkedState, Precision, Schedule, Splitting, make_splitting
+from .core import MarkedState, Precision, Schedule, Splitting, equal_splitting, make_splitting
 from .hamiltonian import DENSE_CAP, MatrixFreeHamiltonian
 from .runtime import TimeSchedule
-from .spectral import max_structured_matrix_element, subsystem_gap
+from .spectral import subsystem_gap
 
 CHECKPOINT_COUNT = 101
 NORM_DRIFT_LIMIT = 1e-6
@@ -51,10 +50,6 @@ _CLUSTER_TOL = 1e-8
 
 class NormDriftError(RuntimeError):
     """State norm drifted beyond the allowed limit during integration."""
-
-
-class DegenerateLevelWarning(UserWarning):
-    """First excited level is degenerate; the summed condition applies."""
 
 
 def check_evolution_cap(splitting: Splitting):
@@ -133,23 +128,11 @@ def _ground_amplitudes(dims: np.ndarray, f, g):
     return gaps, np.where(past_crossing, small, large), np.where(past_crossing, large, small)
 
 
-def _block_ground_vector(dim: int, index: int, c_marked, c_perp) -> np.ndarray:
-    # |m_perp> = (|u> - a|m>) / b is 1/sqrt(N - 1) off the marked entry
-    block = np.full(dim, c_perp / math.sqrt(dim - 1.0))
-    block[index] = c_marked
-    return block
-
-
-def _ground_state(splitting: Splitting, marked: MarkedState, f: float, g: float):
-    """(E0, ground eigenvector) as a product of per-block closed forms."""
-    dims = splitting.float_block_dims()
-    gaps, c_marked, c_perp = _ground_amplitudes(dims, f, g)
-    vector = np.ones(1)
-    blocks = zip(splitting.block_dims, marked.block_values(splitting), c_marked, c_perp)
-    for dim, index, cm, cp in blocks:
-        vector = np.kron(vector, _block_ground_vector(dim, index, cm, cp))
-    weight = 1.0 / dims
-    return float(np.sum(2.0 * f * g * (1.0 - weight) / (f + g + gaps))), vector
+def _ground_amplitude(x: np.ndarray, index: int, c_marked, c_perp):
+    """<ground|x> over x's leading axis, for the block ground vector
+    c_marked |m> + c_perp |m_perp> with |m> at ``index``; |m_perp> =
+    (|u> - a|m>) / b is 1/sqrt(N - 1) off the marked entry."""
+    return c_marked * x[index] + c_perp / math.sqrt(x.shape[0] - 1.0) * (x.sum(0) - x[index])
 
 
 def _transition_element(splitting: Splitting, f, g, df, dg):
@@ -178,44 +161,31 @@ def _transition_element(splitting: Splitting, f, g, df, dg):
 def adiabaticity_lhs(splitting: Splitting, schedule: Schedule, s: float, ds_dt: float) -> float:
     """Drive matrix element times |ds/dt| over the squared gap at s.
 
-    Computed from the per-block closed forms; when several blocks share
-    the smallest gap the element is the root-sum-square over their excited
-    states (a warning points callers at the summed condition, whose square
-    root this value already is). Gaps and element magnitudes do not depend
-    on the marked state.
+    Computed from the per-block closed forms by the expression evolve uses
+    for its checkpoints, so the two agree bit for bit. When several blocks
+    share the smallest gap the element is the root-sum-square over their
+    excited states, and the square of this value is the summed condition.
+    Gaps and element magnitudes do not depend on the marked state.
     """
-    f = float(schedule.f(s))
-    g = float(schedule.g(s))
-    if f == 0.0 and g == 0.0:
+    if not 0.0 <= s <= 1.0:
+        raise ValueError(f"s must be in [0, 1], got {s}")
+    values = [float(fn(s)) for fn in (schedule.f, schedule.g, schedule.df, schedule.dg)]
+    if values[0] == 0.0 and values[1] == 0.0:
         raise ValueError(f"schedule vanishes at s={s}; the operator is zero there")
-    if ds_dt == 0.0:
-        return 0.0
-    element, omega, cluster_size = _transition_element(
-        splitting, f, g, float(schedule.df(s)), float(schedule.dg(s))
-    )
-    if cluster_size > 1:
-        warnings.warn(
-            f"first excited level is {cluster_size}-fold degenerate at s={s}; "
-            "use degenerate_adiabaticity_lhs for the summed condition",
-            DegenerateLevelWarning,
-            stacklevel=2,
-        )
-    return float(element) * abs(ds_dt) / float(omega) ** 2
+    element, omega, _ = _transition_element(splitting, *np.array(values)[:, None, None])
+    return float((element * abs(ds_dt) / omega**2)[0])
 
 
 def degenerate_adiabaticity_lhs(n: int, schedule: Schedule, s: float, ds_dt: float) -> float:
     """Summed squared condition for the fully split search.
 
-    All n first-excited states couple with the same per-qubit element, so
-    the left side is n * (element * ds/dt)**2 / omega**4 with
-    omega**2 = f**2 + g**2; a schedule saturating this at epsilon**2 runs
-    for total time sqrt(n)/epsilon.
+    All n first-excited states couple with the same per-qubit element,
+    spectral.max_structured_matrix_element, so the left side is
+    n * (element * ds/dt)**2 / omega**4 with omega**2 = f**2 + g**2: the
+    square of adiabaticity_lhs on n one-qubit blocks. A schedule saturating
+    this at epsilon**2 runs for total time sqrt(n)/epsilon.
     """
-    f = float(schedule.f(s))
-    g = float(schedule.g(s))
-    element = max_structured_matrix_element(f, g, float(schedule.df(s)), float(schedule.dg(s)))
-    omega_sq = f * f + g * g
-    return n * (element * ds_dt) ** 2 / omega_sq**2
+    return adiabaticity_lhs(equal_splitting(n, n), schedule, s, ds_dt) ** 2
 
 
 def instantaneous_ground_overlap(
@@ -225,9 +195,16 @@ def instantaneous_ground_overlap(
     schedule: Schedule,
     s: float,
 ) -> float:
-    """Squared overlap of ``state`` with the instantaneous ground state."""
-    _, ground = _ground_state(splitting, marked, float(schedule.f(s)), float(schedule.g(s)))
-    return float(abs(np.vdot(ground, state)) ** 2)
+    """Squared overlap of ``state`` with the instantaneous ground state,
+    contracted one block axis at a time against the block closed forms."""
+    if not 0.0 <= s <= 1.0:
+        raise ValueError(f"s must be in [0, 1], got {s}")
+    dims = splitting.float_block_dims()
+    _, c_marked, c_perp = _ground_amplitudes(dims, float(schedule.f(s)), float(schedule.g(s)))
+    amplitude = np.asarray(state).reshape(splitting.block_dims)
+    for index, cm, cp in zip(marked.block_values(splitting), c_marked, c_perp):
+        amplitude = _ground_amplitude(amplitude, index, cm, cp)
+    return float(abs(amplitude) ** 2)
 
 
 @dataclass(frozen=True)
@@ -328,8 +305,8 @@ def evolve(
                 f"ode_steps_per_unit_time (currently {precision.ode_steps_per_unit_time})"
             )
         overlaps[k] = math.prod(
-            abs(np.vdot(_block_ground_vector(dim, 0, cm, cp), psi)) ** (2 * c)
-            for dim, c, cm, cp, psi in zip(dims, counts, c_marked[k], c_perp[k], psis)
+            abs(_ground_amplitude(psi, 0, cm, cp)) ** (2 * c)
+            for c, cm, cp, psi in zip(counts, c_marked[k], c_perp[k], psis)
         )
 
     p = float(math.prod(abs(psi[0]) ** (2 * c) for c, psi in zip(counts, psis)))

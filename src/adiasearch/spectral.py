@@ -29,7 +29,9 @@ def subsystem_gap(block_dim, f, g):
     """
     if np.any(np.asarray(block_dim) < 2):
         raise ValueError(f"block dimension must be >= 2, got {block_dim}")
-    return np.sqrt((f - g) ** 2 + (4.0 / block_dim) * f * g)
+    # d * d: a scalar's ** 2 goes through libm pow, an array's through x * x
+    d = f - g
+    return np.sqrt(d * d + (4.0 / block_dim) * f * g)
 
 
 def max_structured_eigenvalue(n: int, spin_sum, f: float, g: float) -> float:

@@ -16,7 +16,6 @@ from adiasearch.core import (
     tabulated_schedule,
 )
 from adiasearch.dynamics import (
-    DegenerateLevelWarning,
     NormDriftError,
     adiabaticity_lhs,
     degenerate_adiabaticity_lhs,
@@ -320,19 +319,17 @@ def test_marked_state_independence():
 
 def test_checkpoint_lhs_is_the_scalar_adiabaticity_lhs():
     # evolve takes the diagnostic at every checkpoint in one array pass
-    for parts in ([2, 10], [1, 3], [3, 3]):
+    for parts in ([2, 10], [1, 3], [3, 3], [1] * 12, [1] * 10 + [2]):
         n = sum(parts)
         splitting = make_splitting(n, parts)
         precision = Precision(epsilon=0.2)
         schedule_t = optimal_schedule(splitting, precision)
         report = evolve(splitting, MarkedState.zeros(n), schedule_t, precision)
         rates = schedule_t.rate(report.checkpoint_s).tolist()
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DegenerateLevelWarning)
-            expected = [
-                adiabaticity_lhs(splitting, schedule_t.base, s, rate)
-                for s, rate in zip(report.checkpoint_s.tolist(), rates)
-            ]
+        expected = [
+            adiabaticity_lhs(splitting, schedule_t.base, s, rate)
+            for s, rate in zip(report.checkpoint_s.tolist(), rates)
+        ]
         assert report.checkpoint_lhs.tolist() == expected, parts
 
 
@@ -365,9 +362,7 @@ def test_adiabaticity_saturated_along_optimal_schedule():
         precision = Precision(epsilon=0.2)
         schedule_t = optimal_schedule(splitting, precision)
         for s in np.linspace(0.0, 1.0, 11):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegenerateLevelWarning)
-                value = adiabaticity_lhs(splitting, sched, float(s), float(schedule_t.rate(s)))
+            value = adiabaticity_lhs(splitting, sched, float(s), float(schedule_t.rate(s)))
             assert value == pytest.approx(precision.epsilon, rel=0.01)
 
 
@@ -381,16 +376,45 @@ def test_adiabaticity_linear_in_time_bound():
         rate = eps / dim
         values = []
         for s in np.linspace(0.0, 1.0, 101):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", DegenerateLevelWarning)
-                values.append(adiabaticity_lhs(splitting, sched, float(s), rate))
+            values.append(adiabaticity_lhs(splitting, sched, float(s), rate))
         assert max(values) <= eps * (1.0 + 1e-9)
         assert max(values) == pytest.approx(eps * math.sqrt((dim - 1.0) / dim), rel=1e-6)
 
 
-def test_degenerate_warning_for_maximal_split():
-    with pytest.warns(DegenerateLevelWarning):
-        adiabaticity_lhs(make_splitting(3, [1, 1, 1]), linear_schedule(), 0.5, 0.1)
+def test_equal_splits_warn_nothing_and_square_to_the_summed_condition():
+    # a degenerate first excited level needs no warning: the root-sum-square
+    # element already makes the square of the value the summed condition
+    sched = linear_schedule()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        single = adiabaticity_lhs(make_splitting(3, [1, 1, 1]), sched, 0.5, 0.1)
+        adiabaticity_lhs(make_splitting(6, [3, 3]), sched, 0.3, 0.1)
+    assert single**2 == degenerate_adiabaticity_lhs(3, sched, 0.5, 0.1)
+
+
+def test_degenerate_condition_refuses_what_max_structured_time_refuses():
+    for n in (0, 65):
+        with pytest.raises(ValueError):
+            max_structured_time(n)
+        with pytest.raises(ValueError):
+            degenerate_adiabaticity_lhs(n, linear_schedule(), 0.5, 0.1)
+
+
+def test_diagnostics_refuse_s_outside_the_unit_interval():
+    sched = linear_schedule()
+    splitting = make_splitting(2, [1, 1])
+    state = np.full(4, 0.5, dtype=complex)
+    calls = [
+        lambda s: adiabaticity_lhs(splitting, sched, s, 0.1),
+        lambda s: degenerate_adiabaticity_lhs(2, sched, s, 0.1),
+        lambda s: instantaneous_ground_overlap(state, splitting, MarkedState.zeros(2), sched, s),
+    ]
+    for call in calls:
+        for s in (1.5, -0.2, math.nan, np.float64(1.0 + 1e-12)):
+            with pytest.raises(ValueError, match=r"s must be in \[0, 1\]"):
+                call(s)
+        for s in (0.0, 1.0):
+            assert math.isfinite(call(s))
 
 
 def test_degenerate_condition_reduces_to_square_for_one_qubit():
@@ -478,16 +502,37 @@ def test_closed_form_probe_matches_dense_diagonalization():
             drive = df * (h_initial @ vecs[:, 0]) + dg * h_final * vecs[:, 0]
             dense_element = np.linalg.norm(vecs[:, cluster].T @ drive)
 
-            energy, ground = dynamics._ground_state(splitting, marked, f, g)
             element, gap, count = dynamics._transition_element(splitting, f, g, df, dg)
-            assert energy == pytest.approx(vals[0], abs=1e-10)
             assert gap == pytest.approx(vals[1] - vals[0], abs=1e-10)
-            assert abs(np.vdot(vecs[:, 0], ground)) ** 2 == pytest.approx(1.0, abs=1e-10)
+            overlap = instantaneous_ground_overlap(vecs[:, 0], splitting, marked, sched, s)
+            assert overlap == pytest.approx(1.0, abs=1e-10)
             assert element == pytest.approx(dense_element, abs=1e-10)
             if f * g == 0.0:
                 assert cluster.size >= count
             else:
                 assert cluster.size == count
+
+
+def test_ground_overlap_matches_the_dense_ground_vector():
+    # random normalized states against |<ground|state>|^2 with the ground
+    # vector from eigh, at marked states whose block values are not all zero
+    rng = np.random.default_rng(15)
+    sched = linear_schedule()
+    cases = [([1, 3], "0110"), ([2, 1, 1], "1011"), ([3, 3], "101001"), ([5, 5], "1100110101")]
+    for parts, bits in cases:
+        n = sum(parts)
+        splitting = make_splitting(n, parts)
+        marked = MarkedState.from_string(bits)
+        h_initial, _ = build_initial(splitting)
+        h_final = final_diagonal(splitting, marked)
+        for s in (0.0, 0.3, 0.5, 0.77, 1.0):
+            _, vecs = eigh(sched.f(s) * h_initial + np.diag(sched.g(s) * h_final))
+            for _ in range(3):
+                state = rng.standard_normal(1 << n) + 1j * rng.standard_normal(1 << n)
+                state /= np.linalg.norm(state)
+                expected = abs(np.vdot(vecs[:, 0], state)) ** 2
+                overlap = instantaneous_ground_overlap(state, splitting, marked, sched, s)
+                assert overlap == pytest.approx(expected, abs=1e-12), (parts, s)
 
 
 def test_stage_couplings_equal_scalar_schedule_calls():

@@ -87,6 +87,19 @@ def test_degeneracy_examples_and_dense_histogram():
     assert counts == [max_structured_degeneracy(6, k) for k in range(7)]
 
 
+def test_subsystem_gap_scalar_equals_array():
+    # Python floats and numpy scalars must round as an array does: ** 2 on a
+    # scalar goes through libm pow, which differs from x * x in the last bit
+    # on about 1 pair in 2400
+    rng = np.random.default_rng(25)
+    f, g = rng.random(20000), rng.random(20000)
+    for dim in (2.0, 2.0**12):
+        array = subsystem_gap(dim, f, g)
+        scalar = [subsystem_gap(dim, a, b) for a, b in zip(f.tolist(), g.tolist())]
+        assert array.tolist() == [float(x) for x in scalar]
+        assert [subsystem_gap(dim, a, b) for a, b in zip(f[:100], g[:100])] == array[:100].tolist()
+
+
 def test_matrix_element_examples():
     assert max_structured_matrix_element(1.0, 0.0, -1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
     sched = linear_schedule()
