@@ -15,10 +15,11 @@ because renormalizing would mask step-size problems.
 
 The diagnostics diagonalize nothing and build no ground vector: each block
 term keeps span{|marked_i>, |uniform_i>} invariant, so an overlap with the
-product ground state is two terms per block, the gap is the smallest block
-gap, and the drive couples each block only to its own excited direction.
-What does not depend on the state is computed for all checkpoints in one
-array pass; only the overlaps and norms are taken checkpoint by checkpoint.
+product ground state is two terms per block. The adiabaticity diagnostic is
+the root-sum-square of every block's ratio, the quantity optimal_schedule
+saturates, so it reads epsilon along that schedule on any split. What does
+not depend on the state is computed for all checkpoints in one array pass;
+only the overlaps and norms are taken checkpoint by checkpoint.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 from .core import MarkedState, Precision, Schedule, Splitting, equal_splitting, make_splitting
 from .hamiltonian import DENSE_CAP, MatrixFreeHamiltonian
 from .runtime import TimeSchedule
-from .spectral import subsystem_gap
+from .spectral import drive_element, subsystem_gap
 
 CHECKPOINT_COUNT = 101
 NORM_DRIFT_LIMIT = 1e-6
@@ -43,9 +44,6 @@ _STAGE_CHUNK = 512  # RK4 steps per schedule evaluation, to keep its temporaries
 # saturates the bound leaves boundary excitations of up to 4 eps**2 at
 # leading order, so it can miss the target.
 GUARANTEE_SLACK = 0.01
-
-# Blocks with gaps this close to the smallest share the first excited level.
-_CLUSTER_TOL = 1e-8
 
 
 class NormDriftError(RuntimeError):
@@ -110,7 +108,7 @@ def _stage_couplings(schedule_t: TimeSchedule, t_checks: np.ndarray, steps) -> n
 
 
 def _ground_amplitudes(dims: np.ndarray, f, g):
-    """(gaps, c_marked, c_perp): each block's ground vector is
+    """(c_marked, c_perp): each block's ground vector is
     c_marked |m> + c_perp |m_perp>; f and g broadcast against ``dims``.
 
     With |u> = a|m> + b|m_perp> and a^2 = 1/N, a block term reads
@@ -125,7 +123,7 @@ def _ground_amplitudes(dims: np.ndarray, f, g):
     large = np.sqrt(0.5 * (1.0 + np.abs(cos_2chi)))
     small = f * np.sqrt(weight * (1.0 - weight)) / (gaps * large)
     past_crossing = cos_2chi >= 0.0
-    return gaps, np.where(past_crossing, small, large), np.where(past_crossing, large, small)
+    return np.where(past_crossing, small, large), np.where(past_crossing, large, small)
 
 
 def _ground_amplitude(x: np.ndarray, index: int, c_marked, c_perp):
@@ -135,44 +133,22 @@ def _ground_amplitude(x: np.ndarray, index: int, c_marked, c_perp):
     return c_marked * x[index] + c_perp / math.sqrt(x.shape[0] - 1.0) * (x.sum(0) - x[index])
 
 
-def _transition_element(splitting: Splitting, f, g, df, dg):
-    """(element, gap, cluster size) for the drive dH/ds coupling the ground
-    state into the first excited level, one smallest block gap above it.
-
-    Each block couples only to its own excited direction, with strength
-    |f'g - g'f| sqrt(N-1) / (N * omega_block); the element is the
-    root-sum-square over the blocks at the smallest gap, which the cluster
-    counts. The rest of a block's space sits at f + g, level with the
-    excited direction only where f * g = 0, and never couples. f, g, df and
-    dg are scalars, or arrays of shape (k, 1) that give results of shape (k,).
-    """
-    dims = splitting.float_block_dims()
-    gaps = subsystem_gap(dims, f, g)
-    omega = gaps.min(axis=-1, keepdims=True)
-    at_min = gaps - omega <= _CLUSTER_TOL * np.maximum(1.0, omega)
-    elements = np.abs(df * g - dg * f) * np.sqrt(dims - 1.0) / (dims * gaps)
-    cluster = at_min.sum(axis=-1)
-    # each cluster summed on its own: padding it with zeros would regroup np.sum's pairwise adds
-    rows = zip((elements**2).reshape(-1, dims.size), at_min.reshape(-1, dims.size))
-    element = np.sqrt([np.sum(row[mask]) for row, mask in rows]).reshape(cluster.shape)
-    return element, omega[..., 0], cluster
-
-
 def adiabaticity_lhs(splitting: Splitting, schedule: Schedule, s: float, ds_dt: float) -> float:
-    """Drive matrix element times |ds/dt| over the squared gap at s.
+    """Root-sum-square over the blocks of each block's adiabaticity ratio at s.
 
-    Computed from the per-block closed forms by the expression evolve uses
-    for its checkpoints, so the two agree bit for bit. When several blocks
-    share the smallest gap the element is the root-sum-square over their
-    excited states, and the square of this value is the summed condition.
-    Gaps and element magnitudes do not depend on the marked state.
+    This is the quantity optimal_schedule saturates, so it reads epsilon
+    along that schedule on any split. It is computed from the per-block
+    closed forms by the expression evolve uses for its checkpoints, so the
+    two agree bit for bit; it does not depend on the marked state.
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must be in [0, 1], got {s}")
+    if not math.isfinite(ds_dt):
+        raise ValueError(f"ds_dt must be finite, got {ds_dt}")
     values = [float(fn(s)) for fn in (schedule.f, schedule.g, schedule.df, schedule.dg)]
     if values[0] == 0.0 and values[1] == 0.0:
         raise ValueError(f"schedule vanishes at s={s}; the operator is zero there")
-    element, omega, _ = _transition_element(splitting, *np.array(values)[:, None, None])
+    element, omega = drive_element(splitting.float_block_dims(), *np.array(values)[:, None, None])
     return float((element * abs(ds_dt) / omega**2)[0])
 
 
@@ -200,7 +176,7 @@ def instantaneous_ground_overlap(
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must be in [0, 1], got {s}")
     dims = splitting.float_block_dims()
-    _, c_marked, c_perp = _ground_amplitudes(dims, float(schedule.f(s)), float(schedule.g(s)))
+    c_marked, c_perp = _ground_amplitudes(dims, float(schedule.f(s)), float(schedule.g(s)))
     amplitude = np.asarray(state).reshape(splitting.block_dims)
     for index, cm, cp in zip(marked.block_values(splitting), c_marked, c_perp):
         amplitude = _ground_amplitude(amplitude, index, cm, cp)
@@ -283,8 +259,8 @@ def evolve(
         )
 
     # the diagnostics that do not depend on the state, at every checkpoint at once
-    _, c_marked, c_perp = _ground_amplitudes(np.array(dims, dtype=float), f, g)
-    element, omega, _ = _transition_element(splitting, f, g, df, dg)
+    c_marked, c_perp = _ground_amplitudes(np.array(dims, dtype=float), f, g)
+    element, omega = drive_element(splitting.float_block_dims(), f, g, df, dg)
     lhs_vals = element * np.abs(rate_checks) / omega**2
 
     # every stage coupling of the run in one pass, split by checkpoint interval

@@ -1,8 +1,9 @@
 """Closed-form spectral quantities for split adiabatic searches.
 
-Per-block energy gaps, the product-state eigenvalue ladder of the fully
-split search, level degeneracies, transition matrix elements, and tabulated
-gap profiles over the interpolation parameter.
+Per-block energy gaps, the drive element behind the adiabaticity ratio
+(``drive_element``), the product-state eigenvalue ladder of the fully split
+search, level degeneracies, transition matrix elements, and tabulated gap
+profiles over the interpolation parameter.
 """
 
 from __future__ import annotations
@@ -32,6 +33,25 @@ def subsystem_gap(block_dim, f, g):
     # d * d: a scalar's ** 2 goes through libm pow, an array's through x * x
     d = f - g
     return np.sqrt(d * d + (4.0 / block_dim) * f * g)
+
+
+def drive_element(block_dims: np.ndarray, f, g, df, dg):
+    """(element, omega) with element * |ds/dt| / omega**2 the root-sum-square
+    of every block's adiabaticity ratio, the quantity a bound-saturating
+    schedule holds at epsilon; omega is the smallest block gap.
+
+    The drive dH/ds couples block i's ground state only to its own excited
+    direction, one gap omega_i above, with strength
+    |f'g - g'f| sqrt(N_i - 1) / (N_i omega_i). Each block's strength is
+    weighted by (omega / omega_i)**2, which is 1 at the smallest gap, so its
+    ratio reads over omega**2. f, g, df and dg are arrays of shape (k, 1)
+    against the (m,) block dimensions and give results of shape (k,).
+    """
+    gaps = subsystem_gap(block_dims, f, g)
+    omega = gaps.min(axis=-1, keepdims=True)
+    weight = (omega / gaps) ** 2
+    weighted = np.abs(df * g - dg * f) * np.sqrt(block_dims - 1.0) / (block_dims * gaps) * weight
+    return np.sqrt((weighted**2).sum(axis=-1)), omega[..., 0]
 
 
 def max_structured_eigenvalue(n: int, spin_sum, f: float, g: float) -> float:

@@ -31,7 +31,7 @@ from adiasearch.hamiltonian import (
     final_terms,
 )
 from adiasearch.runtime import TimeSchedule, max_structured_time, optimal_schedule
-from adiasearch.spectral import subsystem_gap
+from adiasearch.spectral import drive_element
 
 
 def _optimal_report(n, parts, eps, marked=None, steps=None):
@@ -333,22 +333,28 @@ def test_checkpoint_lhs_is_the_scalar_adiabaticity_lhs():
         assert report.checkpoint_lhs.tolist() == expected, parts
 
 
-def test_transition_element_sums_each_cluster_alone():
-    # many blocks, several at the smallest gap: padding a cluster with zeros
-    # would regroup np.sum's adds and move the last bit in 29 of these rows
-    splitting = make_splitting(57, [8, 8, 8, 3, 8, 8, 8, 1, 1, 3, 1])
-    dims = splitting.float_block_dims()
+def test_scalar_adiabaticity_lhs_is_the_array_row():
+    # evolve's cap keeps the checkpoint test below 13 qubits; this one reaches
+    # 11 blocks of three sizes, where np.sum's pairwise adds regroup
+    sched = linear_schedule()
     s = np.linspace(0.0, 1.0, 101)
-    f, g, df, dg = 1.0 - s, s, np.full(s.size, -1.0), np.ones(s.size)
-    element, omega, cluster = dynamics._transition_element(
-        splitting, f[:, None], g[:, None], df[:, None], dg[:, None]
-    )
-    for k in range(s.size):
-        gaps = subsystem_gap(dims, float(f[k]), float(g[k]))
-        at_min = gaps - gaps.min() <= 1e-8 * max(1.0, gaps.min())
-        alone = (f[k] + g[k]) * np.sqrt(dims[at_min] - 1.0) / (dims[at_min] * gaps[at_min])
-        assert element[k] == np.sqrt(np.sum(alone**2)) and omega[k] == gaps.min()
-        assert cluster[k] == at_min.sum()
+    f, g, df, dg = (np.asarray(fn(s))[:, None] for fn in (sched.f, sched.g, sched.df, sched.dg))
+    rates = 0.5 + s
+    for parts in ([2, 10], [1] * 10 + [2], [8, 8, 8, 3, 8, 8, 8, 1, 1, 3, 1]):
+        splitting = make_splitting(sum(parts), parts)
+        element, omega = drive_element(splitting.float_block_dims(), f, g, df, dg)
+        rows = element * np.abs(rates) / omega**2
+        scalar = [adiabaticity_lhs(splitting, sched, x, r) for x, r in zip(s.tolist(), rates.tolist())]
+        assert rows.tolist() == scalar, parts
+
+
+def test_checkpoint_lhs_reads_epsilon_along_the_optimal_schedule():
+    # optimal_schedule holds the root-sum-square of the block ratios at eps,
+    # on mixed splits too; the diagnostic does not depend on the step size
+    for parts in ([2, 10], [1, 11], [1, 2, 9], [6, 6], [12]):
+        report = _optimal_report(12, parts, 0.2, steps=16)
+        assert report.checkpoint_lhs.size == 101
+        assert np.allclose(report.checkpoint_lhs, 0.2, rtol=1e-5, atol=0.0), parts
 
 
 def test_adiabaticity_zero_rate():
@@ -417,6 +423,15 @@ def test_diagnostics_refuse_s_outside_the_unit_interval():
             assert math.isfinite(call(s))
 
 
+def test_diagnostics_refuse_a_non_finite_rate():
+    sched = linear_schedule()
+    for ds_dt in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="ds_dt must be finite"):
+            adiabaticity_lhs(make_splitting(3, [1, 2]), sched, 0.4, ds_dt)
+        with pytest.raises(ValueError, match="ds_dt must be finite"):
+            degenerate_adiabaticity_lhs(3, sched, 0.4, ds_dt)
+
+
 def test_degenerate_condition_reduces_to_square_for_one_qubit():
     sched = linear_schedule()
     splitting = make_splitting(1, [1])
@@ -481,14 +496,14 @@ def test_ground_overlap_boundaries():
 def test_closed_form_probe_matches_dense_diagonalization():
     # Oracle: the full operator from build_initial + final_diagonal,
     # diagonalized densely, [5,5] at the 1024 dimensions where the library
-    # used to switch from this to Lanczos. The transition element projects
-    # the drive onto the first excited cluster. Where f * g = 0 that cluster
-    # also holds each block's directions orthogonal to |u> and |m>, which sit
-    # at f + g, level with the excited direction there but uncoupled; the
-    # closed form counts only the coupled blocks, so the dense cluster can
-    # be larger at s = 0 and s = 1 while the element is the same.
+    # used to switch from this to Lanczos. The ratio over unit ds/dt is the
+    # sum over states sqrt(sum_{e>0} |<e|dH/ds|0>|^2 / (E_e - E_0)^4), which
+    # does not depend on the basis eigh picks inside a degenerate level.
     sched = linear_schedule()
-    cases = [([1, 3], "0110"), ([2, 1, 1], "1011"), ([3, 3], "101001"), ([5, 5], "1100110101")]
+    cases = [
+        ([1, 3], "0110"), ([2, 1, 1], "1011"), ([3, 3], "101001"), ([2, 4], "100110"),
+        ([1, 5], "011010"), ([5, 5], "1100110101"),
+    ]
     for parts, bits in cases:
         n = sum(parts)
         splitting = make_splitting(n, parts)
@@ -498,19 +513,14 @@ def test_closed_form_probe_matches_dense_diagonalization():
         for s in (0.0, 0.3, 0.5, 0.77, 1.0):
             f, g, df, dg = sched.f(s), sched.g(s), sched.df(s), sched.dg(s)
             vals, vecs = eigh(f * h_initial + np.diag(g * h_final))
-            cluster = 1 + np.nonzero(vals[1:] - vals[1] <= 1e-8)[0]
             drive = df * (h_initial @ vecs[:, 0]) + dg * h_final * vecs[:, 0]
-            dense_element = np.linalg.norm(vecs[:, cluster].T @ drive)
+            dense_ratio = math.sqrt(np.sum((vecs[:, 1:].T @ drive) ** 2 / (vals[1:] - vals[0]) ** 4))
 
-            element, gap, count = dynamics._transition_element(splitting, f, g, df, dg)
-            assert gap == pytest.approx(vals[1] - vals[0], abs=1e-10)
+            _, gap = drive_element(splitting.float_block_dims(), *np.array([f, g, df, dg])[:, None, None])
+            assert gap[0] == pytest.approx(vals[1] - vals[0], abs=1e-10)
             overlap = instantaneous_ground_overlap(vecs[:, 0], splitting, marked, sched, s)
             assert overlap == pytest.approx(1.0, abs=1e-10)
-            assert element == pytest.approx(dense_element, abs=1e-10)
-            if f * g == 0.0:
-                assert cluster.size >= count
-            else:
-                assert cluster.size == count
+            assert adiabaticity_lhs(splitting, sched, s, 1.0) == pytest.approx(dense_ratio, rel=1e-10)
 
 
 def test_ground_overlap_matches_the_dense_ground_vector():
