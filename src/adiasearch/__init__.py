@@ -24,23 +24,16 @@ from .dynamics import (
     EvolutionReport,
     NormDriftError,
     adiabaticity_lhs,
-    degenerate_adiabaticity_lhs,
     evolve,
-    instantaneous_ground_overlap,
     rk4_propagate,
 )
 from .hamiltonian import (
     DENSE_CAP,
     MatrixFreeHamiltonian,
     PauliTermSum,
-    build_final,
-    build_initial,
-    build_overlapping,
-    combine,
     final_diagonal,
     final_terms,
     locality_weight,
-    pauli_expansion,
 )
 from .runtime import (
     QuadratureError,

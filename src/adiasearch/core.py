@@ -93,10 +93,6 @@ class Splitting:
             fields.append((shift, (1 << p) - 1))
         return fields
 
-    def is_maximal(self) -> bool:
-        """True when every block is a single qubit."""
-        return all(p == 1 for p in self.parts)
-
 
 def _integer(value, what: str) -> int:
     """``value`` as an int; a bool, float or string is refused, not truncated or parsed."""
@@ -132,7 +128,7 @@ class MarkedState:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(int(b) for b in self.bits))
+        object.__setattr__(self, "bits", tuple(_integer(b, "marked bit") for b in self.bits))
         if not self.bits:
             raise ValueError("marked state needs at least one bit")
         if any(b not in (0, 1) for b in self.bits):

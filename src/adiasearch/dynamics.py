@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MarkedState, Precision, Schedule, Splitting, equal_splitting, make_splitting
+from .core import MarkedState, Precision, Schedule, Splitting, make_splitting
 from .hamiltonian import DENSE_CAP, MatrixFreeHamiltonian
 from .runtime import TimeSchedule
 from .spectral import drive_element, subsystem_gap
@@ -150,37 +150,6 @@ def adiabaticity_lhs(splitting: Splitting, schedule: Schedule, s: float, ds_dt: 
         raise ValueError(f"schedule vanishes at s={s}; the operator is zero there")
     element, omega = drive_element(splitting.float_block_dims(), *np.array(values)[:, None, None])
     return float((element * abs(ds_dt) / omega**2)[0])
-
-
-def degenerate_adiabaticity_lhs(n: int, schedule: Schedule, s: float, ds_dt: float) -> float:
-    """Summed squared condition for the fully split search.
-
-    All n first-excited states couple with the same per-qubit element,
-    spectral.max_structured_matrix_element, so the left side is
-    n * (element * ds/dt)**2 / omega**4 with omega**2 = f**2 + g**2: the
-    square of adiabaticity_lhs on n one-qubit blocks. A schedule saturating
-    this at epsilon**2 runs for total time sqrt(n)/epsilon.
-    """
-    return adiabaticity_lhs(equal_splitting(n, n), schedule, s, ds_dt) ** 2
-
-
-def instantaneous_ground_overlap(
-    state: np.ndarray,
-    splitting: Splitting,
-    marked: MarkedState,
-    schedule: Schedule,
-    s: float,
-) -> float:
-    """Squared overlap of ``state`` with the instantaneous ground state,
-    contracted one block axis at a time against the block closed forms."""
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s must be in [0, 1], got {s}")
-    dims = splitting.float_block_dims()
-    c_marked, c_perp = _ground_amplitudes(dims, float(schedule.f(s)), float(schedule.g(s)))
-    amplitude = np.asarray(state).reshape(splitting.block_dims)
-    for index, cm, cp in zip(marked.block_values(splitting), c_marked, c_perp):
-        amplitude = _ground_amplitude(amplitude, index, cm, cp)
-    return float(abs(amplitude) ** 2)
 
 
 @dataclass(frozen=True)

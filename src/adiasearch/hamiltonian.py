@@ -1,8 +1,8 @@
-"""Explicit operator construction at desk scale.
+"""The search Hamiltonian as its blocks define it, at desk scale.
 
-Dense matrices for the mixing and problem Hamiltonians of any splitting,
-their expansion over tensor-product words of single-qubit factors
-(identity / bit flip X / phase Z), interaction-locality metrics, and a
+The problem operator's expansion over tensor-product words of single-qubit
+factors (identity / bit flip X / phase Z), built block by block without a
+dense matrix, its interaction-locality metric, the problem diagonal, and a
 matrix-free applier that the time integrator runs on each block.
 """
 
@@ -13,12 +13,10 @@ from itertools import combinations
 
 import numpy as np
 
-from .core import MarkedState, Schedule, Splitting
+from .core import MarkedState, Splitting
 
 # Dense 2^n x 2^n matrices are refused above this qubit count (4096-dim).
 DENSE_CAP = 12
-# Word-by-word dense expansion costs O(6^n); refuse above this qubit count.
-EXPANSION_CAP = 10
 # Largest block size the symbolic problem-operator expansion will unfold.
 EXPANSION_BLOCK_CAP = 20
 # Most letters (terms times n) the expansion will write: one block at
@@ -32,14 +30,6 @@ _WORD_LETTERS = frozenset("IXZ")
 
 def _word_weight(word: str) -> int:
     return sum(1 for c in word if c != "I")
-
-
-def _parity(values: np.ndarray, mask: int) -> np.ndarray:
-    """Parity of the bits selected by ``mask`` in each value (vectorized)."""
-    v = np.bitwise_and(values, mask)
-    for shift in (16, 8, 4, 2, 1):
-        v = np.bitwise_xor(v, v >> shift)
-    return np.bitwise_and(v, 1)
 
 
 @dataclass(frozen=True)
@@ -76,78 +66,10 @@ class PauliTermSum:
                 return coeff
         return 0.0
 
-    def to_dense(self) -> np.ndarray:
-        """Rebuild the dense matrix (bounded by the dense cap)."""
-        _check_dense_cap(self.n)
-        dim = 1 << self.n
-        idx = np.arange(dim)
-        out = np.zeros((dim, dim))
-        for coeff, word in self.terms:
-            x_mask, z_mask = _word_masks(self.n, word)
-            signs = 1.0 - 2.0 * _parity(idx, z_mask)
-            out[np.bitwise_xor(idx, x_mask), idx] += coeff * signs
-        return out
-
-
-def _word_masks(n: int, word: str) -> tuple[int, int]:
-    """Bit masks of the X and Z letters; qubit 1 maps to the top bit."""
-    x_mask = z_mask = 0
-    for pos, letter in enumerate(word):
-        bit = 1 << (n - 1 - pos)
-        if letter == "X":
-            x_mask |= bit
-        elif letter == "Z":
-            z_mask |= bit
-    return x_mask, z_mask
-
-
-def _masks_to_word(n: int, x_mask: int, z_mask: int) -> str:
-    letters = []
-    for pos in range(n):
-        bit = 1 << (n - 1 - pos)
-        if x_mask & bit:
-            letters.append("X")
-        elif z_mask & bit:
-            letters.append("Z")
-        else:
-            letters.append("I")
-    return "".join(letters)
-
 
 def _check_dense_cap(n: int):
     if n > DENSE_CAP:
         raise ValueError(f"n={n} exceeds the dense operator cap of {DENSE_CAP} qubits")
-
-
-def build_initial(splitting: Splitting):
-    """Mixing Hamiltonian: one uniform-superposition projector penalty per block.
-
-    Each block contributes identity minus the projector onto its local
-    uniform superposition, acting as identity elsewhere, so the total ground
-    state is the global uniform superposition at energy zero and the blocks
-    evolve independently.
-
-    Returns (dense, terms); the word expansion is provided only for the
-    maximal split, where the operator is a sum of single-qubit X factors.
-    """
-    _check_dense_cap(splitting.n)
-    dim = splitting.dim
-    dense = np.zeros((dim, dim))
-    left = 1
-    for block_dim in splitting.block_dims:
-        right = dim // (left * block_dim)
-        block = np.eye(block_dim) - np.full((block_dim, block_dim), 1.0 / block_dim)
-        dense += np.kron(np.kron(np.eye(left), block), np.eye(right))
-        left *= block_dim
-    terms = None
-    if splitting.is_maximal():
-        n = splitting.n
-        out = [(0.5 * n, "I" * n)]
-        for q in range(n):
-            word = "I" * q + "X" + "I" * (n - 1 - q)
-            out.append((-0.5, word))
-        terms = PauliTermSum(n, tuple(out))
-    return dense, terms
 
 
 def final_diagonal(splitting: Splitting, marked: MarkedState) -> np.ndarray:
@@ -205,112 +127,9 @@ def final_terms(splitting: Splitting, marked: MarkedState) -> PauliTermSum:
     return PauliTermSum(n, tuple(out))
 
 
-def build_final(splitting: Splitting, marked: MarkedState):
-    """Problem Hamiltonian: one oracle clause per block.
-
-    Diagonal in the computational basis; a basis state's energy counts the
-    blocks whose restriction differs from the marked restriction, so the
-    marked state is the unique zero-energy ground state. Returns
-    (dense, terms), the terms from :func:`final_terms`.
-    """
-    dense = np.diag(final_diagonal(splitting, marked))
-    return dense, final_terms(splitting, marked)
-
-
-def combine(h_initial: np.ndarray, h_final: np.ndarray, schedule: Schedule, s: float) -> np.ndarray:
-    """Interpolated Hamiltonian f(s) * h_initial + g(s) * h_final."""
-    h_initial = np.asarray(h_initial)
-    h_final = np.asarray(h_final)
-    if h_initial.shape != h_final.shape:
-        raise ValueError(f"shape mismatch: {h_initial.shape} vs {h_final.shape}")
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"s must be in [0, 1], got {s}")
-    return schedule.f(s) * h_initial + schedule.g(s) * h_final
-
-
-def _walsh_transform(vec: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform, out[z] = sum_u (-1)^{z.u} vec[u]."""
-    out = vec.copy()
-    h = 1
-    while h < out.size:
-        out = out.reshape(-1, 2 * h)
-        top = out[:, :h] + out[:, h:]
-        bot = out[:, :h] - out[:, h:]
-        out = np.concatenate([top, bot], axis=1)
-        h *= 2
-    return out.reshape(-1)
-
-
-def pauli_expansion(op: np.ndarray) -> PauliTermSum:
-    """Expand a real symmetric operator over I/X/Z tensor-product words.
-
-    Exact for everything the builders produce (projector sums, diagonal
-    clause counters, and their interpolations). Inputs with components
-    outside that family, or larger than the expansion cap, are rejected.
-    """
-    op = np.asarray(op)
-    if op.ndim != 2 or op.shape[0] != op.shape[1]:
-        raise ValueError(f"operator must be square, got shape {op.shape}")
-    dim = op.shape[0]
-    n = dim.bit_length() - 1
-    if dim != 1 << n or n < 1:
-        raise ValueError(f"operator dimension {dim} is not a power of two")
-    if n > EXPANSION_CAP:
-        raise ValueError(f"n={n} exceeds the expansion cap of {EXPANSION_CAP} qubits")
-    if np.iscomplexobj(op):
-        if np.abs(op.imag).max() > 1e-12:
-            raise ValueError("unsupported operator: complex entries")
-        op = op.real
-    op = op.astype(float)
-    if np.abs(op - op.T).max() > 1e-12:
-        raise ValueError("unsupported operator: not symmetric")
-
-    idx = np.arange(dim)
-    terms = []
-    captured = 0.0
-    for x_mask in range(dim):
-        # fix the flip pattern, then read all phase patterns in one transform
-        slice_vals = op[np.bitwise_xor(idx, x_mask), idx]
-        coeffs = _walsh_transform(slice_vals) / dim
-        for z_mask in np.nonzero(np.abs(coeffs) > COEFF_PRUNE_TOL)[0]:
-            z_mask = int(z_mask)
-            if z_mask & x_mask:
-                continue  # overlapping X and Z on one site is outside the family
-            coeff = float(coeffs[z_mask])
-            captured += coeff * coeff
-            terms.append((coeff, _masks_to_word(n, x_mask, z_mask)))
-    total = float(np.sum(op * op))
-    if total - captured * dim > 1e-10 * max(total, 1.0):
-        raise ValueError(
-            "unsupported operator: contains factors outside the identity/flip/phase family"
-        )
-    return PauliTermSum(n, tuple(terms))
-
-
 def locality_weight(splitting: Splitting) -> int:
     """Largest number of qubits any single problem-operator term couples."""
     return max(splitting.parts)
-
-
-def build_overlapping(n: int, marked: MarkedState) -> np.ndarray:
-    """Chained neighbor-pair oracle: one clause per adjacent qubit pair.
-
-    Clause i penalizes any assignment whose bits (i, i+1) differ from the
-    marked bits, so the pairs overlap and the marked state is the unique
-    zero of the diagonal. No closed-form gap or running time is attached to
-    this operator; it exists for direct numerical study.
-    """
-    if n < 2:
-        raise ValueError(f"need at least 2 qubits for pair clauses, got {n}")
-    _check_dense_cap(n)
-    (target,) = marked.block_values(Splitting(n, (n,)))
-    dim = 1 << n
-    idx = np.arange(dim)
-    diag = np.zeros(dim)
-    for i in range(n - 1):
-        shift = n - 2 - i
-        diag += ((np.bitwise_and(idx >> shift, 3)) != ((target >> shift) & 3)).astype(float)
-    return np.diag(diag)
 
 
 class MatrixFreeHamiltonian:

@@ -17,6 +17,7 @@ import numpy as np
 from .core import (
     MAX_BLOCK_QUBITS,
     MAX_GRID,
+    SCHEDULE_BOUNDARY_TOL,
     MonotoneCubic,
     Precision,
     Schedule,
@@ -323,10 +324,15 @@ class TimeSchedule:
         """Build from sampled (t, s); rates are the interpolant's node slopes."""
         t_nodes = np.asarray(t_nodes, dtype=float)
         s_nodes = np.asarray(s_nodes, dtype=float)
-        if t_nodes.ndim != 1 or t_nodes.size < 2:
-            raise ValueError("need at least two (t, s) samples")
-        if np.any(np.diff(t_nodes) <= 0.0) or np.any(np.diff(s_nodes) <= 0.0):
+        if t_nodes.ndim != 1 or t_nodes.size < 2 or s_nodes.shape != t_nodes.shape:
+            raise ValueError("need at least two (t, s) samples, as many s as t")
+        for name, vals in (("t", t_nodes), ("s", s_nodes)):
+            if not np.isfinite(vals).all():
+                raise ValueError(f"{name} samples must be finite")
+        if not (np.all(np.diff(t_nodes) > 0.0) and np.all(np.diff(s_nodes) > 0.0)):
             raise ValueError("t and s samples must be strictly increasing")
+        if abs(s_nodes[0]) > SCHEDULE_BOUNDARY_TOL or abs(s_nodes[-1] - 1.0) > SCHEDULE_BOUNDARY_TOL:
+            raise ValueError("s samples must span s = 0 to s = 1")
         total_time = float(t_nodes[-1] - t_nodes[0])
         _check_time_steps(total_time, t_nodes)
         return cls(

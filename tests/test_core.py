@@ -100,6 +100,12 @@ def test_marked_state_validation():
         MarkedState((0, 2))
     with pytest.raises(ValueError):
         MarkedState.from_string("01").block_values(make_splitting(3, [3]))
+    # truncated or parsed, these would search for a state nobody named
+    for bits in ((1.9, 0.2), ("1", "0"), (True, False), (np.float64(1.0), 0)):
+        with pytest.raises(ValueError, match="marked bit has the wrong type"):
+            MarkedState(bits)
+    assert MarkedState((np.int64(1), 0)).bits == (1, 0)
+    assert type(MarkedState((np.int64(1), 0)).bits[0]) is int
 
 
 def test_linear_schedule_values():

@@ -10,6 +10,7 @@ from adiasearch import dynamics
 from adiasearch.core import (
     MarkedState,
     Precision,
+    equal_splitting,
     linear_schedule,
     make_splitting,
     problem_from_dict,
@@ -18,20 +19,14 @@ from adiasearch.core import (
 from adiasearch.dynamics import (
     NormDriftError,
     adiabaticity_lhs,
-    degenerate_adiabaticity_lhs,
     evolve,
-    instantaneous_ground_overlap,
     rk4_propagate,
 )
-from adiasearch.hamiltonian import (
-    MatrixFreeHamiltonian,
-    build_initial,
-    build_overlapping,
-    final_diagonal,
-    final_terms,
-)
+from adiasearch.hamiltonian import MatrixFreeHamiltonian, final_diagonal, final_terms
 from adiasearch.runtime import TimeSchedule, max_structured_time, optimal_schedule
 from adiasearch.spectral import drive_element
+
+from oracles import build_initial, instantaneous_ground_overlap
 
 
 def _optimal_report(n, parts, eps, marked=None, steps=None):
@@ -264,7 +259,6 @@ def test_marked_length_is_refused_by_block_values_alone():
         lambda: final_diagonal(splitting, marked),
         lambda: MatrixFreeHamiltonian(splitting, marked),
         lambda: final_terms(splitting, marked),
-        lambda: build_overlapping(2, marked),
         lambda: problem_from_dict({"n": 2, "parts": [2], "marked": "000", "schedule": "linear"}),
         lambda: evolve(splitting, marked, optimal_schedule(splitting, precision), precision),
         lambda: evolve(splitting, marked, TimeSchedule.quench(), precision),
@@ -393,9 +387,8 @@ def test_equal_splits_warn_nothing_and_square_to_the_summed_condition():
     sched = linear_schedule()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        single = adiabaticity_lhs(make_splitting(3, [1, 1, 1]), sched, 0.5, 0.1)
+        adiabaticity_lhs(make_splitting(3, [1, 1, 1]), sched, 0.5, 0.1)
         adiabaticity_lhs(make_splitting(6, [3, 3]), sched, 0.3, 0.1)
-    assert single**2 == degenerate_adiabaticity_lhs(3, sched, 0.5, 0.1)
 
 
 def test_degenerate_condition_refuses_what_max_structured_time_refuses():
@@ -403,7 +396,7 @@ def test_degenerate_condition_refuses_what_max_structured_time_refuses():
         with pytest.raises(ValueError):
             max_structured_time(n)
         with pytest.raises(ValueError):
-            degenerate_adiabaticity_lhs(n, linear_schedule(), 0.5, 0.1)
+            adiabaticity_lhs(equal_splitting(n, n), linear_schedule(), 0.5, 0.1)
 
 
 def test_diagnostics_refuse_s_outside_the_unit_interval():
@@ -412,7 +405,6 @@ def test_diagnostics_refuse_s_outside_the_unit_interval():
     state = np.full(4, 0.5, dtype=complex)
     calls = [
         lambda s: adiabaticity_lhs(splitting, sched, s, 0.1),
-        lambda s: degenerate_adiabaticity_lhs(2, sched, s, 0.1),
         lambda s: instantaneous_ground_overlap(state, splitting, MarkedState.zeros(2), sched, s),
     ]
     for call in calls:
@@ -429,22 +421,13 @@ def test_diagnostics_refuse_a_non_finite_rate():
         with pytest.raises(ValueError, match="ds_dt must be finite"):
             adiabaticity_lhs(make_splitting(3, [1, 2]), sched, 0.4, ds_dt)
         with pytest.raises(ValueError, match="ds_dt must be finite"):
-            degenerate_adiabaticity_lhs(3, sched, 0.4, ds_dt)
-
-
-def test_degenerate_condition_reduces_to_square_for_one_qubit():
-    sched = linear_schedule()
-    splitting = make_splitting(1, [1])
-    for s, rate in [(0.2, 0.05), (0.5, 0.11), (0.8, 0.03)]:
-        single = adiabaticity_lhs(splitting, sched, s, rate)
-        summed = degenerate_adiabaticity_lhs(1, sched, s, rate)
-        assert summed == pytest.approx(single**2, rel=1e-9)
+            adiabaticity_lhs(equal_splitting(3, 3), sched, 0.4, ds_dt)
 
 
 def test_degenerate_condition_scales_linearly_with_qubits():
     sched = linear_schedule()
-    one = degenerate_adiabaticity_lhs(1, sched, 0.4, 0.07)
-    four = degenerate_adiabaticity_lhs(4, sched, 0.4, 0.07)
+    one = adiabaticity_lhs(equal_splitting(1, 1), sched, 0.4, 0.07) ** 2
+    four = adiabaticity_lhs(equal_splitting(4, 4), sched, 0.4, 0.07) ** 2
     assert four == pytest.approx(4.0 * one, rel=1e-12)
 
 
@@ -454,7 +437,7 @@ def test_degenerate_condition_saturates_at_eps_squared():
     for n in (1, 5):
         schedule_t = optimal_schedule(make_splitting(n, [1] * n), Precision(epsilon=eps))
         for s in (0.0, 0.3, 0.5, 0.9, 1.0):
-            value = degenerate_adiabaticity_lhs(n, sched, s, float(schedule_t.rate(s)))
+            value = adiabaticity_lhs(equal_splitting(n, n), sched, s, float(schedule_t.rate(s))) ** 2
             assert value == pytest.approx(eps**2, rel=1e-6)
 
 
@@ -508,7 +491,7 @@ def test_closed_form_probe_matches_dense_diagonalization():
         n = sum(parts)
         splitting = make_splitting(n, parts)
         marked = MarkedState.from_string(bits)
-        h_initial, _ = build_initial(splitting)
+        h_initial = build_initial(splitting)
         h_final = final_diagonal(splitting, marked)
         for s in (0.0, 0.3, 0.5, 0.77, 1.0):
             f, g, df, dg = sched.f(s), sched.g(s), sched.df(s), sched.dg(s)
@@ -533,7 +516,7 @@ def test_ground_overlap_matches_the_dense_ground_vector():
         n = sum(parts)
         splitting = make_splitting(n, parts)
         marked = MarkedState.from_string(bits)
-        h_initial, _ = build_initial(splitting)
+        h_initial = build_initial(splitting)
         h_final = final_diagonal(splitting, marked)
         for s in (0.0, 0.3, 0.5, 0.77, 1.0):
             _, vecs = eigh(sched.f(s) * h_initial + np.diag(sched.g(s) * h_final))

@@ -5,23 +5,18 @@ from scipy.linalg import eigh
 from adiasearch import cli
 from adiasearch.core import MarkedState, linear_schedule, make_splitting
 from adiasearch.hamiltonian import (
-    EXPANSION_CAP,
     EXPANSION_LETTER_BUDGET,
     MatrixFreeHamiltonian,
     PauliTermSum,
-    build_final,
-    build_initial,
-    build_overlapping,
     check_expansion_budget,
-    combine,
     final_diagonal,
     final_terms,
     locality_weight,
-    pauli_expansion,
 )
 from adiasearch.spectral import subsystem_gap
 
 from conftest import random_splitting
+from oracles import EXPANSION_CAP, build_initial, pauli_expansion, to_dense
 
 
 def _violations_oracle(n, parts, marked_bits, index):
@@ -41,27 +36,25 @@ def _violations_oracle(n, parts, marked_bits, index):
 
 
 def test_initial_single_qubit():
-    dense, terms = build_initial(make_splitting(1, [1]))
+    dense = build_initial(make_splitting(1, [1]))
     np.testing.assert_allclose(dense, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
-    assert terms is not None
-    assert dict((w, c) for c, w in terms.terms) == {"I": 0.5, "X": -0.5}
+    assert dict((w, c) for c, w in pauli_expansion(dense).terms) == {"I": 0.5, "X": -0.5}
 
 
 def test_initial_two_qubit_unstructured():
-    dense, terms = build_initial(make_splitting(2, [2]))
+    dense = build_initial(make_splitting(2, [2]))
     expected = np.eye(4) - np.full((4, 4), 0.25)
     np.testing.assert_allclose(dense, expected, atol=1e-15)
-    assert terms is None  # word form only for the maximal split
     values, vectors = eigh(dense)
     assert values[0] == pytest.approx(0.0, abs=1e-14)
     np.testing.assert_allclose(np.abs(vectors[:, 0]), 0.5, atol=1e-12)
 
 
 def test_initial_maximal_spectrum_counts_excited_qubits():
-    dense, terms = build_initial(make_splitting(3, [1, 1, 1]))
+    dense = build_initial(make_splitting(3, [1, 1, 1]))
     values = eigh(dense, eigvals_only=True)
     np.testing.assert_allclose(values, [0, 1, 1, 1, 2, 2, 2, 3], atol=1e-12)
-    assert terms is not None
+    terms = pauli_expansion(dense)
     assert terms.max_weight == 1
     assert terms.coefficient("III") == pytest.approx(1.5)
 
@@ -71,17 +64,36 @@ def test_initial_ground_state_is_uniform():
     for _ in range(6):
         n = int(rng.integers(1, 8))
         splitting = make_splitting(n, random_splitting(rng, n))
-        dense, _ = build_initial(splitting)
+        dense = build_initial(splitting)
         values, vectors = eigh(dense)
         assert values[0] == pytest.approx(0.0, abs=1e-12)
         np.testing.assert_allclose(np.abs(vectors[:, 0]), 2.0 ** (-n / 2), atol=1e-10)
 
 
+def test_mixing_operator_locality_on_every_splitting():
+    # the paper's locality claim for the mixing operator: a block's term is
+    # identity minus a product of (I + X)/2 over its qubits, so its words are
+    # X and I only and the heaviest couples the largest block
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        n = int(rng.integers(1, 9))
+        splitting = make_splitting(n, random_splitting(rng, n))
+        terms = pauli_expansion(build_initial(splitting))
+        assert all(set(word) <= {"I", "X"} for _, word in terms.terms), splitting.parts
+        assert terms.max_weight == locality_weight(splitting), splitting.parts
+    # the maximal split: exactly n/2 * I - 1/2 * sum_q X_q
+    for n in range(1, 9):
+        terms = pauli_expansion(build_initial(make_splitting(n, [1] * n)))
+        expected = {"I" * n: 0.5 * n}
+        expected.update(("I" * q + "X" + "I" * (n - 1 - q), -0.5) for q in range(n))
+        assert dict((w, c) for c, w in terms.terms) == expected
+
+
 def test_final_diagonal_examples():
-    dense, _ = build_final(make_splitting(2, [2]), MarkedState.from_string("00"))
-    np.testing.assert_allclose(np.diag(dense), [0, 1, 1, 1], atol=0)
-    dense, _ = build_final(make_splitting(2, [1, 1]), MarkedState.from_string("00"))
-    np.testing.assert_allclose(np.diag(dense), [0, 1, 1, 2], atol=0)
+    diag = final_diagonal(make_splitting(2, [2]), MarkedState.from_string("00"))
+    np.testing.assert_allclose(diag, [0, 1, 1, 1], atol=0)
+    diag = final_diagonal(make_splitting(2, [1, 1]), MarkedState.from_string("00"))
+    np.testing.assert_allclose(diag, [0, 1, 1, 2], atol=0)
     diag = final_diagonal(make_splitting(4, [2, 2]), MarkedState.zeros(4))
     assert diag[0b0101] == 2
     assert sorted(set(diag.tolist())) == [0.0, 1.0, 2.0]
@@ -101,33 +113,33 @@ def test_final_diagonal_matches_enumeration():
 def test_final_is_diagonal_with_marked_ground_state():
     splitting = make_splitting(5, [2, 3])
     marked = MarkedState.from_string("10110")
-    dense, _ = build_final(splitting, marked)
-    assert np.abs(dense - np.diag(np.diag(dense))).max() == 0.0
-    values, vectors = eigh(dense)
+    values, vectors = eigh(np.diag(final_diagonal(splitting, marked)))
     assert values[0] == pytest.approx(0.0, abs=1e-15)
     expected = np.zeros(32)
     expected[marked.index] = 1.0
     np.testing.assert_allclose(np.abs(vectors[:, 0]), expected, atol=1e-12)
 
 
-def test_build_final_validates_marked_length():
+def test_final_diagonal_validates_marked_length():
     with pytest.raises(ValueError):
-        build_final(make_splitting(3, [3]), MarkedState.from_string("01"))
+        final_diagonal(make_splitting(3, [3]), MarkedState.from_string("01"))
+    with pytest.raises(ValueError):
+        final_terms(make_splitting(3, [3]), MarkedState.from_string("01"))
 
 
 def test_combine_boundaries_and_gap():
     splitting = make_splitting(1, [1])
-    h_initial, _ = build_initial(splitting)
-    h_final, _ = build_final(splitting, MarkedState.zeros(1))
+    h_initial = build_initial(splitting)
+    h_final = np.diag(final_diagonal(splitting, MarkedState.zeros(1)))
     sched = linear_schedule()
-    np.testing.assert_allclose(combine(h_initial, h_final, sched, 0.0), h_initial, atol=0)
-    np.testing.assert_allclose(combine(h_initial, h_final, sched, 1.0), h_final, atol=0)
-    values = eigh(combine(h_initial, h_final, sched, 0.5), eigvals_only=True)
+
+    def dense(s):
+        return sched.f(s) * h_initial + sched.g(s) * h_final
+
+    np.testing.assert_allclose(dense(0.0), h_initial, atol=0)
+    np.testing.assert_allclose(dense(1.0), h_final, atol=0)
+    values = eigh(dense(0.5), eigvals_only=True)
     assert values[1] - values[0] == pytest.approx(subsystem_gap(2, 0.5, 0.5), abs=1e-14)
-    with pytest.raises(ValueError):
-        combine(h_initial, np.eye(4), sched, 0.5)
-    with pytest.raises(ValueError):
-        combine(h_initial, h_final, sched, 1.5)
 
 
 def test_expansion_one_qubit_projector():
@@ -137,8 +149,9 @@ def test_expansion_one_qubit_projector():
 
 
 def test_expansion_two_qubit_oracle():
-    dense, builder_terms = build_final(make_splitting(2, [2]), MarkedState.zeros(2))
-    expanded = pauli_expansion(dense)
+    splitting, marked = make_splitting(2, [2]), MarkedState.zeros(2)
+    expanded = pauli_expansion(np.diag(final_diagonal(splitting, marked)))
+    builder_terms = final_terms(splitting, marked)
     expected = {"II": 0.75, "IZ": -0.25, "ZI": -0.25, "ZZ": -0.25}
     assert dict((w, c) for c, w in expanded.terms) == pytest.approx(expected)
     assert dict((w, c) for c, w in builder_terms.terms) == pytest.approx(expected)
@@ -167,15 +180,12 @@ def test_expansion_round_trip():
     for n in (2, 3, 5, 8):
         splitting = make_splitting(n, random_splitting(rng, n))
         bits = MarkedState(tuple(int(b) for b in rng.integers(0, 2, n)))
-        h_initial, _ = build_initial(splitting)
-        h_final, _ = build_final(splitting, bits)
-        blended = combine(h_initial, h_final, sched, 0.3)
+        h_initial = build_initial(splitting)
+        h_final = np.diag(final_diagonal(splitting, bits))
+        blended = sched.f(0.3) * h_initial + sched.g(0.3) * h_final
         for op in (h_initial, h_final, blended):
-            rebuilt = pauli_expansion(op).to_dense()
+            rebuilt = to_dense(pauli_expansion(op))
             assert np.abs(rebuilt - op).max() < 1e-12
-        if n >= 2:
-            pairs = build_overlapping(n, bits)
-            assert np.abs(pauli_expansion(pairs).to_dense() - pairs).max() < 1e-12
 
 
 def test_builder_terms_match_generic_expansion():
@@ -183,8 +193,8 @@ def test_builder_terms_match_generic_expansion():
     for n in (3, 6):
         splitting = make_splitting(n, random_splitting(rng, n))
         bits = MarkedState(tuple(int(b) for b in rng.integers(0, 2, n)))
-        dense, terms = build_final(splitting, bits)
-        expanded = {w: c for c, w in pauli_expansion(dense).terms}
+        terms = final_terms(splitting, bits)
+        expanded = {w: c for c, w in pauli_expansion(np.diag(final_diagonal(splitting, bits))).terms}
         assert expanded == pytest.approx({w: c for c, w in terms.terms})
 
 
@@ -223,45 +233,11 @@ def test_locality_weight_matches_expansion():
         )
 
 
-def test_overlapping_pairs():
-    marked = MarkedState.zeros(2)
-    pairs = build_overlapping(2, marked)
-    oracle, _ = build_final(make_splitting(2, [2]), marked)
-    np.testing.assert_allclose(pairs, oracle, atol=0)
-
-    diag = np.diag(build_overlapping(3, MarkedState.zeros(3)))
-    assert diag[0b111] == 2
-    # enumeration oracle: count mismatched neighbor pairs
-    for index in range(8):
-        bits = [(index >> k) & 1 for k in (2, 1, 0)]
-        expected = sum(1 for i in range(2) if (bits[i], bits[i + 1]) != (0, 0))
-        assert diag[index] == expected
-
-    with pytest.raises(ValueError):
-        build_overlapping(1, MarkedState.zeros(1))
-    with pytest.raises(ValueError):
-        build_overlapping(3, MarkedState.zeros(2))
-
-
-def test_overlapping_ground_state_unique_along_path():
-    rng = np.random.default_rng(17)
-    sched = linear_schedule()
-    for n in range(2, 7):
-        bits = MarkedState(tuple(int(b) for b in rng.integers(0, 2, n)))
-        pairs = build_overlapping(n, bits)
-        mixing, _ = build_initial(make_splitting(n, [n]))
-        for s in np.linspace(0.0, 1.0, 11):
-            values = eigh(combine(mixing, pairs, sched, s), eigvals_only=True)
-            assert values[1] - values[0] > 1e-10
-
-
 def test_dense_cap_enforced():
     with pytest.raises(ValueError):
         build_initial(make_splitting(13, [13]))
     with pytest.raises(ValueError):
-        build_final(make_splitting(13, [13]), MarkedState.zeros(13))
-    with pytest.raises(ValueError):
-        build_overlapping(13, MarkedState.zeros(13))
+        final_diagonal(make_splitting(13, [13]), MarkedState.zeros(13))
     # the word expansion itself survives beyond the dense cap
     terms = final_terms(make_splitting(13, [13]), MarkedState.zeros(13))
     assert terms.max_weight == 13
@@ -312,12 +288,12 @@ def test_matrix_free_matches_dense():
     for splitting in _matrix_free_splittings(rng):
         n = splitting.n
         bits = MarkedState(tuple(int(b) for b in rng.integers(0, 2, n)))
-        h_initial, _ = build_initial(splitting)
-        h_final, _ = build_final(splitting, bits)
+        h_initial = build_initial(splitting)
+        h_final = np.diag(final_diagonal(splitting, bits))
         applier = MatrixFreeHamiltonian(splitting, bits)
         for s in (0.0, 0.37, 1.0):
             f, g = float(sched.f(s)), float(sched.g(s))
-            dense = combine(h_initial, h_final, sched, s)
+            dense = f * h_initial + g * h_final
             vec = rng.standard_normal(splitting.dim) + 1j * rng.standard_normal(splitting.dim)
             np.testing.assert_allclose(applier.apply(f, g, vec), dense @ vec, atol=1e-12)
             if splitting.num_blocks == 1:

@@ -385,6 +385,28 @@ def test_time_schedule_from_samples_and_scaling():
         quench.scaled(2.0)
 
 
+def test_time_schedule_from_samples_refuses_bad_samples():
+    # a NaN s once ran to p = 0.25 with a NaN diagnostic, and s from 0.2 to
+    # 0.8 ran H over part of the path under checkpoints labelled 0 to 1
+    cases = [
+        ([0.0, math.nan, 2.0], [0.0, 0.5, 1.0], "t samples must be finite"),
+        ([0.0, 1.0, math.inf], [0.0, 0.5, 1.0], "t samples must be finite"),
+        ([0.0, 1.0, 2.0], [0.0, math.nan, 1.0], "s samples must be finite"),
+        ([0.0, 1.0, 2.0], [0.0, -math.inf, 1.0], "s samples must be finite"),
+        ([0.0, 1.0, 2.0], [0.2, 0.5, 0.8], "span s = 0 to s = 1"),
+        ([0.0, 1.0, 2.0], [0.0, 0.5, 0.9], "span s = 0 to s = 1"),
+        ([0.0, 1.0, 2.0], [-1e-9, 0.5, 1.0], "span s = 0 to s = 1"),
+        ([0.0, 1.0, 2.0], [0.0, 0.5], "as many s as t"),
+        ([0.0, 1.0, 1.0], [0.0, 0.5, 1.0], "strictly increasing"),
+    ]
+    for t_nodes, s_nodes, message in cases:
+        with pytest.raises(ValueError, match=message):
+            TimeSchedule.from_samples(t_nodes, s_nodes)
+    # ends within the boundary tolerance of the tabulated schedules pass
+    schedule_t = TimeSchedule.from_samples([0.0, 1.0, 2.0], [1e-13, 0.5, 1.0 - 1e-13])
+    assert schedule_t.total_time == 2.0
+
+
 def test_time_steps_too_long_for_the_cubic_of_s_of_t_are_refused():
     # at eps = 1e-150 the largest step is about 4.9e147, past the 5.6e102 whose
     # cube overflows s(t); at eps = 1e-100 it is 4.9e97 and s(t) stays finite

@@ -7,7 +7,7 @@ from scipy.optimize import minimize_scalar
 
 from adiasearch import cli
 from adiasearch.core import MAX_GRID, MarkedState, linear_schedule, make_splitting, tabulated_schedule
-from adiasearch.hamiltonian import build_final, build_initial, combine
+from adiasearch.hamiltonian import final_diagonal
 from adiasearch.spectral import (
     gap_profile,
     max_structured_degeneracy,
@@ -17,14 +17,14 @@ from adiasearch.spectral import (
 )
 
 from conftest import compositions, distinct_levels
+from oracles import build_initial
 
 
 def _dense_hamiltonian(n, parts, s, marked=None):
     splitting = make_splitting(n, parts)
     marked = marked if marked is not None else MarkedState.zeros(n)
-    h_initial, _ = build_initial(splitting)
-    h_final, _ = build_final(splitting, marked)
-    return combine(h_initial, h_final, linear_schedule(), s)
+    sched = linear_schedule()
+    return sched.f(s) * build_initial(splitting) + sched.g(s) * np.diag(final_diagonal(splitting, marked))
 
 
 def test_two_dim_block_gap_is_hypotenuse():
