@@ -9,6 +9,7 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,6 +114,8 @@ def make_splitting(n: int, parts) -> Splitting:
 
 def equal_splitting(n: int, num_blocks: int) -> Splitting:
     """Splitting of ``n`` qubits into ``num_blocks`` blocks of equal size."""
+    n = _integer(n, "qubit count")
+    num_blocks = _integer(num_blocks, "number of blocks")
     if num_blocks < 1:
         raise ValueError(f"number of blocks must be >= 1, got {num_blocks}")
     if n % num_blocks != 0:
@@ -142,7 +145,7 @@ class MarkedState:
 
     @classmethod
     def zeros(cls, n: int) -> "MarkedState":
-        return cls((0,) * n)
+        return cls((0,) * _integer(n, "qubit count"))
 
     @property
     def n(self) -> int:
@@ -372,9 +375,14 @@ class Precision:
     ode_steps_per_unit_time: int = 64
 
     def __post_init__(self):
+        if isinstance(self.epsilon, (bool, np.bool_)) or not isinstance(self.epsilon, numbers.Real):
+            raise ValueError(f"epsilon has the wrong type: expected a real number, got {self.epsilon!r}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
-        if self.ode_steps_per_unit_time < 1:
+        object.__setattr__(self, "epsilon", float(self.epsilon))
+        steps = _integer(self.ode_steps_per_unit_time, "ode_steps_per_unit_time")
+        object.__setattr__(self, "ode_steps_per_unit_time", steps)
+        if steps < 1:
             raise ValueError(
                 f"ode_steps_per_unit_time must be >= 1, got {self.ode_steps_per_unit_time}"
             )

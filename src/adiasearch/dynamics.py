@@ -16,7 +16,7 @@ because renormalizing would mask step-size problems.
 The diagnostics diagonalize nothing and build no ground vector: each block
 term keeps span{|marked_i>, |uniform_i>} invariant, so an overlap with the
 product ground state is two terms per block. The adiabaticity diagnostic is
-the root-sum-square of every block's ratio, the quantity optimal_schedule
+spectral.adiabatic_ratio times |ds/dt|, the quantity optimal_schedule
 saturates, so it reads epsilon along that schedule on any split. What does
 not depend on the state is computed for all checkpoints in one array pass;
 only the overlaps and norms are taken checkpoint by checkpoint.
@@ -30,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MarkedState, Precision, Schedule, Splitting, make_splitting
+from .core import MarkedState, Precision, Schedule, Splitting, _integer, make_splitting
 from .hamiltonian import DENSE_CAP, MatrixFreeHamiltonian
 from .runtime import TimeSchedule
-from .spectral import drive_element, subsystem_gap
+from .spectral import adiabatic_ratio, subsystem_gap
 
 CHECKPOINT_COUNT = 101
 NORM_DRIFT_LIMIT = 1e-6
@@ -66,6 +66,7 @@ def rk4_propagate(apply, psi: np.ndarray, t0: float, t1: float, nsteps: int, cou
     H psi_1 + 2 H psi_2 + 2 H psi_3 + H psi_4 is summed in place in that
     order, which rounds exactly as the textbook form does.
     """
+    nsteps = _integer(nsteps, "nsteps")
     if nsteps < 1:
         raise ValueError(f"nsteps must be >= 1, got {nsteps}")
     if list(map(len, couplings)) != [nsteps] * 6:
@@ -137,19 +138,19 @@ def adiabaticity_lhs(splitting: Splitting, schedule: Schedule, s: float, ds_dt: 
     """Root-sum-square over the blocks of each block's adiabaticity ratio at s.
 
     This is the quantity optimal_schedule saturates, so it reads epsilon
-    along that schedule on any split. It is computed from the per-block
-    closed forms by the expression evolve uses for its checkpoints, so the
-    two agree bit for bit; it does not depend on the marked state.
+    along that schedule on any split. It is spectral.adiabatic_ratio, which
+    evolve takes at its checkpoints as one array, so the two agree bit for
+    bit; it does not depend on the marked state.
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must be in [0, 1], got {s}")
     if not math.isfinite(ds_dt):
         raise ValueError(f"ds_dt must be finite, got {ds_dt}")
-    values = [float(fn(s)) for fn in (schedule.f, schedule.g, schedule.df, schedule.dg)]
-    if values[0] == 0.0 and values[1] == 0.0:
+    f, g, df, dg = (float(fn(s)) for fn in (schedule.f, schedule.g, schedule.df, schedule.dg))
+    if f == 0.0 and g == 0.0:
         raise ValueError(f"schedule vanishes at s={s}; the operator is zero there")
-    element, omega = drive_element(splitting.float_block_dims(), *np.array(values)[:, None, None])
-    return float((element * abs(ds_dt) / omega**2)[0])
+    ratio = adiabatic_ratio(splitting.float_block_dims())
+    return float(ratio(float(schedule.difference(s, 0.0)), f, g, df, dg) * abs(ds_dt))
 
 
 @dataclass(frozen=True)
@@ -229,8 +230,8 @@ def evolve(
 
     # the diagnostics that do not depend on the state, at every checkpoint at once
     c_marked, c_perp = _ground_amplitudes(np.array(dims, dtype=float), f, g)
-    element, omega = drive_element(splitting.float_block_dims(), f, g, df, dg)
-    lhs_vals = element * np.abs(rate_checks) / omega**2
+    ratio = adiabatic_ratio(splitting.float_block_dims())
+    lhs_vals = ratio(base.difference(s_checks[:, None], 0.0), f, g, df, dg) * np.abs(rate_checks)
 
     # every stage coupling of the run in one pass, split by checkpoint interval
     stages = np.split(_stage_couplings(schedule_t, t_checks, steps), np.cumsum(steps)[:-1], axis=1)

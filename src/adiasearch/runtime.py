@@ -1,9 +1,9 @@
 """Running-time computation for split adiabatic searches.
 
-The saturated-schedule time integral for arbitrary splittings, its
-closed-form value for equal splits under the linear schedule, the square
-root scaling of the fully split search, scaling exponents, published-table
-reproduction, and the optimal time parameterization s(t).
+The saturated-schedule time integral of spectral.adiabatic_ratio for any
+splitting, its closed-form value for equal splits under the linear schedule,
+the square root scaling of the fully split search, scaling exponents,
+published-table reproduction, and the optimal time parameterization s(t).
 """
 
 from __future__ import annotations
@@ -22,11 +22,13 @@ from .core import (
     Precision,
     Schedule,
     Splitting,
+    _integer,
     equal_splitting,
     linear_schedule,
     pchip_slopes,
 )
 from .kronrod import NODES, WEIGHTS, node_integrals
+from .spectral import adiabatic_ratio
 
 MAX_TABLE_QUBITS = MAX_BLOCK_QUBITS  # the m = 1 row is one block of n qubits
 QUAD_TOL = 1e-9  # relative tolerance of every time integral
@@ -87,13 +89,15 @@ def _time_integrand(splitting: Splitting, schedule: Schedule):
     too fine for quadrature nodes at rounded s. So dt/ds is formed from the
     offset x = s - s* (f - g from Schedule.difference) and integrated in u,
     x = w sinh(u) with w the narrowest half-width, where every block peak is
-    a smooth bump about one unit wide. f - g is monotone, so f = g = 0 can
-    only happen at s*; such a schedule closes the gap and is refused.
+    a smooth bump about one unit wide; dt/ds is spectral.adiabatic_ratio. f - g
+    is monotone, so f = g = 0 can only happen at s*; such a schedule closes
+    the gap and is refused.
 
     Returns (integrand of u, the map s -> u, dt/ds as a function of s).
     """
     dims = splitting.float_block_dims()
-    weights = (dims - 1.0) / dims**2
+    ratio = adiabatic_ratio(dims)
+    couplings = (schedule.f, schedule.g, schedule.df, schedule.dg)
     s_star = _crossing(schedule)
     f_star = float(schedule.f(s_star))
     if f_star + float(schedule.g(s_star)) < 1e-9:
@@ -106,12 +110,7 @@ def _time_integrand(splitting: Splitting, schedule: Schedule):
 
     def at_offset(x: float) -> float:
         s = s_star + x
-        f = float(schedule.f(s))
-        g = float(schedule.g(s))
-        df = float(schedule.df(s))
-        dg = float(schedule.dg(s))
-        gaps_sq = float(schedule.difference(s_star, x)) ** 2 + (4.0 * f * g) / dims
-        return abs(df * g - dg * f) * math.sqrt(float(np.sum(weights / gaps_sq**3)))
+        return ratio(float(schedule.difference(s_star, x)), *[float(fn(s)) for fn in couplings])
 
     def integrand(u: float) -> float:
         return at_offset(width * math.sinh(u)) * width * math.cosh(u)
@@ -219,8 +218,10 @@ def scaling_coefficients(eps_t: float, n: int, num_blocks: int) -> tuple[float, 
     scaling; the second (beta) is reported as infinity for a single block,
     where its defining base is 1.
     """
-    if eps_t <= 0.0:
-        raise ValueError(f"eps_t must be positive, got {eps_t}")
+    if not (math.isfinite(eps_t) and eps_t > 0.0):
+        raise ValueError(f"eps_t must be finite and positive, got {eps_t}")
+    n = _integer(n, "qubit count")
+    num_blocks = _integer(num_blocks, "number of blocks")
     if num_blocks < 1:
         raise ValueError(f"number of blocks must be >= 1, got {num_blocks}")
     log_base = math.log(num_blocks) + (n / num_blocks) * math.log(2.0)
@@ -255,6 +256,8 @@ def closed_form_eps_t(n: int, num_blocks: int) -> float:
     (1/2) * integral of (a*u**2 + b)**(-3/2) with a = 1 - 1/N and b = 1/N,
     which evaluates to N; the total collapses to sqrt(m * (2^(n/m) - 1)).
     """
+    n = _integer(n, "qubit count")
+    num_blocks = _integer(num_blocks, "number of blocks")
     if num_blocks < 1:
         raise ValueError(f"number of blocks must be >= 1, got {num_blocks}")
     if n % num_blocks != 0:
@@ -270,6 +273,7 @@ def max_structured_time(n: int) -> RunTimeResult:
     element integrates to exactly sqrt(n) for eps_t, consistent with the
     equal-split closed form at one qubit per block.
     """
+    n = _integer(n, "qubit count")
     if n < 1:
         raise ValueError(f"qubit count must be >= 1, got {n}")
     splitting = equal_splitting(n, n)
@@ -400,6 +404,7 @@ def optimal_schedule(
     tolerance, and ds/dt is smallest where the gap is smallest. Where H(s)
     is stationary the rate is unbounded, so such a schedule is refused.
     """
+    grid = _integer(grid, "grid")
     if not 100 <= grid <= MAX_GRID:
         raise ValueError(f"grid must have between 100 and {MAX_GRID} samples, got {grid}")
     precision = precision if precision is not None else Precision()
@@ -434,6 +439,7 @@ def _divisors(n: int) -> list[int]:
 
 def reproduce_table(n: int) -> list[RunTimeResult]:
     """One quadrature row per divisor of n (ascending), linear schedule."""
+    n = _integer(n, "qubit count")
     if not 1 <= n <= MAX_TABLE_QUBITS:
         raise ValueError(f"n must be in [1, {MAX_TABLE_QUBITS}], got {n}")
     schedule = linear_schedule()

@@ -1,7 +1,7 @@
 """Closed-form spectral quantities for split adiabatic searches.
 
-Per-block energy gaps, the drive element behind the adiabaticity ratio
-(``drive_element``), the product-state eigenvalue ladder of the fully split
+Per-block energy gaps, the one adiabaticity ratio of the whole package
+(``adiabatic_ratio``), the product-state eigenvalue ladder of the fully split
 search, level degeneracies, transition matrix elements, and tabulated gap
 profiles over the interpolation parameter.
 """
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_GRID, Schedule, Splitting
+from .core import MAX_GRID, Schedule, Splitting, _integer
 
 # Profile minima are refined from the grid to this bracket width, relative to s.
 _REFINE_TOL = 1e-12
@@ -35,23 +35,22 @@ def subsystem_gap(block_dim, f, g):
     return np.sqrt(d * d + (4.0 / block_dim) * f * g)
 
 
-def drive_element(block_dims: np.ndarray, f, g, df, dg):
-    """(element, omega) with element * |ds/dt| / omega**2 the root-sum-square
-    of every block's adiabaticity ratio, the quantity a bound-saturating
-    schedule holds at epsilon; omega is the smallest block gap.
-
-    The drive dH/ds couples block i's ground state only to its own excited
-    direction, one gap omega_i above, with strength
-    |f'g - g'f| sqrt(N_i - 1) / (N_i omega_i). Each block's strength is
-    weighted by (omega / omega_i)**2, which is 1 at the smallest gap, so its
-    ratio reads over omega**2. f, g, df and dg are arrays of shape (k, 1)
-    against the (m,) block dimensions and give results of shape (k,).
+def adiabatic_ratio(block_dims: np.ndarray):
+    """ratio(difference, f, g, df, dg): sqrt(sum_i r_i**2) at unit |ds/dt|, the
+    quantity a bound-saturating schedule holds at epsilon. dH/ds couples block
+    i's ground state only to its own excited direction, one gap omega_i above,
+    so r_i = |f'g - g'f| sqrt(N_i - 1) / (N_i omega_i**3). omega_i**2 is formed
+    from ``difference`` = f - g, as Schedule.difference gives it. Python floats
+    give a scalar, arrays of shape (k, 1) an array of shape (k,).
     """
-    gaps = subsystem_gap(block_dims, f, g)
-    omega = gaps.min(axis=-1, keepdims=True)
-    weight = (omega / gaps) ** 2
-    weighted = np.abs(df * g - dg * f) * np.sqrt(block_dims - 1.0) / (block_dims * gaps) * weight
-    return np.sqrt((weighted**2).sum(axis=-1)), omega[..., 0]
+    weights = (block_dims - 1.0) / block_dims**2
+
+    def ratio(difference, f, g, df, dg):
+        drive = df * g - dg * f
+        gaps_sq = difference * difference + (4.0 * f * g) / block_dims
+        return np.sqrt((drive * drive * weights / gaps_sq**3).sum(axis=-1))
+
+    return ratio
 
 
 def max_structured_eigenvalue(n: int, spin_sum, f: float, g: float) -> float:
@@ -61,6 +60,7 @@ def max_structured_eigenvalue(n: int, spin_sum, f: float, g: float) -> float:
     {-n/2, ..., n/2}; the ground state sits at spin_sum = n/2. The value is
     (n/2)*(f + g) - spin_sum*sqrt(f**2 + g**2).
     """
+    n = _integer(n, "qubit count")
     two_m = 2.0 * spin_sum
     if abs(two_m - round(two_m)) > 1e-12:
         raise ValueError(f"spin sum must step in halves, got {spin_sum}")
@@ -75,6 +75,8 @@ def max_structured_degeneracy(n: int, level: int) -> int:
     level 0 is the unique ground state, level 1 the n-fold degenerate first
     excited state; in general the count is binomial(n, level).
     """
+    n = _integer(n, "qubit count")
+    level = _integer(level, "level")
     if not 0 <= level <= n:
         raise ValueError(f"level must be in [0, {n}], got {level}")
     return math.comb(n, level)
@@ -113,6 +115,7 @@ def gap_profile(splitting: Splitting, schedule: Schedule, grid: int = 1001) -> G
     global gap is the minimum over blocks. The minimum over s is refined by
     golden-section search around the best grid sample.
     """
+    grid = _integer(grid, "grid")
     if not 2 <= grid <= MAX_GRID:
         raise ValueError(f"grid must have between 2 and {MAX_GRID} samples, got {grid}")
     s = np.linspace(0.0, 1.0, grid)

@@ -187,6 +187,19 @@ def test_precision_validation():
         Precision(epsilon=1.0)
     with pytest.raises(ValueError):
         Precision(ode_steps_per_unit_time=0)
+    # refused by type, not truncated: an infinite count would make evolve's
+    # step size zero
+    for steps in (math.inf, math.nan, 2.5, 64.0, True, "64"):
+        with pytest.raises(ValueError, match="ode_steps_per_unit_time has the wrong type"):
+            Precision(ode_steps_per_unit_time=steps)
+    for eps in ("0.2", None, 0.2j, True):
+        with pytest.raises(ValueError, match="epsilon has the wrong type"):
+            Precision(epsilon=eps)
+    with pytest.raises(ValueError, match=r"epsilon must be in \(0, 1\)"):
+        Precision(epsilon=math.nan)
+    numpy_args = Precision(epsilon=np.float32(0.25), ode_steps_per_unit_time=np.int64(8))
+    assert (type(numpy_args.epsilon), type(numpy_args.ode_steps_per_unit_time)) == (float, int)
+    assert numpy_args == Precision(epsilon=0.25, ode_steps_per_unit_time=8)
 
 
 def test_problem_descriptor_roundtrip():

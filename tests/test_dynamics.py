@@ -24,7 +24,7 @@ from adiasearch.dynamics import (
 )
 from adiasearch.hamiltonian import MatrixFreeHamiltonian, final_diagonal, final_terms
 from adiasearch.runtime import TimeSchedule, max_structured_time, optimal_schedule
-from adiasearch.spectral import drive_element
+from adiasearch.spectral import adiabatic_ratio, subsystem_gap
 
 from oracles import build_initial, instantaneous_ground_overlap
 
@@ -329,17 +329,24 @@ def test_checkpoint_lhs_is_the_scalar_adiabaticity_lhs():
 
 def test_scalar_adiabaticity_lhs_is_the_array_row():
     # evolve's cap keeps the checkpoint test below 13 qubits; this one reaches
-    # 11 blocks of three sizes, where np.sum's pairwise adds regroup
+    # 11 blocks of three sizes, where the pairwise adds of the block sum
+    # regroup. The time integrand and adiabaticity_lhs call the same ratio
+    # with Python floats.
     sched = linear_schedule()
-    s = np.linspace(0.0, 1.0, 101)
-    f, g, df, dg = (np.asarray(fn(s))[:, None] for fn in (sched.f, sched.g, sched.df, sched.dg))
-    rates = 0.5 + s
+    s = np.linspace(0.0, 1.0, 101)[:, None]
+    f, g, df, dg = (np.asarray(fn(s)) for fn in (sched.f, sched.g, sched.df, sched.dg))
+    rates = 0.5 + s[:, 0]
     for parts in ([2, 10], [1] * 10 + [2], [8, 8, 8, 3, 8, 8, 8, 1, 1, 3, 1]):
         splitting = make_splitting(sum(parts), parts)
-        element, omega = drive_element(splitting.float_block_dims(), f, g, df, dg)
-        rows = element * np.abs(rates) / omega**2
-        scalar = [adiabaticity_lhs(splitting, sched, x, r) for x, r in zip(s.tolist(), rates.tolist())]
-        assert rows.tolist() == scalar, parts
+        ratio = adiabatic_ratio(splitting.float_block_dims())
+        ratios = ratio(sched.difference(s, 0.0), f, g, df, dg)
+        floats = [
+            ratio(sched.difference(x, 0.0), sched.f(x), sched.g(x), sched.df(x), sched.dg(x))
+            for x in s[:, 0].tolist()
+        ]
+        assert ratios.tolist() == floats, parts
+        scalar = [adiabaticity_lhs(splitting, sched, x, r) for x, r in zip(s[:, 0].tolist(), rates.tolist())]
+        assert (ratios * rates).tolist() == scalar, parts
 
 
 def test_checkpoint_lhs_reads_epsilon_along_the_optimal_schedule():
@@ -349,6 +356,23 @@ def test_checkpoint_lhs_reads_epsilon_along_the_optimal_schedule():
         report = _optimal_report(12, parts, 0.2, steps=16)
         assert report.checkpoint_lhs.size == 101
         assert np.allclose(report.checkpoint_lhs, 0.2, rtol=1e-5, atol=0.0), parts
+
+
+def test_schedule_rates_times_the_ratio_read_epsilon_past_the_evolution_cap():
+    # the checkpoint test above stops at evolve's 12-qubit cap; the schedule's
+    # rates are epsilon over the same ratio, so on blocks of up to 64 qubits
+    # every node reads epsilon to rounding: measured within 2 ulps (4.4e-16),
+    # here held to 1e-15, with f - g taken at s as evolve takes it
+    eps = 0.2
+    for parts in ([30], [64], [32, 32], [20, 10], [1, 63]):
+        splitting = make_splitting(sum(parts), parts)
+        schedule_t = optimal_schedule(splitting, Precision(epsilon=eps))
+        base = schedule_t.base
+        s = schedule_t.s_nodes[:, None]
+        ratio = adiabatic_ratio(splitting.float_block_dims())
+        lhs = ratio(base.difference(s, 0.0), base.f(s), base.g(s), base.df(s), base.dg(s)) * schedule_t.rate_nodes
+        assert lhs.size == 1001
+        assert np.max(np.abs(lhs / eps - 1.0)) <= 1e-15, parts
 
 
 def test_adiabaticity_zero_rate():
@@ -499,8 +523,8 @@ def test_closed_form_probe_matches_dense_diagonalization():
             drive = df * (h_initial @ vecs[:, 0]) + dg * h_final * vecs[:, 0]
             dense_ratio = math.sqrt(np.sum((vecs[:, 1:].T @ drive) ** 2 / (vals[1:] - vals[0]) ** 4))
 
-            _, gap = drive_element(splitting.float_block_dims(), *np.array([f, g, df, dg])[:, None, None])
-            assert gap[0] == pytest.approx(vals[1] - vals[0], abs=1e-10)
+            gap = subsystem_gap(splitting.float_block_dims(), f, g).min()
+            assert gap == pytest.approx(vals[1] - vals[0], abs=1e-10)
             overlap = instantaneous_ground_overlap(vecs[:, 0], splitting, marked, sched, s)
             assert overlap == pytest.approx(1.0, abs=1e-10)
             assert adiabaticity_lhs(splitting, sched, s, 1.0) == pytest.approx(dense_ratio, rel=1e-10)

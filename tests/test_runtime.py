@@ -11,11 +11,14 @@ from adiasearch.cli import round_half_away
 from adiasearch.core import (
     MAX_GRID,
     LinearSchedule,
+    MarkedState,
     Precision,
+    equal_splitting,
     linear_schedule,
     make_splitting,
     tabulated_schedule,
 )
+from adiasearch.dynamics import rk4_propagate
 from adiasearch.runtime import (
     QuadratureError,
     TimeSchedule,
@@ -26,6 +29,7 @@ from adiasearch.runtime import (
     running_time_integral,
     scaling_coefficients,
 )
+from adiasearch.spectral import max_structured_degeneracy, max_structured_eigenvalue
 
 from conftest import linear_eps_t_oracle, linear_node_eps_t_oracle
 
@@ -136,6 +140,10 @@ def test_scaling_coefficients_unrounded_rows():
             assert round_half_away(beta, 4) == pytest.approx(beta_ref, abs=1e-12)
     with pytest.raises(ValueError):
         scaling_coefficients(0.0, 6, 1)
+    # NaN fails every ordered comparison, so a range test alone lets it through
+    for eps_t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="eps_t must be finite and positive"):
+            scaling_coefficients(eps_t, 4, 2)
     with pytest.raises(ValueError):
         scaling_coefficients(2.0, 6, 0)
 
@@ -349,6 +357,39 @@ def test_optimal_schedule_grid_validation():
     # one scalar rate per sample: the cap bounds the time, checked before any work
     with pytest.raises(ValueError, match="between 100 and 65536 samples"):
         optimal_schedule(make_splitting(2, [2]), grid=MAX_GRID + 1)
+    for grid in (1001.0, "1001", True):
+        with pytest.raises(ValueError, match="grid has the wrong type"):
+            optimal_schedule(make_splitting(2, [2]), grid=grid)
+    assert optimal_schedule(make_splitting(2, [2]), grid=np.int64(100)).s_nodes.size == 100
+
+
+def test_integer_arguments_refuse_other_types():
+    # refused before any arithmetic, which would raise TypeError deep inside
+    # or, as n % num_blocks does, compute with the float
+    calls = {
+        "qubit count": [
+            lambda: reproduce_table(6.0),
+            lambda: max_structured_time(2.5),
+            lambda: equal_splitting(4.0, 2),
+            lambda: closed_form_eps_t(4.0, 2),
+            lambda: scaling_coefficients(2.0, 4.0, 2),
+            lambda: max_structured_degeneracy(4.0, 1),
+            lambda: max_structured_eigenvalue(2.0, 1.0, 0.5, 0.5),
+            lambda: MarkedState.zeros(2.0),
+        ],
+        "number of blocks": [
+            lambda: equal_splitting(4, 2.0),
+            lambda: closed_form_eps_t(4, 2.0),
+            lambda: scaling_coefficients(2.0, 4, True),
+        ],
+        "level": [lambda: max_structured_degeneracy(4, 1.0)],
+        "nsteps": [lambda: rk4_propagate(None, np.ones(2), 0.0, 1.0, 2.0, [[0.0, 0.0]] * 6)],
+    }
+    for what, refused in calls.items():
+        for call in refused:
+            with pytest.raises(ValueError, match=f"{what} has the wrong type: expected an integer"):
+                call()
+    assert closed_form_eps_t(np.int64(4), np.int32(2)) == closed_form_eps_t(4, 2)
 
 
 def test_time_schedule_from_samples_and_scaling():

@@ -169,6 +169,9 @@ def test_gap_profile_grid_validation_and_csv():
         gap_profile(make_splitting(2, [2]), linear_schedule(), grid=1)
     with pytest.raises(ValueError, match="between 2 and 65536 samples"):
         gap_profile(make_splitting(2, [2]), linear_schedule(), grid=MAX_GRID + 1)
+    for grid in (11.0, "11", True):
+        with pytest.raises(ValueError, match="grid has the wrong type"):
+            gap_profile(make_splitting(2, [2]), linear_schedule(), grid=grid)
     profile = gap_profile(make_splitting(4, [2, 2]), linear_schedule(), grid=11)
     text = cli.format_gap(profile, "csv")
     lines = text.strip().split("\n")
