@@ -3,7 +3,8 @@
 The problem operator's expansion over tensor-product words of single-qubit
 factors (identity / bit flip X / phase Z), built block by block without a
 dense matrix, its interaction-locality metric, the problem diagonal, and a
-matrix-free applier that the time integrator runs on each block.
+matrix-free applier, which ``evolve`` runs on one block's vector per block
+size.
 """
 
 from __future__ import annotations
@@ -22,8 +23,6 @@ EXPANSION_BLOCK_CAP = 20
 # Most letters (terms times n) the expansion will write: one block at
 # EXPANSION_BLOCK_CAP, 2^20 words of 20 letters.
 EXPANSION_LETTER_BUDGET = EXPANSION_BLOCK_CAP << EXPANSION_BLOCK_CAP
-# Expansion coefficients below this are structurally zero and pruned.
-COEFF_PRUNE_TOL = 1e-14
 
 _WORD_LETTERS = frozenset("IXZ")
 
@@ -122,9 +121,8 @@ def final_terms(splitting: Splitting, marked: MarkedState) -> PauliTermSum:
                     letters[p] = "Z"
                 terms.append((-sign * scale, "".join(letters)))
         offset += size
-    out = [(identity_coeff, "I" * n)] if abs(identity_coeff) > COEFF_PRUNE_TOL else []
-    out += [(c, w) for c, w in terms if abs(c) > COEFF_PRUNE_TOL]
-    return PauliTermSum(n, tuple(out))
+    # every coefficient is +-2^-size and the identity's is at least 1/2, so none is zero
+    return PauliTermSum(n, ((identity_coeff, "I" * n), *terms))
 
 
 def locality_weight(splitting: Splitting) -> int:
@@ -136,17 +134,18 @@ class MatrixFreeHamiltonian:
     """Applies f * H_initial + g * H_final without dense matrices.
 
     Read-only after construction and reentrant: safe to share across
-    concurrent evolutions. The problem part is the stored ``final_diagonal``
-    (so the dense cap applies); the mixing part subtracts each block's
-    uniform average via reshapes. ``evolve`` builds one per distinct block
-    size, on the one-block splitting of that size with the marked entry at
-    index 0; on a whole splitting it applies the 2^n operator.
+    concurrent evolutions. ``final_diagonal`` is stored, so the dense cap
+    applies. ``evolve`` builds one per distinct block size, on the
+    one-block splitting of that size with the marked entry at index 0, and
+    applies only the one-block form. On a splitting of several blocks the
+    applier subtracts each block's uniform average via reshapes; only the
+    benchmark's matvec timer (``perfbench/run.py``, which builds it on a
+    whole splitting) and the tests reach that form.
     """
 
     def __init__(self, splitting: Splitting, marked: MarkedState):
         self.final_diag = final_diagonal(splitting, marked)
         self.splitting = splitting
-        self.marked = marked
         self._marked_index = marked.index
         dim = splitting.dim
         shapes = []

@@ -13,10 +13,12 @@ import numpy as np
 
 from adiasearch.core import MarkedState, Schedule, Splitting
 from adiasearch.dynamics import _ground_amplitude, _ground_amplitudes
-from adiasearch.hamiltonian import COEFF_PRUNE_TOL, PauliTermSum, _check_dense_cap
+from adiasearch.hamiltonian import PauliTermSum, _check_dense_cap
 
 # Word-by-word dense expansion costs O(6^n); refuse above this qubit count.
 EXPANSION_CAP = 10
+# Transform coefficients below this are rounding of a zero and are pruned.
+COEFF_PRUNE_TOL = 1e-14
 
 
 def build_initial(splitting: Splitting) -> np.ndarray:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -101,6 +102,25 @@ def test_table_check_detects_drift(monkeypatch, capsys):
     monkeypatch.setitem(cli.REFERENCE_TABLES, 6, wrong)
     assert run_cli("table", "--n", "6", "--check") == 3
     assert "MISMATCH" in capsys.readouterr().err
+
+
+def test_table_check_names_each_mismatch(monkeypatch, capsys):
+    # rows spoiled in alpha, beta, order and count; each gets its own line
+    rows = reproduce_table(6)
+    cases = [
+        ([rows[0], replace(rows[1], alpha=0.9618), *rows[2:]], ["m=2: alpha 0.961800 vs reference 0.9518"]),
+        ([*rows[:2], replace(rows[2], beta=2.01), rows[3]], ["m=3: beta 2.010000 vs reference 2.0"]),
+        ([rows[0], replace(rows[1], beta=math.inf), *rows[2:]], ["m=2: beta inf vs reference 3.8074"]),
+        (
+            [rows[1], rows[0], *rows[2:]],
+            ["row order: computed m=2, reference m=1", "row order: computed m=1, reference m=2"],
+        ),
+        (rows[:3], ["row count: computed 3, reference 4"]),
+    ]
+    for spoiled, lines in cases:
+        monkeypatch.setattr(cli.runtime, "reproduce_table", lambda n, spoiled=spoiled: spoiled)
+        assert run_cli("table", "--n", "6", "--check") == cli.EXIT_GOLDEN
+        assert capsys.readouterr().err == "".join(f"check n=6: MISMATCH {line}\n" for line in lines)
 
 
 def test_table_invalid_n_is_config_error(capsys):

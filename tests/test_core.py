@@ -10,6 +10,7 @@ from adiasearch.core import (
     MarkedState,
     MonotoneCubic,
     Precision,
+    Schedule,
     equal_splitting,
     linear_schedule,
     make_splitting,
@@ -100,6 +101,8 @@ def test_marked_state_validation():
         MarkedState((0, 2))
     with pytest.raises(ValueError):
         MarkedState.from_string("01").block_values(make_splitting(3, [3]))
+    with pytest.raises(ValueError, match="marked state needs at least one bit"):
+        MarkedState(())
     # truncated or parsed, these would search for a state nobody named
     for bits in ((1.9, 0.2), ("1", "0"), (True, False), (np.float64(1.0), 0)):
         with pytest.raises(ValueError, match="marked bit has the wrong type"):
@@ -176,6 +179,13 @@ def test_tabulated_schedule_rejects_bad_samples():
         tabulated_schedule(nodes, [1.0, 0.7, math.nan, 0.2, 0.0], nodes)
     with pytest.raises(ValueError, match="g samples must be finite"):
         tabulated_schedule([0.0, 1.0], [1.0, 0.0], [math.nan, 1.0])
+    with pytest.raises(ValueError, match="need at least two schedule samples"):
+        tabulated_schedule([0.0], [1.0], [0.0])
+    with pytest.raises(ValueError, match="s, f, g sample arrays must have equal length"):
+        tabulated_schedule(nodes, 1.0 - nodes, nodes[:-1])
+    for s_nodes in ([0.1, 0.4, 0.6, 0.8, 1.0], [0.0, 0.2, 0.4, 0.6, 0.9]):
+        with pytest.raises(ValueError, match="schedule samples must span s = 0 to s = 1"):
+            tabulated_schedule(s_nodes, 1.0 - nodes, nodes)
 
 
 def test_precision_validation():
@@ -234,6 +244,9 @@ def test_problem_descriptor_rejects_bad_input():
         problem_from_dict({**good, "schedule": "cubic"})
     with pytest.raises(ValueError, match="need the keys f, g and s"):
         problem_from_dict({**good, "schedule": {"s": [0.0, 1.0], "g": [0.0, 1.0]}})
+    # only the linear and the tabulated schedules have a descriptor
+    with pytest.raises(ValueError, match="cannot serialize schedule of kind 'base'"):
+        problem_to_dict(make_splitting(2, [2]), MarkedState.zeros(2), Schedule())
     for field in ("n", "parts"):
         with pytest.raises(ValueError, match="wrong type"):
             problem_from_dict({**good, field: None})

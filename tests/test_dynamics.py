@@ -83,12 +83,20 @@ def test_evolve_matches_block_product_oracle():
 def _full_state_run(splitting, marked, schedule_t, precision, t_checks, s_checks):
     """(p, checkpoint overlaps) from RK4 on the whole 2^n state.
 
-    The applier covers the whole splitting and the step rule uses the
-    whole operator's norm bound, (|f| + |g|) times the block count.
+    The operator is the dense f * H_initial + g * H_final of the oracles,
+    and the step rule uses the whole operator's norm bound, (|f| + |g|)
+    times the block count.
     """
-    applier = MatrixFreeHamiltonian(splitting, marked)
+    h_initial = build_initial(splitting).astype(complex)
+    h_final = np.diag(final_diagonal(splitting, marked)).astype(complex)
+
+    def apply(f, g, v):
+        # two products: forming f * H_initial + g * H_final would build a
+        # 2^n x 2^n matrix at every stage
+        return f * (h_initial @ v) + g * (h_final @ v)
+
     base = schedule_t.base
-    bound = max(map(applier.norm_bound, base.f(s_checks).tolist(), base.g(s_checks).tolist()))
+    bound = splitting.num_blocks * float(np.max(np.abs(base.f(s_checks)) + np.abs(base.g(s_checks))))
     h = 1.0 / (precision.ode_steps_per_unit_time * bound)
     psi = np.full(splitting.dim, 2.0 ** (-0.5 * splitting.n), dtype=complex)
     overlaps = [instantaneous_ground_overlap(psi, splitting, marked, base, s_checks[0])]
@@ -96,7 +104,7 @@ def _full_state_run(splitting, marked, schedule_t, precision, t_checks, s_checks
         if t1 > t0:
             nsteps = max(1, math.ceil((t1 - t0) / h))
             couplings = dynamics._stage_couplings(schedule_t, np.array([t0, t1]), [0, nsteps]).tolist()
-            psi = rk4_propagate(applier.apply, psi, t0, t1, nsteps, couplings)
+            psi = rk4_propagate(apply, psi, t0, t1, nsteps, couplings)
         overlaps.append(instantaneous_ground_overlap(psi, splitting, marked, base, s))
     return abs(psi[marked.index]) ** 2, np.array(overlaps)
 
@@ -446,6 +454,17 @@ def test_diagnostics_refuse_a_non_finite_rate():
             adiabaticity_lhs(make_splitting(3, [1, 2]), sched, 0.4, ds_dt)
         with pytest.raises(ValueError, match="ds_dt must be finite"):
             adiabaticity_lhs(equal_splitting(3, 3), sched, 0.4, ds_dt)
+
+
+def test_diagnostics_refuse_a_schedule_that_vanishes():
+    # f = g = 0 on [0.4, 0.6]: H(s) is zero there and has no ground state
+    stalled = tabulated_schedule([0.0, 0.4, 0.6, 1.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0])
+    schedule_t = TimeSchedule.from_samples([0.0, 1.0, 2.0, 3.0], [0.0, 0.4, 0.6, 1.0], stalled)
+    splitting = make_splitting(3, [1, 2])
+    with pytest.raises(ValueError, match="the operator is zero where f = g = 0; no ground state"):
+        evolve(splitting, MarkedState.zeros(3), schedule_t, Precision())
+    with pytest.raises(ValueError, match="schedule vanishes at s=0.5; the operator is zero there"):
+        adiabaticity_lhs(splitting, stalled, 0.5, 0.1)
 
 
 def test_degenerate_condition_scales_linearly_with_qubits():

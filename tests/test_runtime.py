@@ -4,6 +4,7 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
 from adiasearch import kronrod, runtime
@@ -13,6 +14,7 @@ from adiasearch.core import (
     LinearSchedule,
     MarkedState,
     Precision,
+    Schedule,
     equal_splitting,
     linear_schedule,
     make_splitting,
@@ -237,6 +239,47 @@ def test_optimal_schedule_total_is_the_running_time_integral_at_large_blocks():
         total = optimal_schedule(splitting, precision).total_time * precision.epsilon
         eps_t = running_time_integral(splitting, linear_schedule()).eps_t
         assert abs(total - eps_t) / eps_t <= 1e-12
+
+
+class _QuarterCircleSchedule(Schedule):
+    """f = cos(pi s / 2), g = sin(pi s / 2), crossing at s = 1/2. It keeps
+    the base class's difference, f - g at the rounded s_star + x."""
+
+    def f(self, s):
+        return np.cos(0.5 * np.pi * s)
+
+    def g(self, s):
+        return np.sin(0.5 * np.pi * s)
+
+    def df(self, s):
+        return -0.5 * np.pi * np.sin(0.5 * np.pi * s)
+
+    def dg(self, s):
+        return 0.5 * np.pi * np.cos(0.5 * np.pi * s)
+
+
+def test_a_user_schedule_runs_through_the_base_difference():
+    # Oracle: scipy quad of the s-integrand |f'g - g'f| sqrt(sum_i
+    # (N_i - 1)/N_i^2 / omega_i^6), omega_i^2 = (f - g)^2 + 4fg/N_i, with
+    # f'g - g'f = -pi/2, (f - g)^2 = 1 - sin(pi s) and 4fg = 2 sin(pi s)
+    schedule = _QuarterCircleSchedule()
+    assert "difference" not in vars(_QuarterCircleSchedule)
+    precision = Precision(epsilon=0.2)
+    for parts in ([3], [1, 3], [2, 5], [1, 10]):
+        dims = [2.0**p for p in parts]
+
+        def integrand(s):
+            omega_sq = [1.0 - (1.0 - 2.0 / d) * math.sin(math.pi * s) for d in dims]
+            return 0.5 * math.pi * math.sqrt(sum((d - 1.0) / d**2 / w**3 for d, w in zip(dims, omega_sq)))
+
+        halves = ((0.0, 0.5), (0.5, 1.0))
+        expected = sum(quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0] for lo, hi in halves)
+        splitting = make_splitting(sum(parts), parts)
+        eps_t = running_time_integral(splitting, schedule).eps_t
+        # the quadrature's convergence rule: summed estimate <= 10 QUAD_TOL |total|
+        assert eps_t == pytest.approx(expected, rel=10 * runtime.QUAD_TOL), parts
+        total = optimal_schedule(splitting, precision, schedule=schedule).total_time
+        assert total * precision.epsilon == pytest.approx(eps_t, rel=1e-6), parts
 
 
 def _max_relative_error(t_nodes, oracle):
