@@ -51,9 +51,11 @@ class NormDriftError(RuntimeError):
 
 
 def check_evolution_cap(splitting: Splitting):
-    """Refuse a state of more than DENSE_CAP qubits, before any work for it."""
-    if splitting.n > DENSE_CAP:
-        raise ValueError(f"n={splitting.n} exceeds the evolution cap of {DENSE_CAP} qubits")
+    """Refuse a block of more than DENSE_CAP qubits, before any work; evolve holds one vector per block size."""
+    if max(splitting.parts) > DENSE_CAP:
+        raise ValueError(
+            f"block of {max(splitting.parts)} qubits exceeds the evolution cap of {DENSE_CAP} qubits per block"
+        )
 
 
 def rk4_propagate(apply, psi: np.ndarray, t0: float, t1: float, nsteps: int, couplings) -> np.ndarray:

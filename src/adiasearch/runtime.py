@@ -33,7 +33,7 @@ from .spectral import adiabatic_ratio
 MAX_TABLE_QUBITS = MAX_BLOCK_QUBITS  # the m = 1 row is one block of n qubits
 QUAD_TOL = 1e-9  # relative tolerance of every time integral
 
-_QUAD_LIMIT = 500  # most subintervals per panel
+_QUAD_LIMIT = 500  # most bisections per integral, over all its panels
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 # The cubic coefficients of s(t) divide by the cube of a time step, so a
@@ -142,22 +142,28 @@ def _kronrod21(integrand, lo: float, hi: float) -> tuple[float, float, np.ndarra
     return float(kronrod * half), float(err), values
 
 
-def _adaptive_integral(integrand, lo: float, hi: float, rel_tol: float) -> tuple[float, float, list]:
-    """(integral, summed error estimate, pieces) over [lo, hi], globally adaptive.
+def _panel_integrals(integrand, edges, rel_tol: float, context: str) -> tuple[float, list]:
+    """(total, pieces) of ``integrand`` from edges[0] to edges[-1], globally adaptive.
 
-    QUADPACK's qag with qk21: bisect the subinterval with the largest error
-    estimate until the summed estimate is within rel_tol of the summed
-    integral. It stops early at _QUAD_LIMIT subintervals, at a subinterval
+    QUADPACK's qagp with qk21: one piece per panel between consecutive
+    edges, then the piece with the largest error estimate, in whichever
+    panel, is bisected until the summed estimate is within rel_tol of the
+    summed integral. It stops early after _QUAD_LIMIT bisections, at a piece
     too narrow to bisect, at a non-finite estimate, or when repeated
-    bisections stop reducing the estimate (roundoff); the caller judges the
-    estimate it gets back. The pieces are the final subintervals, left to
-    right, as (a, b, integral, the 21 node values).
+    bisections stop reducing the estimate (roundoff). Roundoff chatter from
+    pieces that sit right on the peak is tolerated: only a summed estimate
+    above 10 rel_tol of the integral raises. The pieces come back left to
+    right as (a, b, integral, the 21 node values).
     """
-    value, err, values = _kronrod21(integrand, lo, hi)
-    pieces = [(-err, lo, hi, value, values)]
-    total, err_total = value, err
-    stalled = grown = 0
-    while not err_total <= rel_tol * abs(total) and math.isfinite(err_total) and len(pieces) < _QUAD_LIMIT:
+    pieces = []
+    for lo, hi in zip(edges, edges[1:]):
+        value, err, values = _kronrod21(integrand, lo, hi)
+        pieces.append((-err, lo, hi, value, values))
+    heapq.heapify(pieces)
+    total = sum(piece[3] for piece in pieces)
+    err_total = sum(-piece[0] for piece in pieces)
+    bisections = stalled = grown = 0
+    while not err_total <= rel_tol * abs(total) and math.isfinite(err_total) and bisections < _QUAD_LIMIT:
         neg_err, a, b, value, _ = pieces[0]
         mid = 0.5 * (a + b)
         if max(abs(a), abs(b)) <= (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _TINY):
@@ -166,40 +172,20 @@ def _adaptive_integral(integrand, lo: float, hi: float, rel_tol: float) -> tuple
         right, right_err, right_values = _kronrod21(integrand, mid, b)
         heapq.heapreplace(pieces, (-left_err, a, mid, left, left_values))
         heapq.heappush(pieces, (-right_err, mid, b, right, right_values))
+        bisections += 1
         total += left + right - value
         err_total += left_err + right_err + neg_err
         # QUADPACK's roundoff tests: the halves agree with their parent but
-        # their estimate does not fall, or the estimate grows
+        # their estimate does not fall, or the estimate grows (qag's last > 10)
         if abs(value - (left + right)) <= 1e-5 * abs(left + right) and left_err + right_err >= -0.99 * neg_err:
             stalled += 1
-        if len(pieces) > 10 and left_err + right_err > -neg_err:
+        if bisections >= 10 and left_err + right_err > -neg_err:
             grown += 1
         if stalled >= 6 or grown >= 20:
             break
-    return (
-        sum(piece[3] for piece in pieces),
-        sum(-piece[0] for piece in pieces),
-        sorted(piece[1:] for piece in pieces),
-    )
-
-
-def _panel_integrals(integrand, edges, rel_tol: float, context: str) -> tuple[float, list]:
-    """(total, pieces) of ``integrand`` between consecutive edges.
-
-    One adaptive Gauss-Kronrod integral per panel; the pieces of all panels
-    come back left to right as (a, b, integral, the 21 node values).
-    Roundoff chatter from panels that sit right on the peak is tolerated
-    there; the summed error estimate is judged against the whole integral,
-    which is what the tolerance is about.
-    """
-    pieces = []
-    total = 0.0
-    err_total = 0.0
-    for lo, hi in zip(edges, edges[1:]):
-        value, err, panel_pieces = _adaptive_integral(integrand, lo, hi, rel_tol)
-        pieces += panel_pieces
-        total += value
-        err_total += err
+    err_total = sum(-piece[0] for piece in pieces)
+    pieces = sorted(piece[1:] for piece in pieces)
+    total = sum(piece[2] for piece in pieces)
     # written so that a nan total or estimate fails too
     if not err_total <= 10.0 * rel_tol * total:
         raise QuadratureError(
@@ -209,6 +195,13 @@ def _panel_integrals(integrand, edges, rel_tol: float, context: str) -> tuple[fl
             estimate=err_total,
         )
     return total, pieces
+
+
+def _panel_edges(schedule: Schedule, u_of_s, u_lo: float, u_hi: float, breaks=()) -> list[float]:
+    """Panel edges from u_lo to u_hi: the crossing (u = 0), the u-images of
+    the schedule's knots, where it has kinks, and any further breaks inside."""
+    breaks = {0.0, *breaks, *u_of_s(np.array(schedule.knots)).tolist()}
+    return [u_lo, *sorted(u for u in breaks if u_lo < u < u_hi), u_hi]
 
 
 def scaling_coefficients(eps_t: float, n: int, num_blocks: int) -> tuple[float, float]:
@@ -237,13 +230,13 @@ def running_time_integral(
     """Schedule-optimal running time of a split search by adaptive quadrature.
 
     Integrates |f'g - g'f| * sqrt(sum_i (N_i - 1)/N_i**2 / omega_i**6) over
-    s in [0, 1], in the variable u of the time integrand, on the two panels
-    either side of the crossing where f = g and every block peaks, to the
-    relative tolerance QUAD_TOL.
+    s in [0, 1], in the variable u of the time integrand, to the relative
+    tolerance QUAD_TOL. The panels break at the crossing where f = g and
+    every block peaks, and at the schedule's knots.
     """
     schedule = schedule if schedule is not None else linear_schedule()
     integrand, u_of_s, _ = _time_integrand(splitting, schedule)
-    edges = [float(u_of_s(0.0)), 0.0, float(u_of_s(1.0))]
+    edges = _panel_edges(schedule, u_of_s, float(u_of_s(0.0)), float(u_of_s(1.0)))
     eps_t, _ = _panel_integrals(integrand, edges, QUAD_TOL, "the running-time integral")
     alpha, beta = scaling_coefficients(eps_t, splitting.n, splitting.num_blocks)
     return RunTimeResult(splitting, eps_t, alpha, beta, "quadrature")
@@ -396,13 +389,13 @@ def optimal_schedule(
     """Time parameterization that saturates the adiabatic bound everywhere.
 
     Integrates the time integrand of :func:`running_time_integral` once, on
-    u-panels of unit width (the block peaks are bumps about one unit wide)
-    that also break at the schedule's knots, where it has kinks. t(s) at the
-    uniform s grid is then read off the converged quadrature pieces, each
-    node's piece interpolated by its 21 integrand values, and inverted
-    monotonically. The total time agrees with that integral to quadrature
-    tolerance, and ds/dt is smallest where the gap is smallest. Where H(s)
-    is stationary the rate is unbounded, so such a schedule is refused.
+    its panels further broken at every integer u (the block peaks are bumps
+    about one unit wide). t(s) at the uniform s grid is then read off the
+    converged quadrature pieces, each node's piece interpolated by its 21
+    integrand values, and inverted monotonically. The total time agrees
+    with that integral to quadrature tolerance, and ds/dt is smallest where
+    the gap is smallest. Where H(s) is stationary the rate is unbounded, so
+    such a schedule is refused.
     """
     grid = _integer(grid, "grid")
     if not 100 <= grid <= MAX_GRID:
@@ -420,8 +413,7 @@ def optimal_schedule(
         )
     u_nodes = u_of_s(s_nodes)
     u_lo, u_hi = float(u_nodes[0]), float(u_nodes[-1])
-    breaks = {*range(math.ceil(u_lo), math.floor(u_hi) + 1), *u_of_s(np.array(schedule.knots)).tolist()}
-    edges = [u_lo, *sorted(u for u in breaks if u_lo < u < u_hi), u_hi]
+    edges = _panel_edges(schedule, u_of_s, u_lo, u_hi, range(math.ceil(u_lo), math.floor(u_hi) + 1))
     _, pieces = _panel_integrals(integrand, edges, QUAD_TOL, "the time tabulation")
     t_nodes = node_integrals(pieces, u_nodes) / precision.epsilon
     for k in range(1, grid):

@@ -11,6 +11,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.linalg import eigh
 
+from adiasearch import cli
 from adiasearch.core import MarkedState, Precision, linear_schedule, make_splitting
 from adiasearch.dynamics import adiabaticity_lhs, evolve
 from adiasearch.hamiltonian import final_diagonal, final_terms
@@ -199,6 +200,27 @@ def test_criterion_6_adiabatic_success_estimate():
         f"{elapsed:.1f}s; worst |p - p_pred| {worst[0.2]:.4f} at eps=0.2, "
         f"{worst[0.1]:.4f} at eps=0.1; {floors}",
     )
+
+
+def test_evolve_caps_the_block_not_the_register(tmp_path):
+    # evolve holds one vector per distinct block size, so the paper's wide
+    # rows with small blocks run, and meet the estimate as the n <= 4 splits do
+    failures = []
+    worst = 0.0
+    for n, block_counts in ((30, (5, 6, 10, 15, 30)), (64, (16, 32, 64))):
+        for m in block_counts:
+            parts = [n // m] * m
+            splitting = make_splitting(n, parts)
+            for eps in (0.2, 0.1):
+                precision = Precision(epsilon=eps)
+                schedule_t = optimal_schedule(splitting, precision)
+                p = evolve(splitting, MarkedState.zeros(n), schedule_t, precision).success_probability
+                coeff = abs(p - predicted_success(parts, eps)) / eps**3
+                worst = max(worst, coeff)
+                if coeff > SUCCESS_RESIDUAL_COEFF:
+                    failures.append(f"n={n} m={m} eps={eps}: residual {coeff:.2f} eps^3")
+    assert cli.main(["evolve", "--n", "30", "--m", "10", "--out", str(tmp_path / "run.csv")]) == 0
+    _report("evolve past 12 qubits, 12 per block", failures, f"worst |p - p_pred| {worst:.2f} eps^3")
 
 
 def test_criterion_7_expansion_locality():

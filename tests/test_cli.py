@@ -338,6 +338,11 @@ _GOLDEN = {
         '    "eps_T": 3.0,\n    "alpha": 0.8842,\n    "beta": 2.0\n  },\n  {\n    "m": 6,\n'
         '    "n_per_m": 1,\n    "eps_T": 2.45,\n    "alpha": 0.7211,\n    "beta": 1.0\n  }\n]\n'
     ),
+    ("table", "--n", "64"): (
+        "m,n_per_m,eps_T,alpha,beta\n1,64,4294967296.00,1.0000,inf\n2,32,92681.90,1.0000,33.0000\n"
+        "4,16,512.00,1.0000,9.0000\n8,8,45.17,0.9995,3.6648\n16,4,15.49,0.9884,1.9767\n"
+        "32,2,9.80,0.9407,1.3170\n64,1,8.00,0.8571,1.0000\n"
+    ),
     ("pauli", "--n", "4", "--parts", "2,2", "--marked", "0110"): (
         "1.5\tIIII\n-0.25\tIIIZ\n0.25\tIIZI\n0.25\tIZII\n-0.25\tZIII\n0.25\tIIZZ\n0.25\tZZII\n"
     ),

@@ -99,7 +99,21 @@ def test_tabulated_schedules_with_f_plus_g_one_give_the_linear_time():
     for parts in ([2], [3, 3], [6], [10, 10], [30], [1, 30]):
         splitting = make_splitting(sum(parts), parts)
         linear = running_time_integral(splitting).eps_t
-        assert running_time_integral(splitting, curved).eps_t == pytest.approx(linear, rel=1e-8), parts
+        assert running_time_integral(splitting, curved).eps_t == pytest.approx(linear, rel=1e-12), parts
+    # the running time breaks at the knots, where f'' and g'' jump, as the
+    # tabulation does; the crossing s = 1/2 is a knot of both
+    smoothstep_nodes = np.linspace(0.0, 1.0, 11)
+    sine_nodes = np.linspace(0.0, 1.0, 101)
+    for nodes, g in (
+        (smoothstep_nodes, 3.0 * smoothstep_nodes**2 - 2.0 * smoothstep_nodes**3),
+        (sine_nodes, np.sin(0.5 * np.pi * sine_nodes) ** 2),
+    ):
+        schedule = tabulated_schedule(nodes, 1.0 - g, g)
+        for parts in ([3, 3], [6], [6, 6], [2, 10], [1] * 16, [1, 2, 9], [12]):
+            splitting = make_splitting(sum(parts), parts)
+            linear = running_time_integral(splitting).eps_t
+            eps_t = running_time_integral(splitting, schedule).eps_t
+            assert eps_t == pytest.approx(linear, rel=1e-12), (nodes.size, parts)
     # f - g is expanded about the crossing, so peaks 2^(-n/2) wide are
     # resolved as for the linear schedule
     two_node = tabulated_schedule([0.0, 1.0], [1.0, 0.0], [0.0, 1.0])
@@ -377,21 +391,47 @@ def test_kronrod_rule_is_exact_on_polynomials_up_to_degree_31():
         # the embedded 10-point Gauss rule is exact to degree 19
         if degree <= 19:
             assert err <= 50.0 * np.finfo(float).eps * scale, degree
-    assert runtime._adaptive_integral(lambda u: math.exp(-u * u), -6.0, 6.0, 1e-12)[0] == pytest.approx(
-        math.sqrt(math.pi), rel=1e-13
-    )
+    gaussian, _ = runtime._panel_integrals(lambda u: math.exp(-u * u), [-6.0, 6.0], 1e-12, "a Gaussian")
+    assert gaussian == pytest.approx(math.sqrt(math.pi), rel=1e-13)
 
 
 def test_quadrature_error_reports_plain_floats(monkeypatch):
     splitting = make_splitting(2, [2])
-    # a nan value or estimate fails the convergence rule too
-    for result in ((1.0, 1.0, np.ones(21)), (math.nan, math.nan, np.ones(21))):
-        monkeypatch.setattr(runtime, "_kronrod21", lambda *args, **kwargs: result)
+    panel_integrals = runtime._panel_integrals
+    budgets = []
+    rule_calls = [0]
+
+    def counted_panels(integrand, edges, *args):
+        # the rule evaluations one integral may make: a piece per panel,
+        # then two per bisection
+        budgets.append(len(edges) - 1 + 2 * runtime._QUAD_LIMIT)
+        rule_calls[0] = 0
+        return panel_integrals(integrand, edges, *args)
+
+    monkeypatch.setattr(runtime, "_panel_integrals", counted_panels)
+    ones = np.ones(21)
+    for rule, uses_the_budget in (
+        # the estimate grows at every bisection, which stops it early
+        (lambda lo, hi: (1.0, 1.0, ones), False),
+        # a nan value or estimate fails the convergence rule too
+        (lambda lo, hi: (math.nan, math.nan, ones), False),
+        # halves' estimates fall by 1/sqrt(2), so neither roundoff test
+        # fires and only the budget stops the bisection
+        (lambda lo, hi: (hi - lo, (hi - lo) ** 1.5, ones), True),
+    ):
+
+        def never_converges(integrand, lo, hi, rule=rule):
+            rule_calls[0] += 1
+            return rule(lo, hi)
+
+        monkeypatch.setattr(runtime, "_kronrod21", never_converges)
         for call in (lambda: running_time_integral(splitting), lambda: optimal_schedule(splitting)):
             with pytest.raises(QuadratureError, match="did not converge") as caught:
                 call()
             assert "np.float64" not in str(caught.value)
             assert type(caught.value.value) is float and type(caught.value.estimate) is float
+            assert 0 < rule_calls[0] <= budgets[-1]
+            assert (rule_calls[0] == budgets[-1]) == uses_the_budget
 
 
 def test_optimal_schedule_grid_validation():
