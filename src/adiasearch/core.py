@@ -9,6 +9,7 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -172,16 +173,8 @@ class MarkedState:
         return "".join(str(b) for b in self.bits)
 
 
-def pchip_slopes(x, y) -> np.ndarray:
-    """Node slopes of the monotone cubic Hermite interpolant through (x, y).
-
-    Fritsch & Carlson, SIAM J. Numer. Anal. 17, 238 (1980), as scipy's
-    PchipInterpolator sets them: zero where the chords either side change
-    sign or vanish, else their weighted harmonic mean; the shape-preserving
-    one-sided three-point rule at the ends; the chord for two nodes.
-    """
-    h = np.diff(x)
-    m = np.diff(y) / h
+def _pchip_slopes(h, m) -> np.ndarray:
+    """Node slopes from the node spacings h and chords m, in h's unit."""
     if m.size == 1:
         return np.array([m[0], m[0]])
     d = np.zeros(m.size + 1)
@@ -201,21 +194,35 @@ def pchip_slopes(x, y) -> np.ndarray:
 
 
 class MonotoneCubic:
-    """Piecewise-cubic Hermite interpolant with :func:`pchip_slopes` at the nodes.
+    """Monotone piecewise-cubic Hermite interpolant through (x, y).
 
-    c[:, k] holds the cubic on [x_k, x_k+1] in powers of (s - x_k), highest
-    first, as in scipy's PPoly; the end cubics extend past the nodes. Values
-    and slopes accept scalars or arrays.
+    ``slopes`` holds its node slopes, Fritsch & Carlson's (SIAM J. Numer.
+    Anal. 17, 238, 1980) as scipy's PchipInterpolator sets them: zero where
+    the chords either side change sign or vanish, else their weighted
+    harmonic mean; the shape-preserving one-sided three-point rule at the
+    ends; the chord for two nodes. c[:, k] holds the cubic on [x_k, x_k+1]
+    in powers of y = (s - x_k) / unit, highest first, as in scipy's PPoly,
+    with ``unit`` the power of two at or below the span of x. That division
+    rounds nothing, so no node spacing is too short or too long, and values
+    and slopes keep the bits of the cubic in s wherever it is finite. Where
+    the coefficients overflow even so, the cubic is refused; an overflowing
+    node slope reads inf. The end cubics extend past the nodes. Values and
+    slopes accept scalars or arrays.
     """
 
     def __init__(self, x, y):
         self.x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        h = np.diff(self.x)
-        m = np.diff(y) / h
-        d = pchip_slopes(self.x, y)
-        t = (d[:-1] + d[1:] - 2.0 * m) / h
-        self.c = np.array([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+        self.unit = math.ldexp(1.0, math.frexp(float(self.x[-1] - self.x[0]))[1] - 1)
+        h = np.diff(self.x) / self.unit
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
+            m = np.diff(y) / h
+            d = _pchip_slopes(h, m)
+            self.slopes = d / self.unit
+            t = (d[:-1] + d[1:] - 2.0 * m) / h
+            self.c = np.array([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
+        if not np.all(np.isfinite(self.c)):
+            raise ValueError(f"the monotone cubic through values up to {np.max(np.abs(y)):.3g} overflows")
 
     def interval(self, s):
         """Index k of the cubic that serves s: x_k <= s < x_k+1, clamped to the ends."""
@@ -224,7 +231,7 @@ class MonotoneCubic:
     def _local(self, s):
         s = np.asarray(s, dtype=float)
         k = self.interval(s)
-        return s - self.x[k], self.c[:, k]
+        return (s - self.x[k]) / self.unit, self.c[:, k]
 
     def __call__(self, s):
         y, (c0, c1, c2, c3) = self._local(s)
@@ -232,7 +239,7 @@ class MonotoneCubic:
 
     def slope(self, s):
         y, (c0, c1, c2, _) = self._local(s)
-        return c2 + 2.0 * c1 * y + 3.0 * c0 * (y * y)
+        return (c2 + 2.0 * c1 * y + 3.0 * c0 * (y * y)) / self.unit
 
 
 class Schedule:
@@ -321,7 +328,13 @@ class TabulatedSchedule(Schedule):
             raise ValueError("g samples must be non-decreasing")
         self._f = MonotoneCubic(s_nodes, f_nodes)
         self._g = MonotoneCubic(s_nodes, g_nodes)
-        self._f_minus_g = self._f.c - self._g.c  # one cubic per interval
+        # f - g on each interval about its left node and about its right one,
+        # each with that node's own f_k - g_k as the constant term
+        self._about_left = self._f.c - self._g.c
+        c0, c1, c2, _ = self._about_left
+        h = np.diff(s_nodes) / self._f.unit
+        h3c0 = 3.0 * h * c0
+        self._about_right = np.array([c0, c1 + h3c0, c2 + h * (2.0 * c1 + h3c0), (f_nodes - g_nodes)[1:]])
         self.s_nodes = s_nodes
         self.knots = tuple(s_nodes[1:-1].tolist())
         self.f_nodes = f_nodes
@@ -340,12 +353,14 @@ class TabulatedSchedule(Schedule):
         return self._g.slope(s)
 
     def difference(self, s_star, x):
-        # the serving cubic re-expanded about s_star and evaluated in x, so
-        # s_star + x is never rounded; its coefficients depend on s_star and
-        # the interval only, so f - g stays smooth in x
+        # the serving cubic about its node nearer s_star, re-expanded about
+        # s_star and evaluated in x: s_star + x is never rounded, a crossing at
+        # a node reads f - g = 0 on both sides, and f - g is smooth in x
         k = self._f.interval(s_star + x)
-        c0, c1, c2, c3 = self._f_minus_g[:, k]
-        d = s_star - self.s_nodes[k]
+        right = 2.0 * s_star > self.s_nodes[k] + self.s_nodes[k + 1]
+        c0, c1, c2, c3 = np.where(right, self._about_right[:, k], self._about_left[:, k])
+        d = (s_star - self.s_nodes[k + right]) / self._f.unit
+        x = x / self._f.unit
         b0 = c3 + d * (c2 + d * (c1 + d * c0))
         b1 = c2 + d * (2.0 * c1 + 3.0 * d * c0)
         b2 = c1 + 3.0 * d * c0

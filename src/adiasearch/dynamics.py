@@ -25,6 +25,7 @@ only the overlaps and norms are taken checkpoint by checkpoint.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass
 
@@ -216,19 +217,20 @@ def evolve(
     rate_checks = np.asarray(schedule_t.rate(s_checks), dtype=float)
     # every block operator has the same bound, |f| + |g|
     norm_bound = float(appliers[0].norm_bound(f, g).max())
-    h_target = 1.0 / (precision.ode_steps_per_unit_time * norm_bound)
+    # steps are counted in floats, so a count too large for an int is refused, not converted
+    h_target = 1.0 / (float(min(precision.ode_steps_per_unit_time, sys.float_info.max)) * norm_bound)
     # steps[k] RK4 steps lead from checkpoint k - 1 to checkpoint k
-    steps = [0] + [
-        max(1, int(math.ceil((t1 - t0) / h_target))) if t1 > t0 else 0
-        for t0, t1 in zip(t_checks[:-1], t_checks[1:])
-    ]
-    total_steps = sum(steps) * len(sizes)
-    if total_steps > RK4_STEP_BUDGET:
+    widths = np.diff(t_checks)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        steps = np.where(widths > 0.0, np.maximum(1.0, np.ceil(widths / h_target)), 0.0)
+        per_solve = float(steps.sum())
+    if per_solve * len(sizes) > RK4_STEP_BUDGET:
         raise ValueError(
-            f"the run needs {total_steps} RK4 steps ({sum(steps)} for each of {len(sizes)} "
-            f"block sizes), over the budget of {RK4_STEP_BUDGET}; "
+            f"the run needs {per_solve * len(sizes):.3g} RK4 steps ({per_solve:.3g} for each of "
+            f"{len(sizes)} block sizes), over the budget of {RK4_STEP_BUDGET}; "
             "shorten the total time or lower ode_steps_per_unit_time"
         )
+    steps = [0] + steps.astype(int).tolist()
 
     # the diagnostics that do not depend on the state, at every checkpoint at once
     c_marked, c_perp = _ground_amplitudes(np.array(dims, dtype=float), f, g)

@@ -25,7 +25,6 @@ from .core import (
     _integer,
     equal_splitting,
     linear_schedule,
-    pchip_slopes,
 )
 from .kronrod import NODES, WEIGHTS, node_integrals
 from .spectral import adiabatic_ratio
@@ -36,11 +35,6 @@ QUAD_TOL = 1e-9  # relative tolerance of every time integral
 _QUAD_LIMIT = 500  # most bisections per integral, over all its panels
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
-# The cubic coefficients of s(t) divide by the cube of a time step, so a
-# shorter step overflows them; evaluating s(t) cubes the offset into a step,
-# so a longer step overflows that.
-_MIN_TIME_STEP = _TINY ** (1.0 / 3.0)
-_MAX_TIME_STEP = np.finfo(float).max ** (1.0 / 3.0)
 
 
 class QuadratureError(RuntimeError):
@@ -275,27 +269,16 @@ def max_structured_time(n: int) -> RunTimeResult:
     return RunTimeResult(splitting, eps_t, alpha, beta, "max_structured")
 
 
-def _check_time_steps(total_time: float, t_nodes, rate_nodes=()) -> None:
-    """Refuse time steps too short or too long for the cubics of s(t), or rates that overflow."""
-    steps = np.diff(t_nodes)
-    if not (np.min(steps) >= _MIN_TIME_STEP and np.all(np.isfinite(rate_nodes))):
-        raise ValueError(
-            f"total time {total_time!r} is too short: its time steps "
-            f"fall below {_MIN_TIME_STEP:.3g} or its rates overflow"
-        )
-    if not np.max(steps) <= _MAX_TIME_STEP:
-        raise ValueError(
-            f"total time {total_time!r} is too long: its time steps exceed {_MAX_TIME_STEP:.3g}"
-        )
-
-
 @dataclass(frozen=True)
 class TimeSchedule:
     """Monotone time parameterization s(t) with its total time.
 
     Produced by :func:`optimal_schedule` (where the rate samples come from
     the saturated bound) or from user samples. Interpolation is monotone
-    piecewise cubic in both directions.
+    piecewise cubic in both directions, by :class:`core.MonotoneCubic`,
+    which takes time steps of any length. A positive total time is refused
+    only where its time steps vanish or its rates overflow, or where a
+    cubic of its samples overflows even in its own unit.
     """
 
     base: Schedule
@@ -311,7 +294,8 @@ class TimeSchedule:
         if not (math.isfinite(self.total_time) and self.total_time >= 0.0):
             raise ValueError(f"total time must be finite and >= 0, got {self.total_time}")
         if self.total_time > 0.0:
-            _check_time_steps(self.total_time, self.t_nodes, self.rate_nodes)
+            if not (np.min(np.diff(self.t_nodes)) > 0.0 and np.all(np.isfinite(self.rate_nodes))):
+                raise ValueError(f"total time {self.total_time!r} is too short: its steps vanish or its rates overflow")
             object.__setattr__(self, "_s_of_t", MonotoneCubic(self.t_nodes, self.s_nodes))
             object.__setattr__(self, "_t_of_s", MonotoneCubic(self.s_nodes, self.t_nodes))
             object.__setattr__(self, "_rate_of_s", MonotoneCubic(self.s_nodes, self.rate_nodes))
@@ -330,15 +314,9 @@ class TimeSchedule:
             raise ValueError("t and s samples must be strictly increasing")
         if abs(s_nodes[0]) > SCHEDULE_BOUNDARY_TOL or abs(s_nodes[-1] - 1.0) > SCHEDULE_BOUNDARY_TOL:
             raise ValueError("s samples must span s = 0 to s = 1")
-        total_time = float(t_nodes[-1] - t_nodes[0])
-        _check_time_steps(total_time, t_nodes)
-        return cls(
-            base if base is not None else linear_schedule(),
-            total_time,
-            t_nodes - t_nodes[0],
-            s_nodes,
-            pchip_slopes(t_nodes, s_nodes),
-        )
+        base = base if base is not None else linear_schedule()
+        rate_nodes = MonotoneCubic(t_nodes, s_nodes).slopes  # the constructor refuses an overflow
+        return cls(base, float(t_nodes[-1] - t_nodes[0]), t_nodes - t_nodes[0], s_nodes, rate_nodes)
 
     @classmethod
     def quench(cls, base: Schedule | None = None) -> "TimeSchedule":
@@ -415,7 +393,12 @@ def optimal_schedule(
     u_lo, u_hi = float(u_nodes[0]), float(u_nodes[-1])
     edges = _panel_edges(schedule, u_of_s, u_lo, u_hi, range(math.ceil(u_lo), math.floor(u_hi) + 1))
     _, pieces = _panel_integrals(integrand, edges, QUAD_TOL, "the time tabulation")
-    t_nodes = node_integrals(pieces, u_nodes) / precision.epsilon
+    t_nodes = node_integrals(pieces, u_nodes)
+    if not math.isfinite(float(t_nodes[-1]) / precision.epsilon):
+        raise ValueError(
+            f"epsilon {precision.epsilon!r} is too small: the total time {t_nodes[-1]:.17g} / epsilon overflows"
+        )
+    t_nodes /= precision.epsilon
     for k in range(1, grid):
         # far tails of huge blocks can fall below the resolution of the
         # accumulated time; keep the tabulation strictly increasing

@@ -248,20 +248,43 @@ def test_non_finite_total_time_is_config_error(capsys):
 
 
 def test_collapsing_total_time_is_config_error(capsys):
-    # the stretched time nodes collapse (5e-324) or overflow the interpolant
-    for value in ("1e-300", "5e-324"):
-        assert run_cli("evolve", "--n", "1", "--m", "1", "--total-time", value) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and f"total time {float(value)!r} is too short" in err
+    # at 5e-324 the stretched time steps vanish; at 1e-300 the run is a
+    # quench in all but name and misses the target with p = 1/2
+    assert run_cli("evolve", "--n", "1", "--m", "1", "--total-time", "5e-324") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "total time 5e-324 is too short" in err
+    assert run_cli("evolve", "--n", "1", "--m", "1", "--total-time", "1e-300") == 4
+    assert json.loads(capsys.readouterr().out)["success_probability"] == pytest.approx(0.5, rel=1e-12)
 
 
 def test_overlong_total_time_is_config_error(capsys):
-    # the time steps of s(t) would overflow its cubic; eps = 1e-100 still runs
-    for command in ("schedule", "evolve"):
-        assert run_cli(command, "--n", "4", "--m", "2", "--eps", "1e-150") == 2
+    # eps = 1e-150 gives time steps of 4.9e147; the schedule is written, and
+    # evolve refuses the run for its step count, not for the cubic of s(t)
+    assert run_cli("schedule", "--n", "4", "--m", "2", "--eps", "1e-150") == 0
+    assert capsys.readouterr().err == ""
+    assert run_cli("evolve", "--n", "4", "--m", "2", "--eps", "1e-150") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "the run needs 1.57e+152 RK4 steps" in err
+    assert "over the budget of 1048576" in err
+
+
+def test_huge_step_counts_are_config_errors(capsys):
+    # a step rate too large for a float, or a step count too large for an
+    # int, is counted as inf and refused with the budget's one line
+    for argv in (("--steps", "1" + "0" * 400), ("--total-time", "1e300", "--steps", "100000000000000000000")):
+        assert run_cli("evolve", "--n", "1", "--m", "1", *argv) == 2
         err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "e+150 is too long" in err
-    assert run_cli("schedule", "--n", "4", "--m", "2", "--eps", "1e-100") == 0
+        assert err.count("\n") == 1 and "the run needs inf RK4 steps" in err
+    # a count that fits is written to three digits, not as a 100-digit int
+    assert run_cli("evolve", "--n", "1", "--m", "1", "--total-time", "1e100") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "the run needs 6.4e+101 RK4 steps" in err
+
+
+def test_epsilon_whose_total_time_overflows_is_config_error(capsys):
+    assert run_cli("schedule", "--n", "64", "--m", "1", "--eps", "1e-308") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "epsilon 1e-308 is too small: the total time 4294967295.99" in err
 
 
 def test_grid_cap_is_config_error(capsys):

@@ -172,6 +172,46 @@ def test_step_budget_counts_every_solve(monkeypatch):
         evolve(splitting, MarkedState.zeros(4), schedule_t, precision)
 
 
+def test_step_counts_follow_the_per_interval_rule(monkeypatch):
+    # evolve counts the steps of all intervals as one float array; each count
+    # must equal the scalar rule max(1, ceil((t1 - t0) / h)), 0 for no width
+    counted = []
+
+    def counting_rk4(apply, psi, t0, t1, nsteps, couplings):
+        counted.append(nsteps)
+        return psi
+
+    monkeypatch.setattr(dynamics, "rk4_propagate", counting_rk4)
+    # the ramp of the second schedule reaches s = 0.6 almost at once, so its
+    # first checkpoint intervals are far shorter than one step
+    ramp = TimeSchedule.from_samples([0.0, 1e-9, 3.0], [0.0, 0.6, 1.0])
+    cases = [(optimal_schedule(make_splitting(4, [2, 2])), 64), (ramp, 7)]
+    for schedule_t, steps_per_unit in cases:
+        counted.clear()
+        precision = Precision(ode_steps_per_unit_time=steps_per_unit)
+        report = evolve(make_splitting(4, [2, 2]), MarkedState.zeros(4), schedule_t, precision)
+        h = 1.0 / steps_per_unit  # the linear schedule's block norm bound |f| + |g| is 1
+        t = report.checkpoint_t
+        expected = [max(1, math.ceil((t1 - t0) / h)) for t0, t1 in zip(t[:-1], t[1:]) if t1 > t0]
+        assert counted == expected and all(type(n) is int for n in counted)
+
+
+def test_step_counts_too_large_for_an_int_are_refused():
+    # the step count is a float until it has passed the budget: a step rate
+    # past the largest double, or a count past it, reads inf
+    splitting = make_splitting(1, [1])
+    schedule_t = optimal_schedule(splitting)
+    cases = [
+        (schedule_t, Precision(ode_steps_per_unit_time=10**400)),
+        (schedule_t.scaled(1e300), Precision(ode_steps_per_unit_time=10**20)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run, precision in cases:
+            with pytest.raises(ValueError, match=r"the run needs inf RK4 steps \(inf for each of 1 block sizes\)"):
+                evolve(splitting, MarkedState.zeros(1), run, precision)
+
+
 def test_rk4_order_against_matrix_exponential():
     rng = np.random.default_rng(0)
     raw = rng.standard_normal((8, 8))

@@ -13,6 +13,7 @@ from adiasearch.core import (
     MAX_GRID,
     LinearSchedule,
     MarkedState,
+    MonotoneCubic,
     Precision,
     Schedule,
     equal_splitting,
@@ -101,19 +102,25 @@ def test_tabulated_schedules_with_f_plus_g_one_give_the_linear_time():
         linear = running_time_integral(splitting).eps_t
         assert running_time_integral(splitting, curved).eps_t == pytest.approx(linear, rel=1e-12), parts
     # the running time breaks at the knots, where f'' and g'' jump, as the
-    # tabulation does; the crossing s = 1/2 is a knot of both
-    smoothstep_nodes = np.linspace(0.0, 1.0, 11)
-    sine_nodes = np.linspace(0.0, 1.0, 101)
-    for nodes, g in (
-        (smoothstep_nodes, 3.0 * smoothstep_nodes**2 - 2.0 * smoothstep_nodes**3),
-        (sine_nodes, np.sin(0.5 * np.pi * sine_nodes) ** 2),
+    # tabulation does; the crossing s = 1/2 is a knot of every schedule here.
+    # f - g is taken about that node on both sides of it, so it is exactly 0
+    # there and a 64-qubit peak stays symmetric; taken over the left
+    # interval's width it missed by 1e-17, which put [64] off by up to 1.2e-7
+    splits = [[3, 3], [6], [6, 6], [2, 10], [1] * 16, [1, 2, 9], [12]]
+    for size, profile, cases in (
+        (11, "smoothstep", splits + [[64], [32, 32]]),
+        (101, "cos2", splits + [[1, 63]]),
+        (11, "cos2", [[64]]),
+        (9, "cos2", [[64]]),
     ):
+        nodes = np.linspace(0.0, 1.0, size)
+        g = 3.0 * nodes**2 - 2.0 * nodes**3 if profile == "smoothstep" else np.sin(0.5 * np.pi * nodes) ** 2
         schedule = tabulated_schedule(nodes, 1.0 - g, g)
-        for parts in ([3, 3], [6], [6, 6], [2, 10], [1] * 16, [1, 2, 9], [12]):
+        for parts in cases:
             splitting = make_splitting(sum(parts), parts)
             linear = running_time_integral(splitting).eps_t
             eps_t = running_time_integral(splitting, schedule).eps_t
-            assert eps_t == pytest.approx(linear, rel=1e-12), (nodes.size, parts)
+            assert eps_t == pytest.approx(linear, rel=1e-12), (profile, size, parts)
     # f - g is expanded about the crossing, so peaks 2^(-n/2) wide are
     # resolved as for the linear schedule
     two_node = tabulated_schedule([0.0, 1.0], [1.0, 0.0], [0.0, 1.0])
@@ -489,18 +496,24 @@ def test_time_schedule_from_samples_and_scaling():
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="total time"):
             schedule_t.scaled(bad)
-    # stretched so short that the time nodes collapse or the rates overflow
-    for bad in (1e-300, 5e-324):
-        with pytest.raises(ValueError, match=f"total time {bad!r} is too short"):
-            schedule_t.scaled(bad)
+    # a step of 1e-302 is fine for the cubics; at 5e-324 the time steps vanish
+    stretched = schedule_t.scaled(1e-300)
+    assert float(stretched.rate(0.5)) == pytest.approx(1e300, rel=1e-9)
+    assert float(stretched.s_of_t(0.5e-300)) == pytest.approx(0.5, rel=1e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="total time 5e-324 is too short"):
+            schedule_t.scaled(5e-324)
     for bad in (-1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="total time"):
             TimeSchedule(schedule_t.base, bad, t_nodes, s_nodes, schedule_t.rate_nodes)
-    # samples this short are refused before any interpolant or rate is formed
+    # samples this short build their cubics as any others do
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match="total time 1e-200 is too short"):
-            TimeSchedule.from_samples(np.linspace(0.0, 1e-200, 11), np.linspace(0.0, 1.0, 11))
+        short = TimeSchedule.from_samples(np.linspace(0.0, 1e-200, 11), np.linspace(0.0, 1.0, 11))
+    assert short.total_time == 1e-200
+    assert float(short.rate(0.3)) == pytest.approx(1e200, rel=1e-9)
+    assert float(short.t_of_s(short.s_of_t(3.3e-201))) == pytest.approx(3.3e-201, rel=1e-9)
 
     quench = TimeSchedule.quench()
     assert quench.total_time == 0.0
@@ -531,20 +544,39 @@ def test_time_schedule_from_samples_refuses_bad_samples():
     assert schedule_t.total_time == 2.0
 
 
-def test_time_steps_too_long_for_the_cubic_of_s_of_t_are_refused():
-    # at eps = 1e-150 the largest step is about 4.9e147, past the 5.6e102 whose
-    # cube overflows s(t); at eps = 1e-100 it is 4.9e97 and s(t) stays finite
+def test_time_steps_of_any_length_suit_the_cubic_of_s_of_t():
+    # at eps = 1e-150 the largest step is about 4.9e147, whose cube overflows
+    # a double; the cubic works in a power-of-two unit of its span, so s(t)
+    # stays finite
     splitting = make_splitting(4, [2, 2])
-    with pytest.raises(ValueError, match="total time 2.4494897427831.*e\\+150 is too long"):
-        optimal_schedule(splitting, Precision(epsilon=1e-150))
-    schedule_t = optimal_schedule(splitting, Precision(epsilon=1e-100))
-    assert np.max(np.diff(schedule_t.t_nodes)) < runtime._MAX_TIME_STEP
+    schedule_t = optimal_schedule(splitting, Precision(epsilon=1e-150))
+    eps_t = running_time_integral(splitting).eps_t
+    assert schedule_t.total_time * 1e-150 == pytest.approx(eps_t, rel=1e-9)
     s = schedule_t.s_of_t(np.linspace(0.0, schedule_t.total_time, 1001))
     assert np.all(np.isfinite(s)) and np.all(np.diff(s) >= 0.0) and s[-1] == pytest.approx(1.0)
-    with pytest.raises(ValueError, match="is too long"):
-        schedule_t.scaled(1e150)
-    with pytest.raises(ValueError, match="is too long"):
-        TimeSchedule.from_samples([0.0, 1e103], [0.0, 1.0])
+    assert schedule_t.scaled(1e150).total_time == 1e150
+    assert TimeSchedule.from_samples([0.0, 1e103], [0.0, 1.0]).total_time == 1e103
+    # a total so long that t(s) itself overflows is still refused
+    with pytest.raises(ValueError, match="the monotone cubic through values up to 1.7e\\+308 overflows"):
+        schedule_t.scaled(1.7e308)
+    # dividing by a power of two rounds nothing: scaling the nodes by 2^k
+    # keeps every value, and scales every slope by 2^-k, to the last bit
+    rng = np.random.default_rng(5)
+    x = np.cumsum(rng.uniform(0.01, 1.0, 12))
+    y = np.cumsum(rng.uniform(0.0, 1.0, 12))
+    q = np.concatenate([x, rng.uniform(x[0] - 0.5, x[-1] + 0.5, 200)])
+    cubic = MonotoneCubic(x, y)
+    for k in (300, -300, 900, -900):
+        scaled = MonotoneCubic(np.ldexp(x, k), y)
+        assert np.array_equal(scaled(np.ldexp(q, k)), cubic(q)), k
+        assert np.array_equal(scaled.slope(np.ldexp(q, k)), np.ldexp(cubic.slope(q), -k)), k
+
+
+def test_tiny_epsilon_whose_total_time_overflows_is_refused():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="epsilon 5e-324 is too small: the total time 1.73.* / epsilon overflows"):
+            optimal_schedule(make_splitting(2, [2]), Precision(epsilon=5e-324))
 
 
 def test_singular_schedule_rejected():
