@@ -173,6 +173,29 @@ class MarkedState:
         return "".join(str(b) for b in self.bits)
 
 
+def _sampled_curve(s, **columns) -> tuple[np.ndarray, ...]:
+    """``s`` and the named columns as float arrays, refused unless they form a sampled curve.
+
+    The one rule for every sampled curve of s: at least two samples, as many
+    in each column as in s, every value finite, and s strictly increasing
+    from 0 to 1 within SCHEDULE_BOUNDARY_TOL.
+    """
+    arrays = {name: np.asarray(vals, dtype=float) for name, vals in {"s": s, **columns}.items()}
+    s = arrays["s"]
+    if s.ndim != 1 or s.size < 2:
+        raise ValueError("need at least two schedule samples")
+    if any(vals.shape != s.shape for vals in arrays.values()):
+        raise ValueError(f"{', '.join(arrays)} sample arrays must have equal length")
+    for name, vals in arrays.items():
+        if not np.isfinite(vals).all():
+            raise ValueError(f"{name} samples must be finite")
+    if np.any(np.diff(s) <= 0):
+        raise ValueError("schedule samples must have strictly increasing s")
+    if abs(s[0]) > SCHEDULE_BOUNDARY_TOL or abs(s[-1] - 1.0) > SCHEDULE_BOUNDARY_TOL:
+        raise ValueError("schedule samples must span s = 0 to s = 1")
+    return tuple(arrays.values())
+
+
 def _pchip_slopes(h, m) -> np.ndarray:
     """Node slopes from the node spacings h and chords m, in h's unit."""
     if m.size == 1:
@@ -299,26 +322,15 @@ class TabulatedSchedule(Schedule):
     """Monotone piecewise-cubic schedule through samples (s_k, f_k, g_k).
 
     Interpolation is shape preserving, so the samples' monotonicity carries
-    over to the interpolant and its derivative exists everywhere.
+    over to the interpolant and its derivative exists everywhere. The
+    samples obey the one sampled-curve rule of ``_sampled_curve``; f must
+    also run from 1 down to 0 and g from 0 up to 1.
     """
 
     kind = "tabulated"
 
     def __init__(self, s_nodes, f_nodes, g_nodes):
-        s_nodes = np.asarray(s_nodes, dtype=float)
-        f_nodes = np.asarray(f_nodes, dtype=float)
-        g_nodes = np.asarray(g_nodes, dtype=float)
-        if s_nodes.ndim != 1 or s_nodes.size < 2:
-            raise ValueError("need at least two schedule samples")
-        if f_nodes.shape != s_nodes.shape or g_nodes.shape != s_nodes.shape:
-            raise ValueError("s, f, g sample arrays must have equal length")
-        for name, vals in (("s", s_nodes), ("f", f_nodes), ("g", g_nodes)):
-            if not np.isfinite(vals).all():
-                raise ValueError(f"{name} samples must be finite")
-        if np.any(np.diff(s_nodes) <= 0):
-            raise ValueError("schedule samples must have strictly increasing s")
-        if abs(s_nodes[0]) > SCHEDULE_BOUNDARY_TOL or abs(s_nodes[-1] - 1.0) > SCHEDULE_BOUNDARY_TOL:
-            raise ValueError("schedule samples must span s = 0 to s = 1")
+        s_nodes, f_nodes, g_nodes = _sampled_curve(s_nodes, f=f_nodes, g=g_nodes)
         for name, vals, v0, v1 in (("f", f_nodes, 1.0, 0.0), ("g", g_nodes, 0.0, 1.0)):
             if abs(vals[0] - v0) > SCHEDULE_BOUNDARY_TOL or abs(vals[-1] - v1) > SCHEDULE_BOUNDARY_TOL:
                 raise ValueError(f"{name} must run from {v0} to {v1}")

@@ -17,19 +17,18 @@ import numpy as np
 from .core import (
     MAX_BLOCK_QUBITS,
     MAX_GRID,
-    SCHEDULE_BOUNDARY_TOL,
     MonotoneCubic,
     Precision,
     Schedule,
     Splitting,
     _integer,
+    _sampled_curve,
     equal_splitting,
     linear_schedule,
 )
 from .kronrod import NODES, WEIGHTS, node_integrals
 from .spectral import adiabatic_ratio
 
-MAX_TABLE_QUBITS = MAX_BLOCK_QUBITS  # the m = 1 row is one block of n qubits
 QUAD_TOL = 1e-9  # relative tolerance of every time integral
 
 _QUAD_LIMIT = 500  # most bisections per integral, over all its panels
@@ -203,14 +202,14 @@ def scaling_coefficients(eps_t: float, n: int, num_blocks: int) -> tuple[float, 
 
     The first (alpha) measures closeness to square-root-of-dimension
     scaling; the second (beta) is reported as infinity for a single block,
-    where its defining base is 1.
+    where its defining base is 1; needs 1 <= num_blocks <= n.
     """
     if not (math.isfinite(eps_t) and eps_t > 0.0):
         raise ValueError(f"eps_t must be finite and positive, got {eps_t}")
     n = _integer(n, "qubit count")
     num_blocks = _integer(num_blocks, "number of blocks")
-    if num_blocks < 1:
-        raise ValueError(f"number of blocks must be >= 1, got {num_blocks}")
+    if not 1 <= num_blocks <= n:
+        raise ValueError(f"number of blocks must be in [1, n={n}], got {num_blocks}")
     log_base = math.log(num_blocks) + (n / num_blocks) * math.log(2.0)
     alpha = 2.0 * math.log(eps_t) / log_base
     beta = math.inf if num_blocks == 1 else 2.0 * math.log(eps_t) / math.log(num_blocks)
@@ -242,15 +241,11 @@ def closed_form_eps_t(n: int, num_blocks: int) -> float:
     Substituting u = 2s - 1 turns each block's integral into
     (1/2) * integral of (a*u**2 + b)**(-3/2) with a = 1 - 1/N and b = 1/N,
     which evaluates to N; the total collapses to sqrt(m * (2^(n/m) - 1)).
+    n and m are refused as equal_splitting refuses them, and so are blocks
+    over the floating-point cap of MAX_BLOCK_QUBITS qubits.
     """
-    n = _integer(n, "qubit count")
-    num_blocks = _integer(num_blocks, "number of blocks")
-    if num_blocks < 1:
-        raise ValueError(f"number of blocks must be >= 1, got {num_blocks}")
-    if n % num_blocks != 0:
-        raise ValueError(f"{num_blocks} does not divide n={n}")
-    block_dim = 2 ** (n // num_blocks)
-    return math.sqrt(num_blocks * (block_dim - 1))
+    block_dim = equal_splitting(n, num_blocks).float_block_dims()[0]
+    return math.sqrt(num_blocks * (block_dim - 1.0))
 
 
 def max_structured_time(n: int) -> RunTimeResult:
@@ -260,9 +255,6 @@ def max_structured_time(n: int) -> RunTimeResult:
     element integrates to exactly sqrt(n) for eps_t, consistent with the
     equal-split closed form at one qubit per block.
     """
-    n = _integer(n, "qubit count")
-    if n < 1:
-        raise ValueError(f"qubit count must be >= 1, got {n}")
     splitting = equal_splitting(n, n)
     eps_t = math.sqrt(n)
     alpha, beta = scaling_coefficients(eps_t, n, n)
@@ -274,11 +266,13 @@ class TimeSchedule:
     """Monotone time parameterization s(t) with its total time.
 
     Produced by :func:`optimal_schedule` (where the rate samples come from
-    the saturated bound) or from user samples. Interpolation is monotone
-    piecewise cubic in both directions, by :class:`core.MonotoneCubic`,
-    which takes time steps of any length. A positive total time is refused
-    only where its time steps vanish or its rates overflow, or where a
-    cubic of its samples overflows even in its own unit.
+    the saturated bound) or from user (t, s) samples: s obeys core's one
+    sampled-curve rule, and t must increase strictly over a span that fits
+    a double. Interpolation is monotone piecewise cubic in both directions,
+    by :class:`core.MonotoneCubic`, which takes time steps of any length. A
+    positive total time is refused only where its time steps vanish or its
+    rates overflow, or where a cubic of its samples overflows even in its
+    own unit.
     """
 
     base: Schedule
@@ -303,17 +297,10 @@ class TimeSchedule:
     @classmethod
     def from_samples(cls, t_nodes, s_nodes, base: Schedule | None = None) -> "TimeSchedule":
         """Build from sampled (t, s); rates are the interpolant's node slopes."""
-        t_nodes = np.asarray(t_nodes, dtype=float)
-        s_nodes = np.asarray(s_nodes, dtype=float)
-        if t_nodes.ndim != 1 or t_nodes.size < 2 or s_nodes.shape != t_nodes.shape:
-            raise ValueError("need at least two (t, s) samples, as many s as t")
-        for name, vals in (("t", t_nodes), ("s", s_nodes)):
-            if not np.isfinite(vals).all():
-                raise ValueError(f"{name} samples must be finite")
-        if not (np.all(np.diff(t_nodes) > 0.0) and np.all(np.diff(s_nodes) > 0.0)):
-            raise ValueError("t and s samples must be strictly increasing")
-        if abs(s_nodes[0]) > SCHEDULE_BOUNDARY_TOL or abs(s_nodes[-1] - 1.0) > SCHEDULE_BOUNDARY_TOL:
-            raise ValueError("s samples must span s = 0 to s = 1")
+        s_nodes, t_nodes = _sampled_curve(s_nodes, t=t_nodes)
+        with np.errstate(over="ignore"):  # an overflowing span is refused here
+            if not (np.all(np.diff(t_nodes) > 0.0) and math.isfinite(t_nodes[-1] - t_nodes[0])):
+                raise ValueError("t samples must be strictly increasing over a span that fits a double")
         base = base if base is not None else linear_schedule()
         rate_nodes = MonotoneCubic(t_nodes, s_nodes).slopes  # the constructor refuses an overflow
         return cls(base, float(t_nodes[-1] - t_nodes[0]), t_nodes - t_nodes[0], s_nodes, rate_nodes)
@@ -415,8 +402,8 @@ def _divisors(n: int) -> list[int]:
 def reproduce_table(n: int) -> list[RunTimeResult]:
     """One quadrature row per divisor of n (ascending), linear schedule."""
     n = _integer(n, "qubit count")
-    if not 1 <= n <= MAX_TABLE_QUBITS:
-        raise ValueError(f"n must be in [1, {MAX_TABLE_QUBITS}], got {n}")
+    if not 1 <= n <= MAX_BLOCK_QUBITS:  # the m = 1 row is one block of n qubits
+        raise ValueError(f"n must be in [1, {MAX_BLOCK_QUBITS}], got {n}")
     schedule = linear_schedule()
     return [running_time_integral(equal_splitting(n, m), schedule) for m in _divisors(n)]
 

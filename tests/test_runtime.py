@@ -48,6 +48,17 @@ def test_closed_form_values():
         closed_form_eps_t(6, 4)
     with pytest.raises(ValueError):
         closed_form_eps_t(6, 0)
+    # n and m go through equal_splitting and the floating-point block cap:
+    # these once returned 0.0, hit a math domain error, overflowed, and
+    # returned 10.0 for 100 one-qubit blocks past the 64-block cap
+    for n, blocks, message in [
+        (0, 1, "qubit count must be >= 1"),
+        (-3, 1, "qubit count must be >= 1"),
+        (2000, 1, "block of 2000 qubits exceeds the floating-point cap"),
+        (100, 100, "100 blocks exceed the cap of 64 blocks"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            closed_form_eps_t(n, blocks)
 
 
 def test_closed_form_against_high_precision_quadrature():
@@ -169,6 +180,10 @@ def test_scaling_coefficients_unrounded_rows():
             scaling_coefficients(eps_t, 4, 2)
     with pytest.raises(ValueError):
         scaling_coefficients(2.0, 6, 0)
+    # once a ZeroDivisionError and (-0.5, inf)
+    for n in (0, -4):
+        with pytest.raises(ValueError, match=rf"number of blocks must be in \[1, n={n}\], got 1"):
+            scaling_coefficients(2.0, n, 1)
 
 
 def test_scaling_coefficients_rounded_inputs_are_close():
@@ -533,12 +548,22 @@ def test_time_schedule_from_samples_refuses_bad_samples():
         ([0.0, 1.0, 2.0], [0.2, 0.5, 0.8], "span s = 0 to s = 1"),
         ([0.0, 1.0, 2.0], [0.0, 0.5, 0.9], "span s = 0 to s = 1"),
         ([0.0, 1.0, 2.0], [-1e-9, 0.5, 1.0], "span s = 0 to s = 1"),
-        ([0.0, 1.0, 2.0], [0.0, 0.5], "as many s as t"),
+        ([0.0, 1.0, 2.0], [0.0, 0.5], "s, t sample arrays must have equal length"),
         ([0.0, 1.0, 1.0], [0.0, 0.5, 1.0], "strictly increasing"),
+        # the span overflows: once a RuntimeWarning from the subtraction
+        ([-1e308, 1e308], [0.0, 1.0], "t samples must be strictly increasing over a span that fits a double"),
     ]
     for t_nodes, s_nodes, message in cases:
         with pytest.raises(ValueError, match=message):
             TimeSchedule.from_samples(t_nodes, s_nodes)
+    # one rule for every sampled curve of s: the same bad s column reads the
+    # same in a tabulated schedule and in a time schedule
+    for s_nodes in ([0.0, 0.5, 0.5, 1.0], [0.2, 0.4, 0.6, 0.8], [0.0, 0.5, math.nan, 1.0]):
+        with pytest.raises(ValueError) as tabulated:
+            tabulated_schedule(s_nodes, [1.0, 0.6, 0.4, 0.0], [0.0, 0.4, 0.6, 1.0])
+        with pytest.raises(ValueError) as sampled:
+            TimeSchedule.from_samples([0.0, 1.0, 2.0, 3.0], s_nodes)
+        assert str(tabulated.value) == str(sampled.value)
     # ends within the boundary tolerance of the tabulated schedules pass
     schedule_t = TimeSchedule.from_samples([0.0, 1.0, 2.0], [1e-13, 0.5, 1.0 - 1e-13])
     assert schedule_t.total_time == 2.0
