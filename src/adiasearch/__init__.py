@@ -16,8 +16,6 @@ from .core import (
     equal_splitting,
     linear_schedule,
     make_splitting,
-    problem_from_dict,
-    problem_to_dict,
     tabulated_schedule,
 )
 from .dynamics import (

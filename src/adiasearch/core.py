@@ -273,7 +273,6 @@ class Schedule:
     are monotone.
     """
 
-    kind = "base"
     # interior s where f'' or g'' jump; the schedule tabulation breaks its
     # quadrature panels there
     knots: tuple[float, ...] = ()
@@ -298,8 +297,6 @@ class Schedule:
 
 class LinearSchedule(Schedule):
     """f(s) = 1 - s, g(s) = s."""
-
-    kind = "linear"
 
     def f(self, s):
         return 1.0 - s
@@ -327,8 +324,6 @@ class TabulatedSchedule(Schedule):
     also run from 1 down to 0 and g from 0 up to 1.
     """
 
-    kind = "tabulated"
-
     def __init__(self, s_nodes, f_nodes, g_nodes):
         s_nodes, f_nodes, g_nodes = _sampled_curve(s_nodes, f=f_nodes, g=g_nodes)
         for name, vals, v0, v1 in (("f", f_nodes, 1.0, 0.0), ("g", g_nodes, 0.0, 1.0)):
@@ -349,8 +344,6 @@ class TabulatedSchedule(Schedule):
         self._about_right = np.array([c0, c1 + h3c0, c2 + h * (2.0 * c1 + h3c0), (f_nodes - g_nodes)[1:]])
         self.s_nodes = s_nodes
         self.knots = tuple(s_nodes[1:-1].tolist())
-        self.f_nodes = f_nodes
-        self.g_nodes = g_nodes
 
     def f(self, s):
         return self._f(s)
@@ -413,50 +406,3 @@ class Precision:
             raise ValueError(
                 f"ode_steps_per_unit_time must be >= 1, got {self.ode_steps_per_unit_time}"
             )
-
-
-_DESCRIPTOR_KEYS = {"n", "parts", "marked", "schedule"}
-
-
-def problem_to_dict(splitting: Splitting, marked: MarkedState, schedule: Schedule) -> dict:
-    """JSON-ready problem descriptor, e.g. {"n": 6, "parts": [3, 3], ...}."""
-    if isinstance(schedule, LinearSchedule):
-        sched = "linear"
-    elif isinstance(schedule, TabulatedSchedule):
-        sched = {
-            "s": [float(x) for x in schedule.s_nodes],
-            "f": [float(x) for x in schedule.f_nodes],
-            "g": [float(x) for x in schedule.g_nodes],
-        }
-    else:
-        raise ValueError(f"cannot serialize schedule of kind {schedule.kind!r}")
-    return {
-        "n": splitting.n,
-        "parts": list(splitting.parts),
-        "marked": marked.to_string(),
-        "schedule": sched,
-    }
-
-
-def problem_from_dict(data: dict) -> tuple[Splitting, MarkedState, Schedule]:
-    """Parse a problem descriptor produced by :func:`problem_to_dict`; a malformed one raises ValueError."""
-    unknown = set(data) - _DESCRIPTOR_KEYS
-    if unknown:
-        raise ValueError(f"unknown descriptor keys: {sorted(unknown, key=str)}")
-    missing = _DESCRIPTOR_KEYS - set(data)
-    if missing:
-        raise ValueError(f"missing descriptor keys: {sorted(missing)}")
-    sched = data["schedule"]
-    if isinstance(sched, dict) and set(sched) != {"s", "f", "g"}:
-        raise ValueError(f"schedule samples need the keys f, g and s, got {sorted(sched, key=str)}")
-    if sched != "linear" and not isinstance(sched, dict):
-        raise ValueError(f"unsupported schedule descriptor: {sched!r}")
-    try:
-        splitting = make_splitting(data["n"], data["parts"])
-        marked = MarkedState.from_string(data["marked"])
-        schedule = linear_schedule() if sched == "linear" else tabulated_schedule(sched["s"], sched["f"], sched["g"])
-    except (TypeError, OverflowError) as exc:
-        # tuple(None), float({}) and float(10**400) do not raise ValueError
-        raise ValueError(f"a descriptor value has the wrong type: {exc}") from None
-    marked.block_values(splitting)  # refuses a marked state of the wrong length
-    return splitting, marked, schedule

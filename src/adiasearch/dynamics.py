@@ -153,7 +153,8 @@ def adiabaticity_lhs(splitting: Splitting, schedule: Schedule, s: float, ds_dt: 
     if f == 0.0 and g == 0.0:
         raise ValueError(f"schedule vanishes at s={s}; the operator is zero there")
     ratio = adiabatic_ratio(splitting.float_block_dims())
-    return float(ratio(float(schedule.difference(s, 0.0)), f, g, df, dg) * abs(ds_dt))
+    # a Python float product overflows to inf without numpy's warning
+    return float(ratio(float(schedule.difference(s, 0.0)), f, g, df, dg)) * abs(float(ds_dt))
 
 
 @dataclass(frozen=True)

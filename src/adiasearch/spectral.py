@@ -62,6 +62,8 @@ def max_structured_eigenvalue(n: int, spin_sum, f: float, g: float) -> float:
     """
     n = _integer(n, "qubit count")
     two_m = 2.0 * spin_sum
+    if not math.isfinite(two_m):
+        raise ValueError(f"spin sum {spin_sum} outside the ladder for n={n}")
     if abs(two_m - round(two_m)) > 1e-12:
         raise ValueError(f"spin sum must step in halves, got {spin_sum}")
     if (round(two_m) - n) % 2 != 0 or abs(spin_sum) > n / 2 + 1e-12:

@@ -2,20 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.interpolate import PchipInterpolator
 
 from adiasearch.core import (
     MarkedState,
     MonotoneCubic,
     Precision,
-    Schedule,
     equal_splitting,
     linear_schedule,
     make_splitting,
-    problem_from_dict,
-    problem_to_dict,
     tabulated_schedule,
 )
 
@@ -179,8 +174,14 @@ def test_tabulated_schedule_rejects_bad_samples():
         tabulated_schedule(nodes, [1.0, 0.7, math.nan, 0.2, 0.0], nodes)
     with pytest.raises(ValueError, match="g samples must be finite"):
         tabulated_schedule([0.0, 1.0], [1.0, 0.0], [math.nan, 1.0])
+    with pytest.raises(ValueError, match="s samples must be finite"):
+        tabulated_schedule([0.0, 0.25, 0.5, 0.75, math.inf], 1.0 - nodes, nodes)
     with pytest.raises(ValueError, match="need at least two schedule samples"):
         tabulated_schedule([0.0], [1.0], [0.0])
+    # a nested list, None and a bare number are no sample list
+    for s_nodes in ([nodes.tolist()], None, 1.0):
+        with pytest.raises(ValueError, match="need at least two schedule samples"):
+            tabulated_schedule(s_nodes, 1.0 - nodes, nodes)
     with pytest.raises(ValueError, match="s, f, g sample arrays must have equal length"):
         tabulated_schedule(nodes, 1.0 - nodes, nodes[:-1])
     for s_nodes in ([0.1, 0.4, 0.6, 0.8, 1.0], [0.0, 0.2, 0.4, 0.6, 0.9]):
@@ -212,124 +213,11 @@ def test_precision_validation():
     assert numpy_args == Precision(epsilon=0.25, ode_steps_per_unit_time=8)
 
 
-def test_problem_descriptor_roundtrip():
-    splitting = make_splitting(6, [3, 3])
-    marked = MarkedState.from_string("010110")
-    data = problem_to_dict(splitting, marked, linear_schedule())
-    assert data == {"n": 6, "parts": [3, 3], "marked": "010110", "schedule": "linear"}
-    back_split, back_marked, back_sched = problem_from_dict(data)
-    assert back_split == splitting
-    assert back_marked == marked
-    assert back_sched.kind == "linear"
-
-
-def test_problem_descriptor_tabulated_roundtrip():
-    nodes = np.linspace(0.0, 1.0, 9)
-    tab = tabulated_schedule(nodes, 1.0 - nodes**2, nodes**2)
-    data = problem_to_dict(make_splitting(2, [2]), MarkedState.zeros(2), tab)
-    _, _, back = problem_from_dict(data)
-    assert back.kind == "tabulated"
-    assert float(back.f(0.5)) == pytest.approx(0.75, abs=1e-12)
-
-
-def test_problem_descriptor_rejects_bad_input():
-    good = {"n": 2, "parts": [2], "marked": "00", "schedule": "linear"}
-    with pytest.raises(ValueError):
-        problem_from_dict({**good, "extra": 1})
-    with pytest.raises(ValueError):
-        problem_from_dict({"n": 2, "parts": [2], "schedule": "linear"})
-    with pytest.raises(ValueError):
-        problem_from_dict({**good, "marked": "000"})
-    with pytest.raises(ValueError):
-        problem_from_dict({**good, "schedule": "cubic"})
-    with pytest.raises(ValueError, match="need the keys f, g and s"):
-        problem_from_dict({**good, "schedule": {"s": [0.0, 1.0], "g": [0.0, 1.0]}})
-    # only the linear and the tabulated schedules have a descriptor
-    with pytest.raises(ValueError, match="cannot serialize schedule of kind 'base'"):
-        problem_to_dict(make_splitting(2, [2]), MarkedState.zeros(2), Schedule())
-    for field in ("n", "parts"):
-        with pytest.raises(ValueError, match="wrong type"):
-            problem_from_dict({**good, field: None})
+def test_splitting_refuses_non_integral_counts():
     # non-integral counts are refused, not truncated, parsed or read as 0 and 1
-    for bad in (
-        {"n": 3.7, "parts": "12", "marked": "000"},
-        {"n": 2.0},
-        {"n": True, "parts": [1], "marked": "0"},
-        {"parts": [1.5, 0.5]},
-        {"parts": [True, 1]},
-    ):
-        with pytest.raises(ValueError, match="wrong type: expected an integer"):
-            problem_from_dict({**good, **bad})
     for n, parts in ((2, [1.5, 1.5]), (2, [True, True]), (3, "12"), (3.0, [1, 2]), (np.True_, [1])):
         with pytest.raises(ValueError, match="wrong type: expected an integer"):
             make_splitting(n, parts)
     # Python and numpy integers are counts
     splitting = make_splitting(np.int64(3), [np.int32(1), 2])
     assert splitting == make_splitting(3, [1, 2]) and type(splitting.n) is int
-
-
-def _spoiled(samples: list, how: str):
-    """One way a tabulated sample list can be wrong, or the list unchanged."""
-    if how == "nan":
-        return samples[:1] + [math.nan] + samples[1:]
-    if how == "inf":
-        return samples[:-1] + [math.inf]
-    if how == "short":
-        return samples[:1]
-    if how == "reversed":  # unsorted s, non-monotone f and g
-        return samples[::-1]
-    if how == "text":
-        return samples[:-1] + ["x"]
-    if how == "nested":
-        return [samples]
-    return {"none": None, "number": 1.0, "dict": [{}]}.get(how, samples)
-
-
-@st.composite
-def _descriptor(draw):
-    """A problem descriptor, valid or malformed, as JSON would give it."""
-    parts = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
-    n = sum(parts)
-    data = {
-        "n": draw(st.sampled_from((n, n, n, n + 1, 0, None, "x", 2.5, float(n), n + 0.7, True, str(n), math.inf, [n]))),
-        "parts": draw(
-            st.sampled_from(
-                (parts, parts, parts, None, [], [0], [None], 5, [math.inf], "12",
-                 [float(p) for p in parts], [p + 0.5 for p in parts], [True] * n, [str(p) for p in parts])
-            )
-        ),
-        "marked": draw(st.sampled_from(("0" * n, "1" * n, "0" * n, "", "2" * n, None, 5, ["0"] * n))),
-    }
-    if draw(st.booleans()):
-        data["schedule"] = draw(st.sampled_from(("linear", "cubic", None, [], {})))
-    else:
-        inner = draw(st.lists(st.floats(0.01, 0.99), max_size=4, unique=True))
-        s = [0.0] + sorted(inner) + [1.0]
-        table = {"s": s, "f": [1.0 - x for x in s], "g": list(s)}
-        hows = ("keep",) * 4 + ("nan", "inf", "short", "reversed", "text", "nested", "none", "number", "dict")
-        for key in table:
-            table[key] = _spoiled(table[key], draw(st.sampled_from(hows)))
-        if draw(st.booleans()):
-            table.pop(draw(st.sampled_from(sorted(table))))
-        if draw(st.booleans()):
-            table["t"] = s
-        data["schedule"] = table
-    if draw(st.booleans()):
-        data.pop(draw(st.sampled_from(sorted(data))))
-    if draw(st.booleans()):
-        data["extra"] = 1
-    return data
-
-
-@settings(max_examples=300, derandomize=True, deadline=None, database=None)
-@given(_descriptor())
-def test_every_descriptor_parses_or_raises_value_error(data):
-    try:
-        splitting, marked, schedule = problem_from_dict(data)
-    except ValueError:
-        return
-    assert marked.n == splitting.n
-    # a parsed count is the integer given, never a truncated float, bool or string
-    assert type(data["n"]) is int and all(type(p) is int for p in data["parts"])
-    assert (splitting.n, list(splitting.parts)) == (data["n"], data["parts"])
-    assert float(schedule.f(0.0)) == pytest.approx(1.0) and float(schedule.g(1.0)) == pytest.approx(1.0)

@@ -13,7 +13,6 @@ from adiasearch.core import (
     equal_splitting,
     linear_schedule,
     make_splitting,
-    problem_from_dict,
     tabulated_schedule,
 )
 from adiasearch.dynamics import (
@@ -307,7 +306,6 @@ def test_marked_length_is_refused_by_block_values_alone():
         lambda: final_diagonal(splitting, marked),
         lambda: MatrixFreeHamiltonian(splitting, marked),
         lambda: final_terms(splitting, marked),
-        lambda: problem_from_dict({"n": 2, "parts": [2], "marked": "000", "schedule": "linear"}),
         lambda: evolve(splitting, marked, optimal_schedule(splitting, precision), precision),
         lambda: evolve(splitting, marked, TimeSchedule.quench(), precision),
     ]
@@ -494,6 +492,8 @@ def test_diagnostics_refuse_a_non_finite_rate():
             adiabaticity_lhs(make_splitting(3, [1, 2]), sched, 0.4, ds_dt)
         with pytest.raises(ValueError, match="ds_dt must be finite"):
             adiabaticity_lhs(equal_splitting(3, 3), sched, 0.4, ds_dt)
+    # a finite rate whose product overflows reads inf, with no numpy warning
+    assert adiabaticity_lhs(make_splitting(2, [2]), sched, 0.5, 1e308) == math.inf
 
 
 def test_diagnostics_refuse_a_schedule_that_vanishes():

@@ -62,6 +62,10 @@ def test_ladder_eigenvalue_examples():
         max_structured_eigenvalue(4, 3, 0.5, 0.5)
     with pytest.raises(ValueError):
         max_structured_eigenvalue(4, 0.5, 0.5, 0.5)  # wrong half-integer parity
+    # non-finite, or past the largest double once doubled
+    for spin_sum in (math.inf, -math.inf, math.nan, 1e308):
+        with pytest.raises(ValueError, match="outside the ladder for n=4"):
+            max_structured_eigenvalue(4, spin_sum, 0.5, 0.5)
 
 
 def test_ladder_value_present_in_dense_spectrum():
