@@ -98,9 +98,14 @@ class Splitting:
 
 def _integer(value, what: str) -> int:
     """``value`` as an int; a bool, float or string is refused, not truncated or parsed."""
-    if isinstance(value, (bool, np.bool_)) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{what} has the wrong type: expected an integer, got {value!r}")
-    return int(value)
+    return int(_real(value, what, (int, np.integer), "an integer"))
+
+
+def _real(value, what: str, kinds=numbers.Real, noun: str = "a real number"):
+    """``value`` unchanged if it is one of ``kinds`` (real numbers unless given) and not a bool."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, kinds):
+        raise ValueError(f"{what} has the wrong type: expected {noun}, got {value!r}")
+    return value
 
 
 def _check_block_count(count: int):
@@ -395,9 +400,7 @@ class Precision:
     ode_steps_per_unit_time: int = 64
 
     def __post_init__(self):
-        if isinstance(self.epsilon, (bool, np.bool_)) or not isinstance(self.epsilon, numbers.Real):
-            raise ValueError(f"epsilon has the wrong type: expected a real number, got {self.epsilon!r}")
-        if not 0.0 < self.epsilon < 1.0:
+        if not 0.0 < _real(self.epsilon, "epsilon") < 1.0:
             raise ValueError(f"epsilon must be in (0, 1), got {self.epsilon}")
         object.__setattr__(self, "epsilon", float(self.epsilon))
         steps = _integer(self.ode_steps_per_unit_time, "ode_steps_per_unit_time")

@@ -1,16 +1,31 @@
-"""QUADPACK's 21-point Gauss-Kronrod rule and the interpolant through its nodes.
+"""QUADPACK's 21-point Gauss-Kronrod quadrature (Piessens et al., 1983).
 
-The rule's nodes and weights on [-1, 1] (Piessens et al., *QUADPACK*,
-1983), and the integrals, from the start of a converged quadrature piece to
-any point in it, of the degree-20 polynomial through the piece's 21 node
-values. The schedule tabulation reads its grid-node times off those.
+The qk21 rule, the globally adaptive qagp driver that every time integral
+goes through, its ``QuadratureError``, and the node read-off behind the
+tabulated schedule's grid-node times. Only this module knows what a piece holds.
 """
 
 from __future__ import annotations
 
 import functools
+import heapq
+import math
 
 import numpy as np
+
+_QUAD_LIMIT = 500  # most bisections per integral, over all its panels
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+
+
+class QuadratureError(RuntimeError):
+    """Adaptive quadrature failed to reach the requested tolerance."""
+
+    def __init__(self, message: str, value: float | None = None, estimate: float | None = None):
+        super().__init__(message)
+        self.value = value
+        self.estimate = estimate
+
 
 # QUADPACK qk21 on [-1, 1]: the Kronrod nodes x >= 0 (the odd positions are
 # the 10-point Gauss nodes) with their Kronrod weights, and the Gauss weights
@@ -35,10 +50,86 @@ _WG = (
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338,
 )
-NODES = _XGK + tuple(-x for x in _XGK[:-1])  # plain floats: the integrand is scalar
-WEIGHTS = np.zeros((2, len(NODES)))  # Kronrod row, then Gauss row
-WEIGHTS[0] = _WGK + _WGK[:-1]
-WEIGHTS[1, 1:10:2] = WEIGHTS[1, 12::2] = _WG
+_NODES = _XGK + tuple(-x for x in _XGK[:-1])  # plain floats: the integrand is scalar
+_WEIGHTS = np.zeros((2, len(_NODES)))  # Kronrod row, then Gauss row
+_WEIGHTS[0] = _WGK + _WGK[:-1]
+_WEIGHTS[1, 1:10:2] = _WEIGHTS[1, 12::2] = _WG
+
+
+def _qk21(integrand, lo: float, hi: float) -> tuple[float, float, np.ndarray]:
+    """(integral, error estimate, the 21 node values) over [lo, hi] from QUADPACK's qk21.
+
+    The integrand is called at the 21 nodes one point at a time. The error
+    estimate is QUADPACK's: the Kronrod-Gauss difference scaled by
+    resasc * min(1, (200 |K - G| / resasc)**1.5), floored at 50 eps resabs.
+    """
+    half = 0.5 * (hi - lo)
+    center = 0.5 * (hi + lo)
+    values = np.array([integrand(center + half * x) for x in _NODES])
+    kronrod, gauss = _WEIGHTS @ values
+    err = abs((kronrod - gauss) * half)
+    resabs = (_WEIGHTS[0] @ np.abs(values)) * abs(half)
+    resasc = (_WEIGHTS[0] @ np.abs(values - 0.5 * kronrod)) * abs(half)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    if resabs > _TINY / (50.0 * _EPS):
+        err = max(50.0 * _EPS * resabs, err)
+    return float(kronrod * half), float(err), values
+
+
+def integrate(integrand, edges, rel_tol: float, context: str) -> tuple[float, list]:
+    """(total, pieces) of ``integrand`` from edges[0] to edges[-1], globally adaptive.
+
+    QUADPACK's qagp with qk21: one piece per panel between consecutive
+    edges, then the piece with the largest error estimate, in whichever
+    panel, is bisected until the summed estimate is within rel_tol of the
+    summed integral. It stops early after _QUAD_LIMIT bisections, at a piece
+    too narrow to bisect, at a non-finite estimate, or when repeated
+    bisections stop reducing the estimate (roundoff). Roundoff chatter from
+    pieces that sit right on the peak is tolerated: only a summed estimate
+    above 10 rel_tol of the integral raises. The pieces come back left to
+    right as (a, b, integral, the 21 node values), for node_integrals.
+    """
+    pieces = []
+    for lo, hi in zip(edges, edges[1:]):
+        value, err, values = _qk21(integrand, lo, hi)
+        pieces.append((-err, lo, hi, value, values))
+    heapq.heapify(pieces)
+    total = sum(piece[3] for piece in pieces)
+    err_total = sum(-piece[0] for piece in pieces)
+    bisections = stalled = grown = 0
+    while not err_total <= rel_tol * abs(total) and math.isfinite(err_total) and bisections < _QUAD_LIMIT:
+        neg_err, a, b, value, _ = pieces[0]
+        mid = 0.5 * (a + b)
+        if max(abs(a), abs(b)) <= (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _TINY):
+            break
+        left, left_err, left_values = _qk21(integrand, a, mid)
+        right, right_err, right_values = _qk21(integrand, mid, b)
+        heapq.heapreplace(pieces, (-left_err, a, mid, left, left_values))
+        heapq.heappush(pieces, (-right_err, mid, b, right, right_values))
+        bisections += 1
+        total += left + right - value
+        err_total += left_err + right_err + neg_err
+        # QUADPACK's roundoff tests: the halves agree with their parent but
+        # their estimate does not fall, or the estimate grows (qag's last > 10)
+        if abs(value - (left + right)) <= 1e-5 * abs(left + right) and left_err + right_err >= -0.99 * neg_err:
+            stalled += 1
+        if bisections >= 10 and left_err + right_err > -neg_err:
+            grown += 1
+        if stalled >= 6 or grown >= 20:
+            break
+    err_total = sum(-piece[0] for piece in pieces)
+    pieces = sorted(piece[1:] for piece in pieces)
+    total = sum(piece[2] for piece in pieces)
+    # written so that a nan total or estimate fails too
+    if not err_total <= 10.0 * rel_tol * total:
+        raise QuadratureError(
+            f"quadrature did not converge for {context}: value {total!r}, "
+            f"summed error estimate {err_total!r}",
+            value=total,
+            estimate=err_total,
+        )
+    return total, pieces
 
 
 def _legendre(x: np.ndarray, degree: int):
@@ -73,7 +164,7 @@ def _legendre_inverse() -> np.ndarray:
     pivoting: numpy's solvers load LAPACK, which adds about half a megabyte
     to the peak memory of a process that calls them.
     """
-    a = np.hstack((np.column_stack(list(_legendre(np.array(NODES), 20))), np.eye(21)))
+    a = np.hstack((np.column_stack(list(_legendre(np.array(_NODES), 20))), np.eye(21)))
     for k in range(21):
         pivot = k + int(np.argmax(np.abs(a[k:, k])))
         a[[k, pivot]] = a[[pivot, k]]

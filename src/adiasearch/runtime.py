@@ -1,14 +1,12 @@
-"""Running-time computation for split adiabatic searches.
+"""Running times of split adiabatic searches; kronrod does the quadrature.
 
-The saturated-schedule time integral of spectral.adiabatic_ratio for any
-splitting, its closed-form value for equal splits under the linear schedule,
-the square root scaling of the fully split search, scaling exponents,
+The time integrand in the offset from the crossing and its panel breaks,
+running times for any splitting and in closed form, scaling exponents,
 published-table reproduction, and the optimal time parameterization s(t).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass, field
 
@@ -26,23 +24,10 @@ from .core import (
     equal_splitting,
     linear_schedule,
 )
-from .kronrod import NODES, WEIGHTS, node_integrals
+from .kronrod import QuadratureError, integrate, node_integrals
 from .spectral import adiabatic_ratio
 
 QUAD_TOL = 1e-9  # relative tolerance of every time integral
-
-_QUAD_LIMIT = 500  # most bisections per integral, over all its panels
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
-
-
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-    def __init__(self, message: str, value: float | None = None, estimate: float | None = None):
-        super().__init__(message)
-        self.value = value
-        self.estimate = estimate
 
 
 @dataclass(frozen=True)
@@ -114,82 +99,6 @@ def _time_integrand(splitting: Splitting, schedule: Schedule):
     return integrand, u_of_s, lambda s: at_offset(s - s_star)
 
 
-def _kronrod21(integrand, lo: float, hi: float) -> tuple[float, float, np.ndarray]:
-    """(integral, error estimate, the 21 node values) over [lo, hi] from QUADPACK's qk21.
-
-    The integrand is called at the 21 nodes one point at a time. The error
-    estimate is QUADPACK's: the Kronrod-Gauss difference scaled by
-    resasc * min(1, (200 |K - G| / resasc)**1.5), floored at 50 eps resabs.
-    """
-    half = 0.5 * (hi - lo)
-    center = 0.5 * (hi + lo)
-    values = np.array([integrand(center + half * x) for x in NODES])
-    kronrod, gauss = WEIGHTS @ values
-    err = abs((kronrod - gauss) * half)
-    resabs = (WEIGHTS[0] @ np.abs(values)) * abs(half)
-    resasc = (WEIGHTS[0] @ np.abs(values - 0.5 * kronrod)) * abs(half)
-    if resasc != 0.0 and err != 0.0:
-        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    if resabs > _TINY / (50.0 * _EPS):
-        err = max(50.0 * _EPS * resabs, err)
-    return float(kronrod * half), float(err), values
-
-
-def _panel_integrals(integrand, edges, rel_tol: float, context: str) -> tuple[float, list]:
-    """(total, pieces) of ``integrand`` from edges[0] to edges[-1], globally adaptive.
-
-    QUADPACK's qagp with qk21: one piece per panel between consecutive
-    edges, then the piece with the largest error estimate, in whichever
-    panel, is bisected until the summed estimate is within rel_tol of the
-    summed integral. It stops early after _QUAD_LIMIT bisections, at a piece
-    too narrow to bisect, at a non-finite estimate, or when repeated
-    bisections stop reducing the estimate (roundoff). Roundoff chatter from
-    pieces that sit right on the peak is tolerated: only a summed estimate
-    above 10 rel_tol of the integral raises. The pieces come back left to
-    right as (a, b, integral, the 21 node values).
-    """
-    pieces = []
-    for lo, hi in zip(edges, edges[1:]):
-        value, err, values = _kronrod21(integrand, lo, hi)
-        pieces.append((-err, lo, hi, value, values))
-    heapq.heapify(pieces)
-    total = sum(piece[3] for piece in pieces)
-    err_total = sum(-piece[0] for piece in pieces)
-    bisections = stalled = grown = 0
-    while not err_total <= rel_tol * abs(total) and math.isfinite(err_total) and bisections < _QUAD_LIMIT:
-        neg_err, a, b, value, _ = pieces[0]
-        mid = 0.5 * (a + b)
-        if max(abs(a), abs(b)) <= (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _TINY):
-            break
-        left, left_err, left_values = _kronrod21(integrand, a, mid)
-        right, right_err, right_values = _kronrod21(integrand, mid, b)
-        heapq.heapreplace(pieces, (-left_err, a, mid, left, left_values))
-        heapq.heappush(pieces, (-right_err, mid, b, right, right_values))
-        bisections += 1
-        total += left + right - value
-        err_total += left_err + right_err + neg_err
-        # QUADPACK's roundoff tests: the halves agree with their parent but
-        # their estimate does not fall, or the estimate grows (qag's last > 10)
-        if abs(value - (left + right)) <= 1e-5 * abs(left + right) and left_err + right_err >= -0.99 * neg_err:
-            stalled += 1
-        if bisections >= 10 and left_err + right_err > -neg_err:
-            grown += 1
-        if stalled >= 6 or grown >= 20:
-            break
-    err_total = sum(-piece[0] for piece in pieces)
-    pieces = sorted(piece[1:] for piece in pieces)
-    total = sum(piece[2] for piece in pieces)
-    # written so that a nan total or estimate fails too
-    if not err_total <= 10.0 * rel_tol * total:
-        raise QuadratureError(
-            f"quadrature did not converge for {context}: value {total!r}, "
-            f"summed error estimate {err_total!r}",
-            value=total,
-            estimate=err_total,
-        )
-    return total, pieces
-
-
 def _panel_edges(schedule: Schedule, u_of_s, u_lo: float, u_hi: float, breaks=()) -> list[float]:
     """Panel edges from u_lo to u_hi: the crossing (u = 0), the u-images of
     the schedule's knots, where it has kinks, and any further breaks inside."""
@@ -230,7 +139,7 @@ def running_time_integral(
     schedule = schedule if schedule is not None else linear_schedule()
     integrand, u_of_s, _ = _time_integrand(splitting, schedule)
     edges = _panel_edges(schedule, u_of_s, float(u_of_s(0.0)), float(u_of_s(1.0)))
-    eps_t, _ = _panel_integrals(integrand, edges, QUAD_TOL, "the running-time integral")
+    eps_t, _ = integrate(integrand, edges, QUAD_TOL, "the running-time integral")
     alpha, beta = scaling_coefficients(eps_t, splitting.n, splitting.num_blocks)
     return RunTimeResult(splitting, eps_t, alpha, beta, "quadrature")
 
@@ -379,7 +288,7 @@ def optimal_schedule(
     u_nodes = u_of_s(s_nodes)
     u_lo, u_hi = float(u_nodes[0]), float(u_nodes[-1])
     edges = _panel_edges(schedule, u_of_s, u_lo, u_hi, range(math.ceil(u_lo), math.floor(u_hi) + 1))
-    _, pieces = _panel_integrals(integrand, edges, QUAD_TOL, "the time tabulation")
+    _, pieces = integrate(integrand, edges, QUAD_TOL, "the time tabulation")
     t_nodes = node_integrals(pieces, u_nodes)
     if not math.isfinite(float(t_nodes[-1]) / precision.epsilon):
         raise ValueError(
@@ -395,15 +304,11 @@ def optimal_schedule(
     return TimeSchedule(schedule, float(t_nodes[-1]), t_nodes, s_nodes, rate_nodes)
 
 
-def _divisors(n: int) -> list[int]:
-    return [m for m in range(1, n + 1) if n % m == 0]
-
-
 def reproduce_table(n: int) -> list[RunTimeResult]:
     """One quadrature row per divisor of n (ascending), linear schedule."""
     n = _integer(n, "qubit count")
     if not 1 <= n <= MAX_BLOCK_QUBITS:  # the m = 1 row is one block of n qubits
         raise ValueError(f"n must be in [1, {MAX_BLOCK_QUBITS}], got {n}")
     schedule = linear_schedule()
-    return [running_time_integral(equal_splitting(n, m), schedule) for m in _divisors(n)]
+    return [running_time_integral(equal_splitting(n, m), schedule) for m in range(1, n + 1) if n % m == 0]
 

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_GRID, Schedule, Splitting, _integer
+from .core import MAX_GRID, Schedule, Splitting, _integer, _real
 
 # Profile minima are refined from the grid to this bracket width, relative to s.
 _REFINE_TOL = 1e-12
@@ -61,6 +61,7 @@ def max_structured_eigenvalue(n: int, spin_sum, f: float, g: float) -> float:
     (n/2)*(f + g) - spin_sum*sqrt(f**2 + g**2).
     """
     n = _integer(n, "qubit count")
+    spin_sum, f, g = (float(_real(x, what)) for x, what in ((spin_sum, "spin sum"), (f, "f"), (g, "g")))
     two_m = 2.0 * spin_sum
     if not math.isfinite(two_m):
         raise ValueError(f"spin sum {spin_sum} outside the ladder for n={n}")
@@ -124,12 +125,11 @@ def gap_profile(splitting: Splitting, schedule: Schedule, grid: int = 1001) -> G
     f = np.asarray(schedule.f(s), dtype=float)
     g = np.asarray(schedule.g(s), dtype=float)
     dims = splitting.float_block_dims()
-    block_gaps = np.column_stack([subsystem_gap(dim, f, g) for dim in dims])
+    block_gaps = subsystem_gap(dims, f[:, None], g[:, None])
     global_gap = block_gaps.min(axis=1)
 
     def omega(x):
-        ff, gg = schedule.f(x), schedule.g(x)
-        return min(subsystem_gap(dim, ff, gg) for dim in dims)
+        return subsystem_gap(dims, schedule.f(x), schedule.g(x)).min()
 
     k = int(np.argmin(global_gap))
     s_min, omega_min = s[k], float(global_gap[k])

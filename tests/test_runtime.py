@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
-from adiasearch import kronrod, runtime
+from adiasearch import runtime
 from adiasearch.cli import round_half_away
 from adiasearch.core import (
     MAX_GRID,
@@ -23,7 +23,6 @@ from adiasearch.core import (
 )
 from adiasearch.dynamics import rk4_propagate
 from adiasearch.runtime import (
-    QuadratureError,
     TimeSchedule,
     closed_form_eps_t,
     max_structured_time,
@@ -371,22 +370,6 @@ def test_optimal_schedule_integrand_work_is_bounded():
     assert counting.points <= 2000
 
 
-def test_legendre_integrals_of_the_interpolant_are_exact_to_degree_20():
-    nodes = np.array(kronrod.NODES)
-    tau = np.linspace(-1.0, 1.0, 41)
-    # row r: the weights on the 21 node values that give the integral from
-    # -1 to tau[r] of the degree-20 polynomial through them
-    weights = np.column_stack(list(kronrod._legendre_integrals(tau))) @ kronrod._legendre_inverse()
-    assert np.all(weights[0] == 0.0)
-    assert np.max(np.abs(weights[-1] - kronrod.WEIGHTS[0])) <= 1e-15
-    rng = np.random.default_rng(11)
-    for degree in range(21):
-        poly = np.polynomial.Polynomial(rng.normal(size=degree + 1))
-        exact = poly.integ()(tau) - poly.integ()(-1.0)
-        scale = np.polynomial.Polynomial(np.abs(poly.coef)).integ()(1.0)
-        assert np.max(np.abs(weights @ poly(nodes) - exact)) <= 1e-14 * scale, degree
-
-
 def test_optimal_schedule_refuses_a_stationary_hamiltonian():
     # H(s) is constant on [0, .25] and [.75, 1]: the time integral is finite,
     # but the rate that saturates the bound is unbounded there
@@ -399,61 +382,6 @@ def test_optimal_schedule_refuses_a_stationary_hamiltonian():
         assert running_time_integral(splitting, schedule).eps_t == pytest.approx(math.sqrt(3.0), rel=1e-9)
         with pytest.raises(ValueError, match=f"stationary at s = {s_text}"):
             optimal_schedule(splitting, schedule=schedule)
-
-
-def test_kronrod_rule_is_exact_on_polynomials_up_to_degree_31():
-    rng = np.random.default_rng(5)
-    lo, hi = -0.3, 1.7
-    for degree in range(32):
-        poly = np.polynomial.Polynomial(rng.normal(size=degree + 1))
-        exact = poly.integ()(hi) - poly.integ()(lo)
-        value, err, _ = runtime._kronrod21(poly, lo, hi)
-        scale = np.polynomial.Polynomial(np.abs(poly.coef)).integ()(2.0)
-        assert abs(value - exact) <= 1e-14 * scale, degree
-        # the embedded 10-point Gauss rule is exact to degree 19
-        if degree <= 19:
-            assert err <= 50.0 * np.finfo(float).eps * scale, degree
-    gaussian, _ = runtime._panel_integrals(lambda u: math.exp(-u * u), [-6.0, 6.0], 1e-12, "a Gaussian")
-    assert gaussian == pytest.approx(math.sqrt(math.pi), rel=1e-13)
-
-
-def test_quadrature_error_reports_plain_floats(monkeypatch):
-    splitting = make_splitting(2, [2])
-    panel_integrals = runtime._panel_integrals
-    budgets = []
-    rule_calls = [0]
-
-    def counted_panels(integrand, edges, *args):
-        # the rule evaluations one integral may make: a piece per panel,
-        # then two per bisection
-        budgets.append(len(edges) - 1 + 2 * runtime._QUAD_LIMIT)
-        rule_calls[0] = 0
-        return panel_integrals(integrand, edges, *args)
-
-    monkeypatch.setattr(runtime, "_panel_integrals", counted_panels)
-    ones = np.ones(21)
-    for rule, uses_the_budget in (
-        # the estimate grows at every bisection, which stops it early
-        (lambda lo, hi: (1.0, 1.0, ones), False),
-        # a nan value or estimate fails the convergence rule too
-        (lambda lo, hi: (math.nan, math.nan, ones), False),
-        # halves' estimates fall by 1/sqrt(2), so neither roundoff test
-        # fires and only the budget stops the bisection
-        (lambda lo, hi: (hi - lo, (hi - lo) ** 1.5, ones), True),
-    ):
-
-        def never_converges(integrand, lo, hi, rule=rule):
-            rule_calls[0] += 1
-            return rule(lo, hi)
-
-        monkeypatch.setattr(runtime, "_kronrod21", never_converges)
-        for call in (lambda: running_time_integral(splitting), lambda: optimal_schedule(splitting)):
-            with pytest.raises(QuadratureError, match="did not converge") as caught:
-                call()
-            assert "np.float64" not in str(caught.value)
-            assert type(caught.value.value) is float and type(caught.value.estimate) is float
-            assert 0 < rule_calls[0] <= budgets[-1]
-            assert (rule_calls[0] == budgets[-1]) == uses_the_budget
 
 
 def test_optimal_schedule_grid_validation():

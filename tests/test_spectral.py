@@ -63,9 +63,17 @@ def test_ladder_eigenvalue_examples():
     with pytest.raises(ValueError):
         max_structured_eigenvalue(4, 0.5, 0.5, 0.5)  # wrong half-integer parity
     # non-finite, or past the largest double once doubled
-    for spin_sum in (math.inf, -math.inf, math.nan, 1e308):
+    for spin_sum in (math.inf, -math.inf, math.nan, 1e308, np.float64(1e308), np.float32(3e38)):
         with pytest.raises(ValueError, match="outside the ladder for n=4"):
             max_structured_eigenvalue(4, spin_sum, 0.5, 0.5)
+    # an overflowing energy reads inf, numpy scalars or not
+    assert max_structured_eigenvalue(4, 1, np.float64(1e308), np.float64(1e308)) == math.inf
+    for bad in (True, np.bool_(False), "1", 1j):
+        for position, what in enumerate(("spin sum", "f", "g")):
+            args = [1.0, 0.5, 0.5]
+            args[position] = bad
+            with pytest.raises(ValueError, match=f"^{what} has the wrong type"):
+                max_structured_eigenvalue(4, *args)
 
 
 def test_ladder_value_present_in_dense_spectrum():
