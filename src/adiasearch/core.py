@@ -98,14 +98,17 @@ class Splitting:
 
 def _integer(value, what: str) -> int:
     """``value`` as an int; a bool, float or string is refused, not truncated or parsed."""
-    return int(_real(value, what, (int, np.integer), "an integer"))
+    return _real(value, what, (int, np.integer), "an integer", int)
 
 
-def _real(value, what: str, kinds=numbers.Real, noun: str = "a real number"):
-    """``value`` unchanged if it is one of ``kinds`` (real numbers unless given) and not a bool."""
+def _real(value, what: str, kinds=numbers.Real, noun: str = "a real number", kind=float):
+    """``value`` as ``kind``, a float unless given; refused if a bool, not of ``kinds`` or too big for ``kind``."""
     if isinstance(value, (bool, np.bool_)) or not isinstance(value, kinds):
         raise ValueError(f"{what} has the wrong type: expected {noun}, got {value!r}")
-    return value
+    try:
+        return kind(value)
+    except OverflowError:
+        raise ValueError(f"{what} is past the double range") from None
 
 
 def _check_block_count(count: int):
@@ -228,20 +231,23 @@ class MonotoneCubic:
     Anal. 17, 238, 1980) as scipy's PchipInterpolator sets them: zero where
     the chords either side change sign or vanish, else their weighted
     harmonic mean; the shape-preserving one-sided three-point rule at the
-    ends; the chord for two nodes. c[:, k] holds the cubic on [x_k, x_k+1]
-    in powers of y = (s - x_k) / unit, highest first, as in scipy's PPoly,
-    with ``unit`` the power of two at or below the span of x. That division
-    rounds nothing, so no node spacing is too short or too long, and values
-    and slopes keep the bits of the cubic in s wherever it is finite. Where
-    the coefficients overflow even so, the cubic is refused; an overflowing
-    node slope reads inf. The end cubics extend past the nodes. Values and
-    slopes accept scalars or arrays.
+    ends; the chord for two nodes; 0 for one node, whose cubic is y_0. c[:, k]
+    holds the cubic on [x_k, x_k+1] in powers of y = (s - x_k) / unit, highest
+    first, as in scipy's PPoly, with ``unit`` the power of two at or below the
+    span of x. That division rounds nothing, so no node spacing is too short or
+    too long, and values and slopes keep the bits of the cubic in s wherever it
+    is finite. Where the coefficients overflow even so, the cubic is refused; an
+    overflowing node slope reads inf. The end cubics extend past the nodes.
+    Values and slopes accept scalars or arrays.
     """
 
     def __init__(self, x, y):
         self.x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         self.unit = math.ldexp(1.0, math.frexp(float(self.x[-1] - self.x[0]))[1] - 1)
+        if y.size == 1:
+            self.slopes, self.c = np.zeros(1), np.array([[0.0], [0.0], [0.0], y])
+            return
         h = np.diff(self.x) / self.unit
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
             m = np.diff(y) / h
@@ -254,7 +260,7 @@ class MonotoneCubic:
 
     def interval(self, s):
         """Index k of the cubic that serves s: x_k <= s < x_k+1, clamped to the ends."""
-        return np.clip(np.searchsorted(self.x, s, side="right") - 1, 0, self.x.size - 2)
+        return np.clip(np.searchsorted(self.x, s, side="right") - 1, 0, max(self.x.size - 2, 0))
 
     def _local(self, s):
         s = np.asarray(s, dtype=float)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MarkedState, Precision, Schedule, Splitting, _integer, make_splitting
+from .core import MarkedState, Precision, Schedule, Splitting, _integer, _real, make_splitting
 from .hamiltonian import DENSE_CAP, MatrixFreeHamiltonian
 from .runtime import TimeSchedule
 from .spectral import adiabatic_ratio, subsystem_gap
@@ -145,6 +145,7 @@ def adiabaticity_lhs(splitting: Splitting, schedule: Schedule, s: float, ds_dt: 
     evolve takes at its checkpoints as one array, so the two agree bit for
     bit; it does not depend on the marked state.
     """
+    s, ds_dt = _real(s, "s"), _real(ds_dt, "ds_dt")
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must be in [0, 1], got {s}")
     if not math.isfinite(ds_dt):

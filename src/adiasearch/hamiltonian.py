@@ -16,7 +16,8 @@ import numpy as np
 
 from .core import MarkedState, Splitting
 
-# Dense 2^n x 2^n matrices are refused above this qubit count (4096-dim).
+# Largest qubit count of one 2^n-entry vector: evolve's per-block state and
+# final_diagonal's diagonal (4096 entries). No 2^n x 2^n matrix is built.
 DENSE_CAP = 12
 # Largest block size the symbolic problem-operator expansion will unfold.
 EXPANSION_BLOCK_CAP = 20

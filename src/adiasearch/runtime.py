@@ -8,7 +8,7 @@ published-table reproduction, and the optimal time parameterization s(t).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .core import (
     Schedule,
     Splitting,
     _integer,
+    _real,
     _sampled_curve,
     equal_splitting,
     linear_schedule,
@@ -113,6 +114,7 @@ def scaling_coefficients(eps_t: float, n: int, num_blocks: int) -> tuple[float, 
     scaling; the second (beta) is reported as infinity for a single block,
     where its defining base is 1; needs 1 <= num_blocks <= n.
     """
+    eps_t = _real(eps_t, "eps_t")
     if not (math.isfinite(eps_t) and eps_t > 0.0):
         raise ValueError(f"eps_t must be finite and positive, got {eps_t}")
     n = _integer(n, "qubit count")
@@ -172,16 +174,17 @@ def max_structured_time(n: int) -> RunTimeResult:
 
 @dataclass(frozen=True)
 class TimeSchedule:
-    """Monotone time parameterization s(t) with its total time.
+    """Monotone time parameterization s(t): a table of (t, s, ds/dt) samples.
 
-    Produced by :func:`optimal_schedule` (where the rate samples come from
-    the saturated bound) or from user (t, s) samples: s obeys core's one
-    sampled-curve rule, and t must increase strictly over a span that fits
-    a double. Interpolation is monotone piecewise cubic in both directions,
-    by :class:`core.MonotoneCubic`, which takes time steps of any length. A
-    positive total time is refused only where its time steps vanish or its
-    rates overflow, or where a cubic of its samples overflows even in its
-    own unit.
+    Made by :func:`optimal_schedule` (rates from the saturated bound), by
+    :meth:`from_samples` (rates from the interpolant) or by :meth:`quench`.
+    A positive total time takes samples that obey core's one sampled-curve
+    rule, with t rising strictly from exactly 0 to exactly the total time;
+    it is too short where its steps vanish or its rates overflow. A zero
+    total time takes only the sample (t, s, ds/dt) = (0, 1, 0), the quench.
+    Each direction is a :class:`core.MonotoneCubic` of the samples, which
+    takes steps of any length, refuses a cubic that overflows in its own
+    unit, and reads the quench's one sample as a constant.
     """
 
     base: Schedule
@@ -189,19 +192,22 @@ class TimeSchedule:
     t_nodes: np.ndarray
     s_nodes: np.ndarray
     rate_nodes: np.ndarray
-    _s_of_t: object = field(default=None, repr=False, compare=False)
-    _t_of_s: object = field(default=None, repr=False, compare=False)
-    _rate_of_s: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.total_time) and self.total_time >= 0.0):
             raise ValueError(f"total time must be finite and >= 0, got {self.total_time}")
-        if self.total_time > 0.0:
-            if not (np.min(np.diff(self.t_nodes)) > 0.0 and np.all(np.isfinite(self.rate_nodes))):
-                raise ValueError(f"total time {self.total_time!r} is too short: its steps vanish or its rates overflow")
-            object.__setattr__(self, "_s_of_t", MonotoneCubic(self.t_nodes, self.s_nodes))
-            object.__setattr__(self, "_t_of_s", MonotoneCubic(self.s_nodes, self.t_nodes))
-            object.__setattr__(self, "_rate_of_s", MonotoneCubic(self.s_nodes, self.rate_nodes))
+        if self.total_time == 0.0:
+            if [np.asarray(v).tolist() for v in (self.t_nodes, self.s_nodes, self.rate_nodes)] != [[0.0], [1.0], [0.0]]:
+                raise ValueError("a zero total time takes only the sample (t, s, ds/dt) = (0, 1, 0)")
+        elif not (np.all(np.diff(self.t_nodes) > 0.0) and np.all(np.isfinite(self.rate_nodes))):
+            raise ValueError(f"total time {self.total_time!r} is too short: its steps vanish or its rates overflow")
+        else:
+            _, t_nodes, _ = _sampled_curve(self.s_nodes, t=self.t_nodes, rate=self.rate_nodes)
+            if t_nodes[0] != 0.0 or t_nodes[-1] != self.total_time:
+                raise ValueError(f"t samples must run from 0 to the total time {self.total_time!r}")
+        object.__setattr__(self, "_s_of_t", MonotoneCubic(self.t_nodes, self.s_nodes))
+        object.__setattr__(self, "_t_of_s", MonotoneCubic(self.s_nodes, self.t_nodes))
+        object.__setattr__(self, "_rate_of_s", MonotoneCubic(self.s_nodes, self.rate_nodes))
 
     @classmethod
     def from_samples(cls, t_nodes, s_nodes, base: Schedule | None = None) -> "TimeSchedule":
@@ -216,34 +222,22 @@ class TimeSchedule:
 
     @classmethod
     def quench(cls, base: Schedule | None = None) -> "TimeSchedule":
-        """Zero-duration parameterization: measure immediately at s = 1."""
-        return cls(
-            base if base is not None else linear_schedule(),
-            0.0,
-            np.array([0.0]),
-            np.array([1.0]),
-            np.array([0.0]),
-        )
+        """Zero-duration parameterization, measured at s = 1 at once: the sample (t, s, ds/dt) = (0, 1, 0)."""
+        return cls(base if base is not None else linear_schedule(), 0.0, np.zeros(1), np.ones(1), np.zeros(1))
 
     def s_of_t(self, t):
-        if self.total_time == 0.0:
-            return np.ones_like(np.asarray(t, dtype=float)) if np.ndim(t) else 1.0
-        clipped = np.clip(t, 0.0, self.total_time)
-        return np.clip(self._s_of_t(clipped), 0.0, 1.0)
+        return np.clip(self._s_of_t(np.clip(t, 0.0, self.total_time)), 0.0, 1.0)
 
     def t_of_s(self, s):
-        if self.total_time == 0.0:
-            return np.zeros_like(np.asarray(s, dtype=float)) if np.ndim(s) else 0.0
         return np.clip(self._t_of_s(np.clip(s, 0.0, 1.0)), 0.0, self.total_time)
 
     def rate(self, s):
         """ds/dt as a function of s."""
-        if self.total_time == 0.0:
-            return np.zeros_like(np.asarray(s, dtype=float)) if np.ndim(s) else 0.0
         return self._rate_of_s(np.clip(s, 0.0, 1.0))
 
     def scaled(self, new_total_time: float) -> "TimeSchedule":
         """Same path through s, uniformly stretched to a new total time."""
+        new_total_time = _real(new_total_time, "scaled total time")
         if not (math.isfinite(new_total_time) and new_total_time > 0.0):
             raise ValueError(f"scaled total time must be finite and > 0, got {new_total_time}")
         if self.total_time == 0.0:
@@ -251,7 +245,9 @@ class TimeSchedule:
         factor = new_total_time / self.total_time
         with np.errstate(over="ignore", divide="ignore"):  # the constructor refuses both
             rate_nodes = self.rate_nodes / factor
-        return TimeSchedule(self.base, new_total_time, self.t_nodes * factor, self.s_nodes, rate_nodes)
+        # the last node is the new total, which the product can miss by an ulp
+        t_nodes = np.append(self.t_nodes[:-1] * factor, new_total_time)
+        return TimeSchedule(self.base, new_total_time, t_nodes, self.s_nodes, rate_nodes)
 
 
 def optimal_schedule(

@@ -26,9 +26,12 @@ def subsystem_gap(block_dim, f, g):
     A block of dimension ``block_dim`` driven by f*(uniform-state projector
     penalty) + g*(target-state projector penalty) has spectral gap
     sqrt((f - g)**2 + 4*f*g/block_dim). Accepts array-valued f, g, or an
-    array of block dimensions.
+    array of block dimensions, each a real number >= 2.
     """
-    if np.any(np.asarray(block_dim) < 2):
+    dims = np.asarray(block_dim)
+    if dims.dtype.kind not in "iuf":  # a bool, string or object is no dimension
+        raise ValueError(f"block dimension has the wrong type: expected a real number, got {block_dim!r}")
+    if not np.all(dims >= 2):  # NaN fails too
         raise ValueError(f"block dimension must be >= 2, got {block_dim}")
     # d * d: a scalar's ** 2 goes through libm pow, an array's through x * x
     d = f - g
@@ -61,7 +64,7 @@ def max_structured_eigenvalue(n: int, spin_sum, f: float, g: float) -> float:
     (n/2)*(f + g) - spin_sum*sqrt(f**2 + g**2).
     """
     n = _integer(n, "qubit count")
-    spin_sum, f, g = (float(_real(x, what)) for x, what in ((spin_sum, "spin sum"), (f, "f"), (g, "g")))
+    spin_sum, f, g = (_real(x, what) for x, what in ((spin_sum, "spin sum"), (f, "f"), (g, "g")))
     two_m = 2.0 * spin_sum
     if not math.isfinite(two_m):
         raise ValueError(f"spin sum {spin_sum} outside the ladder for n={n}")
@@ -93,6 +96,7 @@ def max_structured_matrix_element(f: float, g: float, df: float, dg: float) -> f
     only the magnitude matters because only its square enters the
     degenerate adiabaticity condition.
     """
+    f, g, df, dg = (_real(x, what) for x, what in ((f, "f"), (g, "g"), (df, "df"), (dg, "dg")))
     if f == 0.0 and g == 0.0:
         raise ValueError("matrix element is singular at f = g = 0")
     return 0.5 * abs(df * g - dg * f) / math.hypot(f, g)

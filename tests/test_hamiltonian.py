@@ -166,6 +166,7 @@ def test_maximal_final_terms_are_single_qubit():
         weight_one = [t for t in terms.terms if t[1] != "I" * n]
         assert len(weight_one) == n
         assert all(abs(c) == 0.5 for c, _ in weight_one)
+        assert terms.coefficient("Z" * n) == 0.0  # an absent word
 
 
 def test_unstructured_final_has_full_weight_word():

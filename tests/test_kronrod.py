@@ -116,3 +116,26 @@ def test_quadrature_error_reports_plain_floats(monkeypatch):
             assert type(caught.value.value) is float and type(caught.value.estimate) is float
             assert 0 < rule_calls[0] <= budgets[-1]
             assert (rule_calls[0] == budgets[-1]) == uses_the_budget
+
+
+def test_integrate_stops_early_at_a_narrow_piece_and_at_roundoff(monkeypatch):
+    # each stop comes well before the _QUAD_LIMIT bisections: a jump at
+    # u = 0.3 bisected to a piece too narrow to split at an unreachable
+    # tolerance, and an oscillation too fast to resolve, whose halves' estimates
+    # stop falling (QUADPACK's roundoff test)
+    rule = kronrod._qk21
+    calls = [0]
+
+    def counted(*args):
+        calls[0] += 1
+        return rule(*args)
+
+    monkeypatch.setattr(kronrod, "_qk21", counted)
+    for integrand, rel_tol, bisections in (
+        (lambda u: 1.0 if u < 0.3 else 2.0, 1e-20, 50),
+        (lambda u: 1.0 + 1e-6 * math.sin(1e7 * u), 1e-9, 11),
+    ):
+        calls[0] = 0
+        with pytest.raises(QuadratureError, match="did not converge"):
+            kronrod.integrate(integrand, [0.0, 1.0], rel_tol, "an early stop")
+        assert calls[0] == 1 + 2 * bisections < 1 + 2 * kronrod._QUAD_LIMIT

@@ -21,7 +21,7 @@ from adiasearch.core import (
     make_splitting,
     tabulated_schedule,
 )
-from adiasearch.dynamics import rk4_propagate
+from adiasearch.dynamics import adiabaticity_lhs, rk4_propagate
 from adiasearch.runtime import (
     TimeSchedule,
     closed_form_eps_t,
@@ -425,6 +425,27 @@ def test_integer_arguments_refuse_other_types():
     assert closed_form_eps_t(np.int64(4), np.int32(2)) == closed_form_eps_t(4, 2)
 
 
+def test_real_arguments_refuse_other_types():
+    # refused before any range check: a string once raised TypeError from a
+    # comparison or math call, an int past the double range OverflowError,
+    # and a bool was taken as a number
+    splitting = make_splitting(2, [2])
+    schedule_t = TimeSchedule.from_samples([0.0, 1.0, 2.0], [0.0, 0.5, 1.0])
+    calls = {
+        "s": lambda x: adiabaticity_lhs(splitting, linear_schedule(), x, 1.0),
+        "ds_dt": lambda x: adiabaticity_lhs(splitting, linear_schedule(), 0.5, x),
+        "eps_t": lambda x: scaling_coefficients(x, 6, 1),
+        "scaled total time": lambda x: schedule_t.scaled(x).total_time,
+    }
+    for what, call in calls.items():
+        for bad in ("0.5", True, np.bool_(True), 1j, None):
+            with pytest.raises(ValueError, match=f"^{what} has the wrong type: expected a real number"):
+                call(bad)
+        with pytest.raises(ValueError, match=f"^{what} is past the double range"):
+            call(10**400)
+        assert call(np.float32(0.5)) == call(0.5)
+
+
 def test_time_schedule_from_samples_and_scaling():
     t_nodes = np.linspace(0.0, 8.0, 41)
     s_nodes = np.linspace(0.0, 1.0, 41)
@@ -458,11 +479,41 @@ def test_time_schedule_from_samples_and_scaling():
     assert float(short.rate(0.3)) == pytest.approx(1e200, rel=1e-9)
     assert float(short.t_of_s(short.s_of_t(3.3e-201))) == pytest.approx(3.3e-201, rel=1e-9)
 
+    # the last node is the requested total, which 0.7 * (6.0 / 0.7) misses by an ulp
+    assert TimeSchedule.from_samples(np.linspace(0.0, 0.7, 8), s_nodes[:8] / s_nodes[7]).scaled(6.0).t_nodes[-1] == 6.0
+
+    # the quench is the one-sample table (t, s, ds/dt) = (0, 1, 0), read as constants
     quench = TimeSchedule.quench()
     assert quench.total_time == 0.0
-    assert float(quench.s_of_t(0.0)) == 1.0
+    for probe in (0.0, 0.5, 1.0, np.linspace(-1.0, 2.0, 7)):
+        for value, expected in ((quench.s_of_t(probe), 1.0), (quench.t_of_s(probe), 0.0), (quench.rate(probe), 0.0)):
+            assert np.shape(value) == np.shape(probe) and np.all(value == expected)
     with pytest.raises(ValueError):
         quench.scaled(2.0)
+
+
+def test_time_schedule_holds_every_table_to_one_rule():
+    # the constructor once took the first three tables, and evolve ran them
+    # to a success probability without complaint
+    base = linear_schedule()
+    t, s, rate = np.linspace(0.0, 50.0, 11), np.linspace(0.0, 1.0, 11), np.full(11, 0.02)
+    cases = [
+        ((50.0, t, s[::-1], rate), "strictly increasing s"),
+        ((50.0, t, np.linspace(0.2, 0.4, 11), rate), "span s = 0 to s = 1"),
+        ((50.0, t / 50.0, s, rate), "t samples must run from 0 to the total time 50.0"),
+        ((50.0, t, s[:10], rate), "s, t, rate sample arrays must have equal length"),
+        ((50.0, np.linspace(1.0, 50.0, 11), s, rate), "t samples must run from 0"),
+        ((50.0, t[None, :], s[None, :], rate[None, :]), "need at least two schedule samples"),
+        ((0.0, np.zeros(2), np.ones(2), np.zeros(2)), "a zero total time takes only the sample"),
+        ((0.0, np.zeros(1), np.zeros(1), np.zeros(1)), "a zero total time takes only the sample"),
+    ]
+    for (total, t_nodes, s_nodes, rate_nodes), message in cases:
+        with pytest.raises(ValueError, match=message):
+            TimeSchedule(base, total, t_nodes, s_nodes, rate_nodes)
+    assert TimeSchedule(base, 50.0, t, s, rate).s_of_t(25.0) == pytest.approx(0.5, rel=1e-15)
+    # one node reads as a constant with slope 0, wherever it is probed
+    constant = MonotoneCubic([0.3], [5.0])
+    assert constant(np.array([-1.0, 0.3, 7.0])).tolist() == [5.0] * 3 and constant.slope(0.3) == 0.0
 
 
 def test_time_schedule_from_samples_refuses_bad_samples():

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import eigh
 from scipy.optimize import minimize_scalar
 
-from adiasearch import cli
+from adiasearch import cli, spectral
 from adiasearch.core import MAX_GRID, MarkedState, linear_schedule, make_splitting, tabulated_schedule
 from adiasearch.hamiltonian import final_diagonal
 from adiasearch.spectral import (
@@ -38,6 +38,15 @@ def test_block_gap_values():
     assert subsystem_gap(64, 0.5, 0.5) == pytest.approx(0.125, abs=1e-15)
     with pytest.raises(ValueError):
         subsystem_gap(1, 0.5, 0.5)
+    # NaN once passed the >= 2 check and gave a NaN gap; a string raised numpy's UFuncTypeError
+    for bad, message in (
+        (math.nan, "must be >= 2, got nan"),
+        (np.array([4.0, math.nan]), "must be >= 2"),
+        ("4", "has the wrong type: expected a real number, got '4'"),
+        (True, "has the wrong type"),
+    ):
+        with pytest.raises(ValueError, match=f"^block dimension {message}"):
+            subsystem_gap(bad, 0.5, 0.5)
 
 
 def test_block_gap_matches_dense_unstructured_midpoint():
@@ -68,11 +77,15 @@ def test_ladder_eigenvalue_examples():
             max_structured_eigenvalue(4, spin_sum, 0.5, 0.5)
     # an overflowing energy reads inf, numpy scalars or not
     assert max_structured_eigenvalue(4, 1, np.float64(1e308), np.float64(1e308)) == math.inf
-    for bad in (True, np.bool_(False), "1", 1j):
+    # an int past the double range is refused by name: read as inf, it would
+    # make the energy inf - inf = nan
+    for bad, refusal in [(x, "has the wrong type") for x in (True, np.bool_(False), "1", 1j)] + [
+        (10**400, "is past the double range")
+    ]:
         for position, what in enumerate(("spin sum", "f", "g")):
             args = [1.0, 0.5, 0.5]
             args[position] = bad
-            with pytest.raises(ValueError, match=f"^{what} has the wrong type"):
+            with pytest.raises(ValueError, match=f"^{what} {refusal}"):
                 max_structured_eigenvalue(4, *args)
 
 
@@ -123,6 +136,13 @@ def test_matrix_element_examples():
         assert value == pytest.approx(expected, rel=1e-14)
     with pytest.raises(ValueError):
         max_structured_matrix_element(0.0, 0.0, -1.0, 1.0)
+    # no type rule at all once: a string raised TypeError, and a bool was a number
+    for bad, refusal in (("a", "has the wrong type"), (True, "has the wrong type"), (10**400, "is past the double")):
+        for position, what in enumerate(("f", "g", "df", "dg")):
+            args = [1.0, 0.0, -1.0, 1.0]
+            args[position] = bad
+            with pytest.raises(ValueError, match=f"^{what} {refusal}"):
+                max_structured_matrix_element(*args)
 
 
 def test_gap_profile_unstructured_six_qubits():
@@ -158,6 +178,9 @@ def test_gap_profile_minimum_matches_scipy_golden_search():
         assert profile.s_min not in profile.s  # refined off the grid
         assert profile.s_min == pytest.approx(oracle.x, abs=1e-12), parts
         assert profile.omega_min == pytest.approx(oracle.fun, rel=1e-14), parts
+    # a bracket whose middle is not below both ends holds no minimum to refine
+    for func in (lambda x: x, lambda x: 1.0, lambda x: -abs(x - 0.5)):
+        assert spectral._golden_minimum(func, 0.0, 0.5, 1.0) is None
 
 
 def test_gap_profile_single_qubit_matches_two_dim_block():
