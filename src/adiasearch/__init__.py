@@ -31,14 +31,12 @@ from .hamiltonian import (
     PauliTermSum,
     final_diagonal,
     final_terms,
-    locality_weight,
 )
 from .runtime import (
     QuadratureError,
     RunTimeResult,
     TimeSchedule,
     closed_form_eps_t,
-    max_structured_time,
     optimal_schedule,
     reproduce_table,
     running_time_integral,
@@ -49,7 +47,6 @@ from .spectral import (
     gap_profile,
     max_structured_degeneracy,
     max_structured_eigenvalue,
-    max_structured_matrix_element,
     subsystem_gap,
 )
 

@@ -2,9 +2,8 @@
 
 The problem operator's expansion over tensor-product words of single-qubit
 factors (identity / bit flip X / phase Z), built block by block without a
-dense matrix, its interaction-locality metric, the problem diagonal, and a
-matrix-free applier, which ``evolve`` runs on one block's vector per block
-size.
+dense matrix, the problem diagonal, and a matrix-free applier, which
+``evolve`` runs on one block's vector per block size.
 """
 
 from __future__ import annotations
@@ -124,11 +123,6 @@ def final_terms(splitting: Splitting, marked: MarkedState) -> PauliTermSum:
         offset += size
     # every coefficient is +-2^-size and the identity's is at least 1/2, so none is zero
     return PauliTermSum(n, ((identity_coeff, "I" * n), *terms))
-
-
-def locality_weight(splitting: Splitting) -> int:
-    """Largest number of qubits any single problem-operator term couples."""
-    return max(splitting.parts)
 
 
 class MatrixFreeHamiltonian:

@@ -42,7 +42,6 @@ class RunTimeResult:
     eps_t: float
     alpha: float
     beta: float
-    method: str
 
 
 def _crossing(schedule: Schedule) -> float:
@@ -143,7 +142,7 @@ def running_time_integral(
     edges = _panel_edges(schedule, u_of_s, float(u_of_s(0.0)), float(u_of_s(1.0)))
     eps_t, _ = integrate(integrand, edges, QUAD_TOL, "the running-time integral")
     alpha, beta = scaling_coefficients(eps_t, splitting.n, splitting.num_blocks)
-    return RunTimeResult(splitting, eps_t, alpha, beta, "quadrature")
+    return RunTimeResult(splitting, eps_t, alpha, beta)
 
 
 def closed_form_eps_t(n: int, num_blocks: int) -> float:
@@ -157,19 +156,6 @@ def closed_form_eps_t(n: int, num_blocks: int) -> float:
     """
     block_dim = equal_splitting(n, num_blocks).float_block_dims()[0]
     return math.sqrt(num_blocks * (block_dim - 1.0))
-
-
-def max_structured_time(n: int) -> RunTimeResult:
-    """Running time sqrt(n)/epsilon of the fully split search.
-
-    Saturating the degenerate adiabatic condition with the per-qubit matrix
-    element integrates to exactly sqrt(n) for eps_t, consistent with the
-    equal-split closed form at one qubit per block.
-    """
-    splitting = equal_splitting(n, n)
-    eps_t = math.sqrt(n)
-    alpha, beta = scaling_coefficients(eps_t, n, n)
-    return RunTimeResult(splitting, eps_t, alpha, beta, "max_structured")
 
 
 @dataclass(frozen=True)
@@ -194,14 +180,17 @@ class TimeSchedule:
     rate_nodes: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "total_time", _real(self.total_time, "total time"))
         if not (math.isfinite(self.total_time) and self.total_time >= 0.0):
             raise ValueError(f"total time must be finite and >= 0, got {self.total_time}")
         if self.total_time == 0.0:
             if [np.asarray(v).tolist() for v in (self.t_nodes, self.s_nodes, self.rate_nodes)] != [[0.0], [1.0], [0.0]]:
                 raise ValueError("a zero total time takes only the sample (t, s, ds/dt) = (0, 1, 0)")
-        elif not (np.all(np.diff(self.t_nodes) > 0.0) and np.all(np.isfinite(self.rate_nodes))):
-            raise ValueError(f"total time {self.total_time!r} is too short: its steps vanish or its rates overflow")
         else:
+            with np.errstate(over="ignore"):  # a t span past the double range meets the t rule below
+                steps_vanish = not np.all(np.diff(self.t_nodes) > 0.0)
+            if steps_vanish or not np.all(np.isfinite(self.rate_nodes)):
+                raise ValueError(f"total time {self.total_time!r} is too short: its steps vanish or its rates overflow")
             _, t_nodes, _ = _sampled_curve(self.s_nodes, t=self.t_nodes, rate=self.rate_nodes)
             if t_nodes[0] != 0.0 or t_nodes[-1] != self.total_time:
                 raise ValueError(f"t samples must run from 0 to the total time {self.total_time!r}")

@@ -2,8 +2,8 @@
 
 Per-block energy gaps, the one adiabaticity ratio of the whole package
 (``adiabatic_ratio``), the product-state eigenvalue ladder of the fully split
-search, level degeneracies, transition matrix elements, and tabulated gap
-profiles over the interpolation parameter.
+search, level degeneracies, and tabulated gap profiles over the interpolation
+parameter.
 """
 
 from __future__ import annotations
@@ -26,16 +26,20 @@ def subsystem_gap(block_dim, f, g):
     A block of dimension ``block_dim`` driven by f*(uniform-state projector
     penalty) + g*(target-state projector penalty) has spectral gap
     sqrt((f - g)**2 + 4*f*g/block_dim). Accepts array-valued f, g, or an
-    array of block dimensions, each a real number >= 2.
+    array of block dimensions, each a real number >= 2. A scalar dimension
+    may be an int of any size up to the double range, as Splitting.block_dims
+    gives it.
     """
     dims = np.asarray(block_dim)
-    if dims.dtype.kind not in "iuf":  # a bool, string or object is no dimension
+    if dims.ndim == 0 and not isinstance(block_dim, np.ndarray):  # an int past int64 is an object array
+        dims = _real(block_dim, "block dimension")
+    elif dims.dtype.kind not in "iuf":  # a bool, string or object array is no dimension
         raise ValueError(f"block dimension has the wrong type: expected a real number, got {block_dim!r}")
     if not np.all(dims >= 2):  # NaN fails too
         raise ValueError(f"block dimension must be >= 2, got {block_dim}")
     # d * d: a scalar's ** 2 goes through libm pow, an array's through x * x
     d = f - g
-    return np.sqrt(d * d + (4.0 / block_dim) * f * g)
+    return np.sqrt(d * d + (4.0 / dims) * f * g)
 
 
 def adiabatic_ratio(block_dims: np.ndarray):
@@ -86,20 +90,6 @@ def max_structured_degeneracy(n: int, level: int) -> int:
     if not 0 <= level <= n:
         raise ValueError(f"level must be in [0, {n}], got {level}")
     return math.comb(n, level)
-
-
-def max_structured_matrix_element(f: float, g: float, df: float, dg: float) -> float:
-    """Magnitude of the per-qubit drive matrix element for the full split.
-
-    Between the ground state and any one of the degenerate first excited
-    states the drive couples with strength |df*g - dg*f| / (2*sqrt(f**2+g**2));
-    only the magnitude matters because only its square enters the
-    degenerate adiabaticity condition.
-    """
-    f, g, df, dg = (_real(x, what) for x, what in ((f, "f"), (g, "g"), (df, "df"), (dg, "dg")))
-    if f == 0.0 and g == 0.0:
-        raise ValueError("matrix element is singular at f = g = 0")
-    return 0.5 * abs(df * g - dg * f) / math.hypot(f, g)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
+import json
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,10 +24,10 @@ from adiasearch.dynamics import (
     rk4_propagate,
 )
 from adiasearch.hamiltonian import MatrixFreeHamiltonian, final_diagonal, final_terms
-from adiasearch.runtime import TimeSchedule, max_structured_time, optimal_schedule
+from adiasearch.runtime import TimeSchedule, closed_form_eps_t, optimal_schedule
 from adiasearch.spectral import adiabatic_ratio, subsystem_gap
 
-from oracles import build_initial, instantaneous_ground_overlap
+from oracles import build_initial, instantaneous_ground_overlap, two_level_success
 
 
 def _optimal_report(n, parts, eps, marked=None, steps=None):
@@ -77,6 +79,36 @@ def test_evolve_matches_block_product_oracle():
         report = evolve(splitting, MarkedState.zeros(n), schedule_t, precision)
         expected = _block_product_success(parts, schedule_t)
         assert report.success_probability == pytest.approx(expected, abs=1e-7)
+
+
+def test_two_level_oracle_matches_the_reference_successes():
+    # the recorded evolve values of the benchmark, all-zeros marked state;
+    # the oracle runs on the exact rate, evolve on its 1,001-node table
+    reference = json.loads((Path(__file__).parents[1] / "perfbench" / "reference.json").read_text())
+    assert len(reference["success_probability"]) == 32
+    for key, p in reference["success_probability"].items():
+        _, parts, eps = (field.split("=")[1] for field in key.split())
+        parts = [int(size) for size in parts.split(",")]
+        assert two_level_success(parts, float(eps), 2**14) == pytest.approx(p, abs=1e-8), key
+
+
+def test_two_level_oracle_matches_the_block_product_oracle():
+    for parts, eps in [([1], 0.2), ([1, 3], 0.2), ([2, 2], 0.1)]:
+        schedule_t = optimal_schedule(make_splitting(sum(parts), parts), Precision(epsilon=eps))
+        expected = _block_product_success(parts, schedule_t)
+        assert two_level_success(parts, eps, 2**14) == pytest.approx(expected, abs=1e-8), parts
+
+
+def test_two_level_oracle_converges_at_second_order():
+    # 4x the steps cuts the change about 16-fold on one 64-qubit block and
+    # on [1,63], whose 1-qubit block turns 1e10 rad under the 63-qubit peak.
+    # p there moves by about 1.8e-5 per 1e-14 relative change of the total
+    # time, so no absolute value is pinned
+    for parts in ([64], [1, 63]):
+        p = [two_level_success(parts, 0.2, 4**k) for k in range(6, 10)]
+        changes = [abs(b - a) for a, b in zip(p, p[1:])]
+        assert all(later <= earlier / 8.0 for earlier, later in zip(changes, changes[1:])), (parts, changes)
+        assert changes[-1] < 1e-8, (parts, changes)
 
 
 def _full_state_run(splitting, marked, schedule_t, precision, t_checks, s_checks):
@@ -461,10 +493,10 @@ def test_equal_splits_warn_nothing_and_square_to_the_summed_condition():
         adiabaticity_lhs(make_splitting(6, [3, 3]), sched, 0.3, 0.1)
 
 
-def test_degenerate_condition_refuses_what_max_structured_time_refuses():
+def test_degenerate_condition_refuses_what_the_closed_form_refuses():
     for n in (0, 65):
         with pytest.raises(ValueError):
-            max_structured_time(n)
+            closed_form_eps_t(n, n)
         with pytest.raises(ValueError):
             adiabaticity_lhs(equal_splitting(n, n), linear_schedule(), 0.5, 0.1)
 
@@ -530,7 +562,7 @@ def test_sqrt_n_time_from_saturating_the_summed_condition():
         integrand = lambda s: 0.5 * math.sqrt(n) * ((1.0 - s) ** 2 + s * s) ** -1.5
         eps_t, _ = quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-10)
         assert eps_t == pytest.approx(math.sqrt(n), rel=1e-8)
-        assert eps_t == pytest.approx(max_structured_time(n).eps_t, rel=1e-8)
+        assert eps_t == pytest.approx(closed_form_eps_t(n, n), rel=1e-8)
 
 
 def test_ground_overlap_boundaries():

@@ -11,7 +11,6 @@ from adiasearch.hamiltonian import (
     check_expansion_budget,
     final_diagonal,
     final_terms,
-    locality_weight,
 )
 from adiasearch.spectral import subsystem_gap
 
@@ -80,7 +79,7 @@ def test_mixing_operator_locality_on_every_splitting():
         splitting = make_splitting(n, random_splitting(rng, n))
         terms = pauli_expansion(build_initial(splitting))
         assert all(set(word) <= {"I", "X"} for _, word in terms.terms), splitting.parts
-        assert terms.max_weight == locality_weight(splitting), splitting.parts
+        assert terms.max_weight == max(splitting.parts), splitting.parts
     # the maximal split: exactly n/2 * I - 1/2 * sum_q X_q
     for n in range(1, 9):
         terms = pauli_expansion(build_initial(make_splitting(n, [1] * n)))
@@ -215,9 +214,10 @@ def test_expansion_rejections():
 
 
 def test_locality_weight_examples():
-    assert locality_weight(make_splitting(6, [6])) == 6
-    assert locality_weight(make_splitting(4, [1, 1, 1, 1])) == 1
-    assert locality_weight(make_splitting(6, [3, 2, 1])) == 3
+    # the problem operator couples at most the qubits of its largest block
+    for parts, weight in (([6], 6), ([1, 1, 1, 1], 1), ([3, 2, 1], 3)):
+        splitting = make_splitting(sum(parts), parts)
+        assert final_terms(splitting, MarkedState.zeros(splitting.n)).max_weight == weight
 
 
 def test_locality_weight_matches_expansion():
@@ -227,11 +227,8 @@ def test_locality_weight_matches_expansion():
         splitting = make_splitting(n, random_splitting(rng, n))
         bits = MarkedState(tuple(int(b) for b in rng.integers(0, 2, n)))
         terms = final_terms(splitting, bits)
-        assert terms.max_weight == locality_weight(splitting)
-        assert all(
-            sum(1 for c in word if c != "I") <= locality_weight(splitting)
-            for _, word in terms.terms
-        )
+        assert terms.max_weight == max(splitting.parts)
+        assert all(sum(1 for c in word if c != "I") <= terms.max_weight for _, word in terms.terms)
 
 
 def test_dense_cap_enforced():

@@ -25,7 +25,6 @@ from adiasearch.dynamics import adiabaticity_lhs, rk4_propagate
 from adiasearch.runtime import (
     TimeSchedule,
     closed_form_eps_t,
-    max_structured_time,
     optimal_schedule,
     reproduce_table,
     running_time_integral,
@@ -81,7 +80,6 @@ def test_quadrature_matches_closed_form():
         result = running_time_integral(make_splitting(n, parts), linear_schedule())
         expected = closed_form_eps_t(n, blocks)
         assert abs(result.eps_t - expected) / expected <= 1e-6
-        assert result.method == "quadrature"
 
 
 def test_single_blocks_match_the_closed_form_up_to_64_qubits():
@@ -231,14 +229,12 @@ def test_structure_monotonicity_over_divisors():
 
 
 def test_max_structured_time():
-    result = max_structured_time(6)
-    assert result.eps_t == pytest.approx(math.sqrt(6.0), rel=1e-15)
-    assert result.method == "max_structured"
-    assert result.eps_t == pytest.approx(closed_form_eps_t(6, 6), rel=1e-15)
-    assert max_structured_time(1).eps_t == 1.0
-    assert max_structured_time(30).eps_t == pytest.approx(math.sqrt(30.0), rel=1e-15)
-    with pytest.raises(ValueError):
-        max_structured_time(0)
+    # one qubit per block: sqrt(n * (2 - 1)) rounds as sqrt(n) itself
+    for n in range(1, 65):
+        assert closed_form_eps_t(n, n) == math.sqrt(n), n
+    for n in (0, 65):
+        with pytest.raises(ValueError):
+            closed_form_eps_t(n, n)
 
 
 def test_optimal_schedule_single_qubit_symmetry():
@@ -402,7 +398,6 @@ def test_integer_arguments_refuse_other_types():
     calls = {
         "qubit count": [
             lambda: reproduce_table(6.0),
-            lambda: max_structured_time(2.5),
             lambda: equal_splitting(4.0, 2),
             lambda: closed_form_eps_t(4.0, 2),
             lambda: scaling_coefficients(2.0, 4.0, 2),
@@ -506,11 +501,19 @@ def test_time_schedule_holds_every_table_to_one_rule():
         ((50.0, t[None, :], s[None, :], rate[None, :]), "need at least two schedule samples"),
         ((0.0, np.zeros(2), np.ones(2), np.zeros(2)), "a zero total time takes only the sample"),
         ((0.0, np.zeros(1), np.zeros(1), np.zeros(1)), "a zero total time takes only the sample"),
+        # once a TypeError from isfinite, and a bool total was taken as 1
+        (("5", [0.0, 1.0], [0.0, 1.0], [1.0, 1.0]), "total time has the wrong type: expected a real number, got '5'"),
+        ((True, [0.0, 1.0], [0.0, 1.0], [1.0, 1.0]), "total time has the wrong type: expected a real number, got True"),
+        # a t span past the double range once leaked numpy's overflow warning
+        ((1e308, [-1e308, 1e308], [0.0, 1.0], [1.0, 1.0]), "t samples must run from 0 to the total time 1e\\+308"),
     ]
     for (total, t_nodes, s_nodes, rate_nodes), message in cases:
         with pytest.raises(ValueError, match=message):
             TimeSchedule(base, total, t_nodes, s_nodes, rate_nodes)
     assert TimeSchedule(base, 50.0, t, s, rate).s_of_t(25.0) == pytest.approx(0.5, rel=1e-15)
+    # an int or numpy total is stored as a float
+    for total in (50, np.float32(50.0)):
+        assert type(TimeSchedule(base, total, t, s, rate).total_time) is float
     # one node reads as a constant with slope 0, wherever it is probed
     constant = MonotoneCubic([0.3], [5.0])
     assert constant(np.array([-1.0, 0.3, 7.0])).tolist() == [5.0] * 3 and constant.slope(0.3) == 0.0

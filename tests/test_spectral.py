@@ -6,13 +6,20 @@ from scipy.linalg import eigh
 from scipy.optimize import minimize_scalar
 
 from adiasearch import cli, spectral
-from adiasearch.core import MAX_GRID, MarkedState, linear_schedule, make_splitting, tabulated_schedule
+from adiasearch.core import (
+    MAX_GRID,
+    MarkedState,
+    equal_splitting,
+    linear_schedule,
+    make_splitting,
+    tabulated_schedule,
+)
 from adiasearch.hamiltonian import final_diagonal
 from adiasearch.spectral import (
+    adiabatic_ratio,
     gap_profile,
     max_structured_degeneracy,
     max_structured_eigenvalue,
-    max_structured_matrix_element,
     subsystem_gap,
 )
 
@@ -44,9 +51,15 @@ def test_block_gap_values():
         (np.array([4.0, math.nan]), "must be >= 2"),
         ("4", "has the wrong type: expected a real number, got '4'"),
         (True, "has the wrong type"),
+        # once refused as the wrong type: numpy holds an int past int64 as an object
+        (2**2000, "is past the double range$"),
     ):
         with pytest.raises(ValueError, match=f"^block dimension {message}"):
             subsystem_gap(bad, 0.5, 0.5)
+    # a 64-qubit block's dimension as Splitting.block_dims gives it, and past it
+    for dim in (2**64, 2**70):
+        assert subsystem_gap(dim, 0.5, 0.5) == subsystem_gap(float(dim), 0.5, 0.5)
+    assert subsystem_gap(make_splitting(64, [64]).block_dims[0], 0.3, 0.7) == subsystem_gap(2.0**64, 0.3, 0.7)
 
 
 def test_block_gap_matches_dense_unstructured_midpoint():
@@ -126,23 +139,17 @@ def test_subsystem_gap_scalar_equals_array():
 
 
 def test_matrix_element_examples():
-    assert max_structured_matrix_element(1.0, 0.0, -1.0, 1.0) == pytest.approx(0.5, abs=1e-15)
+    # one qubit per block: each of the n qubits couples its ground state to
+    # its own excited state with |f'g - g'f| / (2 sqrt(f**2 + g**2)), one gap
+    # sqrt(f**2 + g**2) below it, so the ratio is sqrt(n) times that over the
+    # gap squared: the integrand of the sqrt(n) running time
     sched = linear_schedule()
-    for s in np.linspace(0.0, 1.0, 11):
-        f, g = sched.f(s), sched.g(s)
-        # for the straight-line schedule |f'g - g'f| = f + g = 1
-        expected = 1.0 / (2.0 * math.hypot(f, g))
-        value = max_structured_matrix_element(f, g, sched.df(s), sched.dg(s))
-        assert value == pytest.approx(expected, rel=1e-14)
-    with pytest.raises(ValueError):
-        max_structured_matrix_element(0.0, 0.0, -1.0, 1.0)
-    # no type rule at all once: a string raised TypeError, and a bool was a number
-    for bad, refusal in (("a", "has the wrong type"), (True, "has the wrong type"), (10**400, "is past the double")):
-        for position, what in enumerate(("f", "g", "df", "dg")):
-            args = [1.0, 0.0, -1.0, 1.0]
-            args[position] = bad
-            with pytest.raises(ValueError, match=f"^{what} {refusal}"):
-                max_structured_matrix_element(*args)
+    for n in (1, 4, 7, 64):
+        ratio = adiabatic_ratio(equal_splitting(n, n).float_block_dims())
+        for s in np.linspace(0.0, 1.0, 11).tolist():
+            f, g, df, dg = sched.f(s), sched.g(s), sched.df(s), sched.dg(s)
+            expected = math.sqrt(n) * abs(df * g - dg * f) / (2.0 * (f * f + g * g) ** 1.5)
+            assert ratio(sched.difference(s, 0.0), f, g, df, dg) == pytest.approx(expected, rel=1e-15), (n, s)
 
 
 def test_gap_profile_unstructured_six_qubits():
