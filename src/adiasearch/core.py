@@ -181,22 +181,33 @@ class MarkedState:
         return "".join(str(b) for b in self.bits)
 
 
+def _real_array(values, what: str) -> np.ndarray:
+    """``values`` as a float array; refused unless numpy holds them as integers or floats."""
+    array = np.asarray(values)
+    if array.dtype.kind not in "iuf":  # a bool, complex, string or object column is no sample column
+        raise ValueError(f"{what} samples have the wrong type: expected real numbers, got {array.dtype.name} values")
+    return array.astype(float, copy=False)
+
+
 def _sampled_curve(s, **columns) -> tuple[np.ndarray, ...]:
     """``s`` and the named columns as float arrays, refused unless they form a sampled curve.
 
     The one rule for every sampled curve of s: at least two samples, as many
-    in each column as in s, every value finite, and s strictly increasing
-    from 0 to 1 within SCHEDULE_BOUNDARY_TOL.
+    in each column as in s, integer or float values (not parsed from
+    strings, not read from bools), every value finite, and s strictly
+    increasing from 0 to 1 within SCHEDULE_BOUNDARY_TOL.
     """
-    arrays = {name: np.asarray(vals, dtype=float) for name, vals in {"s": s, **columns}.items()}
+    arrays = {name: np.asarray(vals) for name, vals in {"s": s, **columns}.items()}
     s = arrays["s"]
     if s.ndim != 1 or s.size < 2:
         raise ValueError("need at least two schedule samples")
     if any(vals.shape != s.shape for vals in arrays.values()):
         raise ValueError(f"{', '.join(arrays)} sample arrays must have equal length")
+    arrays = {name: _real_array(vals, name) for name, vals in arrays.items()}
     for name, vals in arrays.items():
         if not np.isfinite(vals).all():
             raise ValueError(f"{name} samples must be finite")
+    s = arrays["s"]
     if np.any(np.diff(s) <= 0):
         raise ValueError("schedule samples must have strictly increasing s")
     if abs(s[0]) > SCHEDULE_BOUNDARY_TOL or abs(s[-1] - 1.0) > SCHEDULE_BOUNDARY_TOL:

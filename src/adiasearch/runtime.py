@@ -21,12 +21,13 @@ from .core import (
     Splitting,
     _integer,
     _real,
+    _real_array,
     _sampled_curve,
     equal_splitting,
     linear_schedule,
 )
 from .kronrod import QuadratureError, integrate, node_integrals
-from .spectral import adiabatic_ratio
+from .spectral import _bisect, adiabatic_ratio
 
 QUAD_TOL = 1e-9  # relative tolerance of every time integral
 
@@ -49,14 +50,7 @@ def _crossing(schedule: Schedule) -> float:
 
     The first midpoint is 1/2, where the linear schedule crosses exactly.
     """
-    lo, hi = 0.0, 1.0
-    while hi - lo > 1e-14:
-        mid = 0.5 * (lo + hi)
-        difference = float(schedule.difference(mid, 0.0))
-        if difference == 0.0:
-            return mid
-        lo, hi = (mid, hi) if difference > 0.0 else (lo, mid)
-    return 0.5 * (lo + hi)
+    return _bisect(lambda s: float(schedule.difference(s, 0.0)), 0.0, 1.0)
 
 
 def _time_integrand(splitting: Splitting, schedule: Schedule):
@@ -183,15 +177,18 @@ class TimeSchedule:
         object.__setattr__(self, "total_time", _real(self.total_time, "total time"))
         if not (math.isfinite(self.total_time) and self.total_time >= 0.0):
             raise ValueError(f"total time must be finite and >= 0, got {self.total_time}")
+        columns = ((self.t_nodes, "t"), (self.s_nodes, "s"), (self.rate_nodes, "rate"))
+        t_nodes, s_nodes, rate_nodes = (_real_array(values, name) for values, name in columns)
         if self.total_time == 0.0:
-            if [np.asarray(v).tolist() for v in (self.t_nodes, self.s_nodes, self.rate_nodes)] != [[0.0], [1.0], [0.0]]:
+            if [v.tolist() for v in (t_nodes, s_nodes, rate_nodes)] != [[0.0], [1.0], [0.0]]:
                 raise ValueError("a zero total time takes only the sample (t, s, ds/dt) = (0, 1, 0)")
         else:
             with np.errstate(over="ignore"):  # a t span past the double range meets the t rule below
-                steps_vanish = not np.all(np.diff(self.t_nodes) > 0.0)
-            if steps_vanish or not np.all(np.isfinite(self.rate_nodes)):
+                steps_vanish = np.isfinite(t_nodes).all() and not np.all(np.diff(t_nodes) > 0.0)
+            # a NaN rate, and a t that is not finite, meet the one sampled-curve rule below
+            if steps_vanish or np.isinf(rate_nodes).any():
                 raise ValueError(f"total time {self.total_time!r} is too short: its steps vanish or its rates overflow")
-            _, t_nodes, _ = _sampled_curve(self.s_nodes, t=self.t_nodes, rate=self.rate_nodes)
+            _sampled_curve(s_nodes, t=t_nodes, rate=rate_nodes)
             if t_nodes[0] != 0.0 or t_nodes[-1] != self.total_time:
                 raise ValueError(f"t samples must run from 0 to the total time {self.total_time!r}")
         object.__setattr__(self, "_s_of_t", MonotoneCubic(self.t_nodes, self.s_nodes))

@@ -3,7 +3,8 @@
 Per-block energy gaps, the one adiabaticity ratio of the whole package
 (``adiabatic_ratio``), the product-state eigenvalue ladder of the fully split
 search, level degeneracies, and tabulated gap profiles over the interpolation
-parameter.
+parameter. A profile's minimum is the root of d(omega**2)/ds of the largest
+block, found by the bisection that also finds the crossing f = g.
 """
 
 from __future__ import annotations
@@ -14,10 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MAX_GRID, Schedule, Splitting, _integer, _real
-
-# Profile minima are refined from the grid to this bracket width, relative to s.
-_REFINE_TOL = 1e-12
-_GOLDEN = 0.61803399  # 2 / (1 + sqrt(5)), to the digits scipy's golden search uses
 
 
 def subsystem_gap(block_dim, f, g):
@@ -108,9 +105,12 @@ def gap_profile(splitting: Splitting, schedule: Schedule, grid: int = 1001) -> G
     """Tabulate every block gap and the global gap on a uniform s grid.
 
     The blocks act on disjoint tensor factors, so the first excited total
-    energy sits one smallest block gap above the ground energy and the
-    global gap is the minimum over blocks. The minimum over s is refined by
-    golden-section search around the best grid sample.
+    energy sits one smallest block gap above the ground energy. As
+    omega_i**2 = (f - g)**2 + 4fg/N_i with fg >= 0, that is the largest
+    block's gap, whose minimum over s is the root of half its d(omega**2)/ds,
+    (f - g)(f' - g') + 2(f'g + fg')/N. The root is bisected between the best
+    grid sample and the neighbour where that slope changes sign; with no
+    such neighbour the sample stands.
     """
     grid = _integer(grid, "grid")
     if not 2 <= grid <= MAX_GRID:
@@ -121,42 +121,33 @@ def gap_profile(splitting: Splitting, schedule: Schedule, grid: int = 1001) -> G
     dims = splitting.float_block_dims()
     block_gaps = subsystem_gap(dims, f[:, None], g[:, None])
     global_gap = block_gaps.min(axis=1)
+    largest = float(dims.max())
 
-    def omega(x):
-        return subsystem_gap(dims, schedule.f(x), schedule.g(x)).min()
+    def slope(x):  # half of d(omega**2)/ds for the largest block
+        f, g, df, dg = (float(fn(x)) for fn in (schedule.f, schedule.g, schedule.df, schedule.dg))
+        return float(schedule.difference(x, 0.0)) * (df - dg) + 2.0 * (df * g + f * dg) / largest
 
     k = int(np.argmin(global_gap))
-    s_min, omega_min = s[k], float(global_gap[k])
-    if 0 < k < grid - 1 and global_gap[k] < min(global_gap[k - 1], global_gap[k + 1]):
-        refined = _golden_minimum(omega, s[k - 1], s[k], s[k + 1])
-        if refined is not None and refined[1] <= omega_min:
-            s_min, omega_min = float(np.clip(refined[0], 0.0, 1.0)), float(refined[1])
+    s_min, omega_min = float(s[k]), float(global_gap[k])
+    # the slope rises through the minimum, which lies on the side where it is negative
+    left, right = (k, k + 1) if slope(s[k]) < 0.0 else (k - 1, k)
+    if 0 <= left and right < grid and slope(s[left]) < 0.0 < slope(s[right]):
+        # to adjacent doubles: a 64-qubit gap is about 1e-10 wide in s, so a
+        # root only bracketed to 1e-14 would read omega about 1e-9 high
+        s_min = float(_bisect(slope, s[right], s[left], width=0.0))
+        omega_min = float(subsystem_gap(largest, schedule.f(s_min), schedule.g(s_min)))
     return GapProfile(splitting, s, block_gaps, global_gap, omega_min, s_min)
 
 
-def _golden_minimum(func, lo: float, mid: float, hi: float):
-    """(x, func(x)) at a minimum inside the bracket lo < mid < hi, by golden-section search.
-
-    The steps are those of scipy's minimize_scalar(method="golden"). Returns
-    None when func(mid) is not below both ends, as can happen when the
-    bracket is degenerate.
-    """
-    f_mid = func(mid)
-    if not (f_mid < func(lo) and f_mid < func(hi)):
-        return None
-    x0, x3 = lo, hi
-    if hi - mid > mid - lo:
-        x1, x2 = mid, mid + (1.0 - _GOLDEN) * (hi - mid)
-    else:
-        x1, x2 = mid - (1.0 - _GOLDEN) * (mid - lo), mid
-    f1, f2 = func(x1), func(x2)
-    for _ in range(5000):  # scipy's iteration cap
-        if abs(x3 - x0) <= _REFINE_TOL * (abs(x1) + abs(x2)):
+def _bisect(func, positive: float, negative: float, width: float = 1e-14) -> float:
+    """Root of func between a point where it is positive and one where it is negative: the
+    midpoint once func reads 0 there, the bracket is ``width`` wide or its ends are adjacent."""
+    while abs(positive - negative) > width:
+        mid = 0.5 * (positive + negative)
+        if mid == positive or mid == negative:
             break
-        if f2 < f1:
-            x0, x1, x2 = x1, x2, _GOLDEN * x2 + (1.0 - _GOLDEN) * x3
-            f1, f2 = f2, func(x2)
-        else:
-            x3, x2, x1 = x2, x1, _GOLDEN * x1 + (1.0 - _GOLDEN) * x0
-            f2, f1 = f1, func(x1)
-    return (x1, f1) if f1 < f2 else (x2, f2)
+        value = func(mid)
+        if value == 0.0:
+            return mid
+        positive, negative = (mid, negative) if value > 0.0 else (positive, mid)
+    return 0.5 * (positive + negative)

@@ -366,6 +366,12 @@ _GOLDEN = {
         "4,16,512.00,1.0000,9.0000\n8,8,45.17,0.9995,3.6648\n16,4,15.49,0.9884,1.9767\n"
         "32,2,9.80,0.9407,1.3170\n64,1,8.00,0.8571,1.0000\n"
     ),
+    # every value is dyadic, so the bytes are the same on every platform
+    ("gap", "--n", "2", "--parts", "2", "--grid", "3", "--format", "json"): (
+        '{\n  "s": [\n    0.0,\n    0.5,\n    1.0\n  ],\n  "block_gaps": [\n    [\n      1.0\n    ],\n'
+        '    [\n      0.5\n    ],\n    [\n      1.0\n    ]\n  ],\n  "global_gap": [\n    1.0,\n    0.5,\n'
+        '    1.0\n  ],\n  "omega_min": 0.5,\n  "s_min": 0.5\n}\n'
+    ),
     ("pauli", "--n", "4", "--parts", "2,2", "--marked", "0110"): (
         "1.5\tIIII\n-0.25\tIIIZ\n0.25\tIIZI\n0.25\tIZII\n-0.25\tZIII\n0.25\tIIZZ\n0.25\tZZII\n"
     ),

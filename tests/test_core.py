@@ -178,6 +178,18 @@ def test_tabulated_schedule_rejects_bad_samples():
         tabulated_schedule([0.0, 0.25, 0.5, 0.75, math.inf], 1.0 - nodes, nodes)
     with pytest.raises(ValueError, match="need at least two schedule samples"):
         tabulated_schedule([0.0], [1.0], [0.0])
+    # a column numpy does not hold as integers or floats: once parsed from
+    # strings, read as 0 and 1, or a TypeError
+    for columns, name, kind in (
+        ((["0", "1"], ["1", "0"], ["0", "1"]), "s", "str32"),
+        (([0.0, 1.0], [True, False], [0.0, 1.0]), "f", "bool"),
+        (([0.0, 1.0], [1.0, 0.0], [0.0, 1.0 + 0j]), "g", "complex128"),
+        (([0, 1], [1, 0], [0, 10**30]), "g", "object"),
+    ):
+        message = f"^{name} samples have the wrong type: expected real numbers, got {kind} values$"
+        with pytest.raises(ValueError, match=message):
+            tabulated_schedule(*columns)
+    assert tabulated_schedule([0, 1], [1, 0], np.array([0, 1], dtype=np.uint8)).f(0.5) == 0.5
     # a nested list, None and a bare number are no sample list
     for s_nodes in ([nodes.tolist()], None, 1.0):
         with pytest.raises(ValueError, match="need at least two schedule samples"):

@@ -506,6 +506,12 @@ def test_time_schedule_holds_every_table_to_one_rule():
         ((True, [0.0, 1.0], [0.0, 1.0], [1.0, 1.0]), "total time has the wrong type: expected a real number, got True"),
         # a t span past the double range once leaked numpy's overflow warning
         ((1e308, [-1e308, 1e308], [0.0, 1.0], [1.0, 1.0]), "t samples must run from 0 to the total time 1e\\+308"),
+        # once numpy's RuntimeWarning from inf - inf, and twice "too short"
+        ((1.0, [0.0, math.inf, math.inf], [0.0, 0.5, 1.0], [1.0, 1.0, 1.0]), "t samples must be finite"),
+        ((1.0, [0.0, math.nan, 1.0], [0.0, 0.5, 1.0], [1.0, 1.0, 1.0]), "t samples must be finite"),
+        ((1.0, [0.0, 0.5, 1.0], [0.0, 0.5, 1.0], [1.0, math.nan, 1.0]), "rate samples must be finite"),
+        # once numpy's UFuncTypeError from the steps of a string column
+        ((1.0, ["0", "0.5", "1"], [0.0, 0.5, 1.0], [1.0, 1.0, 1.0]), "t samples have the wrong type: expected real"),
     ]
     for (total, t_nodes, s_nodes, rate_nodes), message in cases:
         with pytest.raises(ValueError, match=message):
@@ -534,6 +540,10 @@ def test_time_schedule_from_samples_refuses_bad_samples():
         ([0.0, 1.0, 1.0], [0.0, 0.5, 1.0], "strictly increasing"),
         # the span overflows: once a RuntimeWarning from the subtraction
         ([-1e308, 1e308], [0.0, 1.0], "t samples must be strictly increasing over a span that fits a double"),
+        # once parsed as numbers, read as 0 and 1, and a TypeError
+        (["0", "2"], ["0", "1"], "s samples have the wrong type: expected real numbers, got str32 values"),
+        ([0.0, 2.0], [False, True], "s samples have the wrong type: expected real numbers, got bool values"),
+        ([0.0, 2.0 + 0j], [0.0, 1.0], "t samples have the wrong type: expected real numbers, got complex128 values"),
     ]
     for t_nodes, s_nodes, message in cases:
         with pytest.raises(ValueError, match=message):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 from scipy.linalg import eigh
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
-from adiasearch import cli, spectral
+from adiasearch import cli
 from adiasearch.core import (
     MAX_GRID,
     MarkedState,
@@ -156,7 +156,7 @@ def test_gap_profile_unstructured_six_qubits():
     # analytic minimum of (1-2s)^2 + 4 s (1-s) / N sits at s = 1/2 with gap 1/sqrt(N)
     profile = gap_profile(make_splitting(6, [6]), linear_schedule())
     assert profile.omega_min == pytest.approx(1.0 / math.sqrt(64.0), abs=1e-12)
-    assert profile.s_min == pytest.approx(0.5, abs=1e-7)
+    assert profile.s_min == 0.5
     assert profile.s.size == 1001
     assert profile.block_gaps.shape == (1001, 1)
 
@@ -165,10 +165,10 @@ def test_gap_profile_maximal_split():
     for n in (1, 3, 5):
         profile = gap_profile(make_splitting(n, [1] * n), linear_schedule())
         assert profile.omega_min == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
-        assert profile.s_min == pytest.approx(0.5, abs=1e-7)
+        assert profile.s_min == 0.5
 
 
-def test_gap_profile_minimum_matches_scipy_golden_search():
+def test_gap_profile_minimum_is_the_root_of_the_largest_block_slope():
     nodes = np.linspace(0.0, 1.0, 9)
     curved = tabulated_schedule(nodes, 1.0 - nodes**2, nodes**2)
     for parts, grid in (([6], 1000), ([3, 5], 137), ([20], 1001)):
@@ -176,6 +176,13 @@ def test_gap_profile_minimum_matches_scipy_golden_search():
         profile = gap_profile(splitting, curved, grid=grid)
         k = int(np.argmin(profile.global_gap))
         dims = splitting.float_block_dims()
+        largest = max(dims)
+
+        def d_omega_sq(x):
+            f, g, df, dg = curved.f(x), curved.g(x), curved.df(x), curved.dg(x)
+            return 2.0 * (f - g) * (df - dg) + 4.0 * (df * g + f * dg) / largest
+
+        root = brentq(d_omega_sq, profile.s[k - 1], profile.s[k + 1], xtol=1e-15, rtol=4.0 * np.finfo(float).eps)
         oracle = minimize_scalar(
             lambda x: min(subsystem_gap(dim, curved.f(x), curved.g(x)) for dim in dims),
             bracket=tuple(profile.s[k - 1 : k + 2]),
@@ -183,11 +190,24 @@ def test_gap_profile_minimum_matches_scipy_golden_search():
             options={"xtol": 1e-12},
         )
         assert profile.s_min not in profile.s  # refined off the grid
-        assert profile.s_min == pytest.approx(oracle.x, abs=1e-12), parts
-        assert profile.omega_min == pytest.approx(oracle.fun, rel=1e-14), parts
-    # a bracket whose middle is not below both ends holds no minimum to refine
-    for func in (lambda x: x, lambda x: 1.0, lambda x: -abs(x - 0.5)):
-        assert spectral._golden_minimum(func, 0.0, 0.5, 1.0) is None
+        assert profile.s_min == pytest.approx(root, abs=1e-12), parts
+        assert profile.omega_min == pytest.approx(oracle.fun, rel=1e-14, abs=0.0), parts
+        assert profile.omega_min <= profile.global_gap.min(), parts
+    # f + g = 1, so the 64-qubit minimum is 2^-32; its gap is about 1e-10
+    # wide in s, and a root bracketed only to 1e-14 reads 2.3e-12 high
+    assert gap_profile(make_splitting(64, [64]), curved).omega_min == pytest.approx(2.0**-32, rel=1e-15, abs=0.0)
+
+
+def test_gap_profile_linear_minimum_is_exact_on_every_split_and_grid():
+    # the minimum 1/sqrt(N_max) sits at s = 1/2 on the grid or between two
+    # samples, and at grid 2 between the ends, where every block ties at 1
+    splits = [parts for n in range(1, 7) for parts in compositions(n)] + [[30], [64], [1, 63]]
+    for parts in splits:
+        splitting = make_splitting(sum(parts), parts)
+        for grid in (2, 3, 1000, 1001):
+            profile = gap_profile(splitting, linear_schedule(), grid=grid)
+            assert profile.s_min == 0.5, (parts, grid)
+            assert profile.omega_min == subsystem_gap(2.0 ** max(parts), 0.5, 0.5), (parts, grid)
 
 
 def test_gap_profile_single_qubit_matches_two_dim_block():
