@@ -189,6 +189,16 @@ def _real_array(values, what: str) -> np.ndarray:
     return array.astype(float, copy=False)
 
 
+def _sample_columns(s, **columns) -> dict[str, np.ndarray]:
+    """``s`` and the named columns as float arrays, refused unless they have the shape and type of a sampled curve."""
+    if np.ndim(s) != 1 or np.size(s) < 2:
+        raise ValueError("need at least two schedule samples")
+    arrays = {name: np.asarray(vals) for name, vals in {"s": s, **columns}.items()}
+    if any(vals.shape != arrays["s"].shape for vals in arrays.values()):
+        raise ValueError(f"{', '.join(arrays)} sample arrays must have equal length")
+    return {name: _real_array(vals, name) for name, vals in arrays.items()}
+
+
 def _sampled_curve(s, **columns) -> tuple[np.ndarray, ...]:
     """``s`` and the named columns as float arrays, refused unless they form a sampled curve.
 
@@ -197,13 +207,7 @@ def _sampled_curve(s, **columns) -> tuple[np.ndarray, ...]:
     strings, not read from bools), every value finite, and s strictly
     increasing from 0 to 1 within SCHEDULE_BOUNDARY_TOL.
     """
-    arrays = {name: np.asarray(vals) for name, vals in {"s": s, **columns}.items()}
-    s = arrays["s"]
-    if s.ndim != 1 or s.size < 2:
-        raise ValueError("need at least two schedule samples")
-    if any(vals.shape != s.shape for vals in arrays.values()):
-        raise ValueError(f"{', '.join(arrays)} sample arrays must have equal length")
-    arrays = {name: _real_array(vals, name) for name, vals in arrays.items()}
+    arrays = _sample_columns(s, **columns)
     for name, vals in arrays.items():
         if not np.isfinite(vals).all():
             raise ValueError(f"{name} samples must be finite")
@@ -238,18 +242,18 @@ def _pchip_slopes(h, m) -> np.ndarray:
 class MonotoneCubic:
     """Monotone piecewise-cubic Hermite interpolant through (x, y).
 
-    ``slopes`` holds its node slopes, Fritsch & Carlson's (SIAM J. Numer.
-    Anal. 17, 238, 1980) as scipy's PchipInterpolator sets them: zero where
-    the chords either side change sign or vanish, else their weighted
-    harmonic mean; the shape-preserving one-sided three-point rule at the
-    ends; the chord for two nodes; 0 for one node, whose cubic is y_0. c[:, k]
-    holds the cubic on [x_k, x_k+1] in powers of y = (s - x_k) / unit, highest
-    first, as in scipy's PPoly, with ``unit`` the power of two at or below the
-    span of x. That division rounds nothing, so no node spacing is too short or
-    too long, and values and slopes keep the bits of the cubic in s wherever it
-    is finite. Where the coefficients overflow even so, the cubic is refused; an
-    overflowing node slope reads inf. The end cubics extend past the nodes.
-    Values and slopes accept scalars or arrays.
+    Its node slopes are Fritsch & Carlson's (SIAM J. Numer. Anal. 17, 238,
+    1980) as scipy's PchipInterpolator sets them: zero where the chords
+    either side change sign or vanish, else their weighted harmonic mean; the
+    shape-preserving one-sided three-point rule at the ends; the chord for two
+    nodes; 0 for one node, whose cubic is y_0. c[:, k] holds the cubic on
+    [x_k, x_k+1] in powers of y = (s - x_k) / unit, highest first, as in
+    scipy's PPoly, with ``unit`` the power of two at or below the span of x.
+    That division rounds nothing, so no node spacing is too short or too long,
+    and values and slopes keep the bits of the cubic in s wherever it is
+    finite. Where the coefficients overflow even so, the cubic is refused. The
+    end cubics extend past the nodes. Values and slopes accept scalars or
+    arrays.
     """
 
     def __init__(self, x, y):
@@ -257,13 +261,12 @@ class MonotoneCubic:
         y = np.asarray(y, dtype=float)
         self.unit = math.ldexp(1.0, math.frexp(float(self.x[-1] - self.x[0]))[1] - 1)
         if y.size == 1:
-            self.slopes, self.c = np.zeros(1), np.array([[0.0], [0.0], [0.0], y])
+            self.c = np.array([[0.0], [0.0], [0.0], y])
             return
         h = np.diff(self.x) / self.unit
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
             m = np.diff(y) / h
             d = _pchip_slopes(h, m)
-            self.slopes = d / self.unit
             t = (d[:-1] + d[1:] - 2.0 * m) / h
             self.c = np.array([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
         if not np.all(np.isfinite(self.c)):

@@ -22,6 +22,7 @@ from .core import (
     _integer,
     _real,
     _real_array,
+    _sample_columns,
     _sampled_curve,
     equal_splitting,
     linear_schedule,
@@ -156,15 +157,15 @@ def closed_form_eps_t(n: int, num_blocks: int) -> float:
 class TimeSchedule:
     """Monotone time parameterization s(t): a table of (t, s, ds/dt) samples.
 
-    Made by :func:`optimal_schedule` (rates from the saturated bound), by
-    :meth:`from_samples` (rates from the interpolant) or by :meth:`quench`.
+    Every rate node is given: by the caller, by :func:`optimal_schedule`
+    (rates from the saturated bound), by :meth:`scaled` or by :meth:`quench`.
     A positive total time takes samples that obey core's one sampled-curve
     rule, with t rising strictly from exactly 0 to exactly the total time;
     it is too short where its steps vanish or its rates overflow. A zero
     total time takes only the sample (t, s, ds/dt) = (0, 1, 0), the quench.
-    Each direction is a :class:`core.MonotoneCubic` of the samples, which
-    takes steps of any length, refuses a cubic that overflows in its own
-    unit, and reads the quench's one sample as a constant.
+    Each direction is a :class:`core.MonotoneCubic` of the float64 columns
+    it stores, which takes steps of any length, refuses a cubic that
+    overflows in its own unit, and reads the quench's one sample as a constant.
     """
 
     base: Schedule
@@ -177,12 +178,13 @@ class TimeSchedule:
         object.__setattr__(self, "total_time", _real(self.total_time, "total time"))
         if not (math.isfinite(self.total_time) and self.total_time >= 0.0):
             raise ValueError(f"total time must be finite and >= 0, got {self.total_time}")
-        columns = ((self.t_nodes, "t"), (self.s_nodes, "s"), (self.rate_nodes, "rate"))
-        t_nodes, s_nodes, rate_nodes = (_real_array(values, name) for values, name in columns)
         if self.total_time == 0.0:
+            columns = ((self.t_nodes, "t"), (self.s_nodes, "s"), (self.rate_nodes, "rate"))
+            t_nodes, s_nodes, rate_nodes = (_real_array(values, name) for values, name in columns)
             if [v.tolist() for v in (t_nodes, s_nodes, rate_nodes)] != [[0.0], [1.0], [0.0]]:
                 raise ValueError("a zero total time takes only the sample (t, s, ds/dt) = (0, 1, 0)")
         else:
+            s_nodes, t_nodes, rate_nodes = _sample_columns(self.s_nodes, t=self.t_nodes, rate=self.rate_nodes).values()
             with np.errstate(over="ignore"):  # a t span past the double range meets the t rule below
                 steps_vanish = np.isfinite(t_nodes).all() and not np.all(np.diff(t_nodes) > 0.0)
             # a NaN rate, and a t that is not finite, meet the one sampled-curve rule below
@@ -191,20 +193,11 @@ class TimeSchedule:
             _sampled_curve(s_nodes, t=t_nodes, rate=rate_nodes)
             if t_nodes[0] != 0.0 or t_nodes[-1] != self.total_time:
                 raise ValueError(f"t samples must run from 0 to the total time {self.total_time!r}")
-        object.__setattr__(self, "_s_of_t", MonotoneCubic(self.t_nodes, self.s_nodes))
-        object.__setattr__(self, "_t_of_s", MonotoneCubic(self.s_nodes, self.t_nodes))
-        object.__setattr__(self, "_rate_of_s", MonotoneCubic(self.s_nodes, self.rate_nodes))
-
-    @classmethod
-    def from_samples(cls, t_nodes, s_nodes, base: Schedule | None = None) -> "TimeSchedule":
-        """Build from sampled (t, s); rates are the interpolant's node slopes."""
-        s_nodes, t_nodes = _sampled_curve(s_nodes, t=t_nodes)
-        with np.errstate(over="ignore"):  # an overflowing span is refused here
-            if not (np.all(np.diff(t_nodes) > 0.0) and math.isfinite(t_nodes[-1] - t_nodes[0])):
-                raise ValueError("t samples must be strictly increasing over a span that fits a double")
-        base = base if base is not None else linear_schedule()
-        rate_nodes = MonotoneCubic(t_nodes, s_nodes).slopes  # the constructor refuses an overflow
-        return cls(base, float(t_nodes[-1] - t_nodes[0]), t_nodes - t_nodes[0], s_nodes, rate_nodes)
+        for name, values in (("t_nodes", t_nodes), ("s_nodes", s_nodes), ("rate_nodes", rate_nodes)):
+            object.__setattr__(self, name, values)
+        object.__setattr__(self, "_s_of_t", MonotoneCubic(t_nodes, s_nodes))
+        object.__setattr__(self, "_t_of_s", MonotoneCubic(s_nodes, t_nodes))
+        object.__setattr__(self, "_rate_of_s", MonotoneCubic(s_nodes, rate_nodes))
 
     @classmethod
     def quench(cls, base: Schedule | None = None) -> "TimeSchedule":

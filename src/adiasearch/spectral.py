@@ -109,8 +109,8 @@ def gap_profile(splitting: Splitting, schedule: Schedule, grid: int = 1001) -> G
     omega_i**2 = (f - g)**2 + 4fg/N_i with fg >= 0, that is the largest
     block's gap, whose minimum over s is the root of half its d(omega**2)/ds,
     (f - g)(f' - g') + 2(f'g + fg')/N. The root is bisected between the best
-    grid sample and the neighbour where that slope changes sign; with no
-    such neighbour the sample stands.
+    grid sample and the neighbour where that slope changes sign, or a flat
+    end's one neighbour; with no such neighbour the sample stands.
     """
     grid = _integer(grid, "grid")
     if not 2 <= grid <= MAX_GRID:
@@ -129,12 +129,15 @@ def gap_profile(splitting: Splitting, schedule: Schedule, grid: int = 1001) -> G
 
     k = int(np.argmin(global_gap))
     s_min, omega_min = float(s[k]), float(global_gap[k])
+    h = slope(s[k])
+    if h == 0.0 and k in (0, grid - 1):  # flat at an end: the minimum lies toward the one neighbour
+        h = -1.0 if k == 0 else 1.0
     # the slope rises through the minimum, which lies on the side where it is negative
-    left, right = (k, k + 1) if slope(s[k]) < 0.0 else (k - 1, k)
-    if 0 <= left and right < grid and slope(s[left]) < 0.0 < slope(s[right]):
+    j = k + 1 if h < 0.0 else k - 1
+    if 0 <= j < grid and h * slope(s[j]) < 0.0:
         # to adjacent doubles: a 64-qubit gap is about 1e-10 wide in s, so a
         # root only bracketed to 1e-14 would read omega about 1e-9 high
-        s_min = float(_bisect(slope, s[right], s[left], width=0.0))
+        s_min = float(_bisect(slope, s[max(j, k)], s[min(j, k)], width=0.0))
         omega_min = float(subsystem_gap(largest, schedule.f(s_min), schedule.g(s_min)))
     return GapProfile(splitting, s, block_gaps, global_gap, omega_min, s_min)
 

@@ -2,6 +2,10 @@ import math
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
+
+from adiasearch.core import linear_schedule
+from adiasearch.runtime import TimeSchedule
 
 
 def compositions(n):
@@ -50,6 +54,16 @@ def predicted_success(parts, eps):
         theta = phase / eps
         p *= 1.0 - 4.0 * eps**2 * (w / total_weight) * math.sin(0.5 * theta) ** 2
     return p
+
+
+def pchip_time_schedule(t_nodes, s_nodes, base=None):
+    """A TimeSchedule through sampled (t, s) from t = 0 to T, its rates the node slopes of scipy's PCHIP.
+
+    The PCHIP is taken in t / T, where no weight of its slope rule underflows, and its slopes divided by T.
+    """
+    t_nodes, s_nodes = np.asarray(t_nodes, dtype=float), np.asarray(s_nodes, dtype=float)
+    rate_nodes = PchipInterpolator(t_nodes / t_nodes[-1], s_nodes).derivative()(t_nodes / t_nodes[-1]) / t_nodes[-1]
+    return TimeSchedule(base if base is not None else linear_schedule(), t_nodes[-1], t_nodes, s_nodes, rate_nodes)
 
 
 def distinct_levels(values, tol=1e-9):

@@ -27,6 +27,7 @@ from adiasearch.hamiltonian import MatrixFreeHamiltonian, final_diagonal, final_
 from adiasearch.runtime import TimeSchedule, closed_form_eps_t, optimal_schedule
 from adiasearch.spectral import adiabatic_ratio, subsystem_gap
 
+from conftest import pchip_time_schedule
 from oracles import build_initial, instantaneous_ground_overlap, two_level_success
 
 
@@ -215,7 +216,7 @@ def test_step_counts_follow_the_per_interval_rule(monkeypatch):
     monkeypatch.setattr(dynamics, "rk4_propagate", counting_rk4)
     # the ramp of the second schedule reaches s = 0.6 almost at once, so its
     # first checkpoint intervals are far shorter than one step
-    ramp = TimeSchedule.from_samples([0.0, 1e-9, 3.0], [0.0, 0.6, 1.0])
+    ramp = pchip_time_schedule([0.0, 1e-9, 3.0], [0.0, 0.6, 1.0])
     cases = [(optimal_schedule(make_splitting(4, [2, 2])), 64), (ramp, 7)]
     for schedule_t, steps_per_unit in cases:
         counted.clear()
@@ -531,7 +532,7 @@ def test_diagnostics_refuse_a_non_finite_rate():
 def test_diagnostics_refuse_a_schedule_that_vanishes():
     # f = g = 0 on [0.4, 0.6]: H(s) is zero there and has no ground state
     stalled = tabulated_schedule([0.0, 0.4, 0.6, 1.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0])
-    schedule_t = TimeSchedule.from_samples([0.0, 1.0, 2.0, 3.0], [0.0, 0.4, 0.6, 1.0], stalled)
+    schedule_t = pchip_time_schedule([0.0, 1.0, 2.0, 3.0], [0.0, 0.4, 0.6, 1.0], stalled)
     splitting = make_splitting(3, [1, 2])
     with pytest.raises(ValueError, match="the operator is zero where f = g = 0; no ground state"):
         evolve(splitting, MarkedState.zeros(3), schedule_t, Precision())
@@ -648,7 +649,7 @@ def test_stage_couplings_equal_scalar_schedule_calls():
     # every column must be exactly the (f, g) that scalar evaluations at the
     # integrator's stage times give, so the success probability is unchanged
     base = tabulated_schedule([0.0, 0.4, 1.0], [1.0, 0.7, 0.0], [0.0, 0.2, 1.0])
-    schedule_t = TimeSchedule.from_samples([0.0, 1.5, 2.0, 7.0], [0.0, 0.3, 0.6, 1.0], base)
+    schedule_t = pchip_time_schedule([0.0, 1.5, 2.0, 7.0], [0.0, 0.3, 0.6, 1.0], base)
     t_checks = schedule_t.t_of_s(np.array([0.0, 0.29, 0.29, 0.61, 0.8, 1.0]))
     # the second interval with steps straddles the chunk boundary at column 512
     steps = [0, 300, 0, 400, 1, 9]

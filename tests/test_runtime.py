@@ -4,11 +4,13 @@ import warnings
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
 from adiasearch import runtime
-from adiasearch.cli import round_half_away
+from adiasearch.cli import format_schedule, round_half_away
 from adiasearch.core import (
     MAX_GRID,
     LinearSchedule,
@@ -32,7 +34,7 @@ from adiasearch.runtime import (
 )
 from adiasearch.spectral import max_structured_degeneracy, max_structured_eigenvalue
 
-from conftest import linear_eps_t_oracle, linear_node_eps_t_oracle
+from conftest import linear_eps_t_oracle, linear_node_eps_t_oracle, pchip_time_schedule
 
 TABLE_CONFIGS = [(6, 1), (6, 2), (6, 3), (6, 6), (30, 1), (30, 2), (30, 3), (30, 5), (30, 6), (30, 10), (30, 15), (30, 30)]
 
@@ -425,7 +427,7 @@ def test_real_arguments_refuse_other_types():
     # comparison or math call, an int past the double range OverflowError,
     # and a bool was taken as a number
     splitting = make_splitting(2, [2])
-    schedule_t = TimeSchedule.from_samples([0.0, 1.0, 2.0], [0.0, 0.5, 1.0])
+    schedule_t = pchip_time_schedule([0.0, 1.0, 2.0], [0.0, 0.5, 1.0])
     calls = {
         "s": lambda x: adiabaticity_lhs(splitting, linear_schedule(), x, 1.0),
         "ds_dt": lambda x: adiabaticity_lhs(splitting, linear_schedule(), 0.5, x),
@@ -441,10 +443,10 @@ def test_real_arguments_refuse_other_types():
         assert call(np.float32(0.5)) == call(0.5)
 
 
-def test_time_schedule_from_samples_and_scaling():
+def test_time_schedule_scaling():
     t_nodes = np.linspace(0.0, 8.0, 41)
     s_nodes = np.linspace(0.0, 1.0, 41)
-    schedule_t = TimeSchedule.from_samples(t_nodes, s_nodes)
+    schedule_t = pchip_time_schedule(t_nodes, s_nodes)
     assert schedule_t.total_time == 8.0
     assert float(schedule_t.rate(0.5)) == pytest.approx(1.0 / 8.0, rel=1e-9)
     assert float(schedule_t.t_of_s(schedule_t.s_of_t(3.3))) == pytest.approx(3.3, abs=1e-9)
@@ -469,13 +471,13 @@ def test_time_schedule_from_samples_and_scaling():
     # samples this short build their cubics as any others do
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        short = TimeSchedule.from_samples(np.linspace(0.0, 1e-200, 11), np.linspace(0.0, 1.0, 11))
+        short = pchip_time_schedule(np.linspace(0.0, 1e-200, 11), np.linspace(0.0, 1.0, 11))
     assert short.total_time == 1e-200
     assert float(short.rate(0.3)) == pytest.approx(1e200, rel=1e-9)
     assert float(short.t_of_s(short.s_of_t(3.3e-201))) == pytest.approx(3.3e-201, rel=1e-9)
 
     # the last node is the requested total, which 0.7 * (6.0 / 0.7) misses by an ulp
-    assert TimeSchedule.from_samples(np.linspace(0.0, 0.7, 8), s_nodes[:8] / s_nodes[7]).scaled(6.0).t_nodes[-1] == 6.0
+    assert pchip_time_schedule(np.linspace(0.0, 0.7, 8), s_nodes[:8] / s_nodes[7]).scaled(6.0).t_nodes[-1] == 6.0
 
     # the quench is the one-sample table (t, s, ds/dt) = (0, 1, 0), read as constants
     quench = TimeSchedule.quench()
@@ -510,12 +512,32 @@ def test_time_schedule_holds_every_table_to_one_rule():
         ((1.0, [0.0, math.inf, math.inf], [0.0, 0.5, 1.0], [1.0, 1.0, 1.0]), "t samples must be finite"),
         ((1.0, [0.0, math.nan, 1.0], [0.0, 0.5, 1.0], [1.0, 1.0, 1.0]), "t samples must be finite"),
         ((1.0, [0.0, 0.5, 1.0], [0.0, 0.5, 1.0], [1.0, math.nan, 1.0]), "rate samples must be finite"),
+        # a NaN s once ran to p = 0.25 with a NaN diagnostic
+        ((2.0, [0.0, 1.0, 2.0], [0.0, math.nan, 1.0], [1.0, 1.0, 1.0]), "s samples must be finite"),
+        ((2.0, [0.0, 1.0, 2.0], [0.0, -math.inf, 1.0], [1.0, 1.0, 1.0]), "s samples must be finite"),
         # once numpy's UFuncTypeError from the steps of a string column
         ((1.0, ["0", "0.5", "1"], [0.0, 0.5, 1.0], [1.0, 1.0, 1.0]), "t samples have the wrong type: expected real"),
+        # once read as 0 and 1
+        ((2.0, [0.0, 2.0], [False, True], [0.5, 0.5]), "s samples have the wrong type: expected real numbers, got bool values"),
+        ((2.0, [0.0, 2.0 + 0j], [0.0, 1.0], [0.5, 0.5]), "t samples have the wrong type: expected real numbers, got complex128"),
+        # once numpy's "diff requires input that is at least one dimensional"
+        ((1.0, 1.0, [0.0, 1.0], [1.0, 1.0]), "s, t, rate sample arrays must have equal length"),
+        ((1.0, [[0.0, 1.0]], [0.0, 1.0], [1.0, 1.0]), "s, t, rate sample arrays must have equal length"),
+        ((1.0, [[1.0, 0.0]], [0.0, 1.0], [1.0, 1.0]), "s, t, rate sample arrays must have equal length"),
     ]
     for (total, t_nodes, s_nodes, rate_nodes), message in cases:
         with pytest.raises(ValueError, match=message):
             TimeSchedule(base, total, t_nodes, s_nodes, rate_nodes)
+    # one rule for every sampled curve of s: the same bad s column reads the
+    # same in a tabulated schedule and in a time schedule
+    for s_nodes in ([0.0, 0.5, 0.5, 1.0], [0.2, 0.4, 0.6, 0.8], [0.0, 0.5, math.nan, 1.0]):
+        with pytest.raises(ValueError) as tabulated:
+            tabulated_schedule(s_nodes, [1.0, 0.6, 0.4, 0.0], [0.0, 0.4, 0.6, 1.0])
+        with pytest.raises(ValueError) as sampled:
+            TimeSchedule(base, 3.0, [0.0, 1.0, 2.0, 3.0], s_nodes, [1.0] * 4)
+        assert str(tabulated.value) == str(sampled.value)
+    # ends within the boundary tolerance of the tabulated schedules pass
+    assert TimeSchedule(base, 2.0, [0.0, 1.0, 2.0], [1e-13, 0.5, 1.0 - 1e-13], [0.5] * 3).total_time == 2.0
     assert TimeSchedule(base, 50.0, t, s, rate).s_of_t(25.0) == pytest.approx(0.5, rel=1e-15)
     # an int or numpy total is stored as a float
     for total in (50, np.float32(50.0)):
@@ -525,40 +547,35 @@ def test_time_schedule_holds_every_table_to_one_rule():
     assert constant(np.array([-1.0, 0.3, 7.0])).tolist() == [5.0] * 3 and constant.slope(0.3) == 0.0
 
 
-def test_time_schedule_from_samples_refuses_bad_samples():
-    # a NaN s once ran to p = 0.25 with a NaN diagnostic, and s from 0.2 to
-    # 0.8 ran H over part of the path under checkpoints labelled 0 to 1
-    cases = [
-        ([0.0, math.nan, 2.0], [0.0, 0.5, 1.0], "t samples must be finite"),
-        ([0.0, 1.0, math.inf], [0.0, 0.5, 1.0], "t samples must be finite"),
-        ([0.0, 1.0, 2.0], [0.0, math.nan, 1.0], "s samples must be finite"),
-        ([0.0, 1.0, 2.0], [0.0, -math.inf, 1.0], "s samples must be finite"),
-        ([0.0, 1.0, 2.0], [0.2, 0.5, 0.8], "span s = 0 to s = 1"),
-        ([0.0, 1.0, 2.0], [0.0, 0.5, 0.9], "span s = 0 to s = 1"),
-        ([0.0, 1.0, 2.0], [-1e-9, 0.5, 1.0], "span s = 0 to s = 1"),
-        ([0.0, 1.0, 2.0], [0.0, 0.5], "s, t sample arrays must have equal length"),
-        ([0.0, 1.0, 1.0], [0.0, 0.5, 1.0], "strictly increasing"),
-        # the span overflows: once a RuntimeWarning from the subtraction
-        ([-1e308, 1e308], [0.0, 1.0], "t samples must be strictly increasing over a span that fits a double"),
-        # once parsed as numbers, read as 0 and 1, and a TypeError
-        (["0", "2"], ["0", "1"], "s samples have the wrong type: expected real numbers, got str32 values"),
-        ([0.0, 2.0], [False, True], "s samples have the wrong type: expected real numbers, got bool values"),
-        ([0.0, 2.0 + 0j], [0.0, 1.0], "t samples have the wrong type: expected real numbers, got complex128 values"),
-    ]
-    for t_nodes, s_nodes, message in cases:
-        with pytest.raises(ValueError, match=message):
-            TimeSchedule.from_samples(t_nodes, s_nodes)
-    # one rule for every sampled curve of s: the same bad s column reads the
-    # same in a tabulated schedule and in a time schedule
-    for s_nodes in ([0.0, 0.5, 0.5, 1.0], [0.2, 0.4, 0.6, 0.8], [0.0, 0.5, math.nan, 1.0]):
-        with pytest.raises(ValueError) as tabulated:
-            tabulated_schedule(s_nodes, [1.0, 0.6, 0.4, 0.0], [0.0, 0.4, 0.6, 1.0])
-        with pytest.raises(ValueError) as sampled:
-            TimeSchedule.from_samples([0.0, 1.0, 2.0, 3.0], s_nodes)
-        assert str(tabulated.value) == str(sampled.value)
-    # ends within the boundary tolerance of the tabulated schedules pass
-    schedule_t = TimeSchedule.from_samples([0.0, 1.0, 2.0], [1e-13, 0.5, 1.0 - 1e-13])
-    assert schedule_t.total_time == 2.0
+@st.composite
+def _float32_tables(draw):
+    """A valid (t, s, ds/dt) table of float64 columns whose every value a float32 holds:
+    integer t steps and rates, s in steps of 1/1024."""
+    size = draw(st.integers(2, 12))
+    t_steps = draw(st.lists(st.integers(1, 1000), min_size=size - 1, max_size=size - 1))
+    interior = draw(st.lists(st.integers(1, 1023), min_size=size - 2, max_size=size - 2, unique=True))
+    rates = draw(st.lists(st.integers(1, 1000), min_size=size, max_size=size))
+    return np.cumsum([0.0, *t_steps]), np.array([0, *sorted(interior), 1024]) / 1024.0, np.array(rates, dtype=float)
+
+
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(_float32_tables())
+def test_time_schedule_stores_float64_columns_whatever_their_input_type(table):
+    # a table built from lists once kept its lists: scaled raised TypeError and
+    # format_schedule AttributeError, and int columns were written as ints
+    base = linear_schedule()
+    total = float(table[0][-1])
+
+    def artifacts(columns):
+        schedule_t = TimeSchedule(base, total, *columns)
+        for column in (schedule_t.t_nodes, schedule_t.s_nodes, schedule_t.rate_nodes):
+            assert type(column) is np.ndarray and column.dtype == np.float64
+        return [format_schedule(x, fmt) for x in (schedule_t, schedule_t.scaled(2.0 * total)) for fmt in ("csv", "json")]
+
+    expected = artifacts(table)
+    integral = [c.astype(np.int64) if np.all(c == np.round(c)) else c for c in table]
+    for columns in ([c.tolist() for c in table], integral, [c.astype(np.float32) for c in table]):
+        assert artifacts(columns) == expected
 
 
 def test_time_steps_of_any_length_suit_the_cubic_of_s_of_t():
@@ -572,7 +589,7 @@ def test_time_steps_of_any_length_suit_the_cubic_of_s_of_t():
     s = schedule_t.s_of_t(np.linspace(0.0, schedule_t.total_time, 1001))
     assert np.all(np.isfinite(s)) and np.all(np.diff(s) >= 0.0) and s[-1] == pytest.approx(1.0)
     assert schedule_t.scaled(1e150).total_time == 1e150
-    assert TimeSchedule.from_samples([0.0, 1e103], [0.0, 1.0]).total_time == 1e103
+    assert pchip_time_schedule([0.0, 1e103], [0.0, 1.0]).total_time == 1e103
     # a total so long that t(s) itself overflows is still refused
     with pytest.raises(ValueError, match="the monotone cubic through values up to 1.7e\\+308 overflows"):
         schedule_t.scaled(1.7e308)
