@@ -512,14 +512,8 @@ def test_time_schedule_holds_every_table_to_one_rule():
         ((1.0, [0.0, math.inf, math.inf], [0.0, 0.5, 1.0], [1.0, 1.0, 1.0]), "t samples must be finite"),
         ((1.0, [0.0, math.nan, 1.0], [0.0, 0.5, 1.0], [1.0, 1.0, 1.0]), "t samples must be finite"),
         ((1.0, [0.0, 0.5, 1.0], [0.0, 0.5, 1.0], [1.0, math.nan, 1.0]), "rate samples must be finite"),
-        # a NaN s once ran to p = 0.25 with a NaN diagnostic
-        ((2.0, [0.0, 1.0, 2.0], [0.0, math.nan, 1.0], [1.0, 1.0, 1.0]), "s samples must be finite"),
-        ((2.0, [0.0, 1.0, 2.0], [0.0, -math.inf, 1.0], [1.0, 1.0, 1.0]), "s samples must be finite"),
         # once numpy's UFuncTypeError from the steps of a string column
         ((1.0, ["0", "0.5", "1"], [0.0, 0.5, 1.0], [1.0, 1.0, 1.0]), "t samples have the wrong type: expected real"),
-        # once read as 0 and 1
-        ((2.0, [0.0, 2.0], [False, True], [0.5, 0.5]), "s samples have the wrong type: expected real numbers, got bool values"),
-        ((2.0, [0.0, 2.0 + 0j], [0.0, 1.0], [0.5, 0.5]), "t samples have the wrong type: expected real numbers, got complex128"),
         # once numpy's "diff requires input that is at least one dimensional"
         ((1.0, 1.0, [0.0, 1.0], [1.0, 1.0]), "s, t, rate sample arrays must have equal length"),
         ((1.0, [[0.0, 1.0]], [0.0, 1.0], [1.0, 1.0]), "s, t, rate sample arrays must have equal length"),
@@ -528,6 +522,39 @@ def test_time_schedule_holds_every_table_to_one_rule():
     for (total, t_nodes, s_nodes, rate_nodes), message in cases:
         with pytest.raises(ValueError, match=message):
             TimeSchedule(base, total, t_nodes, s_nodes, rate_nodes)
+    assert TimeSchedule(base, 50.0, t, s, rate).s_of_t(25.0) == pytest.approx(0.5, rel=1e-15)
+    # an int or numpy total is stored as a float
+    for total in (50, np.float32(50.0)):
+        assert type(TimeSchedule(base, total, t, s, rate).total_time) is float
+    # one node reads as a constant with slope 0, wherever it is probed
+    constant = MonotoneCubic([0.3], [5.0])
+    assert constant(np.array([-1.0, 0.3, 7.0])).tolist() == [5.0] * 3 and constant.slope(0.3) == 0.0
+
+
+def test_time_schedule_refuses_bad_samples():
+    # a NaN s once ran to p = 0.25 with a NaN diagnostic, and s from 0.2 to
+    # 0.8 ran H over part of the path under checkpoints labelled 0 to 1
+    base = linear_schedule()
+    cases = [
+        ((2.0, [0.0, math.nan, 2.0], [0.0, 0.5, 1.0]), "t samples must be finite"),
+        ((2.0, [0.0, 1.0, math.inf], [0.0, 0.5, 1.0]), "t samples must be finite"),
+        ((2.0, [0.0, 1.0, 2.0], [0.0, math.nan, 1.0]), "s samples must be finite"),
+        ((2.0, [0.0, 1.0, 2.0], [0.0, -math.inf, 1.0]), "s samples must be finite"),
+        ((2.0, [0.0, 1.0, 2.0], [0.2, 0.5, 0.8]), "span s = 0 to s = 1"),
+        ((2.0, [0.0, 1.0, 2.0], [0.0, 0.5, 0.9]), "span s = 0 to s = 1"),
+        ((2.0, [0.0, 1.0, 2.0], [-1e-9, 0.5, 1.0]), "span s = 0 to s = 1"),
+        ((2.0, [0.0, 1.0, 2.0], [0.0, 0.5]), "s, t, rate sample arrays must have equal length"),
+        ((1.0, [0.0, 1.0, 1.0], [0.0, 0.5, 1.0]), "total time 1.0 is too short: its steps vanish"),
+        # once parsed as numbers, read as 0 and 1, and a TypeError
+        ((2.0, [0.0, 2.0], ["0", "1"]), "s samples have the wrong type: expected real numbers, got str32 values"),
+        ((2.0, [0.0, 2.0], [False, True]), "s samples have the wrong type: expected real numbers, got bool values"),
+        ((2.0, [0.0, 2.0 + 0j], [0.0, 1.0]), "t samples have the wrong type: expected real numbers, got complex128 values"),
+    ]
+    for (total, t_nodes, s_nodes), message in cases:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=message):
+                TimeSchedule(base, total, t_nodes, s_nodes, [0.5] * len(t_nodes))
     # one rule for every sampled curve of s: the same bad s column reads the
     # same in a tabulated schedule and in a time schedule
     for s_nodes in ([0.0, 0.5, 0.5, 1.0], [0.2, 0.4, 0.6, 0.8], [0.0, 0.5, math.nan, 1.0]):
@@ -538,13 +565,6 @@ def test_time_schedule_holds_every_table_to_one_rule():
         assert str(tabulated.value) == str(sampled.value)
     # ends within the boundary tolerance of the tabulated schedules pass
     assert TimeSchedule(base, 2.0, [0.0, 1.0, 2.0], [1e-13, 0.5, 1.0 - 1e-13], [0.5] * 3).total_time == 2.0
-    assert TimeSchedule(base, 50.0, t, s, rate).s_of_t(25.0) == pytest.approx(0.5, rel=1e-15)
-    # an int or numpy total is stored as a float
-    for total in (50, np.float32(50.0)):
-        assert type(TimeSchedule(base, total, t, s, rate).total_time) is float
-    # one node reads as a constant with slope 0, wherever it is probed
-    constant = MonotoneCubic([0.3], [5.0])
-    assert constant(np.array([-1.0, 0.3, 7.0])).tolist() == [5.0] * 3 and constant.slope(0.3) == 0.0
 
 
 @st.composite
