@@ -14,9 +14,7 @@ from .core import (
     Splitting,
     TabulatedSchedule,
     equal_splitting,
-    linear_schedule,
     make_splitting,
-    tabulated_schedule,
 )
 from .dynamics import (
     EvolutionReport,

@@ -23,7 +23,7 @@ import sys
 import tempfile
 
 from . import dynamics, hamiltonian, runtime, spectral
-from .core import MarkedState, Precision, Splitting, equal_splitting, linear_schedule, make_splitting
+from .core import LinearSchedule, MarkedState, Precision, Splitting, equal_splitting, make_splitting
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -270,7 +270,7 @@ def cmd_evolve(args) -> int:
 
 def cmd_gap(args) -> int:
     splitting = _splitting_from_args(args)
-    profile = spectral.gap_profile(splitting, linear_schedule(), grid=args.grid)
+    profile = spectral.gap_profile(splitting, LinearSchedule(), grid=args.grid)
     _write_output(format_gap(profile, args.format), args.out)
     return EXIT_OK
 

@@ -397,16 +397,6 @@ class TabulatedSchedule(Schedule):
         return b0 + x * (b1 + x * (b2 + x * c0))
 
 
-def linear_schedule() -> LinearSchedule:
-    """The straight-line interpolation f = 1 - s, g = s."""
-    return LinearSchedule()
-
-
-def tabulated_schedule(s_nodes, f_nodes, g_nodes) -> TabulatedSchedule:
-    """Monotone interpolated schedule through the given samples."""
-    return TabulatedSchedule(s_nodes, f_nodes, g_nodes)
-
-
 @dataclass(frozen=True)
 class Precision:
     """Accuracy settings shared by the quadrature and evolution routines.

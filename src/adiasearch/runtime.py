@@ -15,6 +15,7 @@ import numpy as np
 from .core import (
     MAX_BLOCK_QUBITS,
     MAX_GRID,
+    LinearSchedule,
     MonotoneCubic,
     Precision,
     Schedule,
@@ -25,7 +26,6 @@ from .core import (
     _sample_columns,
     _sampled_curve,
     equal_splitting,
-    linear_schedule,
 )
 from .kronrod import QuadratureError, integrate, node_integrals
 from .spectral import _bisect, adiabatic_ratio
@@ -132,7 +132,7 @@ def running_time_integral(
     tolerance QUAD_TOL. The panels break at the crossing where f = g and
     every block peaks, and at the schedule's knots.
     """
-    schedule = schedule if schedule is not None else linear_schedule()
+    schedule = schedule if schedule is not None else LinearSchedule()
     integrand, u_of_s, _ = _time_integrand(splitting, schedule)
     edges = _panel_edges(schedule, u_of_s, float(u_of_s(0.0)), float(u_of_s(1.0)))
     eps_t, _ = integrate(integrand, edges, QUAD_TOL, "the running-time integral")
@@ -202,7 +202,7 @@ class TimeSchedule:
     @classmethod
     def quench(cls, base: Schedule | None = None) -> "TimeSchedule":
         """Zero-duration parameterization, measured at s = 1 at once: the sample (t, s, ds/dt) = (0, 1, 0)."""
-        return cls(base if base is not None else linear_schedule(), 0.0, np.zeros(1), np.ones(1), np.zeros(1))
+        return cls(base if base is not None else LinearSchedule(), 0.0, np.zeros(1), np.ones(1), np.zeros(1))
 
     def s_of_t(self, t):
         return np.clip(self._s_of_t(np.clip(t, 0.0, self.total_time)), 0.0, 1.0)
@@ -250,10 +250,10 @@ def optimal_schedule(
     if not 100 <= grid <= MAX_GRID:
         raise ValueError(f"grid must have between 100 and {MAX_GRID} samples, got {grid}")
     precision = precision if precision is not None else Precision()
-    schedule = schedule if schedule is not None else linear_schedule()
+    schedule = schedule if schedule is not None else LinearSchedule()
     integrand, u_of_s, dt_ds = _time_integrand(splitting, schedule)
     s_nodes = np.linspace(0.0, 1.0, grid)
-    dt_ds_nodes = np.array([dt_ds(s) for s in s_nodes])
+    dt_ds_nodes = np.array([dt_ds(s) for s in s_nodes.tolist()])
     stationary = s_nodes[dt_ds_nodes == 0.0]
     if stationary.size:
         raise ValueError(
@@ -284,6 +284,6 @@ def reproduce_table(n: int) -> list[RunTimeResult]:
     n = _integer(n, "qubit count")
     if not 1 <= n <= MAX_BLOCK_QUBITS:  # the m = 1 row is one block of n qubits
         raise ValueError(f"n must be in [1, {MAX_BLOCK_QUBITS}], got {n}")
-    schedule = linear_schedule()
+    schedule = LinearSchedule()
     return [running_time_integral(equal_splitting(n, m), schedule) for m in range(1, n + 1) if n % m == 0]
 

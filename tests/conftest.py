@@ -4,7 +4,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
-from adiasearch.core import linear_schedule
+from adiasearch.core import LinearSchedule
 from adiasearch.runtime import TimeSchedule
 
 
@@ -63,7 +63,7 @@ def pchip_time_schedule(t_nodes, s_nodes, base=None):
     """
     t_nodes, s_nodes = np.asarray(t_nodes, dtype=float), np.asarray(s_nodes, dtype=float)
     rate_nodes = PchipInterpolator(t_nodes / t_nodes[-1], s_nodes).derivative()(t_nodes / t_nodes[-1]) / t_nodes[-1]
-    return TimeSchedule(base if base is not None else linear_schedule(), t_nodes[-1], t_nodes, s_nodes, rate_nodes)
+    return TimeSchedule(base if base is not None else LinearSchedule(), t_nodes[-1], t_nodes, s_nodes, rate_nodes)
 
 
 def distinct_levels(values, tol=1e-9):

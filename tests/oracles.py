@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from adiasearch.core import MarkedState, Schedule, Splitting, linear_schedule
+from adiasearch.core import LinearSchedule, MarkedState, Schedule, Splitting
 from adiasearch.dynamics import _ground_amplitude, _ground_amplitudes
 from adiasearch.hamiltonian import PauliTermSum, _check_dense_cap
 from adiasearch.spectral import adiabatic_ratio
@@ -208,7 +208,7 @@ def two_level_success(parts, epsilon: float, steps: int) -> float:
     3e-9 from one step count to the next. Where np.longdouble is a double,
     that noise stays.
     """
-    schedule = linear_schedule()
+    schedule = LinearSchedule()
     dims = np.array([2.0**p for p in parts])
     sizes, block_size = np.unique(dims, return_inverse=True)
     ratio = adiabatic_ratio(dims)

@@ -12,7 +12,7 @@ from scipy.integrate import quad
 from scipy.linalg import eigh
 
 from adiasearch import cli
-from adiasearch.core import MarkedState, Precision, linear_schedule, make_splitting
+from adiasearch.core import LinearSchedule, MarkedState, Precision, make_splitting
 from adiasearch.dynamics import adiabaticity_lhs, evolve
 from adiasearch.hamiltonian import final_diagonal, final_terms
 from adiasearch.runtime import (
@@ -100,7 +100,7 @@ def test_criterion_3_quadrature_matches_closed_form():
     failures = []
     for n, blocks in configs:
         splitting = make_splitting(n, [n // blocks] * blocks)
-        result = running_time_integral(splitting, linear_schedule())
+        result = running_time_integral(splitting, LinearSchedule())
         expected = closed_form_eps_t(n, blocks)
         rel = abs(result.eps_t - expected) / expected
         if rel > 1e-6:
@@ -109,7 +109,7 @@ def test_criterion_3_quadrature_matches_closed_form():
 
 
 def test_criterion_4_fully_split_spectrum():
-    sched = linear_schedule()
+    sched = LinearSchedule()
     failures = []
     for n in range(2, 7):
         splitting = make_splitting(n, [1] * n)
@@ -262,7 +262,7 @@ def test_criterion_8_structure_monotonicity():
 
 
 def test_criterion_9_saturation_uniformity():
-    sched = linear_schedule()
+    sched = LinearSchedule()
     eps = 0.2
     failures = []
     for n in range(1, 7):

@@ -533,3 +533,37 @@ def test_every_argv_gives_a_documented_exit_code_and_no_traceback(argv):
     assert "Traceback" not in err.getvalue(), argv
     if _must_refuse(argv):
         assert code == 2, argv
+
+
+_FAILING_PROPERTY = """
+from hypothesis import given, settings, strategies as st
+
+
+@settings(database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x != x
+
+
+def test_runs_after_the_failure():
+    pass
+"""
+
+
+def test_failing_property_test_is_reported_and_the_session_goes_on(tmp_path):
+    # under the suite's warnings-as-errors config, a property test that fails
+    # (as the argv test above would on a regression) must read as one failure
+    (tmp_path / "test_failing_property.py").write_text(_FAILING_PROPERTY)
+    config = Path(__file__).parents[1] / "pyproject.toml"
+    result = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-c", str(config),
+         "test_failing_property.py"],
+        capture_output=True,
+        text=True,
+        cwd=tmp_path,
+        env=_CHILD_ENV,
+    )
+    output = result.stdout + result.stderr
+    assert result.returncode == 1, output
+    assert "1 failed, 1 passed" in output
+    assert "INTERNALERROR" not in output

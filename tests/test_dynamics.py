@@ -10,12 +10,12 @@ from scipy.linalg import eigh, expm
 
 from adiasearch import dynamics
 from adiasearch.core import (
+    LinearSchedule,
     MarkedState,
     Precision,
+    TabulatedSchedule,
     equal_splitting,
-    linear_schedule,
     make_splitting,
-    tabulated_schedule,
 )
 from adiasearch.dynamics import (
     NormDriftError,
@@ -411,7 +411,7 @@ def test_scalar_adiabaticity_lhs_is_the_array_row():
     # 11 blocks of three sizes, where the pairwise adds of the block sum
     # regroup. The time integrand and adiabaticity_lhs call the same ratio
     # with Python floats.
-    sched = linear_schedule()
+    sched = LinearSchedule()
     s = np.linspace(0.0, 1.0, 101)[:, None]
     f, g, df, dg = (np.asarray(fn(s)) for fn in (sched.f, sched.g, sched.df, sched.dg))
     rates = 0.5 + s[:, 0]
@@ -455,11 +455,11 @@ def test_schedule_rates_times_the_ratio_read_epsilon_past_the_evolution_cap():
 
 
 def test_adiabaticity_zero_rate():
-    assert adiabaticity_lhs(make_splitting(2, [2]), linear_schedule(), 0.3, 0.0) == 0.0
+    assert adiabaticity_lhs(make_splitting(2, [2]), LinearSchedule(), 0.3, 0.0) == 0.0
 
 
 def test_adiabaticity_saturated_along_optimal_schedule():
-    sched = linear_schedule()
+    sched = LinearSchedule()
     for n in (1, 2, 4):
         splitting = make_splitting(n, [n])
         precision = Precision(epsilon=0.2)
@@ -471,7 +471,7 @@ def test_adiabaticity_saturated_along_optimal_schedule():
 
 def test_adiabaticity_linear_in_time_bound():
     # driving uniformly over T = N / eps keeps the diagnostic below eps
-    sched = linear_schedule()
+    sched = LinearSchedule()
     eps = 0.1
     for n in (1, 2, 3):
         splitting = make_splitting(n, [n])
@@ -487,7 +487,7 @@ def test_adiabaticity_linear_in_time_bound():
 def test_equal_splits_warn_nothing_and_square_to_the_summed_condition():
     # a degenerate first excited level needs no warning: the root-sum-square
     # element already makes the square of the value the summed condition
-    sched = linear_schedule()
+    sched = LinearSchedule()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         adiabaticity_lhs(make_splitting(3, [1, 1, 1]), sched, 0.5, 0.1)
@@ -499,11 +499,11 @@ def test_degenerate_condition_refuses_what_the_closed_form_refuses():
         with pytest.raises(ValueError):
             closed_form_eps_t(n, n)
         with pytest.raises(ValueError):
-            adiabaticity_lhs(equal_splitting(n, n), linear_schedule(), 0.5, 0.1)
+            adiabaticity_lhs(equal_splitting(n, n), LinearSchedule(), 0.5, 0.1)
 
 
 def test_diagnostics_refuse_s_outside_the_unit_interval():
-    sched = linear_schedule()
+    sched = LinearSchedule()
     splitting = make_splitting(2, [1, 1])
     state = np.full(4, 0.5, dtype=complex)
     calls = [
@@ -519,7 +519,7 @@ def test_diagnostics_refuse_s_outside_the_unit_interval():
 
 
 def test_diagnostics_refuse_a_non_finite_rate():
-    sched = linear_schedule()
+    sched = LinearSchedule()
     for ds_dt in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="ds_dt must be finite"):
             adiabaticity_lhs(make_splitting(3, [1, 2]), sched, 0.4, ds_dt)
@@ -531,7 +531,7 @@ def test_diagnostics_refuse_a_non_finite_rate():
 
 def test_diagnostics_refuse_a_schedule_that_vanishes():
     # f = g = 0 on [0.4, 0.6]: H(s) is zero there and has no ground state
-    stalled = tabulated_schedule([0.0, 0.4, 0.6, 1.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0])
+    stalled = TabulatedSchedule([0.0, 0.4, 0.6, 1.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0])
     schedule_t = pchip_time_schedule([0.0, 1.0, 2.0, 3.0], [0.0, 0.4, 0.6, 1.0], stalled)
     splitting = make_splitting(3, [1, 2])
     with pytest.raises(ValueError, match="the operator is zero where f = g = 0; no ground state"):
@@ -541,7 +541,7 @@ def test_diagnostics_refuse_a_schedule_that_vanishes():
 
 
 def test_degenerate_condition_scales_linearly_with_qubits():
-    sched = linear_schedule()
+    sched = LinearSchedule()
     one = adiabaticity_lhs(equal_splitting(1, 1), sched, 0.4, 0.07) ** 2
     four = adiabaticity_lhs(equal_splitting(4, 4), sched, 0.4, 0.07) ** 2
     assert four == pytest.approx(4.0 * one, rel=1e-12)
@@ -549,7 +549,7 @@ def test_degenerate_condition_scales_linearly_with_qubits():
 
 def test_degenerate_condition_saturates_at_eps_squared():
     eps = 0.1
-    sched = linear_schedule()
+    sched = LinearSchedule()
     for n in (1, 5):
         schedule_t = optimal_schedule(make_splitting(n, [1] * n), Precision(epsilon=eps))
         for s in (0.0, 0.3, 0.5, 0.9, 1.0):
@@ -570,7 +570,7 @@ def test_ground_overlap_boundaries():
     # from 11 qubits on, the ground vector used to come from a Lanczos solve
     # that returned a degenerate pair at s = 1 (gap 1e-16): the overlap raised
     # "near-degenerate", and the last checkpoint at n=12 read 1.6e-5, not p
-    sched = linear_schedule()
+    sched = LinearSchedule()
     for parts, bits in [([2], "00"), ([5, 6], "10110011010"), ([12], "011010011101")]:
         n = sum(parts)
         splitting = make_splitting(n, parts)
@@ -598,7 +598,7 @@ def test_closed_form_probe_matches_dense_diagonalization():
     # used to switch from this to Lanczos. The ratio over unit ds/dt is the
     # sum over states sqrt(sum_{e>0} |<e|dH/ds|0>|^2 / (E_e - E_0)^4), which
     # does not depend on the basis eigh picks inside a degenerate level.
-    sched = linear_schedule()
+    sched = LinearSchedule()
     cases = [
         ([1, 3], "0110"), ([2, 1, 1], "1011"), ([3, 3], "101001"), ([2, 4], "100110"),
         ([1, 5], "011010"), ([5, 5], "1100110101"),
@@ -626,7 +626,7 @@ def test_ground_overlap_matches_the_dense_ground_vector():
     # random normalized states against |<ground|state>|^2 with the ground
     # vector from eigh, at marked states whose block values are not all zero
     rng = np.random.default_rng(15)
-    sched = linear_schedule()
+    sched = LinearSchedule()
     cases = [([1, 3], "0110"), ([2, 1, 1], "1011"), ([3, 3], "101001"), ([5, 5], "1100110101")]
     for parts, bits in cases:
         n = sum(parts)
@@ -648,7 +648,7 @@ def test_stage_couplings_equal_scalar_schedule_calls():
     # evolve evaluates the schedule for the whole run in chunks of 512 steps;
     # every column must be exactly the (f, g) that scalar evaluations at the
     # integrator's stage times give, so the success probability is unchanged
-    base = tabulated_schedule([0.0, 0.4, 1.0], [1.0, 0.7, 0.0], [0.0, 0.2, 1.0])
+    base = TabulatedSchedule([0.0, 0.4, 1.0], [1.0, 0.7, 0.0], [0.0, 0.2, 1.0])
     schedule_t = pchip_time_schedule([0.0, 1.5, 2.0, 7.0], [0.0, 0.3, 0.6, 1.0], base)
     t_checks = schedule_t.t_of_s(np.array([0.0, 0.29, 0.29, 0.61, 0.8, 1.0]))
     # the second interval with steps straddles the chunk boundary at column 512

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import eigh
 
 from adiasearch import cli
-from adiasearch.core import MarkedState, linear_schedule, make_splitting
+from adiasearch.core import LinearSchedule, MarkedState, make_splitting
 from adiasearch.hamiltonian import (
     EXPANSION_LETTER_BUDGET,
     MatrixFreeHamiltonian,
@@ -130,7 +130,7 @@ def test_combine_boundaries_and_gap():
     splitting = make_splitting(1, [1])
     h_initial = build_initial(splitting)
     h_final = np.diag(final_diagonal(splitting, MarkedState.zeros(1)))
-    sched = linear_schedule()
+    sched = LinearSchedule()
 
     def dense(s):
         return sched.f(s) * h_initial + sched.g(s) * h_final
@@ -176,7 +176,7 @@ def test_unstructured_final_has_full_weight_word():
 
 def test_expansion_round_trip():
     rng = np.random.default_rng(4)
-    sched = linear_schedule()
+    sched = LinearSchedule()
     for n in (2, 3, 5, 8):
         splitting = make_splitting(n, random_splitting(rng, n))
         bits = MarkedState(tuple(int(b) for b in rng.integers(0, 2, n)))
@@ -282,7 +282,7 @@ def _matrix_free_splittings(rng):
 
 def test_matrix_free_matches_dense():
     rng = np.random.default_rng(33)
-    sched = linear_schedule()
+    sched = LinearSchedule()
     for splitting in _matrix_free_splittings(rng):
         n = splitting.n
         bits = MarkedState(tuple(int(b) for b in rng.integers(0, 2, n)))

@@ -16,10 +16,9 @@ PUBLIC_NAMES = {
     "MatrixFreeHamiltonian", "NormDriftError", "PauliTermSum", "Precision", "QuadratureError",
     "RunTimeResult", "Schedule", "Splitting", "TabulatedSchedule", "TimeSchedule",
     "adiabaticity_lhs", "closed_form_eps_t", "equal_splitting", "evolve", "final_diagonal",
-    "final_terms", "gap_profile", "linear_schedule", "make_splitting",
-    "max_structured_degeneracy", "max_structured_eigenvalue", "optimal_schedule",
-    "reproduce_table", "rk4_propagate", "running_time_integral", "scaling_coefficients",
-    "subsystem_gap", "tabulated_schedule",
+    "final_terms", "gap_profile", "make_splitting", "max_structured_degeneracy",
+    "max_structured_eigenvalue", "optimal_schedule", "reproduce_table", "rk4_propagate",
+    "running_time_integral", "scaling_coefficients", "subsystem_gap",
 }
 
 

@@ -18,10 +18,9 @@ from adiasearch.core import (
     MonotoneCubic,
     Precision,
     Schedule,
+    TabulatedSchedule,
     equal_splitting,
-    linear_schedule,
     make_splitting,
-    tabulated_schedule,
 )
 from adiasearch.dynamics import adiabaticity_lhs, rk4_propagate
 from adiasearch.runtime import (
@@ -79,7 +78,7 @@ def test_closed_form_against_high_precision_quadrature():
 def test_quadrature_matches_closed_form():
     for n, blocks in [(6, 1), (6, 2), (6, 3), (6, 6), (12, 1), (12, 4), (30, 1), (30, 10)]:
         parts = [n // blocks] * blocks
-        result = running_time_integral(make_splitting(n, parts), linear_schedule())
+        result = running_time_integral(make_splitting(n, parts), LinearSchedule())
         expected = closed_form_eps_t(n, blocks)
         assert abs(result.eps_t - expected) / expected <= 1e-6
 
@@ -106,7 +105,7 @@ def test_tabulated_schedules_with_f_plus_g_one_give_the_linear_time():
     # sqrt(sum_i w_i / omega_i**6) over g from 0 to 1, whatever the path g(s)
     nodes = np.linspace(0.0, 1.0, 9)
     g = nodes + 0.2 * np.sin(2.0 * np.pi * nodes) / (2.0 * np.pi)
-    curved = tabulated_schedule(nodes, 1.0 - g, g)
+    curved = TabulatedSchedule(nodes, 1.0 - g, g)
     for parts in ([2], [3, 3], [6], [10, 10], [30], [1, 30]):
         splitting = make_splitting(sum(parts), parts)
         linear = running_time_integral(splitting).eps_t
@@ -125,7 +124,7 @@ def test_tabulated_schedules_with_f_plus_g_one_give_the_linear_time():
     ):
         nodes = np.linspace(0.0, 1.0, size)
         g = 3.0 * nodes**2 - 2.0 * nodes**3 if profile == "smoothstep" else np.sin(0.5 * np.pi * nodes) ** 2
-        schedule = tabulated_schedule(nodes, 1.0 - g, g)
+        schedule = TabulatedSchedule(nodes, 1.0 - g, g)
         for parts in cases:
             splitting = make_splitting(sum(parts), parts)
             linear = running_time_integral(splitting).eps_t
@@ -133,7 +132,7 @@ def test_tabulated_schedules_with_f_plus_g_one_give_the_linear_time():
             assert eps_t == pytest.approx(linear, rel=1e-12), (profile, size, parts)
     # f - g is expanded about the crossing, so peaks 2^(-n/2) wide are
     # resolved as for the linear schedule
-    two_node = tabulated_schedule([0.0, 1.0], [1.0, 0.0], [0.0, 1.0])
+    two_node = TabulatedSchedule([0.0, 1.0], [1.0, 0.0], [0.0, 1.0])
     for n in (50, 56, 60, 64):
         for schedule in (two_node, curved):
             eps_t = running_time_integral(make_splitting(n, [n]), schedule).eps_t
@@ -253,7 +252,7 @@ def test_optimal_schedule_matches_integral_and_slows_at_peak():
     precision = Precision(epsilon=0.1)
     splitting = make_splitting(6, [6])
     schedule_t = optimal_schedule(splitting, precision)
-    integral = running_time_integral(splitting, linear_schedule())
+    integral = running_time_integral(splitting, LinearSchedule())
     assert schedule_t.total_time * precision.epsilon == pytest.approx(integral.eps_t, rel=1e-8)
     # strictly increasing inverse map
     assert np.all(np.diff(schedule_t.t_nodes) > 0.0)
@@ -270,7 +269,7 @@ def test_optimal_schedule_total_is_the_running_time_integral_at_large_blocks():
     for n in (60, 64):
         splitting = make_splitting(n, [n])
         total = optimal_schedule(splitting, precision).total_time * precision.epsilon
-        eps_t = running_time_integral(splitting, linear_schedule()).eps_t
+        eps_t = running_time_integral(splitting, LinearSchedule()).eps_t
         assert abs(total - eps_t) / eps_t <= 1e-12
 
 
@@ -340,7 +339,7 @@ def test_tabulated_schedule_node_times_break_at_its_knots():
         (nine, nine + 0.2 * np.sin(2.0 * np.pi * nine) / (2.0 * np.pi)),
         (seven, np.array([0.0, 0.08, 0.27, 0.46, 0.63, 0.9, 1.0])),
     ):
-        schedule = tabulated_schedule(nodes, 1.0 - g, g)
+        schedule = TabulatedSchedule(nodes, 1.0 - g, g)
         assert schedule.knots == tuple(nodes[1:-1])
         for parts in ([2], [10, 10], [30], [32, 32], [64]):
             # 1000 samples: no knot is a grid node
@@ -349,7 +348,7 @@ def test_tabulated_schedule_node_times_break_at_its_knots():
             )
             oracle = linear_node_eps_t_oracle(parts, PchipInterpolator(nodes, g)(schedule_t.s_nodes) - 0.5)
             assert _max_relative_error(schedule_t.t_nodes * eps, oracle) <= 1e-11, (nodes.size, parts)
-    assert linear_schedule().knots == ()
+    assert LinearSchedule().knots == ()
 
 
 def test_optimal_schedule_integrand_work_is_bounded():
@@ -372,9 +371,9 @@ def test_optimal_schedule_refuses_a_stationary_hamiltonian():
     # H(s) is constant on [0, .25] and [.75, 1]: the time integral is finite,
     # but the rate that saturates the bound is unbounded there
     nodes = [0.0, 0.25, 0.5, 0.75, 1.0]
-    paused = tabulated_schedule(nodes, [1.0, 1.0, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 1.0, 1.0])
+    paused = TabulatedSchedule(nodes, [1.0, 1.0, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 1.0, 1.0])
     # f = g = 1/2 on [.4, .6]: the crossing is flat, so there is no peak to resolve
-    flat = tabulated_schedule([0.0, 0.4, 0.6, 1.0], [1.0, 0.5, 0.5, 0.0], [0.0, 0.5, 0.5, 1.0])
+    flat = TabulatedSchedule([0.0, 0.4, 0.6, 1.0], [1.0, 0.5, 0.5, 0.0], [0.0, 0.5, 0.5, 1.0])
     splitting = make_splitting(2, [2])
     for schedule, s_text in ((paused, r"0\.0000"), (flat, r"0\.4000")):
         assert running_time_integral(splitting, schedule).eps_t == pytest.approx(math.sqrt(3.0), rel=1e-9)
@@ -429,8 +428,8 @@ def test_real_arguments_refuse_other_types():
     splitting = make_splitting(2, [2])
     schedule_t = pchip_time_schedule([0.0, 1.0, 2.0], [0.0, 0.5, 1.0])
     calls = {
-        "s": lambda x: adiabaticity_lhs(splitting, linear_schedule(), x, 1.0),
-        "ds_dt": lambda x: adiabaticity_lhs(splitting, linear_schedule(), 0.5, x),
+        "s": lambda x: adiabaticity_lhs(splitting, LinearSchedule(), x, 1.0),
+        "ds_dt": lambda x: adiabaticity_lhs(splitting, LinearSchedule(), 0.5, x),
         "eps_t": lambda x: scaling_coefficients(x, 6, 1),
         "scaled total time": lambda x: schedule_t.scaled(x).total_time,
     }
@@ -492,7 +491,7 @@ def test_time_schedule_scaling():
 def test_time_schedule_holds_every_table_to_one_rule():
     # the constructor once took the first three tables, and evolve ran them
     # to a success probability without complaint
-    base = linear_schedule()
+    base = LinearSchedule()
     t, s, rate = np.linspace(0.0, 50.0, 11), np.linspace(0.0, 1.0, 11), np.full(11, 0.02)
     cases = [
         ((50.0, t, s[::-1], rate), "strictly increasing s"),
@@ -534,7 +533,7 @@ def test_time_schedule_holds_every_table_to_one_rule():
 def test_time_schedule_refuses_bad_samples():
     # a NaN s once ran to p = 0.25 with a NaN diagnostic, and s from 0.2 to
     # 0.8 ran H over part of the path under checkpoints labelled 0 to 1
-    base = linear_schedule()
+    base = LinearSchedule()
     cases = [
         ((2.0, [0.0, math.nan, 2.0], [0.0, 0.5, 1.0]), "t samples must be finite"),
         ((2.0, [0.0, 1.0, math.inf], [0.0, 0.5, 1.0]), "t samples must be finite"),
@@ -559,7 +558,7 @@ def test_time_schedule_refuses_bad_samples():
     # same in a tabulated schedule and in a time schedule
     for s_nodes in ([0.0, 0.5, 0.5, 1.0], [0.2, 0.4, 0.6, 0.8], [0.0, 0.5, math.nan, 1.0]):
         with pytest.raises(ValueError) as tabulated:
-            tabulated_schedule(s_nodes, [1.0, 0.6, 0.4, 0.0], [0.0, 0.4, 0.6, 1.0])
+            TabulatedSchedule(s_nodes, [1.0, 0.6, 0.4, 0.0], [0.0, 0.4, 0.6, 1.0])
         with pytest.raises(ValueError) as sampled:
             TimeSchedule(base, 3.0, [0.0, 1.0, 2.0, 3.0], s_nodes, [1.0] * 4)
         assert str(tabulated.value) == str(sampled.value)
@@ -583,7 +582,7 @@ def _float32_tables(draw):
 def test_time_schedule_stores_float64_columns_whatever_their_input_type(table):
     # a table built from lists once kept its lists: scaled raised TypeError and
     # format_schedule AttributeError, and int columns were written as ints
-    base = linear_schedule()
+    base = LinearSchedule()
     total = float(table[0][-1])
 
     def artifacts(columns):
@@ -635,10 +634,10 @@ def test_tiny_epsilon_whose_total_time_overflows_is_refused():
 
 def test_singular_schedule_rejected():
     nodes = [0.0, 0.25, 0.5, 0.75, 1.0]
-    stalled = tabulated_schedule(nodes, [1.0, 0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.5, 1.0])
+    stalled = TabulatedSchedule(nodes, [1.0, 0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.5, 1.0])
     # a stall narrower than the probe spacing is caught by the quadrature:
     # f'g - g'f then vanishes on all of [0, 1]
-    narrow = tabulated_schedule(
+    narrow = TabulatedSchedule(
         [0.0, 0.25, 0.501, 0.502, 0.75, 1.0],
         [1.0, 0.5, 0.0, 0.0, 0.0, 0.0],
         [0.0, 0.0, 0.0, 0.0, 0.5, 1.0],

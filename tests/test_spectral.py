@@ -8,11 +8,11 @@ from scipy.optimize import brentq, minimize_scalar
 from adiasearch import cli
 from adiasearch.core import (
     MAX_GRID,
+    LinearSchedule,
     MarkedState,
+    TabulatedSchedule,
     equal_splitting,
-    linear_schedule,
     make_splitting,
-    tabulated_schedule,
 )
 from adiasearch.hamiltonian import final_diagonal
 from adiasearch.spectral import (
@@ -30,7 +30,7 @@ from oracles import build_initial
 def _dense_hamiltonian(n, parts, s, marked=None):
     splitting = make_splitting(n, parts)
     marked = marked if marked is not None else MarkedState.zeros(n)
-    sched = linear_schedule()
+    sched = LinearSchedule()
     return sched.f(s) * build_initial(splitting) + sched.g(s) * np.diag(final_diagonal(splitting, marked))
 
 
@@ -143,7 +143,7 @@ def test_matrix_element_examples():
     # its own excited state with |f'g - g'f| / (2 sqrt(f**2 + g**2)), one gap
     # sqrt(f**2 + g**2) below it, so the ratio is sqrt(n) times that over the
     # gap squared: the integrand of the sqrt(n) running time
-    sched = linear_schedule()
+    sched = LinearSchedule()
     for n in (1, 4, 7, 64):
         ratio = adiabatic_ratio(equal_splitting(n, n).float_block_dims())
         for s in np.linspace(0.0, 1.0, 11).tolist():
@@ -154,7 +154,7 @@ def test_matrix_element_examples():
 
 def test_gap_profile_unstructured_six_qubits():
     # analytic minimum of (1-2s)^2 + 4 s (1-s) / N sits at s = 1/2 with gap 1/sqrt(N)
-    profile = gap_profile(make_splitting(6, [6]), linear_schedule())
+    profile = gap_profile(make_splitting(6, [6]), LinearSchedule())
     assert profile.omega_min == pytest.approx(1.0 / math.sqrt(64.0), abs=1e-12)
     assert profile.s_min == 0.5
     assert profile.s.size == 1001
@@ -163,14 +163,14 @@ def test_gap_profile_unstructured_six_qubits():
 
 def test_gap_profile_maximal_split():
     for n in (1, 3, 5):
-        profile = gap_profile(make_splitting(n, [1] * n), linear_schedule())
+        profile = gap_profile(make_splitting(n, [1] * n), LinearSchedule())
         assert profile.omega_min == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
         assert profile.s_min == 0.5
 
 
 def test_gap_profile_minimum_is_the_root_of_the_largest_block_slope():
     nodes = np.linspace(0.0, 1.0, 9)
-    curved = tabulated_schedule(nodes, 1.0 - nodes**2, nodes**2)
+    curved = TabulatedSchedule(nodes, 1.0 - nodes**2, nodes**2)
     # at grid 2 both ends read omega = 1 and f' = g' = 0 at s = 0 makes the
     # slope exactly 0 there: the gap is flat at that end, not at its minimum
     for parts, grid in (([6], 1000), ([3, 5], 137), ([20], 1001), ([6], 2), ([2, 4], 2)):
@@ -209,19 +209,19 @@ def test_gap_profile_linear_minimum_is_exact_on_every_split_and_grid():
     for parts in splits:
         splitting = make_splitting(sum(parts), parts)
         for grid in (2, 3, 1000, 1001):
-            profile = gap_profile(splitting, linear_schedule(), grid=grid)
+            profile = gap_profile(splitting, LinearSchedule(), grid=grid)
             assert profile.s_min == 0.5, (parts, grid)
             assert profile.omega_min == subsystem_gap(2.0 ** max(parts), 0.5, 0.5), (parts, grid)
 
 
 def test_gap_profile_single_qubit_matches_two_dim_block():
-    lone = gap_profile(make_splitting(1, [1]), linear_schedule(), grid=101)
-    maximal_block = gap_profile(make_splitting(2, [1, 1]), linear_schedule(), grid=101)
+    lone = gap_profile(make_splitting(1, [1]), LinearSchedule(), grid=101)
+    maximal_block = gap_profile(make_splitting(2, [1, 1]), LinearSchedule(), grid=101)
     np.testing.assert_allclose(lone.global_gap, maximal_block.block_gaps[:, 0], atol=1e-15)
 
 
 def test_gap_profile_symmetry_and_positivity():
-    profile = gap_profile(make_splitting(5, [3, 2]), linear_schedule(), grid=201)
+    profile = gap_profile(make_splitting(5, [3, 2]), LinearSchedule(), grid=201)
     np.testing.assert_allclose(profile.global_gap, profile.global_gap[::-1], atol=1e-12)
     s = profile.s[1:-1]
     for dim, gaps in zip((8, 4), profile.block_gaps[1:-1].T):
@@ -232,13 +232,13 @@ def test_gap_profile_symmetry_and_positivity():
 
 def test_gap_profile_grid_validation_and_csv():
     with pytest.raises(ValueError):
-        gap_profile(make_splitting(2, [2]), linear_schedule(), grid=1)
+        gap_profile(make_splitting(2, [2]), LinearSchedule(), grid=1)
     with pytest.raises(ValueError, match="between 2 and 65536 samples"):
-        gap_profile(make_splitting(2, [2]), linear_schedule(), grid=MAX_GRID + 1)
+        gap_profile(make_splitting(2, [2]), LinearSchedule(), grid=MAX_GRID + 1)
     for grid in (11.0, "11", True):
         with pytest.raises(ValueError, match="grid has the wrong type"):
-            gap_profile(make_splitting(2, [2]), linear_schedule(), grid=grid)
-    profile = gap_profile(make_splitting(4, [2, 2]), linear_schedule(), grid=11)
+            gap_profile(make_splitting(2, [2]), LinearSchedule(), grid=grid)
+    profile = gap_profile(make_splitting(4, [2, 2]), LinearSchedule(), grid=11)
     text = cli.format_gap(profile, "csv")
     lines = text.strip().split("\n")
     assert lines[0] == "s,omega_1,omega_2,omega_global"
@@ -246,7 +246,7 @@ def test_gap_profile_grid_validation_and_csv():
 
 
 def test_dense_two_lowest_levels_match_every_splitting():
-    sched = linear_schedule()
+    sched = LinearSchedule()
     for n in range(1, 7):
         for parts in compositions(n):
             splitting = make_splitting(n, parts)
