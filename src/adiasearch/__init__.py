@@ -10,9 +10,7 @@ from .core import (
     LinearSchedule,
     MarkedState,
     Precision,
-    Schedule,
     Splitting,
-    TabulatedSchedule,
     equal_splitting,
     make_splitting,
 )

@@ -16,6 +16,7 @@ format is written here.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -124,20 +125,29 @@ def _marked_from_args(args, n: int) -> MarkedState:
 
 
 def _write_output(text: str, out_path: str | None):
-    """Write atomically (temp file + rename) or to stdout."""
+    """Write atomically (temp file + rename) or to stdout.
+
+    A path that cannot be written is reported by that path, not by the temp
+    file's; a directory is refused before any temp file is made.
+    """
     if out_path is None:
         sys.stdout.write(text)
         return
-    directory = os.path.dirname(os.path.abspath(out_path))
-    fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".adia-", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp_path, out_path)
-    except BaseException:
-        if os.path.exists(tmp_path):
-            os.unlink(tmp_path)
-        raise
+        if os.path.isdir(out_path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        directory = os.path.dirname(os.path.abspath(out_path))
+        fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".adia-", suffix=".tmp")
+        try:
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp_path, out_path)
+        except BaseException:
+            if os.path.exists(tmp_path):
+                os.unlink(tmp_path)
+            raise
+    except OSError as exc:
+        raise OSError(f"cannot write {out_path}: {exc.strerror or exc}") from None
 
 
 def round_half_away(x: float, decimals: int) -> float:

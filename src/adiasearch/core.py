@@ -2,9 +2,10 @@
 
 A search problem is described by a :class:`Splitting` (how the n qubits are
 partitioned into independently searched blocks), a :class:`MarkedState` (the
-unique satisfying assignment), an interpolation :class:`Schedule` (f, g), and
-a :class:`Precision` bundle for the numerical routines. All types here are
-immutable after construction and safe to share across threads.
+unique satisfying assignment), the linear interpolation
+:class:`LinearSchedule` (f, g) = (1 - s, s), and a :class:`Precision` bundle
+for the numerical routines. All types here are immutable after construction
+and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Schedules must hit f(0)=1, g(0)=0, f(1)=0, g(1)=1 this tightly.
+# Every sampled curve of s must run from s = 0 to s = 1 this tightly.
 SCHEDULE_BOUNDARY_TOL = 1e-12
 # Largest block the floating-point paths (closed-form gaps, quadratures,
 # spectral probe) accept. 64 is the largest block the running-time checks
@@ -272,13 +273,10 @@ class MonotoneCubic:
         if not np.all(np.isfinite(self.c)):
             raise ValueError(f"the monotone cubic through values up to {np.max(np.abs(y)):.3g} overflows")
 
-    def interval(self, s):
-        """Index k of the cubic that serves s: x_k <= s < x_k+1, clamped to the ends."""
-        return np.clip(np.searchsorted(self.x, s, side="right") - 1, 0, max(self.x.size - 2, 0))
-
     def _local(self, s):
         s = np.asarray(s, dtype=float)
-        k = self.interval(s)
+        # the cubic that serves s: x_k <= s < x_k+1, clamped to the ends
+        k = np.clip(np.searchsorted(self.x, s, side="right") - 1, 0, max(self.x.size - 2, 0))
         return (s - self.x[k]) / self.unit, self.c[:, k]
 
     def __call__(self, s):
@@ -290,38 +288,13 @@ class MonotoneCubic:
         return (c2 + 2.0 * c1 * y + 3.0 * c0 * (y * y)) / self.unit
 
 
-class Schedule:
-    """Interpolation pair (f, g) on s in [0, 1] with derivatives.
+class LinearSchedule:
+    """The interpolation f(s) = 1 - s, g(s) = s, the one path of every search.
 
-    f weighs the mixing Hamiltonian, g the problem Hamiltonian. Every
-    schedule satisfies f(0)=1, g(0)=0, f(1)=0, g(1)=1 and both functions
-    are monotone.
+    A curved path (f, g) adds nothing to it: with lambda = f + g and
+    sigma = g / (f + g), H(s) = lambda H_lin(sigma), the linear path run in
+    the rescaled time integral of lambda dt.
     """
-
-    # interior s where f'' or g'' jump; the schedule tabulation breaks its
-    # quadrature panels there
-    knots: tuple[float, ...] = ()
-
-    def f(self, s):
-        raise NotImplementedError
-
-    def g(self, s):
-        raise NotImplementedError
-
-    def df(self, s):
-        raise NotImplementedError
-
-    def dg(self, s):
-        raise NotImplementedError
-
-    def difference(self, s_star, x):
-        """f - g at s_star + x; a schedule that can form it without rounding the sum overrides this."""
-        s = s_star + x
-        return self.f(s) - self.g(s)
-
-
-class LinearSchedule(Schedule):
-    """f(s) = 1 - s, g(s) = s."""
 
     def f(self, s):
         return 1.0 - s
@@ -336,65 +309,8 @@ class LinearSchedule(Schedule):
         return 1.0 + 0.0 * s
 
     def difference(self, s_star, x):
-        # exact in the offset x: s_star + x is never rounded
+        """f - g at s_star + x, exact in the offset x: s_star + x is never rounded."""
         return (1.0 - 2.0 * s_star) - 2.0 * x
-
-
-class TabulatedSchedule(Schedule):
-    """Monotone piecewise-cubic schedule through samples (s_k, f_k, g_k).
-
-    Interpolation is shape preserving, so the samples' monotonicity carries
-    over to the interpolant and its derivative exists everywhere. The
-    samples obey the one sampled-curve rule of ``_sampled_curve``; f must
-    also run from 1 down to 0 and g from 0 up to 1.
-    """
-
-    def __init__(self, s_nodes, f_nodes, g_nodes):
-        s_nodes, f_nodes, g_nodes = _sampled_curve(s_nodes, f=f_nodes, g=g_nodes)
-        for name, vals, v0, v1 in (("f", f_nodes, 1.0, 0.0), ("g", g_nodes, 0.0, 1.0)):
-            if abs(vals[0] - v0) > SCHEDULE_BOUNDARY_TOL or abs(vals[-1] - v1) > SCHEDULE_BOUNDARY_TOL:
-                raise ValueError(f"{name} must run from {v0} to {v1}")
-        if np.any(np.diff(f_nodes) > SCHEDULE_BOUNDARY_TOL):
-            raise ValueError("f samples must be non-increasing")
-        if np.any(np.diff(g_nodes) < -SCHEDULE_BOUNDARY_TOL):
-            raise ValueError("g samples must be non-decreasing")
-        self._f = MonotoneCubic(s_nodes, f_nodes)
-        self._g = MonotoneCubic(s_nodes, g_nodes)
-        # f - g on each interval about its left node and about its right one,
-        # each with that node's own f_k - g_k as the constant term
-        self._about_left = self._f.c - self._g.c
-        c0, c1, c2, _ = self._about_left
-        h = np.diff(s_nodes) / self._f.unit
-        h3c0 = 3.0 * h * c0
-        self._about_right = np.array([c0, c1 + h3c0, c2 + h * (2.0 * c1 + h3c0), (f_nodes - g_nodes)[1:]])
-        self.s_nodes = s_nodes
-        self.knots = tuple(s_nodes[1:-1].tolist())
-
-    def f(self, s):
-        return self._f(s)
-
-    def g(self, s):
-        return self._g(s)
-
-    def df(self, s):
-        return self._f.slope(s)
-
-    def dg(self, s):
-        return self._g.slope(s)
-
-    def difference(self, s_star, x):
-        # the serving cubic about its node nearer s_star, re-expanded about
-        # s_star and evaluated in x: s_star + x is never rounded, a crossing at
-        # a node reads f - g = 0 on both sides, and f - g is smooth in x
-        k = self._f.interval(s_star + x)
-        right = 2.0 * s_star > self.s_nodes[k] + self.s_nodes[k + 1]
-        c0, c1, c2, c3 = np.where(right, self._about_right[:, k], self._about_left[:, k])
-        d = (s_star - self.s_nodes[k + right]) / self._f.unit
-        x = x / self._f.unit
-        b0 = c3 + d * (c2 + d * (c1 + d * c0))
-        b1 = c2 + d * (2.0 * c1 + 3.0 * d * c0)
-        b2 = c1 + 3.0 * d * c0
-        return b0 + x * (b1 + x * (b2 + x * c0))
 
 
 @dataclass(frozen=True)

@@ -15,11 +15,13 @@ because renormalizing would mask step-size problems.
 
 The diagnostics diagonalize nothing and build no ground vector: each block
 term keeps span{|marked_i>, |uniform_i>} invariant, so an overlap with the
-product ground state is two terms per block. The adiabaticity diagnostic is
-spectral.adiabatic_ratio times |ds/dt|, the quantity optimal_schedule
-saturates, so it reads epsilon along that schedule on any split. What does
-not depend on the state is computed for all checkpoints in one array pass;
-only the overlaps and norms are taken checkpoint by checkpoint.
+product ground state is two terms per block. On the linear path f = 1 - s
+and g = s are never both 0, so every block term has a ground state. The
+adiabaticity diagnostic is spectral.adiabatic_ratio times |ds/dt|, the
+quantity optimal_schedule saturates, so it reads epsilon along that
+schedule on any split. What does not depend on the state is computed for
+all checkpoints in one array pass; only the overlaps and norms are taken
+checkpoint by checkpoint.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MarkedState, Precision, Schedule, Splitting, _integer, _real, make_splitting
+from .core import LinearSchedule, MarkedState, Precision, Splitting, _integer, _real, make_splitting
 from .hamiltonian import DENSE_CAP, MatrixFreeHamiltonian
 from .runtime import TimeSchedule
 from .spectral import adiabatic_ratio, subsystem_gap
@@ -119,8 +121,6 @@ def _ground_amplitudes(dims: np.ndarray, f, g):
     [[f b^2, -f a b], [-f a b, f a^2 + g]] on (|m>, |m_perp>); its ground
     vector comes from half-angle forms, each taken where it does not cancel.
     """
-    if np.any((f == 0.0) & (g == 0.0)):
-        raise ValueError("the operator is zero where f = g = 0; no ground state")
     gaps = subsystem_gap(dims, f, g)
     weight = 1.0 / dims
     cos_2chi = (f * (1.0 - 2.0 * weight) - g) / gaps
@@ -137,7 +137,7 @@ def _ground_amplitude(x: np.ndarray, index: int, c_marked, c_perp):
     return c_marked * x[index] + c_perp / math.sqrt(x.shape[0] - 1.0) * (x.sum(0) - x[index])
 
 
-def adiabaticity_lhs(splitting: Splitting, schedule: Schedule, s: float, ds_dt: float) -> float:
+def adiabaticity_lhs(splitting: Splitting, schedule: LinearSchedule, s: float, ds_dt: float) -> float:
     """Root-sum-square over the blocks of each block's adiabaticity ratio at s.
 
     This is the quantity optimal_schedule saturates, so it reads epsilon
@@ -151,8 +151,6 @@ def adiabaticity_lhs(splitting: Splitting, schedule: Schedule, s: float, ds_dt: 
     if not math.isfinite(ds_dt):
         raise ValueError(f"ds_dt must be finite, got {ds_dt}")
     f, g, df, dg = (float(fn(s)) for fn in (schedule.f, schedule.g, schedule.df, schedule.dg))
-    if f == 0.0 and g == 0.0:
-        raise ValueError(f"schedule vanishes at s={s}; the operator is zero there")
     ratio = adiabatic_ratio(splitting.float_block_dims())
     # a Python float product overflows to inf without numpy's warning
     return float(ratio(float(schedule.difference(s, 0.0)), f, g, df, dg)) * abs(float(ds_dt))

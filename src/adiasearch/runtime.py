@@ -1,8 +1,9 @@
 """Running times of split adiabatic searches; kronrod does the quadrature.
 
-The time integrand in the offset from the crossing and its panel breaks,
-running times for any splitting and in closed form, scaling exponents,
-published-table reproduction, and the optimal time parameterization s(t).
+The time integrand of the linear path in the offset from its crossing
+s = 1/2 and its panel breaks, running times for any splitting and in closed
+form, scaling exponents, published-table reproduction, and the optimal time
+parameterization s(t).
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from .core import (
     LinearSchedule,
     MonotoneCubic,
     Precision,
-    Schedule,
     Splitting,
     _integer,
     _real,
@@ -28,7 +28,7 @@ from .core import (
     equal_splitting,
 )
 from .kronrod import QuadratureError, integrate, node_integrals
-from .spectral import _bisect, adiabatic_ratio
+from .spectral import adiabatic_ratio
 
 QUAD_TOL = 1e-9  # relative tolerance of every time integral
 
@@ -46,59 +46,39 @@ class RunTimeResult:
     beta: float
 
 
-def _crossing(schedule: Schedule) -> float:
-    """s* where f = g, by bisection on the decreasing f - g to 1e-14.
-
-    The first midpoint is 1/2, where the linear schedule crosses exactly.
-    """
-    return _bisect(lambda s: float(schedule.difference(s, 0.0)), 0.0, 1.0)
-
-
-def _time_integrand(splitting: Splitting, schedule: Schedule):
+def _time_integrand(splitting: Splitting, schedule: LinearSchedule):
     """epsilon * dt/ds for the bound-saturating time parameterization.
 
-    Every block gap bottoms out at the crossing s* where f = g, block i with
-    a half-width of about f*/(sqrt(N_i) |f' - g'|) in s: 2^-32 at 64 qubits,
+    Every block gap bottoms out at the crossing s = 1/2 where f = g, block i
+    with a half-width of about 1/(2 sqrt(N_i)) in s: 2^-33 at 64 qubits,
     too fine for quadrature nodes at rounded s. So dt/ds is formed from the
-    offset x = s - s* (f - g from Schedule.difference) and integrated in u,
-    x = w sinh(u) with w the narrowest half-width, where every block peak is
-    a smooth bump about one unit wide; dt/ds is spectral.adiabatic_ratio. f - g
-    is monotone, so f = g = 0 can only happen at s*; such a schedule closes
-    the gap and is refused.
+    offset x = s - 1/2 (f - g from LinearSchedule.difference) and integrated
+    in u, x = w sinh(u) with w = 0.25/sqrt(N_max), where every block peak is
+    a smooth bump about one unit wide; dt/ds is spectral.adiabatic_ratio.
 
     Returns (integrand of u, the map s -> u, dt/ds as a function of s).
     """
     dims = splitting.float_block_dims()
     ratio = adiabatic_ratio(dims)
     couplings = (schedule.f, schedule.g, schedule.df, schedule.dg)
-    s_star = _crossing(schedule)
-    f_star = float(schedule.f(s_star))
-    if f_star + float(schedule.g(s_star)) < 1e-9:
-        raise ValueError(
-            f"singular schedule: f = g = 0 near s = {s_star:.4f}, the gap closes there"
-        )
-    slope = abs(float(schedule.df(s_star)) - float(schedule.dg(s_star)))
-    # capped at 1: where f - g is flat at s*, u is about linear in s
-    width = f_star / max(math.sqrt(float(np.max(dims))) * slope, f_star)
+    width = 0.25 / math.sqrt(float(np.max(dims)))
 
     def at_offset(x: float) -> float:
-        s = s_star + x
-        return ratio(float(schedule.difference(s_star, x)), *[float(fn(s)) for fn in couplings])
+        s = 0.5 + x
+        return ratio(float(schedule.difference(0.5, x)), *[float(fn(s)) for fn in couplings])
 
     def integrand(u: float) -> float:
         return at_offset(width * math.sinh(u)) * width * math.cosh(u)
 
     def u_of_s(s):
-        return np.arcsinh((s - s_star) / width)
+        return np.arcsinh((s - 0.5) / width)
 
-    return integrand, u_of_s, lambda s: at_offset(s - s_star)
+    return integrand, u_of_s, lambda s: at_offset(s - 0.5)
 
 
-def _panel_edges(schedule: Schedule, u_of_s, u_lo: float, u_hi: float, breaks=()) -> list[float]:
-    """Panel edges from u_lo to u_hi: the crossing (u = 0), the u-images of
-    the schedule's knots, where it has kinks, and any further breaks inside."""
-    breaks = {0.0, *breaks, *u_of_s(np.array(schedule.knots)).tolist()}
-    return [u_lo, *sorted(u for u in breaks if u_lo < u < u_hi), u_hi]
+def _panel_edges(u_lo: float, u_hi: float, breaks=()) -> list[float]:
+    """Panel edges from u_lo to u_hi: the crossing (u = 0) and any further breaks inside."""
+    return [u_lo, *sorted(u for u in {0.0, *breaks} if u_lo < u < u_hi), u_hi]
 
 
 def scaling_coefficients(eps_t: float, n: int, num_blocks: int) -> tuple[float, float]:
@@ -123,18 +103,18 @@ def scaling_coefficients(eps_t: float, n: int, num_blocks: int) -> tuple[float, 
 
 def running_time_integral(
     splitting: Splitting,
-    schedule: Schedule | None = None,
+    schedule: LinearSchedule | None = None,
 ) -> RunTimeResult:
     """Schedule-optimal running time of a split search by adaptive quadrature.
 
     Integrates |f'g - g'f| * sqrt(sum_i (N_i - 1)/N_i**2 / omega_i**6) over
     s in [0, 1], in the variable u of the time integrand, to the relative
-    tolerance QUAD_TOL. The panels break at the crossing where f = g and
-    every block peaks, and at the schedule's knots.
+    tolerance QUAD_TOL. The panels break at the crossing s = 1/2, where
+    every block peaks.
     """
     schedule = schedule if schedule is not None else LinearSchedule()
     integrand, u_of_s, _ = _time_integrand(splitting, schedule)
-    edges = _panel_edges(schedule, u_of_s, float(u_of_s(0.0)), float(u_of_s(1.0)))
+    edges = _panel_edges(float(u_of_s(0.0)), float(u_of_s(1.0)))
     eps_t, _ = integrate(integrand, edges, QUAD_TOL, "the running-time integral")
     alpha, beta = scaling_coefficients(eps_t, splitting.n, splitting.num_blocks)
     return RunTimeResult(splitting, eps_t, alpha, beta)
@@ -168,7 +148,7 @@ class TimeSchedule:
     overflows in its own unit, and reads the quench's one sample as a constant.
     """
 
-    base: Schedule
+    base: LinearSchedule
     total_time: float
     t_nodes: np.ndarray
     s_nodes: np.ndarray
@@ -200,7 +180,7 @@ class TimeSchedule:
         object.__setattr__(self, "_rate_of_s", MonotoneCubic(s_nodes, rate_nodes))
 
     @classmethod
-    def quench(cls, base: Schedule | None = None) -> "TimeSchedule":
+    def quench(cls, base: LinearSchedule | None = None) -> "TimeSchedule":
         """Zero-duration parameterization, measured at s = 1 at once: the sample (t, s, ds/dt) = (0, 1, 0)."""
         return cls(base if base is not None else LinearSchedule(), 0.0, np.zeros(1), np.ones(1), np.zeros(1))
 
@@ -233,7 +213,7 @@ def optimal_schedule(
     splitting: Splitting,
     precision: Precision | None = None,
     grid: int = 1001,
-    schedule: Schedule | None = None,
+    schedule: LinearSchedule | None = None,
 ) -> TimeSchedule:
     """Time parameterization that saturates the adiabatic bound everywhere.
 
@@ -243,8 +223,7 @@ def optimal_schedule(
     converged quadrature pieces, each node's piece interpolated by its 21
     integrand values, and inverted monotonically. The total time agrees
     with that integral to quadrature tolerance, and ds/dt is smallest where
-    the gap is smallest. Where H(s) is stationary the rate is unbounded, so
-    such a schedule is refused.
+    the gap is smallest.
     """
     grid = _integer(grid, "grid")
     if not 100 <= grid <= MAX_GRID:
@@ -254,15 +233,9 @@ def optimal_schedule(
     integrand, u_of_s, dt_ds = _time_integrand(splitting, schedule)
     s_nodes = np.linspace(0.0, 1.0, grid)
     dt_ds_nodes = np.array([dt_ds(s) for s in s_nodes.tolist()])
-    stationary = s_nodes[dt_ds_nodes == 0.0]
-    if stationary.size:
-        raise ValueError(
-            f"H(s) is stationary at s = {stationary[0]:.4f}: the rate that saturates "
-            "the bound is unbounded there"
-        )
     u_nodes = u_of_s(s_nodes)
     u_lo, u_hi = float(u_nodes[0]), float(u_nodes[-1])
-    edges = _panel_edges(schedule, u_of_s, u_lo, u_hi, range(math.ceil(u_lo), math.floor(u_hi) + 1))
+    edges = _panel_edges(u_lo, u_hi, range(math.ceil(u_lo), math.floor(u_hi) + 1))
     _, pieces = integrate(integrand, edges, QUAD_TOL, "the time tabulation")
     t_nodes = node_integrals(pieces, u_nodes)
     if not math.isfinite(float(t_nodes[-1]) / precision.epsilon):

@@ -3,8 +3,8 @@
 Per-block energy gaps, the one adiabaticity ratio of the whole package
 (``adiabatic_ratio``), the product-state eigenvalue ladder of the fully split
 search, level degeneracies, and tabulated gap profiles over the interpolation
-parameter. A profile's minimum is the root of d(omega**2)/ds of the largest
-block, found by the bisection that also finds the crossing f = g.
+parameter. A profile's minimum is the largest block's gap at the crossing
+s = 1/2 of the linear path.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_GRID, Schedule, Splitting, _integer, _real
+from .core import MAX_GRID, LinearSchedule, Splitting, _integer, _real
 
 
 def subsystem_gap(block_dim, f, g):
@@ -44,8 +44,8 @@ def adiabatic_ratio(block_dims: np.ndarray):
     quantity a bound-saturating schedule holds at epsilon. dH/ds couples block
     i's ground state only to its own excited direction, one gap omega_i above,
     so r_i = |f'g - g'f| sqrt(N_i - 1) / (N_i omega_i**3). omega_i**2 is formed
-    from ``difference`` = f - g, as Schedule.difference gives it. Python floats
-    give a scalar, arrays of shape (k, 1) an array of shape (k,).
+    from ``difference`` = f - g, as LinearSchedule.difference gives it. Python
+    floats give a scalar, arrays of shape (k, 1) an array of shape (k,).
     """
     weights = (block_dims - 1.0) / block_dims**2
 
@@ -101,16 +101,14 @@ class GapProfile:
     s_min: float
 
 
-def gap_profile(splitting: Splitting, schedule: Schedule, grid: int = 1001) -> GapProfile:
+def gap_profile(splitting: Splitting, schedule: LinearSchedule, grid: int = 1001) -> GapProfile:
     """Tabulate every block gap and the global gap on a uniform s grid.
 
     The blocks act on disjoint tensor factors, so the first excited total
     energy sits one smallest block gap above the ground energy. As
     omega_i**2 = (f - g)**2 + 4fg/N_i with fg >= 0, that is the largest
-    block's gap, whose minimum over s is the root of half its d(omega**2)/ds,
-    (f - g)(f' - g') + 2(f'g + fg')/N. The root is bisected between the best
-    grid sample and the neighbour where that slope changes sign, or a flat
-    end's one neighbour; with no such neighbour the sample stands.
+    block's gap, whose minimum over s is at the crossing s = 1/2, on the
+    grid or between two samples: omega_min = 1/sqrt(N_max).
     """
     grid = _integer(grid, "grid")
     if not 2 <= grid <= MAX_GRID:
@@ -120,37 +118,5 @@ def gap_profile(splitting: Splitting, schedule: Schedule, grid: int = 1001) -> G
     g = np.asarray(schedule.g(s), dtype=float)
     dims = splitting.float_block_dims()
     block_gaps = subsystem_gap(dims, f[:, None], g[:, None])
-    global_gap = block_gaps.min(axis=1)
-    largest = float(dims.max())
-
-    def slope(x):  # half of d(omega**2)/ds for the largest block
-        f, g, df, dg = (float(fn(x)) for fn in (schedule.f, schedule.g, schedule.df, schedule.dg))
-        return float(schedule.difference(x, 0.0)) * (df - dg) + 2.0 * (df * g + f * dg) / largest
-
-    k = int(np.argmin(global_gap))
-    s_min, omega_min = float(s[k]), float(global_gap[k])
-    h = slope(s[k])
-    if h == 0.0 and k in (0, grid - 1):  # flat at an end: the minimum lies toward the one neighbour
-        h = -1.0 if k == 0 else 1.0
-    # the slope rises through the minimum, which lies on the side where it is negative
-    j = k + 1 if h < 0.0 else k - 1
-    if 0 <= j < grid and h * slope(s[j]) < 0.0:
-        # to adjacent doubles: a 64-qubit gap is about 1e-10 wide in s, so a
-        # root only bracketed to 1e-14 would read omega about 1e-9 high
-        s_min = float(_bisect(slope, s[max(j, k)], s[min(j, k)], width=0.0))
-        omega_min = float(subsystem_gap(largest, schedule.f(s_min), schedule.g(s_min)))
-    return GapProfile(splitting, s, block_gaps, global_gap, omega_min, s_min)
-
-
-def _bisect(func, positive: float, negative: float, width: float = 1e-14) -> float:
-    """Root of func between a point where it is positive and one where it is negative: the
-    midpoint once func reads 0 there, the bracket is ``width`` wide or its ends are adjacent."""
-    while abs(positive - negative) > width:
-        mid = 0.5 * (positive + negative)
-        if mid == positive or mid == negative:
-            break
-        value = func(mid)
-        if value == 0.0:
-            return mid
-        positive, negative = (mid, negative) if value > 0.0 else (positive, mid)
-    return 0.5 * (positive + negative)
+    omega_min = float(subsystem_gap(float(dims.max()), schedule.f(0.5), schedule.g(0.5)))
+    return GapProfile(splitting, s, block_gaps, block_gaps.min(axis=1), omega_min, 0.5)

@@ -56,14 +56,14 @@ def predicted_success(parts, eps):
     return p
 
 
-def pchip_time_schedule(t_nodes, s_nodes, base=None):
+def pchip_time_schedule(t_nodes, s_nodes):
     """A TimeSchedule through sampled (t, s) from t = 0 to T, its rates the node slopes of scipy's PCHIP.
 
     The PCHIP is taken in t / T, where no weight of its slope rule underflows, and its slopes divided by T.
     """
     t_nodes, s_nodes = np.asarray(t_nodes, dtype=float), np.asarray(s_nodes, dtype=float)
     rate_nodes = PchipInterpolator(t_nodes / t_nodes[-1], s_nodes).derivative()(t_nodes / t_nodes[-1]) / t_nodes[-1]
-    return TimeSchedule(base if base is not None else LinearSchedule(), t_nodes[-1], t_nodes, s_nodes, rate_nodes)
+    return TimeSchedule(LinearSchedule(), t_nodes[-1], t_nodes, s_nodes, rate_nodes)
 
 
 def distinct_levels(values, tol=1e-9):

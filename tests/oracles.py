@@ -15,7 +15,7 @@ import math
 
 import numpy as np
 
-from adiasearch.core import LinearSchedule, MarkedState, Schedule, Splitting
+from adiasearch.core import LinearSchedule, MarkedState, Splitting
 from adiasearch.dynamics import _ground_amplitude, _ground_amplitudes
 from adiasearch.hamiltonian import PauliTermSum, _check_dense_cap
 from adiasearch.spectral import adiabatic_ratio
@@ -155,7 +155,7 @@ def instantaneous_ground_overlap(
     state: np.ndarray,
     splitting: Splitting,
     marked: MarkedState,
-    schedule: Schedule,
+    schedule: LinearSchedule,
     s: float,
 ) -> float:
     """Squared overlap of ``state`` with the instantaneous ground state,
@@ -195,7 +195,7 @@ def two_level_success(parts, epsilon: float, steps: int) -> float:
     The start state is each block's ground state, so p = prod_i |c0_i(1)|**2.
 
     dt/ds is adiabatic_ratio / epsilon, formed from the offset x = s - 1/2 =
-    w sinh(u) with Schedule.difference, as the running time is. The steps
+    w sinh(u) with LinearSchedule.difference, as the running time is. The steps
     are uniform in u and tile [u(0), u(1)] by their own edges. Each is one
     first-order Magnus rotation (Iserles, BIT 42, 561 (2002)), whose
     z = integral of a e^{i Theta} du is a Filon rule in the phase: b =

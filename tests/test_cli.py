@@ -73,11 +73,14 @@ def test_table_n64_single_block_row_is_exact(capsys):
 
 
 def test_unwritable_out_is_config_error(tmp_path, capsys):
-    for out in (tmp_path / "missing" / "x.csv", tmp_path):
+    # reported by the path given, never by the random temp file name; a
+    # directory once got a temp file in its parent and then failed the rename
+    for out, reason in ((tmp_path / "missing" / "x.csv", "No such file or directory"), (tmp_path, "Is a directory")):
         assert run_cli("table", "--n", "6", "--out", str(out)) == 2
         err = capsys.readouterr().err
-        assert err.startswith("adia table: error: ") and err.count("\n") == 1
-    assert list(tmp_path.rglob(".adia-*.tmp")) == []
+        assert err == f"adia table: error: cannot write {out}: {reason}\n"
+        assert ".adia-" not in err
+    assert list(tmp_path.rglob(".adia-*.tmp")) == list(tmp_path.parent.glob(".adia-*.tmp")) == []
 
 
 def test_table_check_passes(capsys):
@@ -371,6 +374,11 @@ _GOLDEN = {
         '{\n  "s": [\n    0.0,\n    0.5,\n    1.0\n  ],\n  "block_gaps": [\n    [\n      1.0\n    ],\n'
         '    [\n      0.5\n    ],\n    [\n      1.0\n    ]\n  ],\n  "global_gap": [\n    1.0,\n    0.5,\n'
         '    1.0\n  ],\n  "omega_min": 0.5,\n  "s_min": 0.5\n}\n'
+    ),
+    # s_min = 1/2 is no sample of two: the minimum is the closed form, not the grid's
+    ("gap", "--n", "2", "--parts", "2", "--grid", "2", "--format", "json"): (
+        '{\n  "s": [\n    0.0,\n    1.0\n  ],\n  "block_gaps": [\n    [\n      1.0\n    ],\n    [\n      1.0\n    ]\n'
+        '  ],\n  "global_gap": [\n    1.0,\n    1.0\n  ],\n  "omega_min": 0.5,\n  "s_min": 0.5\n}\n'
     ),
     ("pauli", "--n", "4", "--parts", "2,2", "--marked", "0110"): (
         "1.5\tIIII\n-0.25\tIIIZ\n0.25\tIIZI\n0.25\tIZII\n-0.25\tZIII\n0.25\tIIZZ\n0.25\tZZII\n"

@@ -9,7 +9,6 @@ from adiasearch.core import (
     MarkedState,
     MonotoneCubic,
     Precision,
-    TabulatedSchedule,
     equal_splitting,
     make_splitting,
 )
@@ -110,30 +109,10 @@ def test_linear_schedule_values():
     sched = LinearSchedule()
     assert (sched.f(0.0), sched.g(0.0)) == (1.0, 0.0)
     assert (sched.f(0.5), sched.g(0.5)) == (0.5, 0.5)
+    assert (sched.f(1.0), sched.g(1.0)) == (0.0, 1.0)
     for s in (0.0, 0.3, 1.0):
         assert sched.df(s) == -1.0
         assert sched.dg(s) == 1.0
-
-
-def test_schedule_boundaries_every_kind():
-    nodes = np.linspace(0.0, 1.0, 9)
-    tab = TabulatedSchedule(nodes, 1.0 - nodes**2, nodes**2)
-    for sched in (LinearSchedule(), tab):
-        assert abs(float(sched.f(0.0)) - 1.0) <= 1e-12
-        assert abs(float(sched.g(0.0))) <= 1e-12
-        assert abs(float(sched.f(1.0))) <= 1e-12
-        assert abs(float(sched.g(1.0)) - 1.0) <= 1e-12
-
-
-def test_tabulated_schedule_derivative_matches_finite_difference():
-    nodes = np.linspace(0.0, 1.0, 33)
-    tab = TabulatedSchedule(nodes, 1.0 - nodes**2, nodes**2)
-    h = 1e-6
-    for s in (0.21, 0.5, 0.83):
-        fd_f = (tab.f(s + h) - tab.f(s - h)) / (2.0 * h)
-        fd_g = (tab.g(s + h) - tab.g(s - h)) / (2.0 * h)
-        assert float(tab.df(s)) == pytest.approx(fd_f, rel=1e-5, abs=1e-7)
-        assert float(tab.dg(s)) == pytest.approx(fd_g, rel=1e-5, abs=1e-7)
 
 
 def test_monotone_cubic_matches_scipy_pchip():
@@ -155,50 +134,6 @@ def test_monotone_cubic_matches_scipy_pchip():
         scale = max(np.max(np.abs(y)), 1.0e-300)
         assert np.max(np.abs(ours(q) - oracle(q))) <= 1e-12 * scale
         assert np.max(np.abs(ours.slope(q) - oracle.derivative()(q))) <= 1e-12 * scale / np.min(np.diff(x))
-
-
-def test_tabulated_schedule_rejects_bad_samples():
-    nodes = np.linspace(0.0, 1.0, 5)
-    with pytest.raises(ValueError):
-        TabulatedSchedule(nodes, [1.0, 0.5, 0.6, 0.2, 0.0], nodes)  # f not monotone
-    with pytest.raises(ValueError):
-        TabulatedSchedule(nodes, 1.0 - nodes, [0.0, 0.3, 0.2, 0.6, 1.0])  # g not monotone
-    with pytest.raises(ValueError):
-        TabulatedSchedule(nodes, 0.9 - 0.9 * nodes, nodes)  # f(0) != 1
-    with pytest.raises(ValueError):
-        TabulatedSchedule([0.0, 0.5, 0.5, 0.7, 1.0], 1.0 - nodes, nodes)  # s not increasing
-    # NaN fails every comparison, so only a finiteness check refuses it
-    with pytest.raises(ValueError, match="s samples must be finite"):
-        TabulatedSchedule([0.0, math.nan, 1.0], [1.0, 0.5, 0.0], [0.0, 0.5, 1.0])
-    with pytest.raises(ValueError, match="f samples must be finite"):
-        TabulatedSchedule(nodes, [1.0, 0.7, math.nan, 0.2, 0.0], nodes)
-    with pytest.raises(ValueError, match="g samples must be finite"):
-        TabulatedSchedule([0.0, 1.0], [1.0, 0.0], [math.nan, 1.0])
-    with pytest.raises(ValueError, match="s samples must be finite"):
-        TabulatedSchedule([0.0, 0.25, 0.5, 0.75, math.inf], 1.0 - nodes, nodes)
-    with pytest.raises(ValueError, match="need at least two schedule samples"):
-        TabulatedSchedule([0.0], [1.0], [0.0])
-    # a column numpy does not hold as integers or floats: once parsed from
-    # strings, read as 0 and 1, or a TypeError
-    for columns, name, kind in (
-        ((["0", "1"], ["1", "0"], ["0", "1"]), "s", "str32"),
-        (([0.0, 1.0], [True, False], [0.0, 1.0]), "f", "bool"),
-        (([0.0, 1.0], [1.0, 0.0], [0.0, 1.0 + 0j]), "g", "complex128"),
-        (([0, 1], [1, 0], [0, 10**30]), "g", "object"),
-    ):
-        message = f"^{name} samples have the wrong type: expected real numbers, got {kind} values$"
-        with pytest.raises(ValueError, match=message):
-            TabulatedSchedule(*columns)
-    assert TabulatedSchedule([0, 1], [1, 0], np.array([0, 1], dtype=np.uint8)).f(0.5) == 0.5
-    # a nested list, None and a bare number are no sample list
-    for s_nodes in ([nodes.tolist()], None, 1.0):
-        with pytest.raises(ValueError, match="need at least two schedule samples"):
-            TabulatedSchedule(s_nodes, 1.0 - nodes, nodes)
-    with pytest.raises(ValueError, match="s, f, g sample arrays must have equal length"):
-        TabulatedSchedule(nodes, 1.0 - nodes, nodes[:-1])
-    for s_nodes in ([0.1, 0.4, 0.6, 0.8, 1.0], [0.0, 0.2, 0.4, 0.6, 0.9]):
-        with pytest.raises(ValueError, match="schedule samples must span s = 0 to s = 1"):
-            TabulatedSchedule(s_nodes, 1.0 - nodes, nodes)
 
 
 def test_precision_validation():

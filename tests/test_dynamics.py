@@ -13,7 +13,6 @@ from adiasearch.core import (
     LinearSchedule,
     MarkedState,
     Precision,
-    TabulatedSchedule,
     equal_splitting,
     make_splitting,
 )
@@ -529,17 +528,6 @@ def test_diagnostics_refuse_a_non_finite_rate():
     assert adiabaticity_lhs(make_splitting(2, [2]), sched, 0.5, 1e308) == math.inf
 
 
-def test_diagnostics_refuse_a_schedule_that_vanishes():
-    # f = g = 0 on [0.4, 0.6]: H(s) is zero there and has no ground state
-    stalled = TabulatedSchedule([0.0, 0.4, 0.6, 1.0], [1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0])
-    schedule_t = pchip_time_schedule([0.0, 1.0, 2.0, 3.0], [0.0, 0.4, 0.6, 1.0], stalled)
-    splitting = make_splitting(3, [1, 2])
-    with pytest.raises(ValueError, match="the operator is zero where f = g = 0; no ground state"):
-        evolve(splitting, MarkedState.zeros(3), schedule_t, Precision())
-    with pytest.raises(ValueError, match="schedule vanishes at s=0.5; the operator is zero there"):
-        adiabaticity_lhs(splitting, stalled, 0.5, 0.1)
-
-
 def test_degenerate_condition_scales_linearly_with_qubits():
     sched = LinearSchedule()
     one = adiabaticity_lhs(equal_splitting(1, 1), sched, 0.4, 0.07) ** 2
@@ -648,8 +636,8 @@ def test_stage_couplings_equal_scalar_schedule_calls():
     # evolve evaluates the schedule for the whole run in chunks of 512 steps;
     # every column must be exactly the (f, g) that scalar evaluations at the
     # integrator's stage times give, so the success probability is unchanged
-    base = TabulatedSchedule([0.0, 0.4, 1.0], [1.0, 0.7, 0.0], [0.0, 0.2, 1.0])
-    schedule_t = pchip_time_schedule([0.0, 1.5, 2.0, 7.0], [0.0, 0.3, 0.6, 1.0], base)
+    schedule_t = pchip_time_schedule([0.0, 1.5, 2.0, 7.0], [0.0, 0.3, 0.6, 1.0])
+    base = schedule_t.base
     t_checks = schedule_t.t_of_s(np.array([0.0, 0.29, 0.29, 0.61, 0.8, 1.0]))
     # the second interval with steps straddles the chunk boundary at column 512
     steps = [0, 300, 0, 400, 1, 9]

@@ -14,7 +14,7 @@ from adiasearch.runtime import optimal_schedule, running_time_integral
 PUBLIC_NAMES = {
     "DENSE_CAP", "EvolutionReport", "GapProfile", "LinearSchedule", "MarkedState",
     "MatrixFreeHamiltonian", "NormDriftError", "PauliTermSum", "Precision", "QuadratureError",
-    "RunTimeResult", "Schedule", "Splitting", "TabulatedSchedule", "TimeSchedule",
+    "RunTimeResult", "Splitting", "TimeSchedule",
     "adiabaticity_lhs", "closed_form_eps_t", "equal_splitting", "evolve", "final_diagonal",
     "final_terms", "gap_profile", "make_splitting", "max_structured_degeneracy",
     "max_structured_eigenvalue", "optimal_schedule", "reproduce_table", "rk4_propagate",

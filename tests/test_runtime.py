@@ -7,9 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
-from adiasearch import runtime
 from adiasearch.cli import format_schedule, round_half_away
 from adiasearch.core import (
     MAX_GRID,
@@ -17,8 +15,6 @@ from adiasearch.core import (
     MarkedState,
     MonotoneCubic,
     Precision,
-    Schedule,
-    TabulatedSchedule,
     equal_splitting,
     make_splitting,
 )
@@ -100,43 +96,29 @@ def test_mixed_splits_match_a_high_precision_oracle():
         assert abs(eps_t - oracle) / oracle <= 1e-12, parts
 
 
-def test_tabulated_schedules_with_f_plus_g_one_give_the_linear_time():
-    # with f = 1 - g, f'g - g'f = -g', so eps*T is the integral of
-    # sqrt(sum_i w_i / omega_i**6) over g from 0 to 1, whatever the path g(s)
-    nodes = np.linspace(0.0, 1.0, 9)
-    g = nodes + 0.2 * np.sin(2.0 * np.pi * nodes) / (2.0 * np.pi)
-    curved = TabulatedSchedule(nodes, 1.0 - g, g)
-    for parts in ([2], [3, 3], [6], [10, 10], [30], [1, 30]):
-        splitting = make_splitting(sum(parts), parts)
-        linear = running_time_integral(splitting).eps_t
-        assert running_time_integral(splitting, curved).eps_t == pytest.approx(linear, rel=1e-12), parts
-    # the running time breaks at the knots, where f'' and g'' jump, as the
-    # tabulation does; the crossing s = 1/2 is a knot of every schedule here.
-    # f - g is taken about that node on both sides of it, so it is exactly 0
-    # there and a 64-qubit peak stays symmetric; taken over the left
-    # interval's width it missed by 1e-17, which put [64] off by up to 1.2e-7
-    splits = [[3, 3], [6], [6, 6], [2, 10], [1] * 16, [1, 2, 9], [12]]
-    for size, profile, cases in (
-        (11, "smoothstep", splits + [[64], [32, 32]]),
-        (101, "cos2", splits + [[1, 63]]),
-        (11, "cos2", [[64]]),
-        (9, "cos2", [[64]]),
-    ):
-        nodes = np.linspace(0.0, 1.0, size)
-        g = 3.0 * nodes**2 - 2.0 * nodes**3 if profile == "smoothstep" else np.sin(0.5 * np.pi * nodes) ** 2
-        schedule = TabulatedSchedule(nodes, 1.0 - g, g)
-        for parts in cases:
-            splitting = make_splitting(sum(parts), parts)
-            linear = running_time_integral(splitting).eps_t
-            eps_t = running_time_integral(splitting, schedule).eps_t
-            assert eps_t == pytest.approx(linear, rel=1e-12), (profile, size, parts)
-    # f - g is expanded about the crossing, so peaks 2^(-n/2) wide are
-    # resolved as for the linear schedule
-    two_node = TabulatedSchedule([0.0, 1.0], [1.0, 0.0], [0.0, 1.0])
-    for n in (50, 56, 60, 64):
-        for schedule in (two_node, curved):
-            eps_t = running_time_integral(make_splitting(n, [n]), schedule).eps_t
-            assert abs(eps_t - closed_form_eps_t(n, 1)) / closed_form_eps_t(n, 1) <= 1e-12, n
+def test_curved_paths_are_the_linear_path_in_rescaled_time():
+    # H = f H_0 + g H_P = lambda H_lin(sigma), lambda = f + g, sigma = g / (f + g):
+    # a curved path's bound-saturating time, weighted by lambda, is the linear
+    # path's. Oracle: scipy quad of (f + g) |f'g - g'f| sqrt(sum_i (N_i - 1)/N_i^2
+    # / omega_i^6), omega_i^2 = (f - g)^2 + 4fg/N_i, broken at the crossing f = g.
+    # Each path gives (f, g, |f'g - g'f|) at s, with its crossing.
+    paths = (
+        (lambda s: (math.cos(0.5 * math.pi * s), math.sin(0.5 * math.pi * s), 0.5 * math.pi), 0.5),
+        (lambda s: (1.0 - s, s * s, s * (2.0 - s)), 0.5 * (math.sqrt(5.0) - 1.0)),
+    )
+    for path, crossing in paths:
+        for parts in ([2], [2, 2], [1, 3], [6, 6], [12]):
+            dims = [2.0**p for p in parts]
+
+            def integrand(s):
+                f, g, drive = path(s)
+                omega_sq = [(f - g) ** 2 + 4.0 * f * g / d for d in dims]
+                return (f + g) * drive * math.sqrt(sum((d - 1.0) / d**2 / w**3 for d, w in zip(dims, omega_sq)))
+
+            halves = ((0.0, crossing), (crossing, 1.0))
+            oracle = sum(quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0] for lo, hi in halves)
+            eps_t = running_time_integral(make_splitting(sum(parts), parts)).eps_t
+            assert eps_t == pytest.approx(oracle, rel=1e-9), (crossing, parts)
 
 
 def test_published_value_examples():
@@ -273,47 +255,6 @@ def test_optimal_schedule_total_is_the_running_time_integral_at_large_blocks():
         assert abs(total - eps_t) / eps_t <= 1e-12
 
 
-class _QuarterCircleSchedule(Schedule):
-    """f = cos(pi s / 2), g = sin(pi s / 2), crossing at s = 1/2. It keeps
-    the base class's difference, f - g at the rounded s_star + x."""
-
-    def f(self, s):
-        return np.cos(0.5 * np.pi * s)
-
-    def g(self, s):
-        return np.sin(0.5 * np.pi * s)
-
-    def df(self, s):
-        return -0.5 * np.pi * np.sin(0.5 * np.pi * s)
-
-    def dg(self, s):
-        return 0.5 * np.pi * np.cos(0.5 * np.pi * s)
-
-
-def test_a_user_schedule_runs_through_the_base_difference():
-    # Oracle: scipy quad of the s-integrand |f'g - g'f| sqrt(sum_i
-    # (N_i - 1)/N_i^2 / omega_i^6), omega_i^2 = (f - g)^2 + 4fg/N_i, with
-    # f'g - g'f = -pi/2, (f - g)^2 = 1 - sin(pi s) and 4fg = 2 sin(pi s)
-    schedule = _QuarterCircleSchedule()
-    assert "difference" not in vars(_QuarterCircleSchedule)
-    precision = Precision(epsilon=0.2)
-    for parts in ([3], [1, 3], [2, 5], [1, 10]):
-        dims = [2.0**p for p in parts]
-
-        def integrand(s):
-            omega_sq = [1.0 - (1.0 - 2.0 / d) * math.sin(math.pi * s) for d in dims]
-            return 0.5 * math.pi * math.sqrt(sum((d - 1.0) / d**2 / w**3 for d, w in zip(dims, omega_sq)))
-
-        halves = ((0.0, 0.5), (0.5, 1.0))
-        expected = sum(quad(integrand, lo, hi, epsabs=0.0, epsrel=1e-13, limit=200)[0] for lo, hi in halves)
-        splitting = make_splitting(sum(parts), parts)
-        eps_t = running_time_integral(splitting, schedule).eps_t
-        # the quadrature's convergence rule: summed estimate <= 10 QUAD_TOL |total|
-        assert eps_t == pytest.approx(expected, rel=10 * runtime.QUAD_TOL), parts
-        total = optimal_schedule(splitting, precision, schedule=schedule).total_time
-        assert total * precision.epsilon == pytest.approx(eps_t, rel=1e-6), parts
-
-
 def _max_relative_error(t_nodes, oracle):
     # t = 0 at s = 0 on both sides
     assert t_nodes[0] == oracle[0] == 0.0
@@ -326,29 +267,6 @@ def test_optimal_schedule_node_times_match_a_per_cell_oracle():
         schedule_t = optimal_schedule(make_splitting(sum(parts), parts), Precision(epsilon=eps))
         oracle = linear_node_eps_t_oracle(parts, schedule_t.s_nodes - 0.5)
         assert _max_relative_error(schedule_t.t_nodes * eps, oracle) <= 1e-11, parts
-
-
-def test_tabulated_schedule_node_times_break_at_its_knots():
-    # f'' and g'' jump at the interior samples; a quadrature piece across
-    # one interpolates the time up to 6e-8 off. With f + g = 1 the time
-    # to s is the linear schedule's time to s = g(s).
-    nine = np.linspace(0.0, 1.0, 9)
-    seven = np.array([0.0, 0.13, 0.29, 0.47, 0.61, 0.83, 1.0])
-    eps = 0.2
-    for nodes, g in (
-        (nine, nine + 0.2 * np.sin(2.0 * np.pi * nine) / (2.0 * np.pi)),
-        (seven, np.array([0.0, 0.08, 0.27, 0.46, 0.63, 0.9, 1.0])),
-    ):
-        schedule = TabulatedSchedule(nodes, 1.0 - g, g)
-        assert schedule.knots == tuple(nodes[1:-1])
-        for parts in ([2], [10, 10], [30], [32, 32], [64]):
-            # 1000 samples: no knot is a grid node
-            schedule_t = optimal_schedule(
-                make_splitting(sum(parts), parts), Precision(epsilon=eps), grid=1000, schedule=schedule
-            )
-            oracle = linear_node_eps_t_oracle(parts, PchipInterpolator(nodes, g)(schedule_t.s_nodes) - 0.5)
-            assert _max_relative_error(schedule_t.t_nodes * eps, oracle) <= 1e-11, (nodes.size, parts)
-    assert LinearSchedule().knots == ()
 
 
 def test_optimal_schedule_integrand_work_is_bounded():
@@ -365,20 +283,6 @@ def test_optimal_schedule_integrand_work_is_bounded():
     assert np.array_equal(schedule_t.t_nodes, optimal_schedule(splitting).t_nodes)
     # 1001 rate samples plus a few dozen 21-point pieces
     assert counting.points <= 2000
-
-
-def test_optimal_schedule_refuses_a_stationary_hamiltonian():
-    # H(s) is constant on [0, .25] and [.75, 1]: the time integral is finite,
-    # but the rate that saturates the bound is unbounded there
-    nodes = [0.0, 0.25, 0.5, 0.75, 1.0]
-    paused = TabulatedSchedule(nodes, [1.0, 1.0, 0.5, 0.0, 0.0], [0.0, 0.0, 0.5, 1.0, 1.0])
-    # f = g = 1/2 on [.4, .6]: the crossing is flat, so there is no peak to resolve
-    flat = TabulatedSchedule([0.0, 0.4, 0.6, 1.0], [1.0, 0.5, 0.5, 0.0], [0.0, 0.5, 0.5, 1.0])
-    splitting = make_splitting(2, [2])
-    for schedule, s_text in ((paused, r"0\.0000"), (flat, r"0\.4000")):
-        assert running_time_integral(splitting, schedule).eps_t == pytest.approx(math.sqrt(3.0), rel=1e-9)
-        with pytest.raises(ValueError, match=f"stationary at s = {s_text}"):
-            optimal_schedule(splitting, schedule=schedule)
 
 
 def test_optimal_schedule_grid_validation():
@@ -554,15 +458,22 @@ def test_time_schedule_refuses_bad_samples():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=message):
                 TimeSchedule(base, total, t_nodes, s_nodes, [0.5] * len(t_nodes))
-    # one rule for every sampled curve of s: the same bad s column reads the
-    # same in a tabulated schedule and in a time schedule
-    for s_nodes in ([0.0, 0.5, 0.5, 1.0], [0.2, 0.4, 0.6, 0.8], [0.0, 0.5, math.nan, 1.0]):
-        with pytest.raises(ValueError) as tabulated:
-            TabulatedSchedule(s_nodes, [1.0, 0.6, 0.4, 0.0], [0.0, 0.4, 0.6, 1.0])
-        with pytest.raises(ValueError) as sampled:
+    for s_nodes, message in (
+        ([0.0, 0.5, 0.5, 1.0], "^schedule samples must have strictly increasing s$"),
+        ([0.2, 0.4, 0.6, 0.8], "^schedule samples must span s = 0 to s = 1$"),
+        ([0.0, 0.5, math.nan, 1.0], "^s samples must be finite$"),
+    ):
+        with pytest.raises(ValueError, match=message):
             TimeSchedule(base, 3.0, [0.0, 1.0, 2.0, 3.0], s_nodes, [1.0] * 4)
-        assert str(tabulated.value) == str(sampled.value)
-    # ends within the boundary tolerance of the tabulated schedules pass
+    # a nested list, None and a bare number are no sample list; an int past
+    # int64 is an object column, not a number
+    for s_nodes in ([[0.0, 1.0]], None, 1.0, [0.0]):
+        with pytest.raises(ValueError, match="^need at least two schedule samples$"):
+            TimeSchedule(base, 2.0, [0.0, 2.0], s_nodes, [0.5, 0.5])
+    with pytest.raises(ValueError, match="^rate samples have the wrong type: expected real numbers, got object values$"):
+        TimeSchedule(base, 2.0, [0.0, 2.0], [0.0, 1.0], [0, 10**30])
+    assert TimeSchedule(base, 2.0, [0, 2], np.array([0, 1], dtype=np.uint8), [0.5, 0.5]).s_of_t(1.0) == 0.5
+    # ends within the boundary tolerance of the sampled-curve rule pass
     assert TimeSchedule(base, 2.0, [0.0, 1.0, 2.0], [1e-13, 0.5, 1.0 - 1e-13], [0.5] * 3).total_time == 2.0
 
 
@@ -632,18 +543,3 @@ def test_tiny_epsilon_whose_total_time_overflows_is_refused():
             optimal_schedule(make_splitting(2, [2]), Precision(epsilon=5e-324))
 
 
-def test_singular_schedule_rejected():
-    nodes = [0.0, 0.25, 0.5, 0.75, 1.0]
-    stalled = TabulatedSchedule(nodes, [1.0, 0.5, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.5, 1.0])
-    # a stall narrower than the probe spacing is caught by the quadrature:
-    # f'g - g'f then vanishes on all of [0, 1]
-    narrow = TabulatedSchedule(
-        [0.0, 0.25, 0.501, 0.502, 0.75, 1.0],
-        [1.0, 0.5, 0.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 0.0, 0.5, 1.0],
-    )
-    for schedule in (stalled, narrow):
-        with pytest.raises(ValueError, match="singular"):
-            running_time_integral(make_splitting(2, [2]), schedule)
-        with pytest.raises(ValueError, match="singular"):
-            optimal_schedule(make_splitting(2, [2]), schedule=schedule)
