@@ -128,12 +128,15 @@ def _write_output(text: str, out_path: str | None):
     """Write atomically (temp file + rename) or to stdout.
 
     A path that cannot be written is reported by that path, not by the temp
-    file's; a directory is refused before any temp file is made.
+    file's; an empty path and a directory are refused before any temp file
+    is made.
     """
     if out_path is None:
         sys.stdout.write(text)
         return
     try:
+        if not out_path:
+            raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
         if os.path.isdir(out_path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         directory = os.path.dirname(os.path.abspath(out_path))

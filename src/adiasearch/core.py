@@ -16,8 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Every sampled curve of s must run from s = 0 to s = 1 this tightly.
-SCHEDULE_BOUNDARY_TOL = 1e-12
 # Largest block the floating-point paths (closed-form gaps, quadratures,
 # spectral probe) accept. 64 is the largest block the running-time checks
 # cover (the m = 1 row of the n = 64 table); a block's gap minimum narrows
@@ -182,44 +180,6 @@ class MarkedState:
         return "".join(str(b) for b in self.bits)
 
 
-def _real_array(values, what: str) -> np.ndarray:
-    """``values`` as a float array; refused unless numpy holds them as integers or floats."""
-    array = np.asarray(values)
-    if array.dtype.kind not in "iuf":  # a bool, complex, string or object column is no sample column
-        raise ValueError(f"{what} samples have the wrong type: expected real numbers, got {array.dtype.name} values")
-    return array.astype(float, copy=False)
-
-
-def _sample_columns(s, **columns) -> dict[str, np.ndarray]:
-    """``s`` and the named columns as float arrays, refused unless they have the shape and type of a sampled curve."""
-    if np.ndim(s) != 1 or np.size(s) < 2:
-        raise ValueError("need at least two schedule samples")
-    arrays = {name: np.asarray(vals) for name, vals in {"s": s, **columns}.items()}
-    if any(vals.shape != arrays["s"].shape for vals in arrays.values()):
-        raise ValueError(f"{', '.join(arrays)} sample arrays must have equal length")
-    return {name: _real_array(vals, name) for name, vals in arrays.items()}
-
-
-def _sampled_curve(s, **columns) -> tuple[np.ndarray, ...]:
-    """``s`` and the named columns as float arrays, refused unless they form a sampled curve.
-
-    The one rule for every sampled curve of s: at least two samples, as many
-    in each column as in s, integer or float values (not parsed from
-    strings, not read from bools), every value finite, and s strictly
-    increasing from 0 to 1 within SCHEDULE_BOUNDARY_TOL.
-    """
-    arrays = _sample_columns(s, **columns)
-    for name, vals in arrays.items():
-        if not np.isfinite(vals).all():
-            raise ValueError(f"{name} samples must be finite")
-    s = arrays["s"]
-    if np.any(np.diff(s) <= 0):
-        raise ValueError("schedule samples must have strictly increasing s")
-    if abs(s[0]) > SCHEDULE_BOUNDARY_TOL or abs(s[-1] - 1.0) > SCHEDULE_BOUNDARY_TOL:
-        raise ValueError("schedule samples must span s = 0 to s = 1")
-    return tuple(arrays.values())
-
-
 def _pchip_slopes(h, m) -> np.ndarray:
     """Node slopes from the node spacings h and chords m, in h's unit."""
     if m.size == 1:
@@ -252,9 +212,10 @@ class MonotoneCubic:
     scipy's PPoly, with ``unit`` the power of two at or below the span of x.
     That division rounds nothing, so no node spacing is too short or too long,
     and values and slopes keep the bits of the cubic in s wherever it is
-    finite. Where the coefficients overflow even so, the cubic is refused. The
-    end cubics extend past the nodes. Values and slopes accept scalars or
-    arrays.
+    finite. Where the coefficients overflow even so, the cubic is refused.
+    Nodes are taken as given, finite with x strictly increasing; nothing
+    else about them is checked. The end cubics extend past the nodes.
+    Values and slopes accept scalars or arrays.
     """
 
     def __init__(self, x, y):

@@ -22,9 +22,6 @@ from .core import (
     Splitting,
     _integer,
     _real,
-    _real_array,
-    _sample_columns,
-    _sampled_curve,
     equal_splitting,
 )
 from .kronrod import QuadratureError, integrate, node_integrals
@@ -137,15 +134,16 @@ def closed_form_eps_t(n: int, num_blocks: int) -> float:
 class TimeSchedule:
     """Monotone time parameterization s(t): a table of (t, s, ds/dt) samples.
 
-    Every rate node is given: by the caller, by :func:`optimal_schedule`
-    (rates from the saturated bound), by :meth:`scaled` or by :meth:`quench`.
-    A positive total time takes samples that obey core's one sampled-curve
-    rule, with t rising strictly from exactly 0 to exactly the total time;
-    it is too short where its steps vanish or its rates overflow. A zero
-    total time takes only the sample (t, s, ds/dt) = (0, 1, 0), the quench.
-    Each direction is a :class:`core.MonotoneCubic` of the float64 columns
-    it stores, which takes steps of any length, refuses a cubic that
-    overflows in its own unit, and reads the quench's one sample as a constant.
+    Built by :func:`optimal_schedule` (rates from the saturated bound), by
+    :meth:`scaled` or by :meth:`quench`, which hold every table to these
+    invariants: t, s and ds/dt are 1-D float64 arrays of one length and the
+    total time a float; t rises strictly from exactly 0 to exactly the total
+    time, s strictly from exactly 0 to exactly 1, and every rate is finite
+    and >= 0. The quench is the one sample (t, s, ds/dt) = (0, 1, 0). A table
+    built by hand is taken as given and not checked again. Each direction is
+    a :class:`core.MonotoneCubic` of the columns, which takes steps of any
+    length, refuses a cubic that overflows in its own unit, and reads the
+    quench's one sample as a constant.
     """
 
     base: LinearSchedule
@@ -155,29 +153,9 @@ class TimeSchedule:
     rate_nodes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "total_time", _real(self.total_time, "total time"))
-        if not (math.isfinite(self.total_time) and self.total_time >= 0.0):
-            raise ValueError(f"total time must be finite and >= 0, got {self.total_time}")
-        if self.total_time == 0.0:
-            columns = ((self.t_nodes, "t"), (self.s_nodes, "s"), (self.rate_nodes, "rate"))
-            t_nodes, s_nodes, rate_nodes = (_real_array(values, name) for values, name in columns)
-            if [v.tolist() for v in (t_nodes, s_nodes, rate_nodes)] != [[0.0], [1.0], [0.0]]:
-                raise ValueError("a zero total time takes only the sample (t, s, ds/dt) = (0, 1, 0)")
-        else:
-            s_nodes, t_nodes, rate_nodes = _sample_columns(self.s_nodes, t=self.t_nodes, rate=self.rate_nodes).values()
-            with np.errstate(over="ignore"):  # a t span past the double range meets the t rule below
-                steps_vanish = np.isfinite(t_nodes).all() and not np.all(np.diff(t_nodes) > 0.0)
-            # a NaN rate, and a t that is not finite, meet the one sampled-curve rule below
-            if steps_vanish or np.isinf(rate_nodes).any():
-                raise ValueError(f"total time {self.total_time!r} is too short: its steps vanish or its rates overflow")
-            _sampled_curve(s_nodes, t=t_nodes, rate=rate_nodes)
-            if t_nodes[0] != 0.0 or t_nodes[-1] != self.total_time:
-                raise ValueError(f"t samples must run from 0 to the total time {self.total_time!r}")
-        for name, values in (("t_nodes", t_nodes), ("s_nodes", s_nodes), ("rate_nodes", rate_nodes)):
-            object.__setattr__(self, name, values)
-        object.__setattr__(self, "_s_of_t", MonotoneCubic(t_nodes, s_nodes))
-        object.__setattr__(self, "_t_of_s", MonotoneCubic(s_nodes, t_nodes))
-        object.__setattr__(self, "_rate_of_s", MonotoneCubic(s_nodes, rate_nodes))
+        object.__setattr__(self, "_s_of_t", MonotoneCubic(self.t_nodes, self.s_nodes))
+        object.__setattr__(self, "_t_of_s", MonotoneCubic(self.s_nodes, self.t_nodes))
+        object.__setattr__(self, "_rate_of_s", MonotoneCubic(self.s_nodes, self.rate_nodes))
 
     @classmethod
     def quench(cls, base: LinearSchedule | None = None) -> "TimeSchedule":
@@ -201,11 +179,17 @@ class TimeSchedule:
             raise ValueError(f"scaled total time must be finite and > 0, got {new_total_time}")
         if self.total_time == 0.0:
             raise ValueError("cannot scale a zero-duration schedule")
-        factor = new_total_time / self.total_time
-        with np.errstate(over="ignore", divide="ignore"):  # the constructor refuses both
-            rate_nodes = self.rate_nodes / factor
+        # the ratio of the totals as a mantissa ratio and a power of two: the
+        # same bits as new / old where that quotient is normal, and no over- or
+        # underflow where it is not, so a scaled schedule scales again
+        (new_m, new_e), (old_m, old_e) = math.frexp(new_total_time), math.frexp(self.total_time)
+        ratio, shift = new_m / old_m, new_e - old_e
+        with np.errstate(over="ignore"):  # refused below
+            rate_nodes = np.ldexp(self.rate_nodes / ratio, -shift)
         # the last node is the new total, which the product can miss by an ulp
-        t_nodes = np.append(self.t_nodes[:-1] * factor, new_total_time)
+        t_nodes = np.append(np.ldexp(self.t_nodes[:-1] * ratio, shift), new_total_time)
+        if not (np.all(np.diff(t_nodes) > 0.0) and np.isfinite(rate_nodes).all()):
+            raise ValueError(f"total time {new_total_time!r} is too short: its steps vanish or its rates overflow")
         return TimeSchedule(self.base, new_total_time, t_nodes, self.s_nodes, rate_nodes)
 
 

@@ -72,15 +72,22 @@ def test_table_n64_single_block_row_is_exact(capsys):
     assert capsys.readouterr().out.split("\n")[1] == "1,64,4294967296.00,1.0000,inf"
 
 
-def test_unwritable_out_is_config_error(tmp_path, capsys):
+def test_unwritable_out_is_config_error(monkeypatch, tmp_path, capsys):
     # reported by the path given, never by the random temp file name; a
-    # directory once got a temp file in its parent and then failed the rename
+    # directory, and the empty path, once got a temp file in the parent of
+    # the path's directory and then failed the rename
     for out, reason in ((tmp_path / "missing" / "x.csv", "No such file or directory"), (tmp_path, "Is a directory")):
         assert run_cli("table", "--n", "6", "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err == f"adia table: error: cannot write {out}: {reason}\n"
         assert ".adia-" not in err
     assert list(tmp_path.rglob(".adia-*.tmp")) == list(tmp_path.parent.glob(".adia-*.tmp")) == []
+    made = []
+    mkstemp = cli.tempfile.mkstemp
+    monkeypatch.setattr(cli.tempfile, "mkstemp", lambda **kwargs: made.append(kwargs) or mkstemp(**kwargs))
+    assert run_cli("table", "--n", "6", "--out", "") == 2
+    assert capsys.readouterr().err == "adia table: error: cannot write : No such file or directory\n"
+    assert made == []
 
 
 def test_table_check_passes(capsys):

@@ -136,6 +136,12 @@ def test_monotone_cubic_matches_scipy_pchip():
         assert np.max(np.abs(ours.slope(q) - oracle.derivative()(q))) <= 1e-12 * scale / np.min(np.diff(x))
 
 
+def test_monotone_cubic_reads_one_node_as_a_constant():
+    # slope 0, wherever it is probed
+    constant = MonotoneCubic([0.3], [5.0])
+    assert constant(np.array([-1.0, 0.3, 7.0])).tolist() == [5.0] * 3 and constant.slope(0.3) == 0.0
+
+
 def test_precision_validation():
     prec = Precision()
     assert prec.epsilon == 0.2

@@ -1,14 +1,15 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from adiasearch.cli import format_schedule, round_half_away
+import adiasearch
+from adiasearch.cli import round_half_away
 from adiasearch.core import (
     MAX_GRID,
     LinearSchedule,
@@ -368,9 +369,6 @@ def test_time_schedule_scaling():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="total time 5e-324 is too short"):
             schedule_t.scaled(5e-324)
-    for bad in (-1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="total time"):
-            TimeSchedule(schedule_t.base, bad, t_nodes, s_nodes, schedule_t.rate_nodes)
     # samples this short build their cubics as any others do
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -392,120 +390,76 @@ def test_time_schedule_scaling():
         quench.scaled(2.0)
 
 
-def test_time_schedule_holds_every_table_to_one_rule():
-    # the constructor once took the first three tables, and evolve ran them
-    # to a success probability without complaint
-    base = LinearSchedule()
-    t, s, rate = np.linspace(0.0, 50.0, 11), np.linspace(0.0, 1.0, 11), np.full(11, 0.02)
-    cases = [
-        ((50.0, t, s[::-1], rate), "strictly increasing s"),
-        ((50.0, t, np.linspace(0.2, 0.4, 11), rate), "span s = 0 to s = 1"),
-        ((50.0, t / 50.0, s, rate), "t samples must run from 0 to the total time 50.0"),
-        ((50.0, t, s[:10], rate), "s, t, rate sample arrays must have equal length"),
-        ((50.0, np.linspace(1.0, 50.0, 11), s, rate), "t samples must run from 0"),
-        ((50.0, t[None, :], s[None, :], rate[None, :]), "need at least two schedule samples"),
-        ((0.0, np.zeros(2), np.ones(2), np.zeros(2)), "a zero total time takes only the sample"),
-        ((0.0, np.zeros(1), np.zeros(1), np.zeros(1)), "a zero total time takes only the sample"),
-        # once a TypeError from isfinite, and a bool total was taken as 1
-        (("5", [0.0, 1.0], [0.0, 1.0], [1.0, 1.0]), "total time has the wrong type: expected a real number, got '5'"),
-        ((True, [0.0, 1.0], [0.0, 1.0], [1.0, 1.0]), "total time has the wrong type: expected a real number, got True"),
-        # a t span past the double range once leaked numpy's overflow warning
-        ((1e308, [-1e308, 1e308], [0.0, 1.0], [1.0, 1.0]), "t samples must run from 0 to the total time 1e\\+308"),
-        # once numpy's RuntimeWarning from inf - inf, and twice "too short"
-        ((1.0, [0.0, math.inf, math.inf], [0.0, 0.5, 1.0], [1.0, 1.0, 1.0]), "t samples must be finite"),
-        ((1.0, [0.0, math.nan, 1.0], [0.0, 0.5, 1.0], [1.0, 1.0, 1.0]), "t samples must be finite"),
-        ((1.0, [0.0, 0.5, 1.0], [0.0, 0.5, 1.0], [1.0, math.nan, 1.0]), "rate samples must be finite"),
-        # once numpy's UFuncTypeError from the steps of a string column
-        ((1.0, ["0", "0.5", "1"], [0.0, 0.5, 1.0], [1.0, 1.0, 1.0]), "t samples have the wrong type: expected real"),
-        # once numpy's "diff requires input that is at least one dimensional"
-        ((1.0, 1.0, [0.0, 1.0], [1.0, 1.0]), "s, t, rate sample arrays must have equal length"),
-        ((1.0, [[0.0, 1.0]], [0.0, 1.0], [1.0, 1.0]), "s, t, rate sample arrays must have equal length"),
-        ((1.0, [[1.0, 0.0]], [0.0, 1.0], [1.0, 1.0]), "s, t, rate sample arrays must have equal length"),
-    ]
-    for (total, t_nodes, s_nodes, rate_nodes), message in cases:
-        with pytest.raises(ValueError, match=message):
-            TimeSchedule(base, total, t_nodes, s_nodes, rate_nodes)
-    assert TimeSchedule(base, 50.0, t, s, rate).s_of_t(25.0) == pytest.approx(0.5, rel=1e-15)
-    # an int or numpy total is stored as a float
-    for total in (50, np.float32(50.0)):
-        assert type(TimeSchedule(base, total, t, s, rate).total_time) is float
-    # one node reads as a constant with slope 0, wherever it is probed
-    constant = MonotoneCubic([0.3], [5.0])
-    assert constant(np.array([-1.0, 0.3, 7.0])).tolist() == [5.0] * 3 and constant.slope(0.3) == 0.0
+def _assert_schedule_invariants(schedule_t):
+    columns = (schedule_t.t_nodes, schedule_t.s_nodes, schedule_t.rate_nodes)
+    for column in columns:
+        assert type(column) is np.ndarray and column.dtype == np.float64 and column.shape == columns[0].shape
+    assert type(schedule_t.total_time) is float
+    t, s, rate = columns
+    if schedule_t.total_time == 0.0:
+        assert [c.tolist() for c in columns] == [[0.0], [1.0], [0.0]]
+        return
+    assert t[0] == 0.0 and t[-1] == schedule_t.total_time and np.all(np.diff(t) > 0.0)
+    assert s[0] == 0.0 and s[-1] == 1.0 and np.all(np.diff(s) > 0.0)
+    assert np.all(np.isfinite(rate)) and np.all(rate >= 0.0)
 
 
-def test_time_schedule_refuses_bad_samples():
-    # a NaN s once ran to p = 0.25 with a NaN diagnostic, and s from 0.2 to
-    # 0.8 ran H over part of the path under checkpoints labelled 0 to 1
-    base = LinearSchedule()
-    cases = [
-        ((2.0, [0.0, math.nan, 2.0], [0.0, 0.5, 1.0]), "t samples must be finite"),
-        ((2.0, [0.0, 1.0, math.inf], [0.0, 0.5, 1.0]), "t samples must be finite"),
-        ((2.0, [0.0, 1.0, 2.0], [0.0, math.nan, 1.0]), "s samples must be finite"),
-        ((2.0, [0.0, 1.0, 2.0], [0.0, -math.inf, 1.0]), "s samples must be finite"),
-        ((2.0, [0.0, 1.0, 2.0], [0.2, 0.5, 0.8]), "span s = 0 to s = 1"),
-        ((2.0, [0.0, 1.0, 2.0], [0.0, 0.5, 0.9]), "span s = 0 to s = 1"),
-        ((2.0, [0.0, 1.0, 2.0], [-1e-9, 0.5, 1.0]), "span s = 0 to s = 1"),
-        ((2.0, [0.0, 1.0, 2.0], [0.0, 0.5]), "s, t, rate sample arrays must have equal length"),
-        ((1.0, [0.0, 1.0, 1.0], [0.0, 0.5, 1.0]), "total time 1.0 is too short: its steps vanish"),
-        # once parsed as numbers, read as 0 and 1, and a TypeError
-        ((2.0, [0.0, 2.0], ["0", "1"]), "s samples have the wrong type: expected real numbers, got str32 values"),
-        ((2.0, [0.0, 2.0], [False, True]), "s samples have the wrong type: expected real numbers, got bool values"),
-        ((2.0, [0.0, 2.0 + 0j], [0.0, 1.0]), "t samples have the wrong type: expected real numbers, got complex128 values"),
-    ]
-    for (total, t_nodes, s_nodes), message in cases:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=message):
-                TimeSchedule(base, total, t_nodes, s_nodes, [0.5] * len(t_nodes))
-    for s_nodes, message in (
-        ([0.0, 0.5, 0.5, 1.0], "^schedule samples must have strictly increasing s$"),
-        ([0.2, 0.4, 0.6, 0.8], "^schedule samples must span s = 0 to s = 1$"),
-        ([0.0, 0.5, math.nan, 1.0], "^s samples must be finite$"),
-    ):
-        with pytest.raises(ValueError, match=message):
-            TimeSchedule(base, 3.0, [0.0, 1.0, 2.0, 3.0], s_nodes, [1.0] * 4)
-    # a nested list, None and a bare number are no sample list; an int past
-    # int64 is an object column, not a number
-    for s_nodes in ([[0.0, 1.0]], None, 1.0, [0.0]):
-        with pytest.raises(ValueError, match="^need at least two schedule samples$"):
-            TimeSchedule(base, 2.0, [0.0, 2.0], s_nodes, [0.5, 0.5])
-    with pytest.raises(ValueError, match="^rate samples have the wrong type: expected real numbers, got object values$"):
-        TimeSchedule(base, 2.0, [0.0, 2.0], [0.0, 1.0], [0, 10**30])
-    assert TimeSchedule(base, 2.0, [0, 2], np.array([0, 1], dtype=np.uint8), [0.5, 0.5]).s_of_t(1.0) == 0.5
-    # ends within the boundary tolerance of the sampled-curve rule pass
-    assert TimeSchedule(base, 2.0, [0.0, 1.0, 2.0], [1e-13, 0.5, 1.0 - 1e-13], [0.5] * 3).total_time == 2.0
+def test_every_schedule_the_library_builds_holds_the_table_invariants():
+    # the constructor takes its table as given: these invariants hold because
+    # optimal_schedule, scaled and quench build every table that way
+    splits = ([1], [2], [1, 1], [3, 3], [12], [2, 10], [1, 63], [64], [32, 32], [1] * 64)
+    built = [TimeSchedule.quench()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for parts in splits:
+            for eps in (0.2, 1e-3, 1e-150):
+                for grid in (100, 1001, 4097):
+                    schedule_t = optimal_schedule(make_splitting(sum(parts), parts), Precision(epsilon=eps), grid)
+                    built.append(schedule_t)
+                    for total in (1e-300, 1.0, 1e150, 3.0 * schedule_t.total_time):
+                        try:
+                            built.append(schedule_t.scaled(total))
+                        except ValueError as refusal:
+                            assert "is too short" in str(refusal), (parts, eps, grid, total)
+    assert len(built) >= 400
+    for schedule_t in built:
+        _assert_schedule_invariants(schedule_t)
 
 
-@st.composite
-def _float32_tables(draw):
-    """A valid (t, s, ds/dt) table of float64 columns whose every value a float32 holds:
-    integer t steps and rates, s in steps of 1/1024."""
-    size = draw(st.integers(2, 12))
-    t_steps = draw(st.lists(st.integers(1, 1000), min_size=size - 1, max_size=size - 1))
-    interior = draw(st.lists(st.integers(1, 1023), min_size=size - 2, max_size=size - 2, unique=True))
-    rates = draw(st.lists(st.integers(1, 1000), min_size=size, max_size=size))
-    return np.cumsum([0.0, *t_steps]), np.array([0, *sorted(interior), 1024]) / 1024.0, np.array(rates, dtype=float)
+def test_a_scaled_schedule_scales_again_past_the_ratio_of_its_totals():
+    # new / old once underflowed to 0 or overflowed to inf: 0 * inf raised
+    # numpy's RuntimeWarning, and 1e300 -> 1e-300 was refused as too short
+    schedule_t = optimal_schedule(make_splitting(2, [2]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for first, second in ((1e-300, 1e10), (1e300, 1e-300)):
+            direct, chained = schedule_t.scaled(second), schedule_t.scaled(first).scaled(second)
+            _assert_schedule_invariants(chained)
+            assert chained.total_time == second
+            np.testing.assert_allclose(chained.t_nodes, direct.t_nodes, rtol=1e-15, atol=0.0)
+            np.testing.assert_allclose(chained.rate_nodes, direct.rate_nodes, rtol=1e-15, atol=0.0)
 
 
-@settings(max_examples=50, derandomize=True, deadline=None, database=None)
-@given(_float32_tables())
-def test_time_schedule_stores_float64_columns_whatever_their_input_type(table):
-    # a table built from lists once kept its lists: scaled raised TypeError and
-    # format_schedule AttributeError, and int columns were written as ints
-    base = LinearSchedule()
-    total = float(table[0][-1])
+def test_only_the_library_builders_construct_a_time_schedule():
+    # TimeSchedule takes its table as given, so a new builder of one has to
+    # hold its tables to the invariants above and join this list
+    builders = {("runtime", "optimal_schedule"), ("runtime", "TimeSchedule.scaled"), ("runtime", "TimeSchedule.quench")}
+    found = set()
 
-    def artifacts(columns):
-        schedule_t = TimeSchedule(base, total, *columns)
-        for column in (schedule_t.t_nodes, schedule_t.s_nodes, schedule_t.rate_nodes):
-            assert type(column) is np.ndarray and column.dtype == np.float64
-        return [format_schedule(x, fmt) for x in (schedule_t, schedule_t.scaled(2.0 * total)) for fmt in ("csv", "json")]
+    def visit(module, node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(module, child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Call):
+                name = getattr(child.func, "id", getattr(child.func, "attr", None))
+                if name == "TimeSchedule" or (name == "cls" and scope[:1] == ("TimeSchedule",)):
+                    found.add((module, ".".join(scope)))
+            visit(module, child, scope)
 
-    expected = artifacts(table)
-    integral = [c.astype(np.int64) if np.all(c == np.round(c)) else c for c in table]
-    for columns in ([c.tolist() for c in table], integral, [c.astype(np.float32) for c in table]):
-        assert artifacts(columns) == expected
+    for path in sorted(Path(adiasearch.__file__).parent.glob("*.py")):
+        visit(path.stem, ast.parse(path.read_text()), ())
+    assert found == builders
 
 
 def test_time_steps_of_any_length_suit_the_cubic_of_s_of_t():
