@@ -24,7 +24,6 @@ from .dynamics import (
 from .hamiltonian import (
     DENSE_CAP,
     MatrixFreeHamiltonian,
-    PauliTermSum,
     final_diagonal,
     final_terms,
 )

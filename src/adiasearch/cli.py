@@ -20,6 +20,7 @@ import errno
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -108,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _splitting_from_args(args) -> Splitting:
     if args.parts is not None:
         try:
-            parts = [int(p) for p in args.parts.split(",") if p != ""]
+            parts = [int(p) for p in args.parts.split(",")]
         except ValueError:
             raise ValueError(f"--parts must be comma-separated integers, got {args.parts!r}")
         return make_splitting(args.n, parts)
@@ -128,8 +129,11 @@ def _write_output(text: str, out_path: str | None):
     """Write atomically (temp file + rename) or to stdout.
 
     A path that cannot be written is reported by that path, not by the temp
-    file's; an empty path and a directory are refused before any temp file
-    is made.
+    file's; an empty path, a directory and any other existing path that is
+    not a regular file (a FIFO, a socket, a device) are refused before any
+    temp file is made. The file gets the mode open(path, "w") would leave,
+    not mkstemp's 0o600: a replaced file keeps its mode, and a new one gets
+    0o666 less the umask.
     """
     if out_path is None:
         sys.stdout.write(text)
@@ -139,10 +143,19 @@ def _write_output(text: str, out_path: str | None):
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
         if os.path.isdir(out_path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        if os.path.exists(out_path):
+            if not os.path.isfile(out_path):
+                raise OSError(errno.EINVAL, "not a regular file")
+            mode = stat.S_IMODE(os.stat(out_path).st_mode)
+        else:
+            umask = os.umask(0)  # the umask is read only by setting it
+            os.umask(umask)
+            mode = 0o666 & ~umask
         directory = os.path.dirname(os.path.abspath(out_path))
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".adia-", suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
+                os.fchmod(handle.fileno(), mode)
                 handle.write(text)
             os.replace(tmp_path, out_path)
         except BaseException:
@@ -221,7 +234,7 @@ def format_evolution(report, fmt: str) -> str:
 
 def format_pauli(terms) -> str:
     """One term per line: coefficient, a tab, then the word."""
-    return "\n".join(f"{coeff:.17g}\t{word}" for coeff, word in terms.terms) + "\n"
+    return "\n".join(f"{coeff:.17g}\t{word}" for coeff, word in terms) + "\n"
 
 
 def _check_table(n: int, results) -> list[str]:

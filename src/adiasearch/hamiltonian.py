@@ -1,15 +1,14 @@
 """The search Hamiltonian as its blocks define it, at desk scale.
 
-The problem operator's expansion over tensor-product words of single-qubit
-factors (identity / bit flip X / phase Z), built block by block without a
-dense matrix, the problem diagonal, and a matrix-free applier, which
-``evolve`` runs on one block's vector per block size.
+The problem operator's expansion over tensor-product words of identity and
+phase (Z) factors, generated from its closed form in (weight, word) order
+without a dense matrix or a sort, the problem diagonal, and a matrix-free
+applier, which ``evolve`` runs on one block's vector per block size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import combinations
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -24,46 +23,8 @@ EXPANSION_BLOCK_CAP = 20
 # EXPANSION_BLOCK_CAP, 2^20 words of 20 letters.
 EXPANSION_LETTER_BUDGET = EXPANSION_BLOCK_CAP << EXPANSION_BLOCK_CAP
 
-_WORD_LETTERS = frozenset("IXZ")
-
-
-def _word_weight(word: str) -> int:
-    return sum(1 for c in word if c != "I")
-
-
-@dataclass(frozen=True)
-class PauliTermSum:
-    """Weighted sum of length-n words over the single-qubit factors I, X, Z.
-
-    Qubit 1 is the leftmost letter of a word. Coefficients are real, every
-    factor is symmetric, so the represented operator is real symmetric.
-    Words are unique and stored sorted by (weight, word).
-    """
-
-    n: int
-    terms: tuple[tuple[float, str], ...]
-
-    def __post_init__(self):
-        seen = set()
-        for coeff, word in self.terms:
-            if len(word) != self.n or set(word) - _WORD_LETTERS:
-                raise ValueError(f"bad word {word!r} for n={self.n}")
-            if word in seen:
-                raise ValueError(f"duplicate word {word!r}")
-            seen.add(word)
-        ordered = tuple(sorted(self.terms, key=lambda t: (_word_weight(t[1]), t[1])))
-        object.__setattr__(self, "terms", ordered)
-
-    @property
-    def max_weight(self) -> int:
-        """Largest number of non-identity letters in any word."""
-        return max((_word_weight(w) for _, w in self.terms), default=0)
-
-    def coefficient(self, word: str) -> float:
-        for coeff, w in self.terms:
-            if w == word:
-                return coeff
-        return 0.0
+# a block's Z mask, written in binary, to its letters
+_LETTERS = str.maketrans("01", "IZ")
 
 
 def _check_dense_cap(n: int):
@@ -98,31 +59,39 @@ def check_expansion_budget(splitting: Splitting):
         )
 
 
-def final_terms(splitting: Splitting, marked: MarkedState) -> PauliTermSum:
-    """Word expansion of the problem Hamiltonian, without the dense matrix.
+def final_terms(splitting: Splitting, marked: MarkedState) -> Iterator[tuple[float, str]]:
+    """Word expansion of the problem Hamiltonian, as (coefficient, word) pairs.
 
-    The budget of :func:`check_expansion_budget` is checked before expanding.
+    Block i's term, identity minus the projector onto its target t_i, is
+    (1 - 2^-n_i) I - 2^-n_i sum over non-empty Z masks z of (-1)^popcount(z & t_i) Z_z.
+    So no word spans two blocks, the heaviest word is the largest block, and
+    no coefficient is zero. The words come unique and sorted by (weight,
+    word), I before Z: the identity, then for each weight the blocks from
+    last to first, each block's masks in ascending value (the leftmost
+    qubit is the top bit). The budget of :func:`check_expansion_budget` and
+    the marked state's length are checked at the call; words are made as
+    they are iterated.
     """
     check_expansion_budget(splitting)
-    marked.block_values(splitting)  # refuses a marked state of the wrong length
     n = splitting.n
-    identity_coeff = 0.0
-    terms = []
-    offset = 0
-    for size in splitting.parts:
-        positions = range(offset, offset + size)
-        scale = 1.0 / (1 << size)
-        identity_coeff += 1.0 - scale
-        for r in range(1, size + 1):
-            for subset in combinations(positions, r):
-                sign = 1.0 if sum(marked.bits[p] for p in subset) % 2 == 0 else -1.0
-                letters = ["I"] * n
-                for p in subset:
-                    letters[p] = "Z"
-                terms.append((-sign * scale, "".join(letters)))
-        offset += size
-    # every coefficient is +-2^-size and the identity's is at least 1/2, so none is zero
-    return PauliTermSum(n, ((identity_coeff, "I" * n), *terms))
+    blocks = list(zip(splitting.parts, splitting.block_fields(), marked.block_values(splitting)))
+
+    def terms():
+        # every 1 - 2^-n_i and every partial sum is a double exactly
+        yield sum(1.0 - 1.0 / (1 << size) for size in splitting.parts), "I" * n
+        for weight in range(1, max(splitting.parts) + 1):
+            for size, (shift, _), target in reversed(blocks):
+                scale, left, right = 1.0 / (1 << size), "I" * (n - shift - size), "I" * shift
+                mask = (1 << weight) - 1
+                while mask >> size == 0:
+                    coeff = scale if (mask & target).bit_count() & 1 else -scale
+                    yield coeff, left + format(mask, f"0{size}b").translate(_LETTERS) + right
+                    # the next larger mask with as many bits set (Gosper's hack)
+                    low = mask & -mask
+                    high = mask + low
+                    mask = high | ((high ^ mask) >> 2) // low
+
+    return terms()
 
 
 class MatrixFreeHamiltonian:

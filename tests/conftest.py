@@ -18,6 +18,11 @@ def compositions(n):
             yield [first] + rest
 
 
+def max_word_weight(terms):
+    """Largest count of non-identity letters over the words of (coefficient, word) pairs."""
+    return max(sum(letter != "I" for letter in word) for _, word in terms)
+
+
 def predicted_success(parts, eps):
     """First-order adiabatic estimate of the success probability reached by
     the bound-saturating schedule for f = 1 - s, g = s.

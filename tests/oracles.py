@@ -1,12 +1,13 @@
 """Dense reference implementations that the tests compare the package against.
 
-The package holds H(s) only in its block structure: closed forms, the word
-expansion ``final_terms`` and the per-block applier. The oracles here build
-the full 2^n operators instead, expand a dense operator word by word, rebuild
-a dense matrix from words, and contract a dense state against the product
-ground state. ``two_level_success`` solves each block in its own two-level
-adiabatic frame, on the exact rate of the linear schedule, with no state
-vector and no time table.
+The package holds H(s) only in its block structure: closed forms, the
+closed-form word expansion ``final_terms`` and the per-block applier. The
+oracles here build the full 2^n operators instead, expand a dense operator
+word by word by Walsh transforms into a plain tuple of (coefficient, word)
+pairs, rebuild a dense matrix from such pairs, and contract a dense state
+against the product ground state. ``two_level_success`` solves each block
+in its own two-level adiabatic frame, on the exact rate of the linear
+schedule, with no state vector and no time table.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from adiasearch.core import LinearSchedule, MarkedState, Splitting
 from adiasearch.dynamics import _ground_amplitude, _ground_amplitudes
-from adiasearch.hamiltonian import PauliTermSum, _check_dense_cap
+from adiasearch.hamiltonian import _check_dense_cap
 from adiasearch.spectral import adiabatic_ratio
 
 # Word-by-word dense expansion costs O(6^n); refuse above this qubit count.
@@ -66,14 +67,14 @@ def _word_masks(n: int, word: str) -> tuple[int, int]:
     return x_mask, z_mask
 
 
-def to_dense(terms: PauliTermSum) -> np.ndarray:
-    """Rebuild the dense matrix of a word sum (bounded by the dense cap)."""
-    _check_dense_cap(terms.n)
-    dim = 1 << terms.n
+def to_dense(terms, n: int) -> np.ndarray:
+    """Rebuild the dense matrix of (coefficient, word) pairs over n qubits (bounded by the dense cap)."""
+    _check_dense_cap(n)
+    dim = 1 << n
     idx = np.arange(dim)
     out = np.zeros((dim, dim))
-    for coeff, word in terms.terms:
-        x_mask, z_mask = _word_masks(terms.n, word)
+    for coeff, word in terms:
+        x_mask, z_mask = _word_masks(n, word)
         signs = 1.0 - 2.0 * _parity(idx, z_mask)
         out[np.bitwise_xor(idx, x_mask), idx] += coeff * signs
     return out
@@ -105,8 +106,11 @@ def _walsh_transform(vec: np.ndarray) -> np.ndarray:
     return out.reshape(-1)
 
 
-def pauli_expansion(op: np.ndarray) -> PauliTermSum:
+def pauli_expansion(op: np.ndarray) -> tuple[tuple[float, str], ...]:
     """Expand a real symmetric operator over I/X/Z tensor-product words.
+
+    Returns (coefficient, word) pairs, qubit 1 the leftmost letter, one per
+    word whose coefficient is not pruned, in the order the transform finds them.
 
     Exact for everything the builders produce (projector sums, diagonal
     clause counters, and their interpolations). Inputs with components
@@ -148,7 +152,7 @@ def pauli_expansion(op: np.ndarray) -> PauliTermSum:
         raise ValueError(
             "unsupported operator: contains factors outside the identity/flip/phase family"
         )
-    return PauliTermSum(n, tuple(terms))
+    return tuple(terms)
 
 
 def instantaneous_ground_overlap(

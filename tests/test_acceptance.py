@@ -23,7 +23,7 @@ from adiasearch.runtime import (
 )
 from adiasearch.spectral import max_structured_degeneracy, max_structured_eigenvalue
 
-from conftest import compositions, distinct_levels, predicted_success
+from conftest import compositions, distinct_levels, max_word_weight, predicted_success
 from oracles import build_initial
 
 TABLE_6 = [
@@ -236,11 +236,10 @@ def test_criterion_7_expansion_locality():
             left -= p
         splitting = make_splitting(n, parts)
         marked = MarkedState(tuple(int(b) for b in rng.integers(0, 2, n)))
-        terms = final_terms(splitting, marked)
-        if terms.max_weight != max(parts):
-            failures.append(f"case {case}: weight {terms.max_weight} != {max(parts)} for {parts}")
-    terms = final_terms(make_splitting(6, [6]), MarkedState.zeros(6))
-    coeff = terms.coefficient("Z" * 6)
+        weight = max_word_weight(final_terms(splitting, marked))
+        if weight != max(parts):
+            failures.append(f"case {case}: weight {weight} != {max(parts)} for {parts}")
+    coeff = dict((w, c) for c, w in final_terms(make_splitting(6, [6]), MarkedState.zeros(6)))["Z" * 6]
     if coeff != -(2.0**-6):
         failures.append(f"full-weight word coefficient {coeff} != -2^-6")
     _report("7 expansion locality", failures, "20 randomized cases")

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 from dataclasses import replace
@@ -75,19 +76,45 @@ def test_table_n64_single_block_row_is_exact(capsys):
 def test_unwritable_out_is_config_error(monkeypatch, tmp_path, capsys):
     # reported by the path given, never by the random temp file name; a
     # directory, and the empty path, once got a temp file in the parent of
-    # the path's directory and then failed the rename
-    for out, reason in ((tmp_path / "missing" / "x.csv", "No such file or directory"), (tmp_path, "Is a directory")):
+    # the path's directory and then failed the rename; a FIFO (or a device
+    # node) was once replaced by the renamed temp file, and the run exited 0
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    made = []
+    mkstemp = cli.tempfile.mkstemp
+    monkeypatch.setattr(cli.tempfile, "mkstemp", lambda **kwargs: made.append(kwargs) or mkstemp(**kwargs))
+    for out, reason in (
+        (tmp_path / "missing" / "x.csv", "No such file or directory"),
+        (tmp_path, "Is a directory"),
+        (pipe, "not a regular file"),
+    ):
         assert run_cli("table", "--n", "6", "--out", str(out)) == 2
         err = capsys.readouterr().err
         assert err == f"adia table: error: cannot write {out}: {reason}\n"
         assert ".adia-" not in err
     assert list(tmp_path.rglob(".adia-*.tmp")) == list(tmp_path.parent.glob(".adia-*.tmp")) == []
-    made = []
-    mkstemp = cli.tempfile.mkstemp
-    monkeypatch.setattr(cli.tempfile, "mkstemp", lambda **kwargs: made.append(kwargs) or mkstemp(**kwargs))
+    assert stat.S_ISFIFO(os.lstat(pipe).st_mode)
     assert run_cli("table", "--n", "6", "--out", "") == 2
     assert capsys.readouterr().err == "adia table: error: cannot write : No such file or directory\n"
-    assert made == []
+    # only the missing directory got as far as asking for a temp file
+    assert [kwargs["dir"] for kwargs in made] == [str(tmp_path / "missing")]
+
+
+def test_out_file_gets_the_mode_of_a_plain_open(tmp_path):
+    # a new file gets 0o666 less the umask, not mkstemp's 0o600, and a
+    # replaced file keeps its own mode, as open(path, "w") leaves them
+    for umask, mode in ((0o022, 0o644), (0o027, 0o640), (0o077, 0o600)):
+        out = tmp_path / f"table-{umask:o}.csv"
+        previous = os.umask(umask)
+        try:
+            assert run_cli("table", "--n", "6", "--out", str(out)) == 0
+            assert stat.S_IMODE(os.stat(out).st_mode) == mode
+            for kept in (0o600, 0o664):
+                out.chmod(kept)
+                assert run_cli("table", "--n", "6", "--out", str(out)) == 0
+                assert stat.S_IMODE(os.stat(out).st_mode) == kept
+        finally:
+            os.umask(previous)
 
 
 def test_table_check_passes(capsys):
@@ -451,6 +478,15 @@ def test_evolve_report_serialization():
     lines = csv_text.strip().split("\n")
     assert lines[0] == "t,s,overlap,lhs,norm"
     assert len(lines) == 102
+
+
+@pytest.mark.parametrize("parts", ["1,,2", ",3", "3,", ",", ""])
+def test_parts_with_an_empty_item_is_config_error(parts, capsys):
+    # empty items were once dropped, so "1,,2" ran as the split 1,2
+    for command in ("gap", "schedule", "evolve", "pauli"):
+        assert run_cli(command, "--n", "3", "--parts", parts) == 2
+        err = capsys.readouterr().err
+        assert err == f"adia {command}: error: --parts must be comma-separated integers, got {parts!r}\n"
 
 
 def test_parts_and_m_are_exclusive():

@@ -7,14 +7,13 @@ from adiasearch.core import LinearSchedule, MarkedState, make_splitting
 from adiasearch.hamiltonian import (
     EXPANSION_LETTER_BUDGET,
     MatrixFreeHamiltonian,
-    PauliTermSum,
     check_expansion_budget,
     final_diagonal,
     final_terms,
 )
 from adiasearch.spectral import subsystem_gap
 
-from conftest import random_splitting
+from conftest import compositions, max_word_weight, random_splitting
 from oracles import EXPANSION_CAP, build_initial, pauli_expansion, to_dense
 
 
@@ -37,7 +36,7 @@ def _violations_oracle(n, parts, marked_bits, index):
 def test_initial_single_qubit():
     dense = build_initial(make_splitting(1, [1]))
     np.testing.assert_allclose(dense, [[0.5, -0.5], [-0.5, 0.5]], atol=1e-15)
-    assert dict((w, c) for c, w in pauli_expansion(dense).terms) == {"I": 0.5, "X": -0.5}
+    assert dict((w, c) for c, w in pauli_expansion(dense)) == {"I": 0.5, "X": -0.5}
 
 
 def test_initial_two_qubit_unstructured():
@@ -54,8 +53,8 @@ def test_initial_maximal_spectrum_counts_excited_qubits():
     values = eigh(dense, eigvals_only=True)
     np.testing.assert_allclose(values, [0, 1, 1, 1, 2, 2, 2, 3], atol=1e-12)
     terms = pauli_expansion(dense)
-    assert terms.max_weight == 1
-    assert terms.coefficient("III") == pytest.approx(1.5)
+    assert max_word_weight(terms) == 1
+    assert dict((w, c) for c, w in terms)["III"] == pytest.approx(1.5)
 
 
 def test_initial_ground_state_is_uniform():
@@ -78,14 +77,14 @@ def test_mixing_operator_locality_on_every_splitting():
         n = int(rng.integers(1, 9))
         splitting = make_splitting(n, random_splitting(rng, n))
         terms = pauli_expansion(build_initial(splitting))
-        assert all(set(word) <= {"I", "X"} for _, word in terms.terms), splitting.parts
-        assert terms.max_weight == max(splitting.parts), splitting.parts
+        assert all(set(word) <= {"I", "X"} for _, word in terms), splitting.parts
+        assert max_word_weight(terms) == max(splitting.parts), splitting.parts
     # the maximal split: exactly n/2 * I - 1/2 * sum_q X_q
     for n in range(1, 9):
         terms = pauli_expansion(build_initial(make_splitting(n, [1] * n)))
         expected = {"I" * n: 0.5 * n}
         expected.update(("I" * q + "X" + "I" * (n - 1 - q), -0.5) for q in range(n))
-        assert dict((w, c) for c, w in terms.terms) == expected
+        assert dict((w, c) for c, w in terms) == expected
 
 
 def test_final_diagonal_examples():
@@ -144,7 +143,7 @@ def test_combine_boundaries_and_gap():
 def test_expansion_one_qubit_projector():
     op = np.diag([1.0, 0.0])  # penalty for the one-qubit state |1>
     terms = pauli_expansion(op)
-    assert dict((w, c) for c, w in terms.terms) == {"I": 0.5, "Z": 0.5}
+    assert dict((w, c) for c, w in terms) == {"I": 0.5, "Z": 0.5}
 
 
 def test_expansion_two_qubit_oracle():
@@ -152,26 +151,26 @@ def test_expansion_two_qubit_oracle():
     expanded = pauli_expansion(np.diag(final_diagonal(splitting, marked)))
     builder_terms = final_terms(splitting, marked)
     expected = {"II": 0.75, "IZ": -0.25, "ZI": -0.25, "ZZ": -0.25}
-    assert dict((w, c) for c, w in expanded.terms) == pytest.approx(expected)
-    assert dict((w, c) for c, w in builder_terms.terms) == pytest.approx(expected)
+    assert dict((w, c) for c, w in expanded) == pytest.approx(expected)
+    assert dict((w, c) for c, w in builder_terms) == pytest.approx(expected)
 
 
 def test_maximal_final_terms_are_single_qubit():
     rng = np.random.default_rng(2)
     for n in (2, 4, 7):
         bits = tuple(int(b) for b in rng.integers(0, 2, n))
-        terms = final_terms(make_splitting(n, [1] * n), MarkedState(bits))
-        assert terms.max_weight == 1
-        weight_one = [t for t in terms.terms if t[1] != "I" * n]
+        terms = list(final_terms(make_splitting(n, [1] * n), MarkedState(bits)))
+        assert max_word_weight(terms) == 1
+        weight_one = [t for t in terms if t[1] != "I" * n]
         assert len(weight_one) == n
         assert all(abs(c) == 0.5 for c, _ in weight_one)
-        assert terms.coefficient("Z" * n) == 0.0  # an absent word
+        assert "Z" * n not in {w for _, w in terms}  # an absent word
 
 
 def test_unstructured_final_has_full_weight_word():
-    terms = final_terms(make_splitting(6, [6]), MarkedState.zeros(6))
-    assert terms.coefficient("Z" * 6) == -(2.0**-6)
-    assert terms.max_weight == 6
+    terms = list(final_terms(make_splitting(6, [6]), MarkedState.zeros(6)))
+    assert dict((w, c) for c, w in terms)["Z" * 6] == -(2.0**-6)
+    assert max_word_weight(terms) == 6
 
 
 def test_expansion_round_trip():
@@ -184,7 +183,7 @@ def test_expansion_round_trip():
         h_final = np.diag(final_diagonal(splitting, bits))
         blended = sched.f(0.3) * h_initial + sched.g(0.3) * h_final
         for op in (h_initial, h_final, blended):
-            rebuilt = to_dense(pauli_expansion(op))
+            rebuilt = to_dense(pauli_expansion(op), n)
             assert np.abs(rebuilt - op).max() < 1e-12
 
 
@@ -194,8 +193,8 @@ def test_builder_terms_match_generic_expansion():
         splitting = make_splitting(n, random_splitting(rng, n))
         bits = MarkedState(tuple(int(b) for b in rng.integers(0, 2, n)))
         terms = final_terms(splitting, bits)
-        expanded = {w: c for c, w in pauli_expansion(np.diag(final_diagonal(splitting, bits))).terms}
-        assert expanded == pytest.approx({w: c for c, w in terms.terms})
+        expanded = {w: c for c, w in pauli_expansion(np.diag(final_diagonal(splitting, bits)))}
+        assert expanded == pytest.approx({w: c for c, w in terms})
 
 
 def test_expansion_rejections():
@@ -217,7 +216,7 @@ def test_locality_weight_examples():
     # the problem operator couples at most the qubits of its largest block
     for parts, weight in (([6], 6), ([1, 1, 1, 1], 1), ([3, 2, 1], 3)):
         splitting = make_splitting(sum(parts), parts)
-        assert final_terms(splitting, MarkedState.zeros(splitting.n)).max_weight == weight
+        assert max_word_weight(final_terms(splitting, MarkedState.zeros(splitting.n))) == weight
 
 
 def test_locality_weight_matches_expansion():
@@ -226,9 +225,14 @@ def test_locality_weight_matches_expansion():
         n = int(rng.integers(2, 9))
         splitting = make_splitting(n, random_splitting(rng, n))
         bits = MarkedState(tuple(int(b) for b in rng.integers(0, 2, n)))
-        terms = final_terms(splitting, bits)
-        assert terms.max_weight == max(splitting.parts)
-        assert all(sum(1 for c in word if c != "I") <= terms.max_weight for _, word in terms.terms)
+        terms = list(final_terms(splitting, bits))
+        assert max_word_weight(terms) == max(splitting.parts)
+        # no word spans two blocks: its Z letters all fall in one block
+        starts = np.cumsum([0, *splitting.parts])
+        for _, word in terms[1:]:
+            z_positions = [q for q, letter in enumerate(word) if letter != "I"]
+            block = np.searchsorted(starts, z_positions, side="right")
+            assert block.min() == block.max(), (splitting.parts, word)
 
 
 def test_dense_cap_enforced():
@@ -237,8 +241,7 @@ def test_dense_cap_enforced():
     with pytest.raises(ValueError):
         final_diagonal(make_splitting(13, [13]), MarkedState.zeros(13))
     # the word expansion itself survives beyond the dense cap
-    terms = final_terms(make_splitting(13, [13]), MarkedState.zeros(13))
-    assert terms.max_weight == 13
+    assert max_word_weight(final_terms(make_splitting(13, [13]), MarkedState.zeros(13))) == 13
     with pytest.raises(ValueError):
         final_terms(make_splitting(21, [21]), MarkedState.zeros(21))
 
@@ -247,7 +250,7 @@ def test_expansion_term_budget():
     # the identity word plus every non-empty Z subset of each block
     for n, parts, bits in [(13, [13], "0" * 13), (6, [3, 2, 1], "101101")]:
         terms = final_terms(make_splitting(n, parts), MarkedState.from_string(bits))
-        assert len(terms.terms) == 1 + sum(2**size - 1 for size in parts)
+        assert len(list(terms)) == 1 + sum(2**size - 1 for size in parts)
     # one block at the per-block cap fills the budget of terms times n exactly
     assert 20 * (1 + (2**20 - 1)) == EXPANSION_LETTER_BUDGET
     check_expansion_budget(make_splitting(20, [20]))
@@ -265,10 +268,28 @@ def test_term_sum_text_format():
     text = cli.format_pauli(terms)
     assert "-0.25\tZZ" in text
     assert text.splitlines()[0] == "0.75\tII"
-    with pytest.raises(ValueError):
-        PauliTermSum(2, ((0.5, "IZ"), (0.25, "IZ")))
-    with pytest.raises(ValueError):
-        PauliTermSum(2, ((0.5, "IY"),))
+
+
+def test_final_terms_are_unique_sorted_and_complete_on_every_composition():
+    # what the word expansion promises by construction: unique I/Z words of
+    # n letters, already in (weight, word) order, the identity plus every non-empty Z
+    # mask of each block, and (where dense fits) the Walsh expansion of the
+    # problem diagonal
+    rng = np.random.default_rng(41)
+    for n in range(1, 11):
+        for parts in compositions(n):
+            splitting = make_splitting(n, parts)
+            marked = MarkedState(tuple(int(b) for b in rng.integers(0, 2, n)))
+            terms = list(final_terms(splitting, marked))
+            words = [word for _, word in terms]
+            assert len(set(words)) == len(words), parts
+            assert set("".join(words)) <= {"I", "Z"} and {len(w) for w in words} == {n}, parts
+            assert words == sorted(words, key=lambda w: (w.count("Z"), w)), parts
+            assert len(terms) == 1 + sum(2**size - 1 for size in parts), parts
+            if n <= 6:
+                expanded = dict((w, c) for c, w in pauli_expansion(np.diag(final_diagonal(splitting, marked))))
+                assert expanded.keys() == set(words), parts
+                assert all(abs(expanded[w] - c) <= 1e-15 for c, w in terms), parts
 
 
 def _matrix_free_splittings(rng):

@@ -13,7 +13,7 @@ from adiasearch.runtime import optimal_schedule, running_time_integral
 # the package's public names; a move between modules must keep every one
 PUBLIC_NAMES = {
     "DENSE_CAP", "EvolutionReport", "GapProfile", "LinearSchedule", "MarkedState",
-    "MatrixFreeHamiltonian", "NormDriftError", "PauliTermSum", "Precision", "QuadratureError",
+    "MatrixFreeHamiltonian", "NormDriftError", "Precision", "QuadratureError",
     "RunTimeResult", "Splitting", "TimeSchedule",
     "adiabaticity_lhs", "closed_form_eps_t", "equal_splitting", "evolve", "final_diagonal",
     "final_terms", "gap_profile", "make_splitting", "max_structured_degeneracy",
