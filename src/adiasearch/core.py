@@ -211,11 +211,11 @@ class MonotoneCubic:
     [x_k, x_k+1] in powers of y = (s - x_k) / unit, highest first, as in
     scipy's PPoly, with ``unit`` the power of two at or below the span of x.
     That division rounds nothing, so no node spacing is too short or too long,
-    and values and slopes keep the bits of the cubic in s wherever it is
-    finite. Where the coefficients overflow even so, the cubic is refused.
-    Nodes are taken as given, finite with x strictly increasing; nothing
-    else about them is checked. The end cubics extend past the nodes.
-    Values and slopes accept scalars or arrays.
+    and values keep the bits of the cubic in s wherever it is finite. Where
+    the coefficients overflow even so, the cubic is refused. Nodes are taken
+    as given, finite with x strictly increasing; nothing else about them is
+    checked. The end cubics extend past the nodes. Values accept scalars or
+    arrays.
     """
 
     def __init__(self, x, y):
@@ -234,19 +234,12 @@ class MonotoneCubic:
         if not np.all(np.isfinite(self.c)):
             raise ValueError(f"the monotone cubic through values up to {np.max(np.abs(y)):.3g} overflows")
 
-    def _local(self, s):
+    def __call__(self, s):
         s = np.asarray(s, dtype=float)
         # the cubic that serves s: x_k <= s < x_k+1, clamped to the ends
         k = np.clip(np.searchsorted(self.x, s, side="right") - 1, 0, max(self.x.size - 2, 0))
-        return (s - self.x[k]) / self.unit, self.c[:, k]
-
-    def __call__(self, s):
-        y, (c0, c1, c2, c3) = self._local(s)
+        y, (c0, c1, c2, c3) = (s - self.x[k]) / self.unit, self.c[:, k]
         return c3 + c2 * y + c1 * (y * y) + c0 * (y * y * y)
-
-    def slope(self, s):
-        y, (c0, c1, c2, _) = self._local(s)
-        return (c2 + 2.0 * c1 * y + 3.0 * c0 * (y * y)) / self.unit
 
 
 class LinearSchedule:
@@ -254,7 +247,9 @@ class LinearSchedule:
 
     A curved path (f, g) adds nothing to it: with lambda = f + g and
     sigma = g / (f + g), H(s) = lambda H_lin(sigma), the linear path run in
-    the rescaled time integral of lambda dt.
+    the rescaled time integral of lambda dt. f'g - g'f is -(f + g). A class
+    only so that the two runtime entry points that take ``schedule=`` can
+    take the benchmark's subclass that counts calls to f.
     """
 
     def f(self, s):
@@ -262,12 +257,6 @@ class LinearSchedule:
 
     def g(self, s):
         return s + 0.0
-
-    def df(self, s):
-        return -1.0 + 0.0 * s
-
-    def dg(self, s):
-        return 1.0 + 0.0 * s
 
     def difference(self, s_star, x):
         """f - g at s_star + x, exact in the offset x: s_star + x is never rounded."""

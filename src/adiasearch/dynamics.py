@@ -6,8 +6,9 @@ product, so the state stays a product of block states. A fixed-step
 size through that block's term of H(s(t)), without building dense
 matrices; blocks of one size share a solve, because the marked bits only
 relabel a block's basis states. The couplings f and g at every RK4 stage of
-the run come from one chunked pass over the schedule and reach the
-integrator as plain lists, step by step. Ground-state overlap, the
+the run come from one chunked pass, s(t) from the time schedule and f, g of
+the linear path at it, and reach the integrator as plain lists, step by
+step. Ground-state overlap, the
 adiabaticity diagnostic and norm drift are recorded at uniform checkpoints
 in s, the overlap and norm as products over the blocks. Norm drift is never
 corrected, only watched: exceeding the limit is an error, not a warning,
@@ -102,14 +103,14 @@ def _stage_couplings(schedule_t: TimeSchedule, t_checks: np.ndarray, steps) -> n
     h = (t_checks[active] - t0) / nsteps
     first = np.cumsum(nsteps) - nsteps  # each interval's first column
     out = np.empty((6, int(nsteps.sum())))
-    base = schedule_t.base
+    path = LinearSchedule()
     for lo in range(0, out.shape[1], _STAGE_CHUNK):
         col = np.arange(lo, min(lo + _STAGE_CHUNK, out.shape[1]))
         k = np.searchsorted(first, col, side="right") - 1
         start = t0[k] + (col - first[k]) * h[k]
         s = schedule_t.s_of_t(np.concatenate([start, start + 0.5 * h[k], start + h[k]]))
-        out[0::2, col] = base.f(s).reshape(3, -1)
-        out[1::2, col] = base.g(s).reshape(3, -1)
+        out[0::2, col] = path.f(s).reshape(3, -1)
+        out[1::2, col] = path.g(s).reshape(3, -1)
     return out
 
 
@@ -137,7 +138,7 @@ def _ground_amplitude(x: np.ndarray, index: int, c_marked, c_perp):
     return c_marked * x[index] + c_perp / math.sqrt(x.shape[0] - 1.0) * (x.sum(0) - x[index])
 
 
-def adiabaticity_lhs(splitting: Splitting, schedule: LinearSchedule, s: float, ds_dt: float) -> float:
+def adiabaticity_lhs(splitting: Splitting, s: float, ds_dt: float) -> float:
     """Root-sum-square over the blocks of each block's adiabaticity ratio at s.
 
     This is the quantity optimal_schedule saturates, so it reads epsilon
@@ -150,10 +151,10 @@ def adiabaticity_lhs(splitting: Splitting, schedule: LinearSchedule, s: float, d
         raise ValueError(f"s must be in [0, 1], got {s}")
     if not math.isfinite(ds_dt):
         raise ValueError(f"ds_dt must be finite, got {ds_dt}")
-    f, g, df, dg = (float(fn(s)) for fn in (schedule.f, schedule.g, schedule.df, schedule.dg))
+    path = LinearSchedule()
     ratio = adiabatic_ratio(splitting.float_block_dims())
     # a Python float product overflows to inf without numpy's warning
-    return float(ratio(float(schedule.difference(s, 0.0)), f, g, df, dg)) * abs(float(ds_dt))
+    return float(ratio(path.difference(s, 0.0), path.f(s), path.g(s))) * abs(ds_dt)
 
 
 @dataclass(frozen=True)
@@ -205,18 +206,18 @@ def evolve(
     psis = [np.full(dim, 1.0 / math.sqrt(dim), dtype=complex) for dim in dims]
     threshold = 1.0 - precision.epsilon**2 - GUARANTEE_SLACK
 
-    base = schedule_t.base
+    path = LinearSchedule()
     total_time = schedule_t.total_time
     s_checks = np.linspace(0.0, 1.0, CHECKPOINT_COUNT) if total_time > 0.0 else np.ones(1)
-    t_checks = np.asarray(schedule_t.t_of_s(s_checks), dtype=float)
+    t_checks = schedule_t.t_of_s(s_checks)
     t_checks[0], t_checks[-1] = 0.0, total_time
     t_checks = np.maximum.accumulate(t_checks)
 
     # the schedule at the checkpoints, one row each
-    f, g, df, dg = (np.asarray(fn(s_checks), dtype=float)[:, None] for fn in (base.f, base.g, base.df, base.dg))
-    rate_checks = np.asarray(schedule_t.rate(s_checks), dtype=float)
-    # every block operator has the same bound, |f| + |g|
-    norm_bound = float(appliers[0].norm_bound(f, g).max())
+    f, g = path.f(s_checks)[:, None], path.g(s_checks)[:, None]
+    rate_checks = schedule_t.rate(s_checks)
+    # every one-block operator has the same spectral-norm bound, |f| + |g|
+    norm_bound = float((abs(f) + abs(g)).max())
     # steps are counted in floats, so a count too large for an int is refused, not converted
     h_target = 1.0 / (float(min(precision.ode_steps_per_unit_time, sys.float_info.max)) * norm_bound)
     # steps[k] RK4 steps lead from checkpoint k - 1 to checkpoint k
@@ -235,7 +236,7 @@ def evolve(
     # the diagnostics that do not depend on the state, at every checkpoint at once
     c_marked, c_perp = _ground_amplitudes(np.array(dims, dtype=float), f, g)
     ratio = adiabatic_ratio(splitting.float_block_dims())
-    lhs_vals = ratio(base.difference(s_checks[:, None], 0.0), f, g, df, dg) * np.abs(rate_checks)
+    lhs_vals = ratio(path.difference(s_checks[:, None], 0.0), f, g) * np.abs(rate_checks)
 
     # every stage coupling of the run in one pass, split by checkpoint interval
     stages = np.split(_stage_couplings(schedule_t, t_checks, steps), np.cumsum(steps)[:-1], axis=1)

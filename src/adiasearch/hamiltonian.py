@@ -136,7 +136,3 @@ class MatrixFreeHamiltonian:
             block_sum = psi.reshape(shape).sum(axis=1, keepdims=True)
             out.reshape(shape)[...] -= (f / shape[1]) * block_sum
         return out
-
-    def norm_bound(self, f: float, g: float) -> float:
-        """Upper bound on the spectral norm of f * H_initial + g * H_final."""
-        return (abs(f) + abs(g)) * self.splitting.num_blocks

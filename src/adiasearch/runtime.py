@@ -57,12 +57,11 @@ def _time_integrand(splitting: Splitting, schedule: LinearSchedule):
     """
     dims = splitting.float_block_dims()
     ratio = adiabatic_ratio(dims)
-    couplings = (schedule.f, schedule.g, schedule.df, schedule.dg)
     width = 0.25 / math.sqrt(float(np.max(dims)))
 
     def at_offset(x: float) -> float:
         s = 0.5 + x
-        return ratio(float(schedule.difference(0.5, x)), *[float(fn(s)) for fn in couplings])
+        return ratio(schedule.difference(0.5, x), schedule.f(s), schedule.g(s))
 
     def integrand(u: float) -> float:
         return at_offset(width * math.sinh(u)) * width * math.cosh(u)
@@ -104,10 +103,10 @@ def running_time_integral(
 ) -> RunTimeResult:
     """Schedule-optimal running time of a split search by adaptive quadrature.
 
-    Integrates |f'g - g'f| * sqrt(sum_i (N_i - 1)/N_i**2 / omega_i**6) over
+    Integrates (f + g) * sqrt(sum_i (N_i - 1)/N_i**2 / omega_i**6) over
     s in [0, 1], in the variable u of the time integrand, to the relative
     tolerance QUAD_TOL. The panels break at the crossing s = 1/2, where
-    every block peaks.
+    every block peaks. ``schedule`` admits only the benchmark's counter.
     """
     schedule = schedule if schedule is not None else LinearSchedule()
     integrand, u_of_s, _ = _time_integrand(splitting, schedule)
@@ -146,7 +145,6 @@ class TimeSchedule:
     quench's one sample as a constant.
     """
 
-    base: LinearSchedule
     total_time: float
     t_nodes: np.ndarray
     s_nodes: np.ndarray
@@ -158,9 +156,9 @@ class TimeSchedule:
         object.__setattr__(self, "_rate_of_s", MonotoneCubic(self.s_nodes, self.rate_nodes))
 
     @classmethod
-    def quench(cls, base: LinearSchedule | None = None) -> "TimeSchedule":
+    def quench(cls) -> "TimeSchedule":
         """Zero-duration parameterization, measured at s = 1 at once: the sample (t, s, ds/dt) = (0, 1, 0)."""
-        return cls(base if base is not None else LinearSchedule(), 0.0, np.zeros(1), np.ones(1), np.zeros(1))
+        return cls(0.0, np.zeros(1), np.ones(1), np.zeros(1))
 
     def s_of_t(self, t):
         return np.clip(self._s_of_t(np.clip(t, 0.0, self.total_time)), 0.0, 1.0)
@@ -190,7 +188,7 @@ class TimeSchedule:
         t_nodes = np.append(np.ldexp(self.t_nodes[:-1] * ratio, shift), new_total_time)
         if not (np.all(np.diff(t_nodes) > 0.0) and np.isfinite(rate_nodes).all()):
             raise ValueError(f"total time {new_total_time!r} is too short: its steps vanish or its rates overflow")
-        return TimeSchedule(self.base, new_total_time, t_nodes, self.s_nodes, rate_nodes)
+        return TimeSchedule(new_total_time, t_nodes, self.s_nodes, rate_nodes)
 
 
 def optimal_schedule(
@@ -207,7 +205,7 @@ def optimal_schedule(
     converged quadrature pieces, each node's piece interpolated by its 21
     integrand values, and inverted monotonically. The total time agrees
     with that integral to quadrature tolerance, and ds/dt is smallest where
-    the gap is smallest.
+    the gap is smallest. ``schedule`` admits only the benchmark's counter.
     """
     grid = _integer(grid, "grid")
     if not 100 <= grid <= MAX_GRID:
@@ -233,7 +231,7 @@ def optimal_schedule(
         if t_nodes[k] <= t_nodes[k - 1]:
             t_nodes[k] = np.nextafter(t_nodes[k - 1], np.inf)
     rate_nodes = precision.epsilon / dt_ds_nodes
-    return TimeSchedule(schedule, float(t_nodes[-1]), t_nodes, s_nodes, rate_nodes)
+    return TimeSchedule(float(t_nodes[-1]), t_nodes, s_nodes, rate_nodes)
 
 
 def reproduce_table(n: int) -> list[RunTimeResult]:
@@ -241,6 +239,5 @@ def reproduce_table(n: int) -> list[RunTimeResult]:
     n = _integer(n, "qubit count")
     if not 1 <= n <= MAX_BLOCK_QUBITS:  # the m = 1 row is one block of n qubits
         raise ValueError(f"n must be in [1, {MAX_BLOCK_QUBITS}], got {n}")
-    schedule = LinearSchedule()
-    return [running_time_integral(equal_splitting(n, m), schedule) for m in range(1, n + 1) if n % m == 0]
+    return [running_time_integral(equal_splitting(n, m)) for m in range(1, n + 1) if n % m == 0]
 

@@ -40,17 +40,20 @@ def subsystem_gap(block_dim, f, g):
 
 
 def adiabatic_ratio(block_dims: np.ndarray):
-    """ratio(difference, f, g, df, dg): sqrt(sum_i r_i**2) at unit |ds/dt|, the
+    """ratio(difference, f, g): sqrt(sum_i r_i**2) at unit |ds/dt|, the
     quantity a bound-saturating schedule holds at epsilon. dH/ds couples block
     i's ground state only to its own excited direction, one gap omega_i above,
-    so r_i = |f'g - g'f| sqrt(N_i - 1) / (N_i omega_i**3). omega_i**2 is formed
-    from ``difference`` = f - g, as LinearSchedule.difference gives it. Python
-    floats give a scalar, arrays of shape (k, 1) an array of shape (k,).
+    so r_i = |f'g - g'f| sqrt(N_i - 1) / (N_i omega_i**3). On the linear path
+    f'g - g'f is -(f + g), and (-1.0) * g - 1.0 * f rounds exactly as
+    -(f + g), so the drive f + g keeps every bit of the general form.
+    omega_i**2 is formed from ``difference`` = f - g, as
+    LinearSchedule.difference gives it. Python floats give a scalar, arrays
+    of shape (k, 1) an array of shape (k,).
     """
     weights = (block_dims - 1.0) / block_dims**2
 
-    def ratio(difference, f, g, df, dg):
-        drive = df * g - dg * f
+    def ratio(difference, f, g):
+        drive = f + g
         gaps_sq = difference * difference + (4.0 * f * g) / block_dims
         return np.sqrt((drive * drive * weights / gaps_sq**3).sum(axis=-1))
 
@@ -101,7 +104,7 @@ class GapProfile:
     s_min: float
 
 
-def gap_profile(splitting: Splitting, schedule: LinearSchedule, grid: int = 1001) -> GapProfile:
+def gap_profile(splitting: Splitting, grid: int = 1001) -> GapProfile:
     """Tabulate every block gap and the global gap on a uniform s grid.
 
     The blocks act on disjoint tensor factors, so the first excited total
@@ -114,9 +117,8 @@ def gap_profile(splitting: Splitting, schedule: LinearSchedule, grid: int = 1001
     if not 2 <= grid <= MAX_GRID:
         raise ValueError(f"grid must have between 2 and {MAX_GRID} samples, got {grid}")
     s = np.linspace(0.0, 1.0, grid)
-    f = np.asarray(schedule.f(s), dtype=float)
-    g = np.asarray(schedule.g(s), dtype=float)
+    path = LinearSchedule()
     dims = splitting.float_block_dims()
-    block_gaps = subsystem_gap(dims, f[:, None], g[:, None])
-    omega_min = float(subsystem_gap(float(dims.max()), schedule.f(0.5), schedule.g(0.5)))
+    block_gaps = subsystem_gap(dims, path.f(s)[:, None], path.g(s)[:, None])
+    omega_min = float(subsystem_gap(float(dims.max()), path.f(0.5), path.g(0.5)))
     return GapProfile(splitting, s, block_gaps, block_gaps.min(axis=1), omega_min, 0.5)

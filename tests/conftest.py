@@ -4,7 +4,6 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
-from adiasearch.core import LinearSchedule
 from adiasearch.runtime import TimeSchedule
 
 
@@ -68,7 +67,7 @@ def pchip_time_schedule(t_nodes, s_nodes):
     """
     t_nodes, s_nodes = np.asarray(t_nodes, dtype=float), np.asarray(s_nodes, dtype=float)
     rate_nodes = PchipInterpolator(t_nodes / t_nodes[-1], s_nodes).derivative()(t_nodes / t_nodes[-1]) / t_nodes[-1]
-    return TimeSchedule(LinearSchedule(), float(t_nodes[-1]), t_nodes, s_nodes, rate_nodes)
+    return TimeSchedule(float(t_nodes[-1]), t_nodes, s_nodes, rate_nodes)
 
 
 def distinct_levels(values, tol=1e-9):

@@ -225,11 +225,12 @@ def two_level_success(parts, epsilon: float, steps: int) -> float:
         """(omega, dt/du, ds/du, f'g - g'f) at u, in u's precision; omega per distinct size, on a trailing axis."""
         x = np.clip(width * np.sinh(u), -0.5, 0.5)[..., None]
         s = 0.5 + x
-        f, g, df, dg = schedule.f(s), schedule.g(s), schedule.df(s), schedule.dg(s)
+        f, g = schedule.f(s), schedule.g(s)
         difference = schedule.difference(0.5, x)
         ds_du = (width * np.cosh(u))[..., None]
-        dt_du = ratio(difference, f, g, df, dg)[..., None] / epsilon * ds_du
-        return np.sqrt(difference * difference + 4.0 * f * g / sizes), dt_du, ds_du, df * g - dg * f
+        dt_du = ratio(difference, f, g)[..., None] / epsilon * ds_du
+        # f'g - g'f on the linear path, where f' = -1 and g' = 1
+        return np.sqrt(difference * difference + 4.0 * f * g / sizes), dt_du, ds_du, -(f + g)
 
     omega, dt_du, _, _ = frame((edges[:-1, None] + h[:, None] * (0.5 + 0.5 * _GAUSS_NODES)).astype(np.longdouble))
     d_theta = 0.5 * h[:, None] * np.einsum("j,kjm->km", _GAUSS_WEIGHTS.astype(np.longdouble), omega * dt_du)

@@ -261,7 +261,6 @@ def test_criterion_8_structure_monotonicity():
 
 
 def test_criterion_9_saturation_uniformity():
-    sched = LinearSchedule()
     eps = 0.2
     failures = []
     for n in range(1, 7):
@@ -269,7 +268,7 @@ def test_criterion_9_saturation_uniformity():
         schedule_t = optimal_schedule(splitting, Precision(epsilon=eps))
         worst = 0.0
         for s in np.linspace(0.0, 1.0, 101):
-            value = adiabaticity_lhs(splitting, sched, float(s), float(schedule_t.rate(s)))
+            value = adiabaticity_lhs(splitting, float(s), float(schedule_t.rate(s)))
             worst = max(worst, abs(value / eps - 1.0))
         if worst > 0.02:
             failures.append(f"n={n}: saturation off by {worst:.3%}")

@@ -110,9 +110,6 @@ def test_linear_schedule_values():
     assert (sched.f(0.0), sched.g(0.0)) == (1.0, 0.0)
     assert (sched.f(0.5), sched.g(0.5)) == (0.5, 0.5)
     assert (sched.f(1.0), sched.g(1.0)) == (0.0, 1.0)
-    for s in (0.0, 0.3, 1.0):
-        assert sched.df(s) == -1.0
-        assert sched.dg(s) == 1.0
 
 
 def test_monotone_cubic_matches_scipy_pchip():
@@ -133,13 +130,12 @@ def test_monotone_cubic_matches_scipy_pchip():
         q = np.concatenate([x, rng.uniform(x[0] - 1.0, x[-1] + 1.0, 50)])
         scale = max(np.max(np.abs(y)), 1.0e-300)
         assert np.max(np.abs(ours(q) - oracle(q))) <= 1e-12 * scale
-        assert np.max(np.abs(ours.slope(q) - oracle.derivative()(q))) <= 1e-12 * scale / np.min(np.diff(x))
 
 
 def test_monotone_cubic_reads_one_node_as_a_constant():
-    # slope 0, wherever it is probed
+    # the value at the node, wherever it is probed
     constant = MonotoneCubic([0.3], [5.0])
-    assert constant(np.array([-1.0, 0.3, 7.0])).tolist() == [5.0] * 3 and constant.slope(0.3) == 0.0
+    assert constant(np.array([-1.0, 0.3, 7.0])).tolist() == [5.0] * 3
 
 
 def test_precision_validation():

@@ -126,7 +126,7 @@ def _full_state_run(splitting, marked, schedule_t, precision, t_checks, s_checks
         # 2^n x 2^n matrix at every stage
         return f * (h_initial @ v) + g * (h_final @ v)
 
-    base = schedule_t.base
+    base = LinearSchedule()
     bound = splitting.num_blocks * float(np.max(np.abs(base.f(s_checks)) + np.abs(base.g(s_checks))))
     h = 1.0 / (precision.ode_steps_per_unit_time * bound)
     psi = np.full(splitting.dim, 2.0 ** (-0.5 * splitting.n), dtype=complex)
@@ -399,7 +399,7 @@ def test_checkpoint_lhs_is_the_scalar_adiabaticity_lhs():
         report = evolve(splitting, MarkedState.zeros(n), schedule_t, precision)
         rates = schedule_t.rate(report.checkpoint_s).tolist()
         expected = [
-            adiabaticity_lhs(splitting, schedule_t.base, s, rate)
+            adiabaticity_lhs(splitting, s, rate)
             for s, rate in zip(report.checkpoint_s.tolist(), rates)
         ]
         assert report.checkpoint_lhs.tolist() == expected, parts
@@ -412,18 +412,15 @@ def test_scalar_adiabaticity_lhs_is_the_array_row():
     # with Python floats.
     sched = LinearSchedule()
     s = np.linspace(0.0, 1.0, 101)[:, None]
-    f, g, df, dg = (np.asarray(fn(s)) for fn in (sched.f, sched.g, sched.df, sched.dg))
+    f, g = sched.f(s), sched.g(s)
     rates = 0.5 + s[:, 0]
     for parts in ([2, 10], [1] * 10 + [2], [8, 8, 8, 3, 8, 8, 8, 1, 1, 3, 1]):
         splitting = make_splitting(sum(parts), parts)
         ratio = adiabatic_ratio(splitting.float_block_dims())
-        ratios = ratio(sched.difference(s, 0.0), f, g, df, dg)
-        floats = [
-            ratio(sched.difference(x, 0.0), sched.f(x), sched.g(x), sched.df(x), sched.dg(x))
-            for x in s[:, 0].tolist()
-        ]
+        ratios = ratio(sched.difference(s, 0.0), f, g)
+        floats = [ratio(sched.difference(x, 0.0), sched.f(x), sched.g(x)) for x in s[:, 0].tolist()]
         assert ratios.tolist() == floats, parts
-        scalar = [adiabaticity_lhs(splitting, sched, x, r) for x, r in zip(s[:, 0].tolist(), rates.tolist())]
+        scalar = [adiabaticity_lhs(splitting, x, r) for x, r in zip(s[:, 0].tolist(), rates.tolist())]
         assert (ratios * rates).tolist() == scalar, parts
 
 
@@ -445,32 +442,30 @@ def test_schedule_rates_times_the_ratio_read_epsilon_past_the_evolution_cap():
     for parts in ([30], [64], [32, 32], [20, 10], [1, 63]):
         splitting = make_splitting(sum(parts), parts)
         schedule_t = optimal_schedule(splitting, Precision(epsilon=eps))
-        base = schedule_t.base
+        base = LinearSchedule()
         s = schedule_t.s_nodes[:, None]
         ratio = adiabatic_ratio(splitting.float_block_dims())
-        lhs = ratio(base.difference(s, 0.0), base.f(s), base.g(s), base.df(s), base.dg(s)) * schedule_t.rate_nodes
+        lhs = ratio(base.difference(s, 0.0), base.f(s), base.g(s)) * schedule_t.rate_nodes
         assert lhs.size == 1001
         assert np.max(np.abs(lhs / eps - 1.0)) <= 1e-15, parts
 
 
 def test_adiabaticity_zero_rate():
-    assert adiabaticity_lhs(make_splitting(2, [2]), LinearSchedule(), 0.3, 0.0) == 0.0
+    assert adiabaticity_lhs(make_splitting(2, [2]), 0.3, 0.0) == 0.0
 
 
 def test_adiabaticity_saturated_along_optimal_schedule():
-    sched = LinearSchedule()
     for n in (1, 2, 4):
         splitting = make_splitting(n, [n])
         precision = Precision(epsilon=0.2)
         schedule_t = optimal_schedule(splitting, precision)
         for s in np.linspace(0.0, 1.0, 11):
-            value = adiabaticity_lhs(splitting, sched, float(s), float(schedule_t.rate(s)))
+            value = adiabaticity_lhs(splitting, float(s), float(schedule_t.rate(s)))
             assert value == pytest.approx(precision.epsilon, rel=0.01)
 
 
 def test_adiabaticity_linear_in_time_bound():
     # driving uniformly over T = N / eps keeps the diagnostic below eps
-    sched = LinearSchedule()
     eps = 0.1
     for n in (1, 2, 3):
         splitting = make_splitting(n, [n])
@@ -478,7 +473,7 @@ def test_adiabaticity_linear_in_time_bound():
         rate = eps / dim
         values = []
         for s in np.linspace(0.0, 1.0, 101):
-            values.append(adiabaticity_lhs(splitting, sched, float(s), rate))
+            values.append(adiabaticity_lhs(splitting, float(s), rate))
         assert max(values) <= eps * (1.0 + 1e-9)
         assert max(values) == pytest.approx(eps * math.sqrt((dim - 1.0) / dim), rel=1e-6)
 
@@ -486,11 +481,10 @@ def test_adiabaticity_linear_in_time_bound():
 def test_equal_splits_warn_nothing_and_square_to_the_summed_condition():
     # a degenerate first excited level needs no warning: the root-sum-square
     # element already makes the square of the value the summed condition
-    sched = LinearSchedule()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        adiabaticity_lhs(make_splitting(3, [1, 1, 1]), sched, 0.5, 0.1)
-        adiabaticity_lhs(make_splitting(6, [3, 3]), sched, 0.3, 0.1)
+        adiabaticity_lhs(make_splitting(3, [1, 1, 1]), 0.5, 0.1)
+        adiabaticity_lhs(make_splitting(6, [3, 3]), 0.3, 0.1)
 
 
 def test_degenerate_condition_refuses_what_the_closed_form_refuses():
@@ -498,7 +492,7 @@ def test_degenerate_condition_refuses_what_the_closed_form_refuses():
         with pytest.raises(ValueError):
             closed_form_eps_t(n, n)
         with pytest.raises(ValueError):
-            adiabaticity_lhs(equal_splitting(n, n), LinearSchedule(), 0.5, 0.1)
+            adiabaticity_lhs(equal_splitting(n, n), 0.5, 0.1)
 
 
 def test_diagnostics_refuse_s_outside_the_unit_interval():
@@ -506,7 +500,7 @@ def test_diagnostics_refuse_s_outside_the_unit_interval():
     splitting = make_splitting(2, [1, 1])
     state = np.full(4, 0.5, dtype=complex)
     calls = [
-        lambda s: adiabaticity_lhs(splitting, sched, s, 0.1),
+        lambda s: adiabaticity_lhs(splitting, s, 0.1),
         lambda s: instantaneous_ground_overlap(state, splitting, MarkedState.zeros(2), sched, s),
     ]
     for call in calls:
@@ -518,30 +512,27 @@ def test_diagnostics_refuse_s_outside_the_unit_interval():
 
 
 def test_diagnostics_refuse_a_non_finite_rate():
-    sched = LinearSchedule()
     for ds_dt in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="ds_dt must be finite"):
-            adiabaticity_lhs(make_splitting(3, [1, 2]), sched, 0.4, ds_dt)
+            adiabaticity_lhs(make_splitting(3, [1, 2]), 0.4, ds_dt)
         with pytest.raises(ValueError, match="ds_dt must be finite"):
-            adiabaticity_lhs(equal_splitting(3, 3), sched, 0.4, ds_dt)
+            adiabaticity_lhs(equal_splitting(3, 3), 0.4, ds_dt)
     # a finite rate whose product overflows reads inf, with no numpy warning
-    assert adiabaticity_lhs(make_splitting(2, [2]), sched, 0.5, 1e308) == math.inf
+    assert adiabaticity_lhs(make_splitting(2, [2]), 0.5, 1e308) == math.inf
 
 
 def test_degenerate_condition_scales_linearly_with_qubits():
-    sched = LinearSchedule()
-    one = adiabaticity_lhs(equal_splitting(1, 1), sched, 0.4, 0.07) ** 2
-    four = adiabaticity_lhs(equal_splitting(4, 4), sched, 0.4, 0.07) ** 2
+    one = adiabaticity_lhs(equal_splitting(1, 1), 0.4, 0.07) ** 2
+    four = adiabaticity_lhs(equal_splitting(4, 4), 0.4, 0.07) ** 2
     assert four == pytest.approx(4.0 * one, rel=1e-12)
 
 
 def test_degenerate_condition_saturates_at_eps_squared():
     eps = 0.1
-    sched = LinearSchedule()
     for n in (1, 5):
         schedule_t = optimal_schedule(make_splitting(n, [1] * n), Precision(epsilon=eps))
         for s in (0.0, 0.3, 0.5, 0.9, 1.0):
-            value = adiabaticity_lhs(equal_splitting(n, n), sched, s, float(schedule_t.rate(s))) ** 2
+            value = adiabaticity_lhs(equal_splitting(n, n), s, float(schedule_t.rate(s))) ** 2
             assert value == pytest.approx(eps**2, rel=1e-6)
 
 
@@ -598,16 +589,17 @@ def test_closed_form_probe_matches_dense_diagonalization():
         h_initial = build_initial(splitting)
         h_final = final_diagonal(splitting, marked)
         for s in (0.0, 0.3, 0.5, 0.77, 1.0):
-            f, g, df, dg = sched.f(s), sched.g(s), sched.df(s), sched.dg(s)
+            f, g = sched.f(s), sched.g(s)
             vals, vecs = eigh(f * h_initial + np.diag(g * h_final))
-            drive = df * (h_initial @ vecs[:, 0]) + dg * h_final * vecs[:, 0]
+            # dH/ds = f' H_initial + g' H_final with f' = -1 and g' = 1
+            drive = -(h_initial @ vecs[:, 0]) + h_final * vecs[:, 0]
             dense_ratio = math.sqrt(np.sum((vecs[:, 1:].T @ drive) ** 2 / (vals[1:] - vals[0]) ** 4))
 
             gap = subsystem_gap(splitting.float_block_dims(), f, g).min()
             assert gap == pytest.approx(vals[1] - vals[0], abs=1e-10)
             overlap = instantaneous_ground_overlap(vecs[:, 0], splitting, marked, sched, s)
             assert overlap == pytest.approx(1.0, abs=1e-10)
-            assert adiabaticity_lhs(splitting, sched, s, 1.0) == pytest.approx(dense_ratio, rel=1e-10)
+            assert adiabaticity_lhs(splitting, s, 1.0) == pytest.approx(dense_ratio, rel=1e-10)
 
 
 def test_ground_overlap_matches_the_dense_ground_vector():
@@ -637,7 +629,7 @@ def test_stage_couplings_equal_scalar_schedule_calls():
     # every column must be exactly the (f, g) that scalar evaluations at the
     # integrator's stage times give, so the success probability is unchanged
     schedule_t = pchip_time_schedule([0.0, 1.5, 2.0, 7.0], [0.0, 0.3, 0.6, 1.0])
-    base = schedule_t.base
+    base = LinearSchedule()
     t_checks = schedule_t.t_of_s(np.array([0.0, 0.29, 0.29, 0.61, 0.8, 1.0]))
     # the second interval with steps straddles the chunk boundary at column 512
     steps = [0, 300, 0, 400, 1, 9]

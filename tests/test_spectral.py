@@ -145,14 +145,15 @@ def test_matrix_element_examples():
     for n in (1, 4, 7, 64):
         ratio = adiabatic_ratio(equal_splitting(n, n).float_block_dims())
         for s in np.linspace(0.0, 1.0, 11).tolist():
-            f, g, df, dg = sched.f(s), sched.g(s), sched.df(s), sched.dg(s)
-            expected = math.sqrt(n) * abs(df * g - dg * f) / (2.0 * (f * f + g * g) ** 1.5)
-            assert ratio(sched.difference(s, 0.0), f, g, df, dg) == pytest.approx(expected, rel=1e-15), (n, s)
+            f, g = sched.f(s), sched.g(s)
+            # |f'g - g'f| with f' = -1 and g' = 1
+            expected = math.sqrt(n) * abs(-g - f) / (2.0 * (f * f + g * g) ** 1.5)
+            assert ratio(sched.difference(s, 0.0), f, g) == pytest.approx(expected, rel=1e-15), (n, s)
 
 
 def test_gap_profile_unstructured_six_qubits():
     # analytic minimum of (1-2s)^2 + 4 s (1-s) / N sits at s = 1/2 with gap 1/sqrt(N)
-    profile = gap_profile(make_splitting(6, [6]), LinearSchedule())
+    profile = gap_profile(make_splitting(6, [6]))
     assert profile.omega_min == pytest.approx(1.0 / math.sqrt(64.0), abs=1e-12)
     assert profile.s_min == 0.5
     assert profile.s.size == 1001
@@ -161,7 +162,7 @@ def test_gap_profile_unstructured_six_qubits():
 
 def test_gap_profile_maximal_split():
     for n in (1, 3, 5):
-        profile = gap_profile(make_splitting(n, [1] * n), LinearSchedule())
+        profile = gap_profile(make_splitting(n, [1] * n))
         assert profile.omega_min == pytest.approx(1.0 / math.sqrt(2.0), abs=1e-12)
         assert profile.s_min == 0.5
 
@@ -172,7 +173,7 @@ def test_gap_profile_minimum_is_the_root_of_the_largest_block_slope():
     # dip is about 1e-10 wide in s and s = 1/2 is a sample of the odd grids
     # only, yet the minimum reads exactly on every grid
     for grid in (2, 3, 1000, 1001, 65536):
-        profile = gap_profile(make_splitting(64, [64]), LinearSchedule(), grid=grid)
+        profile = gap_profile(make_splitting(64, [64]), grid=grid)
         assert profile.s_min == 0.5 and profile.omega_min == 2.0**-32, grid
         assert profile.omega_min <= profile.global_gap.min(), grid
 
@@ -184,19 +185,19 @@ def test_gap_profile_linear_minimum_is_exact_on_every_split_and_grid():
     for parts in splits:
         splitting = make_splitting(sum(parts), parts)
         for grid in (2, 3, 1000, 1001):
-            profile = gap_profile(splitting, LinearSchedule(), grid=grid)
+            profile = gap_profile(splitting, grid=grid)
             assert profile.s_min == 0.5, (parts, grid)
             assert profile.omega_min == subsystem_gap(2.0 ** max(parts), 0.5, 0.5), (parts, grid)
 
 
 def test_gap_profile_single_qubit_matches_two_dim_block():
-    lone = gap_profile(make_splitting(1, [1]), LinearSchedule(), grid=101)
-    maximal_block = gap_profile(make_splitting(2, [1, 1]), LinearSchedule(), grid=101)
+    lone = gap_profile(make_splitting(1, [1]), grid=101)
+    maximal_block = gap_profile(make_splitting(2, [1, 1]), grid=101)
     np.testing.assert_allclose(lone.global_gap, maximal_block.block_gaps[:, 0], atol=1e-15)
 
 
 def test_gap_profile_symmetry_and_positivity():
-    profile = gap_profile(make_splitting(5, [3, 2]), LinearSchedule(), grid=201)
+    profile = gap_profile(make_splitting(5, [3, 2]), grid=201)
     np.testing.assert_allclose(profile.global_gap, profile.global_gap[::-1], atol=1e-12)
     s = profile.s[1:-1]
     for dim, gaps in zip((8, 4), profile.block_gaps[1:-1].T):
@@ -207,13 +208,13 @@ def test_gap_profile_symmetry_and_positivity():
 
 def test_gap_profile_grid_validation_and_csv():
     with pytest.raises(ValueError):
-        gap_profile(make_splitting(2, [2]), LinearSchedule(), grid=1)
+        gap_profile(make_splitting(2, [2]), grid=1)
     with pytest.raises(ValueError, match="between 2 and 65536 samples"):
-        gap_profile(make_splitting(2, [2]), LinearSchedule(), grid=MAX_GRID + 1)
+        gap_profile(make_splitting(2, [2]), grid=MAX_GRID + 1)
     for grid in (11.0, "11", True):
         with pytest.raises(ValueError, match="grid has the wrong type"):
-            gap_profile(make_splitting(2, [2]), LinearSchedule(), grid=grid)
-    profile = gap_profile(make_splitting(4, [2, 2]), LinearSchedule(), grid=11)
+            gap_profile(make_splitting(2, [2]), grid=grid)
+    profile = gap_profile(make_splitting(4, [2, 2]), grid=11)
     text = cli.format_gap(profile, "csv")
     lines = text.strip().split("\n")
     assert lines[0] == "s,omega_1,omega_2,omega_global"
