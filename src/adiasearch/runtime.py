@@ -53,7 +53,8 @@ def _time_integrand(splitting: Splitting, schedule: LinearSchedule):
     in u, x = w sinh(u) with w = 0.25/sqrt(N_max), where every block peak is
     a smooth bump about one unit wide; dt/ds is spectral.adiabatic_ratio.
 
-    Returns (integrand of u, the map s -> u, dt/ds as a function of s).
+    Returns (integrand of u, the map s -> u, its inverse u -> s, dt/ds as a
+    function of s).
     """
     dims = splitting.float_block_dims()
     ratio = adiabatic_ratio(dims)
@@ -69,7 +70,10 @@ def _time_integrand(splitting: Splitting, schedule: LinearSchedule):
     def u_of_s(s):
         return np.arcsinh((s - 0.5) / width)
 
-    return integrand, u_of_s, lambda s: at_offset(s - 0.5)
+    def s_of_u(u):
+        return 0.5 + width * np.sinh(u)
+
+    return integrand, u_of_s, s_of_u, lambda s: at_offset(s - 0.5)
 
 
 def _panel_edges(u_lo: float, u_hi: float, breaks=()) -> list[float]:
@@ -109,7 +113,7 @@ def running_time_integral(
     every block peaks. ``schedule`` admits only the benchmark's counter.
     """
     schedule = schedule if schedule is not None else LinearSchedule()
-    integrand, u_of_s, _ = _time_integrand(splitting, schedule)
+    integrand, u_of_s, _, _ = _time_integrand(splitting, schedule)
     edges = _panel_edges(float(u_of_s(0.0)), float(u_of_s(1.0)))
     eps_t, _ = integrate(integrand, edges, QUAD_TOL, "the running-time integral")
     alpha, beta = scaling_coefficients(eps_t, splitting.n, splitting.num_blocks)
@@ -201,9 +205,11 @@ def optimal_schedule(
 
     Integrates the time integrand of :func:`running_time_integral` once, on
     its panels further broken at every integer u (the block peaks are bumps
-    about one unit wide). t(s) at the uniform s grid is then read off the
-    converged quadrature pieces, each node's piece interpolated by its 21
-    integrand values, and inverted monotonically. The total time agrees
+    about one unit wide). The ``grid`` nodes are uniform in u, so every
+    block peak gets as many of them as a unit of u holds, and the ends are
+    exactly s = 0 and 1. t(s) at each node is then read off the converged
+    quadrature pieces, at the u of the node's rounded s, each node's piece
+    interpolated by its 21 integrand values, and inverted monotonically. The total time agrees
     with that integral to quadrature tolerance, and ds/dt is smallest where
     the gap is smallest. ``schedule`` admits only the benchmark's counter.
     """
@@ -212,11 +218,12 @@ def optimal_schedule(
         raise ValueError(f"grid must have between 100 and {MAX_GRID} samples, got {grid}")
     precision = precision if precision is not None else Precision()
     schedule = schedule if schedule is not None else LinearSchedule()
-    integrand, u_of_s, dt_ds = _time_integrand(splitting, schedule)
-    s_nodes = np.linspace(0.0, 1.0, grid)
+    integrand, u_of_s, s_of_u, dt_ds = _time_integrand(splitting, schedule)
+    u_lo, u_hi = float(u_of_s(0.0)), float(u_of_s(1.0))
+    s_nodes = s_of_u(np.linspace(u_lo, u_hi, grid))
+    s_nodes[0], s_nodes[-1] = 0.0, 1.0
     dt_ds_nodes = np.array([dt_ds(s) for s in s_nodes.tolist()])
     u_nodes = u_of_s(s_nodes)
-    u_lo, u_hi = float(u_nodes[0]), float(u_nodes[-1])
     edges = _panel_edges(u_lo, u_hi, range(math.ceil(u_lo), math.floor(u_hi) + 1))
     _, pieces = integrate(integrand, edges, QUAD_TOL, "the time tabulation")
     t_nodes = node_integrals(pieces, u_nodes)

@@ -99,6 +99,16 @@ def test_two_level_oracle_matches_the_block_product_oracle():
         assert two_level_success(parts, eps, 2**14) == pytest.approx(expected, abs=1e-8), parts
 
 
+def test_evolve_matches_the_two_level_oracle_to_1e_8():
+    # evolve reads s(t) off the schedule's cubic, so the nodes must follow the
+    # peaks: uniform in u they read within 2.3e-9 here, uniform in s [12] read
+    # 3.7e-6 off, with the whole block peak in two cells
+    for parts in ([12], [1, 11], [2, 10], [6, 6]):
+        report = _optimal_report(sum(parts), parts, 0.2)
+        exact = two_level_success(parts, 0.2, 1 << 16)
+        assert report.success_probability == pytest.approx(exact, abs=1e-8), parts
+
+
 def test_two_level_oracle_converges_at_second_order():
     # 4x the steps cuts the change about 16-fold on one 64-qubit block and
     # on [1,63], whose 1-qubit block turns 1e10 rad under the 63-qubit peak.
