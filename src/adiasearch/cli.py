@@ -131,7 +131,10 @@ def _write_output(text: str, out_path: str | None):
     A path that cannot be written is reported by that path, not by the temp
     file's; an empty path, a directory and any other existing path that is
     not a regular file (a FIFO, a socket, a device) are refused before any
-    temp file is made. The file gets the mode open(path, "w") would leave,
+    temp file is made. A symbolic link is written through, as a shell
+    redirection writes it: the checks, the temp file and the rename act on
+    the path it resolves to, so the link stays and its target gets the
+    bytes. The file gets the mode open(path, "w") would leave,
     not mkstemp's 0o600: a replaced file keeps its mode, and a new one gets
     0o666 less the umask.
     """
@@ -141,23 +144,26 @@ def _write_output(text: str, out_path: str | None):
     try:
         if not out_path:
             raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT))
-        if os.path.isdir(out_path):
+        target = os.path.realpath(out_path)
+        if os.path.islink(target):  # realpath stops at a link that loops
+            raise OSError(errno.ELOOP, os.strerror(errno.ELOOP))
+        if os.path.isdir(target):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        if os.path.exists(out_path):
-            if not os.path.isfile(out_path):
+        if os.path.exists(target):
+            if not os.path.isfile(target):
                 raise OSError(errno.EINVAL, "not a regular file")
-            mode = stat.S_IMODE(os.stat(out_path).st_mode)
+            mode = stat.S_IMODE(os.stat(target).st_mode)
         else:
             umask = os.umask(0)  # the umask is read only by setting it
             os.umask(umask)
             mode = 0o666 & ~umask
-        directory = os.path.dirname(os.path.abspath(out_path))
+        directory = os.path.dirname(target)
         fd, tmp_path = tempfile.mkstemp(dir=directory, prefix=".adia-", suffix=".tmp")
         try:
             with os.fdopen(fd, "w") as handle:
                 os.fchmod(handle.fileno(), mode)
                 handle.write(text)
-            os.replace(tmp_path, out_path)
+            os.replace(tmp_path, target)
         except BaseException:
             if os.path.exists(tmp_path):
                 os.unlink(tmp_path)

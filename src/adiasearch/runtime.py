@@ -175,7 +175,7 @@ class TimeSchedule:
         return self._rate_of_s(np.clip(s, 0.0, 1.0))
 
     def scaled(self, new_total_time: float) -> "TimeSchedule":
-        """Same path through s, uniformly stretched to a new total time."""
+        """Same path through s, uniformly stretched to a new total time; refused if too short or too long."""
         new_total_time = _real(new_total_time, "scaled total time")
         if not (math.isfinite(new_total_time) and new_total_time > 0.0):
             raise ValueError(f"scaled total time must be finite and > 0, got {new_total_time}")
@@ -192,7 +192,10 @@ class TimeSchedule:
         t_nodes = np.append(np.ldexp(self.t_nodes[:-1] * ratio, shift), new_total_time)
         if not (np.all(np.diff(t_nodes) > 0.0) and np.isfinite(rate_nodes).all()):
             raise ValueError(f"total time {new_total_time!r} is too short: its steps vanish or its rates overflow")
-        return TimeSchedule(new_total_time, t_nodes, self.s_nodes, rate_nodes)
+        try:
+            return TimeSchedule(new_total_time, t_nodes, self.s_nodes, rate_nodes)
+        except ValueError as exc:  # a cubic through the stretched times overflows
+            raise ValueError(f"total time {new_total_time!r} is too long: {exc}") from None
 
 
 def optimal_schedule(

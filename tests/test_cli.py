@@ -117,6 +117,26 @@ def test_out_file_gets_the_mode_of_a_plain_open(tmp_path):
             os.umask(previous)
 
 
+def test_symlinked_out_is_written_through(tmp_path, capsys):
+    # as with `> link.csv`: the link stays and its target gets the bytes; the
+    # rename once replaced the link with a regular file and left the target
+    # empty. A dangling link makes its target, and a looping one is refused.
+    plain = tmp_path / "plain.csv"
+    assert run_cli("table", "--n", "6", "--out", str(plain)) == 0
+    (tmp_path / "live-target.csv").write_text("")
+    for name in ("live", "dangling"):
+        link, target = tmp_path / f"{name}.csv", tmp_path / f"{name}-target.csv"
+        link.symlink_to(target.name)
+        assert run_cli("table", "--n", "6", "--out", str(link)) == 0
+        assert link.is_symlink() and os.readlink(link) == target.name
+        assert not target.is_symlink() and target.read_bytes() == plain.read_bytes()
+    loop = tmp_path / "loop.csv"
+    loop.symlink_to(loop.name)
+    assert run_cli("table", "--n", "6", "--out", str(loop)) == 2
+    assert capsys.readouterr().err == f"adia table: error: cannot write {loop}: Too many levels of symbolic links\n"
+    assert loop.is_symlink() and list(tmp_path.glob(".adia-*.tmp")) == []
+
+
 def test_table_check_passes(capsys):
     assert run_cli("table", "--n", "6", "--check") == 0
     captured = capsys.readouterr()
@@ -303,6 +323,13 @@ def test_overlong_total_time_is_config_error(capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "the run needs 1.57e+152 RK4 steps" in err
     assert "over the budget of 1048576" in err
+    # a total so long that a cubic of the stretched table overflows is
+    # refused by that total, as a total too short is
+    assert run_cli("evolve", "--n", "2", "--m", "1", "--total-time", "1e308") == 2
+    assert capsys.readouterr().err == (
+        "adia evolve: error: total time 1e+308 is too long: "
+        "the monotone cubic through values up to 1e+308 overflows\n"
+    )
 
 
 def test_huge_step_counts_are_config_errors(capsys):
