@@ -8,11 +8,11 @@ matrices; blocks of one size share a solve, because the marked bits only
 relabel a block's basis states. The couplings f and g at every RK4 stage of
 the run come from one chunked pass, s(t) from the time schedule and f, g of
 the linear path at it, and reach the integrator as plain lists, step by
-step. Ground-state overlap, the
-adiabaticity diagnostic and norm drift are recorded at uniform checkpoints
-in s, the overlap and norm as products over the blocks. Norm drift is never
-corrected, only watched: exceeding the limit is an error, not a warning,
-because renormalizing would mask step-size problems.
+step. Ground-state overlap, the adiabaticity diagnostic and norm drift are
+recorded at uniform checkpoints in s, the overlap and norm as products over
+the blocks. Norm drift is never corrected, only watched: exceeding the limit
+is an error, not a warning, because renormalizing would mask step-size
+problems.
 
 The diagnostics diagonalize nothing and build no ground vector: each block
 term keeps span{|marked_i>, |uniform_i>} invariant, so an overlap with the

@@ -212,9 +212,10 @@ def optimal_schedule(
     block peak gets as many of them as a unit of u holds, and the ends are
     exactly s = 0 and 1. t(s) at each node is then read off the converged
     quadrature pieces, at the u of the node's rounded s, each node's piece
-    interpolated by its 21 integrand values, and inverted monotonically. The total time agrees
-    with that integral to quadrature tolerance, and ds/dt is smallest where
-    the gap is smallest. ``schedule`` admits only the benchmark's counter.
+    interpolated by its 21 integrand values, and inverted monotonically.
+    The total time agrees with that integral to quadrature tolerance, and
+    ds/dt is smallest where the gap is smallest. ``schedule`` admits only
+    the benchmark's counter.
     """
     grid = _integer(grid, "grid")
     if not 100 <= grid <= MAX_GRID:
