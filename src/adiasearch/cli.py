@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_problem_flags(p_evolve, marked=True)
     p_evolve.add_argument("--eps", type=float, default=0.2)
     p_evolve.add_argument("--total-time", type=float, default=None, help="override the total time (0 = instant quench)")
-    p_evolve.add_argument("--steps", type=int, default=None, help="integrator steps per unit time and block norm |f|+|g|")
+    p_evolve.add_argument("--steps", type=int, default=None, help="integrator steps per unit time")
     p_evolve.add_argument("--grid", type=int, default=1001, help="schedule tabulation samples")
     p_evolve.add_argument("--format", choices=("json", "csv"), default="json")
     p_evolve.add_argument("--out", type=str, default=None)

@@ -268,8 +268,7 @@ class Precision:
     """Accuracy settings shared by the quadrature and evolution routines.
 
     epsilon is the adiabaticity parameter; ode_steps_per_unit_time the
-    fixed-step resolution of the state integrator, per unit of time times
-    the norm bound |f| + |g| of one block's operator.
+    fixed-step resolution of the state integrator, in steps per unit of time.
     """
 
     epsilon: float = 0.2

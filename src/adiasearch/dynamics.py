@@ -176,6 +176,7 @@ class EvolutionReport:
     checkpoint_overlap: np.ndarray
     checkpoint_lhs: np.ndarray
     checkpoint_norm: np.ndarray
+    steps: int  # RK4 steps summed over the solves, the count RK4_STEP_BUDGET bounds; 0 for a quench
 
 
 def evolve(
@@ -188,13 +189,13 @@ def evolve(
 
     The state is a product of block states, so one 2^{n_i} vector is
     integrated per distinct block size, with the marked entry at index 0.
-    The step size is 1 / (ode_steps_per_unit_time * max block operator
-    norm), trimmed so checkpoints are hit exactly; runs are deterministic
-    for a fixed precision. A zero-duration schedule is an instant quench:
-    it has one checkpoint, at s = 1, and takes no step, so the success
-    probability is the uniform weight on the marked state. A run whose
-    steps times solves exceed RK4_STEP_BUDGET is refused before the first
-    step.
+    The step size is 1 / ode_steps_per_unit_time, trimmed so checkpoints
+    are hit exactly; runs are deterministic for a fixed precision. A
+    zero-duration schedule is an instant quench: it has one checkpoint, at
+    s = 1, and takes no step, so the success probability is the uniform
+    weight on the marked state. A run whose steps times solves exceed
+    RK4_STEP_BUDGET is refused before the first step; ``steps`` reports
+    that product for a run that is taken.
     """
     precision = precision if precision is not None else Precision()
     check_evolution_cap(splitting)
@@ -216,10 +217,8 @@ def evolve(
     # the schedule at the checkpoints, one row each
     f, g = path.f(s_checks)[:, None], path.g(s_checks)[:, None]
     rate_checks = schedule_t.rate(s_checks)
-    # every one-block operator has the same spectral-norm bound, |f| + |g|
-    norm_bound = float((abs(f) + abs(g)).max())
     # steps are counted in floats, so a count too large for an int is refused, not converted
-    h_target = 1.0 / (float(min(precision.ode_steps_per_unit_time, sys.float_info.max)) * norm_bound)
+    h_target = 1.0 / float(min(precision.ode_steps_per_unit_time, sys.float_info.max))
     # steps[k] RK4 steps lead from checkpoint k - 1 to checkpoint k
     widths = np.diff(t_checks)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
@@ -264,5 +263,5 @@ def evolve(
     return EvolutionReport(
         splitting.n, splitting.parts, marked.to_string(), precision.epsilon, total_time,
         p, threshold, p >= threshold, float(lhs_vals.max()), drift,
-        t_checks, s_checks, overlaps, lhs_vals, norms,
+        t_checks, s_checks, overlaps, lhs_vals, norms, int(per_solve) * len(sizes),
     )

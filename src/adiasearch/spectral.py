@@ -22,16 +22,13 @@ def subsystem_gap(block_dim, f, g):
 
     A block of dimension ``block_dim`` driven by f*(uniform-state projector
     penalty) + g*(target-state projector penalty) has spectral gap
-    sqrt((f - g)**2 + 4*f*g/block_dim). Accepts array-valued f, g, or an
-    array of block dimensions, each a real number >= 2. A scalar dimension
-    may be an int of any size up to the double range, as Splitting.block_dims
-    gives it.
+    sqrt((f - g)**2 + 4*f*g/block_dim). Accepts array-valued f, g, and a
+    block dimension that is a scalar, an array or a sequence such as
+    Splitting.block_dims; each entry is read as a real number >= 2, an int
+    of any size up to the double range.
     """
-    dims = np.asarray(block_dim)
-    if dims.ndim == 0 and not isinstance(block_dim, np.ndarray):  # an int past int64 is an object array
-        dims = _real(block_dim, "block dimension")
-    elif dims.dtype.kind not in "iuf":  # a bool, string or object array is no dimension
-        raise ValueError(f"block dimension has the wrong type: expected a real number, got {block_dim!r}")
+    entries = np.asarray(block_dim, dtype=object)
+    dims = np.array([_real(d, "block dimension") for d in entries.flat]).reshape(entries.shape)
     if not np.all(dims >= 2):  # NaN fails too
         raise ValueError(f"block dimension must be >= 2, got {block_dim}")
     # d * d: a scalar's ** 2 goes through libm pow, an array's through x * x
@@ -60,36 +57,26 @@ def adiabatic_ratio(block_dims: np.ndarray):
     return ratio
 
 
-def max_structured_eigenvalue(n: int, spin_sum, f: float, g: float) -> float:
-    """Energy of the fully split (one clause per qubit) Hamiltonian.
+def _ladder_level(n, level) -> tuple[int, int]:
+    """(n, level) as ints with 0 <= level <= n, an index of the fully split ladder."""
+    n, level = _integer(n, "qubit count"), _integer(level, "level")
+    if not 0 <= level <= n:
+        raise ValueError(f"level must be in [0, {n}], got {level}")
+    return n, level
 
-    Levels are labelled by the half-integer ladder spin_sum in
-    {-n/2, ..., n/2}; the ground state sits at spin_sum = n/2. The value is
-    (n/2)*(f + g) - spin_sum*sqrt(f**2 + g**2).
-    """
-    n = _integer(n, "qubit count")
-    spin_sum, f, g = (_real(x, what) for x, what in ((spin_sum, "spin sum"), (f, "f"), (g, "g")))
-    two_m = 2.0 * spin_sum
-    if not math.isfinite(two_m):
-        raise ValueError(f"spin sum {spin_sum} outside the ladder for n={n}")
-    if abs(two_m - round(two_m)) > 1e-12:
-        raise ValueError(f"spin sum must step in halves, got {spin_sum}")
-    if (round(two_m) - n) % 2 != 0 or abs(spin_sum) > n / 2 + 1e-12:
-        raise ValueError(f"spin sum {spin_sum} outside the ladder for n={n}")
-    return 0.5 * n * (f + g) - spin_sum * math.hypot(f, g)
+
+def max_structured_eigenvalue(n: int, level: int, f: float, g: float) -> float:
+    """Energy (n/2)*(f + g) - (n/2 - level)*sqrt(f**2 + g**2) of the fully split
+    (one clause per qubit) search at its level-th distinct level; 0 is the ground state."""
+    n, level = _ladder_level(n, level)
+    half, f, g = 0.5 * _real(n, "qubit count"), _real(f, "f"), _real(g, "g")
+    return half * (f + g) - (half - level) * math.hypot(f, g)
 
 
 def max_structured_degeneracy(n: int, level: int) -> int:
-    """Multiplicity of the level-th distinct energy of the fully split search.
-
-    level 0 is the unique ground state, level 1 the n-fold degenerate first
-    excited state; in general the count is binomial(n, level).
-    """
-    n = _integer(n, "qubit count")
-    level = _integer(level, "level")
-    if not 0 <= level <= n:
-        raise ValueError(f"level must be in [0, {n}], got {level}")
-    return math.comb(n, level)
+    """Multiplicity binomial(n, level) of the level-th distinct energy of the
+    fully split search: 1 for the ground state, n for the first excited one."""
+    return math.comb(*_ladder_level(n, level))
 
 
 @dataclass(frozen=True)

@@ -123,7 +123,7 @@ def test_criterion_4_fully_split_spectrum():
                     [
                         np.full(
                             max_structured_degeneracy(n, k),
-                            max_structured_eigenvalue(n, n / 2 - k, f, g),
+                            max_structured_eigenvalue(n, k, f, g),
                         )
                         for k in range(n + 1)
                     ]

@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import io
 import json
 import math
@@ -135,6 +136,32 @@ def test_symlinked_out_is_written_through(tmp_path, capsys):
     assert run_cli("table", "--n", "6", "--out", str(loop)) == 2
     assert capsys.readouterr().err == f"adia table: error: cannot write {loop}: Too many levels of symbolic links\n"
     assert loop.is_symlink() and list(tmp_path.glob(".adia-*.tmp")) == []
+
+
+def test_failed_replace_leaves_no_temp_file_and_the_old_bytes(monkeypatch, tmp_path, capsys):
+    # the temp file is written in full, then os.replace fails: a full disk
+    # exits 2 naming the path given, an interrupt propagates, and neither
+    # leaves the temp file behind or touches the existing target
+    out = tmp_path / "table.csv"
+    out.write_bytes(b"old bytes\n")
+    replaced = []
+
+    def replace_raising(exc):
+        def fail(src, dst):
+            replaced.append(Path(src).name)
+            assert Path(src).read_text().startswith("m,n_per_m,")
+            raise exc
+
+        return fail
+
+    monkeypatch.setattr(cli.os, "replace", replace_raising(OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))))
+    assert run_cli("table", "--n", "6", "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"adia table: error: cannot write {out}: {os.strerror(errno.ENOSPC)}\n"
+    monkeypatch.setattr(cli.os, "replace", replace_raising(KeyboardInterrupt()))
+    with pytest.raises(KeyboardInterrupt):
+        run_cli("table", "--n", "6", "--out", str(out))
+    assert len(replaced) == 2 and all(name.startswith(".adia-") and name.endswith(".tmp") for name in replaced)
+    assert list(tmp_path.glob(".adia-*.tmp")) == [] and out.read_bytes() == b"old bytes\n"
 
 
 def test_table_check_passes(capsys):

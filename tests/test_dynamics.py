@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 from scipy.linalg import eigh, expm
 
@@ -231,10 +233,62 @@ def test_step_counts_follow_the_per_interval_rule(monkeypatch):
         counted.clear()
         precision = Precision(ode_steps_per_unit_time=steps_per_unit)
         report = evolve(make_splitting(4, [2, 2]), MarkedState.zeros(4), schedule_t, precision)
-        h = 1.0 / steps_per_unit  # the linear schedule's block norm bound |f| + |g| is 1
+        h = 1.0 / steps_per_unit  # evolve's step
         t = report.checkpoint_t
         expected = [max(1, math.ceil((t1 - t0) / h)) for t0, t1 in zip(t[:-1], t[1:]) if t1 > t0]
         assert counted == expected and all(type(n) is int for n in counted)
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
+@given(st.floats(0.0, 1.0))
+@example(0.0)
+@example(5e-324)
+@example(2.0**-54)
+@example(2.0**-53)
+@example(math.nextafter(0.5, 0.0))
+@example(0.5)
+@example(math.nextafter(0.5, 1.0))
+@example(1.0 - 2.0**-53)
+@example(1.0)
+def test_linear_couplings_sum_to_exactly_one(s):
+    # why evolve's step is 1 / ode_steps_per_unit_time with no norm factor:
+    # |f| + |g| = (1 - s) + s of the linear path rounds to 1 at every double
+    # s in [0, 1] (1 - s is exact for s >= 1/2, and below that its rounding
+    # error of at most 2^-54 rounds away in the sum)
+    path = LinearSchedule()
+    assert (1.0 - s) + s == 1.0
+    assert abs(path.f(s)) + abs(path.g(s)) == 1.0
+
+
+def test_report_counts_the_steps_the_budget_bounds(monkeypatch):
+    # n = 2, [2]: the hand count of the benchmark's counter test, one solve
+    splitting = make_splitting(2, [2])
+    precision = Precision(epsilon=0.2)
+    schedule_t = optimal_schedule(splitting, precision)
+    report = evolve(splitting, MarkedState.zeros(2), schedule_t, precision)
+    s_checks = np.linspace(0.0, 1.0, 101)
+    t_checks = np.asarray(schedule_t.t_of_s(s_checks), dtype=float)
+    t_checks[0], t_checks[-1] = 0.0, schedule_t.total_time
+    t_checks = np.maximum.accumulate(t_checks)
+    h = 1.0 / precision.ode_steps_per_unit_time
+    expected = sum(max(1, math.ceil((t1 - t0) / h)) for t0, t1 in zip(t_checks, t_checks[1:]) if t1 > t0)
+    assert type(report.steps) is int and report.steps == expected
+    # the steps of every rk4_propagate call, over all solves
+    counted = []
+
+    def counted_rk4(apply, psi, t0, t1, nsteps, couplings):
+        counted.append(nsteps)
+        return rk4_propagate(apply, psi, t0, t1, nsteps, couplings)
+
+    monkeypatch.setattr(dynamics, "rk4_propagate", counted_rk4)
+    for parts, solves in (([1, 3], 2), ([2, 2], 1)):
+        counted.clear()
+        report = _optimal_report(4, parts, 0.2)
+        assert report.steps == sum(counted) and len(counted) == 100 * solves, parts
+    # a quench takes no step
+    counted.clear()
+    assert evolve(splitting, MarkedState.zeros(2), TimeSchedule.quench(), precision).steps == 0
+    assert counted == []
 
 
 def test_step_counts_too_large_for_an_int_are_refused():

@@ -321,5 +321,6 @@ def test_matrix_free_matches_dense():
                 block_sum = vec.reshape(1, -1, 1).sum(axis=1, keepdims=True)
                 block.reshape(1, -1, 1)[...] -= (f / vec.size) * block_sum
                 assert np.array_equal(applier.apply(f, g, vec), block)
-                # evolve's step size takes |f| + |g| as the one-block operator's norm bound
+                # a one-block operator's norm is at most |f| + |g|, which is 1 on the
+                # linear path, so evolve's step 1 / ode_steps_per_unit_time resolves it
                 assert np.linalg.norm(dense, 2) <= abs(f) + abs(g) + 1e-12

@@ -316,7 +316,7 @@ def test_integer_arguments_refuse_other_types():
             lambda: closed_form_eps_t(4, 2.0),
             lambda: scaling_coefficients(2.0, 4, True),
         ],
-        "level": [lambda: max_structured_degeneracy(4, 1.0)],
+        "level": [lambda: max_structured_degeneracy(4, 1.0), lambda: max_structured_eigenvalue(4, 1.0, 0.5, 0.5)],
         "nsteps": [lambda: rk4_propagate(None, np.ones(2), 0.0, 1.0, 2.0, [[0.0, 0.0]] * 6)],
     }
     for what, refused in calls.items():

@@ -43,14 +43,19 @@ def test_block_gap_values():
     assert subsystem_gap(64, 0.5, 0.5) == pytest.approx(0.125, abs=1e-15)
     with pytest.raises(ValueError):
         subsystem_gap(1, 0.5, 0.5)
-    # NaN once passed the >= 2 check and gave a NaN gap; a string raised numpy's UFuncTypeError
+    # NaN once passed the >= 2 check and gave a NaN gap; a string raised numpy's UFuncTypeError.
+    # A sequence or array is read entry by entry as a scalar is.
     for bad, message in (
         (math.nan, "must be >= 2, got nan"),
         (np.array([4.0, math.nan]), "must be >= 2"),
+        ([4, 1], "must be >= 2"),
         ("4", "has the wrong type: expected a real number, got '4'"),
         (True, "has the wrong type"),
+        (np.array([True, False]), "has the wrong type"),
+        *(([4, x], "has the wrong type: expected a real number") for x in (True, np.bool_(True), "4", 4j)),
         # once refused as the wrong type: numpy holds an int past int64 as an object
         (2**2000, "is past the double range$"),
+        ([4, 2**2000], "is past the double range$"),
     ):
         with pytest.raises(ValueError, match=f"^block dimension {message}"):
             subsystem_gap(bad, 0.5, 0.5)
@@ -58,6 +63,15 @@ def test_block_gap_values():
     for dim in (2**64, 2**70):
         assert subsystem_gap(dim, 0.5, 0.5) == subsystem_gap(float(dim), 0.5, 0.5)
     assert subsystem_gap(make_splitting(64, [64]).block_dims[0], 0.3, 0.7) == subsystem_gap(2.0**64, 0.3, 0.7)
+    # the dimensions of a split, one past int64, were once refused as the
+    # wrong type although each entry alone was accepted
+    dims = make_splitting(96, [32, 64]).block_dims
+    for f, g in ((0.5, 0.5), (0.3, 0.7), (1.0, 0.0)):
+        gaps = subsystem_gap(dims, f, g)
+        assert gaps.shape == (2,) and list(gaps) == [subsystem_gap(d, f, g) for d in dims]
+    as_floats = subsystem_gap(np.array([[2.0], [4.0], [8.0]]), 0.3, 0.7)
+    for mixed in ([[2], [4.0], [np.int64(8)]], np.array([[2], [4], [8]])):
+        assert np.array_equal(subsystem_gap(mixed, 0.3, 0.7), as_floats)
 
 
 def test_block_gap_matches_dense_unstructured_midpoint():
@@ -69,41 +83,48 @@ def test_block_gap_matches_dense_unstructured_midpoint():
 
 def test_ladder_eigenvalue_examples():
     for n in (1, 2, 5):
-        assert max_structured_eigenvalue(n, n / 2, 1.0, 0.0) == pytest.approx(0.0, abs=1e-15)
-    assert max_structured_eigenvalue(6, 2, 0.5, 0.5) == pytest.approx(3.0 - math.sqrt(2.0), abs=1e-14)
+        assert max_structured_eigenvalue(n, 0, 1.0, 0.0) == pytest.approx(0.0, abs=1e-15)
+    assert max_structured_eigenvalue(6, 1, 0.5, 0.5) == pytest.approx(3.0 - math.sqrt(2.0), abs=1e-14)
     for n in (1, 3, 6):
-        gap = max_structured_eigenvalue(n, n / 2 - 1, 0.3, 0.7) - max_structured_eigenvalue(
-            n, n / 2, 0.3, 0.7
-        )
+        gap = max_structured_eigenvalue(n, 1, 0.3, 0.7) - max_structured_eigenvalue(n, 0, 0.3, 0.7)
         assert gap == pytest.approx(math.hypot(0.3, 0.7), abs=1e-14)
+    # the level is an integer: a fractional or non-finite level, and a float
+    # one step off an integer, are refused, not rounded onto the ladder (a
+    # spin sum of 1 + 1e-13 once read 0.2928932188133818 at n = 2)
+    for level in (1.0, 0.5, 2.7, math.inf, -math.inf, math.nan, 1e308, np.float64(1.0), np.float32(3e38)):
+        with pytest.raises(ValueError, match="^level has the wrong type: expected an integer"):
+            max_structured_eigenvalue(4, level, 0.5, 0.5)
     with pytest.raises(ValueError):
-        max_structured_eigenvalue(4, 2.7, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        max_structured_eigenvalue(4, 3, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        max_structured_eigenvalue(4, 0.5, 0.5, 0.5)  # wrong half-integer parity
-    # non-finite, or past the largest double once doubled
-    for spin_sum in (math.inf, -math.inf, math.nan, 1e308, np.float64(1e308), np.float32(3e38)):
-        with pytest.raises(ValueError, match="outside the ladder for n=4"):
-            max_structured_eigenvalue(4, spin_sum, 0.5, 0.5)
+        max_structured_eigenvalue(2, 1 + 1e-13, 0.5, 0.5)
+    assert max_structured_eigenvalue(2, 0, 0.5, 0.5) == 0.2928932188134524
+    for level in (-1, 5, 10**400):
+        with pytest.raises(ValueError, match=r"^level must be in \[0, 4\]"):
+            max_structured_eigenvalue(4, level, 0.5, 0.5)
+    # a qubit count past the double range is refused by name, not by OverflowError
+    with pytest.raises(ValueError, match="^qubit count is past the double range"):
+        max_structured_eigenvalue(2**1024, 0, 0.5, 0.5)
     # an overflowing energy reads inf, numpy scalars or not
     assert max_structured_eigenvalue(4, 1, np.float64(1e308), np.float64(1e308)) == math.inf
+    assert max_structured_eigenvalue(np.int64(4), np.int32(1), 0.5, 0.5) == max_structured_eigenvalue(4, 1, 0.5, 0.5)
     # an int past the double range is refused by name: read as inf, it would
     # make the energy inf - inf = nan
     for bad, refusal in [(x, "has the wrong type") for x in (True, np.bool_(False), "1", 1j)] + [
         (10**400, "is past the double range")
     ]:
-        for position, what in enumerate(("spin sum", "f", "g")):
-            args = [1.0, 0.5, 0.5]
+        for position, what in enumerate(("f", "g")):
+            args = [0.5, 0.5]
             args[position] = bad
             with pytest.raises(ValueError, match=f"^{what} {refusal}"):
-                max_structured_eigenvalue(4, *args)
+                max_structured_eigenvalue(4, 1, *args)
+    for bad in (True, np.bool_(False), "1", 1j):
+        with pytest.raises(ValueError, match="^level has the wrong type"):
+            max_structured_eigenvalue(4, bad, 0.5, 0.5)
 
 
 def test_ladder_value_present_in_dense_spectrum():
     h = _dense_hamiltonian(6, [1] * 6, 0.5)
     values = eigh(h, eigvals_only=True)
-    target = max_structured_eigenvalue(6, 2, 0.5, 0.5)
+    target = max_structured_eigenvalue(6, 1, 0.5, 0.5)
     assert np.min(np.abs(values - target)) < 1e-12
 
 
