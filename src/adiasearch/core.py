@@ -72,8 +72,9 @@ class Splitting:
         """Per-block dimensions 2**n_i."""
         return tuple(1 << p for p in self.parts)
 
-    def float_block_dims(self) -> np.ndarray:
-        """Per-block dimensions as floats, for the floating-point paths.
+    def size_counts(self) -> tuple[tuple[int, int], ...]:
+        """(size, count) of each distinct block size, ascending: the one grouping
+        of blocks by size, so results depend on the multiset of sizes only.
 
         Raises ValueError for a block of more than MAX_BLOCK_QUBITS qubits.
         """
@@ -83,7 +84,7 @@ class Splitting:
                 f"block of {largest} qubits exceeds the floating-point cap of "
                 f"{MAX_BLOCK_QUBITS} qubits per block"
             )
-        return np.array(self.block_dims, dtype=float)
+        return tuple((size, self.parts.count(size)) for size in sorted(set(self.parts)))
 
     def block_fields(self) -> list[tuple[int, int]]:
         """(shift, mask) pairs that extract each block's bits from an index."""

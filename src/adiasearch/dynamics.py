@@ -3,16 +3,16 @@
 Each block term acts only on its own qubits and the start state is a
 product, so the state stays a product of block states. A fixed-step
 4th-order integrator drives one 2^{n_i} block vector per distinct block
-size through that block's term of H(s(t)), without building dense
-matrices; blocks of one size share a solve, because the marked bits only
-relabel a block's basis states. The couplings f and g at every RK4 stage of
-the run come from one chunked pass, s(t) from the time schedule and f, g of
-the linear path at it, and reach the integrator as plain lists, step by
-step. Ground-state overlap, the adiabaticity diagnostic and norm drift are
-recorded at uniform checkpoints in s, the overlap and norm as products over
-the blocks. Norm drift is never corrected, only watched: exceeding the limit
-is an error, not a warning, because renormalizing would mask step-size
-problems.
+size (Splitting.size_counts) through that block's term of H(s(t)), with no
+dense matrix; blocks of one size share a solve, because the marked bits
+only relabel a block's basis states. The couplings f and g at every RK4
+stage of the run come from one chunked pass, s(t) from the time schedule
+and f, g of the linear path at it, and reach the integrator as plain lists,
+step by step. Ground-state overlap, the adiabaticity diagnostic and norm
+drift are recorded at uniform checkpoints in s, the overlap and norm as
+products over the blocks. Norm drift is never corrected, only watched:
+exceeding the limit is an error, not a warning, because renormalizing would
+mask step-size problems.
 
 The diagnostics diagonalize nothing and build no ground vector: each block
 term keeps span{|marked_i>, |uniform_i>} invariant, so an overlap with the
@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import math
 import sys
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -152,7 +151,7 @@ def adiabaticity_lhs(splitting: Splitting, s: float, ds_dt: float) -> float:
     if not math.isfinite(ds_dt):
         raise ValueError(f"ds_dt must be finite, got {ds_dt}")
     path = LinearSchedule()
-    ratio = adiabatic_ratio(splitting.float_block_dims())
+    ratio = adiabatic_ratio(splitting)
     # a Python float product overflows to inf without numpy's warning
     return float(ratio(path.difference(s, 0.0), path.f(s), path.g(s))) * abs(ds_dt)
 
@@ -201,7 +200,7 @@ def evolve(
     check_evolution_cap(splitting)
     marked.block_values(splitting)  # refuses a marked state of the wrong length
     # one solve per distinct block size, its marked entry at index 0
-    sizes, counts = zip(*sorted(Counter(splitting.parts).items()))
+    sizes, counts = zip(*splitting.size_counts())
     dims = [1 << size for size in sizes]
     appliers = [MatrixFreeHamiltonian(make_splitting(q, [q]), MarkedState.zeros(q)) for q in sizes]
     psis = [np.full(dim, 1.0 / math.sqrt(dim), dtype=complex) for dim in dims]
@@ -234,7 +233,7 @@ def evolve(
 
     # the diagnostics that do not depend on the state, at every checkpoint at once
     c_marked, c_perp = _ground_amplitudes(np.array(dims, dtype=float), f, g)
-    ratio = adiabatic_ratio(splitting.float_block_dims())
+    ratio = adiabatic_ratio(splitting)
     lhs_vals = ratio(path.difference(s_checks[:, None], 0.0), f, g) * np.abs(rate_checks)
 
     # every stage coupling of the run in one pass, split by checkpoint interval

@@ -56,9 +56,8 @@ def _time_integrand(splitting: Splitting, schedule: LinearSchedule):
     Returns (integrand of u, the map s -> u, its inverse u -> s, dt/ds as a
     function of s).
     """
-    dims = splitting.float_block_dims()
-    ratio = adiabatic_ratio(dims)
-    width = 0.25 / math.sqrt(float(np.max(dims)))
+    ratio = adiabatic_ratio(splitting)
+    width = 0.25 / math.sqrt(float(1 << splitting.size_counts()[-1][0]))
 
     def at_offset(x: float) -> float:
         s = 0.5 + x
@@ -129,8 +128,8 @@ def closed_form_eps_t(n: int, num_blocks: int) -> float:
     n and m are refused as equal_splitting refuses them, and so are blocks
     over the floating-point cap of MAX_BLOCK_QUBITS qubits.
     """
-    block_dim = equal_splitting(n, num_blocks).float_block_dims()[0]
-    return math.sqrt(num_blocks * (block_dim - 1.0))
+    ((size, _),) = equal_splitting(n, num_blocks).size_counts()
+    return math.sqrt(num_blocks * (float(1 << size) - 1.0))
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@
 Per-block energy gaps, the one adiabaticity ratio of the whole package
 (``adiabatic_ratio``), the product-state eigenvalue ladder of the fully split
 search, level degeneracies, and tabulated gap profiles over the interpolation
-parameter. A profile's minimum is the largest block's gap at the crossing
-s = 1/2 of the linear path.
+parameter. The ratio and the profiles take each distinct block size once,
+from Splitting.size_counts. A profile's minimum is the largest block's gap
+at the crossing s = 1/2 of the linear path.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ def subsystem_gap(block_dim, f, g):
     return np.sqrt(d * d + (4.0 / dims) * f * g)
 
 
-def adiabatic_ratio(block_dims: np.ndarray):
+def adiabatic_ratio(splitting: Splitting):
     """ratio(difference, f, g): sqrt(sum_i r_i**2) at unit |ds/dt|, the
     quantity a bound-saturating schedule holds at epsilon. dH/ds couples block
     i's ground state only to its own excited direction, one gap omega_i above,
@@ -44,14 +45,17 @@ def adiabatic_ratio(block_dims: np.ndarray):
     f'g - g'f is -(f + g), and (-1.0) * g - 1.0 * f rounds exactly as
     -(f + g), so the drive f + g keeps every bit of the general form.
     omega_i**2 is formed from ``difference`` = f - g, as
-    LinearSchedule.difference gives it. Python floats give a scalar, arrays
-    of shape (k, 1) an array of shape (k,).
+    LinearSchedule.difference gives it. The sum runs over the distinct sizes
+    of Splitting.size_counts, weighted by their counts. Python floats give a
+    scalar, arrays of shape (k, 1) an array of shape (k,).
     """
-    weights = (block_dims - 1.0) / block_dims**2
+    sizes, counts = zip(*splitting.size_counts())
+    dims = np.array([float(1 << size) for size in sizes])
+    weights = np.array(counts) * ((dims - 1.0) / dims**2)
 
     def ratio(difference, f, g):
         drive = f + g
-        gaps_sq = difference * difference + (4.0 * f * g) / block_dims
+        gaps_sq = difference * difference + (4.0 * f * g) / dims
         return np.sqrt((drive * drive * weights / gaps_sq**3).sum(axis=-1))
 
     return ratio
@@ -105,7 +109,8 @@ def gap_profile(splitting: Splitting, grid: int = 1001) -> GapProfile:
         raise ValueError(f"grid must have between 2 and {MAX_GRID} samples, got {grid}")
     s = np.linspace(0.0, 1.0, grid)
     path = LinearSchedule()
-    dims = splitting.float_block_dims()
-    block_gaps = subsystem_gap(dims, path.f(s)[:, None], path.g(s)[:, None])
-    omega_min = float(subsystem_gap(float(dims.max()), path.f(0.5), path.g(0.5)))
-    return GapProfile(splitting, s, block_gaps, block_gaps.min(axis=1), omega_min, 0.5)
+    sizes = [size for size, _ in splitting.size_counts()]
+    columns = subsystem_gap([1 << size for size in sizes], path.f(s)[:, None], path.g(s)[:, None])
+    block_gaps = columns[:, [sizes.index(p) for p in splitting.parts]]  # one column per block, in order
+    omega_min = float(subsystem_gap(1 << sizes[-1], path.f(0.5), path.g(0.5)))
+    return GapProfile(splitting, s, block_gaps, columns.min(axis=1), omega_min, 0.5)

@@ -19,7 +19,6 @@ import numpy as np
 from adiasearch.core import LinearSchedule, MarkedState, Splitting
 from adiasearch.dynamics import _ground_amplitude, _ground_amplitudes
 from adiasearch.hamiltonian import _check_dense_cap
-from adiasearch.spectral import adiabatic_ratio
 
 # Word-by-word dense expansion costs O(6^n); refuse above this qubit count.
 EXPANSION_CAP = 10
@@ -166,7 +165,7 @@ def instantaneous_ground_overlap(
     contracted one block axis at a time against the block closed forms."""
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must be in [0, 1], got {s}")
-    dims = splitting.float_block_dims()
+    dims = np.array(splitting.block_dims, dtype=float)
     c_marked, c_perp = _ground_amplitudes(dims, float(schedule.f(s)), float(schedule.g(s)))
     amplitude = np.asarray(state).reshape(splitting.block_dims)
     for index, cm, cp in zip(marked.block_values(splitting), c_marked, c_perp):
@@ -198,8 +197,10 @@ def two_level_success(parts, epsilon: float, steps: int) -> float:
     rate of the mixing angle, and Theta the integral of the gap omega over t.
     The start state is each block's ground state, so p = prod_i |c0_i(1)|**2.
 
-    dt/ds is adiabatic_ratio / epsilon, formed from the offset x = s - 1/2 =
-    w sinh(u) with LinearSchedule.difference, as the running time is. The steps
+    dt/ds is sqrt(sum_i (f + g)**2 (N_i - 1) / (N_i**2 omega_i**6)) / epsilon,
+    summed here block by block in the given order, not taken from the
+    package's ratio, and formed from the offset x = s - 1/2 = w sinh(u) with
+    LinearSchedule.difference, as the running time is. The steps
     are uniform in u and tile [u(0), u(1)] by their own edges. Each is one
     first-order Magnus rotation (Iserles, BIT 42, 561 (2002)), whose
     z = integral of a e^{i Theta} du is a Filon rule in the phase: b =
@@ -215,7 +216,6 @@ def two_level_success(parts, epsilon: float, steps: int) -> float:
     schedule = LinearSchedule()
     dims = np.array([2.0**p for p in parts])
     sizes, block_size = np.unique(dims, return_inverse=True)
-    ratio = adiabatic_ratio(dims)
     width = 0.25 / math.sqrt(dims.max())  # the narrowest peak's half-width in s
     u_end = math.asinh(0.5 / width)
     edges = np.linspace(-u_end, u_end, steps + 1)
@@ -228,9 +228,12 @@ def two_level_success(parts, epsilon: float, steps: int) -> float:
         f, g = schedule.f(s), schedule.g(s)
         difference = schedule.difference(0.5, x)
         ds_du = (width * np.cosh(u))[..., None]
-        dt_du = ratio(difference, f, g)[..., None] / epsilon * ds_du
+        drive = f + g
+        block_gaps_sq = difference * difference + 4.0 * f * g / dims
+        dt_ds = np.sqrt(np.sum(drive * drive * (dims - 1.0) / (dims * dims * block_gaps_sq**3), axis=-1))
+        dt_du = dt_ds[..., None] / epsilon * ds_du
         # f'g - g'f on the linear path, where f' = -1 and g' = 1
-        return np.sqrt(difference * difference + 4.0 * f * g / sizes), dt_du, ds_du, -(f + g)
+        return np.sqrt(difference * difference + 4.0 * f * g / sizes), dt_du, ds_du, -drive
 
     omega, dt_du, _, _ = frame((edges[:-1, None] + h[:, None] * (0.5 + 0.5 * _GAUSS_NODES)).astype(np.longdouble))
     d_theta = 0.5 * h[:, None] * np.einsum("j,kjm->km", _GAUSS_WEIGHTS.astype(np.longdouble), omega * dt_du)

@@ -7,6 +7,7 @@ import os
 import stat
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -392,6 +393,9 @@ def test_oversized_block_is_config_error(capsys):
         ("schedule", "--n", "2000", "--m", "1"),
         ("schedule", "--n", "1023", "--m", "1"),
         ("gap", "--n", "66", "--parts", "1,65"),
+        # a block of 2^70 qubits: refused before its dimension, which overflows, is built
+        ("gap", "--n", str(2**70), "--m", "1"),
+        ("schedule", "--n", str(2**70 + 1), "--parts", f"{2**70},1"),
     ):
         assert run_cli(*argv) == 2
         err = capsys.readouterr().err
@@ -581,20 +585,25 @@ def test_package_and_commands_run_without_scipy():
 # also reach the computations and not only the argument checks.
 _ODD_VALUES = ("0", "-1", "nan", "inf", "-inf", "1e-300", "5e-324", "x", "")
 _FLAG_VALUES = {
-    "--eps": _ODD_VALUES + ("0.2", "0.5", "1"),
-    "--grid": _ODD_VALUES + ("1", "2", "100", "137", "137", "65537"),
-    "--total-time": _ODD_VALUES + ("1", "1e-99", "1e9"),
+    "--eps": _ODD_VALUES + ("0.2", "0.5", "1", "1e308"),
+    "--grid": _ODD_VALUES + ("1", "2", "99", "100", "137", "137", "65537"),
+    "--total-time": _ODD_VALUES + ("1", "1e-99", "1e9", "-0", "1e-320", "1e308"),
     "--steps": _ODD_VALUES + ("1", "64", "100000000"),
     "--marked": ("0", "01", "0000", "1010", "2", ""),
     "--format": ("csv", "json", "xml"),
+    # names inside the test's temporary directory; "" and "." are refused
+    "--out": ("artifact", "artifact", "no-such-dir/artifact", "", "."),
 }
 _COMMAND_FLAGS = {
-    "table": ("--format",),
-    "gap": ("--grid", "--format"),
-    "schedule": ("--eps", "--grid", "--format"),
-    "pauli": ("--marked",),
-    "evolve": ("--eps", "--total-time", "--steps", "--grid", "--marked", "--format"),
+    "table": ("--format", "--out"),
+    "gap": ("--grid", "--format", "--out"),
+    "schedule": ("--eps", "--grid", "--format", "--out"),
+    "pauli": ("--marked", "--out"),
+    "evolve": ("--eps", "--total-time", "--steps", "--grid", "--marked", "--format", "--out"),
 }
+# The slowest call the pool draws takes about 0.1 s; the bound catches a call
+# that hangs or does work past a cap, not a slow machine.
+_CALL_WALL_BOUND_S = 5.0
 
 
 # Values past a cap: each argv holding one must exit 2 before any work.
@@ -618,7 +627,10 @@ def _argv(draw):
         if draw(st.booleans()):
             argv.append("--check")
     elif draw(st.booleans()):
-        odd_parts = ("", ",", "1,,2", "0,2", "-1,3", "1.5", "x", "65", _MANY_PARTS)
+        odd_parts = (
+            "", ",", "1,,2", "0,2", "-1,3", "+1,+1", "1.5", "1.0,1", "x", " 1", "1, 1", "1 2",
+            "13", "65", _MANY_PARTS, ",".join(map(str, parts[::-1])),
+        )
         argv += ["--parts", draw(st.sampled_from((",".join(map(str, parts)),) * 3 + odd_parts))]
     else:
         argv += ["--m", draw(st.sampled_from(("1", "1", "2", "0", "-1", "x", _HUGE)))]
@@ -628,16 +640,37 @@ def _argv(draw):
     return argv
 
 
-@settings(max_examples=200, derandomize=True, deadline=None, database=None)
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("argv-out")
+
+
+@settings(max_examples=500, derandomize=True, deadline=None, database=None)
 @given(_argv())
-def test_every_argv_gives_a_documented_exit_code_and_no_traceback(argv):
+def test_every_argv_gives_a_documented_exit_code_and_no_traceback(out_dir, argv):
+    """Exit 0, 2, 3 or 4 with no traceback, within a wall bound per call.
+
+    An exit 2 leaves one error line, the last on stderr (argparse prints
+    its usage first). --out names a path in one temporary directory, which no
+    call leaves a temp file in. The pool leaves out the two caps that take
+    seconds by design: pauli at 20 qubits and gap at 65,536 x 64.
+    """
+    if "--out" in argv:
+        at = argv.index("--out") + 1
+        argv = [*argv[:at], str(out_dir / argv[at]) if argv[at] else "", *argv[at + 1:]]
     out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
+    assert time.perf_counter() - start < _CALL_WALL_BOUND_S, argv
     assert code in (0, 2, 3, 4), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
     if _must_refuse(argv):
         assert code == 2, argv
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert [line for line in lines if "error:" in line] == lines[-1:], (argv, lines)
+    assert not list(out_dir.glob(".adia-*")), argv
 
 
 _FAILING_PROPERTY = """

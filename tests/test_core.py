@@ -66,15 +66,22 @@ def test_block_dims_product_is_total_dim():
             left -= p
         sp = make_splitting(n, parts)
         assert np.prod([float(d) for d in sp.block_dims]) == 2.0**n
-        assert sp.float_block_dims().tolist() == [float(d) for d in sp.block_dims]
+        counts = sp.size_counts()
+        # distinct sizes, ascending, whose counts rebuild the multiset of parts
+        assert [size for size, _ in counts] == sorted(set(parts))
+        assert [size for size, count in counts for _ in range(count)] == sorted(parts)
+        # the same pairs for any order of the blocks
+        assert make_splitting(n, parts[::-1]).size_counts() == counts
 
 
-def test_float_block_dims_cap():
-    assert make_splitting(128, [64, 64]).float_block_dims().tolist() == [2.0**64] * 2
-    # the splitting itself stays valid; only the floating-point paths refuse it
-    for n, parts in [(65, [65]), (66, [1, 65]), (2000, [2000])]:
+def test_size_counts_cap():
+    assert make_splitting(128, [64, 64]).size_counts() == ((64, 2),)
+    assert make_splitting(64, [1, 63]).size_counts() == make_splitting(64, [63, 1]).size_counts() == ((1, 1), (63, 1))
+    # the splitting itself stays valid; only the floating-point paths refuse
+    # it, before any dimension 2^size is built: 1 << 2^70 overflows
+    for n, parts in [(65, [65]), (66, [1, 65]), (2000, [2000]), (2**70, [2**70]), (2**70 + 1, [1, 2**70])]:
         with pytest.raises(ValueError, match="64 qubits per block"):
-            make_splitting(n, parts).float_block_dims()
+            make_splitting(n, parts).size_counts()
 
 
 def test_marked_state_big_endian_index():

@@ -471,16 +471,16 @@ def test_checkpoint_lhs_is_the_scalar_adiabaticity_lhs():
 
 def test_scalar_adiabaticity_lhs_is_the_array_row():
     # evolve's cap keeps the checkpoint test below 13 qubits; this one reaches
-    # 11 blocks of three sizes, where the pairwise adds of the block sum
-    # regroup. The time integrand and adiabaticity_lhs call the same ratio
-    # with Python floats.
+    # 11 blocks of three sizes, which the ratio sums as three weighted terms.
+    # The time integrand and adiabaticity_lhs call the same ratio with Python
+    # floats.
     sched = LinearSchedule()
     s = np.linspace(0.0, 1.0, 101)[:, None]
     f, g = sched.f(s), sched.g(s)
     rates = 0.5 + s[:, 0]
     for parts in ([2, 10], [1] * 10 + [2], [8, 8, 8, 3, 8, 8, 8, 1, 1, 3, 1]):
         splitting = make_splitting(sum(parts), parts)
-        ratio = adiabatic_ratio(splitting.float_block_dims())
+        ratio = adiabatic_ratio(splitting)
         ratios = ratio(sched.difference(s, 0.0), f, g)
         floats = [ratio(sched.difference(x, 0.0), sched.f(x), sched.g(x)) for x in s[:, 0].tolist()]
         assert ratios.tolist() == floats, parts
@@ -508,7 +508,7 @@ def test_schedule_rates_times_the_ratio_read_epsilon_past_the_evolution_cap():
         schedule_t = optimal_schedule(splitting, Precision(epsilon=eps))
         base = LinearSchedule()
         s = schedule_t.s_nodes[:, None]
-        ratio = adiabatic_ratio(splitting.float_block_dims())
+        ratio = adiabatic_ratio(splitting)
         lhs = ratio(base.difference(s, 0.0), base.f(s), base.g(s)) * schedule_t.rate_nodes
         assert lhs.size == 1001
         assert np.max(np.abs(lhs / eps - 1.0)) <= 1e-15, parts
@@ -659,7 +659,7 @@ def test_closed_form_probe_matches_dense_diagonalization():
             drive = -(h_initial @ vecs[:, 0]) + h_final * vecs[:, 0]
             dense_ratio = math.sqrt(np.sum((vecs[:, 1:].T @ drive) ** 2 / (vals[1:] - vals[0]) ** 4))
 
-            gap = subsystem_gap(splitting.float_block_dims(), f, g).min()
+            gap = subsystem_gap(splitting.block_dims, f, g).min()
             assert gap == pytest.approx(vals[1] - vals[0], abs=1e-10)
             overlap = instantaneous_ground_overlap(vecs[:, 0], splitting, marked, sched, s)
             assert overlap == pytest.approx(1.0, abs=1e-10)

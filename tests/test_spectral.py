@@ -162,7 +162,7 @@ def test_matrix_element_examples():
     # gap squared: the integrand of the sqrt(n) running time
     sched = LinearSchedule()
     for n in (1, 4, 7, 64):
-        ratio = adiabatic_ratio(equal_splitting(n, n).float_block_dims())
+        ratio = adiabatic_ratio(equal_splitting(n, n))
         for s in np.linspace(0.0, 1.0, 11).tolist():
             f, g = sched.f(s), sched.g(s)
             # |f'g - g'f| with f' = -1 and g' = 1
