@@ -83,8 +83,8 @@ def test_unwritable_out_is_config_error(monkeypatch, tmp_path, capsys):
     pipe = tmp_path / "pipe"
     os.mkfifo(pipe)
     made = []
-    mkstemp = cli.tempfile.mkstemp
-    monkeypatch.setattr(cli.tempfile, "mkstemp", lambda **kwargs: made.append(kwargs) or mkstemp(**kwargs))
+    os_open = cli.os.open
+    monkeypatch.setattr(cli.os, "open", lambda path, *args: made.append(path) or os_open(path, *args))
     for out, reason in (
         (tmp_path / "missing" / "x.csv", "No such file or directory"),
         (tmp_path, "Is a directory"),
@@ -99,7 +99,8 @@ def test_unwritable_out_is_config_error(monkeypatch, tmp_path, capsys):
     assert run_cli("table", "--n", "6", "--out", "") == 2
     assert capsys.readouterr().err == "adia table: error: cannot write : No such file or directory\n"
     # only the missing directory got as far as asking for a temp file
-    assert [kwargs["dir"] for kwargs in made] == [str(tmp_path / "missing")]
+    assert [os.path.dirname(path) for path in made] == [str(tmp_path / "missing")]
+    assert all(os.path.basename(path).startswith(".adia-") and path.endswith(".tmp") for path in made)
 
 
 def test_out_file_gets_the_mode_of_a_plain_open(tmp_path):
@@ -117,6 +118,27 @@ def test_out_file_gets_the_mode_of_a_plain_open(tmp_path):
                 assert stat.S_IMODE(os.stat(out).st_mode) == kept
         finally:
             os.umask(previous)
+
+
+def test_out_file_mode_leaves_the_umask_alone(monkeypatch, tmp_path):
+    # the kernel applies the umask when the temp file is created; the writer
+    # once read the umask by setting it to 0 and back, so for that moment a
+    # file any other thread created got mode 0o666
+    def no_umask(mask):
+        raise AssertionError("os.umask called")
+
+    previous = os.umask(0o027)
+    try:
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "umask", no_umask)
+            out = tmp_path / "table.csv"
+            assert run_cli("table", "--n", "6", "--out", str(out)) == 0
+            assert stat.S_IMODE(os.stat(out).st_mode) == 0o640
+            out.chmod(0o604)
+            assert run_cli("table", "--n", "6", "--out", str(out)) == 0
+            assert stat.S_IMODE(os.stat(out).st_mode) == 0o604
+    finally:
+        os.umask(previous)
 
 
 def test_symlinked_out_is_written_through(tmp_path, capsys):
@@ -190,22 +212,52 @@ def test_table_check_detects_drift(monkeypatch, capsys):
 
 
 def test_table_check_names_each_mismatch(monkeypatch, capsys):
-    # rows spoiled in alpha, beta, order and count; each gets its own line
+    # rows spoiled in alpha, beta, order and count; each printed row that
+    # differs gets one line, with the printed and the published row
     rows = reproduce_table(6)
+    published = [cli._table_line(row) for row in cli.REFERENCE_TABLES[6]]
     cases = [
-        ([rows[0], replace(rows[1], alpha=0.9618), *rows[2:]], ["m=2: alpha 0.961800 vs reference 0.9518"]),
-        ([*rows[:2], replace(rows[2], beta=2.01), rows[3]], ["m=3: beta 2.010000 vs reference 2.0"]),
-        ([rows[0], replace(rows[1], beta=math.inf), *rows[2:]], ["m=2: beta inf vs reference 3.8074"]),
-        (
-            [rows[1], rows[0], *rows[2:]],
-            ["row order: computed m=2, reference m=1", "row order: computed m=1, reference m=2"],
-        ),
-        (rows[:3], ["row count: computed 3, reference 4"]),
+        ([rows[0], replace(rows[1], alpha=0.9618), *rows[2:]], ["row 2: 2,3,3.74,0.9618,3.8074 vs reference {1}"]),
+        ([*rows[:2], replace(rows[2], beta=2.01), rows[3]], ["row 3: 3,2,3.00,0.8842,2.0100 vs reference {2}"]),
+        ([rows[0], replace(rows[1], beta=math.inf), *rows[2:]], ["row 2: 2,3,3.74,0.9518,inf vs reference {1}"]),
+        ([rows[1], rows[0], *rows[2:]], ["row 1: {1} vs reference {0}", "row 2: {0} vs reference {1}"]),
+        (rows[:3], ["row count: printed 3, reference 4"]),
     ]
     for spoiled, lines in cases:
         monkeypatch.setattr(cli.runtime, "reproduce_table", lambda n, spoiled=spoiled: spoiled)
         assert run_cli("table", "--n", "6", "--check") == cli.EXIT_GOLDEN
-        assert capsys.readouterr().err == "".join(f"check n=6: MISMATCH {line}\n" for line in lines)
+        expected = "".join(f"check n=6: MISMATCH {line.format(*published)}\n" for line in lines)
+        assert capsys.readouterr().err == expected
+
+
+def test_table_check_refuses_digits_the_table_does_not_print(monkeypatch, capsys):
+    # eps_T off by 2 at m = 1 and by 0.03 at m = 3, alpha off by 4 units of
+    # the last printed digit at m = 2: tolerances of 1e-4 relative or 0.05
+    # on eps_T and 5e-4 on each exponent once passed all three
+    drifted = list(cli.REFERENCE_TABLES[30])
+    drifted[0] = (1, 30, 32770.00, 1.0000, math.inf)
+    drifted[1] = (2, 15, 256.00, 1.0004, 16.0000)
+    drifted[2] = (3, 10, 55.43, 0.9999, 7.3084)
+    monkeypatch.setitem(cli.REFERENCE_TABLES, 30, drifted)
+    assert run_cli("table", "--n", "30", "--check") == cli.EXIT_GOLDEN
+    captured = capsys.readouterr()
+    printed = ["1,30,32768.00,1.0000,inf", "2,15,256.00,1.0000,16.0000", "3,10,55.40,0.9999,7.3084"]
+    assert captured.out.split("\n")[1:4] == printed
+    assert captured.err == (
+        "check n=30: MISMATCH row 1: 1,30,32768.00,1.0000,inf vs reference 1,30,32770.00,1.0000,inf\n"
+        "check n=30: MISMATCH row 2: 2,15,256.00,1.0000,16.0000 vs reference 2,15,256.00,1.0004,16.0000\n"
+        "check n=30: MISMATCH row 3: 3,10,55.40,0.9999,7.3084 vs reference 3,10,55.43,0.9999,7.3084\n"
+    )
+
+
+def test_table_check_compares_the_n_per_m_column(monkeypatch, capsys):
+    wrong = list(cli.REFERENCE_TABLES[6])
+    wrong[1] = (2, 4, 3.74, 0.9518, 3.8074)
+    monkeypatch.setitem(cli.REFERENCE_TABLES, 6, wrong)
+    assert run_cli("table", "--n", "6", "--check") == cli.EXIT_GOLDEN
+    assert capsys.readouterr().err == (
+        "check n=6: MISMATCH row 2: 2,3,3.74,0.9518,3.8074 vs reference 2,4,3.74,0.9518,3.8074\n"
+    )
 
 
 def test_table_invalid_n_is_config_error(capsys):
