@@ -19,7 +19,6 @@ from .dynamics import (
     NormDriftError,
     adiabaticity_lhs,
     evolve,
-    rk4_propagate,
 )
 from .hamiltonian import (
     DENSE_CAP,

@@ -5,14 +5,14 @@ product, so the state stays a product of block states. A fixed-step
 4th-order integrator drives one 2^{n_i} block vector per distinct block
 size (Splitting.size_counts) through that block's term of H(s(t)), with no
 dense matrix; blocks of one size share a solve, because the marked bits
-only relabel a block's basis states. The couplings f and g at every RK4
-stage of the run come from one chunked pass, s(t) from the time schedule
-and f, g of the linear path at it, and reach the integrator as plain lists,
-step by step. Ground-state overlap, the adiabaticity diagnostic and norm
-drift are recorded at uniform checkpoints in s, the overlap and norm as
-products over the blocks. Norm drift is never corrected, only watched:
-exceeding the limit is an error, not a warning, because renormalizing would
-mask step-size problems.
+only relabel a block's basis states. s(t) at every RK4 stage of the run
+comes from one chunked pass over the time schedule and reaches the
+integrator as plain lists, step by step; the integrator applies the linear
+path's couplings (f, g) = (1 - s, s). Ground-state overlap, the
+adiabaticity diagnostic and norm drift are recorded at uniform checkpoints
+in s, the overlap and norm as products over the blocks. Norm drift is
+never corrected, only watched: exceeding the limit is an error, not a
+warning, because renormalizing would mask step-size problems.
 
 The diagnostics diagonalize nothing and build no ground vector: each block
 term keeps span{|marked_i>, |uniform_i>} invariant, so an overlap with the
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import LinearSchedule, MarkedState, Precision, Splitting, _integer, _real, make_splitting
+from .core import MarkedState, Precision, Splitting, _integer, _real, make_splitting
 from .hamiltonian import DENSE_CAP, MatrixFreeHamiltonian
 from .runtime import TimeSchedule
 from .spectral import adiabatic_ratio, subsystem_gap
@@ -61,12 +61,13 @@ def check_evolution_cap(splitting: Splitting):
         )
 
 
-def rk4_propagate(apply, psi: np.ndarray, t0: float, t1: float, nsteps: int, couplings) -> np.ndarray:
-    """Integrate i * dpsi/dt = H psi with classical fixed-step RK4 from t0 to t1.
+def rk4_propagate(apply, psi: np.ndarray, t0: float, t1: float, nsteps: int, stages) -> np.ndarray:
+    """Integrate i * dpsi/dt = H psi with classical fixed-step RK4 from t0 to t1
+    along the linear path, H = apply(1 - s, s, .).
 
-    ``couplings`` is six lists of ``nsteps`` entries, f and g at each step's
-    start, midpoint and end; ``apply(f, g, v)`` must return H @ v as a new
-    array. Returns the state at t1 without renormalizing. The -1j of
+    ``stages`` is three lists of ``nsteps`` entries, s at each step's start,
+    midpoint and end; ``apply(f, g, v)`` must return H @ v as a new array.
+    Returns the state at t1 without renormalizing. The -1j of
     k_i = -1j H psi_i is folded into the stage coefficients and
     H psi_1 + 2 H psi_2 + 2 H psi_3 + H psi_4 is summed in place in that
     order, which rounds exactly as the textbook form does.
@@ -74,15 +75,16 @@ def rk4_propagate(apply, psi: np.ndarray, t0: float, t1: float, nsteps: int, cou
     nsteps = _integer(nsteps, "nsteps")
     if nsteps < 1:
         raise ValueError(f"nsteps must be >= 1, got {nsteps}")
-    if list(map(len, couplings)) != [nsteps] * 6:
-        raise ValueError(f"need 6 coupling lists of nsteps={nsteps} entries, got {list(map(len, couplings))}")
+    if list(map(len, stages)) != [nsteps] * 3:
+        raise ValueError(f"need 3 stage lists of nsteps={nsteps} entries, got {list(map(len, stages))}")
     h = (t1 - t0) / nsteps
     half, full, sixth = -1j * (0.5 * h), -1j * h, -1j * (h / 6.0)
-    for f0, g0, f_mid, g_mid, f1, g1 in zip(*couplings):
-        a1 = apply(f0, g0, psi)
-        a2 = apply(f_mid, g_mid, psi + half * a1)
-        a3 = apply(f_mid, g_mid, psi + half * a2)
-        a4 = apply(f1, g1, psi + full * a3)
+    for s0, s_mid, s1 in zip(*stages):
+        f_mid = 1.0 - s_mid
+        a1 = apply(1.0 - s0, s0, psi)
+        a2 = apply(f_mid, s_mid, psi + half * a1)
+        a3 = apply(f_mid, s_mid, psi + half * a2)
+        a4 = apply(1.0 - s1, s1, psi + full * a3)
         a1 += 2.0 * a2
         a1 += 2.0 * a3
         a1 += a4
@@ -90,9 +92,9 @@ def rk4_propagate(apply, psi: np.ndarray, t0: float, t1: float, nsteps: int, cou
     return psi
 
 
-def _stage_couplings(schedule_t: TimeSchedule, t_checks: np.ndarray, steps) -> np.ndarray:
-    """(6, sum(steps)) array of f and g at the start, midpoint and end of each
-    step of a run whose steps[k] steps lead from t_checks[k - 1] to t_checks[k].
+def _stage_points(schedule_t: TimeSchedule, t_checks: np.ndarray, steps) -> np.ndarray:
+    """(3, sum(steps)) array of s at the start, midpoint and end of each step
+    of a run whose steps[k] steps lead from t_checks[k - 1] to t_checks[k].
     Stage times are t0 + i * h, then + 0.5 * h and + h, with rk4_propagate's
     h = (t1 - t0) / nsteps, so each entry equals a scalar schedule call's.
     """
@@ -101,15 +103,13 @@ def _stage_couplings(schedule_t: TimeSchedule, t_checks: np.ndarray, steps) -> n
     t0 = t_checks[active - 1]
     h = (t_checks[active] - t0) / nsteps
     first = np.cumsum(nsteps) - nsteps  # each interval's first column
-    out = np.empty((6, int(nsteps.sum())))
-    path = LinearSchedule()
+    out = np.empty((3, int(nsteps.sum())))
     for lo in range(0, out.shape[1], _STAGE_CHUNK):
         col = np.arange(lo, min(lo + _STAGE_CHUNK, out.shape[1]))
         k = np.searchsorted(first, col, side="right") - 1
         start = t0[k] + (col - first[k]) * h[k]
         s = schedule_t.s_of_t(np.concatenate([start, start + 0.5 * h[k], start + h[k]]))
-        out[0::2, col] = path.f(s).reshape(3, -1)
-        out[1::2, col] = path.g(s).reshape(3, -1)
+        out[:, col] = s.reshape(3, -1)
     return out
 
 
@@ -150,10 +150,9 @@ def adiabaticity_lhs(splitting: Splitting, s: float, ds_dt: float) -> float:
         raise ValueError(f"s must be in [0, 1], got {s}")
     if not math.isfinite(ds_dt):
         raise ValueError(f"ds_dt must be finite, got {ds_dt}")
-    path = LinearSchedule()
     ratio = adiabatic_ratio(splitting)
     # a Python float product overflows to inf without numpy's warning
-    return float(ratio(path.difference(s, 0.0), path.f(s), path.g(s))) * abs(ds_dt)
+    return float(ratio(1.0 - 2.0 * s, 1.0 - s, s)) * abs(ds_dt)
 
 
 @dataclass(frozen=True)
@@ -206,7 +205,6 @@ def evolve(
     psis = [np.full(dim, 1.0 / math.sqrt(dim), dtype=complex) for dim in dims]
     threshold = 1.0 - precision.epsilon**2 - GUARANTEE_SLACK
 
-    path = LinearSchedule()
     total_time = schedule_t.total_time
     s_checks = np.linspace(0.0, 1.0, CHECKPOINT_COUNT) if total_time > 0.0 else np.ones(1)
     t_checks = schedule_t.t_of_s(s_checks)
@@ -214,7 +212,8 @@ def evolve(
     t_checks = np.maximum.accumulate(t_checks)
 
     # the schedule at the checkpoints, one row each
-    f, g = path.f(s_checks)[:, None], path.g(s_checks)[:, None]
+    s_col = s_checks[:, None]
+    f, g = 1.0 - s_col, s_col
     rate_checks = schedule_t.rate(s_checks)
     # steps are counted in floats, so a count too large for an int is refused, not converted
     h_target = 1.0 / float(min(precision.ode_steps_per_unit_time, sys.float_info.max))
@@ -234,17 +233,17 @@ def evolve(
     # the diagnostics that do not depend on the state, at every checkpoint at once
     c_marked, c_perp = _ground_amplitudes(np.array(dims, dtype=float), f, g)
     ratio = adiabatic_ratio(splitting)
-    lhs_vals = ratio(path.difference(s_checks[:, None], 0.0), f, g) * np.abs(rate_checks)
+    lhs_vals = ratio(1.0 - 2.0 * s_col, f, g) * np.abs(rate_checks)
 
-    # every stage coupling of the run in one pass, split by checkpoint interval
-    stages = np.split(_stage_couplings(schedule_t, t_checks, steps), np.cumsum(steps)[:-1], axis=1)
+    # s at every RK4 stage of the run in one pass, split by checkpoint interval
+    stages = np.split(_stage_points(schedule_t, t_checks, steps), np.cumsum(steps)[:-1], axis=1)
     overlaps = np.zeros(s_checks.size)
     norms = np.zeros(s_checks.size)
     drift = 0.0
     for k, (nsteps, stage) in enumerate(zip(steps, stages)):
         if nsteps:
-            t0, t1, couplings = t_checks[k - 1], t_checks[k], stage.tolist()
-            psis = [rk4_propagate(a.apply, psi, t0, t1, nsteps, couplings) for a, psi in zip(appliers, psis)]
+            t0, t1, points = t_checks[k - 1], t_checks[k], stage.tolist()
+            psis = [rk4_propagate(a.apply, psi, t0, t1, nsteps, points) for a, psi in zip(appliers, psis)]
         norm = math.prod(float(np.linalg.norm(psi)) ** c for c, psi in zip(counts, psis))
         norms[k] = norm
         drift = max(drift, abs(norm - 1.0))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_GRID, LinearSchedule, Splitting, _integer, _real
+from .core import MAX_GRID, Splitting, _integer, _real
 
 
 def subsystem_gap(block_dim, f, g):
@@ -96,7 +96,8 @@ class GapProfile:
 
 
 def gap_profile(splitting: Splitting, grid: int = 1001) -> GapProfile:
-    """Tabulate every block gap and the global gap on a uniform s grid.
+    """Tabulate every block gap and the global gap on a uniform s grid of
+    the linear path (f, g) = (1 - s, s).
 
     The blocks act on disjoint tensor factors, so the first excited total
     energy sits one smallest block gap above the ground energy. As
@@ -108,9 +109,8 @@ def gap_profile(splitting: Splitting, grid: int = 1001) -> GapProfile:
     if not 2 <= grid <= MAX_GRID:
         raise ValueError(f"grid must have between 2 and {MAX_GRID} samples, got {grid}")
     s = np.linspace(0.0, 1.0, grid)
-    path = LinearSchedule()
     sizes = [size for size, _ in splitting.size_counts()]
-    columns = subsystem_gap([1 << size for size in sizes], path.f(s)[:, None], path.g(s)[:, None])
+    columns = subsystem_gap([1 << size for size in sizes], 1.0 - s[:, None], s[:, None])
     block_gaps = columns[:, [sizes.index(p) for p in splitting.parts]]  # one column per block, in order
-    omega_min = float(subsystem_gap(1 << sizes[-1], path.f(0.5), path.g(0.5)))
+    omega_min = float(subsystem_gap(1 << sizes[-1], 0.5, 0.5))
     return GapProfile(splitting, s, block_gaps, columns.min(axis=1), omega_min, 0.5)

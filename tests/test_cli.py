@@ -484,7 +484,7 @@ def test_evolve_step_budget_is_checked_before_stepping(monkeypatch, capsys):
         raise AssertionError("stepping work began for a run over the step budget")
 
     # the stage tabulation comes first and would take gigabytes here
-    monkeypatch.setattr(cli.dynamics, "_stage_couplings", must_not_run)
+    monkeypatch.setattr(cli.dynamics, "_stage_points", must_not_run)
     monkeypatch.setattr(cli.dynamics, "rk4_propagate", must_not_run)
     assert run_cli("evolve", "--n", "2", "--m", "1", "--total-time", "1e9") == 2
     err = capsys.readouterr().err

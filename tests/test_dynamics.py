@@ -146,8 +146,8 @@ def _full_state_run(splitting, marked, schedule_t, precision, t_checks, s_checks
     for t0, t1, s in zip(t_checks, t_checks[1:], s_checks[1:]):
         if t1 > t0:
             nsteps = max(1, math.ceil((t1 - t0) / h))
-            couplings = dynamics._stage_couplings(schedule_t, np.array([t0, t1]), [0, nsteps]).tolist()
-            psi = rk4_propagate(apply, psi, t0, t1, nsteps, couplings)
+            stages = dynamics._stage_points(schedule_t, np.array([t0, t1]), [0, nsteps]).tolist()
+            psi = rk4_propagate(apply, psi, t0, t1, nsteps, stages)
         overlaps.append(instantaneous_ground_overlap(psi, splitting, marked, base, s))
     return abs(psi[marked.index]) ** 2, np.array(overlaps)
 
@@ -179,9 +179,9 @@ def test_evolve_integrates_one_block_vector_per_distinct_size(monkeypatch):
         entries.append(psi.size)
         return apply(applier, f, g, psi)
 
-    def counted_rk4(apply, psi, t0, t1, nsteps, couplings):
+    def counted_rk4(apply, psi, t0, t1, nsteps, stages):
         solves.append(psi.size)
-        return rk4_propagate(apply, psi, t0, t1, nsteps, couplings)
+        return rk4_propagate(apply, psi, t0, t1, nsteps, stages)
 
     monkeypatch.setattr(MatrixFreeHamiltonian, "apply", counted_apply)
     monkeypatch.setattr(dynamics, "rk4_propagate", counted_rk4)
@@ -203,7 +203,7 @@ def test_step_budget_counts_every_solve(monkeypatch):
     def stepping_began(*args):
         raise SteppingBegan
 
-    monkeypatch.setattr(dynamics, "_stage_couplings", stepping_began)
+    monkeypatch.setattr(dynamics, "_stage_points", stepping_began)
     precision = Precision(epsilon=0.2)
     for parts, outcome in (([2, 2], SteppingBegan), ([1, 3], ValueError)):
         splitting = make_splitting(4, parts)
@@ -220,7 +220,7 @@ def test_step_counts_follow_the_per_interval_rule(monkeypatch):
     # must equal the scalar rule max(1, ceil((t1 - t0) / h)), 0 for no width
     counted = []
 
-    def counting_rk4(apply, psi, t0, t1, nsteps, couplings):
+    def counting_rk4(apply, psi, t0, t1, nsteps, stages):
         counted.append(nsteps)
         return psi
 
@@ -276,9 +276,9 @@ def test_report_counts_the_steps_the_budget_bounds(monkeypatch):
     # the steps of every rk4_propagate call, over all solves
     counted = []
 
-    def counted_rk4(apply, psi, t0, t1, nsteps, couplings):
+    def counted_rk4(apply, psi, t0, t1, nsteps, stages):
         counted.append(nsteps)
-        return rk4_propagate(apply, psi, t0, t1, nsteps, couplings)
+        return rk4_propagate(apply, psi, t0, t1, nsteps, stages)
 
     monkeypatch.setattr(dynamics, "rk4_propagate", counted_rk4)
     for parts, solves in (([1, 3], 2), ([2, 2], 1)):
@@ -318,19 +318,19 @@ def test_rk4_order_against_matrix_exponential():
 
     errors = []
     for nsteps in (30, 60, 120, 240):
-        psi = rk4_propagate(lambda f, g, v: frozen @ v, psi0, 0.0, duration, nsteps, [[0.0] * nsteps] * 6)
+        psi = rk4_propagate(lambda f, g, v: frozen @ v, psi0, 0.0, duration, nsteps, [[0.0] * nsteps] * 3)
         errors.append(np.linalg.norm(psi - exact))
     orders = [math.log2(errors[i] / errors[i + 1]) for i in range(3)]
     for order in orders:
         assert abs(order - 4.0) <= 0.3
 
 
-def _stage_lists(fg, t0, t1, nsteps):
-    """The six coupling lists of rk4_propagate for (f, g) = fg(t), at the
-    stage times t0 + k * h, + 0.5 * h and + h with h = (t1 - t0) / nsteps."""
+def _stage_lists(sigma, t0, t1, nsteps):
+    """The three stage lists of rk4_propagate for s = sigma(t), at the stage
+    times t0 + k * h, + 0.5 * h and + h with h = (t1 - t0) / nsteps."""
     h = (t1 - t0) / nsteps
-    stages = [fg(t) + fg(t + 0.5 * h) + fg(t + h) for t in (t0 + k * h for k in range(nsteps))]
-    return [list(row) for row in zip(*stages)]
+    starts = [t0 + k * h for k in range(nsteps)]
+    return [[sigma(t + offset) for t in starts] for offset in (0.0, 0.5 * h, h)]
 
 
 def _textbook_rk4(apply_h, psi, t0, t1, nsteps):
@@ -353,8 +353,11 @@ def test_rk4_rounds_as_the_textbook_form():
     raw = rng.standard_normal((8, 8))
     frozen = (raw + raw.T) / 2.0
 
+    def sigma(t):
+        return math.sin(t) ** 2
+
     def fg(t):
-        return (math.cos(t) ** 2, math.sin(t) ** 2)
+        return (1.0 - sigma(t), sigma(t))
 
     cases = [(applier.apply, 32), (lambda f, g, v: frozen @ v, 8)]
     for apply, dim in cases:
@@ -363,13 +366,13 @@ def test_rk4_rounds_as_the_textbook_form():
         for psi in (uniform, rng.standard_normal(dim) + 1j * rng.standard_normal(dim)):
             for t0, t1, nsteps in ((0.0, 3.0, 40), (0.3, 0.7, 1)):
                 expected = _textbook_rk4(lambda t, v: apply(*fg(t), v), psi, t0, t1, nsteps)
-                couplings = _stage_lists(fg, t0, t1, nsteps)
-                assert np.array_equal(rk4_propagate(apply, psi, t0, t1, nsteps, couplings), expected)
+                stages = _stage_lists(sigma, t0, t1, nsteps)
+                assert np.array_equal(rk4_propagate(apply, psi, t0, t1, nsteps, stages), expected)
 
 
 def test_rk4_validates_steps():
     with pytest.raises(ValueError):
-        rk4_propagate(lambda f, g, v: v, np.ones(2, dtype=complex), 0.0, 1.0, 0, [[]] * 6)
+        rk4_propagate(lambda f, g, v: v, np.ones(2, dtype=complex), 0.0, 1.0, 0, [[]] * 3)
 
 
 def test_quench_probability_is_uniform_weight():
@@ -690,37 +693,37 @@ def test_ground_overlap_matches_the_dense_ground_vector():
 
 def test_stage_couplings_equal_scalar_schedule_calls():
     # evolve evaluates the schedule for the whole run in chunks of 512 steps;
-    # every column must be exactly the (f, g) that scalar evaluations at the
+    # every column must be exactly the s that scalar evaluations at the
     # integrator's stage times give, so the success probability is unchanged
     schedule_t = pchip_time_schedule([0.0, 1.5, 2.0, 7.0], [0.0, 0.3, 0.6, 1.0])
-    base = LinearSchedule()
     t_checks = schedule_t.t_of_s(np.array([0.0, 0.29, 0.29, 0.61, 0.8, 1.0]))
     # the second interval with steps straddles the chunk boundary at column 512
     steps = [0, 300, 0, 400, 1, 9]
-    stages = dynamics._stage_couplings(schedule_t, t_checks, steps)
-    assert stages.shape == (6, sum(steps)) and sum(steps) > dynamics._STAGE_CHUNK
+    stages = dynamics._stage_points(schedule_t, t_checks, steps)
+    assert stages.shape == (3, sum(steps)) and sum(steps) > dynamics._STAGE_CHUNK
 
-    def fg(t):
-        s = float(schedule_t.s_of_t(t))
-        return (float(base.f(s)), float(base.g(s)))
+    def sigma(t):
+        return float(schedule_t.s_of_t(t))
 
-    expected = [[], [], [], [], [], []]
+    expected = [[], [], []]
     for t0, t1, nsteps in zip(t_checks, t_checks[1:], steps[1:]):
         if nsteps:
-            for row, values in zip(expected, _stage_lists(fg, t0, t1, nsteps)):
+            for row, values in zip(expected, _stage_lists(sigma, t0, t1, nsteps)):
                 row += values
     assert stages.tolist() == expected
 
 
 def test_rk4_refuses_couplings_of_the_wrong_length(monkeypatch):
     psi = np.ones(2, dtype=complex)
-    for couplings in ([[1.0] * 3] * 6, [[1.0] * 5] * 6, [[1.0] * 4] * 5, [[1.0] * 4] * 5 + [[1.0] * 3]):
-        with pytest.raises(ValueError, match="coupling lists of nsteps=4"):
-            rk4_propagate(lambda f, g, v: v, psi, 0.0, 1.0, 4, couplings)
+    # lists too short or too long, too few, one short, and the six (f, g) lists of the old format
+    wrong = [[[1.0] * 3] * 3, [[1.0] * 5] * 3, [[1.0] * 4] * 2, [[1.0] * 4] * 2 + [[1.0] * 3], [[1.0] * 4] * 6]
+    for stages in wrong:
+        with pytest.raises(ValueError, match="stage lists of nsteps=4"):
+            rk4_propagate(lambda f, g, v: v, psi, 0.0, 1.0, 4, stages)
     # a stage table one step short reaches the integrator as a short last interval
-    stage_couplings = dynamics._stage_couplings
-    monkeypatch.setattr(dynamics, "_stage_couplings", lambda *args: stage_couplings(*args)[:, :-1])
-    with pytest.raises(ValueError, match="coupling lists"):
+    stage_points = dynamics._stage_points
+    monkeypatch.setattr(dynamics, "_stage_points", lambda *args: stage_points(*args)[:, :-1])
+    with pytest.raises(ValueError, match="stage lists"):
         _optimal_report(2, [2], 0.2)
 
 

@@ -17,7 +17,7 @@ PUBLIC_NAMES = {
     "RunTimeResult", "Splitting", "TimeSchedule",
     "adiabaticity_lhs", "closed_form_eps_t", "equal_splitting", "evolve", "final_diagonal",
     "final_terms", "gap_profile", "make_splitting", "max_structured_degeneracy",
-    "max_structured_eigenvalue", "optimal_schedule", "reproduce_table", "rk4_propagate",
+    "max_structured_eigenvalue", "optimal_schedule", "reproduce_table",
     "running_time_integral", "scaling_coefficients", "subsystem_gap",
 }
 

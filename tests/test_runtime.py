@@ -317,7 +317,7 @@ def test_integer_arguments_refuse_other_types():
             lambda: scaling_coefficients(2.0, 4, True),
         ],
         "level": [lambda: max_structured_degeneracy(4, 1.0), lambda: max_structured_eigenvalue(4, 1.0, 0.5, 0.5)],
-        "nsteps": [lambda: rk4_propagate(None, np.ones(2), 0.0, 1.0, 2.0, [[0.0, 0.0]] * 6)],
+        "nsteps": [lambda: rk4_propagate(None, np.ones(2), 0.0, 1.0, 2.0, [[0.0, 0.0]] * 3)],
     }
     for what, refused in calls.items():
         for call in refused:
@@ -440,25 +440,31 @@ def test_a_scaled_schedule_scales_again_past_the_ratio_of_its_totals():
             np.testing.assert_allclose(chained.rate_nodes, direct.rate_nodes, rtol=1e-15, atol=0.0)
 
 
-def test_only_the_library_builders_construct_a_time_schedule():
-    # TimeSchedule takes its table as given, so a new builder of one has to
-    # hold its tables to the invariants above and join this list
-    builders = {("runtime", "optimal_schedule"), ("runtime", "TimeSchedule.scaled"), ("runtime", "TimeSchedule.quench")}
-    found = set()
+def _package_calls():
+    """(module, enclosing def and class names, called name) for every call in the package's source."""
 
     def visit(module, node, scope):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                visit(module, child, scope + (child.name,))
+                yield from visit(module, child, scope + (child.name,))
                 continue
             if isinstance(child, ast.Call):
-                name = getattr(child.func, "id", getattr(child.func, "attr", None))
-                if name == "TimeSchedule" or (name == "cls" and scope[:1] == ("TimeSchedule",)):
-                    found.add((module, ".".join(scope)))
-            visit(module, child, scope)
+                yield module, scope, getattr(child.func, "id", getattr(child.func, "attr", None))
+            yield from visit(module, child, scope)
 
     for path in sorted(Path(adiasearch.__file__).parent.glob("*.py")):
-        visit(path.stem, ast.parse(path.read_text()), ())
+        yield from visit(path.stem, ast.parse(path.read_text()), ())
+
+
+def test_only_the_library_builders_construct_a_time_schedule():
+    # TimeSchedule takes its table as given, so a new builder of one has to
+    # hold its tables to the invariants above and join this list
+    builders = {("runtime", "optimal_schedule"), ("runtime", "TimeSchedule.scaled"), ("runtime", "TimeSchedule.quench")}
+    found = {
+        (module, ".".join(scope))
+        for module, scope, name in _package_calls()
+        if name == "TimeSchedule" or (name == "cls" and scope[:1] == ("TimeSchedule",))
+    }
     assert found == builders
 
 
@@ -483,6 +489,9 @@ def test_only_the_running_time_entry_points_take_a_path():
                 found.add((path.stem, getattr(node, "name", "<lambda>")))
     assert found == takers
     assert methods == {"f", "g", "difference"}
+    # the rest of the package reads the linear path as (1 - s, s) and builds none
+    built = {(module, ".".join(scope)) for module, scope, name in _package_calls() if name == "LinearSchedule"}
+    assert built == {("runtime", "running_time_integral"), ("runtime", "optimal_schedule")}
 
 
 def test_time_steps_of_any_length_suit_the_cubic_of_s_of_t():
