@@ -169,15 +169,31 @@ def _write_output(text: str, out_path: str | None):
 
 
 def round_half_away(x: float, decimals: int) -> float:
-    """Round with ties away from zero, as the published tables do."""
+    """Round with ties away from zero, as the published tables do; a value
+    that rounds to zero gives +0.0, so that it never prints as -0.0000."""
     scale = 10.0**decimals
-    return math.copysign(math.floor(abs(x) * scale + 0.5), x) / scale
+    return math.copysign(math.floor(abs(x) * scale + 0.5), x) / scale + 0.0
+
+
+def _distinct_rows(columns) -> tuple:
+    """(the rows of the distinct columns' values, the index into a row of
+    each column): the blocks of one size share a gap column, which is then
+    formatted once. Each column's values are freed once its rows are read."""
+    slots, values, picks = {}, [], []
+    for column in columns:
+        key = column.tobytes()
+        if key not in slots:
+            slots[key] = len(values)
+            values.append(column.tolist())
+        picks.append(slots[key])
+    return zip(*values), picks
 
 
 def _csv(header, columns) -> str:
     """A header line, then one line per index of the columns, each value to 17 significant digits."""
-    rows = zip(*(column.tolist() for column in columns))
-    return "\n".join([",".join(header), *(",".join(f"{v:.17g}" for v in row) for row in rows)]) + "\n"
+    rows, picks = _distinct_rows(columns)
+    texts = ([f"{v:.17g}" for v in row] for row in rows)
+    return "\n".join([",".join(header), *(",".join([t[i] for i in picks]) for t in texts)]) + "\n"
 
 
 def _json(payload) -> str:
@@ -212,7 +228,12 @@ def format_table(results, fmt: str) -> str:
 def format_gap(profile, fmt: str) -> str:
     if fmt == "json":
         keys = ("s", "block_gaps", "global_gap", "omega_min", "s_min")
-        return _json({key: getattr(profile, key) for key in keys})
+        text = _json({key: None if key == "block_gaps" else getattr(profile, key) for key in keys})
+        rows, picks = _distinct_rows(profile.block_gaps.T)
+        # json's own text of each value: a one-line list holds them split by ", "
+        texts = (json.dumps(row)[1:-1].split(", ") for row in rows)
+        block = ",\n".join("    [\n      " + ",\n      ".join([t[i] for i in picks]) + "\n    ]" for t in texts)
+        return text.replace('"block_gaps": null', '"block_gaps": [\n' + block + "\n  ]", 1)
     names = [f"omega_{i + 1}" for i in range(profile.splitting.num_blocks)]
     return _csv(["s", *names, "omega_global"], [profile.s, *profile.block_gaps.T, profile.global_gap])
 

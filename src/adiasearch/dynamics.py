@@ -150,9 +150,8 @@ def adiabaticity_lhs(splitting: Splitting, s: float, ds_dt: float) -> float:
         raise ValueError(f"s must be in [0, 1], got {s}")
     if not math.isfinite(ds_dt):
         raise ValueError(f"ds_dt must be finite, got {ds_dt}")
-    ratio = adiabatic_ratio(splitting)
     # a Python float product overflows to inf without numpy's warning
-    return float(ratio(1.0 - 2.0 * s, 1.0 - s, s)) * abs(ds_dt)
+    return float(adiabatic_ratio(splitting)(1.0 - 2.0 * s, 1.0 - s, s)) * abs(ds_dt)
 
 
 @dataclass(frozen=True)
@@ -232,19 +231,18 @@ def evolve(
 
     # the diagnostics that do not depend on the state, at every checkpoint at once
     c_marked, c_perp = _ground_amplitudes(np.array(dims, dtype=float), f, g)
-    ratio = adiabatic_ratio(splitting)
-    lhs_vals = ratio(1.0 - 2.0 * s_col, f, g) * np.abs(rate_checks)
+    lhs_vals = adiabatic_ratio(splitting)(1.0 - 2.0 * s_col, f, g) * np.abs(rate_checks)
 
     # s at every RK4 stage of the run in one pass, split by checkpoint interval
     stages = np.split(_stage_points(schedule_t, t_checks, steps), np.cumsum(steps)[:-1], axis=1)
-    overlaps = np.zeros(s_checks.size)
-    norms = np.zeros(s_checks.size)
+    overlaps, norms = np.zeros((2, s_checks.size))
     drift = 0.0
     for k, (nsteps, stage) in enumerate(zip(steps, stages)):
         if nsteps:
             t0, t1, points = t_checks[k - 1], t_checks[k], stage.tolist()
             psis = [rk4_propagate(a.apply, psi, t0, t1, nsteps, points) for a, psi in zip(appliers, psis)]
-        norm = math.prod(float(np.linalg.norm(psi)) ** c for c, psi in zip(counts, psis))
+        # each norm is the root of the summed squares of psi's real and imaginary parts, by numpy's sum, not BLAS
+        norm = math.prod(math.sqrt(np.square(psi.view(float)).sum()) ** c for c, psi in zip(counts, psis))
         norms[k] = norm
         drift = max(drift, abs(norm - 1.0))
         if abs(norm - 1.0) > NORM_DRIFT_LIMIT:

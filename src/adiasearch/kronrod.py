@@ -10,6 +10,7 @@ from __future__ import annotations
 import functools
 import heapq
 import math
+import operator
 
 import numpy as np
 
@@ -51,9 +52,12 @@ _WG = (
     0.295524224714752870173892994651338,
 )
 _NODES = _XGK + tuple(-x for x in _XGK[:-1])  # plain floats: the integrand is scalar
-_WEIGHTS = np.zeros((2, len(_NODES)))  # Kronrod row, then Gauss row
-_WEIGHTS[0] = _WGK + _WGK[:-1]
-_WEIGHTS[1, 1:10:2] = _WEIGHTS[1, 12::2] = _WG
+# each node's (Kronrod weight, Gauss weight), in _NODES order
+_NODE_WEIGHTS = tuple((_WGK[j], _WG[j // 2] if j % 2 else 0.0) for j in (*range(11), *range(10)))
+
+
+def _left_sum(terms):  # left to right, as sum() added floats before Python 3.12 compensated it
+    return functools.reduce(operator.add, terms, 0.0)
 
 
 def _qk21(integrand, lo: float, hi: float) -> tuple[float, float, np.ndarray]:
@@ -63,18 +67,20 @@ def _qk21(integrand, lo: float, hi: float) -> tuple[float, float, np.ndarray]:
     estimate is QUADPACK's: the Kronrod-Gauss difference scaled by
     resasc * min(1, (200 |K - G| / resasc)**1.5), floored at 50 eps resabs.
     """
-    half = 0.5 * (hi - lo)
-    center = 0.5 * (hi + lo)
+    half, center = 0.5 * (hi - lo), 0.5 * (hi + lo)
     values = np.array([integrand(center + half * x) for x in _NODES])
-    kronrod, gauss = _WEIGHTS @ values
+    # node by node in one order, so no BLAS kernel or SIMD level picks the bits
+    points = list(zip(_NODE_WEIGHTS, values.tolist()))
+    kronrod = _left_sum(wk * v for (wk, _), v in points)
+    gauss = _left_sum(wg * v for (_, wg), v in points)
     err = abs((kronrod - gauss) * half)
-    resabs = (_WEIGHTS[0] @ np.abs(values)) * abs(half)
-    resasc = (_WEIGHTS[0] @ np.abs(values - 0.5 * kronrod)) * abs(half)
+    resabs = _left_sum(wk * abs(v) for (wk, _), v in points) * abs(half)
+    resasc = _left_sum(wk * abs(v - 0.5 * kronrod) for (wk, _), v in points) * abs(half)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     if resabs > _TINY / (50.0 * _EPS):
         err = max(50.0 * _EPS * resabs, err)
-    return float(kronrod * half), float(err), values
+    return kronrod * half, float(err), values
 
 
 def integrate(integrand, edges, rel_tol: float, context: str) -> tuple[float, list]:
@@ -95,8 +101,8 @@ def integrate(integrand, edges, rel_tol: float, context: str) -> tuple[float, li
         value, err, values = _qk21(integrand, lo, hi)
         pieces.append((-err, lo, hi, value, values))
     heapq.heapify(pieces)
-    total = sum(piece[3] for piece in pieces)
-    err_total = sum(-piece[0] for piece in pieces)
+    total = _left_sum(piece[3] for piece in pieces)
+    err_total = _left_sum(-piece[0] for piece in pieces)
     bisections = stalled = grown = 0
     while not err_total <= rel_tol * abs(total) and math.isfinite(err_total) and bisections < _QUAD_LIMIT:
         neg_err, a, b, value, _ = pieces[0]
@@ -118,9 +124,9 @@ def integrate(integrand, edges, rel_tol: float, context: str) -> tuple[float, li
             grown += 1
         if stalled >= 6 or grown >= 20:
             break
-    err_total = sum(-piece[0] for piece in pieces)
+    err_total = _left_sum(-piece[0] for piece in pieces)
     pieces = sorted(piece[1:] for piece in pieces)
-    total = sum(piece[2] for piece in pieces)
+    total = _left_sum(piece[2] for piece in pieces)
     # written so that a nan total or estimate fails too
     if not err_total <= 10.0 * rel_tol * total:
         raise QuadratureError(
@@ -191,6 +197,6 @@ def node_integrals(pieces, u: np.ndarray) -> np.ndarray:
     # row j: P_j's coefficient in each piece (einsum, not BLAS, whose first
     # matrix product adds a quarter megabyte of buffers)
     coefficients = np.einsum("jl,pl->jp", _legendre_inverse(), values)
-    inside = sum(c[k] * q for c, q in zip(coefficients, _legendre_integrals(tau)))
+    inside = _left_sum(c[k] * q for c, q in zip(coefficients, _legendre_integrals(tau)))
     starts = np.concatenate(([0.0], np.cumsum(integrals[:-1])))
     return starts[k] + half * inside

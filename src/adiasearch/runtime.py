@@ -54,7 +54,7 @@ def _time_integrand(splitting: Splitting, schedule: LinearSchedule):
     a smooth bump about one unit wide; dt/ds is spectral.adiabatic_ratio.
 
     Returns (integrand of u, the map s -> u, its inverse u -> s, dt/ds as a
-    function of s).
+    function of s), each of one float: libm, not numpy's SIMD kernels.
     """
     ratio = adiabatic_ratio(splitting)
     width = 0.25 / math.sqrt(float(1 << splitting.size_counts()[-1][0]))
@@ -66,13 +66,10 @@ def _time_integrand(splitting: Splitting, schedule: LinearSchedule):
     def integrand(u: float) -> float:
         return at_offset(width * math.sinh(u)) * width * math.cosh(u)
 
-    def u_of_s(s):
-        return np.arcsinh((s - 0.5) / width)
+    def u_of_s(s: float) -> float:
+        return math.asinh((s - 0.5) / width)
 
-    def s_of_u(u):
-        return 0.5 + width * np.sinh(u)
-
-    return integrand, u_of_s, s_of_u, lambda s: at_offset(s - 0.5)
+    return integrand, u_of_s, lambda u: 0.5 + width * math.sinh(u), lambda s: at_offset(s - 0.5)
 
 
 def _panel_edges(u_lo: float, u_hi: float, breaks=()) -> list[float]:
@@ -111,9 +108,8 @@ def running_time_integral(
     tolerance QUAD_TOL. The panels break at the crossing s = 1/2, where
     every block peaks. ``schedule`` admits only the benchmark's counter.
     """
-    schedule = schedule if schedule is not None else LinearSchedule()
-    integrand, u_of_s, _, _ = _time_integrand(splitting, schedule)
-    edges = _panel_edges(float(u_of_s(0.0)), float(u_of_s(1.0)))
+    integrand, u_of_s, _, _ = _time_integrand(splitting, schedule if schedule is not None else LinearSchedule())
+    edges = _panel_edges(u_of_s(0.0), u_of_s(1.0))
     eps_t, _ = integrate(integrand, edges, QUAD_TOL, "the running-time integral")
     alpha, beta = scaling_coefficients(eps_t, splitting.n, splitting.num_blocks)
     return RunTimeResult(splitting, eps_t, alpha, beta)
@@ -222,11 +218,10 @@ def optimal_schedule(
     precision = precision if precision is not None else Precision()
     schedule = schedule if schedule is not None else LinearSchedule()
     integrand, u_of_s, s_of_u, dt_ds = _time_integrand(splitting, schedule)
-    u_lo, u_hi = float(u_of_s(0.0)), float(u_of_s(1.0))
-    s_nodes = s_of_u(np.linspace(u_lo, u_hi, grid))
-    s_nodes[0], s_nodes[-1] = 0.0, 1.0
+    u_lo, u_hi = u_of_s(0.0), u_of_s(1.0)
+    s_nodes = np.array([0.0, *map(s_of_u, np.linspace(u_lo, u_hi, grid)[1:-1].tolist()), 1.0])
     dt_ds_nodes = np.array([dt_ds(s) for s in s_nodes.tolist()])
-    u_nodes = u_of_s(s_nodes)
+    u_nodes = np.array([u_of_s(s) for s in s_nodes.tolist()])
     edges = _panel_edges(u_lo, u_hi, range(math.ceil(u_lo), math.floor(u_hi) + 1))
     _, pieces = integrate(integrand, edges, QUAD_TOL, "the time tabulation")
     t_nodes = node_integrals(pieces, u_nodes)

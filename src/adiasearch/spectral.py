@@ -51,12 +51,13 @@ def adiabatic_ratio(splitting: Splitting):
     """
     sizes, counts = zip(*splitting.size_counts())
     dims = np.array([float(1 << size) for size in sizes])
-    weights = np.array(counts) * ((dims - 1.0) / dims**2)
+    weights = np.array(counts) * ((dims - 1.0) / (dims * dims))
 
     def ratio(difference, f, g):
+        # products, not numpy's power kernel, whose bits follow the SIMD level
         drive = f + g
         gaps_sq = difference * difference + (4.0 * f * g) / dims
-        return np.sqrt((drive * drive * weights / gaps_sq**3).sum(axis=-1))
+        return np.sqrt((drive * drive * weights / (gaps_sq * gaps_sq * gaps_sq)).sum(axis=-1))
 
     return ratio
 

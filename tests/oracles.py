@@ -7,13 +7,15 @@ word by word by Walsh transforms into a plain tuple of (coefficient, word)
 pairs, rebuild a dense matrix from such pairs, and contract a dense state
 against the product ground state. ``two_level_success`` solves each block
 in its own two-level adiabatic frame, on the exact rate of the linear
-schedule, with no state vector and no time table.
+schedule, with no state vector and no time table. ``equal_split_time`` is
+the bound-saturating schedule of an equal split in closed form.
 """
 
 from __future__ import annotations
 
 import math
 
+import mpmath as mp
 import numpy as np
 
 from adiasearch.core import LinearSchedule, MarkedState, Splitting
@@ -296,3 +298,23 @@ def _filon_ramp(delta):
     return _filon_weight(
         delta, lambda d: (np.exp(1j * d) * (1.0 - 1j * d) - 1.0) / (d * d), lambda k: 1.0 / (math.factorial(k) * (k + 2))
     )
+
+
+def equal_split_time(size: int, count: int, epsilon: float, s_values) -> list:
+    """t(s) of the bound-saturating linear schedule of ``count`` blocks of
+    2**size states, at each s, in closed form, as 50-digit mpmath numbers.
+
+    On an equal split eps*dt/ds = K / (N omega**3), with N = 2**size,
+    K = sqrt(count (N - 1)), x = 2s - 1 and omega**2 = (1 - 1/N) x**2 + 1/N,
+    and it integrates to eps*t(s) = (K/2)(1 + x/omega): 0 at s = 0 and K at
+    s = 1, the running time of closed_form_eps_t. Nothing from the package
+    under test.
+    """
+    with mp.workdps(50):
+        dim = mp.mpf(2) ** size
+        half_k = mp.sqrt(count * (dim - 1)) / 2
+        out = []
+        for s in s_values:
+            x = 2 * mp.mpf(s) - 1
+            out.append(half_k * (1 + x / mp.sqrt((1 - 1 / dim) * x * x + 1 / dim)) / mp.mpf(epsilon))
+    return out

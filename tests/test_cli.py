@@ -17,9 +17,10 @@ from hypothesis import strategies as st
 
 import adiasearch
 from adiasearch import cli
-from adiasearch.core import MarkedState, Precision, make_splitting
+from adiasearch.core import MarkedState, Precision, equal_splitting, make_splitting
 from adiasearch.dynamics import evolve
-from adiasearch.runtime import optimal_schedule, reproduce_table
+from adiasearch.runtime import RunTimeResult, optimal_schedule, reproduce_table, scaling_coefficients
+from adiasearch.spectral import gap_profile
 
 # child interpreters import the package from where this one found it
 _CHILD_ENV = dict(
@@ -73,6 +74,22 @@ def test_table_n64_single_block_row_is_exact(capsys):
     # eps*T = sqrt(2^64 - 1), which rounds to 2^32 at two decimals
     assert run_cli("table", "--n", "64") == 0
     assert capsys.readouterr().out.split("\n")[1] == "1,64,4294967296.00,1.0000,inf"
+
+
+def test_table_n1_row_prints_a_plain_zero_alpha(tmp_path):
+    csv_out, json_out = tmp_path / "table.csv", tmp_path / "table.json"
+    assert run_cli("table", "--n", "1", "--out", str(csv_out)) == 0
+    assert csv_out.read_text() == "m,n_per_m,eps_T,alpha,beta\n1,1,1.00,0.0000,inf\n"
+    assert run_cli("table", "--n", "1", "--format", "json", "--out", str(json_out)) == 0
+    assert '"alpha": 0.0,' in json_out.read_text()
+    assert json.loads(json_out.read_text()) == [{"m": 1, "n_per_m": 1, "eps_T": 1.0, "alpha": 0.0, "beta": "inf"}]
+    # an eps_t one ulp under the closed form's 1 gives a tiny negative alpha,
+    # and the row stays the same: it does not depend on the quadrature's last bit
+    eps_t = math.nextafter(1.0, 0.0)
+    result = RunTimeResult(equal_splitting(1, 1), eps_t, *scaling_coefficients(eps_t, 1, 1))
+    assert result.alpha < 0.0
+    assert cli.format_table([result], "csv") == csv_out.read_text()
+    assert cli.format_table([result], "json") == json_out.read_text()
 
 
 def test_unwritable_out_is_config_error(monkeypatch, tmp_path, capsys):
@@ -291,6 +308,21 @@ def test_gap_equal_split_flag(tmp_path):
     lines = out.read_text().strip().split("\n")
     assert lines[0] == "s,omega_1,omega_2,omega_global"
     assert len(lines) == 12
+
+
+def test_gap_artifacts_are_the_plain_format_of_each_block_column():
+    # the formatter formats each distinct column once; the text stays that
+    # of formatting every value, also for a profile built by hand whose two
+    # 3-qubit blocks differ
+    keys = ("s", "block_gaps", "global_gap", "omega_min", "s_min")
+    profile = gap_profile(make_splitting(9, [3, 1, 3, 2]), grid=17)
+    edited = replace(profile, block_gaps=profile.block_gaps * [1.0, 1.0, 0.5, 1.0])
+    for p in (profile, edited):
+        plain_json = json.dumps({key: getattr(p, key) for key in keys}, indent=2, default=lambda a: a.tolist())
+        assert cli.format_gap(p, "json") == plain_json + "\n"
+        rows = zip(p.s.tolist(), *p.block_gaps.T.tolist(), p.global_gap.tolist())
+        lines = [",".join(f"{v:.17g}" for v in row) for row in rows]
+        assert cli.format_gap(p, "csv") == "\n".join(["s,omega_1,omega_2,omega_3,omega_4,omega_global", *lines]) + "\n"
 
 
 def test_schedule_export(tmp_path):
@@ -575,6 +607,10 @@ def test_round_half_away():
     # 0.125 is an exact binary tie: away from zero, not to even
     assert cli.round_half_away(0.125, 2) == 0.13
     assert cli.round_half_away(-0.125, 2) == -0.13
+    # a negative value that rounds to zero gives +0.0, which prints without a sign
+    for x in (-1e-17, -0.00004, -0.0):
+        assert math.copysign(1.0, cli.round_half_away(x, 4)) == 1.0
+    assert f"{cli.round_half_away(-1e-17, 4):.4f}" == "0.0000"
 
 
 def test_evolve_report_serialization():
@@ -613,6 +649,51 @@ def test_module_entry_point_subprocess():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("m,n_per_m,eps_T,alpha,beta")
+
+
+# Configurations whose bytes once followed the host's SIMD level or BLAS core
+_HOST_ARGVS = (
+    ("schedule", "--n", "30", "--m", "1"),
+    ("schedule", "--n", "64", "--parts", "1,63", "--grid", "65536"),
+    ("evolve", "--n", "12", "--m", "2"),
+    ("evolve", "--n", "6", "--parts", "3,1,2"),
+)
+
+
+def _numpy_simd_targets() -> list:
+    """The dispatch targets that numpy found on this CPU above its baseline: numpy.show_runtime()'s "found" list."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [name for name in __cpu_dispatch__ if __cpu_features__[name]]
+
+
+def test_artifacts_are_the_same_bytes_at_every_simd_level_and_blas_core():
+    """Each configuration prints the same stdout bytes and exit code plain,
+    with OpenBLAS held to its Prescott kernels, and with every numpy dispatch
+    target above the baseline disabled, each set in the child's environment only.
+
+    On a host where numpy found no target above its baseline, the last
+    variant is skipped and the test checks less: the BLAS core only. Where
+    numpy does not use OpenBLAS, that variant changes nothing. glibc's choice
+    of FMA or non-FMA libm variants is not covered: libm's non-FMA sinh moves
+    the grid-65,536 schedule.
+    """
+    plain = {k: v for k, v in _CHILD_ENV.items() if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
+    variants = [{"OPENBLAS_CORETYPE": "Prescott"}]
+    targets = _numpy_simd_targets()
+    if targets:
+        variants.append({"NPY_DISABLE_CPU_FEATURES": ",".join(targets)})
+    for argv in _HOST_ARGVS:
+        children = [
+            subprocess.Popen([sys.executable, "-m", "adiasearch", *argv], stdout=subprocess.PIPE, env={**plain, **env})
+            for env in ({}, *variants)
+        ]
+        (stdout, code), *others = [(child.communicate(timeout=300)[0], child.returncode) for child in children]
+        assert code in (0, 4) and stdout, argv
+        for env, other in zip(variants, others):
+            assert other == (stdout, code), (argv, env)
 
 
 def test_package_and_commands_run_without_scipy():

@@ -31,6 +31,7 @@ from adiasearch.runtime import (
 from adiasearch.spectral import max_structured_degeneracy, max_structured_eigenvalue
 
 from conftest import linear_eps_t_oracle, linear_node_eps_t_oracle, pchip_time_schedule
+from oracles import equal_split_time
 
 TABLE_CONFIGS = [(6, 1), (6, 2), (6, 3), (6, 6), (30, 1), (30, 2), (30, 3), (30, 5), (30, 6), (30, 10), (30, 15), (30, 30)]
 
@@ -268,6 +269,19 @@ def test_optimal_schedule_node_times_match_a_per_cell_oracle():
         schedule_t = optimal_schedule(make_splitting(sum(parts), parts), Precision(epsilon=eps))
         oracle = linear_node_eps_t_oracle(parts, schedule_t.s_nodes - 0.5)
         assert _max_relative_error(schedule_t.t_nodes * eps, oracle) <= 1e-11, parts
+
+
+@pytest.mark.parametrize("parts", [[12], [30], [64], [6, 6], [32, 32], [10, 10, 10], [1] * 64])
+def test_optimal_schedule_matches_the_equal_split_closed_form(parts):
+    # measured: every node within 4.6e-16 of the total time of the closed
+    # form, and within 2.1e-14 on [64], whose quadrature total is that far off
+    bound = 5e-14 if parts == [64] else 1e-15
+    eps = 0.2
+    schedule_t = optimal_schedule(make_splitting(sum(parts), parts), Precision(epsilon=eps))
+    oracle = equal_split_time(parts[0], len(parts), eps, schedule_t.s_nodes.tolist())
+    total = oracle[-1]
+    assert float(abs(schedule_t.total_time - total) / total) <= bound
+    assert max(float(abs(t - exact) / total) for t, exact in zip(schedule_t.t_nodes.tolist(), oracle)) <= bound
 
 
 def test_optimal_schedule_integrand_work_is_bounded():
