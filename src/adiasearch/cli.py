@@ -123,8 +123,25 @@ def _marked_from_args(args, n: int) -> MarkedState:
     return marked
 
 
-def _write_output(text: str, out_path: str | None):
-    """Write atomically (temp file + rename) or to stdout.
+def _emit(name: str, lines) -> None:
+    """Write lines to sys.stdout or sys.stderr, by name, and flush them; a
+    stream the process started without raises EBADF. A failed write (a closed
+    descriptor, or EPIPE from a reader that has gone) points the descriptor
+    at os.devnull, as Python's SIGPIPE note does, so exit's flush cannot fail."""
+    stream = getattr(sys, name)
+    if stream is None:
+        raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    try:
+        stream.writelines(lines)
+        stream.flush()
+    except OSError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        raise
+
+
+def _write_output(chunks, out_path: str | None):
+    """Write a formatter's text as it yields it, to stdout or atomically (temp
+    file + rename); a failure partway leaves no temp file and the old target.
 
     A path that cannot be written is reported by that path, not by the temp
     file's; an empty path, a directory and any other existing path that is
@@ -137,7 +154,7 @@ def _write_output(text: str, out_path: str | None):
     kernel applies when the temp file is created.
     """
     if out_path is None:
-        sys.stdout.write(text)
+        _emit("stdout", chunks)
         return
     try:
         if not out_path:
@@ -158,7 +175,7 @@ def _write_output(text: str, out_path: str | None):
             with os.fdopen(fd, "w") as handle:
                 if mode is not None:
                     os.fchmod(fd, mode)
-                handle.write(text)
+                handle.writelines(chunks)
             os.replace(tmp_path, target)
         except BaseException:
             if os.path.exists(tmp_path):
@@ -189,16 +206,18 @@ def _distinct_rows(columns) -> tuple:
     return zip(*values), picks
 
 
-def _csv(header, columns) -> str:
+def _csv(header, columns):
     """A header line, then one line per index of the columns, each value to 17 significant digits."""
     rows, picks = _distinct_rows(columns)
-    texts = ([f"{v:.17g}" for v in row] for row in rows)
-    return "\n".join([",".join(header), *(",".join([t[i] for i in picks]) for t in texts)]) + "\n"
+    yield ",".join(header) + "\n"
+    for texts in ([f"{v:.17g}" for v in row] for row in rows):
+        yield ",".join([texts[i] for i in picks]) + "\n"
 
 
-def _json(payload) -> str:
-    """Indented JSON; numpy arrays are written as lists of their values."""
-    return json.dumps(payload, indent=2, default=lambda array: array.tolist()) + "\n"
+def _json(payload):
+    """Indented JSON in the encoder's chunks; numpy arrays are written as lists of their values."""
+    yield from json.JSONEncoder(indent=2, default=lambda array: array.tolist()).iterencode(payload)
+    yield "\n"
 
 
 def _table_row(result) -> tuple:
@@ -215,30 +234,35 @@ def _table_line(row) -> str:
     return f"{m},{n_per_m},{eps_t:.2f},{alpha:.4f},{beta:.4f}"
 
 
-def format_table(results, fmt: str) -> str:
+def format_table(results, fmt: str):
     """The printed rows of `_table_row`, as CSV or JSON."""
     header = ("m", "n_per_m", "eps_T", "alpha", "beta")
     rows = [_table_row(result) for result in results]
     if fmt == "json":
         # JSON has no infinity: a single block's beta is the string "inf"
         return _json([dict(zip(header, (*row[:4], "inf" if math.isinf(row[4]) else row[4]))) for row in rows])
-    return "\n".join([",".join(header), *map(_table_line, rows)]) + "\n"
+    return (line + "\n" for line in [",".join(header), *map(_table_line, rows)])
 
 
-def format_gap(profile, fmt: str) -> str:
-    if fmt == "json":
-        keys = ("s", "block_gaps", "global_gap", "omega_min", "s_min")
-        text = _json({key: None if key == "block_gaps" else getattr(profile, key) for key in keys})
-        rows, picks = _distinct_rows(profile.block_gaps.T)
-        # json's own text of each value: a one-line list holds them split by ", "
-        texts = (json.dumps(row)[1:-1].split(", ") for row in rows)
-        block = ",\n".join("    [\n      " + ",\n      ".join([t[i] for i in picks]) + "\n    ]" for t in texts)
-        return text.replace('"block_gaps": null', '"block_gaps": [\n' + block + "\n  ]", 1)
-    names = [f"omega_{i + 1}" for i in range(profile.splitting.num_blocks)]
-    return _csv(["s", *names, "omega_global"], [profile.s, *profile.block_gaps.T, profile.global_gap])
+def format_gap(profile, fmt: str):
+    if fmt == "csv":
+        names = [f"omega_{i + 1}" for i in range(profile.splitting.num_blocks)]
+        yield from _csv(["s", *names, "omega_global"], [profile.s, *profile.block_gaps.T, profile.global_gap])
+        return
+    keys = ("s", "block_gaps", "global_gap", "omega_min", "s_min")
+    rows, picks = _distinct_rows(profile.block_gaps.T)
+    # json's own text of each value: a one-line list holds them split by ", "
+    texts = (json.dumps(row)[1:-1].split(", ") for row in rows)
+    # block_gaps is the payload's one None, so its text is the one "null" chunk
+    for chunk in _json({key: None if key == "block_gaps" else getattr(profile, key) for key in keys}):
+        if chunk == "null":
+            for index, t in enumerate(texts):
+                yield ("," if index else "[") + "\n    [\n      " + ",\n      ".join([t[i] for i in picks]) + "\n    ]"
+            chunk = "\n  ]"
+        yield chunk
 
 
-def format_schedule(schedule_t, fmt: str) -> str:
+def format_schedule(schedule_t, fmt: str):
     columns = {"t": schedule_t.t_nodes, "s": schedule_t.s_nodes, "ds_dt": schedule_t.rate_nodes}
     if fmt == "json":
         return _json({"total_time": schedule_t.total_time, **columns})
@@ -252,7 +276,7 @@ _EVOLUTION_SCALARS = (
 )
 
 
-def format_evolution(report, fmt: str) -> str:
+def format_evolution(report, fmt: str):
     columns = [report.checkpoint_t, report.checkpoint_s, report.checkpoint_overlap]
     columns += [report.checkpoint_lhs, report.checkpoint_norm]
     if fmt == "csv":
@@ -262,9 +286,9 @@ def format_evolution(report, fmt: str) -> str:
     return _json(payload)
 
 
-def format_pauli(terms) -> str:
+def format_pauli(terms):
     """One term per line: coefficient, a tab, then the word."""
-    return "\n".join(f"{coeff:.17g}\t{word}" for coeff, word in terms) + "\n"
+    return (f"{coeff:.17g}\t{word}\n" for coeff, word in terms)
 
 
 def _check_table(n: int, results) -> list[str]:
@@ -290,10 +314,9 @@ def cmd_table(args) -> int:
     if args.check:
         mismatches = _check_table(args.n, results)
         if mismatches:
-            for line in mismatches:
-                print(f"check n={args.n}: MISMATCH {line}", file=sys.stderr)
+            _emit("stderr", (f"check n={args.n}: MISMATCH {line}\n" for line in mismatches))
             return EXIT_GOLDEN
-        print(f"check n={args.n}: all {len(results)} rows match the reference values", file=sys.stderr)
+        _emit("stderr", [f"check n={args.n}: all {len(results)} rows match the reference values\n"])
     return EXIT_OK
 
 
@@ -355,9 +378,12 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    # OSError: an --out path that cannot be written
+    # OSError: an --out path that cannot be written, or a stdout or stderr that is closed or has no reader
     except (ValueError, OSError, runtime.QuadratureError, dynamics.NormDriftError) as exc:
-        print(f"adia {args.command}: error: {exc}", file=sys.stderr)
+        try:
+            _emit("stderr", [f"adia {args.command}: error: {exc}\n"])
+        except OSError:  # with stderr gone too, the exit code alone reports the error
+            pass
         return EXIT_CONFIG
 
 

@@ -88,8 +88,8 @@ def test_table_n1_row_prints_a_plain_zero_alpha(tmp_path):
     eps_t = math.nextafter(1.0, 0.0)
     result = RunTimeResult(equal_splitting(1, 1), eps_t, *scaling_coefficients(eps_t, 1, 1))
     assert result.alpha < 0.0
-    assert cli.format_table([result], "csv") == csv_out.read_text()
-    assert cli.format_table([result], "json") == json_out.read_text()
+    assert "".join(cli.format_table([result], "csv")) == csv_out.read_text()
+    assert "".join(cli.format_table([result], "json")) == json_out.read_text()
 
 
 def test_unwritable_out_is_config_error(monkeypatch, tmp_path, capsys):
@@ -202,6 +202,23 @@ def test_failed_replace_leaves_no_temp_file_and_the_old_bytes(monkeypatch, tmp_p
         run_cli("table", "--n", "6", "--out", str(out))
     assert len(replaced) == 2 and all(name.startswith(".adia-") and name.endswith(".tmp") for name in replaced)
     assert list(tmp_path.glob(".adia-*.tmp")) == [] and out.read_bytes() == b"old bytes\n"
+
+
+def test_formatter_failing_midstream_leaves_no_temp_file_and_the_old_bytes(monkeypatch, tmp_path, capsys):
+    # the artifact is written as the formatter yields it: a formatter that
+    # fails after its first line exits 2 with one line, and the target keeps
+    # its old bytes, because the partial text only ever reached the temp file
+    out = tmp_path / "table.csv"
+    out.write_bytes(b"old bytes\n")
+
+    def failing_format(results, fmt):
+        yield "m,n_per_m,eps_T,alpha,beta\n"
+        raise ValueError("formatting failed")
+
+    monkeypatch.setattr(cli, "format_table", failing_format)
+    assert run_cli("table", "--n", "6", "--out", str(out)) == 2
+    assert capsys.readouterr().err == "adia table: error: formatting failed\n"
+    assert out.read_bytes() == b"old bytes\n" and list(tmp_path.glob(".adia-*.tmp")) == []
 
 
 def test_table_check_passes(capsys):
@@ -319,10 +336,10 @@ def test_gap_artifacts_are_the_plain_format_of_each_block_column():
     edited = replace(profile, block_gaps=profile.block_gaps * [1.0, 1.0, 0.5, 1.0])
     for p in (profile, edited):
         plain_json = json.dumps({key: getattr(p, key) for key in keys}, indent=2, default=lambda a: a.tolist())
-        assert cli.format_gap(p, "json") == plain_json + "\n"
+        assert "".join(cli.format_gap(p, "json")) == plain_json + "\n"
         rows = zip(p.s.tolist(), *p.block_gaps.T.tolist(), p.global_gap.tolist())
         lines = [",".join(f"{v:.17g}" for v in row) for row in rows]
-        assert cli.format_gap(p, "csv") == "\n".join(["s,omega_1,omega_2,omega_3,omega_4,omega_global", *lines]) + "\n"
+        assert "".join(cli.format_gap(p, "csv")) == "\n".join(["s,omega_1,omega_2,omega_3,omega_4,omega_global", *lines]) + "\n"
 
 
 def test_schedule_export(tmp_path):
@@ -587,7 +604,7 @@ def test_two_runs_write_equal_bytes(argv, fmt, tmp_path):
 
 def test_table_csv_and_json_formats():
     rows = reproduce_table(6)
-    csv_text = cli.format_table(rows, "csv")
+    csv_text = "".join(cli.format_table(rows, "csv"))
     lines = csv_text.strip().split("\n")
     assert lines[0] == "m,n_per_m,eps_T,alpha,beta"
     assert lines[1] == "1,6,7.94,0.9962,inf"
@@ -595,7 +612,7 @@ def test_table_csv_and_json_formats():
     assert lines[3] == "3,2,3.00,0.8842,2.0000"
     assert lines[4] == "6,1,2.45,0.7211,1.0000"
 
-    payload = json.loads(cli.format_table(rows, "json"))
+    payload = json.loads("".join(cli.format_table(rows, "json")))
     assert payload[0]["beta"] == "inf"
     assert payload[1]["eps_T"] == 3.74
     assert payload[3]["beta"] == 1.0
@@ -616,11 +633,11 @@ def test_round_half_away():
 def test_evolve_report_serialization():
     splitting, precision = make_splitting(2, [1, 1]), Precision(epsilon=0.2)
     report = evolve(splitting, MarkedState.zeros(2), optimal_schedule(splitting, precision), precision)
-    payload = json.loads(cli.format_evolution(report, "json"))
+    payload = json.loads("".join(cli.format_evolution(report, "json")))
     assert payload["n"] == 2
     assert payload["parts"] == [1, 1]
     assert len(payload["checkpoints"]["t"]) == 101
-    csv_text = cli.format_evolution(report, "csv")
+    csv_text = "".join(cli.format_evolution(report, "csv"))
     lines = csv_text.strip().split("\n")
     assert lines[0] == "t,s,overlap,lhs,norm"
     assert len(lines) == 102
@@ -649,6 +666,98 @@ def test_module_entry_point_subprocess():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("m,n_per_m,eps_T,alpha,beta")
+
+
+# Both ways the interpreter can write stdout and stderr: through its default
+# buffers, where a failed write stays buffered for the flush at exit, and
+# unbuffered, where one write of a long text can be cut short without an error
+_BUFFERING = {
+    "buffered": {k: v for k, v in _CHILD_ENV.items() if k != "PYTHONUNBUFFERED"},
+    "unbuffered": {**_CHILD_ENV, "PYTHONUNBUFFERED": "1"},
+}
+# a standard stream closed before the interpreter starts (missing) or after (vanished)
+_CLOSED_STREAMS = {
+    "stdout missing": ("sh", "-c", 'exec "$@" >&-', "sh", sys.executable, "-m", "adiasearch"),
+    "stdout vanished": (sys.executable, "-c", "import os; from adiasearch import cli; os.close(1); cli.run()"),
+    "stderr missing": ("sh", "-c", 'exec "$@" 2>&-', "sh", sys.executable, "-m", "adiasearch"),
+    "stderr vanished": (sys.executable, "-c", "import os; from adiasearch import cli; os.close(2); cli.run()"),
+}
+
+
+@pytest.mark.parametrize("buffering", sorted(_BUFFERING))
+@pytest.mark.parametrize("case", sorted(_CLOSED_STREAMS))
+def test_closed_stdout_or_stderr_exits_2_without_a_traceback(case, buffering):
+    # a closed stdout once raised AttributeError (exit 1 with a traceback),
+    # and a closed stderr failed on the check's status line (exit 1) or,
+    # where the interpreter started without it, printed that line on stdout
+    argv = [*_CLOSED_STREAMS[case], "table", "--n", "6", "--check"]
+    result = subprocess.run(argv, capture_output=True, text=True, env=_BUFFERING[buffering], timeout=120)
+    assert result.returncode == 2
+    if case.startswith("stdout"):
+        assert (result.stdout, result.stderr) == ("", "adia table: error: [Errno 9] Bad file descriptor\n")
+    else:
+        assert result.stdout == "".join(cli.format_table(reproduce_table(6), "csv")) and result.stderr == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pauli", "--n", "16", "--parts", "16"),
+        ("gap", "--n", "30", "--m", "3", "--grid", "65536", "--format", "json"),
+        ("schedule", "--n", "30", "--m", "1", "--grid", "20000"),
+    ],
+)
+@pytest.mark.parametrize("buffering", sorted(_BUFFERING))
+def test_reader_that_leaves_early_gets_exit_2_and_one_line(argv, buffering):
+    # each artifact is larger than a pipe's buffer, so the child is still
+    # writing when the reader closes after the first line. Unbuffered, the
+    # one write of the whole text once came back short without an error and
+    # the child exited 0; the flush at exit must not add an "Exception
+    # ignored ... BrokenPipeError" report
+    child = subprocess.Popen(
+        [sys.executable, "-m", "adiasearch", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, env=_BUFFERING[buffering],
+    )
+    assert child.stdout.readline()
+    child.stdout.close()
+    assert child.wait(timeout=120) == 2
+    assert child.stderr.read() == f"adia {argv[0]}: error: [Errno 32] Broken pipe\n"
+    child.stderr.close()
+
+
+def test_artifacts_at_the_caps_are_written_without_their_whole_text_in_memory(tmp_path):
+    """Each capped artifact is written by a child process to --out, and the
+    child's peak resident memory (VmHWM, read from its own /proc/self/status)
+    is compared with a `table --n 6` child's: streamed text adds little more
+    than the result arrays. Holding each artifact as one string added
+    205 MB (gap CSV), 354 MB (gap JSON) and 146 MB (pauli). Skipped where
+    /proc/self/status does not exist.
+    """
+    if not Path("/proc/self/status").exists():
+        pytest.skip("no /proc/self/status to read the peak resident memory from")
+    script = (
+        "import sys\n"
+        "from adiasearch import cli\n"
+        "code = cli.main(sys.argv[1:])\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(int(status.split('VmHWM:')[1].split()[0]) / 1024, code)\n"
+    )
+
+    def peak_mb(*argv):
+        out = tmp_path / "artifact"
+        result = subprocess.run(
+            [sys.executable, "-c", script, *argv, "--out", str(out)],
+            capture_output=True, text=True, env=_CHILD_ENV, timeout=300,
+        )
+        peak, code = result.stdout.split()
+        assert (result.returncode, code, result.stderr) == (0, "0", ""), argv
+        assert out.stat().st_size > 0
+        return float(peak)
+
+    baseline = peak_mb("table", "--n", "6")
+    for fmt in ("csv", "json"):
+        assert peak_mb("gap", "--n", "64", "--m", "64", "--grid", "65536", "--format", fmt) <= baseline + 64, fmt
+    assert peak_mb("pauli", "--n", "20", "--parts", "20") <= baseline + 16
 
 
 # Configurations whose bytes once followed the host's SIMD level or BLAS core

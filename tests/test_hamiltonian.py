@@ -265,7 +265,7 @@ def test_expansion_term_budget():
 
 def test_term_sum_text_format():
     terms = final_terms(make_splitting(2, [2]), MarkedState.zeros(2))
-    text = cli.format_pauli(terms)
+    text = "".join(cli.format_pauli(terms))
     assert "-0.25\tZZ" in text
     assert text.splitlines()[0] == "0.75\tII"
 

@@ -234,7 +234,7 @@ def test_gap_profile_grid_validation_and_csv():
         with pytest.raises(ValueError, match="grid has the wrong type"):
             gap_profile(make_splitting(2, [2]), grid=grid)
     profile = gap_profile(make_splitting(4, [2, 2]), grid=11)
-    text = cli.format_gap(profile, "csv")
+    text = "".join(cli.format_gap(profile, "csv"))
     lines = text.strip().split("\n")
     assert lines[0] == "s,omega_1,omega_2,omega_global"
     assert len(lines) == 12
