@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import errno
+import io
 import json
 import math
 import os
@@ -127,16 +128,24 @@ def _emit(name: str, lines) -> None:
     """Write lines to sys.stdout or sys.stderr, by name, and flush them; a
     stream the process started without raises EBADF. A failed write (a closed
     descriptor, or EPIPE from a reader that has gone) points the descriptor
-    at os.devnull, as Python's SIGPIPE note does, so exit's flush cannot fail."""
+    at os.devnull, as Python's SIGPIPE note does, so exit's flush cannot fail.
+    Under python -u, where each line would be one write(2) to the raw stream,
+    the lines go through io's default buffered writer on it, detached after."""
     stream = getattr(sys, name)
     if stream is None:
         raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+    writer = stream
+    if getattr(stream, "write_through", False) and isinstance(stream.buffer, io.RawIOBase):
+        writer = io.TextIOWrapper(io.BufferedWriter(stream.buffer), stream.encoding, stream.errors)
     try:
-        stream.writelines(lines)
-        stream.flush()
+        writer.writelines(lines)
+        writer.flush()
     except OSError:
         os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
         raise
+    finally:
+        if writer is not stream:  # after a failed write, the rest goes to os.devnull
+            writer.detach().detach()
 
 
 def _write_output(chunks, out_path: str | None):
@@ -192,26 +201,11 @@ def round_half_away(x: float, decimals: int) -> float:
     return math.copysign(math.floor(abs(x) * scale + 0.5), x) / scale + 0.0
 
 
-def _distinct_rows(columns) -> tuple:
-    """(the rows of the distinct columns' values, the index into a row of
-    each column): the blocks of one size share a gap column, which is then
-    formatted once. Each column's values are freed once its rows are read."""
-    slots, values, picks = {}, [], []
-    for column in columns:
-        key = column.tobytes()
-        if key not in slots:
-            slots[key] = len(values)
-            values.append(column.tolist())
-        picks.append(slots[key])
-    return zip(*values), picks
-
-
-def _csv(header, columns):
-    """A header line, then one line per index of the columns, each value to 17 significant digits."""
-    rows, picks = _distinct_rows(columns)
+def _csv(header, columns, picks=None):
+    """A header line, then one line per index: field j is column picks[j] (or j), each value formatted once."""
     yield ",".join(header) + "\n"
-    for texts in ([f"{v:.17g}" for v in row] for row in rows):
-        yield ",".join([texts[i] for i in picks]) + "\n"
+    for texts in ([f"{v:.17g}" for v in row] for row in zip(*[column.tolist() for column in columns])):
+        yield ",".join(texts if picks is None else [texts[i] for i in picks]) + "\n"
 
 
 def _json(payload):
@@ -245,14 +239,15 @@ def format_table(results, fmt: str):
 
 
 def format_gap(profile, fmt: str):
+    sizes = [size for size, _ in profile.splitting.size_counts()]
+    picks = [sizes.index(part) for part in profile.splitting.parts]
     if fmt == "csv":
-        names = [f"omega_{i + 1}" for i in range(profile.splitting.num_blocks)]
-        yield from _csv(["s", *names, "omega_global"], [profile.s, *profile.block_gaps.T, profile.global_gap])
+        header = ["s", *(f"omega_{i + 1}" for i in range(len(picks))), "omega_global"]  # global: the last size's
+        yield from _csv(header, [profile.s, *profile.size_gaps.T], [0, *(1 + i for i in picks), len(sizes)])
         return
     keys = ("s", "block_gaps", "global_gap", "omega_min", "s_min")
-    rows, picks = _distinct_rows(profile.block_gaps.T)
     # json's own text of each value: a one-line list holds them split by ", "
-    texts = (json.dumps(row)[1:-1].split(", ") for row in rows)
+    texts = (json.dumps(row)[1:-1].split(", ") for row in zip(*profile.size_gaps.T.tolist()))
     # block_gaps is the payload's one None, so its text is the one "null" chunk
     for chunk in _json({key: None if key == "block_gaps" else getattr(profile, key) for key in keys}):
         if chunk == "null":

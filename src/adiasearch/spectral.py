@@ -86,19 +86,24 @@ def max_structured_degeneracy(n: int, level: int) -> int:
 
 @dataclass(frozen=True)
 class GapProfile:
-    """Per-block and global gaps sampled over the interpolation parameter."""
+    """Per-size and global gaps sampled over the interpolation parameter."""
 
     splitting: Splitting
     s: np.ndarray
-    block_gaps: np.ndarray  # shape (samples, num_blocks)
-    global_gap: np.ndarray
+    size_gaps: np.ndarray  # (samples, distinct sizes) in size_counts order; block i's is its size's column
     omega_min: float
     s_min: float
 
+    @property
+    def global_gap(self) -> np.ndarray:
+        """The largest block's gap: each 4fg/N_i is 4/N_i times one rounded fg,
+        so it is the smallest of each sample's block gaps, bit for bit."""
+        return self.size_gaps[:, -1]
+
 
 def gap_profile(splitting: Splitting, grid: int = 1001) -> GapProfile:
-    """Tabulate every block gap and the global gap on a uniform s grid of
-    the linear path (f, g) = (1 - s, s).
+    """Tabulate the gap of every distinct block size and the global gap on a
+    uniform s grid of the linear path (f, g) = (1 - s, s).
 
     The blocks act on disjoint tensor factors, so the first excited total
     energy sits one smallest block gap above the ground energy. As
@@ -112,6 +117,5 @@ def gap_profile(splitting: Splitting, grid: int = 1001) -> GapProfile:
     s = np.linspace(0.0, 1.0, grid)
     sizes = [size for size, _ in splitting.size_counts()]
     columns = subsystem_gap([1 << size for size in sizes], 1.0 - s[:, None], s[:, None])
-    block_gaps = columns[:, [sizes.index(p) for p in splitting.parts]]  # one column per block, in order
     omega_min = float(subsystem_gap(1 << sizes[-1], 0.5, 0.5))
-    return GapProfile(splitting, s, block_gaps, columns.min(axis=1), omega_min, 0.5)
+    return GapProfile(splitting, s, columns, omega_min, 0.5)

@@ -328,16 +328,18 @@ def test_gap_equal_split_flag(tmp_path):
 
 
 def test_gap_artifacts_are_the_plain_format_of_each_block_column():
-    # the formatter formats each distinct column once; the text stays that
-    # of formatting every value, also for a profile built by hand whose two
-    # 3-qubit blocks differ
-    keys = ("s", "block_gaps", "global_gap", "omega_min", "s_min")
+    # the formatter formats each size's column once and gives it to every
+    # block of that size; the text stays that of formatting each block's
+    # values, also for a profile built by hand whose 3-qubit column is scaled
     profile = gap_profile(make_splitting(9, [3, 1, 3, 2]), grid=17)
-    edited = replace(profile, block_gaps=profile.block_gaps * [1.0, 1.0, 0.5, 1.0])
+    edited = replace(profile, size_gaps=profile.size_gaps * [1.0, 1.0, 0.5])
     for p in (profile, edited):
-        plain_json = json.dumps({key: getattr(p, key) for key in keys}, indent=2, default=lambda a: a.tolist())
+        block_gaps = p.size_gaps[:, [2, 0, 2, 1]]  # the columns of sizes 1, 2, 3, picked for blocks 3, 1, 3, 2
+        plain = {"s": p.s, "block_gaps": block_gaps, "global_gap": p.global_gap}
+        plain.update(omega_min=p.omega_min, s_min=p.s_min)
+        plain_json = json.dumps(plain, indent=2, default=lambda a: a.tolist())
         assert "".join(cli.format_gap(p, "json")) == plain_json + "\n"
-        rows = zip(p.s.tolist(), *p.block_gaps.T.tolist(), p.global_gap.tolist())
+        rows = zip(p.s.tolist(), *block_gaps.T.tolist(), p.global_gap.tolist())
         lines = [",".join(f"{v:.17g}" for v in row) for row in rows]
         assert "".join(cli.format_gap(p, "csv")) == "\n".join(["s,omega_1,omega_2,omega_3,omega_4,omega_global", *lines]) + "\n"
 
@@ -699,6 +701,30 @@ def test_closed_stdout_or_stderr_exits_2_without_a_traceback(case, buffering):
         assert result.stdout == "".join(cli.format_table(reproduce_table(6), "csv")) and result.stderr == ""
 
 
+def test_unbuffered_stdout_gets_the_same_bytes_in_few_writes(monkeypatch):
+    # under python -u stdout is a write-through text layer over a raw
+    # stream, which once took one write per line
+    class CountingRaw(io.RawIOBase):
+        def __init__(self):
+            self.data, self.writes = bytearray(), 0
+
+        def writable(self):
+            return True
+
+        def write(self, b):
+            self.data += b
+            self.writes += 1
+            return len(b)
+
+    raw = CountingRaw()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, "utf-8", write_through=True))
+    lines = [f"{i}\t\u03c9\n" for i in range(10000)]
+    cli._emit("stdout", lines)
+    assert raw.data == "".join(lines).encode() and raw.writes <= len(lines) // 100
+    sys.stdout.write("after\n")  # the raw stream stays open and under stdout
+    assert raw.data.endswith(b"after\n") and not raw.closed
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -730,7 +756,8 @@ def test_artifacts_at_the_caps_are_written_without_their_whole_text_in_memory(tm
     child's peak resident memory (VmHWM, read from its own /proc/self/status)
     is compared with a `table --n 6` child's: streamed text adds little more
     than the result arrays. Holding each artifact as one string added
-    205 MB (gap CSV), 354 MB (gap JSON) and 146 MB (pauli). Skipped where
+    205 MB (gap CSV), 354 MB (gap JSON) and 146 MB (pauli), and a gap column
+    per block, not per size, added about 40 MB (gap). Skipped where
     /proc/self/status does not exist.
     """
     if not Path("/proc/self/status").exists():
@@ -756,7 +783,7 @@ def test_artifacts_at_the_caps_are_written_without_their_whole_text_in_memory(tm
 
     baseline = peak_mb("table", "--n", "6")
     for fmt in ("csv", "json"):
-        assert peak_mb("gap", "--n", "64", "--m", "64", "--grid", "65536", "--format", fmt) <= baseline + 64, fmt
+        assert peak_mb("gap", "--n", "64", "--m", "64", "--grid", "65536", "--format", fmt) <= baseline + 24, fmt
     assert peak_mb("pauli", "--n", "20", "--parts", "20") <= baseline + 16
 
 

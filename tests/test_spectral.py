@@ -176,7 +176,7 @@ def test_gap_profile_unstructured_six_qubits():
     assert profile.omega_min == pytest.approx(1.0 / math.sqrt(64.0), abs=1e-12)
     assert profile.s_min == 0.5
     assert profile.s.size == 1001
-    assert profile.block_gaps.shape == (1001, 1)
+    assert profile.size_gaps.shape == (1001, 1)
 
 
 def test_gap_profile_maximal_split():
@@ -205,6 +205,7 @@ def test_gap_profile_linear_minimum_is_exact_on_every_split_and_grid():
         splitting = make_splitting(sum(parts), parts)
         for grid in (2, 3, 1000, 1001):
             profile = gap_profile(splitting, grid=grid)
+            assert profile.global_gap.tobytes() == profile.size_gaps.min(axis=1).tobytes(), (parts, grid)
             assert profile.s_min == 0.5, (parts, grid)
             assert profile.omega_min == subsystem_gap(2.0 ** max(parts), 0.5, 0.5), (parts, grid)
 
@@ -212,14 +213,16 @@ def test_gap_profile_linear_minimum_is_exact_on_every_split_and_grid():
 def test_gap_profile_single_qubit_matches_two_dim_block():
     lone = gap_profile(make_splitting(1, [1]), grid=101)
     maximal_block = gap_profile(make_splitting(2, [1, 1]), grid=101)
-    np.testing.assert_allclose(lone.global_gap, maximal_block.block_gaps[:, 0], atol=1e-15)
+    np.testing.assert_allclose(lone.global_gap, maximal_block.size_gaps[:, 0], atol=1e-15)
 
 
 def test_gap_profile_symmetry_and_positivity():
-    profile = gap_profile(make_splitting(5, [3, 2]), grid=201)
+    # one column per distinct size, ascending as size_counts lists them
+    profile = gap_profile(make_splitting(8, [3, 2, 3]), grid=201)
+    assert profile.size_gaps.shape == (201, 2)
     np.testing.assert_allclose(profile.global_gap, profile.global_gap[::-1], atol=1e-12)
     s = profile.s[1:-1]
-    for dim, gaps in zip((8, 4), profile.block_gaps[1:-1].T):
+    for dim, gaps in zip((4, 8), profile.size_gaps[1:-1].T):
         lower = 2.0 * np.sqrt((1.0 - s) * s / dim)
         assert np.all(gaps >= lower - 1e-15)
         assert np.all(gaps > 0.0)
