@@ -20,9 +20,9 @@ product ground state is two terms per block. On the linear path f = 1 - s
 and g = s are never both 0, so every block term has a ground state. The
 adiabaticity diagnostic is spectral.adiabatic_ratio times |ds/dt|, the
 quantity optimal_schedule saturates, so it reads epsilon along that
-schedule on any split. What does not depend on the state is computed for
-all checkpoints in one array pass; only the overlaps and norms are taken
-checkpoint by checkpoint.
+schedule on any split; ds/dt is the slope of the s(t) that RK4 follows.
+What does not depend on the state is computed for all checkpoints in one
+array pass; only the overlaps and norms are taken checkpoint by checkpoint.
 """
 
 from __future__ import annotations

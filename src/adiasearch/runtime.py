@@ -138,10 +138,10 @@ class TimeSchedule:
     total time a float; t rises strictly from exactly 0 to exactly the total
     time, s strictly from exactly 0 to exactly 1, and every rate is finite
     and >= 0. The quench is the one sample (t, s, ds/dt) = (0, 1, 0). A table
-    built by hand is taken as given and not checked again. Each direction is
-    a :class:`core.MonotoneCubic` of the columns, which takes steps of any
-    length, refuses a cubic that overflows in its own unit, and reads the
-    quench's one sample as a constant.
+    built by hand is taken as given and not checked again. s(t) and t(s) are
+    each a :class:`core.MonotoneCubic` through the table with slopes ds/dt or
+    dt/ds (a rate of 0 meets the cap); it takes steps of any length, refuses
+    to overflow, and reads the quench's one sample as a constant of slope 0.
     """
 
     total_time: float
@@ -150,9 +150,9 @@ class TimeSchedule:
     rate_nodes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "_s_of_t", MonotoneCubic(self.t_nodes, self.s_nodes))
-        object.__setattr__(self, "_t_of_s", MonotoneCubic(self.s_nodes, self.t_nodes))
-        object.__setattr__(self, "_rate_of_s", MonotoneCubic(self.s_nodes, self.rate_nodes))
+        object.__setattr__(self, "_s_of_t", MonotoneCubic(self.t_nodes, self.s_nodes, self.rate_nodes))
+        with np.errstate(divide="ignore", over="ignore"):  # an infinite slope is capped
+            object.__setattr__(self, "_t_of_s", MonotoneCubic(self.s_nodes, self.t_nodes, 1.0 / self.rate_nodes))
 
     @classmethod
     def quench(cls) -> "TimeSchedule":
@@ -160,14 +160,16 @@ class TimeSchedule:
         return cls(0.0, np.zeros(1), np.ones(1), np.zeros(1))
 
     def s_of_t(self, t):
+        """s at time t, off the cubic through (t, s) with slopes ds/dt."""
         return np.clip(self._s_of_t(np.clip(t, 0.0, self.total_time)), 0.0, 1.0)
 
     def t_of_s(self, s):
+        """t at s, off the cubic through (s, t) with slopes dt/ds."""
         return np.clip(self._t_of_s(np.clip(s, 0.0, 1.0)), 0.0, self.total_time)
 
     def rate(self, s):
-        """ds/dt as a function of s."""
-        return self._rate_of_s(np.clip(s, 0.0, 1.0))
+        """ds/dt at s: the slope of s_of_t's cubic at t_of_s(s), the drive that evolve follows."""
+        return self._s_of_t.slope(self.t_of_s(s))
 
     def scaled(self, new_total_time: float) -> "TimeSchedule":
         """Same path through s, uniformly stretched to a new total time; refused if too short or too long."""

@@ -64,6 +64,8 @@ def pchip_time_schedule(t_nodes, s_nodes):
     """A TimeSchedule through sampled (t, s) from t = 0 to T, its rates the node slopes of scipy's PCHIP.
 
     The PCHIP is taken in t / T, where no weight of its slope rule underflows, and its slopes divided by T.
+    Those slopes are within 3 times the chord on either side, so no cap binds and s_of_t is that PCHIP;
+    t_of_s is the Hermite cubic through (s, t) with their reciprocals, capped where a rate is 0.
     """
     t_nodes, s_nodes = np.asarray(t_nodes, dtype=float), np.asarray(s_nodes, dtype=float)
     rate_nodes = PchipInterpolator(t_nodes / t_nodes[-1], s_nodes).derivative()(t_nodes / t_nodes[-1]) / t_nodes[-1]

@@ -8,7 +8,8 @@ pairs, rebuild a dense matrix from such pairs, and contract a dense state
 against the product ground state. ``two_level_success`` solves each block
 in its own two-level adiabatic frame, on the exact rate of the linear
 schedule, with no state vector and no time table. ``equal_split_time`` is
-the bound-saturating schedule of an equal split in closed form.
+the bound-saturating schedule of an equal split in closed form, and
+``equal_split_s`` its inverse.
 """
 
 from __future__ import annotations
@@ -317,4 +318,22 @@ def equal_split_time(size: int, count: int, epsilon: float, s_values) -> list:
         for s in s_values:
             x = 2 * mp.mpf(s) - 1
             out.append(half_k * (1 + x / mp.sqrt((1 - 1 / dim) * x * x + 1 / dim)) / mp.mpf(epsilon))
+    return out
+
+
+def equal_split_s(size: int, count: int, epsilon: float, t_values) -> list:
+    """s(t), the inverse of ``equal_split_time``, at each t in [0, K / eps],
+    in closed form, as 50-digit mpmath numbers.
+
+    With y = 2 eps t / K - 1, a = 1 - 1/N and b = 1/N, y = x / omega
+    inverts to x = y sqrt(b / (1 - a y**2)), and s = (1 + x) / 2. Nothing
+    from the package under test.
+    """
+    with mp.workdps(50):
+        dim = mp.mpf(2) ** size
+        half_k = mp.sqrt(count * (dim - 1)) / 2
+        out = []
+        for t in t_values:
+            y = mp.mpf(t) * mp.mpf(epsilon) / half_k - 1
+            out.append((1 + y * mp.sqrt((1 / dim) / (1 - (1 - 1 / dim) * y * y))) / 2)
     return out

@@ -787,13 +787,15 @@ def test_artifacts_at_the_caps_are_written_without_their_whole_text_in_memory(tm
     assert peak_mb("pauli", "--n", "20", "--parts", "20") <= baseline + 16
 
 
-# Configurations whose bytes once followed the host's SIMD level or BLAS core
+# Configurations whose bytes once followed the host's SIMD level or BLAS
+# core, each with whether it also keeps them under glibc's non-FMA libm
 _HOST_ARGVS = (
-    ("schedule", "--n", "30", "--m", "1"),
-    ("schedule", "--n", "64", "--parts", "1,63", "--grid", "65536"),
-    ("evolve", "--n", "12", "--m", "2"),
-    ("evolve", "--n", "6", "--parts", "3,1,2"),
+    (("schedule", "--n", "30", "--m", "1"), True),
+    (("schedule", "--n", "64", "--parts", "1,63", "--grid", "65536"), False),
+    (("evolve", "--n", "12", "--m", "2"), True),
+    (("evolve", "--n", "6", "--parts", "3,1,2"), True),
 )
+_NO_FMA = {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-AVX2,-FMA,-FMA4,-AVX512F"}
 
 
 def _numpy_simd_targets() -> list:
@@ -807,28 +809,31 @@ def _numpy_simd_targets() -> list:
 
 def test_artifacts_are_the_same_bytes_at_every_simd_level_and_blas_core():
     """Each configuration prints the same stdout bytes and exit code plain,
-    with OpenBLAS held to its Prescott kernels, and with every numpy dispatch
-    target above the baseline disabled, each set in the child's environment only.
+    with OpenBLAS held to its Prescott kernels, with every numpy dispatch
+    target above the baseline disabled, and, but for the grid-65,536
+    schedule, with glibc's FMA variants of libm turned off, each set in the
+    child's environment only.
 
-    On a host where numpy found no target above its baseline, the last
-    variant is skipped and the test checks less: the BLAS core only. Where
-    numpy does not use OpenBLAS, that variant changes nothing. glibc's choice
-    of FMA or non-FMA libm variants is not covered: libm's non-FMA sinh moves
-    the grid-65,536 schedule.
+    On a host where numpy found no target above its baseline, the numpy
+    variant is skipped and the test checks less. Where numpy does not use
+    OpenBLAS, or the libm is not glibc's, that variant changes nothing.
+    glibc's non-FMA sinh moves the grid-65,536 schedules on [1,63] and
+    [64], which are not yet the same bytes without FMA.
     """
-    plain = {k: v for k, v in _CHILD_ENV.items() if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE")}
+    plain = {k: v for k, v in _CHILD_ENV.items() if k not in ("NPY_DISABLE_CPU_FEATURES", "OPENBLAS_CORETYPE", *_NO_FMA)}
     variants = [{"OPENBLAS_CORETYPE": "Prescott"}]
     targets = _numpy_simd_targets()
     if targets:
         variants.append({"NPY_DISABLE_CPU_FEATURES": ",".join(targets)})
-    for argv in _HOST_ARGVS:
+    for argv, fma_free in _HOST_ARGVS:
+        envs = variants + [_NO_FMA] if fma_free else variants
         children = [
             subprocess.Popen([sys.executable, "-m", "adiasearch", *argv], stdout=subprocess.PIPE, env={**plain, **env})
-            for env in ({}, *variants)
+            for env in ({}, *envs)
         ]
         (stdout, code), *others = [(child.communicate(timeout=300)[0], child.returncode) for child in children]
         assert code in (0, 4) and stdout, argv
-        for env, other in zip(variants, others):
+        for env, other in zip(envs, others):
             assert other == (stdout, code), (argv, env)
 
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.interpolate import PchipInterpolator
+from scipy.interpolate import CubicHermiteSpline
 
 from adiasearch.core import (
     LinearSchedule,
@@ -119,30 +119,33 @@ def test_linear_schedule_values():
     assert (sched.f(1.0), sched.g(1.0)) == (0.0, 1.0)
 
 
-def test_monotone_cubic_matches_scipy_pchip():
+def test_monotone_cubic_matches_scipy_hermite_spline():
     rng = np.random.default_rng(11)
-    samples = [(np.array([0.0, 1.0]), np.array([1.0, 0.0])), (np.array([-2.0, 3.5]), np.array([0.3, 0.3]))]
     for k in range(60):
-        x = np.cumsum(rng.uniform(0.01, 1.0, int(rng.integers(3, 25)))) - 2.0
-        if k % 3 == 0:
-            y = np.cumsum(rng.uniform(0.0, 1.0, x.size))  # monotone
-        elif k % 3 == 1:
-            y = rng.normal(size=x.size) * 10.0 ** rng.integers(-3, 4)
-        else:
-            y = rng.integers(-1, 2, x.size).astype(float)  # flat runs and sign changes
-        samples.append((x, y))
-    for x, y in samples:
-        ours, oracle = MonotoneCubic(x, y), PchipInterpolator(x, y)
+        x = np.cumsum(rng.uniform(0.01, 1.0, int(rng.integers(2, 25)))) - 2.0
+        y = np.cumsum(rng.uniform(0.01, 1.0, x.size)) * 10.0 ** rng.integers(-3, 4)
+        m = np.diff(y) / np.diff(x)
+        # below 3 times the chord on either side, so the cap does not bind
+        slopes = rng.uniform(0.0, 2.9, x.size) * np.minimum(np.append(m[0], m), np.append(m, m[-1]))
+        if k % 4 == 0:
+            slopes[rng.integers(0, x.size)] = 0.0
+        ours, oracle = MonotoneCubic(x, y, slopes), CubicHermiteSpline(x, y, slopes)
         # nodes, points between them and points outside the ends
         q = np.concatenate([x, rng.uniform(x[0] - 1.0, x[-1] + 1.0, 50)])
-        scale = max(np.max(np.abs(y)), 1.0e-300)
-        assert np.max(np.abs(ours(q) - oracle(q))) <= 1e-12 * scale
+        assert np.max(np.abs(ours(q) - oracle(q))) <= 1e-12 * np.max(y)
+        assert np.max(np.abs(ours.slope(q) - oracle.derivative()(q))) <= 1e-11 * np.max(np.abs(slopes))
+        # a slope past its cap, infinite ones included, is the Hermite spline's through the capped slope
+        steep = slopes.copy()
+        steep[rng.integers(0, x.size, 2)] = [10.0 * np.max(m), np.inf]
+        capped = np.minimum(steep, 3.0 * np.minimum(np.append(m[0], m), np.append(m, m[-1])))
+        assert np.max(np.abs(MonotoneCubic(x, y, steep)(q) - CubicHermiteSpline(x, y, capped)(q))) <= 1e-12 * np.max(y)
 
 
 def test_monotone_cubic_reads_one_node_as_a_constant():
-    # the value at the node, wherever it is probed
-    constant = MonotoneCubic([0.3], [5.0])
+    # the value at the node, wherever it is probed, and slope 0 whatever slope it is given
+    constant = MonotoneCubic([0.3], [5.0], [2.0])
     assert constant(np.array([-1.0, 0.3, 7.0])).tolist() == [5.0] * 3
+    assert constant.slope(np.array([-1.0, 0.3, 7.0])).tolist() == [0.0] * 3
 
 
 def test_precision_validation():

@@ -31,7 +31,7 @@ from adiasearch.runtime import (
 from adiasearch.spectral import max_structured_degeneracy, max_structured_eigenvalue
 
 from conftest import linear_eps_t_oracle, linear_node_eps_t_oracle, pchip_time_schedule
-from oracles import equal_split_time
+from oracles import equal_split_s, equal_split_time
 
 TABLE_CONFIGS = [(6, 1), (6, 2), (6, 3), (6, 6), (30, 1), (30, 2), (30, 3), (30, 5), (30, 6), (30, 10), (30, 15), (30, 30)]
 
@@ -287,6 +287,38 @@ def test_optimal_schedule_matches_the_equal_split_closed_form(parts):
     assert max(float(abs(t - exact) / total) for t, exact in zip(schedule_t.t_nodes.tolist(), oracle)) <= bound
 
 
+@pytest.mark.parametrize("parts", [[12], [30], [6, 6], [32, 32], [10, 10, 10], [1] * 64])
+def test_s_of_t_follows_the_equal_split_closed_form(parts):
+    # measured over 2,001 uniform t and the node midpoints: 2.1e-9 on [12],
+    # 3.0e-10 on [6,6], 1.2e-9 on [10,10,10], 4.7e-12 on [1]*64, and in the
+    # tails 7.6e-8 on [30] and 6.8e-7 on [32,32], where ds/dt is in the
+    # thousands and turns the nodes' time error, about 1e-15 of T, into s
+    bound = 1e-6 if parts in ([30], [32, 32]) else 1e-8
+    eps = 0.2
+    schedule_t = optimal_schedule(make_splitting(sum(parts), parts), Precision(epsilon=eps))
+    t_nodes = schedule_t.t_nodes
+    t = np.concatenate([np.linspace(0.0, schedule_t.total_time, 2001), 0.5 * (t_nodes[1:] + t_nodes[:-1])])
+    exact = equal_split_s(parts[0], len(parts), eps, t.tolist())
+    assert max(float(abs(s - e)) for s, e in zip(schedule_t.s_of_t(t).tolist(), exact)) <= bound
+
+
+@pytest.mark.parametrize("parts", [[64], [1, 63]])
+def test_every_cell_of_both_cubics_keeps_its_slopes_within_three_chords(parts):
+    # Fritsch & Carlson's monotone box: each cell's slope at either end over
+    # its chord, alpha = d_k / m_k and beta = d_k+1 / m_k, lies in [0, 3].
+    # Without the cap, 10,378 s(t) cells on [64] fall outside it. Values are
+    # not sampled: in the far tails the cells are an ulp wide in t.
+    schedule_t = optimal_schedule(make_splitting(64, parts), grid=MAX_GRID)
+    t, s = schedule_t.t_nodes, schedule_t.s_nodes
+    for cubic, x, y in ((schedule_t._s_of_t, t, s), (schedule_t._t_of_s, s, t)):
+        h = np.diff(x) / cubic.unit
+        m = np.diff(y) / h
+        c0, c1, c2, _ = cubic.c
+        end = 3.0 * c0 * h * h + 2.0 * c1 * h + c2  # each cell's slope at its right node
+        assert np.all(c2 >= 0.0) and np.all(c2 <= 3.0 * m)
+        assert np.all(end >= 0.0) and np.all(end <= 3.0 * m * (1.0 + 1e-12))
+
+
 def test_optimal_schedule_integrand_work_is_bounded():
     class CountingLinear(LinearSchedule):
         points = 0
@@ -527,15 +559,17 @@ def test_time_steps_of_any_length_suit_the_cubic_of_s_of_t():
     with pytest.raises(ValueError, match="the monotone cubic through values up to 1.7e\\+308 overflows"):
         schedule_t.scaled(1.7e308)
     # dividing by a power of two rounds nothing: scaling the nodes by 2^k
-    # keeps every value to the last bit
+    # and the slopes by 2^-k keeps every value and slope to the last bit
     rng = np.random.default_rng(5)
     x = np.cumsum(rng.uniform(0.01, 1.0, 12))
     y = np.cumsum(rng.uniform(0.0, 1.0, 12))
+    slopes = rng.uniform(0.0, 3.0, 12)
     q = np.concatenate([x, rng.uniform(x[0] - 0.5, x[-1] + 0.5, 200)])
-    cubic = MonotoneCubic(x, y)
+    cubic = MonotoneCubic(x, y, slopes)
     for k in (300, -300, 900, -900):
-        scaled = MonotoneCubic(np.ldexp(x, k), y)
+        scaled = MonotoneCubic(np.ldexp(x, k), y, np.ldexp(slopes, -k))
         assert np.array_equal(scaled(np.ldexp(q, k)), cubic(q)), k
+        assert np.array_equal(scaled.slope(np.ldexp(q, k)), np.ldexp(cubic.slope(q), -k)), k
 
 
 def test_tiny_epsilon_whose_total_time_overflows_is_refused():
