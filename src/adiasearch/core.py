@@ -2,10 +2,10 @@
 
 A search problem is described by a :class:`Splitting` (how the n qubits are
 partitioned into independently searched blocks), a :class:`MarkedState` (the
-unique satisfying assignment), the linear interpolation
-:class:`LinearSchedule` (f, g) = (1 - s, s), and a :class:`Precision` bundle
-for the numerical routines. All types here are immutable after construction
-and safe to share across threads.
+unique satisfying assignment), the coupling f = 1 - s of the linear path
+(:class:`LinearSchedule`, g = s being plain arithmetic), and a
+:class:`Precision` bundle for the numerical routines. All types here are
+immutable after construction and safe to share across threads.
 """
 
 from __future__ import annotations
@@ -232,24 +232,17 @@ class MonotoneCubic:
 
 
 class LinearSchedule:
-    """The interpolation f(s) = 1 - s, g(s) = s, the one path of every search.
+    """The coupling f(s) = 1 - s of the linear path, the one path of every search.
 
     A curved path (f, g) adds nothing to it: with lambda = f + g and
     sigma = g / (f + g), H(s) = lambda H_lin(sigma), the linear path run in
-    the rescaled time integral of lambda dt. f'g - g'f is -(f + g). A class
-    only so that the two runtime entry points that take ``schedule=`` can
-    take the benchmark's subclass that counts calls to f.
+    the rescaled time integral of lambda dt. Its g = s and f - g are plain
+    arithmetic. A class only so that the two runtime entry points that take
+    ``schedule=`` can take the benchmark's subclass that counts calls to f.
     """
 
     def f(self, s):
         return 1.0 - s
-
-    def g(self, s):
-        return s + 0.0
-
-    def difference(self, s_star, x):
-        """f - g at s_star + x, exact in the offset x: s_star + x is never rounded."""
-        return (1.0 - 2.0 * s_star) - 2.0 * x
 
 
 @dataclass(frozen=True)

@@ -43,15 +43,16 @@ class RunTimeResult:
     beta: float
 
 
-def _time_integrand(splitting: Splitting, schedule: LinearSchedule):
+def _time_integrand(splitting: Splitting, f):
     """epsilon * dt/ds for the bound-saturating time parameterization.
 
     Every block gap bottoms out at the crossing s = 1/2 where f = g, block i
     with a half-width of about 1/(2 sqrt(N_i)) in s: 2^-33 at 64 qubits,
     too fine for quadrature nodes at rounded s. So dt/ds is formed from the
-    offset x = s - 1/2 (f - g from LinearSchedule.difference) and integrated
-    in u, x = w sinh(u) with w = 0.25/sqrt(N_max), where every block peak is
-    a smooth bump about one unit wide; dt/ds is spectral.adiabatic_ratio.
+    offset x = s - 1/2, with g = s and f - g = -2x exact in x, and the
+    coupling ``f`` of the path is its one call. It is integrated in u,
+    x = w sinh(u) with w = 0.25/sqrt(N_max), where every block peak is a
+    smooth bump about one unit wide; dt/ds is spectral.adiabatic_ratio.
 
     Returns (integrand of u, the map s -> u, its inverse u -> s, dt/ds as a
     function of s), each of one float: libm, not numpy's SIMD kernels.
@@ -61,7 +62,7 @@ def _time_integrand(splitting: Splitting, schedule: LinearSchedule):
 
     def at_offset(x: float) -> float:
         s = 0.5 + x
-        return ratio(schedule.difference(0.5, x), schedule.f(s), schedule.g(s))
+        return ratio(-2.0 * x, f(s), s)
 
     def integrand(u: float) -> float:
         return at_offset(width * math.sinh(u)) * width * math.cosh(u)
@@ -108,7 +109,8 @@ def running_time_integral(
     tolerance QUAD_TOL. The panels break at the crossing s = 1/2, where
     every block peaks. ``schedule`` admits only the benchmark's counter.
     """
-    integrand, u_of_s, _, _ = _time_integrand(splitting, schedule if schedule is not None else LinearSchedule())
+    schedule = schedule if schedule is not None else LinearSchedule()
+    integrand, u_of_s, _, _ = _time_integrand(splitting, schedule.f)
     edges = _panel_edges(u_of_s(0.0), u_of_s(1.0))
     eps_t, _ = integrate(integrand, edges, QUAD_TOL, "the running-time integral")
     alpha, beta = scaling_coefficients(eps_t, splitting.n, splitting.num_blocks)
@@ -219,7 +221,7 @@ def optimal_schedule(
         raise ValueError(f"grid must have between 100 and {MAX_GRID} samples, got {grid}")
     precision = precision if precision is not None else Precision()
     schedule = schedule if schedule is not None else LinearSchedule()
-    integrand, u_of_s, s_of_u, dt_ds = _time_integrand(splitting, schedule)
+    integrand, u_of_s, s_of_u, dt_ds = _time_integrand(splitting, schedule.f)
     u_lo, u_hi = u_of_s(0.0), u_of_s(1.0)
     s_nodes = np.array([0.0, *map(s_of_u, np.linspace(u_lo, u_hi, grid)[1:-1].tolist()), 1.0])
     dt_ds_nodes = np.array([dt_ds(s) for s in s_nodes.tolist()])

@@ -44,10 +44,10 @@ def adiabatic_ratio(splitting: Splitting):
     so r_i = |f'g - g'f| sqrt(N_i - 1) / (N_i omega_i**3). On the linear path
     f'g - g'f is -(f + g), and (-1.0) * g - 1.0 * f rounds exactly as
     -(f + g), so the drive f + g keeps every bit of the general form.
-    omega_i**2 is formed from ``difference`` = f - g, as
-    LinearSchedule.difference gives it. The sum runs over the distinct sizes
-    of Splitting.size_counts, weighted by their counts. Python floats give a
-    scalar, arrays of shape (k, 1) an array of shape (k,).
+    omega_i**2 is formed from ``difference`` = f - g, which the running time
+    passes as -2x, exact in the offset x from s = 1/2. The sum runs over the
+    distinct sizes of Splitting.size_counts, weighted by their counts. Python
+    floats give a scalar, arrays of shape (k, 1) an array of shape (k,).
     """
     sizes, counts = zip(*splitting.size_counts())
     dims = np.array([float(1 << size) for size in sizes])

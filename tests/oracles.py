@@ -19,7 +19,7 @@ import math
 import mpmath as mp
 import numpy as np
 
-from adiasearch.core import LinearSchedule, MarkedState, Splitting
+from adiasearch.core import MarkedState, Splitting
 from adiasearch.dynamics import _ground_amplitude, _ground_amplitudes
 from adiasearch.hamiltonian import _check_dense_cap
 
@@ -161,15 +161,15 @@ def instantaneous_ground_overlap(
     state: np.ndarray,
     splitting: Splitting,
     marked: MarkedState,
-    schedule: LinearSchedule,
     s: float,
 ) -> float:
-    """Squared overlap of ``state`` with the instantaneous ground state,
-    contracted one block axis at a time against the block closed forms."""
+    """Squared overlap of ``state`` with the instantaneous ground state of
+    the linear path at s, contracted one block axis at a time against the
+    block closed forms."""
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"s must be in [0, 1], got {s}")
     dims = np.array(splitting.block_dims, dtype=float)
-    c_marked, c_perp = _ground_amplitudes(dims, float(schedule.f(s)), float(schedule.g(s)))
+    c_marked, c_perp = _ground_amplitudes(dims, 1.0 - float(s), float(s))
     amplitude = np.asarray(state).reshape(splitting.block_dims)
     for index, cm, cp in zip(marked.block_values(splitting), c_marked, c_perp):
         amplitude = _ground_amplitude(amplitude, index, cm, cp)
@@ -202,13 +202,13 @@ def two_level_success(parts, epsilon: float, steps: int) -> float:
 
     dt/ds is sqrt(sum_i (f + g)**2 (N_i - 1) / (N_i**2 omega_i**6)) / epsilon,
     summed here block by block in the given order, not taken from the
-    package's ratio, and formed from the offset x = s - 1/2 = w sinh(u) with
-    LinearSchedule.difference, as the running time is. The steps
-    are uniform in u and tile [u(0), u(1)] by their own edges. Each is one
-    first-order Magnus rotation (Iserles, BIT 42, 561 (2002)), whose
-    z = integral of a e^{i Theta} du is a Filon rule in the phase: b =
-    chi' / (omega dt/ds) taken linear in Theta across the step. dTheta is
-    3-point Gauss-Legendre on each step.
+    package's ratio, and formed from the offset x = s - 1/2 = w sinh(u), with
+    f = 1 - s, g = s and f - g = -2x exact in x, as the running time forms
+    them. The steps are uniform in u and tile [u(0), u(1)] by their own
+    edges. Each is one first-order Magnus rotation (Iserles, BIT 42, 561
+    (2002)), whose z = integral of a e^{i Theta} du is a Filon rule in the
+    phase: b = chi' / (omega dt/ds) taken linear in Theta across the step.
+    dTheta is 3-point Gauss-Legendre on each step.
 
     On [1,63] the small block turns about 1e10 rad, and p moves about 0.17
     per radian of it. So Theta is carried reduced mod 2 pi, and its rate is
@@ -216,7 +216,6 @@ def two_level_success(parts, epsilon: float, steps: int) -> float:
     3e-9 from one step count to the next. Where np.longdouble is a double,
     that noise stays.
     """
-    schedule = LinearSchedule()
     dims = np.array([2.0**p for p in parts])
     sizes, block_size = np.unique(dims, return_inverse=True)
     width = 0.25 / math.sqrt(dims.max())  # the narrowest peak's half-width in s
@@ -228,8 +227,8 @@ def two_level_success(parts, epsilon: float, steps: int) -> float:
         """(omega, dt/du, ds/du, f'g - g'f) at u, in u's precision; omega per distinct size, on a trailing axis."""
         x = np.clip(width * np.sinh(u), -0.5, 0.5)[..., None]
         s = 0.5 + x
-        f, g = schedule.f(s), schedule.g(s)
-        difference = schedule.difference(0.5, x)
+        f, g = 1.0 - s, s
+        difference = -2.0 * x
         ds_du = (width * np.cosh(u))[..., None]
         drive = f + g
         block_gaps_sq = difference * difference + 4.0 * f * g / dims

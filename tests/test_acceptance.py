@@ -109,14 +109,13 @@ def test_criterion_3_quadrature_matches_closed_form():
 
 
 def test_criterion_4_fully_split_spectrum():
-    sched = LinearSchedule()
     failures = []
     for n in range(2, 7):
         splitting = make_splitting(n, [1] * n)
         mixing = build_initial(splitting)
         problem = np.diag(final_diagonal(splitting, MarkedState.zeros(n)))
         for s in np.linspace(0.0, 1.0, 11):
-            f, g = float(sched.f(s)), float(sched.g(s))
+            f, g = 1.0 - float(s), float(s)
             values = eigh(f * mixing + g * problem, eigvals_only=True)
             ladder = np.sort(
                 np.concatenate(

@@ -3,7 +3,7 @@ import pytest
 from scipy.linalg import eigh
 
 from adiasearch import cli
-from adiasearch.core import LinearSchedule, MarkedState, make_splitting
+from adiasearch.core import MarkedState, make_splitting
 from adiasearch.hamiltonian import (
     EXPANSION_LETTER_BUDGET,
     MatrixFreeHamiltonian,
@@ -129,10 +129,9 @@ def test_combine_boundaries_and_gap():
     splitting = make_splitting(1, [1])
     h_initial = build_initial(splitting)
     h_final = np.diag(final_diagonal(splitting, MarkedState.zeros(1)))
-    sched = LinearSchedule()
 
     def dense(s):
-        return sched.f(s) * h_initial + sched.g(s) * h_final
+        return (1.0 - s) * h_initial + s * h_final
 
     np.testing.assert_allclose(dense(0.0), h_initial, atol=0)
     np.testing.assert_allclose(dense(1.0), h_final, atol=0)
@@ -175,13 +174,12 @@ def test_unstructured_final_has_full_weight_word():
 
 def test_expansion_round_trip():
     rng = np.random.default_rng(4)
-    sched = LinearSchedule()
     for n in (2, 3, 5, 8):
         splitting = make_splitting(n, random_splitting(rng, n))
         bits = MarkedState(tuple(int(b) for b in rng.integers(0, 2, n)))
         h_initial = build_initial(splitting)
         h_final = np.diag(final_diagonal(splitting, bits))
-        blended = sched.f(0.3) * h_initial + sched.g(0.3) * h_final
+        blended = (1.0 - 0.3) * h_initial + 0.3 * h_final
         for op in (h_initial, h_final, blended):
             rebuilt = to_dense(pauli_expansion(op), n)
             assert np.abs(rebuilt - op).max() < 1e-12
@@ -303,7 +301,6 @@ def _matrix_free_splittings(rng):
 
 def test_matrix_free_matches_dense():
     rng = np.random.default_rng(33)
-    sched = LinearSchedule()
     for splitting in _matrix_free_splittings(rng):
         n = splitting.n
         bits = MarkedState(tuple(int(b) for b in rng.integers(0, 2, n)))
@@ -311,7 +308,7 @@ def test_matrix_free_matches_dense():
         h_final = np.diag(final_diagonal(splitting, bits))
         applier = MatrixFreeHamiltonian(splitting, bits)
         for s in (0.0, 0.37, 1.0):
-            f, g = float(sched.f(s)), float(sched.g(s))
+            f, g = 1.0 - s, s
             dense = f * h_initial + g * h_final
             vec = rng.standard_normal(splitting.dim) + 1j * rng.standard_normal(splitting.dim)
             np.testing.assert_allclose(applier.apply(f, g, vec), dense @ vec, atol=1e-12)

@@ -7,7 +7,6 @@ from scipy.linalg import eigh
 from adiasearch import cli
 from adiasearch.core import (
     MAX_GRID,
-    LinearSchedule,
     MarkedState,
     equal_splitting,
     make_splitting,
@@ -28,8 +27,7 @@ from oracles import build_initial
 def _dense_hamiltonian(n, parts, s, marked=None):
     splitting = make_splitting(n, parts)
     marked = marked if marked is not None else MarkedState.zeros(n)
-    sched = LinearSchedule()
-    return sched.f(s) * build_initial(splitting) + sched.g(s) * np.diag(final_diagonal(splitting, marked))
+    return (1.0 - s) * build_initial(splitting) + s * np.diag(final_diagonal(splitting, marked))
 
 
 def test_two_dim_block_gap_is_hypotenuse():
@@ -160,14 +158,13 @@ def test_matrix_element_examples():
     # its own excited state with |f'g - g'f| / (2 sqrt(f**2 + g**2)), one gap
     # sqrt(f**2 + g**2) below it, so the ratio is sqrt(n) times that over the
     # gap squared: the integrand of the sqrt(n) running time
-    sched = LinearSchedule()
     for n in (1, 4, 7, 64):
         ratio = adiabatic_ratio(equal_splitting(n, n))
         for s in np.linspace(0.0, 1.0, 11).tolist():
-            f, g = sched.f(s), sched.g(s)
+            f, g = 1.0 - s, s
             # |f'g - g'f| with f' = -1 and g' = 1
             expected = math.sqrt(n) * abs(-g - f) / (2.0 * (f * f + g * g) ** 1.5)
-            assert ratio(sched.difference(s, 0.0), f, g) == pytest.approx(expected, rel=1e-15), (n, s)
+            assert ratio(1.0 - 2.0 * s, f, g) == pytest.approx(expected, rel=1e-15), (n, s)
 
 
 def test_gap_profile_unstructured_six_qubits():
@@ -244,14 +241,13 @@ def test_gap_profile_grid_validation_and_csv():
 
 
 def test_dense_two_lowest_levels_match_every_splitting():
-    sched = LinearSchedule()
     for n in range(1, 7):
         for parts in compositions(n):
             splitting = make_splitting(n, parts)
             for s in np.linspace(0.0, 1.0, 11):
                 h = _dense_hamiltonian(n, parts, s)
                 levels, _ = distinct_levels(eigh(h, eigvals_only=True))
-                f, g = sched.f(s), sched.g(s)
+                f, g = 1.0 - s, s
                 gaps = [subsystem_gap(d, f, g) for d in splitting.block_dims]
                 expected_ground = sum(((f + g) - w) / 2.0 for w in gaps)
                 assert levels[0] == pytest.approx(expected_ground, abs=1e-9)
