@@ -205,16 +205,20 @@ def optimal_schedule(
 ) -> TimeSchedule:
     """Time parameterization that saturates the adiabatic bound everywhere.
 
-    Integrates the time integrand of :func:`running_time_integral` once, on
-    its panels further broken at every integer u (the block peaks are bumps
-    about one unit wide). The ``grid`` nodes are uniform in u, so every
-    block peak gets as many of them as a unit of u holds, and the ends are
-    exactly s = 0 and 1. t(s) at each node is then read off the converged
-    quadrature pieces, at the u of the node's rounded s, each node's piece
-    interpolated by its 21 integrand values, and inverted monotonically.
-    The total time agrees with that integral to quadrature tolerance, and
-    ds/dt is smallest where the gap is smallest. ``schedule`` admits only
-    the benchmark's counter.
+    On the linear path every block gap is unchanged by s -> 1 - s, so the
+    time integrand of :func:`running_time_integral` is even in s - 1/2, and
+    it is integrated once over the half line before the crossing only, on
+    panels broken at every integer u (the block peaks are bumps about one
+    unit wide). The ``grid`` nodes are uniform in u, so every block peak
+    gets as many of them as a unit of u holds, and the ends are exactly
+    s = 0 and 1. t(s) at each node is read off the converged quadrature
+    pieces at -|u| of the node's rounded s, each node's piece interpolated
+    by its 21 integrand values. A node past the crossing is read from the
+    end: the total, twice the half integral, less its time to go. Only the
+    guard that keeps the times strictly increasing still runs from s = 0.
+    The total time agrees with :func:`running_time_integral` to quadrature
+    tolerance, and ds/dt is smallest where the gap is smallest.
+    ``schedule`` admits only the benchmark's counter.
     """
     grid = _integer(grid, "grid")
     if not 100 <= grid <= MAX_GRID:
@@ -225,10 +229,13 @@ def optimal_schedule(
     u_lo, u_hi = u_of_s(0.0), u_of_s(1.0)
     s_nodes = np.array([0.0, *map(s_of_u, np.linspace(u_lo, u_hi, grid)[1:-1].tolist()), 1.0])
     dt_ds_nodes = np.array([dt_ds(s) for s in s_nodes.tolist()])
-    u_nodes = np.array([u_of_s(s) for s in s_nodes.tolist()])
-    edges = _panel_edges(u_lo, u_hi, range(math.ceil(u_lo), math.floor(u_hi) + 1))
-    _, pieces = integrate(integrand, edges, QUAD_TOL, "the time tabulation")
+    # each node's u folded onto the half line before the crossing
+    u_nodes = np.array([-abs(u_of_s(s)) for s in s_nodes.tolist()])
+    edges = _panel_edges(u_lo, 0.0, range(math.ceil(u_lo), 0))
+    half, pieces = integrate(integrand, edges, QUAD_TOL, "the time tabulation")
     t_nodes = node_integrals(pieces, u_nodes)
+    after = s_nodes > 0.5  # the total less the time to go, read at the mirror node
+    t_nodes[after] = 2.0 * half - t_nodes[after]
     if not math.isfinite(float(t_nodes[-1]) / precision.epsilon):
         raise ValueError(
             f"epsilon {precision.epsilon!r} is too small: the total time {t_nodes[-1]:.17g} / epsilon overflows"

@@ -479,7 +479,8 @@ def test_huge_step_counts_are_config_errors(capsys):
 def test_epsilon_whose_total_time_overflows_is_config_error(capsys):
     assert run_cli("schedule", "--n", "64", "--m", "1", "--eps", "1e-308") == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and "epsilon 1e-308 is too small: the total time 4294967295.99" in err
+    # the raw total is twice the half-line integral: sqrt(2**64 - 1), correctly rounded
+    assert err.count("\n") == 1 and "epsilon 1e-308 is too small: the total time 4294967296 / epsilon" in err
 
 
 def test_grid_cap_is_config_error(capsys):
