@@ -137,13 +137,14 @@ class TimeSchedule:
     Built by :func:`optimal_schedule` (rates from the saturated bound), by
     :meth:`scaled` or by :meth:`quench`, which hold every table to these
     invariants: t, s and ds/dt are 1-D float64 arrays of one length and the
-    total time a float; t rises strictly from exactly 0 to exactly the total
-    time, s strictly from exactly 0 to exactly 1, and every rate is finite
-    and >= 0. The quench is the one sample (t, s, ds/dt) = (0, 1, 0). A table
-    built by hand is taken as given and not checked again. s(t) and t(s) are
-    each a :class:`core.MonotoneCubic` through the table with slopes ds/dt or
-    dt/ds (a rate of 0 meets the cap); it takes steps of any length, refuses
-    to overflow, and reads the quench's one sample as a constant of slope 0.
+    total time a float; t is non-decreasing from exactly 0 to exactly the
+    total time, s rises strictly from exactly 0 to exactly 1, and every rate
+    is finite and >= 0. The quench is the one sample (0, 1, 0). A table built
+    by hand is taken as given and not checked again. A run of equal times is
+    one instant: s(t) and t(s) are each a :class:`core.MonotoneCubic` through
+    the last node of every run, with slopes ds/dt or dt/ds (a rate of 0 meets
+    the cap); it takes steps of any length, refuses to overflow, and reads
+    the quench's one sample as a constant.
     """
 
     total_time: float
@@ -152,9 +153,11 @@ class TimeSchedule:
     rate_nodes: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "_s_of_t", MonotoneCubic(self.t_nodes, self.s_nodes, self.rate_nodes))
+        last = np.append(np.diff(self.t_nodes) > 0.0, True)
+        t, s, rate = self.t_nodes[last], self.s_nodes[last], self.rate_nodes[last]
+        object.__setattr__(self, "_s_of_t", MonotoneCubic(t, s, rate))
         with np.errstate(divide="ignore", over="ignore"):  # an infinite slope is capped
-            object.__setattr__(self, "_t_of_s", MonotoneCubic(self.s_nodes, self.t_nodes, 1.0 / self.rate_nodes))
+            object.__setattr__(self, "_t_of_s", MonotoneCubic(s, t, 1.0 / rate))
 
     @classmethod
     def quench(cls) -> "TimeSchedule":
@@ -189,8 +192,8 @@ class TimeSchedule:
             rate_nodes = np.ldexp(self.rate_nodes / ratio, -shift)
         # the last node is the new total, which the product can miss by an ulp
         t_nodes = np.append(np.ldexp(self.t_nodes[:-1] * ratio, shift), new_total_time)
-        if not (np.all(np.diff(t_nodes) > 0.0) and np.isfinite(rate_nodes).all()):
-            raise ValueError(f"total time {new_total_time!r} is too short: its steps vanish or its rates overflow")
+        if not np.isfinite(rate_nodes).all():
+            raise ValueError(f"total time {new_total_time!r} is too short: its rates overflow")
         try:
             return TimeSchedule(new_total_time, t_nodes, self.s_nodes, rate_nodes)
         except ValueError as exc:  # a cubic through the stretched times overflows
@@ -214,10 +217,10 @@ def optimal_schedule(
     s = 0 and 1. t(s) at each node is read off the converged quadrature
     pieces at -|u| of the node's rounded s, each node's piece interpolated
     by its 21 integrand values. A node past the crossing is read from the
-    end: the total, twice the half integral, less its time to go. Only the
-    guard that keeps the times strictly increasing still runs from s = 0.
-    The total time agrees with :func:`running_time_integral` to quadrature
-    tolerance, and ds/dt is smallest where the gap is smallest.
+    end: the total, twice the half integral, less its time to go. Late nodes
+    under an ulp of the total apart can share a time. The total time agrees
+    with :func:`running_time_integral` to quadrature tolerance, and ds/dt is
+    smallest where the gap is smallest.
     ``schedule`` admits only the benchmark's counter.
     """
     grid = _integer(grid, "grid")
@@ -241,11 +244,6 @@ def optimal_schedule(
             f"epsilon {precision.epsilon!r} is too small: the total time {t_nodes[-1]:.17g} / epsilon overflows"
         )
     t_nodes /= precision.epsilon
-    for k in range(1, grid):
-        # far tails of huge blocks can fall below the resolution of the
-        # accumulated time; keep the tabulation strictly increasing
-        if t_nodes[k] <= t_nodes[k - 1]:
-            t_nodes[k] = np.nextafter(t_nodes[k - 1], np.inf)
     rate_nodes = precision.epsilon / dt_ds_nodes
     return TimeSchedule(float(t_nodes[-1]), t_nodes, s_nodes, rate_nodes)
 

@@ -436,7 +436,7 @@ def test_non_finite_total_time_is_config_error(capsys):
 
 
 def test_collapsing_total_time_is_config_error(capsys):
-    # at 5e-324 the stretched time steps vanish; at 1e-300 the run is a
+    # at 5e-324 the stretched rates overflow; at 1e-300 the run is a
     # quench in all but name and misses the target with p = 1/2
     assert run_cli("evolve", "--n", "1", "--m", "1", "--total-time", "5e-324") == 2
     err = capsys.readouterr().err

@@ -1,4 +1,5 @@
 import ast
+import functools
 import math
 import warnings
 from pathlib import Path
@@ -249,15 +250,50 @@ def test_optimal_schedule_matches_integral_and_slows_at_peak():
     assert float(schedule_t.rate(0.5)) == pytest.approx(rates.min(), rel=1e-12)
 
 
+@functools.cache
+def _schedule_at(parts: tuple, grid: int):
+    """The default-precision optimal schedule of ``parts``, built once per test session; read it, never write it."""
+    return optimal_schedule(make_splitting(sum(parts), list(parts)), grid=grid)
+
+
 def test_optimal_schedule_total_is_the_running_time_integral_at_large_blocks():
     # the tabulation and the integral run the same panels around the peak,
-    # so they agree to rounding even where the peak is 2^-32 wide
-    precision = Precision(epsilon=0.2)
-    for n in (60, 64):
-        splitting = make_splitting(n, [n])
-        total = optimal_schedule(splitting, precision).total_time * precision.epsilon
-        eps_t = running_time_integral(splitting, LinearSchedule()).eps_t
-        assert abs(total - eps_t) / eps_t <= 1e-12
+    # so they agree to rounding even where the peak is 2^-32 wide, and at
+    # any grid, since late nodes keep their times where they repeat
+    for n, grid in ((60, 1001), (64, 1001), (64, MAX_GRID)):
+        total = _schedule_at((n,), grid).total_time * 0.2
+        eps_t = running_time_integral(make_splitting(n, [n]), LinearSchedule()).eps_t
+        assert abs(total - eps_t) / eps_t <= 1e-12, (n, grid)
+
+
+def test_optimal_schedule_total_on_64_is_the_closed_form_at_every_grid():
+    # eps * T = sqrt(2^64 - 1) rounds to 2^32, whatever the grid
+    assert [_schedule_at((64,), grid).total_time for grid in (1001, MAX_GRID)] == [2.0**32 / 0.2] * 2
+
+
+@pytest.mark.parametrize("size", [64, 56])
+def test_late_node_times_are_the_closed_form_where_they_repeat(size):
+    # past the crossing the nodes of a huge block lie under an ulp of T apart
+    # and share times; each is still within 2 ulps of T of the closed form
+    # (measured: 1.13 ulps over all nodes of either). The last 3,000 nodes
+    # hold the repeats, and every 64th node before them the rest.
+    schedule_t = _schedule_at((size,), MAX_GRID)
+    assert np.all(np.diff(schedule_t.t_nodes) >= 0.0) and np.any(np.diff(schedule_t.t_nodes) == 0.0)
+    picks = np.r_[0 : MAX_GRID - 3000 : 64, MAX_GRID - 3000 : MAX_GRID]
+    oracle = equal_split_time(size, 1, 0.2, schedule_t.s_nodes[picks].tolist())
+    ulp = float(np.spacing(schedule_t.total_time))
+    assert max(float(abs(t - exact)) for t, exact in zip(schedule_t.t_nodes[picks].tolist(), oracle)) <= 2.0 * ulp
+
+
+def test_a_schedule_with_repeated_times_scales():
+    # doubling keeps every repeated time, and each cubic still ends at the end
+    schedule_t = _schedule_at((64,), MAX_GRID)
+    doubled = schedule_t.scaled(2.0 * schedule_t.total_time)
+    assert doubled.total_time == 2.0 * schedule_t.total_time
+    repeats = np.diff(schedule_t.t_nodes) == 0.0
+    assert repeats.sum() == 10471 and np.array_equal(np.diff(doubled.t_nodes) == 0.0, repeats)
+    assert float(doubled.s_of_t(doubled.total_time)) == 1.0
+    assert float(doubled.t_of_s(1.0)) == doubled.total_time
 
 
 def _max_relative_error(t_nodes, oracle):
@@ -278,9 +314,8 @@ def test_optimal_schedule_node_times_match_a_per_cell_oracle():
 
 @pytest.mark.parametrize("parts", [[12], [30], [64], [6, 6], [32, 32], [10, 10, 10], [1] * 64])
 def test_optimal_schedule_matches_the_equal_split_closed_form(parts):
-    # measured: every node within 4.6e-16 of the total time of the closed
-    # form, and within 2.1e-14 on [64], whose quadrature total is that far off
-    bound = 5e-14 if parts == [64] else 1e-15
+    # measured: every node within 4.2e-16 of the total time of the closed form
+    bound = 1e-15
     eps = 0.2
     schedule_t = optimal_schedule(make_splitting(sum(parts), parts), Precision(epsilon=eps))
     oracle = equal_split_time(parts[0], len(parts), eps, schedule_t.s_nodes.tolist())
@@ -308,11 +343,15 @@ def test_s_of_t_follows_the_equal_split_closed_form(parts):
 def test_every_cell_of_both_cubics_keeps_its_slopes_within_three_chords(parts):
     # Fritsch & Carlson's monotone box: each cell's slope at either end over
     # its chord, alpha = d_k / m_k and beta = d_k+1 / m_k, lies in [0, 3].
-    # Without the cap, 10,378 s(t) cells on [64] fall outside it. Values are
-    # not sampled: in the far tails the cells are an ulp wide in t.
-    schedule_t = optimal_schedule(make_splitting(64, parts), grid=MAX_GRID)
-    t, s = schedule_t.t_nodes, schedule_t.s_nodes
-    for cubic, x, y in ((schedule_t._s_of_t, t, s), (schedule_t._t_of_s, s, t)):
+    # Without the cap, 2 s(t) cells and 1 t(s) cell on [64] fall outside it.
+    # Values are not sampled: in the far tails the cells are an ulp wide in
+    # t. Each cubic is read on its own nodes, the last of every run of equal
+    # times; on all nodes, t(s) would have zero chords, and 122 cells of [64]
+    # end slopes of -2e-15 * m.
+    schedule_t = _schedule_at(tuple(parts), MAX_GRID)
+    for cubic, y_end in ((schedule_t._s_of_t, 1.0), (schedule_t._t_of_s, schedule_t.total_time)):
+        x, y = cubic.x, np.append(cubic.c[3], y_end)
+        assert np.all(np.diff(x) > 0.0)
         h = np.diff(x) / cubic.unit
         m = np.diff(y) / h
         c0, c1, c2, _ = cubic.c
@@ -413,7 +452,7 @@ def test_time_schedule_scaling():
     for bad in (0.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="total time"):
             schedule_t.scaled(bad)
-    # a step of 1e-302 is fine for the cubics; at 5e-324 the time steps vanish
+    # a step of 1e-302 is fine for the cubics; at 5e-324 the rates overflow
     stretched = schedule_t.scaled(1e-300)
     assert float(stretched.rate(0.5)) == pytest.approx(1e300, rel=1e-9)
     assert float(stretched.s_of_t(0.5e-300)) == pytest.approx(0.5, rel=1e-9)
@@ -442,7 +481,9 @@ def test_time_schedule_scaling():
         quench.scaled(2.0)
 
 
-def _assert_schedule_invariants(schedule_t):
+def _assert_schedule_invariants(schedule_t, strict=True):
+    # t may repeat only where asked: past the crossing on blocks of 41 qubits
+    # and more, the nodes lie under an ulp of T apart
     columns = (schedule_t.t_nodes, schedule_t.s_nodes, schedule_t.rate_nodes)
     for column in columns:
         assert type(column) is np.ndarray and column.dtype == np.float64 and column.shape == columns[0].shape
@@ -451,7 +492,8 @@ def _assert_schedule_invariants(schedule_t):
     if schedule_t.total_time == 0.0:
         assert [c.tolist() for c in columns] == [[0.0], [1.0], [0.0]]
         return
-    assert t[0] == 0.0 and t[-1] == schedule_t.total_time and np.all(np.diff(t) > 0.0)
+    assert t[0] == 0.0 and t[-1] == schedule_t.total_time and np.all(np.diff(t) >= 0.0)
+    assert not strict or np.all(np.diff(t) > 0.0)
     assert s[0] == 0.0 and s[-1] == 1.0 and np.all(np.diff(s) > 0.0)
     assert np.all(np.isfinite(rate)) and np.all(rate >= 0.0)
 
@@ -460,22 +502,25 @@ def test_every_schedule_the_library_builds_holds_the_table_invariants():
     # the constructor takes its table as given: these invariants hold because
     # optimal_schedule, scaled and quench build every table that way
     splits = ([1], [2], [1, 1], [3, 3], [12], [2, 10], [1, 63], [64], [32, 32], [1] * 64)
-    built = [TimeSchedule.quench()]
+    # (schedule, whether t must rise strictly): it does wherever the largest
+    # block has 32 qubits or fewer, the range of perfbench's check_schedule
+    built = [(TimeSchedule.quench(), True)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for parts in splits:
+            strict = max(parts) <= 32
             for eps in (0.2, 1e-3, 1e-150):
                 for grid in (100, 1001, 4097):
                     schedule_t = optimal_schedule(make_splitting(sum(parts), parts), Precision(epsilon=eps), grid)
-                    built.append(schedule_t)
+                    built.append((schedule_t, strict))
                     for total in (1e-300, 1.0, 1e150, 3.0 * schedule_t.total_time):
                         try:
-                            built.append(schedule_t.scaled(total))
+                            built.append((schedule_t.scaled(total), strict))
                         except ValueError as refusal:
                             assert "is too short" in str(refusal), (parts, eps, grid, total)
     assert len(built) >= 400
-    for schedule_t in built:
-        _assert_schedule_invariants(schedule_t)
+    for schedule_t, strict in built:
+        _assert_schedule_invariants(schedule_t, strict)
 
 
 def test_a_scaled_schedule_scales_again_past_the_ratio_of_its_totals():
