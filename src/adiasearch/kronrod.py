@@ -1,26 +1,24 @@
 """QUADPACK's 21-point Gauss-Kronrod quadrature (Piessens et al., 1983).
 
-The qk21 rule, the globally adaptive qagp driver that every time integral
-goes through, its ``QuadratureError``, and the node read-off behind the
-tabulated schedule's grid-node times. Only this module knows what a piece holds.
+The qk21 rule, the fixed composite rule that every time integral goes
+through (one qk21 per panel, no bisection), its ``QuadratureError``, and the
+node read-off behind the tabulated schedule's grid-node times. Only this
+module knows what a piece holds.
 """
 
 from __future__ import annotations
 
 import functools
-import heapq
-import math
 import operator
 
 import numpy as np
 
-_QUAD_LIMIT = 500  # most bisections per integral, over all its panels
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
+    """Quadrature whose summed error estimate misses the requested tolerance."""
 
     def __init__(self, message: str, value: float | None = None, estimate: float | None = None):
         super().__init__(message)
@@ -84,51 +82,22 @@ def _qk21(integrand, lo: float, hi: float) -> tuple[float, float, np.ndarray]:
 
 
 def integrate(integrand, edges, rel_tol: float, context: str) -> tuple[float, list]:
-    """(total, pieces) of ``integrand`` from edges[0] to edges[-1], globally adaptive.
+    """(total, pieces) of ``integrand`` from edges[0] to edges[-1]: one qk21 per panel.
 
-    QUADPACK's qagp with qk21: one piece per panel between consecutive
-    edges, then the piece with the largest error estimate, in whichever
-    panel, is bisected until the summed estimate is within rel_tol of the
-    summed integral. It stops early after _QUAD_LIMIT bisections, at a piece
-    too narrow to bisect, at a non-finite estimate, or when repeated
-    bisections stop reducing the estimate (roundoff). Roundoff chatter from
-    pieces that sit right on the peak is tolerated: only a summed estimate
-    above 10 rel_tol of the integral raises. The pieces come back left to
-    right as (a, b, integral, the 21 node values), for node_integrals.
+    No panel is bisected, so the edges must resolve the integrand; the
+    summed error estimate over the summed integral must be within rel_tol,
+    or it raises (a nan total or estimate fails too). The pieces come back
+    left to right as (a, b, integral, the 21 node values), for
+    node_integrals.
     """
-    pieces = []
+    pieces, errors = [], []
     for lo, hi in zip(edges, edges[1:]):
         value, err, values = _qk21(integrand, lo, hi)
-        pieces.append((-err, lo, hi, value, values))
-    heapq.heapify(pieces)
-    total = _left_sum(piece[3] for piece in pieces)
-    err_total = _left_sum(-piece[0] for piece in pieces)
-    bisections = stalled = grown = 0
-    while not err_total <= rel_tol * abs(total) and math.isfinite(err_total) and bisections < _QUAD_LIMIT:
-        neg_err, a, b, value, _ = pieces[0]
-        mid = 0.5 * (a + b)
-        if max(abs(a), abs(b)) <= (1.0 + 100.0 * _EPS) * (abs(mid) + 1000.0 * _TINY):
-            break
-        left, left_err, left_values = _qk21(integrand, a, mid)
-        right, right_err, right_values = _qk21(integrand, mid, b)
-        heapq.heapreplace(pieces, (-left_err, a, mid, left, left_values))
-        heapq.heappush(pieces, (-right_err, mid, b, right, right_values))
-        bisections += 1
-        total += left + right - value
-        err_total += left_err + right_err + neg_err
-        # QUADPACK's roundoff tests: the halves agree with their parent but
-        # their estimate does not fall, or the estimate grows (qag's last > 10)
-        if abs(value - (left + right)) <= 1e-5 * abs(left + right) and left_err + right_err >= -0.99 * neg_err:
-            stalled += 1
-        if bisections >= 10 and left_err + right_err > -neg_err:
-            grown += 1
-        if stalled >= 6 or grown >= 20:
-            break
-    err_total = _left_sum(-piece[0] for piece in pieces)
-    pieces = sorted(piece[1:] for piece in pieces)
+        pieces.append((lo, hi, value, values))
+        errors.append(err)
     total = _left_sum(piece[2] for piece in pieces)
-    # written so that a nan total or estimate fails too
-    if not err_total <= 10.0 * rel_tol * total:
+    err_total = _left_sum(errors)
+    if not err_total <= rel_tol * total:
         raise QuadratureError(
             f"quadrature did not converge for {context}: value {total!r}, "
             f"summed error estimate {err_total!r}",

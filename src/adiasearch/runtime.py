@@ -44,18 +44,19 @@ class RunTimeResult:
 
 
 def _time_integrand(splitting: Splitting, f):
-    """epsilon * dt/ds for the bound-saturating time parameterization.
+    """epsilon * dt/ds of one float x = s - 1/2, and the panel edges in x from -1/2 to 0.
 
     Every block gap bottoms out at the crossing s = 1/2 where f = g, block i
     with a half-width of about 1/(2 sqrt(N_i)) in s: 2^-33 at 64 qubits,
-    too fine for quadrature nodes at rounded s. So dt/ds is formed from the
-    offset x = s - 1/2, with g = s and f - g = -2x exact in x, and the
-    coupling ``f`` of the path is its one call. It is integrated in u,
-    x = w sinh(u) with w = 0.25/sqrt(N_max), where every block peak is a
-    smooth bump about one unit wide; dt/ds is spectral.adiabatic_ratio.
-
-    Returns (integrand of u, the map s -> u, its inverse u -> s, dt/ds as a
-    function of s), each of one float: libm, not numpy's SIMD kernels.
+    too fine for quadrature nodes at rounded s. So dt/ds
+    (spectral.adiabatic_ratio) is formed from x, with g = s and f - g = -2x
+    exact in x, and the coupling ``f`` of the path is its one call. Its poles
+    sit at x = +-i/(2 sqrt(N_i - 1)), so panels that double away from the
+    crossing, 0, -w, -3w, -7w, ... (x_k+1 = 2 x_k - w, w = 0.25/sqrt(N_max))
+    to -1/2 with a last sliver under a quarter of its neighbour merged, are
+    each about as wide as their distance to them, and one qk21 per panel
+    converges (Trefethen, SIAM Rev. 50, 67 (2008)). Both use only +, -, *, /
+    and sqrt, which round the same on every host.
     """
     ratio = adiabatic_ratio(splitting)
     width = 0.25 / math.sqrt(float(1 << splitting.size_counts()[-1][0]))
@@ -64,18 +65,13 @@ def _time_integrand(splitting: Splitting, f):
         s = 0.5 + x
         return ratio(-2.0 * x, f(s), s)
 
-    def integrand(u: float) -> float:
-        return at_offset(width * math.sinh(u)) * width * math.cosh(u)
-
-    def u_of_s(s: float) -> float:
-        return math.asinh((s - 0.5) / width)
-
-    return integrand, u_of_s, lambda u: 0.5 + width * math.sinh(u), lambda s: at_offset(s - 0.5)
-
-
-def _panel_edges(u_lo: float, u_hi: float, breaks=()) -> list[float]:
-    """Panel edges from u_lo to u_hi: the crossing (u = 0) and any further breaks inside."""
-    return [u_lo, *sorted(u for u in {0.0, *breaks} if u_lo < u < u_hi), u_hi]
+    edges = [0.0, -width]
+    while edges[-1] > -0.5:
+        edges.append(2.0 * edges[-1] - width)
+    edges[-1] = -0.5
+    if 4.0 * (edges[-2] + 0.5) < edges[-3] - edges[-2]:
+        del edges[-2]
+    return at_offset, edges[::-1]
 
 
 def scaling_coefficients(eps_t: float, n: int, num_blocks: int) -> tuple[float, float]:
@@ -102,17 +98,18 @@ def running_time_integral(
     splitting: Splitting,
     schedule: LinearSchedule | None = None,
 ) -> RunTimeResult:
-    """Schedule-optimal running time of a split search by adaptive quadrature.
+    """Schedule-optimal running time of a split search by quadrature.
 
     Integrates (f + g) * sqrt(sum_i (N_i - 1)/N_i**2 / omega_i**6) over
-    s in [0, 1], in the variable u of the time integrand, to the relative
-    tolerance QUAD_TOL. The panels break at the crossing s = 1/2, where
-    every block peaks. ``schedule`` admits only the benchmark's counter.
+    s in [0, 1] to the relative tolerance QUAD_TOL. On the linear path every
+    block gap is unchanged by s -> 1 - s, so it is twice the integral over
+    the half line before the crossing, on the panels of the time integrand,
+    which :func:`optimal_schedule` tabulates. ``schedule`` admits only the
+    benchmark's counter.
     """
     schedule = schedule if schedule is not None else LinearSchedule()
-    integrand, u_of_s, _, _ = _time_integrand(splitting, schedule.f)
-    edges = _panel_edges(u_of_s(0.0), u_of_s(1.0))
-    eps_t, _ = integrate(integrand, edges, QUAD_TOL, "the running-time integral")
+    half, _ = integrate(*_time_integrand(splitting, schedule.f), QUAD_TOL, "the running-time integral")
+    eps_t = 2.0 * half
     alpha, beta = scaling_coefficients(eps_t, splitting.n, splitting.num_blocks)
     return RunTimeResult(splitting, eps_t, alpha, beta)
 
@@ -208,19 +205,17 @@ def optimal_schedule(
 ) -> TimeSchedule:
     """Time parameterization that saturates the adiabatic bound everywhere.
 
-    On the linear path every block gap is unchanged by s -> 1 - s, so the
-    time integrand of :func:`running_time_integral` is even in s - 1/2, and
-    it is integrated once over the half line before the crossing only, on
-    panels broken at every integer u (the block peaks are bumps about one
-    unit wide). The ``grid`` nodes are uniform in u, so every block peak
-    gets as many of them as a unit of u holds, and the ends are exactly
-    s = 0 and 1. t(s) at each node is read off the converged quadrature
-    pieces at -|u| of the node's rounded s, each node's piece interpolated
-    by its 21 integrand values. A node past the crossing is read from the
-    end: the total, twice the half integral, less its time to go. Late nodes
-    under an ulp of the total apart can share a time. The total time agrees
-    with :func:`running_time_integral` to quadrature tolerance, and ds/dt is
-    smallest where the gap is smallest.
+    The half integral of :func:`running_time_integral`, one qk21 per panel
+    of the time integrand, is tabulated at ``grid`` nodes uniform in the
+    panel coordinate v in [-K, K] (K panels on each side of the crossing),
+    x linear in v within a panel: every panel, and so every block peak,
+    gets the same share of the nodes, and the ends are exactly s = 0 and 1.
+    t(s) at each node is read off the pieces at -|x| of the node's rounded
+    s, each node's piece interpolated by its 21 integrand values. A node past
+    the crossing is read from the end: the total, twice the half integral,
+    less its time to go. Late nodes under an ulp of the total apart can
+    share a time. The total time is the running time over epsilon, and
+    ds/dt is smallest where the gap is smallest.
     ``schedule`` admits only the benchmark's counter.
     """
     grid = _integer(grid, "grid")
@@ -228,16 +223,19 @@ def optimal_schedule(
         raise ValueError(f"grid must have between 100 and {MAX_GRID} samples, got {grid}")
     precision = precision if precision is not None else Precision()
     schedule = schedule if schedule is not None else LinearSchedule()
-    integrand, u_of_s, s_of_u, dt_ds = _time_integrand(splitting, schedule.f)
-    u_lo, u_hi = u_of_s(0.0), u_of_s(1.0)
-    s_nodes = np.array([0.0, *map(s_of_u, np.linspace(u_lo, u_hi, grid)[1:-1].tolist()), 1.0])
-    dt_ds_nodes = np.array([dt_ds(s) for s in s_nodes.tolist()])
-    # each node's u folded onto the half line before the crossing
-    u_nodes = np.array([-abs(u_of_s(s)) for s in s_nodes.tolist()])
-    edges = _panel_edges(u_lo, 0.0, range(math.ceil(u_lo), 0))
+    integrand, edges = _time_integrand(splitting, schedule.f)
     half, pieces = integrate(integrand, edges, QUAD_TOL, "the time tabulation")
-    t_nodes = node_integrals(pieces, u_nodes)
-    after = s_nodes > 0.5  # the total less the time to go, read at the mirror node
+    panels = len(edges) - 1
+    v = np.linspace(-panels, panels, grid)
+    # |x| is linear in |v| on each panel, the j-th out from the crossing at |v| in [j, j + 1]
+    reach = np.abs(edges[::-1])
+    j = np.minimum(np.abs(v).astype(int), panels - 1)
+    s_nodes = 0.5 + np.copysign(reach[j] + (np.abs(v) - j) * (reach[j + 1] - reach[j]), v)
+    s_nodes[0], s_nodes[-1] = 0.0, 1.0
+    x_nodes = s_nodes - 0.5
+    dt_ds_nodes = np.array([integrand(x) for x in x_nodes.tolist()])
+    t_nodes = node_integrals(pieces, -np.abs(x_nodes))
+    after = x_nodes > 0.0  # the total less the time to go, read at the mirror node
     t_nodes[after] = 2.0 * half - t_nodes[after]
     if not math.isfinite(float(t_nodes[-1]) / precision.epsilon):
         raise ValueError(

@@ -103,8 +103,8 @@ def test_two_level_oracle_matches_the_block_product_oracle():
 
 def test_evolve_matches_the_two_level_oracle_to_1e_8():
     # evolve reads s(t) off the schedule's cubic, so the nodes must follow the
-    # peaks: uniform in u they read within 1.9e-9 here, uniform in s [12] read
-    # 3.7e-6 off, with the whole block peak in two cells
+    # peaks: uniform in the panel coordinate v they read within 1.5e-9 here,
+    # uniform in s [12] read 3.7e-6 off, with the whole block peak in two cells
     for parts in ([12], [1, 11], [2, 10], [6, 6]):
         report = _optimal_report(sum(parts), parts, 0.2)
         exact = two_level_success(parts, 0.2, 1 << 16)

@@ -6,9 +6,11 @@ import pytest
 
 import adiasearch
 from adiasearch import kronrod, runtime
-from adiasearch.core import make_splitting
+from adiasearch.core import LinearSchedule, make_splitting
 from adiasearch.kronrod import QuadratureError
 from adiasearch.runtime import optimal_schedule, running_time_integral
+
+from conftest import compositions, random_splitting
 
 # the package's public names; a move between modules must keep every one
 PUBLIC_NAMES = {
@@ -60,19 +62,17 @@ def test_kronrod_rule_is_exact_on_polynomials_up_to_degree_31():
         # the embedded 10-point Gauss rule is exact to degree 19
         if degree <= 19:
             assert err <= 50.0 * np.finfo(float).eps * scale, degree
-    gaussian, _ = kronrod.integrate(lambda u: math.exp(-u * u), [-6.0, 6.0], 1e-12, "a Gaussian")
+    # a tiling of fixed unit panels resolves a Gaussian with no bisection
+    gaussian, _ = kronrod.integrate(lambda u: math.exp(-u * u), np.arange(-6.0, 7.0).tolist(), 1e-12, "a Gaussian")
     assert gaussian == pytest.approx(math.sqrt(math.pi), rel=1e-13)
 
 
 def test_node_integrals_at_piece_edges_are_the_running_sums_of_the_pieces():
-    edges = [-6.0, 0.5, 6.0]
+    edges = [-6.0, -4.0, -2.0, -1.0, 0.5, 2.0, 4.0, 6.0]
     total, pieces = kronrod.integrate(lambda u: math.exp(-u * u), edges, 1e-12, "a Gaussian")
-    lo = [piece[0] for piece in pieces]
-    # the pieces tile the panels left to right, each panel's edges kept
-    assert lo[0] == edges[0] and pieces[-1][1] == edges[-1] and 0.5 in lo
-    assert all(left[1] == right[0] for left, right in zip(pieces, pieces[1:]))
-    assert len(pieces) > len(edges) - 1
-    at_edges = kronrod.node_integrals(pieces, np.array(lo + [edges[-1]]))
+    # one piece per panel, left to right, on the panel's own edges
+    assert [piece[:2] for piece in pieces] == list(zip(edges, edges[1:]))
+    at_edges = kronrod.node_integrals(pieces, np.array(edges))
     for k in range(len(pieces)):
         assert at_edges[k] == kronrod._left_sum(piece[2] for piece in pieces[:k]), k
     assert at_edges[-1] == pytest.approx(total, rel=1e-15)
@@ -81,27 +81,19 @@ def test_node_integrals_at_piece_edges_are_the_running_sums_of_the_pieces():
 def test_quadrature_error_reports_plain_floats(monkeypatch):
     splitting = make_splitting(2, [2])
     integrate = runtime.integrate
-    budgets = []
+    panels = []
     rule_calls = [0]
 
     def counted_panels(integrand, edges, *args):
-        # the rule evaluations one integral may make: a piece per panel,
-        # then two per bisection
-        budgets.append(len(edges) - 1 + 2 * kronrod._QUAD_LIMIT)
+        panels.append(len(edges) - 1)
         rule_calls[0] = 0
         return integrate(integrand, edges, *args)
 
     monkeypatch.setattr(runtime, "integrate", counted_panels)
     ones = np.ones(21)
-    for rule, uses_the_budget in (
-        # the estimate grows at every bisection, which stops it early
-        (lambda lo, hi: (1.0, 1.0, ones), False),
-        # a nan value or estimate fails the convergence rule too
-        (lambda lo, hi: (math.nan, math.nan, ones), False),
-        # halves' estimates fall by 1/sqrt(2), so neither roundoff test
-        # fires and only the budget stops the bisection
-        (lambda lo, hi: (hi - lo, (hi - lo) ** 1.5, ones), True),
-    ):
+    # an estimate as large as the value, and a nan value and estimate, which
+    # fail the convergence rule too
+    for rule in (lambda lo, hi: (1.0, 1.0, ones), lambda lo, hi: (math.nan, math.nan, ones)):
 
         def never_converges(integrand, lo, hi, rule=rule):
             rule_calls[0] += 1
@@ -113,28 +105,18 @@ def test_quadrature_error_reports_plain_floats(monkeypatch):
                 call()
             assert "np.float64" not in str(caught.value)
             assert type(caught.value.value) is float and type(caught.value.estimate) is float
-            assert 0 < rule_calls[0] <= budgets[-1]
-            assert (rule_calls[0] == budgets[-1]) == uses_the_budget
+            # one rule per panel, and no bisection
+            assert rule_calls[0] == panels[-1] == 3
 
 
-def test_integrate_stops_early_at_a_narrow_piece_and_at_roundoff(monkeypatch):
-    # each stop comes well before the _QUAD_LIMIT bisections: a jump at
-    # u = 0.3 bisected to a piece too narrow to split at an unreachable
-    # tolerance, and an oscillation too fast to resolve, whose halves' estimates
-    # stop falling (QUADPACK's roundoff test)
-    rule = kronrod._qk21
-    calls = [0]
-
-    def counted(*args):
-        calls[0] += 1
-        return rule(*args)
-
-    monkeypatch.setattr(kronrod, "_qk21", counted)
-    for integrand, rel_tol, bisections in (
-        (lambda u: 1.0 if u < 0.3 else 2.0, 1e-20, 50),
-        (lambda u: 1.0 + 1e-6 * math.sin(1e7 * u), 1e-9, 11),
-    ):
-        calls[0] = 0
-        with pytest.raises(QuadratureError, match="did not converge"):
-            kronrod.integrate(integrand, [0.0, 1.0], rel_tol, "an early stop")
-        assert calls[0] == 1 + 2 * bisections < 1 + 2 * kronrod._QUAD_LIMIT
+def test_every_panel_estimate_is_under_tolerance_on_every_split():
+    # no panel is bisected, so each must converge on its own: measured, every
+    # estimate sits at qk21's roundoff floor of 50 eps of its integral
+    rng = np.random.default_rng(48)
+    splits = [parts for n in range(1, 13) for parts in compositions(n)]
+    splits += [random_splitting(rng, int(n)) for n in rng.integers(1, 65, size=200)]
+    for parts in splits:
+        integrand, edges = runtime._time_integrand(make_splitting(sum(parts), parts), LinearSchedule().f)
+        for lo, hi in zip(edges, edges[1:]):
+            value, err, _ = kronrod._qk21(integrand, lo, hi)
+            assert err <= runtime.QUAD_TOL * value, (parts, lo, hi)
