@@ -10,7 +10,6 @@ immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
-import math
 import numbers
 from dataclasses import dataclass
 
@@ -179,56 +178,6 @@ class MarkedState:
 
     def to_string(self) -> str:
         return "".join(str(b) for b in self.bits)
-
-
-class MonotoneCubic:
-    """Piecewise-cubic Hermite interpolant through (x, y) with the given node slopes.
-
-    Each slope is capped at 3 times the chord on either side, Fritsch &
-    Carlson's sufficient condition for a monotone cell (SIAM J. Numer. Anal.
-    17, 238, 1980); an infinite slope becomes its cap. One node is the
-    constant y_0, of slope 0. c[:, k] holds the cubic on [x_k, x_k+1] in
-    powers of y = (s - x_k) / unit, highest first, as in scipy's PPoly, with
-    ``unit`` the power of two at or below the span of x. That division
-    rounds nothing, so no node spacing is too short or too long, and values
-    keep the bits of the cubic in s wherever it is finite. Where the
-    coefficients overflow even so, the cubic is refused. Nodes are taken as
-    given, finite with x strictly increasing; nothing else about them is
-    checked. The end cubics extend past the nodes. Values and slopes accept
-    scalars or arrays.
-    """
-
-    def __init__(self, x, y, slopes):
-        self.x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        self.unit = math.ldexp(1.0, math.frexp(float(self.x[-1] - self.x[0]))[1] - 1)
-        if y.size == 1:
-            self.c = np.array([[0.0], [0.0], [0.0], y])
-            return
-        h = np.diff(self.x) / self.unit
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):  # refused below
-            m = np.diff(y) / h
-            caps = 3.0 * np.minimum(np.append(m[0], m), np.append(m, m[-1]))  # the chords either side
-            d = np.minimum(np.asarray(slopes, dtype=float) * self.unit, caps)
-            t = (d[:-1] + d[1:] - 2.0 * m) / h
-            self.c = np.array([t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]])
-        if not np.all(np.isfinite(self.c)):
-            raise ValueError(f"the monotone cubic through values up to {np.max(np.abs(y)):.3g} overflows")
-
-    def _cell(self, s):
-        """(y, coefficients) of the cubic that serves s: x_k <= s < x_k+1, clamped to the ends."""
-        s = np.asarray(s, dtype=float)
-        k = np.clip(np.searchsorted(self.x, s, side="right") - 1, 0, max(self.x.size - 2, 0))
-        return (s - self.x[k]) / self.unit, self.c[:, k]
-
-    def __call__(self, s):
-        y, (c0, c1, c2, c3) = self._cell(s)
-        return c3 + c2 * y + c1 * (y * y) + c0 * (y * y * y)
-
-    def slope(self, s):
-        """The derivative of the cubic at s."""
-        y, (c0, c1, c2, _) = self._cell(s)
-        return (c2 + 2.0 * c1 * y + 3.0 * c0 * (y * y)) / self.unit
 
 
 class LinearSchedule:

@@ -207,7 +207,6 @@ def evolve(
     total_time = schedule_t.total_time
     s_checks = np.linspace(0.0, 1.0, CHECKPOINT_COUNT) if total_time > 0.0 else np.ones(1)
     t_checks = schedule_t.t_of_s(s_checks)
-    t_checks[0], t_checks[-1] = 0.0, total_time
     t_checks = np.maximum.accumulate(t_checks)
 
     # the schedule at the checkpoints, one row each

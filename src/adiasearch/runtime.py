@@ -3,7 +3,8 @@
 The time integrand of the linear path in the offset from its crossing
 s = 1/2 and its panel breaks, running times for any splitting and in closed
 form, scaling exponents, published-table reproduction, and the optimal time
-parameterization s(t).
+parameterization s(t): a shape in t/T, read off a monotone cubic, and its
+total time T.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from .core import (
     MAX_BLOCK_QUBITS,
     MAX_GRID,
     LinearSchedule,
-    MonotoneCubic,
     Precision,
     Splitting,
     _integer,
@@ -127,74 +127,120 @@ def closed_form_eps_t(n: int, num_blocks: int) -> float:
     return math.sqrt(num_blocks * (float(1 << size) - 1.0))
 
 
+class MonotoneCubic:
+    """Piecewise-cubic Hermite interpolant through (x, y) with the given node slopes.
+
+    Each slope is capped at 3 times the chord on either side, Fritsch &
+    Carlson's sufficient condition for a monotone cell (SIAM J. Numer. Anal.
+    17, 238, 1980); an infinite slope becomes its cap. c[:, k] holds the
+    cubic on [x_k, x_k+1] in powers of s - x_k, highest first, as in scipy's
+    PPoly, and one more column the last cubic expanded about the last node,
+    which serves s >= x_-1: every node, the last included, reads its own
+    value and slope exactly. One node is the constant y_0, of slope 0. Nodes
+    are taken as given, finite with x strictly increasing; nothing else
+    about them is checked. The end cubics extend past the nodes. Values and
+    slopes accept scalars or arrays.
+    """
+
+    def __init__(self, x, y, slopes):
+        self.x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if y.size == 1:
+            self.c = np.array([[0.0], [0.0], [0.0], y])
+            return
+        h = np.diff(self.x)
+        m = np.diff(y) / h
+        caps = 3.0 * np.minimum(np.append(m[0], m), np.append(m, m[-1]))  # the chords either side
+        d = np.minimum(np.asarray(slopes, dtype=float), caps)
+        t = (d[:-1] + d[1:] - 2.0 * m) / h
+        c0, c1 = t / h, (m - d[:-1]) / h - t
+        self.c = np.array([np.append(c0, c0[-1]), np.append(c1, c1[-1] + 3.0 * c0[-1] * h[-1]), d, y])
+
+    def _cell(self, s):
+        """(s - x_k, coefficients) of the cubic that serves s: x_k <= s < x_k+1, the first below x_0."""
+        s = np.asarray(s, dtype=float)
+        k = np.clip(np.searchsorted(self.x, s, side="right") - 1, 0, None)
+        return s - self.x[k], self.c[:, k]
+
+    def __call__(self, s):
+        y, (c0, c1, c2, c3) = self._cell(s)
+        return c3 + c2 * y + c1 * (y * y) + c0 * (y * y * y)
+
+    def slope(self, s):
+        """The derivative of the cubic at s."""
+        y, (c0, c1, c2, _) = self._cell(s)
+        return c2 + 2.0 * c1 * y + 3.0 * c0 * (y * y)
+
+
 @dataclass(frozen=True)
 class TimeSchedule:
-    """Monotone time parameterization s(t): a table of (t, s, ds/dt) samples.
+    """Monotone time parameterization s(t): an epsilon-free shape in tau = t/T and its total time T.
 
-    Built by :func:`optimal_schedule` (rates from the saturated bound), by
-    :meth:`scaled` or by :meth:`quench`, which hold every table to these
-    invariants: t, s and ds/dt are 1-D float64 arrays of one length and the
-    total time a float; t is non-decreasing from exactly 0 to exactly the
-    total time, s rises strictly from exactly 0 to exactly 1, and every rate
-    is finite and >= 0. The quench is the one sample (0, 1, 0). A table built
-    by hand is taken as given and not checked again. A run of equal times is
-    one instant: s(t) and t(s) are each a :class:`core.MonotoneCubic` through
-    the last node of every run, with slopes ds/dt or dt/ds (a rate of 0 meets
-    the cap); it takes steps of any length, refuses to overflow, and reads
-    the quench's one sample as a constant.
+    The shape is a table of (tau, s, ds/dtau) samples, read in time as
+    ``t_nodes`` = tau * T and ``rate_nodes`` = (ds/dtau) / T. Built by
+    :func:`optimal_schedule`, :meth:`scaled` or :meth:`quench`, which hold
+    every table to these invariants: tau, s and ds/dtau are 1-D float64
+    arrays of one length and T a float; tau is non-decreasing from exactly
+    0 to exactly 1, s rises strictly from exactly 0 to exactly 1, and every
+    slope and rate is finite and >= 0. The quench is the one sample
+    (0, 1, 0) of duration 0. A table built by hand is taken as given. A run
+    of equal tau is one instant: s(tau) and tau(s) are each a
+    :class:`MonotoneCubic` on [0, 1] through the last node of every run,
+    with slopes ds/dtau or dtau/ds (a slope of 0 meets the cap).
     """
 
     total_time: float
-    t_nodes: np.ndarray
+    tau_nodes: np.ndarray
     s_nodes: np.ndarray
-    rate_nodes: np.ndarray
+    slope_nodes: np.ndarray
 
     def __post_init__(self):
-        last = np.append(np.diff(self.t_nodes) > 0.0, True)
-        t, s, rate = self.t_nodes[last], self.s_nodes[last], self.rate_nodes[last]
-        object.__setattr__(self, "_s_of_t", MonotoneCubic(t, s, rate))
+        last = np.append(np.diff(self.tau_nodes) > 0.0, True)
+        tau, s, slope = self.tau_nodes[last], self.s_nodes[last], self.slope_nodes[last]
+        object.__setattr__(self, "_s_of_tau", MonotoneCubic(tau, s, slope))
         with np.errstate(divide="ignore", over="ignore"):  # an infinite slope is capped
-            object.__setattr__(self, "_t_of_s", MonotoneCubic(s, t, 1.0 / rate))
+            object.__setattr__(self, "_tau_of_s", MonotoneCubic(s, tau, 1.0 / slope))
+        # the time that tau = 1 stands for; the quench's one instant, at tau = 0, takes 1
+        object.__setattr__(self, "_span", self.total_time or 1.0)
 
     @classmethod
     def quench(cls) -> "TimeSchedule":
-        """Zero-duration parameterization, measured at s = 1 at once: the sample (t, s, ds/dt) = (0, 1, 0)."""
+        """Zero-duration parameterization, measured at s = 1 at once: the sample (tau, s, ds/dtau) = (0, 1, 0)."""
         return cls(0.0, np.zeros(1), np.ones(1), np.zeros(1))
 
+    @property
+    def t_nodes(self) -> np.ndarray:
+        return self.tau_nodes * self.total_time
+
+    @property
+    def rate_nodes(self) -> np.ndarray:
+        return self.slope_nodes / self._span
+
+    def _tau(self, s):
+        return np.clip(self._tau_of_s(np.clip(s, 0.0, 1.0)), 0.0, 1.0)
+
     def s_of_t(self, t):
-        """s at time t, off the cubic through (t, s) with slopes ds/dt."""
-        return np.clip(self._s_of_t(np.clip(t, 0.0, self.total_time)), 0.0, 1.0)
+        """s at time t, off the cubic through (tau, s) with slopes ds/dtau."""
+        return np.clip(self._s_of_tau(np.clip(t, 0.0, self.total_time) / self._span), 0.0, 1.0)
 
     def t_of_s(self, s):
-        """t at s, off the cubic through (s, t) with slopes dt/ds."""
-        return np.clip(self._t_of_s(np.clip(s, 0.0, 1.0)), 0.0, self.total_time)
+        """t at s, off the cubic through (s, tau) with slopes dtau/ds."""
+        return self._tau(s) * self.total_time
 
     def rate(self, s):
-        """ds/dt at s: the slope of s_of_t's cubic at t_of_s(s), the drive that evolve follows."""
-        return self._s_of_t.slope(self.t_of_s(s))
+        """ds/dt at s: the slope of s_of_t's cubic at tau(s), the drive that evolve follows."""
+        return self._s_of_tau.slope(self._tau(s)) / self._span
 
     def scaled(self, new_total_time: float) -> "TimeSchedule":
-        """Same path through s, uniformly stretched to a new total time; refused if too short or too long."""
+        """Same shape stretched to a new total time; refused if so short that its rates overflow."""
         new_total_time = _real(new_total_time, "scaled total time")
         if not (math.isfinite(new_total_time) and new_total_time > 0.0):
             raise ValueError(f"scaled total time must be finite and > 0, got {new_total_time}")
         if self.total_time == 0.0:
             raise ValueError("cannot scale a zero-duration schedule")
-        # the ratio of the totals as a mantissa ratio and a power of two: the
-        # same bits as new / old where that quotient is normal, and no over- or
-        # underflow where it is not, so a scaled schedule scales again
-        (new_m, new_e), (old_m, old_e) = math.frexp(new_total_time), math.frexp(self.total_time)
-        ratio, shift = new_m / old_m, new_e - old_e
-        with np.errstate(over="ignore"):  # refused below
-            rate_nodes = np.ldexp(self.rate_nodes / ratio, -shift)
-        # the last node is the new total, which the product can miss by an ulp
-        t_nodes = np.append(np.ldexp(self.t_nodes[:-1] * ratio, shift), new_total_time)
-        if not np.isfinite(rate_nodes).all():
+        if not math.isfinite(float(self.slope_nodes.max()) / new_total_time):
             raise ValueError(f"total time {new_total_time!r} is too short: its rates overflow")
-        try:
-            return TimeSchedule(new_total_time, t_nodes, self.s_nodes, rate_nodes)
-        except ValueError as exc:  # a cubic through the stretched times overflows
-            raise ValueError(f"total time {new_total_time!r} is too long: {exc}") from None
+        return TimeSchedule(new_total_time, self.tau_nodes, self.s_nodes, self.slope_nodes)
 
 
 def optimal_schedule(
@@ -210,12 +256,13 @@ def optimal_schedule(
     panel coordinate v in [-K, K] (K panels on each side of the crossing),
     x linear in v within a panel: every panel, and so every block peak,
     gets the same share of the nodes, and the ends are exactly s = 0 and 1.
-    t(s) at each node is read off the pieces at -|x| of the node's rounded
-    s, each node's piece interpolated by its 21 integrand values. A node past
-    the crossing is read from the end: the total, twice the half integral,
-    less its time to go. Late nodes under an ulp of the total apart can
-    share a time. The total time is the running time over epsilon, and
-    ds/dt is smallest where the gap is smallest.
+    epsilon * t(s) at each node is read off the pieces at -|x| of the
+    node's rounded s, each node's piece interpolated by its 21 integrand
+    values; a node past the crossing is read from the end: the running
+    time, twice the half integral, less its time to go. Over the running
+    time it is the node's tau, which epsilon does not change (late tau can
+    repeat), and ds/dtau is the running time over epsilon * dt/ds, smallest
+    where the gap is smallest. The total time is the running time over epsilon.
     ``schedule`` admits only the benchmark's counter.
     """
     grid = _integer(grid, "grid")
@@ -234,16 +281,16 @@ def optimal_schedule(
     s_nodes[0], s_nodes[-1] = 0.0, 1.0
     x_nodes = s_nodes - 0.5
     dt_ds_nodes = np.array([integrand(x) for x in x_nodes.tolist()])
-    t_nodes = node_integrals(pieces, -np.abs(x_nodes))
+    eps_t_nodes = node_integrals(pieces, -np.abs(x_nodes))
     after = x_nodes > 0.0  # the total less the time to go, read at the mirror node
-    t_nodes[after] = 2.0 * half - t_nodes[after]
-    if not math.isfinite(float(t_nodes[-1]) / precision.epsilon):
+    eps_t = 2.0 * half
+    eps_t_nodes[after] = eps_t - eps_t_nodes[after]
+    total_time = eps_t / precision.epsilon
+    if not math.isfinite(total_time):
         raise ValueError(
-            f"epsilon {precision.epsilon!r} is too small: the total time {t_nodes[-1]:.17g} / epsilon overflows"
+            f"epsilon {precision.epsilon!r} is too small: the total time {eps_t:.17g} / epsilon overflows"
         )
-    t_nodes /= precision.epsilon
-    rate_nodes = precision.epsilon / dt_ds_nodes
-    return TimeSchedule(float(t_nodes[-1]), t_nodes, s_nodes, rate_nodes)
+    return TimeSchedule(total_time, eps_t_nodes / eps_t, s_nodes, eps_t / dt_ds_nodes)
 
 
 def reproduce_table(n: int) -> list[RunTimeResult]:

@@ -61,15 +61,16 @@ def predicted_success(parts, eps):
 
 
 def pchip_time_schedule(t_nodes, s_nodes):
-    """A TimeSchedule through sampled (t, s) from t = 0 to T, its rates the node slopes of scipy's PCHIP.
+    """A TimeSchedule through sampled (t, s) from t = 0 to T, its slopes the node slopes of scipy's PCHIP.
 
-    The PCHIP is taken in t / T, where no weight of its slope rule underflows, and its slopes divided by T.
-    Those slopes are within 3 times the chord on either side, so no cap binds and s_of_t is that PCHIP;
-    t_of_s is the Hermite cubic through (s, t) with their reciprocals, capped where a rate is 0.
+    The PCHIP is taken in tau = t / T, where no weight of its slope rule underflows, as the schedule is.
+    Its slopes are within 3 times the chord on either side, so no cap binds and s_of_t is that PCHIP;
+    t_of_s is the Hermite cubic through (s, tau) with their reciprocals, capped where a slope is 0.
     """
     t_nodes, s_nodes = np.asarray(t_nodes, dtype=float), np.asarray(s_nodes, dtype=float)
-    rate_nodes = PchipInterpolator(t_nodes / t_nodes[-1], s_nodes).derivative()(t_nodes / t_nodes[-1]) / t_nodes[-1]
-    return TimeSchedule(float(t_nodes[-1]), t_nodes, s_nodes, rate_nodes)
+    tau_nodes = t_nodes / t_nodes[-1]
+    slope_nodes = PchipInterpolator(tau_nodes, s_nodes).derivative()(tau_nodes)
+    return TimeSchedule(float(t_nodes[-1]), tau_nodes, s_nodes, slope_nodes)
 
 
 def distinct_levels(values, tol=1e-9):

@@ -454,12 +454,12 @@ def test_overlong_total_time_is_config_error(capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "the run needs 1.57e+152 RK4 steps" in err
     assert "over the budget of 1048576" in err
-    # a total so long that a cubic of the stretched table overflows is
-    # refused by that total, as a total too short is
+    # no total is too long for the schedule, whose cubics never see it: a
+    # total of 1e308 is refused by the step budget, its count past a double
     assert run_cli("evolve", "--n", "2", "--m", "1", "--total-time", "1e308") == 2
     assert capsys.readouterr().err == (
-        "adia evolve: error: total time 1e+308 is too long: "
-        "the monotone cubic through values up to 1e+308 overflows\n"
+        "adia evolve: error: the run needs inf RK4 steps (inf for each of 1 block sizes), "
+        "over the budget of 1048576; shorten the total time or lower ode_steps_per_unit_time\n"
     )
 
 

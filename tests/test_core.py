@@ -7,11 +7,11 @@ from scipy.interpolate import CubicHermiteSpline
 from adiasearch.core import (
     LinearSchedule,
     MarkedState,
-    MonotoneCubic,
     Precision,
     equal_splitting,
     make_splitting,
 )
+from adiasearch.runtime import MonotoneCubic
 
 
 def test_make_splitting_examples():

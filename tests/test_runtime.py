@@ -15,7 +15,6 @@ from adiasearch.core import (
     MAX_GRID,
     LinearSchedule,
     MarkedState,
-    MonotoneCubic,
     Precision,
     equal_splitting,
     make_splitting,
@@ -284,7 +283,7 @@ def test_the_running_time_is_the_total_of_the_schedule_to_the_bit():
 def test_late_node_times_are_the_closed_form_where_they_repeat(size):
     # past the crossing the nodes of a huge block lie under an ulp of T apart
     # and share times; each is still within 2 ulps of T of the closed form
-    # (measured: 1.19 ulps over all nodes of either). It reads the last
+    # (measured: 1.28 ulps over all nodes of either). It reads the last
     # 3,000 nodes, where times repeat, and every 64th node before them.
     schedule_t = _schedule_at((size,), MAX_GRID)
     assert np.all(np.diff(schedule_t.t_nodes) >= 0.0) and np.any(np.diff(schedule_t.t_nodes) == 0.0)
@@ -300,7 +299,7 @@ def test_a_schedule_with_repeated_times_scales():
     doubled = schedule_t.scaled(2.0 * schedule_t.total_time)
     assert doubled.total_time == 2.0 * schedule_t.total_time
     repeats = np.diff(schedule_t.t_nodes) == 0.0
-    assert repeats.sum() == 10896 and np.array_equal(np.diff(doubled.t_nodes) == 0.0, repeats)
+    assert repeats.sum() == 10887 and np.array_equal(np.diff(doubled.t_nodes) == 0.0, repeats)
     assert float(doubled.s_of_t(doubled.total_time)) == 1.0
     assert float(doubled.t_of_s(1.0)) == doubled.total_time
 
@@ -358,12 +357,13 @@ def test_every_cell_of_both_cubics_keeps_its_slopes_within_three_chords(parts):
     # times; on all nodes, t(s) would have zero chords, and 122 cells of [64]
     # end slopes of -2e-15 * m.
     schedule_t = _schedule_at(tuple(parts), MAX_GRID)
-    for cubic, y_end in ((schedule_t._s_of_t, 1.0), (schedule_t._t_of_s, schedule_t.total_time)):
-        x, y = cubic.x, np.append(cubic.c[3], y_end)
-        assert np.all(np.diff(x) > 0.0)
-        h = np.diff(x) / cubic.unit
+    for cubic in (schedule_t._s_of_tau, schedule_t._tau_of_s):
+        # c[3] holds every node's value; the last column serves past the last node
+        x, y = cubic.x, cubic.c[3]
+        assert np.all(np.diff(x) > 0.0) and x[-1] == y[-1] == 1.0
+        h = np.diff(x)
         m = np.diff(y) / h
-        c0, c1, c2, _ = cubic.c
+        c0, c1, c2, _ = cubic.c[:, :-1]
         end = 3.0 * c0 * h * h + 2.0 * c1 * h + c2  # each cell's slope at its right node
         assert np.all(c2 >= 0.0) and np.all(c2 <= 3.0 * m)
         assert np.all(end >= 0.0) and np.all(end <= 3.0 * m * (1.0 + 1e-12))
@@ -491,28 +491,33 @@ def test_time_schedule_scaling():
 
 
 def _assert_schedule_invariants(schedule_t, strict=True):
-    # t may repeat only where asked: past the crossing on blocks of 41 qubits
+    # t may repeat only where asked: past the crossing on blocks of 39 qubits
     # and more, the nodes lie under an ulp of T apart
-    columns = (schedule_t.t_nodes, schedule_t.s_nodes, schedule_t.rate_nodes)
+    columns = [getattr(schedule_t, f"{name}_nodes") for name in ("t", "s", "rate", "tau", "slope")]
     for column in columns:
         assert type(column) is np.ndarray and column.dtype == np.float64 and column.shape == columns[0].shape
     assert type(schedule_t.total_time) is float
-    t, s, rate = columns
+    t, s, rate, tau, slope = columns
     if schedule_t.total_time == 0.0:
-        assert [c.tolist() for c in columns] == [[0.0], [1.0], [0.0]]
+        assert [c.tolist() for c in columns] == [[0.0], [1.0], [0.0], [0.0], [0.0]]
         return
     assert t[0] == 0.0 and t[-1] == schedule_t.total_time and np.all(np.diff(t) >= 0.0)
     assert not strict or np.all(np.diff(t) > 0.0)
+    assert tau[0] == 0.0 and tau[-1] == 1.0 and np.all(np.diff(tau) >= 0.0)
     assert s[0] == 0.0 and s[-1] == 1.0 and np.all(np.diff(s) > 0.0)
     assert np.all(np.isfinite(rate)) and np.all(rate >= 0.0)
+    assert np.all(np.isfinite(slope)) and np.all(slope >= 0.0)
 
 
-def test_every_schedule_the_library_builds_holds_the_table_invariants():
-    # the constructor takes its table as given: these invariants hold because
-    # optimal_schedule, scaled and quench build every table that way
+@functools.cache
+def _library_schedules():
+    """(schedule, whether t must rise strictly) for a spread of every library builder's schedules.
+
+    t rises strictly wherever the largest block has 32 qubits or fewer, the
+    range of perfbench's check_schedule. Built once per test session, with
+    every warning an error; read them, never write them.
+    """
     splits = ([1], [2], [1, 1], [3, 3], [12], [2, 10], [1, 63], [64], [32, 32], [1] * 64)
-    # (schedule, whether t must rise strictly): it does wherever the largest
-    # block has 32 qubits or fewer, the range of perfbench's check_schedule
     built = [(TimeSchedule.quench(), True)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -527,9 +532,53 @@ def test_every_schedule_the_library_builds_holds_the_table_invariants():
                             built.append((schedule_t.scaled(total), strict))
                         except ValueError as refusal:
                             assert "is too short" in str(refusal), (parts, eps, grid, total)
+    return built
+
+
+def test_every_schedule_the_library_builds_holds_the_table_invariants():
+    # the constructor takes its table as given: these invariants hold because
+    # optimal_schedule, scaled and quench build every table that way
+    built = _library_schedules()
     assert len(built) >= 400
     for schedule_t, strict in built:
         _assert_schedule_invariants(schedule_t, strict)
+
+
+def test_every_schedule_the_library_builds_ends_exactly_at_its_total_time():
+    # the last cubic once read s(T) = 0.9999999999999999 on [6] and
+    # t(1) = 4.999999999999999 on [1], with T = 5; both cubics now read the
+    # last node itself, and slope(1) is its capped slope
+    for parts, expected in (([6], 39.686269665968865), ([1], 5.0)):
+        schedule_t = optimal_schedule(make_splitting(sum(parts), parts))
+        assert schedule_t.total_time == expected
+        assert float(schedule_t.s_of_t(expected)) == 1.0 and float(schedule_t.t_of_s(1.0)) == expected
+    for schedule_t, _ in _library_schedules():
+        total = schedule_t.total_time
+        assert schedule_t.s_of_t(np.array([total, 2.0 * total, math.inf])).tolist() == [1.0] * 3
+        assert float(schedule_t.t_of_s(1.0)) == total
+    for schedule_t, _ in _library_schedules():
+        # c[2] holds the capped node slopes, ds/dtau
+        assert float(schedule_t.rate(1.0)) == float(schedule_t._s_of_tau.c[2, -1]) / schedule_t._span
+
+
+@pytest.mark.parametrize("grid", [100, 1001, MAX_GRID])
+def test_the_schedule_is_one_shape_at_every_epsilon_and_total(grid):
+    # tau = t / T, s and ds/dtau come from the running time, not from eps;
+    # eps sets only the total time, and scaled swaps only that
+    for parts in ([2, 2], [6, 6], [1, 63], [64]):
+        splitting = make_splitting(sum(parts), parts)
+        built = [optimal_schedule(splitting, Precision(epsilon=eps), grid) for eps in (0.2, 1e-3, 1e-150)]
+        for name in ("tau_nodes", "s_nodes", "slope_nodes"):
+            assert len({getattr(schedule_t, name).tobytes() for schedule_t in built}) == 1, (parts, name)
+        # t = tau * T rounds once and t / T once more, so it reads tau back to an ulp at every eps
+        for schedule_t in built:
+            tau = schedule_t.tau_nodes
+            assert np.all(np.abs(schedule_t.t_nodes / schedule_t.total_time - tau) <= np.spacing(tau)), parts
+        for total in (3.7 * built[0].total_time, 1.7e308):
+            scaled = built[0].scaled(total)
+            assert scaled.total_time == total
+            for name in ("tau_nodes", "s_nodes", "slope_nodes"):
+                assert getattr(scaled, name) is getattr(built[0], name), (parts, name)
 
 
 def test_a_scaled_schedule_scales_again_past_the_ratio_of_its_totals():
@@ -606,8 +655,7 @@ def test_only_the_running_time_entry_points_take_a_path():
 
 def test_time_steps_of_any_length_suit_the_cubic_of_s_of_t():
     # at eps = 1e-150 the largest step is about 4.9e147, whose cube overflows
-    # a double; the cubic works in a power-of-two unit of its span, so s(t)
-    # stays finite
+    # a double; the cubic works in tau = t / T, so s(t) stays finite
     splitting = make_splitting(4, [2, 2])
     schedule_t = optimal_schedule(splitting, Precision(epsilon=1e-150))
     eps_t = running_time_integral(splitting).eps_t
@@ -616,21 +664,10 @@ def test_time_steps_of_any_length_suit_the_cubic_of_s_of_t():
     assert np.all(np.isfinite(s)) and np.all(np.diff(s) >= 0.0) and s[-1] == pytest.approx(1.0)
     assert schedule_t.scaled(1e150).total_time == 1e150
     assert pchip_time_schedule([0.0, 1e103], [0.0, 1.0]).total_time == 1e103
-    # a total so long that t(s) itself overflows is still refused
-    with pytest.raises(ValueError, match="the monotone cubic through values up to 1.7e\\+308 overflows"):
-        schedule_t.scaled(1.7e308)
-    # dividing by a power of two rounds nothing: scaling the nodes by 2^k
-    # and the slopes by 2^-k keeps every value and slope to the last bit
-    rng = np.random.default_rng(5)
-    x = np.cumsum(rng.uniform(0.01, 1.0, 12))
-    y = np.cumsum(rng.uniform(0.0, 1.0, 12))
-    slopes = rng.uniform(0.0, 3.0, 12)
-    q = np.concatenate([x, rng.uniform(x[0] - 0.5, x[-1] + 0.5, 200)])
-    cubic = MonotoneCubic(x, y, slopes)
-    for k in (300, -300, 900, -900):
-        scaled = MonotoneCubic(np.ldexp(x, k), y, np.ldexp(slopes, -k))
-        assert np.array_equal(scaled(np.ldexp(q, k)), cubic(q)), k
-        assert np.array_equal(scaled.slope(np.ldexp(q, k)), np.ldexp(cubic.slope(q), -k)), k
+    # no total is too long: the shape's cubics never see it
+    longest = schedule_t.scaled(1.7e308)
+    s = longest.s_of_t(np.linspace(0.0, longest.total_time, 1001))
+    assert np.all(np.isfinite(s)) and np.all(np.diff(s) >= 0.0) and s[-1] == 1.0
 
 
 def test_tiny_epsilon_whose_total_time_overflows_is_refused():
