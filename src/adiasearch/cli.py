@@ -26,7 +26,7 @@ import stat
 import sys
 
 from . import dynamics, hamiltonian, runtime, spectral
-from .core import MarkedState, Precision, Splitting, equal_splitting, make_splitting
+from .core import DEFAULT_GRID, MarkedState, Precision, Splitting, equal_splitting, make_splitting
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -78,23 +78,23 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_evolve = sub.add_parser("evolve", help="integrate the optimal-schedule dynamics")
     add_problem_flags(p_evolve, marked=True)
-    p_evolve.add_argument("--eps", type=float, default=0.2)
+    p_evolve.add_argument("--eps", type=float, default=Precision.epsilon)
     p_evolve.add_argument("--total-time", type=float, default=None, help="override the total time (0 = instant quench)")
-    p_evolve.add_argument("--steps", type=int, default=None, help="integrator steps per unit time")
-    p_evolve.add_argument("--grid", type=int, default=1001, help="schedule tabulation samples")
+    p_evolve.add_argument("--steps", type=int, default=Precision.ode_steps_per_unit_time, help="integrator steps per unit time")
+    p_evolve.add_argument("--grid", type=int, default=DEFAULT_GRID, help="schedule tabulation samples")
     p_evolve.add_argument("--format", choices=("json", "csv"), default="json")
     p_evolve.add_argument("--out", type=str, default=None)
 
     p_gap = sub.add_parser("gap", help="per-block and global gap profile")
     add_problem_flags(p_gap)
-    p_gap.add_argument("--grid", type=int, default=1001)
+    p_gap.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p_gap.add_argument("--format", choices=("csv", "json"), default="csv")
     p_gap.add_argument("--out", type=str, default=None)
 
     p_schedule = sub.add_parser("schedule", help="bound-saturating time parameterization s(t)")
     add_problem_flags(p_schedule)
-    p_schedule.add_argument("--eps", type=float, default=0.2)
-    p_schedule.add_argument("--grid", type=int, default=1001)
+    p_schedule.add_argument("--eps", type=float, default=Precision.epsilon)
+    p_schedule.add_argument("--grid", type=int, default=DEFAULT_GRID)
     p_schedule.add_argument("--format", choices=("csv", "json"), default="csv")
     p_schedule.add_argument("--out", type=str, default=None)
 
@@ -319,11 +319,8 @@ def cmd_evolve(args) -> int:
     splitting = _splitting_from_args(args)
     dynamics.check_evolution_cap(splitting)
     marked = _marked_from_args(args, splitting.n)
-    kwargs = {"epsilon": args.eps}
-    if args.steps is not None:
-        kwargs["ode_steps_per_unit_time"] = args.steps
-    precision = Precision(**kwargs)
-    if args.total_time is not None and args.total_time == 0.0:
+    precision = Precision(args.eps, args.steps)
+    if args.total_time == 0.0:
         schedule_t = runtime.TimeSchedule.quench()
     else:
         schedule_t = runtime.optimal_schedule(splitting, precision, grid=args.grid)
@@ -343,7 +340,7 @@ def cmd_gap(args) -> int:
 
 def cmd_schedule(args) -> int:
     splitting = _splitting_from_args(args)
-    schedule_t = runtime.optimal_schedule(splitting, Precision(epsilon=args.eps), grid=args.grid)
+    schedule_t = runtime.optimal_schedule(splitting, Precision(args.eps), grid=args.grid)
     _write_output(format_schedule(schedule_t, args.format), args.out)
     return EXIT_OK
 

@@ -24,9 +24,10 @@ MAX_BLOCK_QUBITS = 64
 # Most blocks a splitting may have: the widest row of the n = 64 table. It
 # bounds every per-block array before the block sizes are built.
 MAX_BLOCKS = 64
-# Most s samples a gap profile or schedule tabulation takes. The tabulation
-# costs one scalar rate per sample, so this also bounds its time.
+# Most s samples a gap profile or schedule tabulation takes, and how many it
+# takes by default. A sample costs one scalar rate, so the cap bounds the time.
 MAX_GRID = 1 << 16
+DEFAULT_GRID = 1001
 
 
 @dataclass(frozen=True)
@@ -212,6 +213,4 @@ class Precision:
         steps = _integer(self.ode_steps_per_unit_time, "ode_steps_per_unit_time")
         object.__setattr__(self, "ode_steps_per_unit_time", steps)
         if steps < 1:
-            raise ValueError(
-                f"ode_steps_per_unit_time must be >= 1, got {self.ode_steps_per_unit_time}"
-            )
+            raise ValueError(f"ode_steps_per_unit_time must be >= 1, got {steps}")

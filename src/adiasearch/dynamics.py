@@ -180,7 +180,7 @@ def evolve(
     splitting: Splitting,
     marked: MarkedState,
     schedule_t: TimeSchedule,
-    precision: Precision | None = None,
+    precision: Precision = Precision(),
 ) -> EvolutionReport:
     """Integrate from the uniform superposition to the end of the schedule.
 
@@ -194,7 +194,6 @@ def evolve(
     RK4_STEP_BUDGET is refused before the first step; ``steps`` reports
     that product for a run that is taken.
     """
-    precision = precision if precision is not None else Precision()
     check_evolution_cap(splitting)
     marked.block_values(splitting)  # refuses a marked state of the wrong length
     # one solve per distinct block size, its marked entry at index 0

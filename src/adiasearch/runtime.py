@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    DEFAULT_GRID,
     MAX_BLOCK_QUBITS,
     MAX_GRID,
     LinearSchedule,
@@ -228,7 +229,10 @@ class TimeSchedule:
         return self._tau(s) * self.total_time
 
     def rate(self, s):
-        """ds/dt at s: the slope of s_of_t's cubic at tau(s), the drive that evolve follows."""
+        """ds/dt at s: the slope of s_of_t's cubic at tau(s), the drive that evolve follows.
+        Where late tau repeat, the last cell is one ulp wide, and rate(1.0) reads its capped end
+        slope: at grid 1,001, 0.891 of rate_nodes[-1] on [52], 0.143 on [56], 7.2e-4 on [64]
+        (619,344.69 against 858,993,459.2). Below 52 qubits per block it is exactly the node rate."""
         return self._s_of_tau.slope(self._tau(s)) / self._span
 
     def scaled(self, new_total_time: float) -> "TimeSchedule":
@@ -245,8 +249,8 @@ class TimeSchedule:
 
 def optimal_schedule(
     splitting: Splitting,
-    precision: Precision | None = None,
-    grid: int = 1001,
+    precision: Precision = Precision(),
+    grid: int = DEFAULT_GRID,
     schedule: LinearSchedule | None = None,
 ) -> TimeSchedule:
     """Time parameterization that saturates the adiabatic bound everywhere.
@@ -268,7 +272,6 @@ def optimal_schedule(
     grid = _integer(grid, "grid")
     if not 100 <= grid <= MAX_GRID:
         raise ValueError(f"grid must have between 100 and {MAX_GRID} samples, got {grid}")
-    precision = precision if precision is not None else Precision()
     schedule = schedule if schedule is not None else LinearSchedule()
     integrand, edges = _time_integrand(splitting, schedule.f)
     half, pieces = integrate(integrand, edges, QUAD_TOL, "the time tabulation")

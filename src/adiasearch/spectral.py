@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import MAX_GRID, Splitting, _integer, _real
+from .core import DEFAULT_GRID, MAX_GRID, Splitting, _integer, _real
 
 
 def subsystem_gap(block_dim, f, g):
@@ -101,7 +101,7 @@ class GapProfile:
         return self.size_gaps[:, -1]
 
 
-def gap_profile(splitting: Splitting, grid: int = 1001) -> GapProfile:
+def gap_profile(splitting: Splitting, grid: int = DEFAULT_GRID) -> GapProfile:
     """Tabulate the gap of every distinct block size and the global gap on a
     uniform s grid of the linear path (f, g) = (1 - s, s).
 

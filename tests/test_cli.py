@@ -1,5 +1,6 @@
 import contextlib
 import errno
+import inspect
 import io
 import json
 import math
@@ -658,6 +659,19 @@ def test_parts_with_an_empty_item_is_config_error(parts, capsys):
 def test_parts_and_m_are_exclusive():
     assert run_cli("gap", "--n", "4", "--parts", "2,2", "--m", "2") == 2
     assert run_cli("gap", "--n", "4") == 2
+
+
+def test_cli_defaults_are_the_library_defaults():
+    parser = cli.build_parser()
+    evolve_args, schedule_args, gap_args = (
+        parser.parse_args([command, "--n", "2", "--m", "1"]) for command in ("evolve", "schedule", "gap")
+    )
+    precision = Precision()
+    schedule_grid = inspect.signature(optimal_schedule).parameters["grid"].default
+    gap_grid = inspect.signature(gap_profile).parameters["grid"].default
+    assert (evolve_args.eps, evolve_args.steps) == (precision.epsilon, precision.ode_steps_per_unit_time)
+    assert (schedule_args.eps, evolve_args.grid, schedule_args.grid) == (precision.epsilon, schedule_grid, schedule_grid)
+    assert gap_args.grid == gap_grid
 
 
 def test_module_entry_point_subprocess():
