@@ -81,7 +81,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve.add_argument("--eps", type=float, default=Precision.epsilon)
     p_evolve.add_argument("--total-time", type=float, default=None, help="override the total time (0 = instant quench)")
     p_evolve.add_argument("--steps", type=int, default=Precision.ode_steps_per_unit_time, help="integrator steps per unit time")
-    p_evolve.add_argument("--grid", type=int, default=DEFAULT_GRID, help="schedule tabulation samples")
     p_evolve.add_argument("--format", choices=("json", "csv"), default="json")
     p_evolve.add_argument("--out", type=str, default=None)
 
@@ -323,7 +322,7 @@ def cmd_evolve(args) -> int:
     if args.total_time == 0.0:
         schedule_t = runtime.TimeSchedule.quench()
     else:
-        schedule_t = runtime.optimal_schedule(splitting, precision, grid=args.grid)
+        schedule_t = runtime.optimal_schedule(splitting, precision)
         if args.total_time is not None:
             schedule_t = schedule_t.scaled(args.total_time)
     report = dynamics.evolve(splitting, marked, schedule_t, precision)

@@ -485,7 +485,7 @@ def test_epsilon_whose_total_time_overflows_is_config_error(capsys):
 
 
 def test_grid_cap_is_config_error(capsys):
-    for command in ("gap", "schedule", "evolve"):
+    for command in ("gap", "schedule"):
         assert run_cli(command, "--n", "2", "--m", "1", "--grid", "65537") == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "65536 samples, got 65537" in err
@@ -528,7 +528,7 @@ def test_evolve_cap_is_checked_before_tabulating(monkeypatch, capsys):
         raise AssertionError("optimal_schedule ran for a state over the evolution cap")
 
     monkeypatch.setattr(cli.runtime, "optimal_schedule", must_not_run)
-    assert run_cli("evolve", "--n", "13", "--parts", "13", "--grid", "5000") == 2
+    assert run_cli("evolve", "--n", "13", "--parts", "13") == 2
     assert "evolution cap of 12 qubits" in capsys.readouterr().err
 
 
@@ -670,7 +670,7 @@ def test_cli_defaults_are_the_library_defaults():
     schedule_grid = inspect.signature(optimal_schedule).parameters["grid"].default
     gap_grid = inspect.signature(gap_profile).parameters["grid"].default
     assert (evolve_args.eps, evolve_args.steps) == (precision.epsilon, precision.ode_steps_per_unit_time)
-    assert (schedule_args.eps, evolve_args.grid, schedule_args.grid) == (precision.epsilon, schedule_grid, schedule_grid)
+    assert (schedule_args.eps, schedule_args.grid) == (precision.epsilon, schedule_grid)
     assert gap_args.grid == gap_grid
 
 
@@ -885,7 +885,7 @@ _COMMAND_FLAGS = {
     "gap": ("--grid", "--format", "--out"),
     "schedule": ("--eps", "--grid", "--format", "--out"),
     "pauli": ("--marked", "--out"),
-    "evolve": ("--eps", "--total-time", "--steps", "--grid", "--marked", "--format", "--out"),
+    "evolve": ("--eps", "--total-time", "--steps", "--marked", "--format", "--out"),
 }
 # The slowest call the pool draws takes about 0.1 s; the bound catches a call
 # that hangs or does work past a cap, not a slow machine.

@@ -22,6 +22,7 @@ from adiasearch.core import (
 from adiasearch.dynamics import adiabaticity_lhs, rk4_propagate
 from adiasearch.runtime import (
     TimeSchedule,
+    _time_integrand,
     closed_form_eps_t,
     optimal_schedule,
     reproduce_table,
@@ -384,6 +385,27 @@ def test_optimal_schedule_integrand_work_is_bounded():
     # 1001 rate samples plus one 21-point piece per panel before the
     # crossing, 16 on [30]
     assert counting.points == 1001 + 16 * 21
+
+
+@pytest.mark.parametrize("parts", [[1], [30], [2, 10], [1, 63], [64]])
+def test_schedule_nodes_are_uniform_in_the_panel_coordinate(parts):
+    splitting = make_splitting(sum(parts), parts)
+    _, edges = _time_integrand(splitting, LinearSchedule().f)
+    panels = len(edges) - 1
+    # each panel as s bounds, before the crossing and mirrored after it
+    before = [(0.5 + a, 0.5 + b) for a, b in zip(edges, edges[1:])]
+    after = [(0.5 - b, 0.5 - a) for a, b in zip(edges, edges[1:])]
+    for grid in (100, 1001, 4097):
+        s = optimal_schedule(splitting, grid=grid).s_nodes
+        assert s[0] == 0.0 and s[-1] == 1.0
+        share = (grid - 1) / (2 * panels)
+        for side, (lo, hi) in [(0, bounds) for bounds in before] + [(1, bounds) for bounds in after]:
+            # a node on an edge counts in the panel nearer the crossing, one at s = 1/2 in neither
+            held = (s > lo) & (s <= hi) if side else (s >= lo) & (s < hi)
+            assert abs(np.count_nonzero(held) - share) <= 1.0, (grid, lo, hi)
+            gaps = np.diff(s[(s >= lo) & (s <= hi)])
+            if gaps.size:
+                assert np.max(np.abs(gaps - np.median(gaps))) <= 1e-14, (grid, lo, hi)
 
 
 def test_optimal_schedule_grid_validation():
