@@ -80,7 +80,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_problem_flags(p_evolve, marked=True)
     p_evolve.add_argument("--eps", type=float, default=Precision.epsilon)
     p_evolve.add_argument("--total-time", type=float, default=None, help="override the total time (0 = instant quench)")
-    p_evolve.add_argument("--steps", type=int, default=Precision.ode_steps_per_unit_time, help="integrator steps per unit time")
     p_evolve.add_argument("--format", choices=("json", "csv"), default="json")
     p_evolve.add_argument("--out", type=str, default=None)
 
@@ -318,7 +317,7 @@ def cmd_evolve(args) -> int:
     splitting = _splitting_from_args(args)
     dynamics.check_evolution_cap(splitting)
     marked = _marked_from_args(args, splitting.n)
-    precision = Precision(args.eps, args.steps)
+    precision = Precision(args.eps)
     if args.total_time == 0.0:
         schedule_t = runtime.TimeSchedule.quench()
     else:

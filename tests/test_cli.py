@@ -465,12 +465,6 @@ def test_overlong_total_time_is_config_error(capsys):
 
 
 def test_huge_step_counts_are_config_errors(capsys):
-    # a step rate too large for a float, or a step count too large for an
-    # int, is counted as inf and refused with the budget's one line
-    for argv in (("--steps", "1" + "0" * 400), ("--total-time", "1e300", "--steps", "100000000000000000000")):
-        assert run_cli("evolve", "--n", "1", "--m", "1", *argv) == 2
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and "the run needs inf RK4 steps" in err
     # a count that fits is written to three digits, not as a 100-digit int
     assert run_cli("evolve", "--n", "1", "--m", "1", "--total-time", "1e100") == 2
     err = capsys.readouterr().err
@@ -543,9 +537,32 @@ def test_evolve_step_budget_is_checked_before_stepping(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "over the budget of 1048576" in err
     # the budget counts steps times solves, one solve per distinct block size
-    assert run_cli("evolve", "--n", "4", "--parts", "1,3", "--steps", "100000000") == 2
+    assert run_cli("evolve", "--n", "4", "--parts", "1,3", "--total-time", "1e9") == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "for each of 2 block sizes" in err
+
+
+def test_evolve_has_no_steps_flag(capsys):
+    # evolve integrates at Precision()'s RK4 resolution; library callers set it
+    assert run_cli("evolve", "--n", "2", "--m", "1", "--steps", "64") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "Traceback" not in err
+    lines = err.splitlines()
+    assert [line for line in lines if "error:" in line] == lines[-1:]
+    assert lines[-1].endswith("error: unrecognized arguments: --steps 64")
+
+
+def test_norm_drift_is_config_error(monkeypatch, capsys):
+    # the library still raises it for a study that lowers ode_steps_per_unit_time
+    message = "norm drifted by 1.000e-05 at s=0.500; raise ode_steps_per_unit_time (currently 1)"
+
+    def drifting(*args, **kwargs):
+        raise cli.dynamics.NormDriftError(message)
+
+    monkeypatch.setattr(cli.dynamics, "evolve", drifting)
+    assert run_cli("evolve", "--n", "2", "--m", "1") == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"adia evolve: error: {message}\n"
 
 
 # Golden artifacts: display-rounded or dyadic, so exact on every platform.
@@ -669,7 +686,7 @@ def test_cli_defaults_are_the_library_defaults():
     precision = Precision()
     schedule_grid = inspect.signature(optimal_schedule).parameters["grid"].default
     gap_grid = inspect.signature(gap_profile).parameters["grid"].default
-    assert (evolve_args.eps, evolve_args.steps) == (precision.epsilon, precision.ode_steps_per_unit_time)
+    assert evolve_args.eps == precision.epsilon
     assert (schedule_args.eps, schedule_args.grid) == (precision.epsilon, schedule_grid)
     assert gap_args.grid == gap_grid
 
@@ -874,7 +891,6 @@ _FLAG_VALUES = {
     "--eps": _ODD_VALUES + ("0.2", "0.5", "1", "1e308"),
     "--grid": _ODD_VALUES + ("1", "2", "99", "100", "137", "137", "65537"),
     "--total-time": _ODD_VALUES + ("1", "1e-99", "1e9", "-0", "1e-320", "1e308"),
-    "--steps": _ODD_VALUES + ("1", "64", "100000000"),
     "--marked": ("0", "01", "0000", "1010", "2", ""),
     "--format": ("csv", "json", "xml"),
     # names inside the test's temporary directory; "" and "." are refused
@@ -885,7 +901,7 @@ _COMMAND_FLAGS = {
     "gap": ("--grid", "--format", "--out"),
     "schedule": ("--eps", "--grid", "--format", "--out"),
     "pauli": ("--marked", "--out"),
-    "evolve": ("--eps", "--total-time", "--steps", "--marked", "--format", "--out"),
+    "evolve": ("--eps", "--total-time", "--marked", "--format", "--out"),
 }
 # The slowest call the pool draws takes about 0.1 s; the bound catches a call
 # that hangs or does work past a cap, not a slow machine.
