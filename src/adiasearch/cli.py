@@ -79,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_evolve = sub.add_parser("evolve", help="integrate the optimal-schedule dynamics")
     add_problem_flags(p_evolve, marked=True)
     p_evolve.add_argument("--eps", type=float, default=Precision.epsilon)
-    p_evolve.add_argument("--total-time", type=float, default=None, help="override the total time (0 = instant quench)")
+    p_evolve.add_argument("--total-time", type=float, default=None, help="override the total time")
     p_evolve.add_argument("--format", choices=("json", "csv"), default="json")
     p_evolve.add_argument("--out", type=str, default=None)
 
@@ -318,12 +318,9 @@ def cmd_evolve(args) -> int:
     dynamics.check_evolution_cap(splitting)
     marked = _marked_from_args(args, splitting.n)
     precision = Precision(args.eps)
-    if args.total_time == 0.0:
-        schedule_t = runtime.TimeSchedule.quench()
-    else:
-        schedule_t = runtime.optimal_schedule(splitting, precision)
-        if args.total_time is not None:
-            schedule_t = schedule_t.scaled(args.total_time)
+    schedule_t = runtime.optimal_schedule(splitting, precision)
+    if args.total_time is not None:
+        schedule_t = schedule_t.scaled(args.total_time)
     report = dynamics.evolve(splitting, marked, schedule_t, precision)
     _write_output(format_evolution(report, args.format), args.out)
     return EXIT_OK if report.guarantee_met else EXIT_GUARANTEE

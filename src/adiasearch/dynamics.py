@@ -173,7 +173,7 @@ class EvolutionReport:
     checkpoint_overlap: np.ndarray
     checkpoint_lhs: np.ndarray
     checkpoint_norm: np.ndarray
-    steps: int  # RK4 steps summed over the solves, the count RK4_STEP_BUDGET bounds; 0 for a quench
+    steps: int  # RK4 steps summed over the solves, the count RK4_STEP_BUDGET bounds
 
 
 def evolve(
@@ -187,12 +187,9 @@ def evolve(
     The state is a product of block states, so one 2^{n_i} vector is
     integrated per distinct block size, with the marked entry at index 0.
     The step size is 1 / ode_steps_per_unit_time, trimmed so checkpoints
-    are hit exactly; runs are deterministic for a fixed precision. A
-    zero-duration schedule is an instant quench: it has one checkpoint, at
-    s = 1, and takes no step, so the success probability is the uniform
-    weight on the marked state. A run whose steps times solves exceed
-    RK4_STEP_BUDGET is refused before the first step; ``steps`` reports
-    that product for a run that is taken.
+    are hit exactly; runs are deterministic for a fixed precision. A run
+    whose steps times solves exceed RK4_STEP_BUDGET is refused before the
+    first step; ``steps`` reports that product for a run that is taken.
     """
     check_evolution_cap(splitting)
     marked.block_values(splitting)  # refuses a marked state of the wrong length
@@ -203,8 +200,7 @@ def evolve(
     psis = [np.full(dim, 1.0 / math.sqrt(dim), dtype=complex) for dim in dims]
     threshold = 1.0 - precision.epsilon**2 - GUARANTEE_SLACK
 
-    total_time = schedule_t.total_time
-    s_checks = np.linspace(0.0, 1.0, CHECKPOINT_COUNT) if total_time > 0.0 else np.ones(1)
+    s_checks = np.linspace(0.0, 1.0, CHECKPOINT_COUNT)
     t_checks = schedule_t.t_of_s(s_checks)
     t_checks = np.maximum.accumulate(t_checks)
 
@@ -255,7 +251,7 @@ def evolve(
 
     p = float(math.prod(abs(psi[0]) ** (2 * c) for c, psi in zip(counts, psis)))
     return EvolutionReport(
-        splitting.n, splitting.parts, marked.to_string(), precision.epsilon, total_time,
+        splitting.n, splitting.parts, marked.to_string(), precision.epsilon, schedule_t.total_time,
         p, threshold, p >= threshold, float(lhs_vals.max()), drift,
         t_checks, s_checks, overlaps, lhs_vals, norms, int(per_solve) * len(sizes),
     )

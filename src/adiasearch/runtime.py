@@ -137,18 +137,14 @@ class MonotoneCubic:
     cubic on [x_k, x_k+1] in powers of s - x_k, highest first, as in scipy's
     PPoly, and one more column the last cubic expanded about the last node,
     which serves s >= x_-1: every node, the last included, reads its own
-    value and slope exactly. One node is the constant y_0, of slope 0. Nodes
-    are taken as given, finite with x strictly increasing; nothing else
-    about them is checked. The end cubics extend past the nodes. Values and
-    slopes accept scalars or arrays.
+    value and slope exactly. Nodes are taken as given, at least two, finite
+    with x strictly increasing; nothing else about them is checked. The end
+    cubics extend past the nodes. Values and slopes accept scalars or arrays.
     """
 
     def __init__(self, x, y, slopes):
         self.x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
-        if y.size == 1:
-            self.c = np.array([[0.0], [0.0], [0.0], y])
-            return
         h = np.diff(self.x)
         m = np.diff(y) / h
         caps = 3.0 * np.minimum(np.append(m[0], m), np.append(m, m[-1]))  # the chords either side
@@ -179,15 +175,14 @@ class TimeSchedule:
 
     The shape is a table of (tau, s, ds/dtau) samples, read in time as
     ``t_nodes`` = tau * T and ``rate_nodes`` = (ds/dtau) / T. Built by
-    :func:`optimal_schedule`, :meth:`scaled` or :meth:`quench`, which hold
-    every table to these invariants: tau, s and ds/dtau are 1-D float64
-    arrays of one length and T a float; tau is non-decreasing from exactly
-    0 to exactly 1, s rises strictly from exactly 0 to exactly 1, and every
-    slope and rate is finite and >= 0. The quench is the one sample
-    (0, 1, 0) of duration 0. A table built by hand is taken as given. A run
-    of equal tau is one instant: s(tau) and tau(s) are each a
-    :class:`MonotoneCubic` on [0, 1] through the last node of every run,
-    with slopes ds/dtau or dtau/ds (a slope of 0 meets the cap).
+    :func:`optimal_schedule` or :meth:`scaled`, which hold every table to
+    these invariants: tau, s and ds/dtau are 1-D float64 arrays of one
+    length, at least 100, and T a finite float > 0; tau is non-decreasing
+    from exactly 0 to exactly 1, s rises strictly from exactly 0 to exactly
+    1, and every slope and rate is finite and >= 0. A table built by hand is
+    taken as given. A run of equal tau is one instant: s(tau) and tau(s) are
+    each a :class:`MonotoneCubic` on [0, 1] through the last node of every
+    run, with slopes ds/dtau or dtau/ds (a slope of 0 meets the cap).
     """
 
     total_time: float
@@ -201,13 +196,6 @@ class TimeSchedule:
         object.__setattr__(self, "_s_of_tau", MonotoneCubic(tau, s, slope))
         with np.errstate(divide="ignore", over="ignore"):  # an infinite slope is capped
             object.__setattr__(self, "_tau_of_s", MonotoneCubic(s, tau, 1.0 / slope))
-        # the time that tau = 1 stands for; the quench's one instant, at tau = 0, takes 1
-        object.__setattr__(self, "_span", self.total_time or 1.0)
-
-    @classmethod
-    def quench(cls) -> "TimeSchedule":
-        """Zero-duration parameterization, measured at s = 1 at once: the sample (tau, s, ds/dtau) = (0, 1, 0)."""
-        return cls(0.0, np.zeros(1), np.ones(1), np.zeros(1))
 
     @property
     def t_nodes(self) -> np.ndarray:
@@ -215,14 +203,14 @@ class TimeSchedule:
 
     @property
     def rate_nodes(self) -> np.ndarray:
-        return self.slope_nodes / self._span
+        return self.slope_nodes / self.total_time
 
     def _tau(self, s):
         return np.clip(self._tau_of_s(np.clip(s, 0.0, 1.0)), 0.0, 1.0)
 
     def s_of_t(self, t):
         """s at time t, off the cubic through (tau, s) with slopes ds/dtau."""
-        return np.clip(self._s_of_tau(np.clip(t, 0.0, self.total_time) / self._span), 0.0, 1.0)
+        return np.clip(self._s_of_tau(np.clip(t, 0.0, self.total_time) / self.total_time), 0.0, 1.0)
 
     def t_of_s(self, s):
         """t at s, off the cubic through (s, tau) with slopes dtau/ds."""
@@ -233,15 +221,13 @@ class TimeSchedule:
         Where late tau repeat, the last cell is one ulp wide, and rate(1.0) reads its capped end
         slope: at grid 1,001, 0.891 of rate_nodes[-1] on [52], 0.143 on [56], 7.2e-4 on [64]
         (619,344.69 against 858,993,459.2). Below 52 qubits per block it is exactly the node rate."""
-        return self._s_of_tau.slope(self._tau(s)) / self._span
+        return self._s_of_tau.slope(self._tau(s)) / self.total_time
 
     def scaled(self, new_total_time: float) -> "TimeSchedule":
         """Same shape stretched to a new total time; refused if so short that its rates overflow."""
         new_total_time = _real(new_total_time, "scaled total time")
         if not (math.isfinite(new_total_time) and new_total_time > 0.0):
             raise ValueError(f"scaled total time must be finite and > 0, got {new_total_time}")
-        if self.total_time == 0.0:
-            raise ValueError("cannot scale a zero-duration schedule")
         if not math.isfinite(float(self.slope_nodes.max()) / new_total_time):
             raise ValueError(f"total time {new_total_time!r} is too short: its rates overflow")
         return TimeSchedule(new_total_time, self.tau_nodes, self.s_nodes, self.slope_nodes)

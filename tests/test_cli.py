@@ -380,20 +380,13 @@ def test_pauli_maximal_weight_one(capsys):
         assert sum(1 for c in word if c != "I") <= 1
 
 
-def test_evolve_quench_misses_guarantee(monkeypatch, tmp_path):
-    def must_not_run(*args, **kwargs):
-        raise AssertionError("a quench took an RK4 step")
-
-    monkeypatch.setattr(cli.dynamics, "rk4_propagate", must_not_run)
-    out = tmp_path / "report.json"
-    code = run_cli(
-        "evolve", "--n", "2", "--parts", "2", "--eps", "0.5", "--total-time", "0",
-        "--out", str(out),
-    )
-    assert code == 4
-    report = json.loads(out.read_text())
-    assert report["success_probability"] == pytest.approx(0.25, abs=1e-12)
-    assert report["total_time"] == 0.0
+def test_evolve_zero_total_time_is_config_error(capsys):
+    # every schedule has a positive duration; the sudden limit is a tiny total
+    for value, shown in (("0", "0.0"), ("-0", "-0.0")):
+        assert run_cli("evolve", "--n", "2", "--parts", "2", "--eps", "0.5", "--total-time", value) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"adia evolve: error: scaled total time must be finite and > 0, got {shown}"]
 
 
 def test_evolve_maximal_meets_guarantee(tmp_path):
@@ -437,8 +430,8 @@ def test_non_finite_total_time_is_config_error(capsys):
 
 
 def test_collapsing_total_time_is_config_error(capsys):
-    # at 5e-324 the stretched rates overflow; at 1e-300 the run is a
-    # quench in all but name and misses the target with p = 1/2
+    # at 5e-324 the stretched rates overflow; at 1e-300 the run reads the
+    # sudden limit, the uniform weight p = 1/2, and misses the target
     assert run_cli("evolve", "--n", "1", "--m", "1", "--total-time", "5e-324") == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "total time 5e-324 is too short" in err
@@ -911,9 +904,13 @@ _CALL_WALL_BOUND_S = 5.0
 # Values past a cap: each argv holding one must exit 2 before any work.
 _HUGE = "1000000000"
 _MANY_PARTS = ",".join(["1"] * 65)
+# Total times that are not > 0, each refused by scaled: every schedule has a positive duration.
+_NONPOSITIVE_TOTALS = ("0", "-0", "-1")
 
 
 def _must_refuse(argv) -> bool:
+    if "--total-time" in argv and argv[argv.index("--total-time") + 1] in _NONPOSITIVE_TOTALS:
+        return True
     return _HUGE in argv or _MANY_PARTS in argv or (argv[:3] == ["table", "--n", "12"] and "--check" in argv)
 
 

@@ -139,13 +139,6 @@ def test_monotone_cubic_matches_scipy_hermite_spline():
         assert np.max(np.abs(MonotoneCubic(x, y, steep)(q) - CubicHermiteSpline(x, y, capped)(q))) <= 1e-12 * np.max(y)
 
 
-def test_monotone_cubic_reads_one_node_as_a_constant():
-    # the value at the node, wherever it is probed, and slope 0 whatever slope it is given
-    constant = MonotoneCubic([0.3], [5.0], [2.0])
-    assert constant(np.array([-1.0, 0.3, 7.0])).tolist() == [5.0] * 3
-    assert constant.slope(np.array([-1.0, 0.3, 7.0])).tolist() == [0.0] * 3
-
-
 def test_precision_validation():
     prec = Precision()
     assert prec.epsilon == 0.2
