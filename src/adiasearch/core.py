@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Largest block the floating-point paths (closed-form gaps, quadratures,
-# spectral probe) accept. 64 is the largest block the running-time checks
-# cover (the m = 1 row of the n = 64 table); a block's gap minimum narrows
-# as 2^(-n_i/2), below the float spacing near s = 1/2 past about 106
-# qubits, and 2^1024 no longer fits in a double at all.
+# Largest block a splitting may have. 64 is the largest block the
+# running-time checks cover (the m = 1 row of the n = 64 table); a block's
+# gap minimum narrows as 2^(-n_i/2), below the float spacing near s = 1/2
+# past about 106 qubits, and 2^1024 no longer fits in a double at all. With
+# MAX_BLOCKS it bounds every splitting: n <= 64 * 64 and 2^size <= 2^64.
 MAX_BLOCK_QUBITS = 64
 # Most blocks a splitting may have: the widest row of the n = 64 table. It
 # bounds every per-block array before the block sizes are built.
@@ -37,7 +37,8 @@ class Splitting:
     Qubit 1 is the most significant bit of a basis-state index. Block 1
     covers qubits 1..parts[0], block 2 the next run, and so on. A single
     block of size n is the unstructured search; n blocks of size 1 the
-    maximally structured one.
+    maximally structured one. A splitting has at most MAX_BLOCKS blocks of
+    at most MAX_BLOCK_QUBITS qubits each; any other is refused when built.
     """
 
     n: int
@@ -57,6 +58,11 @@ class Splitting:
             raise ValueError(
                 f"block sizes {list(self.parts)} sum to {sum(self.parts)}, expected n={self.n}"
             )
+        if max(self.parts) > MAX_BLOCK_QUBITS:
+            raise ValueError(
+                f"block of {max(self.parts)} qubits exceeds the floating-point cap of "
+                f"{MAX_BLOCK_QUBITS} qubits per block"
+            )
 
     @property
     def num_blocks(self) -> int:
@@ -74,16 +80,7 @@ class Splitting:
 
     def size_counts(self) -> tuple[tuple[int, int], ...]:
         """(size, count) of each distinct block size, ascending: the one grouping
-        of blocks by size, so results depend on the multiset of sizes only.
-
-        Raises ValueError for a block of more than MAX_BLOCK_QUBITS qubits.
-        """
-        largest = max(self.parts)
-        if largest > MAX_BLOCK_QUBITS:
-            raise ValueError(
-                f"block of {largest} qubits exceeds the floating-point cap of "
-                f"{MAX_BLOCK_QUBITS} qubits per block"
-            )
+        of blocks by size, so results depend on the multiset of sizes only."""
         return tuple((size, self.parts.count(size)) for size in sorted(set(self.parts)))
 
     def block_fields(self) -> list[tuple[int, int]]:

@@ -53,14 +53,6 @@ class NormDriftError(RuntimeError):
     """State norm drifted beyond the allowed limit during integration."""
 
 
-def check_evolution_cap(splitting: Splitting):
-    """Refuse a block of more than DENSE_CAP qubits, before any work; evolve holds one vector per block size."""
-    if max(splitting.parts) > DENSE_CAP:
-        raise ValueError(
-            f"block of {max(splitting.parts)} qubits exceeds the evolution cap of {DENSE_CAP} qubits per block"
-        )
-
-
 def rk4_propagate(apply, psi: np.ndarray, t0: float, t1: float, nsteps: int, stages) -> np.ndarray:
     """Integrate i * dpsi/dt = H psi with classical fixed-step RK4 from t0 to t1
     along the linear path, H = apply(1 - s, s, .).
@@ -191,7 +183,11 @@ def evolve(
     whose steps times solves exceed RK4_STEP_BUDGET is refused before the
     first step; ``steps`` reports that product for a run that is taken.
     """
-    check_evolution_cap(splitting)
+    # one vector per block size: a block past DENSE_CAP qubits is refused before any work
+    if max(splitting.parts) > DENSE_CAP:
+        raise ValueError(
+            f"block of {max(splitting.parts)} qubits exceeds the evolution cap of {DENSE_CAP} qubits per block"
+        )
     marked.block_values(splitting)  # refuses a marked state of the wrong length
     # one solve per distinct block size, its marked entry at index 0
     sizes, counts = zip(*splitting.size_counts())
@@ -219,7 +215,7 @@ def evolve(
         raise ValueError(
             f"the run needs {per_solve * len(sizes):.3g} RK4 steps ({per_solve:.3g} for each of "
             f"{len(sizes)} block sizes), over the budget of {RK4_STEP_BUDGET}; "
-            "shorten the total time or lower ode_steps_per_unit_time"
+            "shorten the total time (a larger epsilon does) or lower ode_steps_per_unit_time"
         )
     steps = [0] + steps.astype(int).tolist()
 

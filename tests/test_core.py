@@ -74,14 +74,14 @@ def test_block_dims_product_is_total_dim():
         assert make_splitting(n, parts[::-1]).size_counts() == counts
 
 
-def test_size_counts_cap():
+def test_splitting_holds_the_block_cap():
     assert make_splitting(128, [64, 64]).size_counts() == ((64, 2),)
     assert make_splitting(64, [1, 63]).size_counts() == make_splitting(64, [63, 1]).size_counts() == ((1, 1), (63, 1))
-    # the splitting itself stays valid; only the floating-point paths refuse
-    # it, before any dimension 2^size is built: 1 << 2^70 overflows
+    # a block past the cap is refused when the splitting is built, before any
+    # dimension 2^size is: 1 << 2^70 overflows
     for n, parts in [(65, [65]), (66, [1, 65]), (2000, [2000]), (2**70, [2**70]), (2**70 + 1, [1, 2**70])]:
-        with pytest.raises(ValueError, match="64 qubits per block"):
-            make_splitting(n, parts).size_counts()
+        with pytest.raises(ValueError, match=f"block of {max(parts)} qubits exceeds the floating-point cap of 64 qubits per block"):
+            make_splitting(n, parts)
 
 
 def test_marked_state_big_endian_index():

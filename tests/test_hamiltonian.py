@@ -257,7 +257,13 @@ def test_expansion_term_budget():
     # 786,458 terms fit 2^20 terms, but not at 64 letters each
     with pytest.raises(ValueError, match="786458 terms of 64 letters"):
         final_terms(make_splitting(64, [19, 18] + [1] * 27), MarkedState.zeros(64))
-    with pytest.raises(ValueError, match="block of 21 qubits exceeds the expansion cap"):
+    # the budget alone refuses any block past 20 qubits: q * 2^q letters at least
+    with pytest.raises(ValueError, match="^expansion of 2097152 terms of 21 letters exceeds the letter budget of 20971520$"):
+        final_terms(make_splitting(21, [21]), MarkedState.zeros(21))
+    for size in range(21, 65):
+        with pytest.raises(ValueError, match="letter budget"):
+            check_expansion_budget(make_splitting(size, [size]))
+    with pytest.raises(ValueError, match="terms of 41 letters exceeds the letter budget"):
         final_terms(make_splitting(41, [20, 21]), MarkedState.zeros(41))
 
 
