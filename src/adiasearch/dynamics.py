@@ -226,7 +226,6 @@ def evolve(
     # s at every RK4 stage of the run in one pass, split by checkpoint interval
     stages = np.split(_stage_points(schedule_t, t_checks, steps), np.cumsum(steps)[:-1], axis=1)
     overlaps, norms = np.zeros((2, s_checks.size))
-    drift = 0.0
     for k, (nsteps, stage) in enumerate(zip(steps, stages)):
         if nsteps:
             t0, t1, points = t_checks[k - 1], t_checks[k], stage.tolist()
@@ -234,7 +233,6 @@ def evolve(
         # each norm is the root of the summed squares of psi's real and imaginary parts, by numpy's sum, not BLAS
         norm = math.prod(math.sqrt(np.square(psi.view(float)).sum()) ** c for c, psi in zip(counts, psis))
         norms[k] = norm
-        drift = max(drift, abs(norm - 1.0))
         if abs(norm - 1.0) > NORM_DRIFT_LIMIT:
             raise NormDriftError(
                 f"norm drifted by {abs(norm - 1.0):.3e} at s={s_checks[k]:.3f}; raise "
@@ -245,9 +243,10 @@ def evolve(
             for c, cm, cp, psi in zip(counts, c_marked[k], c_perp[k], psis)
         )
 
-    p = float(math.prod(abs(psi[0]) ** (2 * c) for c, psi in zip(counts, psis)))
+    # at s = 1 the ground state is the marked state (c_marked 1.0, c_perp 0.0 exactly)
+    p = float(overlaps[-1])
     return EvolutionReport(
         splitting.n, splitting.parts, marked.to_string(), precision.epsilon, schedule_t.total_time,
-        p, threshold, p >= threshold, float(lhs_vals.max()), drift,
+        p, threshold, p >= threshold, float(lhs_vals.max()), float(np.abs(norms - 1.0).max()),
         t_checks, s_checks, overlaps, lhs_vals, norms, int(per_solve) * len(sizes),
     )

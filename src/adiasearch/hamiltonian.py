@@ -26,31 +26,16 @@ EXPANSION_LETTER_BUDGET = 20 << 20
 _LETTERS = str.maketrans("01", "IZ")
 
 
-def _check_dense_cap(n: int):
-    if n > DENSE_CAP:
-        raise ValueError(f"n={n} exceeds the dense operator cap of {DENSE_CAP} qubits")
-
-
 def final_diagonal(splitting: Splitting, marked: MarkedState) -> np.ndarray:
-    """Diagonal of the problem Hamiltonian: violated-block count per index."""
+    """Diagonal of the problem Hamiltonian: violated-block count per index; refused past DENSE_CAP qubits."""
     targets = marked.block_values(splitting)
-    _check_dense_cap(splitting.n)
+    if splitting.n > DENSE_CAP:
+        raise ValueError(f"n={splitting.n} exceeds the dense operator cap of {DENSE_CAP} qubits")
     idx = np.arange(splitting.dim)
     diag = np.zeros(splitting.dim)
     for (shift, mask), target in zip(splitting.block_fields(), targets):
         diag += (np.bitwise_and(idx >> shift, mask) != target).astype(float)
     return diag
-
-
-def check_expansion_budget(splitting: Splitting):
-    """Refuse an expansion past EXPANSION_LETTER_BUDGET, before any work for it."""
-    # the identity word plus every non-empty Z subset of each block
-    count = 1 + sum((1 << size) - 1 for size in splitting.parts)
-    if count * splitting.n > EXPANSION_LETTER_BUDGET:
-        raise ValueError(
-            f"expansion of {count} terms of {splitting.n} letters exceeds the "
-            f"letter budget of {EXPANSION_LETTER_BUDGET}"
-        )
 
 
 def final_terms(splitting: Splitting, marked: MarkedState) -> Iterator[tuple[float, str]]:
@@ -62,12 +47,17 @@ def final_terms(splitting: Splitting, marked: MarkedState) -> Iterator[tuple[flo
     no coefficient is zero. The words come unique and sorted by (weight,
     word), I before Z: the identity, then for each weight the blocks from
     last to first, each block's masks in ascending value (the leftmost
-    qubit is the top bit). The budget of :func:`check_expansion_budget` and
-    the marked state's length are checked at the call; words are made as
-    they are iterated.
+    qubit is the top bit). The letter budget EXPANSION_LETTER_BUDGET (terms
+    times n) and the marked state's length are checked at the call, before
+    any word; words are made as they are iterated.
     """
-    check_expansion_budget(splitting)
     n = splitting.n
+    # the identity word plus every non-empty Z subset of each block
+    count = 1 + sum((1 << size) - 1 for size in splitting.parts)
+    if count * n > EXPANSION_LETTER_BUDGET:
+        raise ValueError(
+            f"expansion of {count} terms of {n} letters exceeds the letter budget of {EXPANSION_LETTER_BUDGET}"
+        )
     blocks = list(zip(splitting.parts, splitting.block_fields(), marked.block_values(splitting)))
 
     def terms():

@@ -16,7 +16,6 @@ import numpy as np
 
 from .core import (
     DEFAULT_GRID,
-    MAX_BLOCK_QUBITS,
     MAX_GRID,
     LinearSchedule,
     Precision,
@@ -283,9 +282,8 @@ def optimal_schedule(
 
 
 def reproduce_table(n: int) -> list[RunTimeResult]:
-    """One quadrature row per divisor of n (ascending), linear schedule."""
-    n = _integer(n, "qubit count")
-    if not 1 <= n <= MAX_BLOCK_QUBITS:  # the m = 1 row is one block of n qubits
-        raise ValueError(f"n must be in [1, {MAX_BLOCK_QUBITS}], got {n}")
+    """One quadrature row per divisor of n (ascending), linear schedule. The m = 1
+    row's splitting, one block of n qubits, refuses n before any row is computed."""
+    n = equal_splitting(n, 1).n
     return [running_time_integral(equal_splitting(n, m)) for m in range(1, n + 1) if n % m == 0]
 

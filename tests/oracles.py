@@ -21,12 +21,18 @@ import numpy as np
 
 from adiasearch.core import MarkedState, Splitting
 from adiasearch.dynamics import _ground_amplitude, _ground_amplitudes
-from adiasearch.hamiltonian import _check_dense_cap
+from adiasearch.hamiltonian import DENSE_CAP
 
 # Word-by-word dense expansion costs O(6^n); refuse above this qubit count.
 EXPANSION_CAP = 10
 # Transform coefficients below this are rounding of a zero and are pruned.
 COEFF_PRUNE_TOL = 1e-14
+
+
+def _check_dense_cap(n: int):
+    """Refuse a dense 2^n x 2^n operator past the package's DENSE_CAP qubits."""
+    if n > DENSE_CAP:
+        raise ValueError(f"n={n} exceeds the dense operator cap of {DENSE_CAP} qubits")
 
 
 def build_initial(splitting: Splitting) -> np.ndarray:

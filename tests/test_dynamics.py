@@ -28,7 +28,7 @@ from adiasearch.hamiltonian import MatrixFreeHamiltonian, final_diagonal, final_
 from adiasearch.runtime import closed_form_eps_t, optimal_schedule
 from adiasearch.spectral import adiabatic_ratio, subsystem_gap
 
-from conftest import pchip_time_schedule
+from conftest import compositions, pchip_time_schedule
 from oracles import build_initial, instantaneous_ground_overlap, two_level_success
 
 
@@ -407,6 +407,24 @@ def test_marked_length_is_refused_by_block_values_alone():
 def test_norm_conservation_at_default_resolution():
     report = _optimal_report(2, [2], 0.2)
     assert report.norm_drift / report.total_time < 1e-9
+
+
+def test_report_scalars_summarise_its_checkpoints():
+    # p is the overlap at s = 1, where the ground state is the marked state
+    precision = Precision(epsilon=0.2)
+    runs = [
+        (parts, optimal_schedule(make_splitting(n, parts), precision)) for n in range(1, 5) for parts in compositions(n)
+    ]
+    runs.append(([6, 6], optimal_schedule(make_splitting(12, [6, 6]), precision)))
+    runs.append(([2, 2], optimal_schedule(make_splitting(4, [2, 2]), precision).scaled(60.0)))
+    assert len(runs) == 17
+    for parts, schedule_t in runs:
+        n = sum(parts)
+        report = evolve(make_splitting(n, parts), MarkedState.zeros(n), schedule_t, precision)
+        assert report.success_probability == report.checkpoint_overlap[-1], parts
+        assert report.norm_drift == max(abs(report.checkpoint_norm - 1.0)), parts
+        assert report.max_adiabaticity_lhs == report.checkpoint_lhs.max(), parts
+        assert report.guarantee_met == (report.success_probability >= report.guarantee_threshold), parts
 
 
 def test_frozen_success_probabilities():

@@ -7,7 +7,6 @@ from adiasearch.core import MarkedState, make_splitting
 from adiasearch.hamiltonian import (
     EXPANSION_LETTER_BUDGET,
     MatrixFreeHamiltonian,
-    check_expansion_budget,
     final_diagonal,
     final_terms,
 )
@@ -251,7 +250,7 @@ def test_expansion_term_budget():
         assert len(list(terms)) == 1 + sum(2**size - 1 for size in parts)
     # one block at the per-block cap fills the budget of terms times n exactly
     assert 20 * (1 + (2**20 - 1)) == EXPANSION_LETTER_BUDGET
-    check_expansion_budget(make_splitting(20, [20]))
+    final_terms(make_splitting(20, [20]), MarkedState.zeros(20))
     with pytest.raises(ValueError, match="letter budget of 20971520"):
         final_terms(make_splitting(40, [20, 20]), MarkedState.zeros(40))
     # 786,458 terms fit 2^20 terms, but not at 64 letters each
@@ -260,9 +259,10 @@ def test_expansion_term_budget():
     # the budget alone refuses any block past 20 qubits: q * 2^q letters at least
     with pytest.raises(ValueError, match="^expansion of 2097152 terms of 21 letters exceeds the letter budget of 20971520$"):
         final_terms(make_splitting(21, [21]), MarkedState.zeros(21))
+    # refused at the call, before any word: the result is never iterated
     for size in range(21, 65):
         with pytest.raises(ValueError, match="letter budget"):
-            check_expansion_budget(make_splitting(size, [size]))
+            final_terms(make_splitting(size, [size]), MarkedState.zeros(size))
     with pytest.raises(ValueError, match="terms of 41 letters exceeds the letter budget"):
         final_terms(make_splitting(41, [20, 21]), MarkedState.zeros(41))
 

@@ -10,6 +10,7 @@ import pytest
 from scipy.integrate import quad
 
 import adiasearch
+from adiasearch import runtime
 from adiasearch.cli import round_half_away
 from adiasearch.core import (
     MAX_GRID,
@@ -205,6 +206,26 @@ def test_reproduce_table_rows():
         reproduce_table(0)
     with pytest.raises(ValueError):
         reproduce_table(65)
+
+
+def test_reproduce_table_refuses_through_its_one_block_splitting(monkeypatch):
+    # the m = 1 row's splitting refuses n before any quadrature
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("a refused table ran a quadrature")
+
+    monkeypatch.setattr(runtime, "running_time_integral", must_not_run)
+    refusals = [
+        (0, "qubit count must be >= 1, got 0"),
+        (-1, "qubit count must be >= 1, got -1"),
+        (65, "block of 65 qubits exceeds the floating-point cap of 64 qubits per block"),
+        (2**70, f"block of {2**70} qubits exceeds the floating-point cap of 64 qubits per block"),
+        (True, "qubit count has the wrong type: expected an integer, got True"),
+        (6.0, "qubit count has the wrong type: expected an integer, got 6.0"),
+    ]
+    for n, message in refusals:
+        with pytest.raises(ValueError) as refused:
+            reproduce_table(n)
+        assert str(refused.value) == message
 
 
 def test_structure_monotonicity_over_divisors():
